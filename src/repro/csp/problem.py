@@ -115,11 +115,11 @@ class CSPInstance:
         db = Database()
         for i, c in enumerate(self.constraints):
             predicate = f"{c.name}_{i}"
+            # Declared first so an unsatisfiable (empty) constraint
+            # still defines its relation.
+            db.declare(predicate, len(c.scope))
             for row in c.allowed:
                 db.add_fact(predicate, *row)
-            if not c.allowed:
-                db._arities.setdefault(predicate, len(c.scope))
-                db._relations.setdefault(predicate, set())
         return db
 
     def hypergraph(self) -> Hypergraph:

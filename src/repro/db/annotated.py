@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .._errors import EvaluationError, SchemaError, UnknownRelationError
-from ..core.atoms import Atom, Constant, Variable
+from .._errors import EvaluationError, SchemaError
+from ..core.atoms import Atom, Variable
+from .binding import resolve_atom
 from .database import Database
 from .relation import Relation, Row, Value, probe_join
 from .semiring import Semiring
@@ -96,7 +97,7 @@ class AnnotatedRelation(Relation):
     @staticmethod
     def unit(semiring: Semiring, name: str = "unit") -> "AnnotatedRelation":
         """The 0-ary relation holding one row annotated ``one`` — the
-        neutral start of a bag-materialisation join pipeline."""
+        join of no relations at all."""
         return AnnotatedRelation.make(
             (), frozenset({()}), name, semiring, {(): semiring.one}
         )
@@ -459,12 +460,14 @@ def naive_annotated_eval(query, db: Database, semiring: Semiring, stats=None):
     bindings = sorted(
         (bind_atom_annotated(a, db, semiring) for a in atoms), key=len
     )
-    rel = AnnotatedRelation.unit(semiring, query.name)
+    rel = None
     for part in bindings:
-        rel = rel.join(part)
+        rel = part if rel is None else rel.join(part)
         if stats is not None:
             stats.joins += 1
             stats.record(rel)
+    if rel is None:
+        rel = AnnotatedRelation.unit(semiring, query.name)
     answer = rel.project(list(head), name="ans")
     if stats is not None:
         stats.projections += 1
@@ -526,45 +529,18 @@ def bind_atom_annotated(
     The bound-row → base-row map is injective (constants and repeated
     variables are filtered; the surviving columns determine the full
     row), so each bound row's annotation is exactly the ``lift`` of its
-    one base fact — no ``plus`` arises during binding.
+    one base fact — no ``plus`` arises during binding.  The lifted map
+    is memoised per relation version (:meth:`Database.annotations`); an
+    atom over distinct variables shares it, and the snapshot's row set,
+    outright.
     """
-    if not db.has_predicate(atom.predicate):
-        raise UnknownRelationError(
-            f"query atom {atom} references unknown relation "
-            f"{atom.predicate!r}"
+    snap, names, selected = resolve_atom(atom, db)
+    lifted = db.annotations(atom.predicate, semiring)
+    if selected is None:
+        return AnnotatedRelation.make(
+            names, snap.rows, str(atom), semiring, lifted
         )
-    if db.arity(atom.predicate) != atom.arity:
-        raise EvaluationError(
-            f"atom {atom} has arity {atom.arity} but relation "
-            f"{atom.predicate!r} has arity {db.arity(atom.predicate)}"
-        )
-    first_position: dict[Variable, int] = {}
-    order: list[Variable] = []
-    for i, term in enumerate(atom.terms):
-        if isinstance(term, Variable) and term not in first_position:
-            first_position[term] = i
-            order.append(term)
-
-    lift = semiring.lift
-    predicate = atom.predicate
-    annotations: dict[Row, object] = {}
-    for row in db.rows(predicate):
-        consistent = True
-        for i, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                if row[i] != term.value:
-                    consistent = False
-                    break
-            elif row[i] != row[first_position[term]]:
-                consistent = False
-                break
-        if consistent:
-            bound = tuple(row[first_position[v]] for v in order)
-            annotations[bound] = lift(db, predicate, row)
+    annotations = {bound: lifted[base] for bound, base in selected}
     return AnnotatedRelation.make(
-        tuple(v.name for v in order),
-        frozenset(annotations),
-        str(atom),
-        semiring,
-        annotations,
+        names, frozenset(annotations), str(atom), semiring, annotations
     )

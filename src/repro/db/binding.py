@@ -10,22 +10,27 @@ variable names — the convention all evaluation strategies share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .._errors import EvaluationError, UnknownRelationError
 from ..core.atoms import Atom, Constant, Variable
 from ..core.query import ConjunctiveQuery
-from .database import Database
-from .relation import Relation
+from .database import Database, Snapshot
+from .relation import Relation, Row
 
 
-def bind_atom(atom: Atom, db: Database) -> Relation:
-    """The relation of rows of ``rel(atom.predicate)`` consistent with the
-    atom's constants and repeated variables, projected onto its variables.
+def resolve_atom(
+    atom: Atom, db: Database
+) -> tuple[Snapshot, tuple[str, ...], Iterator[tuple[Row, Row]] | None]:
+    """Check *atom* against *db* and describe its binding.
 
-    The result schema lists the atom's distinct variables in order of first
-    occurrence.  An atom over an unknown predicate raises
-    :class:`EvaluationError` (the query references a relation the database
-    does not define).
+    Returns the predicate's snapshot, the atom's distinct variable names
+    in order of first occurrence, and — unless the terms are distinct
+    variables, when binding is a pure positional rename of the snapshot
+    — an iterator of ``(bound row, base row)`` over the base rows
+    consistent with the atom's constants and repeated variables.  An
+    unknown predicate raises :class:`UnknownRelationError`, an arity
+    mismatch :class:`EvaluationError`.
     """
     if not db.has_predicate(atom.predicate):
         raise UnknownRelationError(
@@ -37,32 +42,57 @@ def bind_atom(atom: Atom, db: Database) -> Relation:
             f"atom {atom} has arity {atom.arity} but relation "
             f"{atom.predicate!r} has arity {db.arity(atom.predicate)}"
         )
-
     first_position: dict[Variable, int] = {}
-    order: list[Variable] = []
+    constants: list[tuple[int, object]] = []
+    repeats: list[tuple[int, int]] = []
     for i, term in enumerate(atom.terms):
-        if isinstance(term, Variable) and term not in first_position:
+        if isinstance(term, Constant):
+            constants.append((i, term.value))
+        elif term in first_position:
+            repeats.append((i, first_position[term]))
+        else:
             first_position[term] = i
-            order.append(term)
+    snap = db.snapshot(atom.predicate)
+    names = tuple(v.name for v in first_position)
+    if not constants and not repeats:
+        return snap, names, None
+    keep = tuple(first_position.values())
+    return snap, names, _consistent(snap.rows, constants, repeats, keep)
 
-    rows: set[tuple] = set()
-    for row in db.rows(atom.predicate):
-        consistent = True
-        for i, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                if row[i] != term.value:
-                    consistent = False
+
+def _consistent(rows, constants, repeats, keep) -> Iterator[tuple[Row, Row]]:
+    for row in rows:
+        for i, value in constants:
+            if row[i] != value:
+                break
+        else:
+            for i, j in repeats:
+                if row[i] != row[j]:
                     break
             else:
-                if row[i] != row[first_position[term]]:
-                    consistent = False
-                    break
-        if consistent:
-            rows.add(tuple(row[first_position[v]] for v in order))
+                yield tuple(row[k] for k in keep), row
+
+
+def bind_atom(atom: Atom, db: Database, columnar: bool = False) -> Relation:
+    """The relation of rows of ``rel(atom.predicate)`` consistent with the
+    atom's constants and repeated variables, projected onto its variables.
+
+    The result schema lists the atom's distinct variables in order of first
+    occurrence.  An atom whose terms are distinct variables is a *view*:
+    an O(arity) rename sharing the snapshot's row set — or, with
+    *columnar*, its column buffers; anything else filters the snapshot's
+    rows.  An atom over an unknown predicate raises
+    :class:`EvaluationError` (the query references a relation the database
+    does not define).
+    """
+    snap, names, selected = resolve_atom(atom, db)
+    if selected is None:
+        base = snap.columnar if columnar else snap
+        return base.relabel(names, str(atom))
     # Rows are projections of arity-checked database tuples, so the
     # trusted constructor skips the per-row width re-validation.
     return Relation.trusted(
-        tuple(v.name for v in order), frozenset(rows), str(atom)
+        names, frozenset(bound for bound, _ in selected), str(atom)
     )
 
 

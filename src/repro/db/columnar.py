@@ -323,20 +323,12 @@ class ColumnarRelation(Relation):
     def column(self, attribute: str) -> set[Value]:
         return self.columns[self._position(attribute)].distinct()
 
-    # Class-mismatch equality: the generated dataclass ``__eq__`` only
-    # compares same-class instances, but a columnar relation must equal
-    # the row relation it encodes.
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Relation):
-            return (
-                self.attributes == other.attributes
-                and self.name == other.name
-                and self.rows == other.rows
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.attributes, self.rows, self.name))
+    def relabel(
+        self, attributes: tuple[str, ...], name: str
+    ) -> "ColumnarRelation":
+        return ColumnarRelation.make(
+            attributes, self.columns, name, self.length
+        )
 
     def to_relation(self) -> Relation:
         """The plain row relation this encodes (decodes the buffers)."""
@@ -505,10 +497,14 @@ class ColumnarRelation(Relation):
         positions = [self._position(a) for a in attributes]
         out_name = name or self.name
         attrs = tuple(attributes)
-        if positions == list(range(self.arity)):
-            # Identity projection: share the buffers.
+        if len(positions) == self.arity:
+            # Identity or pure column permutation (attributes are
+            # distinct): nothing can collapse, so share the buffers.
             return ColumnarRelation.make(
-                attrs, self.columns, out_name, self.length
+                attrs,
+                tuple(self.columns[p] for p in positions),
+                out_name,
+                self.length,
             )
         if not positions:
             rows = frozenset({()}) if self.length else frozenset()

@@ -8,23 +8,83 @@ fact store (``add_fact`` / ``facts()``) and a relation store
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .._errors import SchemaError, UnknownRelationError
 from ..core.atoms import Atom, Constant
-from .relation import Relation, Value
+from ..obs import get_registry
+from .relation import Relation, Row, Value
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (incremental imports db)
-    from ..incremental.delta import Delta
+if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from ..incremental.delta import Delta  # incremental imports db
+    from .semiring import Semiring  # semiring's lift takes a Database
+
+
+class Snapshot(Relation):
+    """One immutable version of a base relation (attributes ``$0..$k``,
+    named by its predicate), plus everything that is a pure function of
+    its contents, derived lazily at most once and dropped with it.
+
+    :meth:`Database.snapshot` hands out the same object until an
+    effective mutation of the predicate replaces it, so per-request
+    consumers — atom binding, the cardinality estimator, the columnar
+    kernels — share one frozen row set, one set of column buffers and
+    one value set per column (the inherited, memoised
+    :meth:`Relation.key_set`) instead of re-deriving them per request.
+    A reader holding a snapshot is isolated from later writes.
+    """
+
+    version: int
+
+    @staticmethod
+    def build(
+        predicate: str, arity: int, rows: Iterable[Row], version: int
+    ) -> "Snapshot":
+        snap = object.__new__(Snapshot)
+        object.__setattr__(
+            snap, "attributes", tuple(f"${i}" for i in range(arity))
+        )
+        object.__setattr__(snap, "rows", frozenset(rows))
+        object.__setattr__(snap, "name", predicate)
+        object.__setattr__(snap, "version", version)
+        get_registry().counter("db.snapshot.builds").inc()
+        return snap
+
+    @cached_property
+    def columnar(self) -> Relation:
+        """The columnar encoding of this version (a plain relation for
+        arity 0, where there is nothing to pack)."""
+        # Imported here: columnar sits above this module (it imports
+        # annotated, which imports Database).
+        from .columnar import to_columnar
+
+        get_registry().counter("db.snapshot.builds").inc()
+        return to_columnar(self)
+
+    @cached_property
+    def _lifted(self) -> dict[str, dict[Row, object]]:
+        return {}
+
+    def distinct(self, column: int) -> int:
+        """Number of distinct values in one column."""
+        return len(self.key_set((self.attributes[column],)))
 
 
 class Database:
     """A mutable database instance over an implicit schema.
 
     Relation schemas are fixed on first use (first ``add_fact`` or
-    ``set_relation`` for a name determines the arity); attribute names are
+    ``declare`` for a name determines the arity); attribute names are
     synthesised as ``$0, $1, ...`` since conjunctive-query evaluation binds
     columns positionally through atoms.
+
+    Reads go through one immutable :class:`Snapshot` per predicate,
+    built on first touch and replaced only when an *effective* mutation
+    changes that predicate's rows (re-asserting a present fact or
+    retracting an absent one keeps it).  The snapshot is the mutable
+    store's one frozen copy — that copy, plus lazily the columnar
+    buffers, is its memory cost.
     """
 
     def __init__(self) -> None:
@@ -32,6 +92,9 @@ class Database:
         self._arities: dict[str, int] = {}
         self._weights: dict[str, dict[tuple[Value, ...], float]] = {}
         self._version = 0
+        self._versions: dict[str, int] = {}
+        self._snapshots: dict[str, Snapshot] = {}
+        self._universe: frozenset[Value] | None = None
 
     # -- construction -----------------------------------------------------
     @staticmethod
@@ -68,11 +131,11 @@ class Database:
         rows = self._relations.setdefault(predicate, set())
         row = tuple(values)
         if weight is not None:
-            self._weights.setdefault(predicate, {})[row] = float(weight)
+            self.set_weight(predicate, row, weight)
         if row in rows:
             return False
         rows.add(row)
-        self._version += 1
+        self._rows_changed(predicate)
         return True
 
     def remove_fact(self, predicate: str, *values: Value) -> bool:
@@ -87,15 +150,31 @@ class Database:
         weights = self._weights.get(predicate)
         if weights is not None:
             weights.pop(row, None)
-        self._version += 1
+        self._rows_changed(predicate)
         return True
+
+    def _rows_changed(self, predicate: str) -> None:
+        """An effective mutation of *predicate*: new versions, and the
+        snapshot (with everything derived from it) is dropped.  O(1) —
+        the next reader pays for the rebuild, not the writer."""
+        self._version += 1
+        self._versions[predicate] = self._versions.get(predicate, 0) + 1
+        self._snapshots.pop(predicate, None)
+        self._universe = None
 
     # -- fact weights ------------------------------------------------------
     def set_weight(self, predicate: str, row: Iterable[Value], weight: float) -> None:
         """Attach a weight to one fact (the ``lift`` value of the
         weighted semirings).  The fact need not exist yet — workload
-        generators may assign weights before or after loading."""
+        generators may assign weights before or after loading.
+
+        Weights change what :meth:`annotations` returns but not the
+        rows, so only the predicate's memoised annotation maps are
+        dropped; its snapshot and versions stay."""
         self._weights.setdefault(predicate, {})[tuple(row)] = float(weight)
+        snap = self._snapshots.get(predicate)
+        if snap is not None:
+            snap._lifted.clear()
 
     def weight(
         self, predicate: str, row: tuple[Value, ...], default: float = 1.0
@@ -177,18 +256,59 @@ class Database:
     def has_predicate(self, predicate: str) -> bool:
         return predicate in self._relations
 
+    def snapshot(self, predicate: str) -> Snapshot:
+        """The current immutable version of one relation.
+
+        The same object is returned until an effective mutation of
+        *predicate*; concurrent first-touch builds are idempotent (each
+        copies the same rows; the dict store is atomic), and a build
+        that raced a write carries a stale version and is rebuilt on
+        the next call."""
+        version = self._versions.get(predicate, 0)
+        snap = self._snapshots.get(predicate)
+        if snap is not None and snap.version == version:
+            get_registry().counter("db.snapshot.reuses").inc()
+            return snap
+        rows = self._relations.get(predicate)
+        if rows is None:
+            raise UnknownRelationError(f"unknown predicate {predicate!r}")
+        snap = Snapshot.build(
+            predicate, self._arities[predicate], rows, version
+        )
+        self._snapshots[predicate] = snap
+        return snap
+
+    def cardinality(self, predicate: str) -> int:
+        """Tuple count of one relation (0 for unknown names), without
+        building its snapshot."""
+        return len(self._relations.get(predicate, ()))
+
     def rows(self, predicate: str) -> frozenset[tuple[Value, ...]]:
         """All tuples of the given relation (empty for unknown names)."""
-        return frozenset(self._relations.get(predicate, ()))
+        if predicate not in self._relations:
+            return frozenset()
+        return self.snapshot(predicate).rows
 
     def relation(self, predicate: str) -> Relation:
         """The relation instance as a :class:`Relation` with positional
-        attribute names ``$0..$k``."""
-        if predicate not in self._relations:
-            raise UnknownRelationError(f"unknown predicate {predicate!r}")
-        arity = self._arities[predicate]
-        attrs = tuple(f"${i}" for i in range(arity))
-        return Relation(attrs, frozenset(self._relations[predicate]), predicate)
+        attribute names ``$0..$k`` — its current :meth:`snapshot`."""
+        return self.snapshot(predicate)
+
+    def annotations(
+        self, predicate: str, semiring: "Semiring"
+    ) -> Mapping[Row, object]:
+        """``row -> semiring.lift(row)`` for every row of the relation,
+        memoised per semiring tag on the snapshot (treat as frozen: every
+        annotated binding of the predicate shares it).  Dropped with the
+        snapshot, and by weight writes."""
+        snap = self.snapshot(predicate)
+        lifted = snap._lifted.get(semiring.tag)
+        if lifted is None:
+            lift = semiring.lift
+            lifted = {row: lift(self, predicate, row) for row in snap.rows}
+            snap._lifted[semiring.tag] = lifted
+            get_registry().counter("db.snapshot.builds").inc()
+        return lifted
 
     def contains(self, predicate: str, *values: Value) -> bool:
         """``r(a1..ak) ∈ DB``."""
@@ -201,12 +321,17 @@ class Database:
 
     @property
     def universe(self) -> frozenset[Value]:
-        """The active domain: every value occurring in some tuple."""
-        result: set[Value] = set()
-        for rows in self._relations.values():
-            for row in rows:
-                result.update(row)
-        return frozenset(result)
+        """The active domain: every value occurring in some tuple
+        (memoised until the next effective mutation; the union of the
+        snapshots' per-column value sets)."""
+        if self._universe is None:
+            values: set[Value] = set()
+            for predicate in self._relations:
+                snap = self.snapshot(predicate)
+                for attribute in snap.attributes:
+                    values |= snap.key_set((attribute,))
+            self._universe = frozenset(values)
+        return self._universe
 
     def size(self) -> int:
         """``‖DB‖`` measured as the total number of value occurrences."""

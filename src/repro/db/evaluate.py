@@ -20,10 +20,11 @@ experiment E08.  Evaluation then runs Yannakakis on ``JT``: Boolean
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Container, Literal, Sequence
 
-from .._errors import EvaluationError
+from .._errors import BudgetExceeded, EvaluationError
 from ..core.acyclicity import join_tree as build_join_tree
 from ..core.atoms import Atom, Variable
 from ..core.detkdecomp import hypertree_width
@@ -35,9 +36,11 @@ from .annotated import (
     AnnotationAssignmentError,
     assign_annotated_atoms,
     bind_atom_annotated,
+    join_dispatch,
     naive_annotated_eval,
 )
 from .binding import BoundQuery, bind_atom
+from .columnar import to_columnar
 from .database import Database
 from .naive import backtracking_eval, naive_boolean_eval, naive_join_eval
 from .relation import Relation
@@ -70,13 +73,74 @@ class Lemma46Result:
         """DB′ as a standalone :class:`Database` (one relation per node)."""
         db = Database()
         for atom, rel in self.relations.items():
+            # Declared first so an empty relation keeps its existence
+            # and arity.
+            db.declare(atom.predicate, rel.arity)
             for row in rel.rows:
                 db.add_fact(atom.predicate, *row)
-            if not rel.rows:
-                # Preserve the (empty) relation's existence and arity.
-                db._arities.setdefault(atom.predicate, rel.arity)
-                db._relations.setdefault(atom.predicate, set())
         return db
+
+
+def check_deadline(deadline: float | None, phase: str) -> None:
+    """Raise :class:`BudgetExceeded` once *deadline* (monotonic seconds)
+    has passed; checked between operators, never inside one."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(f"engine budget exhausted during {phase}")
+
+
+def bag_relation(
+    atoms: Sequence[Atom],
+    chi: frozenset[Variable],
+    name: str,
+    db: Database,
+    stats: EvalStats,
+    semiring: Semiring | None = None,
+    carriers: Container[Atom] = (),
+    columnar: bool = False,
+    deadline: float | None = None,
+) -> Relation:
+    """The node relation of Lemma 4.6: ``π_χ(⋈ atoms)`` over *db*.
+
+    *atoms* are the node's contributing λ atoms in join order; each is
+    bound (a view of its base relation's snapshot where possible),
+    pre-projected onto ``var(A) ∩ χ`` when it reaches outside χ, and
+    joined into the running result, which is finally projected into
+    sorted-χ order — a no-op sharing storage when the joined schema
+    already is that.  ``stats`` counts one join per atom and one
+    projection per pre-projection and per bag, as Lemma 4.6 states the
+    pipeline, whether or not the step had any work to do.
+
+    Under a *semiring* the atoms in *carriers* bind annotated (they
+    satisfy ``var(A) ⊆ χ``, so they are never pre-projected), the rest
+    bind plain and act as filters, and the result is always annotated.
+    With *columnar* (set semantics only) the result is a
+    :class:`~repro.db.columnar.ColumnarRelation`; a single-atom node
+    starts from the snapshot's column buffers instead of encoding a
+    freshly bound row relation.
+    """
+    columnar = columnar and semiring is None
+    view = columnar and len(atoms) == 1
+    chi_names = tuple(sorted(v.name for v in chi))
+    rel: Relation | None = None
+    for a in atoms:
+        if a in carriers:
+            part: Relation = bind_atom_annotated(a, db, semiring)
+        else:
+            part = bind_atom(a, db, columnar=view)
+        if not a.variables <= chi:
+            part = part.project(sorted(v.name for v in a.variables & chi))
+            stats.projections += 1
+        rel = part if rel is None else join_dispatch(rel, part)
+        stats.joins += 1
+        stats.record(rel)
+        check_deadline(deadline, f"joins of {name}")
+    if rel is None:
+        rel = Relation.trusted((), frozenset({()}), name)
+    rel = stats.record(rel.project(chi_names, name=name))
+    stats.projections += 1
+    if semiring is not None:
+        return AnnotatedRelation.lift(rel, semiring)
+    return to_columnar(rel) if columnar else rel
 
 
 def lemma46_transform(
@@ -119,30 +183,22 @@ def lemma46_transform(
             )
 
     for i, p in enumerate(nodes):
-        chi_names = tuple(sorted(v.name for v in p.chi))
-        if semiring is not None:
-            rel: Relation = AnnotatedRelation.unit(semiring, f"n{i}")
-        else:
-            rel = Relation((), frozenset({()}), f"n{i}")
-        for a in sorted(p.lam, key=str):
-            overlap = a.variables & p.chi
-            if not overlap and a.variables:
-                continue  # contributes no χ(p) bindings (Lemma 4.6 case split)
-            if assignment is not None and assignment.get(a) == i:
-                part: Relation = bind_atom_annotated(a, db, semiring)
-            else:
-                part = bind_atom(a, db)
-            if not a.variables <= p.chi:
-                part = part.project(
-                    [v.name for v in sorted(overlap, key=lambda x: x.name)]
-                )
-                stats.projections += 1
-            rel = rel.join(part)
-            stats.joins += 1
-            stats.record(rel)
-        rel = stats.record(rel.project(chi_names, name=f"n{i}"))
-        stats.projections += 1
-        atom = Atom(f"n{i}", tuple(Variable(a) for a in chi_names))
+        # Atoms with variables but none in χ(p) contribute no bindings
+        # (the Lemma 4.6 case split).
+        contributing = [
+            a
+            for a in sorted(p.lam, key=str)
+            if (a.variables & p.chi) or not a.variables
+        ]
+        carriers = (
+            [a for a in contributing if assignment.get(a) == i]
+            if assignment is not None
+            else ()
+        )
+        rel = bag_relation(
+            contributing, p.chi, f"n{i}", db, stats, semiring, carriers
+        )
+        atom = Atom(f"n{i}", tuple(Variable(a) for a in rel.attributes))
         fresh_atoms[i] = atom
         relations[atom] = rel
         node_of_atom[atom] = p

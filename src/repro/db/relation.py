@@ -99,6 +99,18 @@ class Relation:
     def empty(attributes: Sequence[str], name: str = "r") -> "Relation":
         return Relation(tuple(attributes), frozenset(), name)
 
+    # Subclasses store the same logical relation differently (columnar
+    # buffers, a versioned base-relation snapshot), so equality is by
+    # contents, not by class.
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Relation):
+            return (
+                self.attributes == other.attributes
+                and self.name == other.name
+                and self.rows == other.rows
+            )
+        return NotImplemented
+
     # -- views --------------------------------------------------------------
     @property
     def arity(self) -> int:
@@ -197,7 +209,9 @@ class Relation:
         positions = [self._position(a) for a in attributes]
         # Short projections dominate the enumeration pass; direct tuple
         # construction avoids one generator frame per row.
-        if len(positions) == 1:
+        if positions == list(range(self.arity)):
+            rows = self.rows  # identity projection shares the row set
+        elif len(positions) == 1:
             p0 = positions[0]
             rows = frozenset((row[p0],) for row in self.rows)
         elif len(positions) == 2:
@@ -208,13 +222,17 @@ class Relation:
             rows = frozenset(
                 (row[p0], row[p1], row[p2]) for row in self.rows
             )
-        elif positions == list(range(self.arity)):
-            rows = self.rows  # identity projection
         else:
             rows = frozenset(
                 tuple(row[p] for p in positions) for row in self.rows
             )
         return Relation.trusted(tuple(attributes), rows, name or self.name)
+
+    def relabel(self, attributes: tuple[str, ...], name: str) -> "Relation":
+        """The same tuples under a new schema and name, sharing storage
+        (how an atom over distinct variables views a base relation).
+        *attributes* must be distinct and match the arity."""
+        return Relation.trusted(attributes, self.rows, name)
 
     def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
         """ρ: rename attributes according to *mapping* (others unchanged)."""

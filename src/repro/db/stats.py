@@ -100,34 +100,21 @@ class CardinalityEstimator:
 
     Uses the classic System-R independence assumptions: a bound atom's
     cardinality is its relation size scaled by ``1/distinct(column)`` per
-    constant selection and per repeated-variable equality.  Distinct
-    counts are memoised, so estimating a whole plan touches each needed
-    column once.
+    constant selection and per repeated-variable equality.  Sizes are
+    O(1) reads; distinct counts and the active domain are memoised per
+    relation version on the database's snapshots, so an estimator is
+    free to build per request.
     """
 
     def __init__(self, db: "Database | None"):
         self.db = db
-        self._distinct: dict[tuple[str, int], int] = {}
-        self._sizes: dict[str, int] = {}
         self._atom_memo: dict[Atom, float] = {}
-        self._domain: int | None = None
-
-    def _relation_size(self, predicate: str) -> int:
-        """Memoised tuple count (``Database.rows`` copies the relation,
-        so the planner must not call it per candidate atom)."""
-        if predicate not in self._sizes:
-            self._sizes[predicate] = (
-                len(self.db.rows(predicate)) if self.db is not None else 0
-            )
-        return self._sizes[predicate]
 
     def distinct(self, predicate: str, column: int) -> int:
         """Number of distinct values in one column (≥ 1 for estimates)."""
-        key = (predicate, column)
-        if key not in self._distinct:
-            rows = self.db.rows(predicate) if self.db is not None else ()
-            self._distinct[key] = max(1, len({row[column] for row in rows}))
-        return self._distinct[key]
+        if self.db is None or not self.db.has_predicate(predicate):
+            return 1
+        return max(1, self.db.snapshot(predicate).distinct(column))
 
     def atom_rows(self, atom: Atom) -> float:
         """Estimated row count of ``bind_atom(atom, db)``, memoised per
@@ -147,7 +134,7 @@ class CardinalityEstimator:
             return 1.0
         if self.db.arity(atom.predicate) != atom.arity:
             return 1.0
-        estimate = float(self._relation_size(atom.predicate))
+        estimate = float(self.db.cardinality(atom.predicate))
         first_position: dict[Variable, int] = {}
         for i, term in enumerate(atom.terms):
             if isinstance(term, Constant):
@@ -175,7 +162,5 @@ class CardinalityEstimator:
 
     @property
     def domain_size(self) -> int:
-        """Active-domain size, memoised (1 when no database is attached)."""
-        if self._domain is None:
-            self._domain = 1 if self.db is None else max(1, len(self.db.universe))
-        return self._domain
+        """Active-domain size (1 when no database is attached)."""
+        return 1 if self.db is None else max(1, len(self.db.universe))

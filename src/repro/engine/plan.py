@@ -42,29 +42,17 @@ shard task is never interrupted mid-flight).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from .._errors import BudgetExceeded
 from ..core.atoms import Atom, Variable
 from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
-from ..db.annotated import (
-    AnnotatedRelation,
-    assign_annotated_atoms,
-    bind_atom_annotated,
-    naive_annotated_eval,
-)
+from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
 from ..db.backend import BACKEND_KINDS, ExecutionContext, make_backend
-from ..db.binding import bind_atom
-from ..db.columnar import (
-    COLUMNAR_MIN_ROWS,
-    LAYOUTS,
-    ColumnarRelation,
-    to_columnar,
-)
+from ..db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS, ColumnarRelation
 from ..db.database import Database
+from ..db.evaluate import bag_relation, check_deadline
 from ..db.parallel import (
     parallel_boolean_eval,
     parallel_enumerate_answers,
@@ -79,11 +67,6 @@ from ..obs import Tracer, current_tracer, get_registry
 #: ROADMAP's "partition overhead dominates below ~1k rows" observation,
 #: applied per relation by the cost-based policy.
 SHARD_MIN_ROWS = 1000
-
-
-def _check_deadline(deadline: float | None, phase: str) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceeded(f"engine budget exhausted during {phase}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +178,10 @@ class QueryPlan:
 
         Per node: estimated vs actual bag cardinality (exposing the
         misestimates the cost-based shard policy silently acts on),
-        materialisation wall time, and the node's share of the sweep
-        (semijoin/join operator time attributed by relation name).
+        materialisation wall time — for a single-atom node, whether it
+        reused the base relation's snapshot or had to rebuild part of
+        it — and the node's share of the sweep (semijoin/join operator
+        time attributed by relation name).
         Worker-resident shard tasks — whose time is recorded *inside*
         the process-backend workers and shipped back at reply time —
         are totalled in the footer.
@@ -233,9 +218,11 @@ class QueryPlan:
                 misestimate = f"est/actual {factor:.2f}x"
             else:
                 misestimate = f"est {int(np.estimated_rows)}, actual empty"
+            snapshot = spans_here[-1].attrs.get("snapshot")
             lines.append(
                 f"  {node}: ≈{int(np.estimated_rows)} est -> {actual} actual "
                 f"rows ({misestimate}); bag {bag_ms:.3f}ms"
+                + (f" (snapshot {snapshot})" if snapshot else "")
                 + (
                     f", sweep {sweep_s * 1e3:.3f}ms over {sweep_n} op(s)"
                     if sweep_n
@@ -441,51 +428,33 @@ def _materialise_bag(
 ) -> Relation:
     """Materialise one decomposition node's bag relation.
 
-    Under a *semiring*, the atoms in *carriers* (this node's share of
-    the once-per-atom annotation assignment) bind annotated; the rest
-    bind plain and act as filters.  Carriers always satisfy
-    ``var(A) ⊆ χ(p)``, so they are never pre-projected.
+    The pipeline is :func:`repro.db.evaluate.bag_relation` (the one
+    Lemma 4.6 kernel) over the plan's join order; *carriers* is this
+    node's share of the once-per-atom annotation assignment.
 
-    A node compiled with ``layout="columnar"`` converts the finished
-    bag to :class:`~repro.db.columnar.ColumnarRelation` — the Yannakakis
+    A node compiled with ``layout="columnar"`` yields a
+    :class:`~repro.db.columnar.ColumnarRelation` — the Yannakakis
     sweeps then dispatch into the vectorised kernels, and the process
     backend ships the bag over shared memory instead of the pickle
-    codec.  Annotated bags are never converted (``to_columnar`` returns
-    them unchanged); the ``plan.layout_columnar`` / ``plan.layout_row``
-    counters record which path each bag actually took."""
-    _check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
+    codec.  Annotated bags never are; the ``plan.layout_columnar`` /
+    ``plan.layout_row`` counters record which path each bag actually
+    took, and a single-atom node's span says whether its bind reused
+    the base relation's snapshot or had to (re)build part of it —
+    the cost of a read after a write."""
+    check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
+    registry = get_registry()
+    builds = registry.counter("db.snapshot.builds")
+    built_before = builds.value
     with current_tracer().span(
         "plan.bag",
         node=np.bag.predicate,
         est=int(np.estimated_rows),
         shards=np.n_shards,
     ) as sp:
-        if semiring is not None:
-            rel: Relation = AnnotatedRelation.unit(semiring, np.bag.predicate)
-        else:
-            rel = Relation.trusted((), frozenset({()}), np.bag.predicate)
-        for a in np.join_order:
-            if a in carriers:
-                part: Relation = bind_atom_annotated(a, db, semiring)
-            else:
-                part = bind_atom(a, db)
-            if not a.variables <= p.chi:
-                overlap = sorted(
-                    (v.name for v in a.variables & p.chi)
-                )
-                part = part.project(overlap)
-                stats.projections += 1
-            rel = rel.join(part)
-            stats.joins += 1
-            stats.record(rel)
-            _check_deadline(deadline, f"joins of {np.bag.predicate}")
-        rel = stats.record(
-            rel.project(list(np.chi_names), name=np.bag.predicate)
+        rel = bag_relation(
+            np.join_order, p.chi, np.bag.predicate, db, stats,
+            semiring, carriers, np.layout == "columnar", deadline,
         )
-        stats.projections += 1
-        if np.layout == "columnar" and semiring is None:
-            rel = to_columnar(rel)
-        registry = get_registry()
         if isinstance(rel, ColumnarRelation):
             registry.counter("plan.layout_columnar").inc()
         else:
@@ -493,6 +462,10 @@ def _materialise_bag(
         sp.set(rows=len(rel), layout=(
             "columnar" if isinstance(rel, ColumnarRelation) else "row"
         ))
+        if len(np.join_order) == 1:
+            sp.set(snapshot=(
+                "built" if builds.value > built_before else "reused"
+            ))
     return rel
 
 
@@ -608,7 +581,7 @@ def _execute_with_context(
             for i, (np, p) in enumerate(node_pairs)
         }
 
-    _check_deadline(deadline, "Yannakakis passes")
+    check_deadline(deadline, "Yannakakis passes")
     sharded = ctx is not None and any(counts[np.bag] > 1 for np, _ in node_pairs)
     if not plan.output:
         if semiring is not None:

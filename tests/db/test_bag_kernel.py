@@ -1,0 +1,141 @@
+"""One Lemma 4.6 bag kernel, same bags.
+
+``bag_relation`` is the single pipeline behind both
+``lemma46_transform`` and ``execute_plan``.  The oracle is the pipeline
+as the lemma states it, written with plain operators and no shortcuts:
+start from the unit relation, join every bound (pre-projected) atom,
+project onto χ.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.atoms import Atom, Constant, Variable
+from repro.core.detkdecomp import hypertree_width
+from repro.db import COUNTING, MINCOST, Database, EvalStats, Relation, bind_atom
+from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
+from repro.db.columnar import ColumnarRelation
+from repro.db.evaluate import bag_relation, lemma46_transform
+from repro.engine.plan import _materialise_bag, compile_plan
+from repro.generators.workloads import random_database
+from tests.conftest import small_queries
+
+_ARITY = {"p": 2, "q": 3, "u": 1, "z": 0}
+_VARS = [Variable(n) for n in "ABCDE"]
+_TERM = st.one_of(
+    st.sampled_from(_VARS), st.sampled_from([Constant(0), Constant(1)])
+)
+
+
+@st.composite
+def _atoms(draw):
+    predicate = draw(st.sampled_from(sorted(_ARITY)))
+    terms = draw(
+        st.lists(
+            _TERM, min_size=_ARITY[predicate], max_size=_ARITY[predicate]
+        )
+    )
+    return Atom(predicate, tuple(terms))
+
+
+def _database(seed: int, weights: bool) -> Database:
+    rng = random.Random(seed)
+    db = Database()
+    for predicate, arity in _ARITY.items():
+        db.declare(predicate, arity)
+        for _ in range(rng.randrange(0, 12) if arity else rng.randrange(2)):
+            row = tuple(rng.randrange(3) for _ in range(arity))
+            db.add_fact(
+                predicate, *row,
+                weight=rng.choice([0.5, 1.0, 2.0]) if weights else None,
+            )
+    return db
+
+
+def _contributing(atoms, chi):
+    """The caller-side Lemma 4.6 case split: an atom with variables but
+    none in χ contributes nothing."""
+    return [a for a in atoms if (a.variables & chi) or not a.variables]
+
+
+def _by_the_lemma(atoms, chi, db, semiring=None, carriers=()):
+    if semiring is not None:
+        rel = AnnotatedRelation.unit(semiring, "bag")
+    else:
+        rel = Relation((), frozenset({()}), "bag")
+    for a in atoms:
+        if a in carriers:
+            part = bind_atom_annotated(a, db, semiring)
+        else:
+            part = bind_atom(a, db)
+        part = part.project(sorted(v.name for v in a.variables & chi))
+        rel = rel.join(part)
+    return rel.project(sorted(v.name for v in chi), name="bag")
+
+
+class TestKernelAgainstTheLemma:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atoms=st.lists(_atoms(), min_size=0, max_size=4),
+        chi=st.sets(st.sampled_from(_VARS), max_size=4),
+        seed=st.integers(0, 1000),
+        columnar=st.booleans(),
+    )
+    def test_set_semantics_row_and_columnar(self, atoms, chi, seed, columnar):
+        chi = frozenset(chi)
+        atoms = _contributing(atoms, chi)
+        covered = set().union(*(a.variables for a in atoms)) if atoms else set()
+        chi &= covered  # χ ⊆ var(λ): condition 3 of a decomposition
+        db = _database(seed, weights=False)
+        stats = EvalStats()
+        got = bag_relation(atoms, chi, "bag", db, stats, columnar=columnar)
+        expected = _by_the_lemma(atoms, chi, db)
+        assert got == expected
+        assert isinstance(got, ColumnarRelation) == (columnar and bool(chi))
+        # Operator counts follow the lemma's pipeline, not the shortcuts.
+        assert stats.joins == len(atoms)
+        assert stats.projections == 1 + sum(
+            1 for a in atoms if not a.variables <= chi
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        atoms=st.lists(_atoms(), min_size=0, max_size=4),
+        chi=st.sets(st.sampled_from(_VARS), max_size=4),
+        seed=st.integers(0, 1000),
+        pick=st.randoms(use_true_random=False),
+        semiring=st.sampled_from([COUNTING, MINCOST]),
+    )
+    def test_annotated(self, atoms, chi, seed, pick, semiring):
+        chi = frozenset(chi)
+        atoms = _contributing(atoms, chi)
+        covered = set().union(*(a.variables for a in atoms)) if atoms else set()
+        chi &= covered
+        # Any subset of the χ-covered atoms may carry annotations here.
+        carriers = {
+            a for a in atoms if a.variables <= chi and pick.random() < 0.6
+        }
+        db = _database(seed, weights=True)
+        got = bag_relation(
+            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+            columnar=True,  # ignored under a semiring
+        )
+        expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
+        assert isinstance(got, AnnotatedRelation)
+        assert got == expected
+        assert got.annotations == expected.annotations
+
+
+class TestOneKernelTwoCallers:
+    @settings(max_examples=40, deadline=None)
+    @given(query=small_queries(), seed=st.integers(0, 100))
+    def test_transform_and_plan_materialise_the_same_bags(self, query, seed):
+        db = random_database(query, 3, 6, seed=seed)
+        _, hd = hypertree_width(query.as_boolean())
+        transformed = lemma46_transform(query, db, hd)
+        plan = compile_plan(query, db, hd)
+        for node_plan, p in zip(plan.node_plans, plan.decomposition.nodes):
+            bag = _materialise_bag(node_plan, p, db, EvalStats(), None)
+            assert bag == transformed.relations[node_plan.bag]

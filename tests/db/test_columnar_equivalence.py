@@ -147,6 +147,39 @@ class TestOperatorEquivalence:
         for attrs in (["a"], ["b"], ["a", "c"], ["c", "b", "a"], []):
             assert c.project(attrs).rows == r.project(attrs).rows
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        domain=st.integers(1, 12),
+        n=st.integers(0, 80),
+        order=st.permutations(["a", "b", "c"]),
+    )
+    def test_pure_permutation_projection_shares_buffers(
+        self, seed, domain, n, order
+    ):
+        """A projection onto all attributes cannot collapse rows, so the
+        columnar kernel permutes the column objects instead of routing
+        the rows through a dedup set."""
+        import random
+
+        rng = random.Random(seed)
+        mixed = ["x", "y", 3]  # column b dictionary-encodes
+        rows = [
+            (rng.randrange(domain), rng.choice(mixed), rng.randrange(domain))
+            for _ in range(n)
+        ]
+        from repro.db import Relation
+
+        r = Relation.from_rows(("a", "b", "c"), rows, "r")
+        c = to_columnar(r)
+        out = c.project(order, name="p")
+        assert isinstance(out, ColumnarRelation)
+        assert out.attributes == tuple(order) and out.name == "p"
+        assert out.rows == r.project(order).rows
+        assert len(out) == len(r)
+        for attr, col in zip(out.attributes, out.columns):
+            assert col is c.columns[c.attributes.index(attr)]
+
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestShardedColumnarEquivalence:

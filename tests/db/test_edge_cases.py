@@ -74,8 +74,7 @@ class TestEmptyAndMissing:
     def test_empty_relation_makes_false(self):
         q = parse_query("r(X), s(X)")
         db = Database.from_relations({"r": [(1,)], "s": []})
-        db._arities.setdefault("s", 1)
-        db._relations.setdefault("s", set())
+        db.declare("s", 1)
         assert not evaluate_boolean(q, db, method="decomposition")
 
     def test_missing_relation_raises(self):
@@ -91,8 +90,7 @@ class TestEmptyAndMissing:
             {"enrolled": [], "teaches": [], "parent": []}
         )
         for name, arity in (("enrolled", 3), ("teaches", 3), ("parent", 2)):
-            db._arities.setdefault(name, arity)
-            db._relations.setdefault(name, set())
+            db.declare(name, arity)
         _, hd = hypertree_width(query_q1)
         out = lemma46_transform(query_q1, db, hd)
         assert all(not rel for rel in out.relations.values())

@@ -1,6 +1,6 @@
 """Engine facade: correctness vs the naive baseline, amortisation, budgets."""
 
-import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -154,13 +154,19 @@ class TestBudgets:
         start when it begins *executing*, not when the batch is
         submitted.  Two slow requests saturate the 2-thread pool for far
         longer than the whole per-request budget; the fast requests
-        queued behind them must still succeed."""
-        rng = random.Random(0)
-        slow_db = Database()
-        n = 40_000
-        while slow_db.tuple_count() < n:
-            a = rng.randrange(n)
-            slow_db.add_fact("e", a, (a + rng.randrange(1, 4)) % n)
+        queued behind them must still succeed.  The slow requests are
+        slow by construction — every base-relation read stalls for two
+        budgets — not because the engine happens to be."""
+        budget = 0.15
+
+        class StallingDatabase(Database):
+            def snapshot(self, predicate):
+                time.sleep(2 * budget)
+                return super().snapshot(predicate)
+
+        slow_db = StallingDatabase()
+        for a in range(50):
+            slow_db.add_fact("e", a, (a + 1) % 50)
         slow_query = path_query(3)
         slow_query = slow_query.with_head(
             tuple(sorted(slow_query.variables, key=lambda v: v.name)[:2])
@@ -169,7 +175,6 @@ class TestBudgets:
         fast = parse_query("e(X,Y), e(Y,Z), e(Z,X)")
 
         engine = Engine(mode="heuristic")
-        budget = 0.15
         requests = [(slow_query, slow_db)] * 2 + [(fast, fast_db)] * 3
         batch = engine.execute_many(requests, workers=2, budget=budget)
 

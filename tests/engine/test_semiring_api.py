@@ -78,6 +78,37 @@ class TestConvenienceMethods:
         assert result.annotations is None
 
 
+class TestWeightWrites:
+    """Regression: weight writes change what ``lift`` returns without
+    touching the rows, so they need their own invalidation of the
+    annotation maps memoised per relation version."""
+
+    def test_warm_answers_reflect_a_weight_write(self, engine, db):
+        query = parse_query(PATH2)
+        assert engine.count(query, db) == 4  # warm: maps are memoised
+        (row, cost, _), = engine.top_k(query, db, k=1)
+        assert cost == pytest.approx(2.0)
+        probs = engine.probability(query, db)
+        assert probs[(1, 3)] == pytest.approx(1.0)
+
+        # Make every path through 2 expensive except 2 -> 4 -> 5.
+        db.set_weight("e", (1, 2), 10.0)
+        db.set_weight("e", (2, 3), 10.0)
+        (row, cost, witness), = engine.top_k(query, db, k=1)
+        assert row == (2, 5) and cost == pytest.approx(2.0)
+        assert set(witness) == {("e", (2, 4)), ("e", (4, 5))}
+        by_row = {r: c for r, c, _ in engine.top_k(query, db, k=3)}
+        assert by_row[(1, 3)] == pytest.approx(20.0)
+        assert by_row[(1, 4)] == pytest.approx(11.0)
+
+        # add_fact(weight=) on a present row is a weight-only write too.
+        assert not db.add_fact("e", 1, 2, weight=0.5)
+        assert engine.probability(query, db)[(1, 4)] == pytest.approx(0.5)
+        by_row = {r: c for r, c, _ in engine.top_k(query, db, k=3)}
+        assert by_row[(1, 4)] == pytest.approx(1.5)
+        assert engine.count(query, db) == 4  # counts ignore weights
+
+
 class TestPlanCacheSharing:
     def test_semiring_switch_promotes_instead_of_replanning(self, engine, db):
         query = parse_query(PATH2)

@@ -22,6 +22,7 @@ from repro.engine import Engine
 from repro.obs import (
     NULL_TRACER,
     Tracer,
+    chrome_trace_events,
     current_tracer,
     tracing,
     validate_chrome_trace,
@@ -131,6 +132,41 @@ class TestExplainAnalyze:
         assert "per-node actuals" in text
         assert "est ->" in text and "actual rows" in text
         assert "bag " in text  # per-node bag wall time
+
+    def test_read_after_write_is_attributable_to_a_snapshot_rebuild(self):
+        """Single-atom bags say whether they reused the base relation's
+        snapshot: a warm read is all ``reused``, the first read after a
+        write ``built`` — in the spans, in EXPLAIN ANALYZE and in the
+        exported Chrome trace."""
+        db = path_db()
+        query = parse_query(QUERY)
+
+        def bag_snapshots(tracer):
+            return [s.attrs.get("snapshot") for s in tracer.find("plan.bag")]
+
+        with Engine(layout="columnar") as engine:
+            engine.execute(query, db)
+            with tracing(Tracer()) as warm:
+                engine.execute(query, db)
+            assert set(bag_snapshots(warm)) == {"reused"}
+            text = engine.explain(query, db, analyze=True)
+            assert "(snapshot reused)" in text and "built" not in text
+
+            db.add_fact("e", 100, 101)
+            with tracing(Tracer()) as after_write:
+                engine.execute(query, db)
+            # One rebuild serves both bags over e; the second reuses it.
+            assert bag_snapshots(after_write) == ["built", "reused"]
+            exported = [
+                e["args"].get("snapshot")
+                for e in chrome_trace_events(after_write)
+                if e["name"] == "plan.bag"
+            ]
+            assert exported == ["built", "reused"]
+            db.add_fact("e", 101, 102)
+            assert "(snapshot built)" in engine.explain(
+                query, db, analyze=True
+            )
 
     def test_analyze_feeds_outer_ambient_tracer(self):
         """Under a CLI-style ambient tracer the analyze run records into
