@@ -86,12 +86,13 @@ class AnnotatedRelation(Relation):
         ``one`` (the neutral weight of an unannotated fact)."""
         if isinstance(rel, AnnotatedRelation):
             return rel
+        rows = frozenset(rel.rows)  # a columnar relation's are a lazy view
         if annotations is None:
-            ann = dict.fromkeys(rel.rows, semiring.one)
+            ann = dict.fromkeys(rows, semiring.one)
         else:
-            ann = {row: annotations.get(row, semiring.one) for row in rel.rows}
+            ann = {row: annotations.get(row, semiring.one) for row in rows}
         return AnnotatedRelation.make(
-            rel.attributes, rel.rows, rel.name, semiring, ann
+            rel.attributes, rows, rel.name, semiring, ann
         )
 
     @staticmethod

@@ -366,7 +366,7 @@ class ExecutionContext:
             return concat_columnar(pieces, attributes, name)
         merged: set[Row] = set()
         for piece in pieces:
-            merged |= piece.rows
+            merged.update(piece.rows)
         return Relation.trusted(attributes, frozenset(merged), name)
 
     def prefers_relation_scatter(self, rel) -> bool:

@@ -30,9 +30,11 @@ zero-copy through ``multiprocessing.shared_memory`` — see
 :mod:`repro.db.shm` — so process-backend workers attach partitions by
 name instead of decoding row tuples.
 
-Row materialisation stays available (the :attr:`ColumnarRelation.rows`
-property decodes lazily, once) so inherited operations, equality and
-every existing consumer keep working; annotated semiring relations stay
+Row materialisation stays available (:attr:`ColumnarRelation.rows` is a
+:class:`RowsView`: counting and iterating decode straight from the
+buffers, anything that needs a hash table builds the ``frozenset`` once)
+so inherited operations, equality and every existing consumer keep
+working; annotated semiring relations stay
 on the row path entirely (their per-row annotation maps defeat columnar
 batching by construction).
 """
@@ -40,6 +42,7 @@ batching by construction).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Set
 from functools import partial
 from itertools import compress, repeat
 from operator import is_not
@@ -155,6 +158,27 @@ def _np_member_mask(view, karr):
     return _np.isin(view, karr)
 
 
+def _np_row_keys(cols: Sequence["Column"]):
+    """One int64 per row, equal exactly where the rows are: each
+    column's raw ints (values or dictionary codes) as a digit of a
+    mixed-radix number over that column's range.  ``None`` for float
+    columns and for ranges whose product leaves int64 — the caller's
+    tuple path handles those."""
+    keys = None
+    radix = 1
+    for col in cols:
+        if col.kind == "f":
+            return None
+        view = _np_view(col)
+        lo = int(view.min())
+        span = int(view.max()) - lo + 1
+        radix *= span
+        if radix >= 1 << 62:
+            return None
+        keys = view - lo if keys is None else keys * span + (view - lo)
+    return keys
+
+
 def _np_select(col: "Column", mask) -> "Column":
     """Filter by a numpy boolean mask — one vectorised gather, then a
     memcpy back into ``array`` storage (pools stay shared)."""
@@ -262,15 +286,72 @@ def _empty_columns(arity: int) -> tuple[Column, ...]:
     return tuple(Column("i", array("q")) for _ in range(arity))
 
 
+class RowsView(Set):
+    """What :attr:`ColumnarRelation.rows` is: the rows of column buffers
+    as an immutable set that builds no hash table until one is needed.
+
+    ``len`` and iteration decode straight from the buffers (rows there
+    are distinct), so a consumer that walks an answer once — an encoder,
+    a digest, a printer — neither allocates nor keeps a table whose size
+    steps with the row count.  Membership, equality, hashing and the
+    ``frozenset`` methods go to the ``frozenset`` built on the first such
+    use and kept; set algebra returns plain ``frozenset`` objects.
+    """
+
+    # Slots clear in this order: the buffers go before what maps them.
+    __slots__ = ("_columns", "_frozen", "_segment")
+
+    def __init__(self, columns: tuple["Column", ...], segment=None):
+        self._columns = columns
+        self._frozen: frozenset[Row] | None = None
+        self._segment = segment  # shm mapping under the buffers, if any
+
+    def frozen(self) -> frozenset[Row]:
+        if self._frozen is None:
+            self._frozen = frozenset(self)
+        return self._frozen
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self) -> Iterator[Row]:
+        if self._frozen is not None:
+            return iter(self._frozen)
+        return zip(*(c.values() for c in self._columns))
+
+    def __contains__(self, row) -> bool:
+        return row in self.frozen()
+
+    def __eq__(self, other) -> bool:
+        return self.frozen() == other
+
+    def __hash__(self) -> int:
+        return hash(self.frozen())
+
+    def __getattr__(self, name: str):
+        # union / issubset / isdisjoint / copy ...: frozenset's own.
+        return getattr(self.frozen(), name)
+
+    def __repr__(self) -> str:
+        return repr(self.frozen())
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
+
+    @classmethod
+    def _from_iterable(cls, rows) -> frozenset[Row]:
+        return frozenset(rows)
+
+
 class ColumnarRelation(Relation):
     """A relation stored column-wise; same contract as ``Relation``.
 
     Instances are built with :meth:`make` (the columnar counterpart of
     ``Relation.trusted``).  ``columns`` holds one :class:`Column` per
     attribute and ``length`` the row count; the inherited ``rows``
-    field becomes a lazy property that decodes the buffers into the
-    usual ``frozenset`` of tuples on first touch (inherited operations,
-    equality and rendering all keep working, they just pay the decode).
+    field becomes a lazy :class:`RowsView` over the buffers (inherited
+    operations, equality and rendering all keep working, they just pay
+    the decode).
     Construction invariant: the column buffers never contain duplicate
     rows, so ``length == len(rows)`` always holds.
     """
@@ -298,13 +379,15 @@ class ColumnarRelation(Relation):
     # decoding property (a data descriptor, so it wins over the instance
     # dict and the frozen-dataclass machinery never sees an assignment).
     @property
-    def rows(self) -> frozenset[Row]:
+    def rows(self) -> "RowsView | frozenset[Row]":
         cached = self.__dict__.get("_rows")
         if cached is None:
-            if not self.length:
-                cached = frozenset()
+            if self.length:
+                # Like the relation itself (see ``shm.attach_columnar``),
+                # the view keeps an attached segment mapped.
+                cached = RowsView(self.columns, self.__dict__.get("_shm"))
             else:
-                cached = frozenset(zip(*(c.values() for c in self.columns)))
+                cached = frozenset()
             self.__dict__["_rows"] = cached
         return cached
 
@@ -332,7 +415,10 @@ class ColumnarRelation(Relation):
 
     def to_relation(self) -> Relation:
         """The plain row relation this encodes (decodes the buffers)."""
-        return Relation.trusted(self.attributes, self.rows, self.name)
+        rows = self.rows
+        if isinstance(rows, RowsView):
+            rows = rows.frozen()
+        return Relation.trusted(self.attributes, rows, self.name)
 
     # -- internal kernels -------------------------------------------------
     def _key_positions(self, shared: tuple[str, ...]) -> list[int]:
@@ -534,9 +620,28 @@ class ColumnarRelation(Relation):
             return ColumnarRelation.make(
                 attrs, (Column(col.kind, data, col.pool),), out_name, len(data)
             )
-        # Multi-column: dedup on raw tuples (codes are injective per
-        # pool, so code-level equality is value-level equality), then
-        # rebuild each output column from the deduped transpose.
+        # Multi-column: dedup on raw values (codes are injective per
+        # pool, so code-level equality is value-level equality).
+        vectorised = _np is not None and self.length
+        keys = _np_row_keys(cols) if vectorised else None
+        if keys is not None:
+            # One sort of per-row keys finds the duplicates and picks
+            # the survivors; a projection that collapses one row costs
+            # what one that collapses none does.
+            order = _np.argsort(keys)
+            ordered = keys[order]
+            keep = _np.empty(ordered.size, dtype=bool)
+            keep[0] = True
+            _np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+            if keep.all():
+                return ColumnarRelation.make(
+                    attrs, tuple(cols), out_name, self.length
+                )
+            sel = order[keep]
+            taken = tuple(_np_take(c, sel) for c in cols)
+            return ColumnarRelation.make(attrs, taken, out_name, sel.size)
+        # No numpy (or float / int64-overflowing columns): dedup on raw
+        # tuples, then rebuild each column from the deduped transpose.
         deduped = set(zip(*(c.data for c in cols)))
         if len(deduped) == self.length:
             return ColumnarRelation.make(
@@ -778,7 +883,7 @@ def concat_columnar(
     for downstream operators."""
     merged: set[Row] = set()
     for piece in pieces:
-        merged |= piece.rows
+        merged.update(piece.rows)
     return to_columnar(Relation.trusted(attributes, frozenset(merged), name))
 
 

@@ -7,6 +7,7 @@ column as one contiguous buffer.
 """
 
 import math
+import pickle
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.db.columnar import (
     LAYOUTS,
     Column,
     ColumnarRelation,
+    RowsView,
     column_from_payload,
     concat_columnar,
     default_layout,
@@ -101,6 +103,62 @@ class TestColumn:
     def test_distinct(self):
         assert encode_column(("a", "b", "a")).distinct() == {"a", "b"}
         assert encode_column((1, 1, 2)).distinct() == {1, 2}
+
+
+class TestRowsView:
+    """``ColumnarRelation.rows``: a frozenset to every consumer, but one
+    that is only built when a hash table is actually needed."""
+
+    ROWS = [(i, f"s{i % 3}") for i in range(12)]
+
+    def pair(self):
+        r = rel(("a", "b"), self.ROWS)
+        return r, to_columnar(r)
+
+    def test_len_and_iteration_build_no_table(self):
+        r, c = self.pair()
+        view = c.rows
+        assert isinstance(view, RowsView) and c.rows is view
+        assert len(view) == len(r.rows) and bool(view)
+        assert sorted(view) == sorted(r.rows)
+        assert sum(1 for _ in view) == 12  # iterable more than once
+        assert view._frozen is None
+
+    def test_set_questions_build_it_once(self):
+        r, c = self.pair()
+        view = c.rows
+        assert (3, "s0") in view and (3, "s1") not in view
+        assert view.frozen() is view.frozen()
+        assert sorted(view) == sorted(r.rows)  # iterates the kept set
+
+    def test_equality_and_hash_both_ways(self):
+        r, c = self.pair()
+        other = to_columnar(rel(("a", "b"), self.ROWS[1:]))
+        assert c.rows == r.rows and r.rows == c.rows
+        assert c.rows == set(r.rows) and c.rows == to_columnar(r).rows
+        assert c.rows != other.rows and r.rows != other.rows
+        assert hash(c.rows) == hash(r.rows)
+        assert {c.rows: 1}[r.rows] == 1
+
+    def test_set_algebra_yields_frozensets(self):
+        r, c = self.pair()
+        extra = frozenset({(99, "x")})
+        for out in (c.rows | extra, extra | c.rows, c.rows.union(extra)):
+            assert type(out) is frozenset and out == r.rows | extra
+        assert c.rows - r.rows == frozenset() == r.rows - c.rows
+        assert c.rows & extra == frozenset() and c.rows.isdisjoint(extra)
+        assert c.rows <= r.rows <= c.rows and c.rows.issubset(r.rows)
+        assert extra < (c.rows | extra) and not c.rows < r.rows
+        merged = set(extra)
+        merged.update(c.rows)
+        assert merged == r.rows | extra
+
+    def test_pickles_and_converts_to_a_plain_frozenset(self):
+        r, c = self.pair()
+        back = pickle.loads(pickle.dumps(c.rows))
+        assert type(back) is frozenset and back == r.rows
+        assert type(c.to_relation().rows) is frozenset
+        assert type(to_columnar(rel(("a",), [])).rows) is frozenset
 
 
 class TestConversion:
@@ -269,6 +327,29 @@ class TestOperators:
         c = to_columnar(r)
         assert c.project(["a", "b"]).rows == r.rows
         assert c.project(["b", "a"]).rows == r.project(["b", "a"]).rows
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda i: i,  # packed ints
+            lambda i: i - 2**63 if i % 2 else 2**63 - 1 - i,  # int64 extremes
+            lambda i: f"s{i}",  # dictionary codes
+            lambda i: i / 2,  # packed floats
+        ],
+    )
+    @pytest.mark.parametrize("collapses", [False, True])
+    def test_project_multi_column(self, value, collapses):
+        """Two of three columns: dedup is over raw values whichever path
+        the column kinds select, and whether or not any row collapses."""
+        rows = [(value(i % 5), value(i % 4), i) for i in range(20)]
+        if collapses:
+            rows += [(value(0), value(0), 99)]
+        r = rel(("a", "b", "c"), rows)
+        c = to_columnar(r)
+        for attrs in (("a", "b"), ("b", "a"), ("c", "a")):
+            out = c.project(attrs)
+            assert out.rows == r.project(attrs).rows
+            assert len(out) == len(out.rows)
 
     def test_project_to_empty_schema(self):
         c = to_columnar(rel(("a",), [(1,)]))

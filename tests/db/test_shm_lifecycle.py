@@ -45,6 +45,11 @@ def columnar(n=64, name="r"):
 
 
 class TestSegmentPrimitives:
+    # ``attached.rows`` is a view over the mapped buffers: dropping the
+    # relation must release them before the segment handle closes.
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
     def test_export_attach_round_trip(self):
         rel = columnar()
         descriptor, segment = export_columnar(rel)
