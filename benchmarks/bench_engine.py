@@ -15,6 +15,12 @@ written to a machine-readable JSON file — CI runs this as a smoke step
 and uploads ``BENCH_engine.json`` as an artifact so the performance
 trajectory is tracked across PRs.
 
+A second, width-2 leg (:func:`run_cyclic_leg`) runs a 4-cycle and
+``book_query(2)`` on ~200-row relations and records how many bag rows a
+warm request materialises — the n^k term of Lemma 4.6 that joining
+χ-covered atoms into the bag pipelines cuts — next to what the literal
+``lemma46_transform`` builds for the same decompositions.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py \
@@ -27,17 +33,62 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
 import sys
 import time
 
+from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.engine import Engine, fingerprint
+from repro.generators.families import book_query, cycle_query
 from repro.generators.workloads import query_workload, random_database
-from repro.obs import get_registry
+from repro.obs import Tracer, get_registry, tracing
 from repro.obs.history import record
 
 #: Suite tag for the unified bench-record schema (repro bench record/diff).
 SUITE = "engine"
+
+
+def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
+    """Two width-2 shapes whose λ labels share no variable inside χ, warm.
+
+    ``bag_rows`` counts what the plans materialise per request,
+    ``lemma46_bag_rows`` what the literal transform does over the same
+    decompositions; answers are checked against the naive join.  The
+    counts are exact under *seed* and ``PYTHONHASHSEED`` (the heuristic
+    decomposer breaks ties in set order; ``main`` pins the latter)."""
+    shapes = [cycle_query(4), book_query(2)]
+    bag_rows = lemma46_bag_rows = 0
+    warm_ms: list[float] = []
+    with Engine(backend="sequential", layout="auto") as engine:
+        for query in shapes:
+            db = random_database(query, rows // 2, rows, seed=seed)
+            engine.execute(query, db)  # cold: decompose, build snapshots
+            tracer = Tracer()
+            with tracing(tracer):
+                result = engine.execute(query, db)
+            assert result.cache_hit
+            assert result.answer.rows == naive_join_eval(query, db).rows
+            bag_rows += sum(
+                s.attrs["rows"] for s in tracer.spans() if s.name == "plan.bag"
+            )
+            hd = engine.cache.lookup(query).decomposition
+            lemma46_bag_rows += sum(
+                len(r) for r in lemma46_transform(query, db, hd).relations.values()
+            )
+            for _ in range(repeats):
+                started = time.perf_counter()
+                engine.execute(query, db)
+                warm_ms.append((time.perf_counter() - started) * 1e3)
+    return {
+        "shapes": [q.name for q in shapes],
+        "rows": rows,
+        "bag_rows": bag_rows,
+        "lemma46_bag_rows": lemma46_bag_rows,
+        "bag_rows_per_request": bag_rows / len(shapes),
+        "warm_ms": round(statistics.median(warm_ms), 3),
+    }
 
 
 def run_benchmark(
@@ -87,6 +138,7 @@ def run_benchmark(
     assert uncached.decompositions == n_queries
     assert baseline.failures == 0 and cold.failures == 0 and warm.failures == 0
 
+    cyclic = run_cyclic_leg(seed)
     widths = sorted({r.width for r in warm.results})
     result = {
         "benchmark": "engine_amortized_throughput",
@@ -115,6 +167,7 @@ def run_benchmark(
         },
         "speedup_warm_vs_baseline": round(baseline_seconds / warm_seconds, 2),
         "warm_stats": warm.stats.as_row(),
+        "cyclic": cyclic,
     }
     result["suite"] = SUITE
     # Unified schema for repro bench record/diff.  Counts are exact under
@@ -129,6 +182,10 @@ def run_benchmark(
         record("snapshot_builds_per_warm_request",
                snapshot_builds_warm / n_queries, "count",
                better="lower", tolerance=0.0),
+        record("cyclic_bag_rows_per_request", cyclic["bag_rows_per_request"],
+               "rows", better="lower", tolerance=0.0),
+        record("cyclic_warm_ms", cyclic["warm_ms"], "ms",
+               better="lower", tolerance=2.0),
         record("throughput_warm", result["throughput_qps"]["warm"], "qps",
                better="higher", tolerance=0.5),
         record("throughput_baseline", result["throughput_qps"]["baseline"],
@@ -149,6 +206,10 @@ def test_bench_engine_smoke(bench_seed):
     assert result["warm_hit_rate"] == 1.0
     assert result["n_shapes"] <= 5
     assert result["suite"] == SUITE and result["records"]
+    # Covered atoms joined into the bags: the plans materialise fewer bag
+    # rows than the paper-literal transform over the same decompositions.
+    cyclic = result["cyclic"]
+    assert 0 < cyclic["bag_rows"] < cyclic["lemma46_bag_rows"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,6 +221,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH_engine.json")
     args = parser.parse_args(argv)
+    if argv is None and os.environ.get("PYTHONHASHSEED") != "0":
+        # One --seed, one plan: the exact-count records must not depend
+        # on this interpreter's string-hash randomisation.
+        os.execve(
+            sys.executable, [sys.executable, *sys.argv],
+            {**os.environ, "PYTHONHASHSEED": "0"},
+        )
 
     result = run_benchmark(
         n_queries=args.queries,

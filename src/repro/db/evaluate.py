@@ -106,9 +106,10 @@ def bag_relation(
     pre-projected onto ``var(A) ∩ χ`` when it reaches outside χ, and
     joined into the running result, which is finally projected into
     sorted-χ order — a no-op sharing storage when the joined schema
-    already is that.  ``stats`` counts one join per atom and one
-    projection per pre-projection and per bag, as Lemma 4.6 states the
-    pipeline, whether or not the step had any work to do.
+    already is that, a reordering of column buffers for a columnar bag.
+    ``stats`` counts one join per atom and one projection per
+    pre-projection and per bag, as Lemma 4.6 states the pipeline,
+    whether or not the step had any work to do.
 
     Under a *semiring* the atoms in *carriers* bind annotated (they
     satisfy ``var(A) ⊆ χ``, so they are never pre-projected), the rest
@@ -136,11 +137,16 @@ def bag_relation(
         check_deadline(deadline, f"joins of {name}")
     if rel is None:
         rel = Relation.trusted((), frozenset({()}), name)
+    if columnar:
+        # Encode first: every part lies inside χ, so the projection is a
+        # permutation, which columnar storage does by reordering buffers
+        # where rows would rebuild every tuple.
+        rel = to_columnar(rel)
     rel = stats.record(rel.project(chi_names, name=name))
     stats.projections += 1
     if semiring is not None:
         return AnnotatedRelation.lift(rel, semiring)
-    return to_columnar(rel) if columnar else rel
+    return rel
 
 
 def lemma46_transform(

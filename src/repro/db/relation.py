@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .._errors import SchemaError, UnknownAttributeError
@@ -411,8 +412,8 @@ def probe_join(
     partner — pays for the table once.  ``build_is_left`` says which side
     contributes the row prefix of the output (``out_attrs`` = left
     attributes + right extras, ``extra_pos`` indexes the extras on the
-    right side).  The inner loop runs once per matched pair; the common
-    0/1 extra-column shapes skip the per-match generator.
+    right side).  The inner loop runs once per matched pair; no shape
+    of extras runs a Python-level generator per match.
     """
     table = build.key_index(shared)
     single = len(shared) == 1
@@ -423,6 +424,8 @@ def probe_join(
     add = out_rows.add
     get = table.get
     e0 = extra_pos[0] if len(extra_pos) == 1 else None
+    # Two or more extras: itemgetter then returns the tuple to append.
+    pick = itemgetter(*extra_pos) if len(extra_pos) > 1 else None
     for row in probe.rows:
         key = (
             row[probe_single]
@@ -446,9 +449,11 @@ def probe_join(
             else:
                 for match in matches:
                     add(row + (match[e0],))
+        elif build_is_left:
+            extras = pick(row)  # the probe row's, once for all its matches
+            for match in matches:
+                add(match + extras)
         else:
             for match in matches:
-                left_row = match if build_is_left else row
-                right_row = row if build_is_left else match
-                add(left_row + tuple(right_row[p] for p in extra_pos))
+                add(row + pick(match))
     return Relation.trusted(out_attrs, frozenset(out_rows), name)

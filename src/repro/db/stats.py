@@ -148,6 +148,20 @@ class CardinalityEstimator:
                 first_position[term] = i
         return estimate
 
+    def projected_rows(self, atom: Atom, keep: frozenset[Variable]) -> float:
+        """Estimated row count of ``bind_atom(atom, db)`` projected onto
+        *keep*, a proper subset of its variables — what a Lemma 4.6 bag
+        pipeline joins when the atom reaches outside χ.  A projection
+        cannot hold more rows than its columns have value combinations:
+        ``min(atom_rows, ∏ distinct(kept column))``."""
+        combinations = 1.0
+        counted: set[Variable] = set()
+        for i, term in enumerate(atom.terms):
+            if term in keep and term not in counted:
+                counted.add(term)
+                combinations *= self.distinct(atom.predicate, i)
+        return min(self.atom_rows(atom), combinations)
+
     def join_rows(self, left_rows: float, left_vars: frozenset[Variable],
                   right_rows: float, right_vars: frozenset[Variable],
                   domain: int) -> float:

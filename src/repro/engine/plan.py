@@ -8,7 +8,14 @@ Lemma 4.6 pipeline:
 * **per-node join order** — each node's bag relation joins its λ atoms
   smallest-estimate first, preferring atoms sharing variables with the
   part already joined (System-R-style greedy, driven by
-  :class:`repro.db.stats.CardinalityEstimator`);
+  :class:`repro.db.stats.CardinalityEstimator`; sizes and shared
+  variables are counted over ``var(A) ∩ χ(p)``, what the pipeline
+  actually joins).  A node that joins more than one part is also given
+  the query's *covered* atoms — every ``A ∉ λ(p)`` with
+  ``∅ ≠ var(A) ⊆ χ(p)`` — so λ atoms that share no variable inside χ
+  meet through a connecting atom instead of in a cross product.  The
+  filtered bag is a subset of the literal Lemma 4.6 bag and a superset
+  of ``π_χ`` of the full join, so the join of the bags is unchanged;
 * **root choice** — the join tree over the materialised bags is re-rooted
   at the bag with the largest estimated cardinality, so the full
   reducer's bottom-up sweep filters the biggest relation with every
@@ -80,11 +87,17 @@ class NodePlan:
     atom_estimates: tuple[float, ...]
     n_shards: int = 1
     layout: str = "row"
+    #: The members of ``join_order`` that are not λ atoms of the node but
+    #: query atoms its χ covers, joined in as filters (rendered ``⋉``).
+    covered: frozenset[Atom] = frozenset()
 
     def describe(self) -> str:
-        steps = " ⋈ ".join(
-            f"{a}[≈{int(est)}]"
-            for a, est in zip(self.join_order, self.atom_estimates)
+        steps = "".join(
+            (" ⋉ " if a in self.covered else " ⋈ " if i else "")
+            + f"{a}[≈{int(est)}]"
+            for i, (a, est) in enumerate(
+                zip(self.join_order, self.atom_estimates)
+            )
         )
         chi = ", ".join(self.chi_names)
         shards = f" ×{self.n_shards} shards" if self.n_shards > 1 else ""
@@ -242,30 +255,56 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def _order_atoms(
-    atoms: list[Atom], estimator: CardinalityEstimator
-) -> tuple[list[Atom], list[float]]:
-    """Greedy join order: start from the smallest estimated atom, then
-    repeatedly take the atom sharing most variables with what is already
-    joined (ties: smaller estimate, stable by rendering)."""
-    remaining = sorted(atoms, key=lambda a: (estimator.atom_rows(a), str(a)))
-    order: list[Atom] = []
-    estimates: list[float] = []
-    seen_vars: set[Variable] = set()
+def _bag_pipeline(
+    lam: list[Atom],
+    covered: list[Atom],
+    chi: frozenset[Variable],
+    estimator: CardinalityEstimator,
+) -> tuple[list[Atom], list[float], float]:
+    """Greedy join order of one bag pipeline, each part's estimated
+    size, and the estimated size of the bag.
+
+    Connectivity and sizes are taken over ``var(A) ∩ χ``: the rest is
+    projected away before the join and connects nothing.  Start from
+    the smallest λ atom, then repeatedly take, in this order of
+    preference: a *covered* atom whose variables are all joined (a pure
+    filter), the λ atom sharing most variables with what is joined, a
+    covered atom that shares some and introduces others (a bridge
+    between λ atoms that would otherwise meet in a cross product), an
+    unconnected λ atom.  Ties: smaller estimate, then rendering.  A
+    bridge is always followed by a λ atom it connected, so no
+    intermediate outgrows the product of the λ atoms."""
+    parts = [*lam, *covered]
+    variables = [a.variables for a in parts]
+    kept = [v & chi for v in variables]
+    size = [
+        estimator.atom_rows(a) if k == v else estimator.projected_rows(a, k)
+        for a, v, k in zip(parts, variables, kept)
+    ]
+    if len(parts) == 1:  # nothing to order: every node of an acyclic plan
+        return parts, size, size[0]
+    label = [str(a) for a in parts]
+    domain = estimator.domain_size
+    seen: frozenset[Variable] = frozenset()
+
+    def preference(i: int) -> tuple[int, int, float, str]:
+        shared = len(kept[i] & seen)
+        if i >= len(lam):
+            tier = 0 if shared == len(kept[i]) else 2 if shared else 4
+        else:
+            tier = 1 if shared else 3
+        return tier, -shared, size[i], label[i]
+
+    remaining = list(range(len(parts)))
+    order: list[int] = []
+    bag_rows = 1.0
     while remaining:
-        chosen = min(
-            remaining,
-            key=lambda a: (
-                -len(a.variables & seen_vars),
-                estimator.atom_rows(a),
-                str(a),
-            ),
-        ) if order else remaining[0]
-        remaining.remove(chosen)
-        order.append(chosen)
-        estimates.append(estimator.atom_rows(chosen))
-        seen_vars.update(chosen.variables)
-    return order, estimates
+        i = min(remaining, key=preference)
+        remaining.remove(i)
+        order.append(i)
+        bag_rows = estimator.join_rows(bag_rows, seen, size[i], kept[i], domain)
+        seen |= kept[i]
+    return [parts[i] for i in order], [size[i] for i in order], bag_rows
 
 
 def compile_plan(
@@ -346,10 +385,12 @@ def _compile_plan_traced(
 ) -> QueryPlan:
     complete = hd if hd.is_complete else hd.complete()
     estimator = CardinalityEstimator(db)
-    domain = estimator.domain_size
 
     nodes = complete.nodes
     node_ids = {id(n): i for i, n in enumerate(nodes)}
+    # Distinct atoms in query order, so the covered set of a node does
+    # not depend on set iteration order.
+    query_atoms = [(a, a.variables) for a in dict.fromkeys(query.atoms)]
     fresh: dict[int, Atom] = {}
     plans: list[NodePlan] = []
     for i, p in enumerate(nodes):
@@ -359,14 +400,17 @@ def _compile_plan_traced(
             for a in p.lam
             if (a.variables & p.chi) or not a.variables
         ]
-        order, estimates = _order_atoms(contributing, estimator)
-        bag_rows = 1.0
-        joined_vars: frozenset[Variable] = frozenset()
-        for a, est in zip(order, estimates):
-            bag_rows = estimator.join_rows(
-                bag_rows, joined_vars, est, a.variables, domain
-            )
-            joined_vars = joined_vars | a.variables
+        # The covered atoms: A ∉ λ(p) with ∅ ≠ var(A) ⊆ χ(p).  A
+        # single-part node stays a view of its base relation; only a
+        # pipeline that joins anyway is given them.
+        covered = [
+            a
+            for a, variables in query_atoms
+            if variables and variables <= p.chi and a not in p.lam
+        ] if len(contributing) > 1 else []
+        order, estimates, bag_rows = _bag_pipeline(
+            contributing, covered, p.chi, estimator
+        )
         bag = Atom(f"n{i}", tuple(Variable(v) for v in chi_names))
         fresh[i] = bag
         n_shards = (
@@ -386,6 +430,7 @@ def _compile_plan_traced(
             NodePlan(
                 bag, chi_names, tuple(order), bag_rows, tuple(estimates),
                 n_shards=n_shards, layout=node_layout,
+                covered=frozenset(covered),
             )
         )
 
@@ -438,7 +483,8 @@ def _materialise_bag(
     backend ships the bag over shared memory instead of the pickle
     codec.  Annotated bags never are; the ``plan.layout_columnar`` /
     ``plan.layout_row`` counters record which path each bag actually
-    took, and a single-atom node's span says whether its bind reused
+    took, ``plan.bag_filters`` counts the covered atoms joined in as
+    filters, and a single-atom node's span says whether its bind reused
     the base relation's snapshot or had to (re)build part of it —
     the cost of a read after a write."""
     check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
@@ -450,6 +496,7 @@ def _materialise_bag(
         node=np.bag.predicate,
         est=int(np.estimated_rows),
         shards=np.n_shards,
+        filters=len(np.covered),
     ) as sp:
         rel = bag_relation(
             np.join_order, p.chi, np.bag.predicate, db, stats,
@@ -459,6 +506,7 @@ def _materialise_bag(
             registry.counter("plan.layout_columnar").inc()
         else:
             registry.counter("plan.layout_row").inc()
+        registry.counter("plan.bag_filters").inc(len(np.covered))
         sp.set(rows=len(rel), layout=(
             "columnar" if isinstance(rel, ColumnarRelation) else "row"
         ))

@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro.db.evaluate import lemma46_transform
+from repro.db.naive import naive_join_eval
+from repro.db.stats import EvalStats
+from repro.engine.plan import _materialise_bag, compile_plan
 from repro.generators.families import random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q3, q4, q5
 
@@ -65,3 +69,28 @@ def tiny_queries():
         seed=st.integers(min_value=0, max_value=10_000),
         connected=st.just(True),
     )
+
+
+def assert_bag_contract(query, db, hd) -> int:
+    """The contract between a compiled plan's bags and Lemma 4.6.
+
+    Per node: the plan's bag is a subset of the literal bag
+    ``π_χ(⋈ λ)`` (what ``lemma46_transform`` builds), a superset of
+    ``π_χ`` of the query's full join (so ``⋈ bags`` is unchanged), and
+    equal to the literal bag when no covered atom was joined in.
+    Returns how many covered filters the plan placed."""
+    literal = lemma46_transform(query, db, hd).relations
+    everything = naive_join_eval(
+        query.with_head(tuple(sorted(query.variables, key=lambda v: v.name))),
+        db,
+    )
+    plan = compile_plan(query, db, hd)
+    for node_plan, p in zip(plan.node_plans, plan.decomposition.nodes):
+        bag = _materialise_bag(node_plan, p, db, EvalStats(), None)
+        reference = literal[node_plan.bag]
+        assert bag.attributes == reference.attributes
+        assert set(bag.rows) <= set(reference.rows)
+        assert set(bag.rows) >= set(everything.project(bag.attributes).rows)
+        if not node_plan.covered:
+            assert bag == reference
+    return sum(len(np.covered) for np in plan.node_plans)

@@ -1,10 +1,12 @@
-"""One Lemma 4.6 bag kernel, same bags.
+"""One Lemma 4.6 bag kernel.
 
 ``bag_relation`` is the single pipeline behind both
 ``lemma46_transform`` and ``execute_plan``.  The oracle is the pipeline
 as the lemma states it, written with plain operators and no shortcuts:
 start from the unit relation, join every bound (pre-projected) atom,
-project onto χ.
+project onto χ.  The two callers hand it different atom sequences —
+the transform the node's λ atoms, the plan those plus the query atoms
+χ covers — so their bags are related by inclusion, not equality.
 """
 
 import random
@@ -17,10 +19,9 @@ from repro.core.detkdecomp import hypertree_width
 from repro.db import COUNTING, MINCOST, Database, EvalStats, Relation, bind_atom
 from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
 from repro.db.columnar import ColumnarRelation
-from repro.db.evaluate import bag_relation, lemma46_transform
-from repro.engine.plan import _materialise_bag, compile_plan
+from repro.db.evaluate import bag_relation
 from repro.generators.workloads import random_database
-from tests.conftest import small_queries
+from tests.conftest import assert_bag_contract, small_queries
 
 _ARITY = {"p": 2, "q": 3, "u": 1, "z": 0}
 _VARS = [Variable(n) for n in "ABCDE"]
@@ -131,11 +132,9 @@ class TestKernelAgainstTheLemma:
 class TestOneKernelTwoCallers:
     @settings(max_examples=40, deadline=None)
     @given(query=small_queries(), seed=st.integers(0, 100))
-    def test_transform_and_plan_materialise_the_same_bags(self, query, seed):
+    def test_plan_bags_sit_between_the_full_join_and_the_literal_bags(
+        self, query, seed
+    ):
         db = random_database(query, 3, 6, seed=seed)
         _, hd = hypertree_width(query.as_boolean())
-        transformed = lemma46_transform(query, db, hd)
-        plan = compile_plan(query, db, hd)
-        for node_plan, p in zip(plan.node_plans, plan.decomposition.nodes):
-            bag = _materialise_bag(node_plan, p, db, EvalStats(), None)
-            assert bag == transformed.relations[node_plan.bag]
+        assert_bag_contract(query, db, hd)
