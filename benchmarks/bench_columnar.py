@@ -36,7 +36,6 @@ import random
 import time
 
 from repro.db import ProcessBackend, Relation, ShardedRelation, to_columnar
-from repro.db.annotated import join_dispatch
 from repro.db.shm import shm_available
 from repro.obs import get_registry
 from repro.obs.history import record
@@ -137,9 +136,9 @@ def run_benchmark(n_rows: int = 100_000, repeats: int = 5, seed: int = 0) -> dic
 
     left, right = _join_pair(n_rows, seed)
     cl, cr = to_columnar(left), to_columnar(right)
-    expect = join_dispatch(left, right)
+    expect = left.join(right)
     assert cl.join(cr).rows == expect.rows
-    join_row_ms = _best_of(lambda: join_dispatch(left, right), repeats)
+    join_row_ms = _best_of(lambda: left.join(right), repeats)
     join_col_ms = _best_of(lambda: cl.join(cr), repeats)
     join_speedup = join_row_ms / join_col_ms if join_col_ms else float("inf")
     records.append(

@@ -1,7 +1,7 @@
 """Observability overhead gate: tracing must be free when it is off.
 
-The instrumented kernels (:mod:`repro.db.yannakakis`,
-:mod:`repro.db.parallel`, the backends) call ``current_tracer().span()``
+The instrumented kernels (:mod:`repro.db.yannakakis`, the backends)
+call ``current_tracer().span()``
 on every semijoin/join/shard operator.  When tracing is disabled that
 call hits :class:`repro.obs.tracer.NullTracer` — one method call and an
 empty ``with`` block.  This benchmark pins down what that costs:

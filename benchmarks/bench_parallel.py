@@ -15,8 +15,9 @@ Three kernels run on identical freshly bound relations:
   join hash table on each call, per-row generator tuples included;
 * ``sequential`` — today's :mod:`repro.db.yannakakis` over memoised
   :class:`~repro.db.relation.Relation` indexes;
-* ``parallel@w`` — the sharded kernel (:mod:`repro.db.parallel`) with
-  ``w`` hash partitions over a ``w``-thread pool.
+* ``parallel@w`` — the same driver over relations cut into ``w`` hash
+  partitions (:func:`repro.db.shard_relations`) on a ``w``-thread
+  backend.
 
 Correctness is a hard gate: every kernel must produce identical results
 before any time is reported.  The headline number — asserted ≥ 2x by the
@@ -43,17 +44,16 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.acyclicity import join_tree
 from repro.core.atoms import Atom, Variable
 from repro.core.query import ConjunctiveQuery
 from repro.db import (
+    ThreadBackend,
     bind_atom,
     enumerate_answers,
     full_reduce,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    shard_relations,
 )
 from repro.db.relation import Relation
 from repro.generators.families import path_query
@@ -220,18 +220,20 @@ def run_benchmark(
         assert seed_answers.rows == seq_answers.rows
 
         for workers in WORKER_SWEEP:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = dict.fromkeys(tree.nodes, workers)
+            with ThreadBackend(workers=workers) as ctx:
+                # Cutting the relations is part of what is timed.
                 t, par_reduced = _best_of(
-                    lambda rels: parallel_full_reduce(
-                        tree, rels, n_shards=workers, pool=pool
+                    lambda rels: full_reduce(
+                        tree, shard_relations(tree, rels, counts, ctx)
                     ),
                     bind,
                     repeats,
                 )
                 reduce_times[f"parallel@{workers}"] = t
                 t, par_answers = _best_of(
-                    lambda rels: parallel_enumerate_answers(
-                        tree, rels, output, n_shards=workers, pool=pool
+                    lambda rels: enumerate_answers(
+                        tree, shard_relations(tree, rels, counts, ctx), output
                     ),
                     bind,
                     repeats,

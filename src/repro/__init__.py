@@ -23,9 +23,7 @@ from .db import (
     SequentialBackend,
     ShardedRelation,
     ThreadBackend,
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    shard_relations,
 )
 from .engine import BatchResult, Engine, EvalResult, PlanCache, fingerprint
 from .heuristics import (
@@ -108,11 +106,9 @@ __all__ = [
     "get_registry",
     "greedy_upper_bound",
     "lower_bound",
-    "parallel_boolean_eval",
-    "parallel_enumerate_answers",
-    "parallel_full_reduce",
     "profiling",
     "serve_in_thread",
+    "shard_relations",
     "tracing",
     "write_chrome_trace",
     "write_speedscope",

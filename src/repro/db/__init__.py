@@ -30,12 +30,6 @@ from .naive import (
     naive_boolean_eval,
     naive_join_eval,
 )
-from .parallel import (
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
-    shard_key_for,
-)
 from .relation import Relation
 from .semiring import (
     COUNTING,
@@ -48,7 +42,7 @@ from .semiring import (
     get_semiring,
     resolve_semiring,
 )
-from .sharded import ShardedRelation
+from .sharded import ShardedRelation, shard_relations
 from .stats import EvalStats
 from .yannakakis import boolean_eval, enumerate_answers, full_reduce
 
@@ -90,9 +84,6 @@ __all__ = [
     "make_backend",
     "naive_boolean_eval",
     "naive_join_eval",
-    "parallel_boolean_eval",
-    "parallel_enumerate_answers",
-    "parallel_full_reduce",
-    "shard_key_for",
+    "shard_relations",
     "to_columnar",
 ]

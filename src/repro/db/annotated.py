@@ -19,11 +19,15 @@ operator registry — evaluates annotated relations unchanged.  Plain
 relations never touch this module: set semantics keeps its memoised key
 sets, specialised inner loops and ``Relation.trusted`` fast paths.
 
+``join`` is the one operator whose result depends on *both* operands
+(a plain receiver joined with an annotated partner must keep the
+partner's annotations), so :meth:`Relation.join` lets the higher-ranked
+operand bring the probe kernel: annotated relations outrank plain ones
+and install :func:`annotated_probe_join`, inheriting ``join`` itself.
+
 The free-function entry points (:func:`bind_atom_annotated`,
 :func:`annotated_probe_join`) mirror their plain counterparts in
-:mod:`repro.db.binding` / :mod:`repro.db.relation` for the two call
-sites that take explicit build/probe assignments instead of method
-dispatch.
+:mod:`repro.db.binding` / :mod:`repro.db.relation`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .._errors import EvaluationError, SchemaError
 from ..core.atoms import Atom, Variable
 from .binding import resolve_atom
 from .database import Database
-from .relation import Relation, Row, Value, probe_join
+from .relation import Relation, Row, Value
 from .semiring import Semiring
 
 _MISSING = object()
@@ -59,6 +63,8 @@ class AnnotatedRelation(Relation):
     # installed the same way ``trusted`` installs the base three.
     semiring: Semiring
     annotations: dict[Row, object]
+
+    _rank = 1
 
     @staticmethod
     def make(
@@ -120,6 +126,13 @@ class AnnotatedRelation(Relation):
         """The plain set-semantics relation underneath."""
         return Relation.trusted(self.attributes, self.rows, self.name)
 
+    def _no_rows(
+        self, attributes: tuple[str, ...], name: str
+    ) -> "AnnotatedRelation":
+        return AnnotatedRelation.make(
+            attributes, frozenset(), name, self.semiring, {}
+        )
+
     # -- relational algebra ------------------------------------------------
     def project(
         self, attributes: Sequence[str], name: str | None = None
@@ -153,13 +166,11 @@ class AnnotatedRelation(Relation):
         )
 
     def semijoin(self, other: Relation) -> "AnnotatedRelation":
-        if not other.rows:
-            return AnnotatedRelation.make(
-                self.attributes, frozenset(), self.name, self.semiring, {}
-            )
+        if not other:
+            return self._no_rows(self.attributes, self.name)
         if not self.rows:
             return self
-        shared = tuple(a for a in self.attributes if a in other._index_of)
+        shared = tuple(a for a in self.attributes if a in other.attributes)
         if not shared:
             return self
         return self.semijoin_with_keys(shared, other.key_set(shared))
@@ -184,27 +195,6 @@ class AnnotatedRelation(Relation):
         return AnnotatedRelation.make(
             self.attributes, rows, self.name, self.semiring,
             {row: ann[row] for row in rows},
-        )
-
-    def join(
-        self, other: Relation, name: str | None = None
-    ) -> "AnnotatedRelation":
-        shared = tuple(a for a in self.attributes if a in other._index_of)
-        extra = [a for a in other.attributes if a not in self._index_of]
-        out_attrs = self.attributes + tuple(extra)
-        out_name = name or f"({self.name}⋈{other.name})"
-        if not self.rows or not other.rows:
-            return AnnotatedRelation.make(
-                out_attrs, frozenset(), out_name, self.semiring, {}
-            )
-        extra_pos = [other._position(a) for a in extra]
-        if len(self.rows) <= len(other.rows):
-            build, probe, build_is_left = self, other, True
-        else:
-            build, probe, build_is_left = other, self, False
-        return annotated_probe_join(
-            build, probe, build_is_left, shared, extra_pos,
-            out_attrs, out_name,
         )
 
     def select(
@@ -358,63 +348,7 @@ def annotated_probe_join(
     )
 
 
-def dispatch_probe_join(
-    build: Relation,
-    probe: Relation,
-    build_is_left: bool,
-    shared: tuple[str, ...],
-    extra_pos: Sequence[int],
-    out_attrs: tuple[str, ...],
-    name: str,
-) -> Relation:
-    """Route a build/probe join to the plain or annotated loop.  The
-    plain-plain case falls straight through to the untouched fast path;
-    the ``isinstance`` checks are per join, not per row."""
-    if isinstance(build, AnnotatedRelation) or isinstance(
-        probe, AnnotatedRelation
-    ):
-        return annotated_probe_join(
-            build, probe, build_is_left, shared, extra_pos, out_attrs, name
-        )
-    return probe_join(
-        build, probe, build_is_left, shared, extra_pos, out_attrs, name
-    )
-
-
-def join_dispatch(
-    left: Relation, right: Relation, name: str | None = None
-) -> Relation:
-    """``left.join(right)`` with symmetric annotated dispatch.
-
-    ``Relation.join`` dispatches on its receiver only, so a *plain* left
-    joined with an *annotated* right would silently drop the right side's
-    annotations.  The enumerate sweeps join reduced node relations (often
-    plain) against partial results (annotated once any carrier atom sits
-    in the subtree), so they route through here.  Plain × plain falls
-    straight to the untouched fast path after one ``isinstance`` check
-    per join call.
-    """
-    if isinstance(right, AnnotatedRelation) and not isinstance(
-        left, AnnotatedRelation
-    ):
-        shared = tuple(a for a in left.attributes if a in right._index_of)
-        extra = [a for a in right.attributes if a not in left._index_of]
-        out_attrs = left.attributes + tuple(extra)
-        out_name = name or f"({left.name}⋈{right.name})"
-        if not left.rows or not right.rows:
-            return AnnotatedRelation.make(
-                out_attrs, frozenset(), out_name, right.semiring, {}
-            )
-        extra_pos = [right._position(a) for a in extra]
-        if len(left.rows) <= len(right.rows):
-            build, probe, build_is_left = left, right, True
-        else:
-            build, probe, build_is_left = right, left, False
-        return annotated_probe_join(
-            build, probe, build_is_left, shared, extra_pos,
-            out_attrs, out_name,
-        )
-    return left.join(right, name)
+AnnotatedRelation._probe_join = staticmethod(annotated_probe_join)
 
 
 def assign_annotated_atoms(

@@ -1,21 +1,20 @@
 """Pluggable execution backends for the sharded evaluation kernel.
 
-PR 4's parallel kernel threaded a raw ``concurrent.futures`` pool through
-every layer (``ShardedRelation`` → sweep functions → physical plans →
-``Engine`` → CLI).  That worked for threads, where every shard task can
-close over shared relations for free, but it cannot express a process
-pool: closures do not pickle, and shipping a relation's rows to a worker
-on every operator call costs more than the operator itself (measured: a
-pickle round trip of 10k rows ≈ 3 ms against ≈ 1.4 ms for the semijoin
-probe loop it would parallelise).
-
-This module replaces the pool plumbing with a small backend interface,
-:class:`ExecutionContext`, and three implementations:
+A :class:`~repro.db.sharded.ShardedRelation` runs each operator as one
+task per shard.  Where those tasks run, and how shard data gets there,
+is an :class:`ExecutionContext`; the relation is cut with one and keeps
+it, so nothing above the operators passes a backend along.  A thread
+task can close over shared relations for free, but a process task
+cannot: closures do not pickle, and shipping a relation's rows to a
+worker on every operator call costs more than the operator itself
+(measured: a pickle round trip of 10k rows ≈ 3 ms against ≈ 1.4 ms for
+the semijoin probe loop it would parallelise).  Hence a small interface
+with three implementations:
 
 * :class:`SequentialBackend` — zero-overhead inline execution, the
   default;
-* :class:`ThreadBackend` — the PR-4 behaviour: shard tasks fan out over
-  a thread pool.  Low latency and shared memory, but GIL-bound: it banks
+* :class:`ThreadBackend` — shard tasks fan out over a thread pool the
+  backend owns.  Low latency and shared memory, but GIL-bound: it banks
   per-operator constants, not multicore scaling;
 * :class:`ProcessBackend` — shard tasks run in worker *processes*.  To
   beat the serialisation tax it keeps shard data **resident in the
@@ -59,7 +58,7 @@ import time
 import traceback
 import weakref
 from collections import OrderedDict, deque
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 from .._errors import EvaluationError
@@ -67,13 +66,8 @@ from ..obs import current_tracer, get_registry
 from ..obs.flight import get_flight_recorder
 from ..obs.profiler import SamplingProfiler, current_profiler
 from ..obs.tracer import span_tuple
-from .annotated import AnnotatedRelation, dispatch_probe_join, merge_annotated
-from .columnar import (
-    ColumnarRelation,
-    column_from_payload,
-    columnar_probe_join,
-    concat_columnar,
-)
+from .annotated import AnnotatedRelation, merge_annotated
+from .columnar import ColumnarRelation, column_from_payload, concat_columnar
 from .relation import Relation, Row
 from .semiring import get_semiring
 from .shm import attach_columnar, export_columnar, shm_available
@@ -205,17 +199,11 @@ def _op_probe_join(
     out_attrs: tuple[str, ...],
     name: str,
 ) -> Relation:
-    if isinstance(partner, ColumnarRelation) and isinstance(
-        shard, ColumnarRelation
-    ):
-        # Both sides columnar (e.g. an shm-attached broadcast partner
-        # probing a columnar resident shard): batch kernel, no tuples.
-        return columnar_probe_join(
-            partner, shard, False, shared, extra_pos, out_attrs, name
-        )
-    return dispatch_probe_join(
-        partner, shard, False, shared, extra_pos, out_attrs, name
-    )
+    # The richer operand brings the kernel: annotated over plain, and
+    # the columnar batch kernel when both sides hold buffers (e.g. an
+    # shm-attached broadcast partner probing a columnar resident shard).
+    kernel = (shard if shard._rank >= partner._rank else partner)._probe_join
+    return kernel(partner, shard, False, shared, extra_pos, out_attrs, name)
 
 
 @register_op("project")
@@ -418,40 +406,34 @@ class SequentialBackend(ExecutionContext):
     """The zero-overhead default: every operator runs inline."""
 
 
-#: Shared stateless instance — the ``backend=None`` fallback everywhere.
+#: Shared stateless instance: what "no backend" means everywhere.
 SEQUENTIAL = SequentialBackend()
 
 
 class ThreadBackend(ExecutionContext):
-    """Shard tasks over a thread pool (the PR-4 parallel kernel).
+    """Shard tasks over a thread pool the backend owns (created on first
+    use, shut down by :meth:`close`).
 
     Low-latency — shards are shared objects, nothing is copied — but
     GIL-bound: gains come from per-operator constants (memoised indexes,
-    partition-wise probes), not from occupying multiple cores.  May wrap
-    an externally owned executor (``pool=``), in which case ``close`` is
-    the owner's job, not ours.
+    partition-wise probes), not from occupying multiple cores.
     """
 
     kind = "thread"
 
-    def __init__(self, workers: int = 4, pool: Executor | None = None):
-        self.workers = max(
-            1, getattr(pool, "_max_workers", workers) if pool else workers
-        )
-        self._external = pool
-        self._own_pool: ThreadPoolExecutor | None = None
+    def __init__(self, workers: int = 4):
+        self.workers = max(1, workers)
+        self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()
 
-    def _executor(self) -> Executor:
-        if self._external is not None:
-            return self._external
+    def _executor(self) -> ThreadPoolExecutor:
         with self._lock:
-            if self._own_pool is None:
-                self._own_pool = ThreadPoolExecutor(
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
                     max_workers=self.workers,
                     thread_name_prefix=f"shard-{self.workers}",
                 )
-            return self._own_pool
+            return self._pool
 
     def map_shards(
         self,
@@ -487,7 +469,7 @@ class ThreadBackend(ExecutionContext):
 
     def close(self) -> None:
         with self._lock:
-            pool, self._own_pool = self._own_pool, None
+            pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False)
 
@@ -1090,14 +1072,12 @@ class ProcessBackend(ExecutionContext):
         return out
 
 
-def make_backend(
-    kind: str, workers: int = 4, pool: Executor | None = None
-) -> ExecutionContext:
+def make_backend(kind: str, workers: int = 4) -> ExecutionContext:
     """Construct a backend by kind name (``Engine``'s selector)."""
     if kind == "sequential":
         return SEQUENTIAL
     if kind == "thread":
-        return ThreadBackend(workers=workers, pool=pool)
+        return ThreadBackend(workers=workers)
     if kind == "process":
         return ProcessBackend(workers=workers)
     raise ValueError(

@@ -49,8 +49,8 @@ from operator import is_not
 from typing import Iterable, Iterator, Sequence
 
 from .._errors import SchemaError
-from .annotated import AnnotatedRelation, join_dispatch
-from .relation import Relation, Row, Value
+from .annotated import AnnotatedRelation
+from .relation import Relation, Row, Value, probe_join
 
 try:  # Optional acceleration: zero-copy numpy views over the buffers.
     import numpy as _np
@@ -413,7 +413,7 @@ class ColumnarRelation(Relation):
             attributes, self.columns, name, self.length
         )
 
-    def to_relation(self) -> Relation:
+    def row_relation(self) -> Relation:
         """The plain row relation this encodes (decodes the buffers)."""
         rows = self.rows
         if isinstance(rows, RowsView):
@@ -438,12 +438,17 @@ class ColumnarRelation(Relation):
             return repeat((), self.length)
         return zip(*(c.values() for c in cols))
 
+    def _no_rows(
+        self, attributes: tuple[str, ...], name: str
+    ) -> "ColumnarRelation":
+        return ColumnarRelation.make(
+            attributes, _empty_columns(len(attributes)), name, 0
+        )
+
     def _take_rows(self, sel: Sequence[int], name: str | None = None) -> "ColumnarRelation":
         """Gather a selection vector into a fresh columnar relation."""
         if not sel:
-            return ColumnarRelation.make(
-                self.attributes, _empty_columns(self.arity), name or self.name, 0
-            )
+            return self._no_rows(self.attributes, name or self.name)
         cols = tuple(c.take(sel) for c in self.columns)
         return ColumnarRelation.make(
             self.attributes, cols, name or self.name, len(sel)
@@ -476,10 +481,10 @@ class ColumnarRelation(Relation):
     # -- relational algebra -----------------------------------------------
     def semijoin(self, other: Relation) -> Relation:
         if not other:
-            return Relation.trusted(self.attributes, frozenset(), self.name)
+            return self._no_rows(self.attributes, self.name)
         if not self.length:
             return self
-        shared = tuple(a for a in self.attributes if a in other._index_of)
+        shared = tuple(a for a in self.attributes if a in other.attributes)
         if not shared:
             return self
         return self.semijoin_with_keys(shared, other.key_set(shared))
@@ -552,17 +557,17 @@ class ColumnarRelation(Relation):
         )
 
     def join(self, other: Relation, name: str | None = None) -> Relation:
-        out_name = name or f"({self.name}⋈{other.name})"
-        if isinstance(other, AnnotatedRelation):
+        other = other.to_relation()  # a sharded partner joins coalesced
+        if other._rank > self._rank:
             # Annotated partners stay on the row path (their per-row
-            # annotation maps are the point); join_dispatch routes the
-            # plain-left × annotated-right case correctly.
-            return join_dispatch(self, other, name)
+            # annotation maps are the point).
+            return Relation.join(self, other, name)
+        out_name = name or f"({self.name}⋈{other.name})"
         shared = tuple(a for a in self.attributes if a in other._index_of)
         extra = [a for a in other.attributes if a not in self._index_of]
         out_attrs = self.attributes + tuple(extra)
         if not self.length or not other:
-            return Relation.trusted(out_attrs, frozenset(), out_name)
+            return self._no_rows(out_attrs, out_name)
         right = to_columnar(other)
         extra_pos = tuple(right._position(a) for a in extra)
         if self.length <= right.length:
@@ -572,6 +577,16 @@ class ColumnarRelation(Relation):
         return columnar_probe_join(
             build, probe, build_is_left, shared, extra_pos, out_attrs, out_name
         )
+
+    @staticmethod
+    def _probe_join(build: Relation, probe: Relation, *rest) -> Relation:
+        """The batch kernel needs buffers on both sides; a row partner
+        takes the row loop."""
+        if isinstance(build, ColumnarRelation) and isinstance(
+            probe, ColumnarRelation
+        ):
+            return columnar_probe_join(build, probe, *rest)
+        return probe_join(build, probe, *rest)
 
     def project(
         self, attributes: Sequence[str], name: str | None = None
@@ -681,9 +696,7 @@ def columnar_probe_join(
     agreeing on the shared columns), so no output dedup is needed."""
     n_build = build.length
     if not n_build or not probe.length:
-        return ColumnarRelation.make(
-            out_attrs, _empty_columns(len(out_attrs)), name, 0
-        )
+        return build._no_rows(out_attrs, name)
     if _np is not None and len(shared) == 1:
         result = _np_probe_join(
             build, probe, build_is_left, shared[0], extra_pos, out_attrs, name
@@ -697,9 +710,7 @@ def columnar_probe_join(
         mask = bytes(map(_NOT_NONE, matches))
         hits = mask.count(1)
         if not hits:
-            return ColumnarRelation.make(
-                out_attrs, _empty_columns(len(out_attrs)), name, 0
-            )
+            return build._no_rows(out_attrs, name)
         bsel = list(compress(matches, mask))
         if build_is_left:
             out_cols = [c.take(bsel) for c in build.columns]
@@ -733,9 +744,7 @@ def columnar_probe_join(
             padd(j)
             badd(p)
     if not ppos:
-        return ColumnarRelation.make(
-            out_attrs, _empty_columns(len(out_attrs)), name, 0
-        )
+        return build._no_rows(out_attrs, name)
     if build_is_left:
         left, lsel = build, bpos
         right, rsel = probe, ppos
@@ -808,9 +817,7 @@ def _np_probe_join(
     matches = hi - lo
     total = int(matches.sum())
     if not total:
-        return ColumnarRelation.make(
-            out_attrs, _empty_columns(len(out_attrs)), name, 0
-        )
+        return build._no_rows(out_attrs, name)
     # Flatten the per-probe match ranges: probe row j repeats once per
     # partner, and the partner positions are lo[j], lo[j]+1, … hi[j)-1
     # (arange minus each range's running start).

@@ -36,7 +36,6 @@ from .annotated import (
     AnnotationAssignmentError,
     assign_annotated_atoms,
     bind_atom_annotated,
-    join_dispatch,
     naive_annotated_eval,
 )
 from .binding import BoundQuery, bind_atom
@@ -131,7 +130,7 @@ def bag_relation(
         if not a.variables <= chi:
             part = part.project(sorted(v.name for v in a.variables & chi))
             stats.projections += 1
-        rel = part if rel is None else join_dispatch(rel, part)
+        rel = part if rel is None else rel.join(part)
         stats.joins += 1
         stats.record(rel)
         check_deadline(deadline, f"joins of {name}")

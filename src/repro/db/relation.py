@@ -53,6 +53,14 @@ class Relation:
     rows: frozenset[Row]
     name: str = "r"
 
+    #: Operand precedence.  The higher-ranked operand of a join brings
+    #: the probe kernel and the flavour of the result, so what a richer
+    #: partner carries is never dropped by a plainer receiver: row and
+    #: columnar relations rank 0, annotated ones 1.
+    _rank = 0
+    #: A relation held in one piece is one shard.
+    n_shards = 1
+
     def __post_init__(self) -> None:
         if len(set(self.attributes)) != len(self.attributes):
             raise SchemaError(
@@ -112,7 +120,18 @@ class Relation:
             )
         return NotImplemented
 
+    def _no_rows(self, attributes: tuple[str, ...], name: str) -> "Relation":
+        """The empty relation over *attributes* in the receiver's own
+        flavour — what every operator's empty short-circuit returns, so
+        an empty partner never changes the kind of relation handed on."""
+        return Relation.trusted(attributes, frozenset(), name)
+
     # -- views --------------------------------------------------------------
+    def to_relation(self) -> "Relation":
+        """This operand as one process-local relation: itself.  (A
+        sharded operand coalesces its pieces here.)"""
+        return self
+
     @property
     def arity(self) -> int:
         return len(self.attributes)
@@ -269,14 +288,15 @@ class Relation:
         The build-side hash table comes from :meth:`key_index`, so joining
         repeatedly against the same relation reuses one table.
         """
+        other = other.to_relation()  # a sharded partner joins coalesced
+        top = other if other._rank > self._rank else self
         shared = tuple(a for a in self.attributes if a in other._index_of)
         extra = [a for a in other.attributes if a not in self._index_of]
         out_attrs = self.attributes + tuple(extra)
+        out_name = name or f"({self.name}⋈{other.name})"
         if not self.rows or not other.rows:
             # Empty-input short-circuit: no hash table, no probe scan.
-            return Relation.trusted(
-                out_attrs, frozenset(), name or f"({self.name}⋈{other.name})"
-            )
+            return top._no_rows(out_attrs, out_name)
         extra_pos = [other._position(a) for a in extra]
 
         # Build (memoised) on the smaller side, probe the larger.
@@ -284,14 +304,8 @@ class Relation:
             build, probe, build_is_left = self, other, True
         else:
             build, probe, build_is_left = other, self, False
-        return probe_join(
-            build,
-            probe,
-            build_is_left,
-            shared,
-            extra_pos,
-            out_attrs,
-            name or f"({self.name}⋈{other.name})",
+        return top._probe_join(
+            build, probe, build_is_left, shared, extra_pos, out_attrs, out_name
         )
 
     def semijoin(self, other: "Relation") -> "Relation":
@@ -303,16 +317,17 @@ class Relation:
         (:meth:`key_set`), an empty input on either side short-circuits
         without scanning, and a semijoin that filters nothing returns
         ``self`` itself so downstream operations keep its memoised hash
-        structures.
+        structures.  Of *other* only ``bool``, ``attributes`` and
+        ``key_set`` are used, so the partner may be sharded.
         """
-        if not other.rows:
+        if not other:
             # ⋉ against the empty relation is empty regardless of the
             # schemas (with no shared attributes it is a product with
             # nothing) — and must not scan self.rows to find that out.
-            return Relation.trusted(self.attributes, frozenset(), self.name)
+            return self._no_rows(self.attributes, self.name)
         if not self.rows:
             return self
-        shared = tuple(a for a in self.attributes if a in other._index_of)
+        shared = tuple(a for a in self.attributes if a in other.attributes)
         if not shared:
             # Every row has a partner: identity (other is non-empty).
             return self
@@ -457,3 +472,8 @@ def probe_join(
             for match in matches:
                 add(row + pick(match))
     return Relation.trusted(out_attrs, frozenset(out_rows), name)
+
+
+#: The build/probe kernel an operand brings to a join (see ``_rank``);
+#: subclasses install their own.
+Relation._probe_join = staticmethod(probe_join)

@@ -1,4 +1,4 @@
-"""Hash-partitioned relations: the sharded half of the parallel kernel.
+"""Hash-partitioned relations: the sharded operand of the Yannakakis driver.
 
 A :class:`ShardedRelation` splits a relation's rows into ``n`` shards by
 hashing one *shard key* attribute.  Because a natural join or semijoin on
@@ -28,56 +28,36 @@ Two properties of the partitioning matter beyond speed:
   mode (the probe side checks the partner's *full* memoised structure),
   which is the correctness fix-up that makes the spread sound.
 
-Operations take an optional ``backend`` (an
-:class:`~repro.db.backend.ExecutionContext`); without one they run
-inline.  Under a :class:`~repro.db.backend.ProcessBackend` the shard
+A sharded relation is cut with an
+:class:`~repro.db.backend.ExecutionContext` and keeps it: every operator
+fans its shard tasks over that context, and so does every relation
+derived from it.  ``semijoin`` / ``join`` / ``project`` therefore have
+exactly :class:`Relation`'s signatures, and the Yannakakis driver in
+:mod:`repro.db.yannakakis` sweeps plain and sharded operands alike —
+:func:`shard_relations` is what makes some of a join tree's relations
+sharded.  Under a :class:`~repro.db.backend.ProcessBackend` the shard
 pieces are :class:`~repro.db.backend.RemoteShard` handles resident in
 worker processes — operators route to the owning worker, results stay
 resident, and rows only return to the parent on
 :meth:`ShardedRelation.to_relation`.  Semantics are identical to the
-sequential :class:`Relation` operations in every mode, which the
-property suite in ``tests/db/test_parallel_equivalence.py`` enforces
-backend by backend and shard-count by shard-count.
+:class:`Relation` operations in every mode, which the property suite in
+``tests/db/test_parallel_equivalence.py`` enforces backend by backend
+and shard-count by shard-count.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .._errors import SchemaError
+from ..core.atoms import Atom
+from ..core.jointree import JoinTree
 from ..obs import get_registry
 from .annotated import AnnotatedRelation
-from .backend import (
-    SEQUENTIAL,
-    ExecutionContext,
-    RemoteShard,
-    ThreadBackend,
-)
+from .backend import SEQUENTIAL, ExecutionContext, RemoteShard
 from .columnar import ColumnarRelation, partition_columnar
 from .relation import Relation, Row, Value
-
-
-def as_context(backend=None, pool=None) -> ExecutionContext:
-    """Normalise the two ways callers hand us parallelism.
-
-    *backend* wins; a bare ``concurrent.futures`` executor (*pool*, the
-    pre-backend API kept for compatibility) is wrapped in a non-owning
-    :class:`~repro.db.backend.ThreadBackend`; neither means inline.
-    """
-    if backend is not None:
-        return backend
-    if pool is not None:
-        return ThreadBackend(pool=pool)
-    return SEQUENTIAL
-
-
-def _result_context(
-    ctx: ExecutionContext, shards
-) -> ExecutionContext | None:
-    """The context a result relation must pin: the executing backend
-    when any piece is worker-resident, nothing for all-local pieces."""
-    return ctx if any(isinstance(s, RemoteShard) for s in shards) else None
 
 
 def stable_hash(value: Value) -> int:
@@ -137,8 +117,9 @@ class ShardedRelation:
         clean hash partition).  Non-empty disables partition-wise
         alignment — operations fall back to broadcast mode.
     context:
-        The :class:`~repro.db.backend.ExecutionContext` owning any
-        remote pieces (``None`` for purely local shards).
+        The :class:`~repro.db.backend.ExecutionContext` the relation was
+        cut with: its operators run there, and it owns any remote
+        pieces.
     """
 
     __slots__ = (
@@ -153,7 +134,7 @@ class ShardedRelation:
         shards: tuple,
         name: str = "r",
         heavy: frozenset = frozenset(),
-        context: ExecutionContext | None = None,
+        context: ExecutionContext = SEQUENTIAL,
     ):
         if key not in attributes:
             raise SchemaError(
@@ -177,7 +158,7 @@ class ShardedRelation:
         relation: Relation,
         key: str,
         n_shards: int,
-        backend: ExecutionContext | None = None,
+        backend: ExecutionContext = SEQUENTIAL,
         skew_factor: float = DEFAULT_SKEW_FACTOR,
     ) -> "ShardedRelation":
         """Partition *relation* on *key* into *n_shards* pieces.
@@ -189,8 +170,9 @@ class ShardedRelation:
         The detection is two-phase so the common unskewed case pays one
         ``max`` over bucket sizes, not a value-frequency count.
 
-        With a process *backend* the freshly cut shards are scattered to
-        their owner workers immediately and the returned relation holds
+        The result runs its operators on *backend*.  With a process
+        backend the freshly cut shards are scattered to their owner
+        workers immediately and the returned relation holds
         :class:`~repro.db.backend.RemoteShard` handles.
         """
         if n_shards < 1:
@@ -200,7 +182,8 @@ class ShardedRelation:
             # One shard is the relation itself — keeps its memoised
             # hash structures alive.
             return ShardedRelation(
-                relation.attributes, key, (relation,), relation.name
+                relation.attributes, key, (relation,), relation.name,
+                context=backend,
             )
         if isinstance(relation, ColumnarRelation):
             # Columnar partition kernel: selection vectors per shard,
@@ -213,22 +196,9 @@ class ShardedRelation:
                 registry = get_registry()
                 registry.counter("shard.skew_guard_activations").inc()
                 registry.counter("shard.heavy_hitters").inc(len(heavy))
-            if backend is not None and backend.kind == "process":
-                pieces = tuple(
-                    backend.map_shards(
-                        "identity",
-                        [(s,) for s in pieces],
-                        keep=True,
-                        out_attributes=relation.attributes,
-                        out_name=relation.name,
-                    )
-                )
-                return ShardedRelation(
-                    relation.attributes, key, pieces, relation.name,
-                    heavy=heavy, context=backend,
-                )
             return ShardedRelation(
-                relation.attributes, key, pieces, relation.name, heavy=heavy
+                relation.attributes, key, _resident(pieces, relation, backend),
+                relation.name, heavy=heavy, context=backend,
             )
         buckets: list[list[Row]] = [[] for _ in range(n_shards)]
         appends = [b.append for b in buckets]
@@ -271,22 +241,9 @@ class ShardedRelation:
                 )
                 for b in buckets
             )
-        if backend is not None and backend.kind == "process":
-            shards = tuple(
-                backend.map_shards(
-                    "identity",
-                    [(s,) for s in shards],
-                    keep=True,
-                    out_attributes=relation.attributes,
-                    out_name=relation.name,
-                )
-            )
-            return ShardedRelation(
-                relation.attributes, key, shards, relation.name,
-                heavy=heavy, context=backend,
-            )
         return ShardedRelation(
-            relation.attributes, key, shards, relation.name, heavy=heavy
+            relation.attributes, key, _resident(shards, relation, backend),
+            relation.name, heavy=heavy, context=backend,
         )
 
     # -- views ------------------------------------------------------------
@@ -311,13 +268,6 @@ class ShardedRelation:
     def rows(self) -> frozenset[Row]:
         return self.to_relation().rows
 
-    def _ctx(self, backend=None, pool=None) -> ExecutionContext:
-        """The context operations must run on: remote pieces pin their
-        owning backend; otherwise the caller's choice (or inline)."""
-        if self.context is not None:
-            return self.context
-        return as_context(backend, pool)
-
     def to_relation(self) -> Relation:
         """Coalesce the shards back into one plain relation (memoised).
         For worker-resident shards this is the *gather* point — the one
@@ -326,7 +276,7 @@ class ShardedRelation:
             if len(self.shards) == 1 and isinstance(self.shards[0], Relation):
                 self._merged = self.shards[0]
             else:
-                self._merged = self._ctx().gather(
+                self._merged = self.context.gather(
                     self.shards, self.attributes, self.name
                 )
         return self._merged
@@ -338,7 +288,7 @@ class ShardedRelation:
         cached = self._key_sets.get(attributes)
         if cached is None:
             if any(isinstance(s, RemoteShard) for s in self.shards):
-                sets = self._ctx().map_shards(
+                sets = self.context.map_shards(
                     "key_set", [(s, attributes) for s in self.shards]
                 )
             else:
@@ -362,39 +312,35 @@ class ShardedRelation:
             and not other.heavy
         )
 
-    def _rebuild(
-        self,
-        shards: list,
-        ctx: ExecutionContext,
-        name: str | None = None,
-    ) -> "ShardedRelation":
+    def _rebuild(self, shards: list) -> "ShardedRelation":
         if all(new is old for new, old in zip(shards, self.shards)):
             return self
         return ShardedRelation(
-            self.attributes, self.key, tuple(shards), name or self.name,
-            heavy=self.heavy, context=_result_context(ctx, shards),
+            self.attributes, self.key, tuple(shards), self.name,
+            heavy=self.heavy, context=self.context,
         )
 
     # -- relational algebra ----------------------------------------------
     def semijoin(
-        self,
-        other: "ShardedRelation | Relation",
-        backend: ExecutionContext | None = None,
-        pool=None,
+        self, other: "ShardedRelation | Relation"
     ) -> "ShardedRelation":
         """⋉ shard-wise: pairwise against an aligned partner, otherwise
         every shard against the partner's one memoised key set (scattered
         to the workers at most once per partner)."""
-        ctx = self._ctx(backend, pool)
+        ctx = self.context
         keep = ctx.kind == "process"
         if not other:
-            empty = Relation.trusted(self.attributes, frozenset(), self.name)
-            return ShardedRelation(
-                self.attributes,
-                self.key,
-                tuple(empty for _ in self.shards),
-                self.name,
+            # Each piece empties itself where it lives, so the result
+            # keeps the pieces' flavour (annotated, columnar, resident).
+            nothing = Relation.trusted(
+                other.attributes, frozenset(), other.name
             )
+            tasks = [(shard, nothing) for shard in self.shards]
+            shards = ctx.map_shards(
+                "semijoin_pair", tasks, keep=keep,
+                out_attributes=self.attributes, out_name=self.name,
+            )
+            return self._rebuild(shards)
         shared = tuple(a for a in self.attributes if a in other.attributes)
         if not shared:
             return self
@@ -404,7 +350,7 @@ class ShardedRelation:
                 "semijoin_pair", pairs, keep=keep,
                 out_attributes=self.attributes, out_name=self.name,
             )
-            return self._rebuild(shards, ctx)
+            return self._rebuild(shards)
         if not isinstance(other, ShardedRelation) and (
             ctx.prefers_relation_scatter(other)
         ):
@@ -418,26 +364,22 @@ class ShardedRelation:
                 "semijoin_pair", tasks, keep=keep,
                 out_attributes=self.attributes, out_name=self.name,
             )
-            return self._rebuild(shards, ctx)
+            return self._rebuild(shards)
         keys = ctx.scatter(other.key_set(shared))
         tasks = [(shard, shared, keys) for shard in self.shards]
         shards = ctx.map_shards(
             "semijoin_keys", tasks, keep=keep,
             out_attributes=self.attributes, out_name=self.name,
         )
-        return self._rebuild(shards, ctx)
+        return self._rebuild(shards)
 
     def join(
-        self,
-        other: "ShardedRelation | Relation",
-        name: str | None = None,
-        backend: ExecutionContext | None = None,
-        pool=None,
+        self, other: "ShardedRelation | Relation", name: str | None = None
     ) -> "ShardedRelation":
         """⋈ shard-wise; the result stays sharded on this side's key
         (every output row extends one of this side's rows, so the key
         column — and with it the partition — is preserved)."""
-        ctx = self._ctx(backend, pool)
+        ctx = self.context
         keep = ctx.kind == "process"
         shared = tuple(a for a in self.attributes if a in other.attributes)
         here = set(self.attributes)
@@ -454,11 +396,7 @@ class ShardedRelation:
                 out_attributes=out_attrs, out_name=out_name,
             )
         else:
-            partner = (
-                other.to_relation()
-                if isinstance(other, ShardedRelation)
-                else other
-            )
+            partner = other.to_relation()
             # Broadcast: every shard probes the partner's one memoised
             # hash table (building per-shard tables would redo the same
             # build n times and probe the full partner per shard).  The
@@ -475,15 +413,11 @@ class ShardedRelation:
             )
         return ShardedRelation(
             out_attrs, self.key, tuple(shards), out_name,
-            heavy=self.heavy, context=_result_context(ctx, shards),
+            heavy=self.heavy, context=ctx,
         )
 
     def project(
-        self,
-        attributes: Sequence[str],
-        name: str | None = None,
-        backend: ExecutionContext | None = None,
-        pool=None,
+        self, attributes: Sequence[str], name: str | None = None
     ) -> "ShardedRelation | Relation":
         """π shard-wise; the result stays sharded when the shard key
         survives (rows equal after projection then agree on the key, so
@@ -492,7 +426,7 @@ class ShardedRelation:
         hitters, whose equal-after-projection rows may straddle shards —
         still projects shard-wise, with the final union of the (smaller)
         projected shards performing the cross-shard dedup."""
-        ctx = self._ctx(backend, pool)
+        ctx = self.context
         attrs = tuple(attributes)
         out_name = name or self.name
         tasks = [(shard, attrs, name) for shard in self.shards]
@@ -503,8 +437,7 @@ class ShardedRelation:
                 out_attributes=attrs, out_name=out_name,
             )
             return ShardedRelation(
-                attrs, self.key, tuple(shards), out_name,
-                context=_result_context(ctx, shards),
+                attrs, self.key, tuple(shards), out_name, context=ctx
             )
         projected = ctx.map_shards("project", tasks)
         return ctx.gather(projected, attrs, out_name)
@@ -516,6 +449,73 @@ class ShardedRelation:
             f"{self.name}({', '.join(self.attributes)}) "
             f"[{len(self)} rows @ {self.key}: {sizes}{spread}]"
         )
+
+
+def _resident(
+    pieces: tuple, relation: Relation, backend: ExecutionContext
+) -> tuple:
+    """Freshly cut *pieces* of *relation* where *backend* keeps shard
+    data: scattered to their owner workers under the process backend,
+    as they are otherwise."""
+    if backend.kind != "process":
+        return pieces
+    return tuple(
+        backend.map_shards(
+            "identity",
+            [(piece,) for piece in pieces],
+            keep=True,
+            out_attributes=relation.attributes,
+            out_name=relation.name,
+        )
+    )
+
+
+def _shard_key(
+    tree: JoinTree, node: Atom, relation: Relation
+) -> str | None:
+    """The partition key for *node*'s relation: prefer an attribute shared
+    with the parent (the bottom-up and top-down sweeps both run over the
+    parent edge, so agreeing on it makes those semijoins pairwise), then
+    one shared with a child, then any attribute; ``None`` for the 0-ary
+    relation, which cannot be partitioned."""
+    attrs = relation.attributes
+    if not attrs:
+        return None
+    here = set(attrs)
+    parent = tree.parent_of.get(node)
+    neighbours = ([parent] if parent is not None else []) + list(
+        tree.children(node)
+    )
+    for neighbour in neighbours:
+        shared = sorted(
+            here & {v.name for v in neighbour.variables}
+        )
+        if shared:
+            return shared[0]
+    return attrs[0]
+
+
+def shard_relations(
+    tree: JoinTree,
+    relations: Mapping[Atom, Relation],
+    shards: Mapping[Atom, int],
+    ctx: ExecutionContext = SEQUENTIAL,
+) -> dict[Atom, "ShardedRelation | Relation"]:
+    """The relations of *tree*'s nodes, those assigned more than one
+    shard cut into that many pieces on *ctx*.
+
+    Nodes with one shard (or none listed) and 0-ary relations stay as
+    they are — for the engine's cost-based policy that is the
+    "partition overhead dominates below ~1k rows" rule made concrete.
+    The result feeds :func:`repro.db.yannakakis.boolean_eval` /
+    ``full_reduce`` / ``enumerate_answers`` unchanged: sharding is a
+    property of an operand, not of the sweep."""
+    out = dict(relations)
+    for node, n in shards.items():
+        key = _shard_key(tree, node, relations[node]) if n > 1 else None
+        if key is not None:
+            out[node] = ShardedRelation.shard(relations[node], key, n, ctx)
+    return out
 
 
 def _heavy_hitters(

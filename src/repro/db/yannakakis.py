@@ -15,6 +15,18 @@ relation:
   variables seen so far computes the answer relation in time polynomial in
   input + output (Theorem: Yannakakis [44]; used by Theorem 4.8 /
   Corollary 5.20 through the Lemma 4.6 transformation).
+
+This is the only place the three passes are written.  They ask of an
+operand nothing but ``semijoin(other)``, ``join(other, name)``,
+``project(attrs, name)``, ``attributes``, ``len`` / ``bool`` and
+``to_relation()``, so a node's relation may be a row, columnar or
+annotated :class:`~repro.db.relation.Relation` or a hash-partitioned
+:class:`~repro.db.sharded.ShardedRelation` running on an execution
+backend (:func:`~repro.db.sharded.shard_relations` cuts them), in any
+mix; what a mixed pair does is the operands' business.  Every operator
+is counted in ``stats`` and traced as one ``sweep.semijoin`` /
+``sweep.join`` span naming the node whose relation it writes, the pass,
+whether the result is sharded, and its row count.
 """
 
 from __future__ import annotations
@@ -22,9 +34,27 @@ from __future__ import annotations
 from ..core.atoms import Atom
 from ..core.jointree import JoinTree
 from ..obs import current_tracer
-from .annotated import join_dispatch
 from .relation import Relation
 from .stats import EvalStats
+
+
+def _semijoin(
+    reduced: dict[Atom, Relation],
+    node: Atom,
+    partner: Atom,
+    pass_: str,
+    stats: EvalStats,
+    tracer,
+) -> None:
+    """``reduced[node] ⋉= reduced[partner]``, counted and traced."""
+    with tracer.span(
+        "sweep.semijoin", node=node.predicate, pass_=pass_
+    ) as sp:
+        out = reduced[node] = stats.record(
+            reduced[node].semijoin(reduced[partner])
+        )
+        sp.set(rows=len(out), sharded=out.n_shards > 1)
+    stats.semijoins += 1
 
 
 def _reduced_bottom_up(
@@ -35,14 +65,19 @@ def _reduced_bottom_up(
     reduced = dict(relations)
     for node in tree.post_order():
         for child in tree.children(node):
-            with tracer.span(
-                "sweep.semijoin", node=node.predicate, pass_="bottom-up"
-            ) as sp:
-                reduced[node] = stats.record(
-                    reduced[node].semijoin(reduced[child])
-                )
-                sp.set(rows=len(reduced[node]))
-            stats.semijoins += 1
+            _semijoin(reduced, node, child, "bottom-up", stats, tracer)
+    return reduced
+
+
+def _fully_reduced(
+    tree: JoinTree, relations: dict[Atom, Relation], stats: EvalStats
+) -> dict[Atom, Relation]:
+    """Bottom-up then top-down sweeps; operands stay as they are."""
+    tracer = current_tracer()
+    reduced = _reduced_bottom_up(tree, relations, stats)
+    for node in tree.nodes:  # preorder: parents before children
+        for child in tree.children(node):
+            _semijoin(reduced, child, node, "top-down", stats, tracer)
     return reduced
 
 
@@ -67,22 +102,12 @@ def full_reduce(
     """The full reducer: bottom-up then top-down semijoin sweeps.
 
     Afterwards each relation contains exactly the tuples that extend to a
-    full answer of the (acyclic) query.
+    full answer of the (acyclic) query.  Sharded operands come back
+    coalesced.
     """
     stats = stats if stats is not None else EvalStats()
-    tracer = current_tracer()
-    reduced = _reduced_bottom_up(tree, relations, stats)
-    for node in tree.nodes:  # preorder: parents before children
-        for child in tree.children(node):
-            with tracer.span(
-                "sweep.semijoin", node=child.predicate, pass_="top-down"
-            ) as sp:
-                reduced[child] = stats.record(
-                    reduced[child].semijoin(reduced[node])
-                )
-                sp.set(rows=len(reduced[child]))
-            stats.semijoins += 1
-    return reduced
+    reduced = _fully_reduced(tree, relations, stats)
+    return {node: rel.to_relation() for node, rel in reduced.items()}
 
 
 def enumerate_answers(
@@ -98,13 +123,14 @@ def enumerate_answers(
     the current node's attributes plus the output attributes contributed
     by its subtree.  Each intermediate is then at most
     ``|node relation| × |answers|`` — polynomial in input plus output.
+    A sharded partial result stays partitioned for as long as its shard
+    key survives the projection; only the answer is coalesced.
 
     Output attributes must occur in the tree (standard for CQ heads, whose
-    variables occur in the body).
+    variables occur in the body); anything else raises ``ValueError``
+    before any operator runs.
     """
     stats = stats if stats is not None else EvalStats()
-    reduced = full_reduce(tree, relations, stats)
-
     tree_attrs: set[str] = set()
     for node in tree.nodes:
         tree_attrs.update(relations[node].attributes)
@@ -113,6 +139,7 @@ def enumerate_answers(
         raise ValueError(
             f"output attributes {sorted(missing)} do not occur in the join tree"
         )
+    reduced = _fully_reduced(tree, relations, stats)
 
     out_set = set(output)
     tracer = current_tracer()
@@ -125,16 +152,18 @@ def enumerate_answers(
             attrs_below.update(subtree_attrs[child])
         keep = set(rel.attributes) | (attrs_below & out_set)
         for child in tree.children(node):
-            with tracer.span("sweep.join", node=node.predicate) as sp:
-                rel = join_dispatch(rel, partial[child])
+            with tracer.span(
+                "sweep.join", node=node.predicate, pass_="enumerate"
+            ) as sp:
+                rel = rel.join(partial[child])
                 stats.joins += 1
                 rel = stats.record(
                     rel.project([a for a in rel.attributes if a in keep])
                 )
                 stats.projections += 1
-                sp.set(rows=len(rel))
+                sp.set(rows=len(rel), sharded=rel.n_shards > 1)
         partial[node] = rel
         subtree_attrs[node] = attrs_below
     answer = partial[tree.root].project(list(output), name="ans")
     stats.projections += 1
-    return stats.record(answer)
+    return stats.record(answer.to_relation())

@@ -16,8 +16,8 @@ hand-wire per query::
   executing it.
 
 **Execution backends.**  ``Engine(backend=...)`` selects where shard
-tasks run: ``"sequential"`` (inline, the default), ``"thread"`` (the
-PR-4 sharded thread pool — low latency, GIL-bound), or ``"process"``
+tasks run: ``"sequential"`` (inline, the default), ``"thread"`` (a
+thread pool — low latency, GIL-bound), or ``"process"``
 (worker processes with resident shards — real multicore scaling for
 large relations).  The engine owns one live
 :class:`~repro.db.backend.ExecutionContext` per (kind, width), created
@@ -657,13 +657,6 @@ class Engine:
                 plan, db, stats=stats, deadline=deadline, backend=ctx,
                 semiring=semiring,
             )
-            if semiring is not None and not isinstance(
-                answer, AnnotatedRelation
-            ):
-                # An all-plain sharded pipeline (e.g. semijoin against an
-                # empty partner) can coalesce to a plain relation; the
-                # result contract is still annotated.
-                answer = AnnotatedRelation.lift(answer, semiring)
         return EvalResult(
             query, answer, stats, hit, hd_width, method,
             time.monotonic() - started, semiring=semiring,

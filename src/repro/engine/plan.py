@@ -26,9 +26,8 @@ Lemma 4.6 pipeline:
   node whose estimated bag cardinality reaches
   :data:`SHARD_MIN_ROWS` is assigned ``workers`` hash partitions;
   smaller bags stay unsharded (below ~1k rows the partitioning overhead
-  dominates any shard-task win).  This replaces the PR-4 global
-  ``parallelism`` knob: the shard decision is per relation, from the
-  same cardinality estimates that order the joins.
+  dominates any shard-task win): the shard decision is per relation,
+  from the same cardinality estimates that order the joins.
 * **per-node layout** — ``layout="columnar"`` materialises every bag as
   a :class:`~repro.db.columnar.ColumnarRelation` (contiguous buffers,
   vectorised semijoin/join kernels, shared-memory scatter under the
@@ -38,9 +37,11 @@ Lemma 4.6 pipeline:
   whose per-call overhead is lower.  Annotated (semiring) requests
   always stay row: the per-row annotation maps are the point.
 
-Execution materialises the bags in plan order, then runs the Yannakakis
-passes — sequentially, or over the selected execution backend
-(:mod:`repro.db.backend`) with the plan's shard assignment.  A deadline
+Execution materialises the bags in plan order, cuts those the plan
+assigned more than one shard into :class:`~repro.db.sharded.ShardedRelation`
+pieces on the selected execution backend (:mod:`repro.db.backend`), and
+runs the Yannakakis passes of :mod:`repro.db.yannakakis` over the
+result.  A deadline
 is checked between operators so per-request budgets interrupt long plans
 with :class:`repro._errors.BudgetExceeded` (under the process backend
 the check sits between operators on the coordinating side; an individual
@@ -56,16 +57,18 @@ from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
-from ..db.backend import BACKEND_KINDS, ExecutionContext, make_backend
+from ..db.backend import (
+    BACKEND_KINDS,
+    SEQUENTIAL,
+    ExecutionContext,
+    make_backend,
+)
 from ..db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS, ColumnarRelation
 from ..db.database import Database
 from ..db.evaluate import bag_relation, check_deadline
-from ..db.parallel import (
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-)
 from ..db.relation import Relation
 from ..db.semiring import Semiring
+from ..db.sharded import shard_relations
 from ..db.stats import CardinalityEstimator, EvalStats
 from ..db.yannakakis import boolean_eval, enumerate_answers
 from ..obs import Tracer, current_tracer, get_registry
@@ -547,14 +550,14 @@ def execute_plan(
     counts = plan.shard_counts
     own = False
     if backend is not None:
-        ctx: ExecutionContext | None = backend
+        ctx = backend
     elif plan.backend != "sequential" and any(
         n > 1 for n in counts.values()
     ):
         ctx = make_backend(plan.backend, plan.workers)
         own = True
     else:
-        ctx = None
+        ctx = SEQUENTIAL
     try:
         with current_tracer().span(
             "plan.execute",
@@ -568,7 +571,7 @@ def execute_plan(
             sp.set(rows=len(answer))
         return answer
     finally:
-        if own and ctx is not None:
+        if own:
             ctx.close()
 
 
@@ -577,7 +580,7 @@ def _execute_with_context(
     db: Database,
     stats: EvalStats,
     deadline: float | None,
-    ctx: ExecutionContext | None,
+    ctx: ExecutionContext,
     counts: dict[Atom, int],
     semiring: Semiring | None = None,
 ) -> Relation:
@@ -594,12 +597,7 @@ def _execute_with_context(
             return naive_annotated_eval(plan.query, db, semiring, stats)
         for atom, i in assignment.items():
             carriers_of[i] = carriers_of.get(i, frozenset()) | {atom}
-    if (
-        ctx is not None
-        and ctx.kind == "thread"
-        and ctx.workers > 1
-        and len(node_pairs) > 1
-    ):
+    if ctx.kind == "thread" and ctx.workers > 1 and len(node_pairs) > 1:
         # One task per bag; each task keeps private stats (EvalStats is
         # not thread-safe) merged once the fan-out completes.  Only the
         # thread backend fans bags out: bag pipelines close over the
@@ -630,33 +628,11 @@ def _execute_with_context(
         }
 
     check_deadline(deadline, "Yannakakis passes")
-    sharded = ctx is not None and any(counts[np.bag] > 1 for np, _ in node_pairs)
-    if not plan.output:
-        if semiring is not None:
-            # Annotated Boolean queries enumerate the 0-ary answer: the
-            # () row's annotation is the semiring total; boolean_eval's
-            # short-circuit would drop it.
-            if sharded:
-                return parallel_enumerate_answers(
-                    plan.join_tree, relations, (), stats,
-                    backend=ctx, shard_counts=counts,
-                )
-            return enumerate_answers(plan.join_tree, relations, (), stats)
-        if sharded:
-            true = parallel_boolean_eval(
-                plan.join_tree, relations, stats,
-                backend=ctx, shard_counts=counts,
-            )
-        else:
-            true = boolean_eval(plan.join_tree, relations, stats)
-        return Relation.trusted((), frozenset({()} if true else ()), "ans")
-    if sharded:
-        return parallel_enumerate_answers(
-            plan.join_tree,
-            relations,
-            plan.output,
-            stats,
-            backend=ctx,
-            shard_counts=counts,
-        )
-    return enumerate_answers(plan.join_tree, relations, plan.output, stats)
+    operands = shard_relations(plan.join_tree, relations, counts, ctx)
+    if plan.output or semiring is not None:
+        # Annotated Boolean queries enumerate the 0-ary answer too: the
+        # () row's annotation is the semiring total; boolean_eval's
+        # short-circuit would drop it.
+        return enumerate_answers(plan.join_tree, operands, plan.output, stats)
+    true = boolean_eval(plan.join_tree, operands, stats)
+    return Relation.trusted((), frozenset({()} if true else ()), "ans")

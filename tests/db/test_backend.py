@@ -85,13 +85,16 @@ class TestInProcessBackends:
         finally:
             ctx.close()
 
-    def test_thread_backend_wrapping_external_pool_does_not_own_it(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            ctx = ThreadBackend(pool=pool)
-            ctx.close()  # must not shut the external pool down
-            assert pool.submit(lambda: 42).result() == 42
+    def test_thread_backend_owns_its_pool_and_recovers_after_close(self, r, s):
+        ctx = ThreadBackend(workers=2)
+        ctx.map_shards("semijoin_pair", [(r, s)] * 2)
+        pool = ctx._pool
+        ctx.close()
+        assert pool._shutdown and not ctx.closed
+        # a closed thread backend recreates its pool on the next use
+        outs = ctx.map_shards("semijoin_pair", [(r, s)] * 2)
+        assert all(o.rows == r.semijoin(s).rows for o in outs)
+        ctx.close()
 
     def test_make_backend_kinds(self):
         assert make_backend("sequential").kind == "sequential"

@@ -157,7 +157,7 @@ class TestRowsView:
         r, c = self.pair()
         back = pickle.loads(pickle.dumps(c.rows))
         assert type(back) is frozenset and back == r.rows
-        assert type(c.to_relation().rows) is frozenset
+        assert type(c.row_relation().rows) is frozenset
         assert type(to_columnar(rel(("a",), [])).rows) is frozenset
 
 
@@ -169,7 +169,7 @@ class TestConversion:
         assert c.rows == r.rows
         assert c.attributes == r.attributes
         assert len(c) == len(r)
-        assert c.to_relation().rows == r.rows
+        assert c.row_relation().rows == r.rows
 
     def test_equality_and_hash_cross_representation(self):
         r = rel(("a", "b"), [(1, 2), (3, 4)])
@@ -268,9 +268,7 @@ class TestOperators:
     def test_join_unique_and_duplicate_build_keys(self):
         left = rel(("a", "b"), [(i, i % 7) for i in range(40)])
         right = rel(("b", "c"), [(i % 7, i) for i in range(25)])
-        from repro.db.annotated import join_dispatch
-
-        expect = join_dispatch(left, right)
+        expect = left.join(right)
         got = to_columnar(left).join(to_columnar(right))
         assert got.rows == expect.rows
         assert got.attributes == expect.attributes
@@ -278,9 +276,7 @@ class TestOperators:
     def test_join_dict_by_dict(self):
         left = rel(("a", "b"), [(f"u{i%6}", f"v{i}") for i in range(30)])
         right = rel(("a", "c"), [(f"u{i%9}", i) for i in range(20)])
-        from repro.db.annotated import join_dispatch
-
-        expect = join_dispatch(left, right)
+        expect = left.join(right)
         assert (
             to_columnar(left).join(to_columnar(right)).rows == expect.rows
         )
@@ -289,9 +285,7 @@ class TestOperators:
         # int column joined against a dict-encoded column of ints.
         left = rel(("a", "b"), [(i, i) for i in range(20)])
         right = rel(("a", "c"), [(i if i % 2 else f"s{i}", i) for i in range(20)])
-        from repro.db.annotated import join_dispatch
-
-        expect = join_dispatch(left, right)
+        expect = left.join(right)
         assert (
             to_columnar(left).join(to_columnar(right)).rows == expect.rows
         )
@@ -299,9 +293,7 @@ class TestOperators:
     def test_cross_product(self):
         left = rel(("a",), [(i,) for i in range(5)])
         right = rel(("b",), [(i,) for i in range(4)])
-        from repro.db.annotated import join_dispatch
-
-        expect = join_dispatch(left, right)
+        expect = left.join(right)
         got = to_columnar(left).join(to_columnar(right))
         assert got.rows == expect.rows
         assert len(got) == 20

@@ -2,10 +2,11 @@
 
 The row engine is the oracle.  For every random database and query
 family, each operator (semijoin / join / project) must produce the same
-row set whether the operands are row or columnar, and the sharded
-Yannakakis passes must agree with the sequential row oracle when run
-with ``layout="columnar"`` across every execution backend
-(inline / thread pool / worker processes) × shard count in {1, 2, 7}.
+row set whether the operands are row or columnar, and the
+Yannakakis passes over sharded columnar operands must agree with the
+row run and with naive evaluation (the reference that shares no code
+with the sweep) across every execution backend (inline / thread pool /
+worker processes) × shard count in {1, 2, 7}.
 
 Backends are shared module-scoped (a process pool per hypothesis
 example would dominate the suite's runtime); ``SHM_MIN_ROWS`` is forced
@@ -28,13 +29,12 @@ from repro.db import (
     boolean_eval,
     enumerate_answers,
     full_reduce,
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    naive_boolean_eval,
+    naive_join_eval,
+    shard_relations,
     to_columnar,
 )
 from repro.db import backend as backend_mod
-from repro.db.annotated import join_dispatch
 from repro.db.columnar import ColumnarRelation
 from repro.engine import Engine
 from repro.generators.families import path_query
@@ -82,6 +82,27 @@ def _tree_and_relations(query, db):
     return tree, {a: bind_atom(a, db) for a in query.atoms}
 
 
+def _cut_columnar(tree, rels, shards, ctx):
+    """Every node's relation columnar, cut into *shards* pieces on *ctx*."""
+    return shard_relations(
+        tree,
+        {node: to_columnar(rel) for node, rel in rels.items()},
+        dict.fromkeys(tree.nodes, shards),
+        ctx,
+    )
+
+
+def _naive_reduced(query, db, rels):
+    """What the full reducer must leave at each node: the projection of
+    the full join onto the node's attributes."""
+    everything = tuple(sorted(query.variables, key=lambda v: v.name))
+    full = naive_join_eval(query.with_head(everything), db)
+    return {
+        node: full.project(list(rel.attributes)).rows
+        for node, rel in rels.items()
+    }
+
+
 class TestOperatorEquivalence:
     """Pairwise operator agreement on random relations: every mix of
     row/columnar operands gives the row oracle's rows."""
@@ -112,17 +133,13 @@ class TestOperatorEquivalence:
         cl, cr = to_columnar(left), to_columnar(right)
 
         semi = left.semijoin(right)
-        joined = join_dispatch(left, right)
+        joined = left.join(right)
         for l_op in (left, cl):
             for r_op in (right, cr):
                 if l_op is left and r_op is right:
                     continue
                 assert l_op.semijoin(r_op).rows == semi.rows
-                out = (
-                    l_op.join(r_op)
-                    if isinstance(l_op, ColumnarRelation)
-                    else join_dispatch(l_op, r_op)
-                )
+                out = l_op.join(r_op)
                 assert out.rows == joined.rows
                 assert out.attributes == joined.attributes
 
@@ -183,8 +200,9 @@ class TestOperatorEquivalence:
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestShardedColumnarEquivalence:
-    """The sharded Yannakakis passes under ``layout="columnar"`` agree
-    with the sequential row oracle on every backend × shard count."""
+    """The Yannakakis passes over sharded columnar operands agree with
+    the row run and with naive evaluation on every backend × shard
+    count."""
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -203,24 +221,24 @@ class TestShardedColumnarEquivalence:
         seq_bool = boolean_eval(tree, dict(rels))
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == naive_boolean_eval(query, db)
+        naive_reduced = _naive_reduced(query, db, rels)
+        for node in tree.nodes:
+            assert seq_reduced[node].rows == naive_reduced[node]
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         for shards in SHARD_COUNTS:
             assert (
-                parallel_boolean_eval(
-                    tree, dict(rels), n_shards=shards, backend=ctx,
-                    layout="columnar",
-                )
+                boolean_eval(tree, _cut_columnar(tree, rels, shards, ctx))
                 == seq_bool
             )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards, backend=ctx,
-                layout="columnar",
+            par_reduced = full_reduce(
+                tree, _cut_columnar(tree, rels, shards, ctx)
             )
             for node in tree.nodes:
-                assert par_reduced[node].rows == seq_reduced[node].rows
+                assert par_reduced[node].rows == naive_reduced[node]
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards, backend=ctx,
-                    layout="columnar",
+                enumerate_answers(
+                    tree, _cut_columnar(tree, rels, shards, ctx), output
                 ).rows
                 == seq_answers.rows
             )
@@ -241,16 +259,14 @@ class TestShardedColumnarEquivalence:
 
         seq_bool = boolean_eval(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == naive_boolean_eval(query, db)
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         assert (
-            parallel_boolean_eval(
-                tree, dict(rels), n_shards=3, backend=ctx, layout="columnar"
-            )
-            == seq_bool
+            boolean_eval(tree, _cut_columnar(tree, rels, 3, ctx)) == seq_bool
         )
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=3, backend=ctx,
-                layout="columnar",
+            enumerate_answers(
+                tree, _cut_columnar(tree, rels, 3, ctx), output
             ).rows
             == seq_answers.rows
         )
@@ -268,10 +284,10 @@ class TestShardedColumnarEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=4, backend=ctx,
-                layout="columnar",
+            enumerate_answers(
+                tree, _cut_columnar(tree, rels, 4, ctx), output
             ).rows
             == seq_answers.rows
         )
@@ -290,6 +306,7 @@ class TestEngineLayoutEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", layout="row").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for layout in ("columnar", "auto"):
             got = Engine(mode="heuristic", layout=layout).execute(query, db)
             assert got.answer.rows == seq.answer.rows
@@ -301,6 +318,7 @@ class TestEngineLayoutEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, 8, 60, seed=3, plant_answer=True)
         seq = Engine(mode="heuristic", layout="row").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for kind in ("thread", "process"):
             with Engine(
                 mode="heuristic", backend=kind, backend_workers=2,

@@ -1,16 +1,23 @@
-"""Property suite: the sharded parallel kernel ≡ the sequential kernel.
+"""Property suite: the Yannakakis passes over sharded operands ≡ over
+plain ones ≡ naive evaluation.
 
-Sequential semantics are the oracle.  For every database, query family
-(path / star / cyclic), *execution backend* (inline / thread pool /
-worker processes) and shard count in {1, 2, 7}:
+There is one sweep driver (:mod:`repro.db.yannakakis`); sharding is a
+property of its operands (:func:`repro.db.shard_relations`).  Comparing
+a sharded run with an unsharded one therefore compares the driver with
+itself, so every property also checks both runs against the naive full
+join (:func:`repro.db.naive_join_eval`), which shares no code with the
+sweep.  For every database, query family (path / star / cyclic),
+*execution backend* (inline / thread pool / worker processes) and shard
+count in {1, 2, 7}:
 
-* ``parallel_boolean_eval`` agrees with ``boolean_eval``,
-* ``parallel_full_reduce`` agrees with ``full_reduce`` node for node,
-* ``parallel_enumerate_answers`` agrees with ``enumerate_answers``,
-* the engine's backend selection agrees with the sequential engine
-  (which is how cyclic queries are covered: they evaluate through the
-  Lemma 4.6 bag transform, not a direct join tree),
-* and ``full_reduce`` is idempotent, sequential and sharded alike.
+* ``boolean_eval`` agrees with ``naive_boolean_eval``,
+* ``full_reduce`` leaves, node for node, the projection of the full
+  join onto the node's attributes,
+* ``enumerate_answers`` agrees with ``naive_join_eval``,
+* the engine's backend selection agrees with the sequential engine and
+  with naive evaluation (which is how cyclic queries are covered: they
+  evaluate through the Lemma 4.6 bag transform, not a direct join tree),
+* and ``full_reduce`` is idempotent, plain and sharded alike.
 
 Backends are shared module-scoped (a process pool per hypothesis example
 would dominate the suite's runtime); the process backend runs with 2
@@ -32,10 +39,11 @@ from repro.db import (
     boolean_eval,
     enumerate_answers,
     full_reduce,
-    parallel_boolean_eval,
-    parallel_enumerate_answers,
-    parallel_full_reduce,
+    naive_boolean_eval,
+    naive_join_eval,
+    shard_relations,
 )
+from repro.db.backend import SEQUENTIAL
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
@@ -74,6 +82,22 @@ def _tree_and_relations(query, db):
     return tree, {a: bind_atom(a, db) for a in query.atoms}
 
 
+def _cut(tree, rels, shards, ctx=SEQUENTIAL):
+    """Every node's relation cut into *shards* pieces on *ctx*."""
+    return shard_relations(tree, rels, dict.fromkeys(tree.nodes, shards), ctx)
+
+
+def _naive_reduced(query, db, rels):
+    """What the full reducer must leave at each node: the projection of
+    the full join onto the node's attributes."""
+    everything = tuple(sorted(query.variables, key=lambda v: v.name))
+    full = naive_join_eval(query.with_head(everything), db)
+    return {
+        node: full.project(list(rel.attributes)).rows
+        for node, rel in rels.items()
+    }
+
+
 class TestKernelEquivalence:
     """Direct join-tree level equivalence on acyclic families."""
 
@@ -93,20 +117,18 @@ class TestKernelEquivalence:
         seq_bool = boolean_eval(tree, dict(rels))
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
+        assert seq_bool == naive_boolean_eval(query, db)
+        naive_reduced = _naive_reduced(query, db, rels)
+        for node in tree.nodes:
+            assert seq_reduced[node].rows == naive_reduced[node]
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         for shards in SHARD_COUNTS:
-            assert (
-                parallel_boolean_eval(tree, dict(rels), n_shards=shards)
-                == seq_bool
-            )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards
-            )
+            assert boolean_eval(tree, _cut(tree, rels, shards)) == seq_bool
+            par_reduced = full_reduce(tree, _cut(tree, rels, shards))
             for node in tree.nodes:
-                assert par_reduced[node].rows == seq_reduced[node].rows
+                assert par_reduced[node].rows == naive_reduced[node]
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards
-                ).rows
+                enumerate_answers(tree, _cut(tree, rels, shards), output).rows
                 == seq_answers.rows
             )
 
@@ -125,15 +147,12 @@ class TestKernelEquivalence:
 
         seq_answers = enumerate_answers(tree, dict(rels), output)
         seq_bool = boolean_eval(tree, dict(rels))
+        assert seq_bool == naive_boolean_eval(query, db)
+        assert seq_answers.rows == naive_join_eval(query, db).rows
         for shards in SHARD_COUNTS:
+            assert boolean_eval(tree, _cut(tree, rels, shards)) == seq_bool
             assert (
-                parallel_boolean_eval(tree, dict(rels), n_shards=shards)
-                == seq_bool
-            )
-            assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards
-                ).rows
+                enumerate_answers(tree, _cut(tree, rels, shards), output).rows
                 == seq_answers.rows
             )
 
@@ -150,16 +169,18 @@ class TestKernelEquivalence:
         db = random_database(query, domain, tuples, seed=seed)
         tree, rels = _tree_and_relations(query, db)
 
+        naive_reduced = _naive_reduced(query, db, rels)
         once = full_reduce(tree, dict(rels))
         twice = full_reduce(tree, dict(once))
         for node in tree.nodes:
+            assert once[node].rows == naive_reduced[node]
             assert twice[node].rows == once[node].rows
 
-        par_once = parallel_full_reduce(tree, dict(rels), n_shards=shards)
-        par_twice = parallel_full_reduce(tree, dict(par_once), n_shards=shards)
+        par_once = full_reduce(tree, _cut(tree, rels, shards))
+        par_twice = full_reduce(tree, _cut(tree, par_once, shards))
         for node in tree.nodes:
-            assert par_once[node].rows == once[node].rows
-            assert par_twice[node].rows == once[node].rows
+            assert par_once[node].rows == naive_reduced[node]
+            assert par_twice[node].rows == naive_reduced[node]
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -182,26 +203,26 @@ class TestBackendEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_reduced = full_reduce(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
+        naive_bool = naive_boolean_eval(query, db)
+        naive_reduced = _naive_reduced(query, db, rels)
+        naive_answers = naive_join_eval(query, db)
+        assert boolean_eval(tree, dict(rels)) == naive_bool
+        assert (
+            enumerate_answers(tree, dict(rels), output).rows
+            == naive_answers.rows
+        )
         for shards in (2, 5):
             assert (
-                parallel_boolean_eval(
-                    tree, dict(rels), n_shards=shards, backend=ctx
-                )
-                == seq_bool
+                boolean_eval(tree, _cut(tree, rels, shards, ctx)) == naive_bool
             )
-            par_reduced = parallel_full_reduce(
-                tree, dict(rels), n_shards=shards, backend=ctx
-            )
+            par_reduced = full_reduce(tree, _cut(tree, rels, shards, ctx))
             for node in tree.nodes:
-                assert par_reduced[node].rows == seq_reduced[node].rows
+                assert par_reduced[node].rows == naive_reduced[node]
             assert (
-                parallel_enumerate_answers(
-                    tree, dict(rels), output, n_shards=shards, backend=ctx
+                enumerate_answers(
+                    tree, _cut(tree, rels, shards, ctx), output
                 ).rows
-                == seq_answers.rows
+                == naive_answers.rows
             )
 
     @settings(max_examples=8, deadline=None)
@@ -218,17 +239,17 @@ class TestBackendEquivalence:
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
 
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
+        naive_bool = naive_boolean_eval(query, db)
+        naive_answers = naive_join_eval(query, db)
+        assert boolean_eval(tree, dict(rels)) == naive_bool
         assert (
-            parallel_boolean_eval(tree, dict(rels), n_shards=3, backend=ctx)
-            == seq_bool
+            enumerate_answers(tree, dict(rels), output).rows
+            == naive_answers.rows
         )
+        assert boolean_eval(tree, _cut(tree, rels, 3, ctx)) == naive_bool
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=3, backend=ctx
-            ).rows
-            == seq_answers.rows
+            enumerate_answers(tree, _cut(tree, rels, 3, ctx), output).rows
+            == naive_answers.rows
         )
 
     def test_skewed_database_all_passes(self, contexts, kind):
@@ -243,12 +264,14 @@ class TestBackendEquivalence:
         db = Database.from_relations({"e": rows})
         tree, rels = _tree_and_relations(query, db)
         output = tuple(v.name for v in query.head_terms)
-        seq_answers = enumerate_answers(tree, dict(rels), output)
+        naive_answers = naive_join_eval(query, db)
         assert (
-            parallel_enumerate_answers(
-                tree, dict(rels), output, n_shards=4, backend=ctx
-            ).rows
-            == seq_answers.rows
+            enumerate_answers(tree, dict(rels), output).rows
+            == naive_answers.rows
+        )
+        assert (
+            enumerate_answers(tree, _cut(tree, rels, 4, ctx), output).rows
+            == naive_answers.rows
         )
 
     def test_engine_equivalence_forced_sharding(self, contexts, kind):
@@ -263,6 +286,7 @@ class TestBackendEquivalence:
             shard_threshold=0,
         ) as engine:
             result = engine.execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         assert result.answer.rows == seq.answer.rows
         assert result.answer.attributes == seq.answer.attributes
 
@@ -282,6 +306,7 @@ class TestEngineEquivalence:
         query = _with_head(cycle_query(4))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", backend="sequential").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for shards in (2, 7):
             par = Engine(
                 mode="heuristic",
@@ -302,6 +327,7 @@ class TestEngineEquivalence:
         query = _with_head(path_query(3))
         db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", backend="sequential").execute(query, db)
+        assert seq.answer.rows == naive_join_eval(query, db).rows
         for shards in (2, 7):
             par = Engine(
                 mode="heuristic",
@@ -314,6 +340,7 @@ class TestEngineEquivalence:
     def test_boolean_cycle_parallel(self):
         query = cycle_query(4)
         db = random_database(query, 6, 40, seed=5, plant_answer=True)
+        assert naive_boolean_eval(query, db) is True
         for shards in (2, 7):
             result = Engine(
                 mode="heuristic",

@@ -34,6 +34,7 @@ from repro.db import (
     get_semiring,
     resolve_semiring,
 )
+from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
 from repro.db.semiring import INT_RING
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
@@ -316,6 +317,69 @@ class TestBackendAgreement:
                 reference = got
             else:
                 assert got == reference
+
+
+class TestEmptyPartnerKeepsFlavour:
+    """An empty partner empties a relation; it must not change what kind
+    of relation it is.  ``ans(X) :- r(X,Y), s(Y,Z)`` with ``r`` empty,
+    COUNT-annotated, over every backend and shard count: the answer and
+    every fully reduced node stay annotated (total 0)."""
+
+    @pytest.mark.parametrize("kind", ["sequential", "thread", "process"])
+    def test_sharded_sweeps_stay_annotated(self, kind):
+        from repro.core.acyclicity import join_tree
+        from repro.core.parser import parse_query
+        from repro.db import (
+            enumerate_answers,
+            full_reduce,
+            make_backend,
+            shard_relations,
+        )
+
+        query = parse_query("ans(X) :- r(X,Y), s(Y,Z).")
+        db = Database.from_relations({"s": [(i, i + 1) for i in range(12)]})
+        db.declare("r", 2)
+        tree = join_tree(query)
+        rels = {a: bind_atom_annotated(a, db, COUNTING) for a in query.atoms}
+        ctx = make_backend(kind, workers=2)
+        try:
+            for shards in (1, 2, 3, 7):
+                counts = dict.fromkeys(tree.nodes, shards)
+                answer = enumerate_answers(
+                    tree, shard_relations(tree, rels, counts, ctx), ("X",)
+                )
+                assert isinstance(answer, AnnotatedRelation)
+                assert not answer.rows and answer.total() == 0
+                reduced = full_reduce(
+                    tree, shard_relations(tree, rels, counts, ctx)
+                )
+                for rel in reduced.values():
+                    assert isinstance(rel, AnnotatedRelation)
+                    assert not rel.rows and rel.total() == 0
+        finally:
+            ctx.close()
+
+    def test_every_operand_empties_into_its_own_flavour(self):
+        from repro.db import Relation, ShardedRelation, to_columnar
+        from repro.db.columnar import ColumnarRelation
+
+        rows = [(i, i % 3) for i in range(9)]
+        plain = Relation.from_rows(("a", "b"), rows, "p")
+        nothing = Relation.empty(("b", "c"), "none")
+        annotated = AnnotatedRelation.lift(plain, COUNTING)
+        assert type(plain.semijoin(nothing)) is Relation
+        assert isinstance(annotated.semijoin(nothing), AnnotatedRelation)
+        assert isinstance(
+            to_columnar(plain).semijoin(nothing), ColumnarRelation
+        )
+        for rel in (plain, annotated, to_columnar(plain)):
+            out = ShardedRelation.shard(rel, "b", 3).semijoin(nothing)
+            assert isinstance(out, ShardedRelation) and not out
+            assert all(type(s) is type(rel) for s in out.shards)
+            assert type(out.to_relation()) is type(rel)
+            # ... and the plain-left / sharded-right case
+            empty_right = ShardedRelation.shard(nothing, "b", 3)
+            assert type(rel.semijoin(empty_right)) is type(rel)
 
 
 class TestWeightGenerators:

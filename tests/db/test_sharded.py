@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -114,31 +113,30 @@ class TestOperations:
         assert isinstance(out, Relation)
         assert out.rows == r.project(["a"]).rows
 
-    def test_operations_accept_a_pool(self, r, s):
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            sh = ShardedRelation.shard(r, "b", 4)
-            assert (
-                sh.semijoin(s, pool=pool).to_relation().rows
-                == r.semijoin(s).rows
-            )
-            assert (
-                sh.join(s, pool=pool).to_relation().rows == r.join(s).rows
-            )
-
-    def test_operations_accept_a_backend(self, r, s):
+    def test_operations_run_on_the_backend_the_relation_was_cut_with(
+        self, r, s
+    ):
         backend = ThreadBackend(workers=4)
         try:
-            sh = ShardedRelation.shard(r, "b", 4)
-            assert (
-                sh.semijoin(s, backend=backend).to_relation().rows
-                == r.semijoin(s).rows
-            )
-            assert (
-                sh.join(s, backend=backend).to_relation().rows
-                == r.join(s).rows
-            )
+            sh = ShardedRelation.shard(r, "b", 4, backend=backend)
+            assert sh.context is backend
+            reduced = sh.semijoin(s)
+            joined = sh.join(s)
+            # ... and so does everything derived from it
+            assert reduced.context is backend and joined.context is backend
+            assert joined.project(["b", "c"]).context is backend
+            assert reduced.to_relation().rows == r.semijoin(s).rows
+            assert joined.to_relation().rows == r.join(s).rows
         finally:
             backend.close()
+
+    def test_operator_signatures_match_relation(self):
+        import inspect
+
+        for op in ("semijoin", "join", "project"):
+            assert list(
+                inspect.signature(getattr(ShardedRelation, op)).parameters
+            ) == list(inspect.signature(getattr(Relation, op)).parameters)
 
     def test_key_set_unions_shard_key_sets(self, r):
         sh = ShardedRelation.shard(r, "a", 4)

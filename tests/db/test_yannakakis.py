@@ -107,8 +107,11 @@ class TestEnumerate:
         q, db, jt, bound = _setup(
             "r(X, Y), s(Y, Z)", {"r": [(1, 2)], "s": [(2, 3)]}
         )
+        stats = EvalStats()
         with pytest.raises(ValueError):
-            enumerate_answers(jt, bound.relations, ("NOPE",))
+            enumerate_answers(jt, bound.relations, ("NOPE",), stats)
+        # rejected before any operator ran, not after the full reducer
+        assert stats.semijoins == 0 and stats.total_tuples_produced == 0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2_000), tuples=st.integers(1, 25))

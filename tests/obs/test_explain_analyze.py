@@ -112,6 +112,66 @@ class TestPipelineSpans:
         assert not owned.find("engine.execute")
 
 
+class TestSweepSpanVocabulary:
+    """One sweep driver, one span vocabulary: a plan traces the same
+    ``sweep.*`` spans whether its operands are sharded or not."""
+
+    PATH3 = "ans(X,W) :- e(X,Y), e(Y,Z), e(Z,W)"
+
+    @staticmethod
+    def _sweep_spans(tracer):
+        return [
+            s for s in tracer.spans()
+            if s.name in ("sweep.semijoin", "sweep.join")
+        ]
+
+    @staticmethod
+    def _sweep_ops(text):
+        """node -> N of the "sweep … over N op(s)" analyze lines."""
+        import re
+
+        return dict(
+            re.findall(r"^  (\w+): .*sweep \S+ over (\d+) op", text, re.M)
+        )
+
+    def test_sequential_and_sharded_runs_trace_the_same_sweep(self):
+        from collections import Counter
+
+        db = path_db()
+        query = parse_query(self.PATH3)
+        runs = {}
+        for kind, options in (
+            ("sequential", {}),
+            ("thread", {"backend_workers": 3, "shard_threshold": 0}),
+        ):
+            with Engine(backend=kind, **options) as engine:
+                with tracing(Tracer()) as tracer:
+                    answer = engine.execute(query, db).answer
+                text = engine.explain(query, db, analyze=True)
+            runs[kind] = (answer, self._sweep_spans(tracer), text)
+        (seq_answer, seq_spans, seq_text) = runs["sequential"]
+        (par_answer, par_spans, par_text) = runs["thread"]
+        assert par_answer.rows == seq_answer.rows
+
+        for span in seq_spans + par_spans:
+            assert set(span.attrs) >= {"node", "pass_", "sharded", "rows"}
+            assert (span.attrs["pass_"] == "enumerate") == (
+                span.name == "sweep.join"
+            )
+        assert {s.attrs["pass_"] for s in seq_spans} == {
+            "bottom-up", "top-down", "enumerate"
+        }
+        assert not any(s.attrs["sharded"] for s in seq_spans)
+        assert any(s.attrs["sharded"] for s in par_spans)
+
+        def key(span):
+            return span.name, span.attrs["node"], span.attrs["pass_"]
+
+        assert Counter(map(key, par_spans)) == Counter(map(key, seq_spans))
+        assert self._sweep_ops(seq_text)
+        assert self._sweep_ops(par_text) == self._sweep_ops(seq_text)
+
+
 class TestExplainAnalyze:
     def test_analyze_requires_database(self):
         with Engine() as engine:
