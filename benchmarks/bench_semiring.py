@@ -1,8 +1,8 @@
 """Semiring benchmark: annotated evaluation vs its set-semantics detours.
 
-Two comparisons on a seeded path workload, both answering "what does
-asking the engine directly buy over computing the same thing from set
-semantics by hand?":
+Three comparisons on a seeded path workload.  The first two answer
+"what does asking the engine directly buy over computing the same thing
+from set semantics by hand?":
 
 * **count vs materialise-then-len** — ``Engine.count`` (one annotated
   evaluation folding ℕ multiplicities) against executing under set
@@ -12,6 +12,16 @@ semantics by hand?":
 * **top-k vs enumerate-then-sort** — ``Engine.top_k`` (tropical
   evaluation + a k-smallest heap cut) against annotating every answer
   with its min-cost and fully sorting.
+
+The third compares the two carriers of a count:
+
+* **count sweep, columnar vs row** — the same ``count`` request under
+  ``layout="columnar"`` (weights as one more column buffer, the
+  vectorised sweeps) and ``layout="row"`` (``AnnotatedRelation``'s
+  per-row dicts).  Without numpy a count plan compiles row under either
+  layout, so the ratio is only recorded — and its 2x gate only asserted
+  — when numpy imports; the answer-row and total counts are exact
+  records either way.
 
 Correctness is a hard gate before any time is reported: the annotated
 answer rows equal the set-semantics rows, the count total equals the
@@ -36,7 +46,9 @@ import random
 import sys
 import time
 
+from repro.db.columnar import rides_buffers
 from repro.db.database import Database
+from repro.db.semiring import COUNTING
 from repro.engine import Engine
 from repro.generators.families import path_query
 from repro.generators.workloads import assign_weights
@@ -44,6 +56,9 @@ from repro.obs.history import record
 
 #: Suite tag for the unified bench-record schema (repro bench record/diff).
 SUITE = "semiring"
+
+#: Minimum columnar-over-row speedup of the count sweep (numpy only).
+COUNT_SWEEP_GATE = 2.0
 
 
 def _query():
@@ -75,12 +90,46 @@ def _best_of(fn, repeats: int):
     return best, result
 
 
+def count_sweep(query, db, repeats: int) -> dict:
+    """The count request under both layouts: exact agreement first,
+    then best-of timings on warm plan caches and warm snapshots."""
+    seconds, answers = {}, {}
+    for layout in ("row", "columnar"):
+        with Engine(backend="sequential", layout=layout) as engine:
+            engine.execute(query, db, semiring="count")
+            seconds[layout], result = _best_of(
+                lambda: engine.execute(query, db, semiring="count"), repeats
+            )
+            answers[layout] = dict(result.annotations)
+    assert answers["columnar"] == answers["row"]
+    vectorised = rides_buffers(COUNTING)
+    records = [
+        record("count_sweep.answers", len(answers["row"]), "rows",
+               better="higher", tolerance=0.0),
+        record("count_sweep.total", sum(answers["row"].values()), "count",
+               better="higher", tolerance=0.0),
+    ]
+    speedup = round(seconds["row"] / seconds["columnar"], 2)
+    if vectorised:
+        records.append(
+            record("count_sweep.columnar_vs_row", speedup, "x",
+                   better="higher", tolerance=0.75)
+        )
+    return {
+        "records": records,
+        "vectorised": vectorised,
+        "speedup": speedup,
+        "seconds": {k: round(v, 6) for k, v in seconds.items()},
+    }
+
+
 def run_benchmark(
     n_rows: int = 2_000, repeats: int = 3, k: int = 10, seed: int = 0
 ) -> dict:
     """One full comparison; returns the JSON-ready dict."""
     query = _query()
     db = _database(n_rows, seed)
+    sweep = count_sweep(query, db, repeats)
     engine = Engine(backend="sequential")
     try:
         # Warm the plan cache for every tag so the timings compare
@@ -136,6 +185,7 @@ def run_benchmark(
                    better="lower", tolerance=0.75),
             record("topk_vs_sort.path_3", topk_vs_sort, "x",
                    better="lower", tolerance=0.75),
+            *sweep["records"],
         ],
         "benchmark": "semiring_vs_set_semantics_detours",
         "rows": n_rows,
@@ -152,6 +202,9 @@ def run_benchmark(
         },
         "count_vs_len": count_vs_len,
         "topk_vs_sort": topk_vs_sort,
+        "count_sweep": {
+            key: sweep[key] for key in ("vectorised", "speedup", "seconds")
+        },
         "cache_promotions": promotions,
         "note": (
             "count_vs_len is annotated-count time over set-execute+len "
@@ -170,6 +223,15 @@ def test_bench_semiring_smoke(bench_seed):
     assert result["count_total"] >= result["answers"] > 0
     assert result["cache_promotions"] >= 2
     assert result["suite"] == SUITE and result["records"]
+
+
+def test_count_sweep_gate(bench_seed):
+    """Both layouts return the same counts; with numpy the weight-column
+    sweep beats the per-row dicts by the gate."""
+    sweep = count_sweep(_query(), _database(4_000, bench_seed), repeats=3)
+    assert sweep["records"][0]["value"] > 0
+    if sweep["vectorised"]:
+        assert sweep["speedup"] >= COUNT_SWEEP_GATE, sweep
 
 
 def main(argv: list[str] | None = None) -> int:

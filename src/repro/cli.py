@@ -38,13 +38,15 @@ Commands
     scatter).  ``--semiring count|mincost|provenance|prob``
     switches the batch to annotated evaluation (derivation counts,
     cheapest witnesses, why-provenance, probabilities).
-``explain QUERY [FACTS] [--analyze] [--backend B] [--layout L]``
+``explain QUERY [FACTS] [--analyze] [--backend B] [--layout L] [--semiring S]``
     Render the physical plan the engine would execute: cached-or-fresh
     decomposition provenance, per-bag join order with cardinality
     estimates (when FACTS is given), and the rooted join tree.  With
     ``--analyze`` the query is executed once under a tracer and the
     rendering gains per-node *actual* row counts and wall times next to
-    the estimates (EXPLAIN ANALYZE).
+    the estimates (EXPLAIN ANALYZE).  ``--semiring`` renders (and
+    analyzes) the plan of an annotated request instead — which nodes of
+    a ``count`` plan are ``[columnar]``, say.
 ``watch QUERY [FACTS] [--deltas FILE]``
     Register the query as a live materialized view and stream updates
     through it.  Each update line is a ground atom with an optional
@@ -367,7 +369,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 2
     with engine, _observed(args):
-        print(engine.explain(query, db, analyze=args.analyze))
+        print(
+            engine.explain(
+                query, db, analyze=args.analyze, semiring=args.semiring
+            )
+        )
     return 0
 
 
@@ -924,6 +930,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["row", "columnar", "auto"],
         help="bag storage layout for the plan; default: $REPRO_LAYOUT "
         "or auto",
+    )
+    p.add_argument(
+        "--semiring",
+        default=None,
+        choices=["count", "mincost", "provenance", "prob"],
+        help="explain the plan of an annotated request (see 'run "
+        "--semiring'): a semiring whose values ride weight columns "
+        "follows --layout, the others compile row plans",
     )
     _add_observability_options(p)
     p.set_defaults(fn=_cmd_explain)

@@ -15,6 +15,7 @@ from .columnar import (
     ColumnarRelation,
     default_layout,
     from_columns,
+    lift_columnar,
     to_columnar,
 )
 from .database import Database
@@ -80,6 +81,7 @@ __all__ = [
     "full_reduce",
     "get_semiring",
     "lemma46_transform",
+    "lift_columnar",
     "resolve_semiring",
     "make_backend",
     "naive_boolean_eval",

@@ -25,6 +25,14 @@ partner's annotations), so :meth:`Relation.join` lets the higher-ranked
 operand bring the probe kernel: annotated relations outrank plain ones
 and install :func:`annotated_probe_join`, inheriting ``join`` itself.
 
+This class is the carrier of every semiring.  One that declares a
+vector form (:attr:`Semiring.vector`) can instead ride a weight column
+of a :class:`~repro.db.columnar.ColumnarRelation`, which exposes the
+same ``semiring`` / ``annotations`` / ``annotation`` / ``total`` /
+``strip`` surface, ranks between plain and annotated relations, and
+hands an operand back to this class whenever a value could leave the
+column's machine type.
+
 The free-function entry points (:func:`bind_atom_annotated`,
 :func:`annotated_probe_join`) mirror their plain counterparts in
 :mod:`repro.db.binding` / :mod:`repro.db.relation`.
@@ -32,6 +40,7 @@ The free-function entry points (:func:`bind_atom_annotated`,
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .._errors import EvaluationError, SchemaError
@@ -64,7 +73,9 @@ class AnnotatedRelation(Relation):
     semiring: Semiring
     annotations: dict[Row, object]
 
-    _rank = 1
+    # Above a weighted columnar relation (1): joined with one, the
+    # probe loop below reads both sides' ``annotations``.
+    _rank = 2
 
     @staticmethod
     def make(
@@ -89,8 +100,10 @@ class AnnotatedRelation(Relation):
         annotations: Mapping[Row, object] | None = None,
     ) -> "AnnotatedRelation":
         """Wrap a plain relation; missing annotations default to
-        ``one`` (the neutral weight of an unannotated fact)."""
-        if isinstance(rel, AnnotatedRelation):
+        ``one`` (the neutral weight of an unannotated fact).  A relation
+        that already carries annotations — this class, or a columnar
+        relation with a weight column — is returned as it is."""
+        if getattr(rel, "semiring", None) is not None:
             return rel
         rows = frozenset(rel.rows)  # a columnar relation's are a lazy view
         if annotations is None:
@@ -149,9 +162,17 @@ class AnnotatedRelation(Relation):
                 self.semiring, self.annotations,
             )
         semiring = self.semiring
+        ann = self.annotations
+        if len(positions) == self.arity:
+            # All columns, reordered (attributes are distinct): no two
+            # rows can collapse, so rekey without the fold.
+            pick = itemgetter(*positions)
+            out = {pick(row): value for row, value in ann.items()}
+            return AnnotatedRelation.make(
+                tuple(attributes), frozenset(out), out_name, semiring, out
+            )
         plus = semiring.plus
         absorbing = semiring.is_absorbing
-        ann = self.annotations
         out: dict[Row, object] = {}
         get = out.get
         for row in self.rows:
@@ -307,8 +328,8 @@ def annotated_probe_join(
         raise EvaluationError(
             "annotated_probe_join requires at least one annotated side"
         )
-    build_sr = getattr(build, "semiring", semiring)
-    probe_sr = getattr(probe, "semiring", semiring)
+    build_sr = getattr(build, "semiring", None) or semiring
+    probe_sr = getattr(probe, "semiring", None) or semiring
     if build_sr is not probe_sr:
         raise EvaluationError(
             f"cannot join {build_sr.tag}-annotated and "
@@ -457,8 +478,8 @@ def merge_annotated(
 
 
 def bind_atom_annotated(
-    atom: Atom, db: Database, semiring: Semiring
-) -> AnnotatedRelation:
+    atom: Atom, db: Database, semiring: Semiring, columnar: bool = False
+) -> Relation:
     """The annotated counterpart of :func:`repro.db.binding.bind_atom`.
 
     The bound-row → base-row map is injective (constants and repeated
@@ -467,9 +488,16 @@ def bind_atom_annotated(
     one base fact — no ``plus`` arises during binding.  The lifted map
     is memoised per relation version (:meth:`Database.annotations`); an
     atom over distinct variables shares it, and the snapshot's row set,
-    outright.
+    outright — or, with *columnar*, views the snapshot's column buffers
+    and the weight column built beside them
+    (:meth:`Database.weighted_columnar`), when the semiring's values can
+    ride one.
     """
     snap, names, selected = resolve_atom(atom, db)
+    if selected is None and columnar:
+        weighted = db.weighted_columnar(atom.predicate, semiring)
+        if weighted is not None:
+            return weighted.relabel(names, str(atom))
     lifted = db.annotations(atom.predicate, semiring)
     if selected is None:
         return AnnotatedRelation.make(

@@ -109,7 +109,8 @@ def encode_relation(rel: Relation) -> RelationPayload:
     the boundary by tag and are resolved from the registry on arrival.
     Columnar relations ship their raw column buffers (``tobytes`` plus
     dictionary pools) as a length-4 payload — no row tuples are ever
-    built on either side.
+    built on either side; one with a weight column appends its semiring
+    tag, the weight buffer and the weight bound (length 7).
     """
     if isinstance(rel, AnnotatedRelation):
         return (
@@ -120,12 +121,15 @@ def encode_relation(rel: Relation) -> RelationPayload:
             tuple(rel.annotations.items()),
         )
     if isinstance(rel, ColumnarRelation):
-        return (
+        payload = (
             rel.attributes,
             rel.name,
             rel.length,
             tuple(col.payload() for col in rel.columns),
         )
+        if rel.weights is not None:
+            payload += (rel.semiring.tag, rel.weights.payload(), rel.bound)
+        return payload
     return (rel.attributes, rel.name, tuple(rel.rows))
 
 
@@ -136,13 +140,18 @@ def decode_relation(payload: RelationPayload) -> Relation:
         return AnnotatedRelation.make(
             attributes, frozenset(rows), name, get_semiring(tag), dict(items)
         )
-    if len(payload) == 4:
-        attributes, name, length, cols = payload
+    if len(payload) in (4, 7):
+        attributes, name, length, cols = payload[:4]
+        weights: tuple = ()
+        if len(payload) == 7:
+            tag, raw, bound = payload[4:]
+            weights = (column_from_payload(raw), get_semiring(tag), bound)
         return ColumnarRelation.make(
             attributes,
             tuple(column_from_payload(c) for c in cols),
             name,
             length,
+            *weights,
         )
     attributes, name, rows = payload
     return Relation.trusted(attributes, frozenset(rows), name)
@@ -342,7 +351,8 @@ class ExecutionContext:
     ) -> Relation:
         """Coalesce shard pieces into one relation.  Annotated pieces
         ``plus``-merge their annotation maps (duplicate rows across
-        pieces fold, disjoint shards concatenate)."""
+        pieces fold, disjoint shards concatenate); columnar pieces with
+        weight columns do the same on their buffers."""
         pieces = self._fetch(pieces)
         if len(pieces) == 1:
             return pieces[0]

@@ -34,9 +34,24 @@ Row materialisation stays available (:attr:`ColumnarRelation.rows` is a
 :class:`RowsView`: counting and iterating decode straight from the
 buffers, anything that needs a hash table builds the ``frozenset`` once)
 so inherited operations, equality and every existing consumer keep
-working; annotated semiring relations stay
-on the row path entirely (their per-row annotation maps defeat columnar
-batching by construction).
+working.
+
+**Weight columns.**  A relation annotated over a semiring that declares
+a vector form (:attr:`~repro.db.semiring.Semiring.vector` — counting,
+the integer ring) carries its annotations as one more buffer,
+:attr:`ColumnarRelation.weights`, aligned with the rows: a semijoin
+filters it with the mask it already computed, a join multiplies the
+matched pairs' weights, a projection ``plus``-folds the rows it
+collapses with a segmented reduction over the sort that finds them.
+:func:`rides_buffers` is the one place that says whether a semiring's
+annotations can be such a column; the others (object carriers, float
+folds whose result depends on order), and any build without numpy, stay
+on :class:`~repro.db.annotated.AnnotatedRelation`.  Python ints are
+unbounded and int64 is not, so a weighted relation also carries
+:attr:`ColumnarRelation.bound`, an upper bound on the magnitude of its
+weights: an operator whose result could reach ``2**63`` hands that
+operand to the row carrier instead (:meth:`ColumnarRelation.annotated`)
+and the sweep carries on with a mixed pair — never a wrapped count.
 """
 
 from __future__ import annotations
@@ -46,11 +61,12 @@ from collections.abc import Set
 from functools import partial
 from itertools import compress, repeat
 from operator import is_not
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._errors import SchemaError
-from .annotated import AnnotatedRelation
+from .annotated import AnnotatedRelation, annotated_probe_join, merge_annotated
 from .relation import Relation, Row, Value, probe_join
+from .semiring import Semiring
 
 try:  # Optional acceleration: zero-copy numpy views over the buffers.
     import numpy as _np
@@ -90,6 +106,23 @@ def default_layout() -> str:
 
 _TYPECODE = {"i": "q", "f": "d", "o": "q"}
 _NP_DTYPE = {"i": "int64", "f": "float64", "o": "int64"}
+#: Column kind holding a semiring's declared vector dtype.
+_WEIGHT_KIND = {"int64": "i", "float64": "f"}
+
+#: What the magnitude of a weight must stay under to be exact in int64.
+_WEIGHT_LIMIT = 1 << 63
+
+
+def rides_buffers(semiring: Semiring | None) -> bool:
+    """Whether annotations over *semiring* can be a weight column: it
+    declares a vector form and numpy is here to run it.  Engines compile
+    a semiring request with their layout policy when this says yes and
+    as a row plan when it says no."""
+    return (
+        _np is not None
+        and semiring is not None
+        and semiring.vector is not None
+    )
 
 
 def _np_view(col: "Column"):
@@ -179,19 +212,48 @@ def _np_row_keys(cols: Sequence["Column"]):
     return keys
 
 
+def _np_groups(keys):
+    """Sort per-row *keys*: the sorting order, and the mask (in that
+    order) of the first row of every run of equal keys."""
+    order = _np.argsort(keys)
+    ordered = keys[order]
+    first = _np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    _np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, first
+
+
+def _np_column(values, like: "Column") -> "Column":
+    """A numpy result memcpy'd back into ``array`` storage, as a column
+    of *like*'s kind sharing its pool."""
+    out = array(_TYPECODE[like.kind])
+    out.frombytes(values.tobytes())
+    return Column(like.kind, out, like.pool)
+
+
 def _np_select(col: "Column", mask) -> "Column":
-    """Filter by a numpy boolean mask — one vectorised gather, then a
-    memcpy back into ``array`` storage (pools stay shared)."""
-    out = array(_TYPECODE[col.kind])
-    out.frombytes(_np_view(col)[mask].tobytes())
-    return Column(col.kind, out, col.pool)
+    """Filter by a numpy boolean mask — one vectorised gather."""
+    return _np_column(_np_view(col)[mask], col)
 
 
 def _np_take(col: "Column", sel) -> "Column":
     """Gather by a numpy integer selection vector."""
-    out = array(_TYPECODE[col.kind])
-    out.frombytes(_np_view(col)[sel].tobytes())
-    return Column(col.kind, out, col.pool)
+    return _np_column(_np_view(col)[sel], col)
+
+
+def _np_pick(col: "Column", sel):
+    """The values of *col* a join kept: *sel* is an index vector (numpy
+    or a list) or a 0/1 ``bytes`` mask."""
+    if isinstance(sel, bytes):
+        return _np_view(col)[_np.frombuffer(sel, dtype=bool)]
+    return _np_view(col)[_np.asarray(sel, dtype=_np.intp)]
+
+
+def _np_bound(weights) -> int:
+    """The largest magnitude in a weight array (exact: a Python int)."""
+    if not weights.size:
+        return 0
+    return max(int(weights.max()), -int(weights.min()))
 
 
 class Column:
@@ -299,11 +361,14 @@ class RowsView(Set):
     """
 
     # Slots clear in this order: the buffers go before what maps them.
-    __slots__ = ("_columns", "_frozen", "_segment")
+    __slots__ = ("_columns", "_frozen", "_decoded", "_segment")
 
     def __init__(self, columns: tuple["Column", ...], segment=None):
         self._columns = columns
         self._frozen: frozenset[Row] | None = None
+        # The rows already decoded, in buffer order (the owner's
+        # annotation map, once built): walked instead of decoding again.
+        self._decoded: Iterable[Row] | None = None
         self._segment = segment  # shm mapping under the buffers, if any
 
     def frozen(self) -> frozenset[Row]:
@@ -317,6 +382,8 @@ class RowsView(Set):
     def __iter__(self) -> Iterator[Row]:
         if self._frozen is not None:
             return iter(self._frozen)
+        if self._decoded is not None:
+            return iter(self._decoded)
         return zip(*(c.values() for c in self._columns))
 
     def __contains__(self, row) -> bool:
@@ -354,12 +421,20 @@ class ColumnarRelation(Relation):
     the decode).
     Construction invariant: the column buffers never contain duplicate
     rows, so ``length == len(rows)`` always holds.
+
+    An annotated relation additionally holds ``weights`` (one more
+    :class:`Column`, the i-th row's annotation at position i), the
+    ``semiring`` the weights live in and ``bound``, an upper bound on
+    their magnitude; ``weights`` is ``None`` under set semantics.
     """
 
     # Relation is a frozen dataclass; extra attributes are installed the
     # way ``trusted`` installs the base three.
     columns: tuple[Column, ...]
     length: int
+    weights: Column | None = None
+    semiring: Semiring | None = None
+    bound: int = 0
 
     @staticmethod
     def make(
@@ -367,13 +442,26 @@ class ColumnarRelation(Relation):
         columns: tuple[Column, ...],
         name: str,
         length: int,
+        weights: Column | None = None,
+        semiring: Semiring | None = None,
+        bound: int = 0,
     ) -> "ColumnarRelation":
         rel = object.__new__(ColumnarRelation)
         object.__setattr__(rel, "attributes", attributes)
         object.__setattr__(rel, "name", name)
         object.__setattr__(rel, "columns", columns)
         object.__setattr__(rel, "length", length)
+        if weights is not None:
+            object.__setattr__(rel, "weights", weights)
+            object.__setattr__(rel, "semiring", semiring)
+            object.__setattr__(rel, "bound", bound)
         return rel
+
+    @property
+    def _rank(self) -> int:
+        # A weight column outranks a plain partner (whose rows count
+        # ``one``) and yields to an AnnotatedRelation.
+        return 0 if self.weights is None else 1
 
     # ``rows`` is a dataclass *field* on the base; here it is a lazy
     # decoding property (a data descriptor, so it wins over the instance
@@ -410,7 +498,55 @@ class ColumnarRelation(Relation):
         self, attributes: tuple[str, ...], name: str
     ) -> "ColumnarRelation":
         return ColumnarRelation.make(
-            attributes, self.columns, name, self.length
+            attributes, self.columns, name, self.length,
+            self.weights, self.semiring, self.bound,
+        )
+
+    # -- the annotated surface (what an AnnotatedRelation exposes) ----------
+    @property
+    def annotations(self) -> dict[Row, object] | None:
+        """Row → weight as Python numbers (``None`` without a weight
+        column), decoded on first use and kept, like :attr:`rows`."""
+        if self.weights is None:
+            return None
+        cached = self.__dict__.get("_annotations")
+        if cached is None:
+            cached = dict(zip(self, self.weights.data.tolist()))
+            self.__dict__["_annotations"] = cached
+            if self.length:
+                # One decode per answer: ``rows`` walks these keys, so a
+                # consumer pairing rows with annotations sees the same
+                # tuple objects (as on the row carrier) instead of a
+                # second generation of fresh ones.
+                self.rows._decoded = cached
+        return cached
+
+    def annotation(self, row: Row):
+        """The annotation of one row (``zero`` for absent rows)."""
+        return self.annotations.get(row, self.semiring.zero)
+
+    def total(self):
+        """``plus``-fold of every weight (``zero`` when empty)."""
+        if not self.length:
+            return self.semiring.zero
+        if self.bound * self.length >= _WEIGHT_LIMIT:
+            return self.annotated().total()
+        plus = getattr(_np, self.semiring.vector[2])
+        return plus.reduce(_np_view(self.weights)).item()
+
+    def strip(self) -> "ColumnarRelation":
+        """The plain set-semantics relation underneath (same buffers)."""
+        return ColumnarRelation.make(
+            self.attributes, self.columns, self.name, self.length
+        )
+
+    def annotated(self) -> AnnotatedRelation:
+        """This weighted relation on the row carrier, where values are
+        Python numbers and nothing can overflow."""
+        annotations = self.annotations
+        return AnnotatedRelation.make(
+            self.attributes, frozenset(annotations), self.name,
+            self.semiring, annotations,
         )
 
     def row_relation(self) -> Relation:
@@ -441,8 +577,12 @@ class ColumnarRelation(Relation):
     def _no_rows(
         self, attributes: tuple[str, ...], name: str
     ) -> "ColumnarRelation":
+        weights = self.weights
+        if weights is not None:
+            weights = Column(weights.kind, array(_TYPECODE[weights.kind]))
         return ColumnarRelation.make(
-            attributes, _empty_columns(len(attributes)), name, 0
+            attributes, _empty_columns(len(attributes)), name, 0,
+            weights, self.semiring,
         )
 
     def _take_rows(self, sel: Sequence[int], name: str | None = None) -> "ColumnarRelation":
@@ -450,8 +590,26 @@ class ColumnarRelation(Relation):
         if not sel:
             return self._no_rows(self.attributes, name or self.name)
         cols = tuple(c.take(sel) for c in self.columns)
+        weights = self.weights
         return ColumnarRelation.make(
-            self.attributes, cols, name or self.name, len(sel)
+            self.attributes, cols, name or self.name, len(sel),
+            None if weights is None else weights.take(sel),
+            self.semiring, self.bound,
+        )
+
+    def _select_rows(self, mask, survivors: int) -> "ColumnarRelation":
+        """The *survivors* rows whose *mask* entry is set — a numpy
+        boolean array or a 0/1 ``bytes`` — each with its weight."""
+        pick = Column.select if isinstance(mask, bytes) else _np_select
+        weights = self.weights
+        return ColumnarRelation.make(
+            self.attributes,
+            tuple(pick(c, mask) for c in self.columns),
+            self.name,
+            survivors,
+            None if weights is None else pick(weights, mask),
+            self.semiring,
+            self.bound,
         )
 
     # -- memoised hash structures -----------------------------------------
@@ -498,7 +656,8 @@ class ColumnarRelation(Relation):
         each output column is one vectorised gather — no Python
         bytecode runs per row.  A dictionary column resolves membership
         once per *distinct* value (``pool[code] in keys``) and masks on
-        the raw int codes."""
+        the raw int codes.  A weight column is filtered by the same
+        mask."""
         if not self.length:
             return self
         positions = self._key_positions(shared)
@@ -529,10 +688,7 @@ class ColumnarRelation(Relation):
                         return self
                     if not survivors:
                         return self._take_rows(())
-                    cols = tuple(_np_select(c, mask) for c in self.columns)
-                    return ColumnarRelation.make(
-                        self.attributes, cols, self.name, survivors
-                    )
+                    return self._select_rows(mask, survivors)
             if col.kind == "o":
                 used = set(data)
                 pool = col.pool
@@ -551,16 +707,13 @@ class ColumnarRelation(Relation):
             return self
         if not survivors:
             return self._take_rows(())
-        cols = tuple(c.select(mask) for c in self.columns)
-        return ColumnarRelation.make(
-            self.attributes, cols, self.name, survivors
-        )
+        return self._select_rows(mask, survivors)
 
     def join(self, other: Relation, name: str | None = None) -> Relation:
         other = other.to_relation()  # a sharded partner joins coalesced
         if other._rank > self._rank:
-            # Annotated partners stay on the row path (their per-row
-            # annotation maps are the point).
+            # The richer partner brings the kernel: a weighted columnar
+            # one this module's, an AnnotatedRelation its row loop.
             return Relation.join(self, other, name)
         out_name = name or f"({self.name}⋈{other.name})"
         shared = tuple(a for a in self.attributes if a in other._index_of)
@@ -581,11 +734,14 @@ class ColumnarRelation(Relation):
     @staticmethod
     def _probe_join(build: Relation, probe: Relation, *rest) -> Relation:
         """The batch kernel needs buffers on both sides; a row partner
-        takes the row loop."""
+        takes the row loop (the annotated one if either side carries
+        weights)."""
         if isinstance(build, ColumnarRelation) and isinstance(
             probe, ColumnarRelation
         ):
             return columnar_probe_join(build, probe, *rest)
+        if build._rank or probe._rank:
+            return annotated_probe_join(build, probe, *rest)
         return probe_join(build, probe, *rest)
 
     def project(
@@ -606,11 +762,25 @@ class ColumnarRelation(Relation):
                 tuple(self.columns[p] for p in positions),
                 out_name,
                 self.length,
+                self.weights,
+                self.semiring,
+                self.bound,
             )
         if not positions:
             rows = frozenset({()}) if self.length else frozenset()
+            if self.weights is not None:
+                # Every row collapses into (): its weight is the total.
+                return AnnotatedRelation.make(
+                    (), rows, out_name, self.semiring,
+                    dict.fromkeys(rows, self.total()),
+                )
             return Relation.trusted((), rows, out_name)
         cols = [self.columns[p] for p in positions]
+        if self.weights is not None:
+            folded = self._fold(cols, attrs, out_name)
+            if folded is None:
+                return self.annotated().project(attributes, name)
+            return folded
         if len(cols) == 1:
             # Distinct over raw codes/values — no per-row tuples at all.
             col = cols[0]
@@ -643,11 +813,7 @@ class ColumnarRelation(Relation):
             # One sort of per-row keys finds the duplicates and picks
             # the survivors; a projection that collapses one row costs
             # what one that collapses none does.
-            order = _np.argsort(keys)
-            ordered = keys[order]
-            keep = _np.empty(ordered.size, dtype=bool)
-            keep[0] = True
-            _np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+            order, keep = _np_groups(keys)
             if keep.all():
                 return ColumnarRelation.make(
                     attrs, tuple(cols), out_name, self.length
@@ -672,6 +838,89 @@ class ColumnarRelation(Relation):
             attrs, tuple(out_cols), out_name, len(deduped)
         )
 
+    def _fold(
+        self, cols: Sequence[Column], attrs: tuple[str, ...], name: str
+    ) -> "ColumnarRelation | None":
+        """π with ⊕ over a weight column: rows equal on *cols* become
+        one row whose weight is the ``plus``-fold of theirs — a segmented
+        reduction over the sort that finds them.  ``None`` when it has to
+        be done on Python numbers instead: the rows have no single sort
+        key (see :func:`_np_row_keys`), or a sum could leave int64."""
+        weights = self.weights
+        if not self.length:
+            return ColumnarRelation.make(
+                attrs, tuple(cols), name, 0, weights, self.semiring
+            )
+        keys = _np_view(cols[0]) if len(cols) == 1 else _np_row_keys(cols)
+        if keys is None:
+            return None
+        order, first = _np_groups(keys)
+        if first.all():
+            return ColumnarRelation.make(
+                attrs, tuple(cols), name, self.length,
+                weights, self.semiring, self.bound,
+            )
+        starts = _np.flatnonzero(first)
+        longest = int(_np.diff(starts, append=first.size).max())
+        if self.bound * longest >= _WEIGHT_LIMIT:
+            return None
+        plus = getattr(_np, self.semiring.vector[2])
+        folded = plus.reduceat(_np_view(weights)[order], starts)
+        sel = order[starts]
+        return ColumnarRelation.make(
+            attrs,
+            tuple(_np_take(c, sel) for c in cols),
+            name,
+            starts.size,
+            _np_column(folded, weights),
+            self.semiring,
+            _np_bound(folded),
+        )
+
+
+def _on_the_row_carrier(name: str):
+    """The inherited row operator *name*, which a weighted relation
+    runs as its :meth:`~ColumnarRelation.annotated` form so the result
+    keeps the annotations (``Relation``'s own would decode the rows and
+    drop them)."""
+    plain = getattr(Relation, name)
+
+    def operator(self, *args, **kwargs):
+        if self.weights is None:
+            return plain(self, *args, **kwargs)
+        return getattr(self.annotated(), name)(*args, **kwargs)
+
+    operator.__name__ = name
+    operator.__doc__ = plain.__doc__
+    return operator
+
+
+for _name in (
+    "select", "select_eq", "rename", "union", "intersect", "difference"
+):
+    setattr(ColumnarRelation, _name, _on_the_row_carrier(_name))
+
+
+def _joined_weights(
+    build: ColumnarRelation, probe: ColumnarRelation, bsel, psel
+) -> tuple:
+    """The ``weights, semiring, bound`` of a join output whose i-th row
+    pairs build row ``bsel[i]`` with probe row ``psel[i]``: the ``times``
+    of the two rows' weights, a side without a weight column counting
+    ``one``.  Selections are index vectors or, for rows kept in place, a
+    0/1 ``bytes`` mask.  The caller has checked that the product of the
+    two bounds fits."""
+    bw, pw = build.weights, probe.weights
+    if bw is None and pw is None:
+        return None, None, 0
+    if pw is None:
+        return _np_column(_np_pick(bw, bsel), bw), build.semiring, build.bound
+    if bw is None:
+        return _np_column(_np_pick(pw, psel), pw), probe.semiring, probe.bound
+    times = getattr(_np, build.semiring.vector[1])
+    product = times(_np_pick(bw, bsel), _np_pick(pw, psel))
+    return _np_column(product, bw), build.semiring, _np_bound(product)
+
 
 def columnar_probe_join(
     build: ColumnarRelation,
@@ -693,10 +942,22 @@ def columnar_probe_join(
     only iterates the *matched* probe rows (the probe is pre-filtered
     with a C membership mask first).  Natural join of sets is
     duplicate-free (output rows are in bijection with matched pairs
-    agreeing on the shared columns), so no output dedup is needed."""
+    agreeing on the shared columns), so no output dedup is needed —
+    and a weight column needs no ``plus``: every exit multiplies the
+    matched pairs' weights (:func:`_joined_weights`)."""
     n_build = build.length
+    top = probe if probe._rank > build._rank else build
     if not n_build or not probe.length:
-        return build._no_rows(out_attrs, name)
+        return top._no_rows(out_attrs, name)
+    if build.weights is not None and probe.weights is not None and (
+        build.semiring is not probe.semiring
+        or build.bound * probe.bound >= _WEIGHT_LIMIT
+    ):
+        # Some product could leave int64: the row loop multiplies Python
+        # ints (it also is what rejects a pair of different semirings).
+        return annotated_probe_join(
+            build, probe, build_is_left, shared, extra_pos, out_attrs, name
+        )
     if _np is not None and len(shared) == 1:
         result = _np_probe_join(
             build, probe, build_is_left, shared[0], extra_pos, out_attrs, name
@@ -710,7 +971,7 @@ def columnar_probe_join(
         mask = bytes(map(_NOT_NONE, matches))
         hits = mask.count(1)
         if not hits:
-            return build._no_rows(out_attrs, name)
+            return top._no_rows(out_attrs, name)
         bsel = list(compress(matches, mask))
         if build_is_left:
             out_cols = [c.take(bsel) for c in build.columns]
@@ -722,7 +983,10 @@ def columnar_probe_join(
             out_cols.extend(
                 build.columns[p].take(bsel) for p in extra_pos
             )
-        return ColumnarRelation.make(out_attrs, tuple(out_cols), name, hits)
+        return ColumnarRelation.make(
+            out_attrs, tuple(out_cols), name, hits,
+            *_joined_weights(build, probe, bsel, mask),
+        )
     # Duplicate build keys: full position-list index, then expand only
     # the probe rows that match at all (C-masked prefilter).
     index = {}
@@ -744,7 +1008,7 @@ def columnar_probe_join(
             padd(j)
             badd(p)
     if not ppos:
-        return build._no_rows(out_attrs, name)
+        return top._no_rows(out_attrs, name)
     if build_is_left:
         left, lsel = build, bpos
         right, rsel = probe, ppos
@@ -753,7 +1017,10 @@ def columnar_probe_join(
         right, rsel = build, bpos
     out_cols = [c.take(lsel) for c in left.columns]
     out_cols.extend(right.columns[p].take(rsel) for p in extra_pos)
-    return ColumnarRelation.make(out_attrs, tuple(out_cols), name, len(ppos))
+    return ColumnarRelation.make(
+        out_attrs, tuple(out_cols), name, len(ppos),
+        *_joined_weights(build, probe, bpos, ppos),
+    )
 
 
 def _np_probe_join(
@@ -817,7 +1084,8 @@ def _np_probe_join(
     matches = hi - lo
     total = int(matches.sum())
     if not total:
-        return build._no_rows(out_attrs, name)
+        top = probe if probe._rank > build._rank else build
+        return top._no_rows(out_attrs, name)
     # Flatten the per-probe match ranges: probe row j repeats once per
     # partner, and the partner positions are lo[j], lo[j]+1, … hi[j)-1
     # (arange minus each range's running start).
@@ -831,15 +1099,19 @@ def _np_probe_join(
     else:
         out_cols = [_np_take(c, ppos) for c in probe.columns]
         out_cols.extend(_np_take(build.columns[p], bsel) for p in extra_pos)
-    return ColumnarRelation.make(out_attrs, tuple(out_cols), name, total)
+    return ColumnarRelation.make(
+        out_attrs, tuple(out_cols), name, total,
+        *_joined_weights(build, probe, bsel, ppos),
+    )
 
 
 def to_columnar(rel: Relation, min_rows: int = 0) -> Relation:
     """Convert a plain relation to columnar storage.
 
-    Already-columnar input returns unchanged; annotated relations stay
-    on the row path (returned as-is); 0-ary relations stay row (there
-    is nothing to pack).  With *min_rows* > 0 relations below the
+    Already-columnar input — weighted or not — and annotated relations
+    return unchanged (:func:`lift_columnar` is what encodes an
+    annotated relation, weights and all); 0-ary relations stay row
+    (there is nothing to pack).  With *min_rows* > 0 relations below the
     threshold are returned unchanged — the ``layout="auto"`` gate."""
     if isinstance(rel, (ColumnarRelation, AnnotatedRelation)):
         return rel
@@ -854,6 +1126,55 @@ def to_columnar(rel: Relation, min_rows: int = 0) -> Relation:
     else:
         columns = tuple(encode_column(vals) for vals in zip(*rows))
     return ColumnarRelation.make(rel.attributes, columns, rel.name, n)
+
+
+def weighted_view(
+    rel: Relation,
+    semiring: Semiring,
+    annotations: Mapping[Row, object] | None = None,
+) -> ColumnarRelation | None:
+    """*rel*'s column buffers plus a weight column over *semiring*:
+    ``annotations[row]`` at each row's position, ``one`` for rows it
+    does not list (all of them when it is ``None``).  ``None`` when
+    there is nothing to view — *rel* is not columnar, the semiring
+    cannot ride buffers, or a value is not a machine number of its
+    vector dtype."""
+    if not isinstance(rel, ColumnarRelation) or not rides_buffers(semiring):
+        return None
+    kind = _WEIGHT_KIND[semiring.vector[0]]
+    typecode = _TYPECODE[kind]
+    one = semiring.one
+    try:
+        if annotations is None:
+            data = array(typecode, (one,)) * rel.length
+        else:
+            data = array(
+                typecode, (annotations.get(row, one) for row in rel)
+            )
+    except (OverflowError, TypeError):
+        return None
+    weights = Column(kind, data)
+    return ColumnarRelation.make(
+        rel.attributes, rel.columns, rel.name, rel.length,
+        weights, semiring, _np_bound(_np_view(weights)),
+    )
+
+
+def lift_columnar(rel: Relation, semiring: Semiring) -> Relation:
+    """The columnar counterpart of :meth:`AnnotatedRelation.lift`: *rel*
+    encoded with a weight column — its own annotations if it has any,
+    ``one`` per row otherwise.  Where :func:`weighted_view` has nothing
+    to offer (a 0-ary relation, values beyond int64, a semiring without
+    a vector form) the result is the row carrier instead."""
+    if isinstance(rel, AnnotatedRelation):
+        out = weighted_view(
+            to_columnar(rel.strip()), semiring, rel.annotations
+        )
+        return rel if out is None else out
+    if getattr(rel, "semiring", None) is not None:
+        return rel
+    out = weighted_view(to_columnar(rel), semiring)
+    return AnnotatedRelation.lift(rel, semiring) if out is None else out
 
 
 def from_columns(
@@ -887,11 +1208,67 @@ def concat_columnar(
 ) -> Relation:
     """Gather-side merge of columnar shard pieces: union the decoded
     rows (cross-shard dedup) and re-encode, keeping the result columnar
-    for downstream operators."""
+    for downstream operators.  Weighted pieces are laid end to end and
+    ``plus``-folded on the buffers — a row two shards both produced
+    (a projection that dropped the shard key) sums its weights — unless
+    the pieces disagree on a column's encoding or a sum could leave
+    int64, when the fold happens on decoded rows."""
+    if any(piece.weights is not None for piece in pieces):
+        stacked = _stack_weighted(pieces, attributes, name)
+        folded = (
+            None
+            if stacked is None
+            else stacked._fold(stacked.columns, attributes, name)
+        )
+        if folded is None:
+            merged = merge_annotated(pieces, attributes, name)
+            return lift_columnar(merged, merged.semiring)
+        return folded
     merged: set[Row] = set()
     for piece in pieces:
         merged.update(piece.rows)
     return to_columnar(Relation.trusted(attributes, frozenset(merged), name))
+
+
+def _stack_weighted(
+    pieces: Sequence[ColumnarRelation],
+    attributes: tuple[str, ...],
+    name: str,
+) -> ColumnarRelation | None:
+    """The non-empty *pieces* laid end to end, weights included (rows
+    may repeat across pieces: :meth:`ColumnarRelation._fold` is what
+    restores the set contract).  ``None`` when the buffers cannot simply
+    be concatenated: a piece without weights or over another semiring,
+    or a column whose kind or dictionary pool differs between pieces."""
+    filled = [piece for piece in pieces if piece.length] or pieces[:1]
+    first = filled[0]
+
+    def encoding(piece: ColumnarRelation) -> list:
+        return [(c.kind, c.pool) for c in piece.columns]
+
+    for piece in filled:
+        if (
+            piece.weights is None
+            or piece.semiring is not first.semiring
+            or encoding(piece) != encoding(first)
+        ):
+            return None
+
+    def stack(cols: Sequence[Column]) -> Column:
+        data = array(_TYPECODE[cols[0].kind])
+        for col in cols:
+            data.frombytes(memoryview(col.data).cast("B"))
+        return Column(cols[0].kind, data, cols[0].pool)
+
+    return ColumnarRelation.make(
+        attributes,
+        tuple(stack(cols) for cols in zip(*(p.columns for p in filled))),
+        name,
+        sum(piece.length for piece in filled),
+        stack([piece.weights for piece in filled]),
+        first.semiring,
+        max(piece.bound for piece in filled),
+    )
 
 
 def partition_columnar(
@@ -907,7 +1284,8 @@ def partition_columnar(
     :meth:`repro.db.sharded.ShardedRelation.shard`: shard ids come from
     *hash_fn* (the process-stable hash), a dictionary key column hashes
     once per *pool entry* instead of once per row, and each shard is
-    carved out with a selection vector (pools stay shared).  Returns the
+    carved out with a selection vector (pools stay shared, a weight
+    column is carved with the rows).  Returns the
     shard pieces plus the heavy-hitter values that were spread
     round-robin (empty for a clean partition) — same skew-guard
     semantics as the row path."""
@@ -989,23 +1367,12 @@ def partition_columnar(
             return pieces, heavy
     if sids_np is not None:
         pieces = tuple(
-            ColumnarRelation.make(
-                rel.attributes,
-                tuple(_np_select(c, sids_np == s) for c in rel.columns),
-                rel.name,
-                int(counts[s]),
-            )
+            rel._select_rows(sids_np == s, int(counts[s]))
             for s in range(n_shards)
         )
     else:
         masks = [bytes(map(s.__eq__, sids)) for s in range(n_shards)]
         pieces = tuple(
-            ColumnarRelation.make(
-                rel.attributes,
-                tuple(c.select(mask) for c in rel.columns),
-                rel.name,
-                mask.count(1),
-            )
-            for mask, s in zip(masks, range(n_shards))
+            rel._select_rows(mask, mask.count(1)) for mask in masks
         )
     return pieces, heavy

@@ -63,7 +63,9 @@ class Snapshot(Relation):
         return to_columnar(self)
 
     @cached_property
-    def _lifted(self) -> dict[str, dict[Row, object]]:
+    def _lifted(self) -> dict[object, object]:
+        # Per semiring tag: the row → lift map, and under (tag, "columnar")
+        # the columnar form carrying the same values as a weight column.
         return {}
 
     def distinct(self, column: int) -> int:
@@ -309,6 +311,24 @@ class Database:
             snap._lifted[semiring.tag] = lifted
             get_registry().counter("db.snapshot.builds").inc()
         return lifted
+
+    def weighted_columnar(
+        self, predicate: str, semiring: "Semiring"
+    ) -> Relation | None:
+        """The snapshot's columnar form with ``semiring.lift`` of every
+        row as its weight column (same buffers, one more), or ``None``
+        when the values cannot ride one.  Memoised and dropped exactly
+        like :meth:`annotations`."""
+        from .columnar import weighted_view  # see Snapshot.columnar
+
+        snap = self.snapshot(predicate)
+        key = (semiring.tag, "columnar")
+        if key not in snap._lifted:
+            snap._lifted[key] = weighted_view(
+                snap.columnar, semiring, self.annotations(predicate, semiring)
+            )
+            get_registry().counter("db.snapshot.builds").inc()
+        return snap._lifted[key]
 
     def contains(self, predicate: str, *values: Value) -> bool:
         """``r(a1..ak) ∈ DB``."""

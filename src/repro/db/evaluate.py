@@ -39,7 +39,7 @@ from .annotated import (
     naive_annotated_eval,
 )
 from .binding import BoundQuery, bind_atom
-from .columnar import to_columnar
+from .columnar import lift_columnar, to_columnar
 from .database import Database
 from .naive import backtracking_eval, naive_boolean_eval, naive_join_eval
 from .relation import Relation
@@ -113,18 +113,19 @@ def bag_relation(
     Under a *semiring* the atoms in *carriers* bind annotated (they
     satisfy ``var(A) ⊆ χ``, so they are never pre-projected), the rest
     bind plain and act as filters, and the result is always annotated.
-    With *columnar* (set semantics only) the result is a
-    :class:`~repro.db.columnar.ColumnarRelation`; a single-atom node
-    starts from the snapshot's column buffers instead of encoding a
-    freshly bound row relation.
+    With *columnar* the result is a
+    :class:`~repro.db.columnar.ColumnarRelation` — carrying a weight
+    column under a semiring whose values can ride one, see
+    :func:`~repro.db.columnar.lift_columnar` — and a single-atom node
+    starts from the snapshot's column buffers (and the weights built
+    beside them) instead of encoding a freshly bound row relation.
     """
-    columnar = columnar and semiring is None
     view = columnar and len(atoms) == 1
     chi_names = tuple(sorted(v.name for v in chi))
     rel: Relation | None = None
     for a in atoms:
         if a in carriers:
-            part: Relation = bind_atom_annotated(a, db, semiring)
+            part: Relation = bind_atom_annotated(a, db, semiring, view)
         else:
             part = bind_atom(a, db, columnar=view)
         if not a.variables <= chi:
@@ -140,11 +141,15 @@ def bag_relation(
         # Encode first: every part lies inside χ, so the projection is a
         # permutation, which columnar storage does by reordering buffers
         # where rows would rebuild every tuple.
-        rel = to_columnar(rel)
+        rel = (
+            to_columnar(rel)
+            if semiring is None
+            else lift_columnar(rel, semiring)
+        )
     rel = stats.record(rel.project(chi_names, name=name))
     stats.projections += 1
     if semiring is not None:
-        return AnnotatedRelation.lift(rel, semiring)
+        return AnnotatedRelation.lift(rel, semiring)  # no-op once lifted
     return rel
 
 

@@ -56,7 +56,8 @@ class Relation:
     #: Operand precedence.  The higher-ranked operand of a join brings
     #: the probe kernel and the flavour of the result, so what a richer
     #: partner carries is never dropped by a plainer receiver: row and
-    #: columnar relations rank 0, annotated ones 1.
+    #: columnar relations rank 0, a columnar relation with a weight
+    #: column 1, annotated ones 2.
     _rank = 0
     #: A relation held in one piece is one shard.
     n_shards = 1

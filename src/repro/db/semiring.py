@@ -16,7 +16,9 @@ Set semantics is the Boolean semiring and stays a zero-overhead
 specialisation: plain :class:`~repro.db.relation.Relation` instances
 never consult this module.  Annotated evaluation rides the
 :class:`~repro.db.annotated.AnnotatedRelation` subclass, whose operator
-overrides call ``plus``/``times`` from the instances below.
+overrides call ``plus``/``times`` from the instances below — or, for a
+semiring that declares a vector form, the weight column of a
+:class:`~repro.db.columnar.ColumnarRelation`.
 
 Four semirings ship built in (:data:`COUNTING`, :data:`MINCOST`,
 :data:`PROVENANCE`, :data:`PROB`), plus the ℤ ring (:data:`INT_RING`)
@@ -47,12 +49,22 @@ class Semiring:
     1.0); the default never short-circuits.  ``lift`` maps one base fact
     to its annotation — the single point where database weights (see
     :meth:`repro.db.database.Database.set_weight`) enter evaluation.
+
+    A semiring whose values are machine numbers may also declare its
+    *vector form*, ``vector = (dtype, times, plus)``: a numpy dtype and
+    the names of the two ufuncs that compute ``times`` and ``plus``
+    elementwise with the same results as the methods.  Annotations of
+    such a semiring can ride the weight column of a
+    :class:`~repro.db.columnar.ColumnarRelation`; ``None`` (object
+    carriers, or arithmetic whose result depends on fold order) keeps
+    them on :class:`~repro.db.annotated.AnnotatedRelation`.
     """
 
     #: Short stable identifier; the wire/cache key for this semiring.
     tag: str = "abstract"
     zero: Any = None
     one: Any = None
+    vector: tuple[str, str, str] | None = None
 
     def plus(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
@@ -82,6 +94,9 @@ class CountingSemiring(Semiring):
     tag = "count"
     zero = 0
     one = 1
+    # Exact while every product and sum stays inside int64; the columnar
+    # kernels guard that bound and hand larger values back to Python ints.
+    vector = ("int64", "multiply", "add")
 
     def plus(self, a: int, b: int) -> int:
         return a + b
@@ -188,6 +203,8 @@ class ProbSemiring(Semiring):
     noisy-or does not distribute over ×, so answers whose derivations
     share facts are approximated, exactly as lineage-free probabilistic
     engines do.  1.0 absorbs, which lets projection folds stop early.
+    No vector form: a segmented float fold would visit the derivations
+    in another order and move the last ulp of the answers.
 
     Fact probabilities come from :meth:`Database.weight` (default 1.0:
     an unweighted fact is certain).

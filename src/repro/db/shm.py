@@ -46,6 +46,7 @@ except ImportError:  # pragma: no cover
     shared_memory = None
 
 from .columnar import Column, ColumnarRelation, _TYPECODE
+from .semiring import get_semiring
 
 #: Names of segments created by this process and not yet unlinked —
 #: lifecycle tests assert this drains to empty on backend close.
@@ -108,19 +109,25 @@ class ShmSegment:
 
 
 def export_columnar(rel: ColumnarRelation) -> tuple[tuple, ShmSegment]:
-    """Write *rel*'s column buffers into a fresh segment.
+    """Write *rel*'s column buffers — a weight column last, when it has
+    one — into a fresh segment.
 
     Returns ``(descriptor, segment)``: the descriptor is the tiny
     picklable message workers turn back into a relation with
     :func:`attach_columnar`; the segment handle stays with the caller,
     who owns the unlink."""
-    size = max(1, sum(col.nbytes for col in rel.columns))
+    columns = rel.columns
+    weighted = None
+    if rel.weights is not None:
+        columns += (rel.weights,)
+        weighted = (rel.semiring.tag, rel.bound)
+    size = max(1, sum(col.nbytes for col in columns))
     shm = shared_memory.SharedMemory(create=True, size=size)
     segment = ShmSegment(shm)
     buf = shm.buf
     offset = 0
     kinds = []
-    for col in rel.columns:
+    for col in columns:
         nbytes = col.nbytes
         buf[offset : offset + nbytes] = memoryview(col.data).cast("B")
         kinds.append((col.kind, col.pool))
@@ -131,6 +138,7 @@ def export_columnar(rel: ColumnarRelation) -> tuple[tuple, ShmSegment]:
         rel.name,
         rel.length,
         tuple(kinds),
+        weighted,
     )
     return descriptor, segment
 
@@ -143,7 +151,7 @@ def attach_columnar(descriptor: tuple) -> ColumnarRelation:
     (``__dict__``), so the mapping lives exactly as long as some
     consumer still references the relation or a view derived from it —
     no explicit close needed worker-side."""
-    seg_name, attributes, name, length, kinds = descriptor
+    seg_name, attributes, name, length, kinds, weighted = descriptor
     # The tracker would treat this attachment as ownership: unlink at
     # worker exit (breaking other attachments) and warn about "leaks"
     # for segments the parent deliberately still holds.  Attaching must
@@ -168,7 +176,13 @@ def attach_columnar(descriptor: tuple) -> ColumnarRelation:
         view = mv[offset : offset + nbytes].cast(_TYPECODE[kind])
         columns.append(Column(kind, view, pool))
         offset += nbytes
-    rel = ColumnarRelation.make(attributes, tuple(columns), name, length)
+    weights: tuple = ()
+    if weighted is not None:
+        tag, bound = weighted
+        weights = (columns.pop(), get_semiring(tag), bound)
+    rel = ColumnarRelation.make(
+        attributes, tuple(columns), name, length, *weights
+    )
     rel.__dict__["_shm"] = shm
     return rel
 
@@ -176,9 +190,15 @@ def attach_columnar(descriptor: tuple) -> ColumnarRelation:
 def copy_from_shm(rel: ColumnarRelation) -> ColumnarRelation:
     """Deep-copy an shm-attached relation into process-private arrays
     (used before a worker result must outlive the parent's segment)."""
-    columns = tuple(
-        Column(c.kind, array(_TYPECODE[c.kind], c.data), c.pool)
-        for c in rel.columns
+    def private(c: Column) -> Column:
+        return Column(c.kind, array(_TYPECODE[c.kind], c.data), c.pool)
+
+    return ColumnarRelation.make(
+        rel.attributes,
+        tuple(private(c) for c in rel.columns),
+        rel.name,
+        rel.length,
+        None if rel.weights is None else private(rel.weights),
+        rel.semiring,
+        rel.bound,
     )
-    out = ColumnarRelation.make(rel.attributes, columns, rel.name, rel.length)
-    return out

@@ -33,7 +33,10 @@ none is given.
 **Semiring evaluation.**  ``execute(..., semiring=...)`` switches a
 request to annotated semantics (:mod:`repro.db.semiring`): the answer
 relation carries one value per row and :attr:`EvalResult.annotations`
-exposes the map.  :meth:`Engine.count`, :meth:`Engine.top_k`,
+exposes the map (read-only).  A semiring whose values can ride a weight
+column (:func:`repro.db.columnar.rides_buffers` — counting, the integer
+ring) is planned under the engine's layout policy like a set request;
+the others compile row plans.  :meth:`Engine.count`, :meth:`Engine.top_k`,
 :meth:`Engine.provenance` and :meth:`Engine.probability` are the four
 workload-family front doors built on it.  Plans are shared across
 semirings: the cache keys on ``(fingerprint, semiring tag)`` and
@@ -57,7 +60,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .._errors import BudgetExceeded, EvaluationError, ReproError
 from ..core.atoms import Variable
@@ -70,7 +74,7 @@ from ..db.backend import (
     default_backend_kind,
     make_backend,
 )
-from ..db.columnar import LAYOUTS, default_layout
+from ..db.columnar import LAYOUTS, default_layout, rides_buffers
 from ..db.database import Database
 from ..db.relation import Relation, Row
 from ..db.semiring import FactId, Semiring, resolve_semiring
@@ -106,10 +110,12 @@ class EvalResult:
         return bool(self.answer)
 
     @property
-    def annotations(self) -> dict[Row, object] | None:
+    def annotations(self) -> Mapping[Row, object] | None:
         """Row → semiring value for an annotated request; ``None`` under
-        set semantics."""
-        return getattr(self.answer, "annotations", None)
+        set semantics.  Read-only: the answer of an identity projection
+        shares the map the database memoises per relation version."""
+        annotations = getattr(self.answer, "annotations", None)
+        return None if annotations is None else MappingProxyType(annotations)
 
     @property
     def ok(self) -> bool:
@@ -183,7 +189,8 @@ class Engine:
         Columnar bags run the vectorised semijoin/join kernels and
         cross the process-backend boundary over shared memory.
         Defaults to ``$REPRO_LAYOUT`` when set, else ``"auto"``.
-        Annotated (semiring) requests always execute on the row path.
+        A semiring request follows it when the semiring's values can
+        ride a weight column and compiles a row plan otherwise.
     tracer:
         Default :class:`~repro.obs.Tracer` installed around each request
         when no ambient tracer is active (an enabled tracer installed
@@ -402,21 +409,34 @@ class Engine:
         kind = backend if backend is not None else self.backend
         return kind, self.backend_workers
 
+    def _layout_for(self, semiring: Semiring | None) -> str:
+        """The layout policy a request compiles under: the engine's,
+        unless it is annotated over a semiring whose values only the row
+        carrier can hold — then the plan compiles (and renders) as a row
+        plan rather than silently falling back node by node."""
+        if semiring is None or rides_buffers(semiring):
+            return self.layout
+        return "row"
+
     def plan(
         self,
         query: ConjunctiveQuery,
         db: Database | None = None,
         backend: str | None = None,
+        semiring: "Semiring | str | None" = None,
     ) -> QueryPlan:
         """The physical plan the engine would execute (used by explain,
         and by live views registering through the shared cache)."""
         kind, width = self._resolve_backend(backend)
-        hd, hit, method, width_hd = self._decomposition_for(query, None)
+        semiring = resolve_semiring(semiring)
+        hd, hit, method, width_hd = self._decomposition_for(
+            query, None, semiring.tag if semiring is not None else "set"
+        )
         return compile_plan(
             query, db, hd, provenance=method, cache_hit=hit,
             backend=kind, workers=width,
             shard_threshold=self.shard_threshold,
-            layout=self.layout,
+            layout=self._layout_for(semiring),
         )
 
     def live(
@@ -441,9 +461,11 @@ class Engine:
         db: Database | None = None,
         analyze: bool = False,
         backend: str | None = None,
+        semiring: "Semiring | str | None" = None,
     ) -> str:
         """Render the chosen plan (cache provenance, join orders, root,
-        shard assignment).
+        shard assignment) — with *semiring*, the plan an annotated
+        request of that semiring runs.
 
         With ``analyze=True`` (requires *db*) the query is executed once
         under a private tracer and the rendering is annotated with what
@@ -453,7 +475,9 @@ class Engine:
         back from the pool.
         """
         if not analyze:
-            return self.plan(query, db, backend=backend).render()
+            return self.plan(
+                query, db, backend=backend, semiring=semiring
+            ).render()
         if db is None:
             raise ValueError(
                 "explain(analyze=True) executes the query and needs db="
@@ -464,8 +488,10 @@ class Engine:
         ambient = current_tracer()
         capture = ambient if isinstance(ambient, Tracer) else Tracer()
         with tracing(capture):
-            result = self.execute(query, db, backend=backend)
-        plan = self.plan(query, db, backend=backend)
+            result = self.execute(
+                query, db, backend=backend, semiring=semiring
+            )
+        plan = self.plan(query, db, backend=backend, semiring=semiring)
         return plan.render_analyzed(
             capture, result.elapsed, len(result.answer)
         )
@@ -569,7 +595,7 @@ class Engine:
         result = self.execute(query, db, semiring="mincost", **kwargs)
         best = heapq.nsmallest(
             k,
-            result.answer.annotations.items(),
+            result.annotations.items(),
             key=lambda item: (item[1][0], repr(item[0])),
         )
         return [(row, cost, witness) for row, (cost, witness) in best]
@@ -581,7 +607,7 @@ class Engine:
         frozenset of ``(predicate, fact)`` pairs that jointly derive the
         row."""
         result = self.execute(query, db, semiring="provenance", **kwargs)
-        return dict(result.answer.annotations)
+        return dict(result.annotations)
 
     def probability(
         self, query: ConjunctiveQuery, db: Database, **kwargs
@@ -591,7 +617,7 @@ class Engine:
         noisy-or, an upper-bound approximation when derivations share
         facts)."""
         result = self.execute(query, db, semiring="prob", **kwargs)
-        return dict(result.answer.annotations)
+        return dict(result.annotations)
 
     def _execute_request(
         self,
@@ -634,11 +660,7 @@ class Engine:
                 query, db, hd, provenance=method, cache_hit=hit,
                 backend=kind, workers=width,
                 shard_threshold=self.shard_threshold,
-                # Annotated bags carry per-row value maps the columnar
-                # buffers cannot represent — semiring requests compile
-                # (and render) as row plans rather than silently falling
-                # back node by node.
-                layout="row" if semiring is not None else self.layout,
+                layout=self._layout_for(semiring),
             )
             if plan_sink is not None:
                 # Threaded out so the flight recorder can attach the

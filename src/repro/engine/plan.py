@@ -34,8 +34,10 @@ Lemma 4.6 pipeline:
   process backend); ``"auto"`` flips only the nodes whose estimated
   cardinality reaches :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`,
   reusing the shard policy's estimates — small bags keep the row path,
-  whose per-call overhead is lower.  Annotated (semiring) requests
-  always stay row: the per-row annotation maps are the point.
+  whose per-call overhead is lower.  An annotated (semiring) request
+  follows the same policy when its values can ride a weight column
+  (:func:`~repro.db.columnar.rides_buffers`); the engine compiles the
+  others with ``layout="row"``.
 
 Execution materialises the bags in plan order, cuts those the plan
 assigned more than one shard into :class:`~repro.db.sharded.ShardedRelation`
@@ -484,7 +486,9 @@ def _materialise_bag(
     :class:`~repro.db.columnar.ColumnarRelation` — the Yannakakis
     sweeps then dispatch into the vectorised kernels, and the process
     backend ships the bag over shared memory instead of the pickle
-    codec.  Annotated bags never are; the ``plan.layout_columnar`` /
+    codec.  An annotated bag is one when its semiring's values can ride
+    a weight column (an :class:`~repro.db.annotated.AnnotatedRelation`
+    otherwise); the ``plan.layout_columnar`` /
     ``plan.layout_row`` counters record which path each bag actually
     took, ``plan.bag_filters`` counts the covered atoms joined in as
     filters, and a single-atom node's span says whether its bind reused
@@ -541,10 +545,13 @@ def execute_plan(
     compiled for a parallel backend creates a private context for the
     call and closes it afterwards.
 
-    *semiring* switches the run to annotated semantics: the answer is an
-    :class:`~repro.db.annotated.AnnotatedRelation` carrying one value
-    per row (Boolean plans enumerate the 0-ary answer instead of
-    short-circuiting, so the () row's annotation is the query total).
+    *semiring* switches the run to annotated semantics: the answer
+    carries one value per row — an
+    :class:`~repro.db.annotated.AnnotatedRelation`, or a
+    :class:`~repro.db.columnar.ColumnarRelation` with a weight column
+    exposing the same ``annotations`` / ``total()`` surface — (Boolean
+    plans enumerate the 0-ary answer instead of short-circuiting, so
+    the () row's annotation is the query total).
     """
     stats = stats if stats is not None else EvalStats()
     counts = plan.shard_counts

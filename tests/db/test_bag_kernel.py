@@ -18,7 +18,7 @@ from repro.core.atoms import Atom, Constant, Variable
 from repro.core.detkdecomp import hypertree_width
 from repro.db import COUNTING, MINCOST, Database, EvalStats, Relation, bind_atom
 from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
-from repro.db.columnar import ColumnarRelation
+from repro.db.columnar import ColumnarRelation, rides_buffers
 from repro.db.evaluate import bag_relation
 from repro.generators.workloads import random_database
 from tests.conftest import assert_bag_contract, small_queries
@@ -108,8 +108,9 @@ class TestKernelAgainstTheLemma:
         seed=st.integers(0, 1000),
         pick=st.randoms(use_true_random=False),
         semiring=st.sampled_from([COUNTING, MINCOST]),
+        columnar=st.booleans(),
     )
-    def test_annotated(self, atoms, chi, seed, pick, semiring):
+    def test_annotated(self, atoms, chi, seed, pick, semiring, columnar):
         chi = frozenset(chi)
         atoms = _contributing(atoms, chi)
         covered = set().union(*(a.variables for a in atoms)) if atoms else set()
@@ -121,10 +122,16 @@ class TestKernelAgainstTheLemma:
         db = _database(seed, weights=True)
         got = bag_relation(
             atoms, chi, "bag", db, EvalStats(), semiring, carriers,
-            columnar=True,  # ignored under a semiring
+            columnar=columnar,
         )
         expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
-        assert isinstance(got, AnnotatedRelation)
+        # Counts ride a weight column; mincost's (cost, witness) pairs
+        # cannot, and stay on the row carrier whatever the layout.
+        assert isinstance(got, ColumnarRelation) == (
+            columnar and bool(chi) and semiring is COUNTING
+            and rides_buffers(semiring)
+        )
+        assert got.semiring is semiring
         assert got == expected
         assert got.annotations == expected.annotations
 

@@ -8,11 +8,20 @@ row run and with naive evaluation (the reference that shares no code
 with the sweep) across every execution backend (inline / thread pool /
 worker processes) × shard count in {1, 2, 7}.
 
+The same holds with a weight column: ``TestWeightedColumnarEquivalence``
+checks weighted columnar ≡ ``AnnotatedRelation`` ≡ a brute-force fold /
+``naive_annotated_eval`` across backends, shard counts and key-column
+encodings, including weights and counts that leave int64 (which must
+come back as the exact Python integers of the row path).
+
 Backends are shared module-scoped (a process pool per hypothesis
 example would dominate the suite's runtime); ``SHM_MIN_ROWS`` is forced
 to 1 on the process-backend examples so even tiny relations take the
 shared-memory scatter path.
 """
+
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +29,13 @@ from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
 from repro.core.atoms import Atom, Variable
+from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
 from repro.db import (
+    COUNTING,
+    Database,
     ProcessBackend,
+    Relation,
     SequentialBackend,
     ThreadBackend,
     bind_atom,
@@ -35,9 +48,17 @@ from repro.db import (
     to_columnar,
 )
 from repro.db import backend as backend_mod
-from repro.db.columnar import ColumnarRelation
+from repro.db import columnar as columnar_mod
+from repro.db.annotated import AnnotatedRelation, naive_annotated_eval
+from repro.db.columnar import (
+    ColumnarRelation,
+    lift_columnar,
+    rides_buffers,
+    weighted_view,
+)
+from repro.db.semiring import INT_RING
 from repro.engine import Engine
-from repro.generators.families import path_query
+from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
 
 SHARD_COUNTS = (1, 2, 7)
@@ -327,10 +348,332 @@ class TestEngineLayoutEquivalence:
                 got = engine.execute(query, db)
             assert got.answer.rows == seq.answer.rows
 
-    def test_semiring_requests_stay_row(self):
-        """Annotated requests force the row path and still agree."""
+    def test_semiring_requests_follow_the_layout_when_values_fit(self):
+        """Counts ride a weight column under ``layout="columnar"``;
+        mincost pairs cannot, and compile a row plan.  Both agree with
+        the row engine."""
         query = _with_head(path_query(3))
         db = random_database(query, 6, 40, seed=9, plant_answer=True)
-        row_count = Engine(mode="heuristic", layout="row").count(query, db)
-        col_count = Engine(mode="heuristic", layout="columnar").count(query, db)
-        assert row_count == col_count
+        row, col = (
+            Engine(mode="heuristic", layout=layout)
+            for layout in ("row", "columnar")
+        )
+        assert row.count(query, db) == col.count(query, db)
+        assert row.top_k(query, db, k=3) == col.top_k(query, db, k=3)
+        layouts = {
+            tag: {
+                np.layout
+                for np in col.plan(query, db, semiring=tag).node_plans
+            }
+            for tag in ("count", "mincost")
+        }
+        vectorised = rides_buffers(COUNTING)  # false without numpy
+        assert layouts == {
+            "count": {"columnar" if vectorised else "row"},
+            "mincost": {"row"},
+        }
+        answer = col.execute(query, db, semiring="count").answer
+        assert isinstance(answer, ColumnarRelation) == vectorised
+        assert answer.semiring is COUNTING
+
+
+# -- weight columns ----------------------------------------------------------
+
+#: How the generated integer keys are re-typed, one entry per column
+#: encoding: int64 buffers, float64 buffers, dictionary codes.
+KEY_CASTS = {
+    "int": int,
+    "float": lambda v: v + 0.5,
+    "dictionary": lambda v: f"k{v}",
+}
+
+
+def _retyped(db: Database, keys: str) -> Database:
+    cast = KEY_CASTS[keys]
+    out = Database()
+    for predicate in db.predicates():
+        out.declare(predicate, db.arity(predicate))
+        for row in db.rows(predicate):
+            out.add_fact(predicate, *map(cast, row))
+    return out
+
+
+def _hand_weighted(rels, ring, rng, lo, hi):
+    """Per atom: random weights in [lo, hi] on every row, as the row
+    carrier and as a weight column."""
+    annotated = {
+        a: AnnotatedRelation.lift(
+            rel, ring, {row: rng.randint(lo, hi) for row in rel.rows}
+        )
+        for a, rel in rels.items()
+    }
+    weighted = {a: lift_columnar(rel, ring) for a, rel in annotated.items()}
+    for a, rel in weighted.items():
+        assert isinstance(rel, ColumnarRelation) and rel.semiring is ring
+        assert rel.annotations == annotated[a].annotations
+    return annotated, weighted
+
+
+def _brute_fold(query, db, annotated):
+    """Σ over satisfying assignments of Π of the atoms' weights, grouped
+    by head row — from the naive full join, no sweep involved."""
+    names = sorted(v.name for v in query.variables)
+    everything = tuple(Variable(n) for n in names)
+    head = [t.name for t in query.head_terms]
+    out: dict[tuple, int] = {}
+    for row in naive_join_eval(query.with_head(everything), db).rows:
+        theta = dict(zip(names, row))
+        weight = math.prod(
+            rel.annotations[tuple(theta[a] for a in rel.attributes)]
+            for rel in annotated.values()
+        )
+        key = tuple(theta[n] for n in head)
+        out[key] = out.get(key, 0) + weight
+    return out
+
+
+@pytest.fixture(scope="module")
+def engines():
+    """Columnar-layout engines per (backend kind, shard count), made on
+    first use; every bag above zero rows is sharded."""
+    made: dict[tuple[str, int], Engine] = {}
+
+    def get(kind: str, shards: int) -> Engine:
+        if (kind, shards) not in made:
+            made[kind, shards] = Engine(
+                mode="heuristic", layout="columnar", backend=kind,
+                backend_workers=shards, shard_threshold=0,
+            )
+        return made[kind, shards]
+
+    yield get
+    for engine in made.values():
+        engine.close()
+
+
+needs_numpy = pytest.mark.skipif(
+    columnar_mod._np is None, reason="weight columns need numpy"
+)
+
+
+@needs_numpy
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+class TestWeightedColumnarEquivalence:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        shape=st.sampled_from(["path", "star"]),
+        n=st.integers(2, 4),
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 10),
+        tuples=st.integers(1, 40),
+        keys=st.sampled_from(sorted(KEY_CASTS)),
+        ring=st.sampled_from([COUNTING, INT_RING]),
+    )
+    def test_acyclic_sweeps_carry_hand_built_weights(
+        self, contexts, kind, shape, n, seed, domain, tuples, keys, ring
+    ):
+        ctx = contexts[kind]
+        query = _with_head(path_query(n) if shape == "path" else star_query(n))
+        db = _retyped(random_database(query, domain, tuples, seed=seed), keys)
+        tree, rels = _tree_and_relations(query, db)
+        output = tuple(v.name for v in query.head_terms)
+        # Zero is a weight like any other; negatives only exist in ℤ.
+        annotated, weighted = _hand_weighted(
+            rels, ring, random.Random(seed), -3 if ring is INT_RING else 0, 5
+        )
+        expected = _brute_fold(query, db, annotated)
+        on_rows = enumerate_answers(tree, dict(annotated), output)
+        assert on_rows.annotations == expected
+        for shards in (1, 3):
+            cut = shard_relations(
+                tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
+            )
+            got = enumerate_answers(tree, cut, output)
+            # Rows over several float columns have no single sort key:
+            # like the plain kernel's dedup, their fold runs on tuples.
+            assert isinstance(got, ColumnarRelation) or keys == "float"
+            assert got.annotations == expected
+            assert got.total() == sum(expected.values())
+            assert got.strip().rows == on_rows.rows
+            total = enumerate_answers(
+                tree,
+                shard_relations(
+                    tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
+                ),
+                (),
+            )
+            assert total.annotations == (
+                {(): sum(expected.values())} if expected else {}
+            )
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 6),
+        tuples=st.integers(1, 25),
+        keys=st.sampled_from(sorted(KEY_CASTS)),
+        head=st.integers(0, 2),
+    )
+    def test_width2_cycle_counts(
+        self, engines, kind, seed, domain, tuples, keys, head
+    ):
+        query = _with_head(cycle_query(4), head)
+        db = _retyped(random_database(query, domain, tuples, seed=seed), keys)
+        expected = naive_annotated_eval(query, db, COUNTING)
+        on_rows = Engine(mode="heuristic", layout="row").execute(
+            query, db, semiring="count"
+        )
+        assert on_rows.annotations == expected.annotations
+        for shards in (1, 3):
+            got = engines(kind, shards).execute(query, db, semiring="count")
+            assert got.annotations == expected.annotations
+            assert got.answer.total() == expected.total()
+
+    def test_weights_beyond_int64_stay_exact(self, contexts, kind):
+        """2**40 on every row of a 3-path: each derivation weighs
+        2**120.  The kernels must hand such operands to the row carrier,
+        never wrap."""
+        ctx = contexts[kind]
+        query = _with_head(path_query(3))
+        db = random_database(query, 6, 30, seed=5, plant_answer=True)
+        tree, rels = _tree_and_relations(query, db)
+        output = tuple(v.name for v in query.head_terms)
+        big = 2**40
+        annotated, weighted = _hand_weighted(
+            rels, COUNTING, random.Random(0), big, big
+        )
+        expected = _brute_fold(query, db, annotated)
+        assert expected and min(expected.values()) >= big**3
+        for shards in (1, 3):
+            cut = shard_relations(
+                tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
+            )
+            got = enumerate_answers(tree, cut, output)
+            assert got.annotations == expected
+            assert got.total() == sum(expected.values())
+            assert all(type(v) is int for v in got.annotations.values())
+
+
+@needs_numpy
+class TestWeightColumnEdges:
+    def test_a_fold_that_would_overflow_is_done_on_python_ints(self):
+        rel = to_columnar(
+            Relation.from_rows(("a", "b"), [(1, i) for i in range(4)], "r")
+        )
+        heavy = weighted_view(rel, COUNTING, dict.fromkeys(rel, 2**62))
+        assert heavy.bound == 2**62
+        folded = heavy.project(["a"])
+        assert folded.annotations == {(1,): 2**64}
+        assert heavy.total() == 2**64 == heavy.project([]).total()
+        # ... while one that fits stays on the buffers.
+        light = weighted_view(rel, COUNTING, dict.fromkeys(rel, 2**60))
+        folded = light.project(["a"])
+        assert isinstance(folded, ColumnarRelation)
+        assert folded.annotations == {(1,): 2**62} and folded.bound == 2**62
+
+    def test_values_that_cannot_ride_are_refused(self):
+        rel = to_columnar(Relation.from_rows(("a",), [(1,), (2,)], "r"))
+        assert weighted_view(rel, COUNTING, {(1,): 2**63}) is None
+        assert weighted_view(rel, COUNTING, {(1,): 0.5}) is None
+        lifted = lift_columnar(
+            AnnotatedRelation.lift(rel, COUNTING, {(1,): 2**63}), COUNTING
+        )
+        assert isinstance(lifted, AnnotatedRelation)
+        assert lifted.annotations == {(1,): 2**63, (2,): 1}
+
+    def test_engine_count_beyond_int64(self):
+        """13 hops over the complete digraph on 32 nodes: 32**14 = 2**70
+        derivations, more than int64 holds."""
+        body = ", ".join(f"e(X{i},X{i + 1})" for i in range(13))
+        query = parse_query(f"ans() :- {body}.")
+        db = Database.from_relations(
+            {"e": [(i, j) for i in range(32) for j in range(32)]}
+        )
+        got = Engine(layout="columnar").count(query, db)
+        assert got == Engine(layout="row").count(query, db) == 32**14
+        assert type(got) is int
+
+    def test_lift_passes_a_weighted_operand_through(self):
+        rel = to_columnar(Relation.from_rows(("a",), [(1,), (2,)], "r"))
+        weighted = weighted_view(rel, COUNTING, {(1,): 7})
+        assert AnnotatedRelation.lift(weighted, COUNTING) is weighted
+        assert lift_columnar(weighted, COUNTING) is weighted
+        assert to_columnar(weighted) is weighted
+        assert weighted.annotation((1,)) == 7 and weighted.annotation((9,)) == 0
+        assert weighted.strip().annotations is None
+
+    def test_rows_and_annotations_are_one_decode(self):
+        """As on the row carrier, an answer's rows *are* the keys of its
+        annotation map: a consumer that pairs them holds one generation
+        of tuples, whichever it asks for first."""
+        rows = [(i, i + 1) for i in range(50)]
+        rel = to_columnar(Relation.from_rows(("a", "b"), rows, "r"))
+        for rows_first in (False, True):
+            weighted = weighted_view(rel, COUNTING, dict.fromkeys(rows, 3))
+            view = weighted.rows
+            if rows_first:
+                assert sorted(view) == rows  # decodes from the buffers
+            keys = {id(row) for row in weighted.annotations}
+            assert {id(row) for row in view} == keys
+            assert {id(row) for row in view.frozen()} == keys
+            assert [weighted.annotations[row] for row in view] == [3] * 50
+
+    def test_inherited_row_operators_keep_the_annotations(self):
+        rows = [(1, 2), (1, 3), (2, 3)]
+        ann = AnnotatedRelation.lift(
+            Relation.from_rows(("a", "b"), rows, "r"), COUNTING,
+            dict(zip(rows, (5, 6, 7))),
+        )
+        weighted = lift_columnar(ann, COUNTING)
+        other = AnnotatedRelation.lift(
+            Relation.from_rows(("a", "b"), [(1, 2), (9, 9)], "s"), COUNTING
+        )
+        for got, want in (
+            (weighted.select_eq("a", 1), ann.select_eq("a", 1)),
+            (weighted.select(lambda r: r["b"] == 3),
+             ann.select(lambda r: r["b"] == 3)),
+            (weighted.rename({"a": "x"}), ann.rename({"a": "x"})),
+            (weighted.union(other), ann.union(other)),
+            (weighted.intersect(other), ann.intersect(other)),
+            (weighted.difference(other), ann.difference(other)),
+        ):
+            assert got == want and got.annotations == want.annotations
+        # ... and set semantics keeps Relation's own.
+        assert weighted.strip().select_eq("a", 1) == ann.strip().select_eq("a", 1)
+
+    def test_empty_and_zero_ary_under_the_columnar_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_LAYOUT", "columnar")
+        engine = Engine()
+        assert engine.layout == "columnar"
+        db = Database.from_relations({"s": [(i, i + 1) for i in range(12)]})
+        db.declare("r", 2)
+        for text, expected in (
+            ("ans(X) :- r(X,Y), s(Y,Z).", {}),  # an empty relation
+            ("ans() :- r(X,Y), s(Y,Z).", {}),  # ... and 0-ary
+            ("ans() :- s(X,Y), s(Y,Z).", {(): 11}),  # 0-ary, non-empty
+            ("ans(X) :- s(X,Y), s(Y,Z).", {(i,): 1 for i in range(11)}),
+        ):
+            result = engine.execute(parse_query(text), db, semiring="count")
+            assert result.answer.semiring is COUNTING
+            assert set(result.answer.rows) == set(expected)
+            assert result.annotations == expected
+            assert result.answer.total() == sum(expected.values())
+
+    def test_without_numpy_count_plans_compile_row(self, monkeypatch):
+        query = _with_head(path_query(3))
+        db = random_database(query, 6, 40, seed=9, plant_answer=True)
+        expected = Engine(layout="columnar").execute(
+            query, db, semiring="count"
+        )
+        monkeypatch.setattr(columnar_mod, "_np", None)
+        engine = Engine(layout="columnar")
+        plan = engine.plan(query, db, semiring="count")
+        assert {np.layout for np in plan.node_plans} == {"row"}
+        assert "columnar" not in engine.explain(query, db, semiring="count")
+        got = engine.execute(query, db, semiring="count")
+        assert isinstance(got.answer, AnnotatedRelation)
+        assert got.annotations == expected.annotations
+        # Set semantics keeps its (pure-python) columnar kernels.
+        assert {np.layout for np in engine.plan(query, db).node_plans} == {
+            "columnar"
+        }

@@ -150,6 +150,48 @@ class TestAlgebra:
         assert not PROB.is_absorbing(0.999)
 
 
+class TestAnnotatedProject:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 1_000),
+        n=st.integers(0, 40),
+        order=st.permutations(["a", "b", "c"]),
+        semiring=st.sampled_from([COUNTING, MINCOST, PROB]),
+    )
+    def test_a_permutation_rekeys_without_folding(
+        self, seed, n, order, semiring
+    ):
+        """All columns, reordered: nothing collapses, every row keeps
+        its own annotation (``plus`` never runs — MINCOST's would pick
+        one of two equal rows' witnesses, PROB's would round)."""
+        import random
+
+        from repro.db import Relation
+
+        rng = random.Random(seed)
+        rel = Relation.from_rows(
+            ("a", "b", "c"),
+            [tuple(rng.randrange(4) for _ in range(3)) for _ in range(n)],
+            "r",
+        )
+        values = {
+            row: semiring.times(semiring.one, semiring.one)
+            if semiring is MINCOST
+            else rng.randrange(1, 9) / (10 if semiring is PROB else 1)
+            for row in rel.rows
+        }
+        ann = AnnotatedRelation.lift(rel, semiring, values)
+        out = ann.project(order, name="p")
+        positions = [("a", "b", "c").index(a) for a in order]
+        assert out.attributes == tuple(order) and out.name == "p"
+        assert out.annotations == {
+            tuple(row[p] for p in positions): value
+            for row, value in ann.annotations.items()
+        }
+        assert out.rows == frozenset(out.annotations)
+        assert out.project(["a", "b", "c"]).annotations == ann.annotations
+
+
 class TestCountsMatchBruteForce:
     @settings(max_examples=8, deadline=None)
     @given(

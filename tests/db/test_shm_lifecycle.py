@@ -9,9 +9,10 @@ its backends down, worker death included, and no
 
 import pytest
 
-from repro.db import ProcessBackend, Relation, to_columnar
+from repro.db import COUNTING, ProcessBackend, Relation, to_columnar
 from repro.db import backend as backend_mod
-from repro.db.columnar import ColumnarRelation
+from repro.db import columnar as columnar_mod
+from repro.db.columnar import ColumnarRelation, weighted_view
 from repro.db.backend import ProcessBackendError
 from repro.db.sharded import ShardedRelation
 from repro.db.shm import (
@@ -44,6 +45,11 @@ def columnar(n=64, name="r"):
     )
 
 
+needs_numpy = pytest.mark.skipif(
+    columnar_mod._np is None, reason="weight columns need numpy"
+)
+
+
 class TestSegmentPrimitives:
     # ``attached.rows`` is a view over the mapped buffers: dropping the
     # relation must release them before the segment handle closes.
@@ -62,6 +68,27 @@ class TestSegmentPrimitives:
             copied = copy_from_shm(attached)
             del attached
             assert copied.rows == rel.rows
+        finally:
+            segment.release()
+        assert segment.name not in live_segment_names()
+
+    @needs_numpy
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_weight_column_rides_the_segment(self):
+        plain = columnar()
+        rel = weighted_view(plain, COUNTING, {row: 3 for row in plain})
+        descriptor, segment = export_columnar(rel)
+        try:
+            assert segment.size >= 3 * 64 * 8  # two columns and the weights
+            attached = attach_columnar(descriptor)
+            assert attached.semiring is COUNTING and attached.bound == 3
+            assert attached.annotations == rel.annotations
+            assert attached.total() == 3 * 64
+            copied = copy_from_shm(attached)
+            del attached
+            assert copied.annotations == rel.annotations
         finally:
             segment.release()
         assert segment.name not in live_segment_names()
@@ -112,6 +139,35 @@ class TestBackendLifecycle:
             shard_threshold=0,
         ) as engine:
             engine.execute(query, db)
+        assert live_segment_names() == frozenset()
+
+    @needs_numpy
+    def test_no_segments_after_weighted_engine_traffic(self):
+        """A count request on the process backend exports bags with
+        their weight columns; all of it is unlinked at close."""
+        import random
+
+        from repro.core.parser import parse_query
+        from repro.db import Database
+        from repro.engine import Engine
+        from repro.obs import get_registry
+
+        rng = random.Random(5)
+        db = Database()
+        for _ in range(600):
+            db.add_fact("e", rng.randrange(60), rng.randrange(60))
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z).")
+        expected = Engine(layout="row").execute(query, db, semiring="count")
+        exported = get_registry().counter("backend.shm_segments")
+        before = exported.value
+        with Engine(
+            backend="process", backend_workers=2, layout="columnar",
+            shard_threshold=0,
+        ) as engine:
+            got = engine.execute(query, db, semiring="count")
+            assert isinstance(got.answer, ColumnarRelation)
+            assert got.annotations == expected.annotations
+        assert exported.value > before
         assert live_segment_names() == frozenset()
 
     def test_no_segments_after_worker_death(self):

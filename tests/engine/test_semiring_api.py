@@ -78,6 +78,84 @@ class TestConvenienceMethods:
         assert result.annotations is None
 
 
+class TestAnswersDoNotAliasTheDatabase:
+    """Regression: the answer of an identity projection shares the
+    annotation map ``Database.annotations`` memoises per relation
+    version (sharing it is the point — no copy per request), so
+    ``result.annotations[row] = 99`` used to turn the next count of
+    ``ans(X,Y) :- r(X,Y).`` from 2 into 100."""
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    @pytest.mark.parametrize("tag", ["count", "mincost", "prob"])
+    def test_annotations_are_read_only(self, layout, tag):
+        db = Database.from_relations({"r": [(1, 2), (3, 4)]})
+        query = parse_query("ans(X,Y) :- r(X,Y).")
+        with Engine(backend="sequential", layout=layout) as engine:
+            result = engine.execute(query, db, semiring=tag)
+            before = dict(result.annotations)
+            assert set(before) == {(1, 2), (3, 4)}
+            with pytest.raises(TypeError):
+                result.annotations[(1, 2)] = 99
+            with pytest.raises((TypeError, AttributeError)):
+                result.annotations.clear()
+            again = engine.execute(query, db, semiring=tag)
+            assert dict(again.annotations) == before
+            assert engine.count(query, db) == 2
+
+    def test_front_doors_hand_out_private_dicts(self, engine, db):
+        query = parse_query("ans(X,Y) :- e(X,Y).")
+        probs = engine.probability(query, db)
+        probs[(1, 2)] = 0.0
+        prov = engine.provenance(query, db)
+        prov.clear()
+        assert engine.probability(query, db)[(1, 2)] == pytest.approx(1.0)
+        assert len(engine.provenance(query, db)) == len(EDGES)
+        (row, cost, witness), = engine.top_k(query, db, k=1)
+        assert cost == pytest.approx(1.0) and witness == (("e", row),)
+
+
+class TestExplainSemiring:
+    QUERY = "ans(X, Z) :- e(X, Y), e(Y, Z)."
+
+    @pytest.fixture
+    def big_db(self):
+        import random
+
+        rng = random.Random(7)
+        return Database.from_relations(
+            {"e": [(rng.randrange(400), rng.randrange(400))
+                   for _ in range(2500)]}
+        )
+
+    def test_count_plans_render_their_columnar_nodes(self, big_db):
+        from repro.db.columnar import rides_buffers
+        from repro.db.semiring import COUNTING
+
+        query = parse_query(self.QUERY)
+        with Engine(backend="sequential", layout="auto") as engine:
+            set_plan = engine.explain(query, big_db)
+            count_plan = engine.explain(query, big_db, semiring="count")
+            mincost_plan = engine.explain(query, big_db, semiring="mincost")
+        assert "[columnar]" in set_plan
+        assert ("[columnar]" in count_plan) == rides_buffers(COUNTING)
+        # (cost, witness) pairs only fit the row carrier: a row plan.
+        assert "columnar" not in mincost_plan
+
+    def test_analyze_runs_the_annotated_request(self, big_db):
+        query = parse_query(self.QUERY)
+        registry = get_registry()
+        counted = registry.counter("semiring.count.engine.requests")
+        before = counted.value
+        with Engine(backend="sequential", layout="auto") as engine:
+            text = engine.explain(
+                query, big_db, analyze=True, semiring="count"
+            )
+            rows = len(engine.execute(query, big_db).answer)
+        assert counted.value == before + 1
+        assert f"{rows} answer row(s)" in text
+        assert "actual rows" in text and "sweep" in text
+
+
 class TestWeightWrites:
     """Regression: weight writes change what ``lift`` returns without
     touching the rows, so they need their own invalidation of the

@@ -246,6 +246,18 @@ class TestExplain:
         assert "join tree" in out
         assert "root" in out
 
+    def test_explain_semiring(self, facts_file, capsys):
+        query = "ans(X,Z) :- e(X,Y), e(Y,Z)."
+        args = ["explain", query, facts_file, "--layout", "columnar"]
+        assert main([*args, "--semiring", "mincost"]) == 0
+        assert "columnar" not in capsys.readouterr().out
+        assert main([*args, "--semiring", "count", "--analyze"]) == 0
+        out = capsys.readouterr().out
+        assert "analyze: executed in" in out and "actual rows" in out
+        with pytest.raises(SystemExit):
+            main([*args, "--semiring", "volts"])
+        capsys.readouterr()
+
     def test_explain_without_facts(self, capsys):
         assert main(["explain", "e(X,Y), e(Y,Z)"]) == 0
         assert "boolean" in capsys.readouterr().out
