@@ -41,13 +41,13 @@ The free-function entry points (:func:`bind_atom_annotated`,
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .._errors import EvaluationError, SchemaError
 from ..core.atoms import Atom, Variable
 from .binding import resolve_atom
 from .database import Database
-from .relation import Relation, Row, Value
+from .relation import Relation, Row
 from .semiring import Semiring
 
 _MISSING = object()
@@ -122,6 +122,12 @@ class AnnotatedRelation(Relation):
             (), frozenset({()}), name, semiring, {(): semiring.one}
         )
 
+    def __reduce__(self):
+        return AnnotatedRelation.make, (
+            self.attributes, self.rows, self.name,
+            self.semiring, self.annotations,
+        )
+
     def annotation(self, row: Row):
         """The annotation of one row (``zero`` for absent rows)."""
         return self.annotations.get(row, self.semiring.zero)
@@ -147,6 +153,13 @@ class AnnotatedRelation(Relation):
         )
 
     # -- relational algebra ------------------------------------------------
+    def relabel(
+        self, attributes: tuple[str, ...], name: str
+    ) -> "AnnotatedRelation":
+        return AnnotatedRelation.make(
+            attributes, self.rows, name, self.semiring, self.annotations
+        )
+
     def project(
         self, attributes: Sequence[str], name: str | None = None
     ) -> "AnnotatedRelation":
@@ -186,118 +199,16 @@ class AnnotatedRelation(Relation):
             tuple(attributes), frozenset(out), out_name, semiring, out
         )
 
-    def semijoin(self, other: Relation) -> "AnnotatedRelation":
-        if not other:
-            return self._no_rows(self.attributes, self.name)
-        if not self.rows:
-            return self
-        shared = tuple(a for a in self.attributes if a in other.attributes)
-        if not shared:
-            return self
-        return self.semijoin_with_keys(shared, other.key_set(shared))
-
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> "AnnotatedRelation":
-        if not self.rows:
-            return self
-        if len(shared) == 1:
-            i = self._index_of[shared[0]]
-            rows = frozenset(row for row in self.rows if row[i] in keys)
-        else:
-            pos = [self._index_of[a] for a in shared]
-            rows = frozenset(
-                row for row in self.rows
-                if tuple(row[p] for p in pos) in keys
-            )
-        if len(rows) == len(self.rows):
+        kept = super().semijoin_with_keys(shared, keys)
+        if kept is self:
             return self
         ann = self.annotations
         return AnnotatedRelation.make(
-            self.attributes, rows, self.name, self.semiring,
-            {row: ann[row] for row in rows},
-        )
-
-    def select(
-        self,
-        predicate: Callable[[dict[str, Value]], bool],
-        name: str | None = None,
-    ) -> "AnnotatedRelation":
-        attrs = self.attributes
-        ann = self.annotations
-        kept = {
-            row: ann[row]
-            for row in self.rows
-            if predicate(dict(zip(attrs, row)))
-        }
-        return AnnotatedRelation.make(
-            attrs, frozenset(kept), name or self.name, self.semiring, kept
-        )
-
-    def select_eq(self, attribute: str, value: Value) -> "AnnotatedRelation":
-        i = self._position(attribute)
-        ann = self.annotations
-        kept = {row: ann[row] for row in self.rows if row[i] == value}
-        return AnnotatedRelation.make(
-            self.attributes, frozenset(kept), self.name, self.semiring, kept
-        )
-
-    def rename(
-        self, mapping: Mapping[str, str], name: str | None = None
-    ) -> "AnnotatedRelation":
-        base = super().rename(mapping, name)  # validates the new schema
-        return AnnotatedRelation.make(
-            base.attributes, base.rows, base.name,
-            self.semiring, self.annotations,
-        )
-
-    def union(self, other: Relation) -> "AnnotatedRelation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"union of incompatible schemas {self.attributes} and "
-                f"{other.attributes}"
-            )
-        semiring = self.semiring
-        plus = semiring.plus
-        merged = dict(self.annotations)
-        other_ann = getattr(other, "annotations", None)
-        for row in other.rows:
-            value = semiring.one if other_ann is None else other_ann[row]
-            prior = merged.get(row, _MISSING)
-            merged[row] = value if prior is _MISSING else plus(prior, value)
-        return AnnotatedRelation.make(
-            self.attributes, frozenset(merged), self.name, semiring, merged
-        )
-
-    def intersect(self, other: Relation) -> "AnnotatedRelation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"intersection of incompatible schemas {self.attributes} "
-                f"and {other.attributes}"
-            )
-        rows = self.rows & other.rows
-        times = self.semiring.times
-        ann = self.annotations
-        other_ann = getattr(other, "annotations", None)
-        kept = {
-            row: ann[row] if other_ann is None else times(ann[row], other_ann[row])
-            for row in rows
-        }
-        return AnnotatedRelation.make(
-            self.attributes, rows, self.name, self.semiring, kept
-        )
-
-    def difference(self, other: Relation) -> "AnnotatedRelation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"difference of incompatible schemas {self.attributes} and "
-                f"{other.attributes}"
-            )
-        rows = self.rows - other.rows
-        ann = self.annotations
-        return AnnotatedRelation.make(
-            self.attributes, rows, self.name, self.semiring,
-            {row: ann[row] for row in rows},
+            self.attributes, kept.rows, self.name, self.semiring,
+            {row: ann[row] for row in kept.rows},
         )
 
     def __str__(self) -> str:

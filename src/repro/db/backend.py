@@ -18,11 +18,10 @@ with three implementations:
   per-operator constants, not multicore scaling;
 * :class:`ProcessBackend` — shard tasks run in worker *processes*.  To
   beat the serialisation tax it keeps shard data **resident in the
-  workers**: ``scatter`` ships a shard's rows to its owner worker once
-  (compact codec below), every subsequent operator references it by
-  token and leaves its result resident, and ``gather`` pulls rows back
-  only when a plain :class:`~repro.db.relation.Relation` is actually
-  needed.  A whole Yannakakis sweep therefore pays IPC proportional to
+  workers**: ``scatter`` ships a shard's rows to its owner worker once,
+  every subsequent operator references it by token and leaves its
+  result resident, and ``gather`` pulls rows back only when a plain
+  :class:`~repro.db.relation.Relation` is actually needed.  A whole Yannakakis sweep therefore pays IPC proportional to
   the *input plus output* volume, not to the number of operators.
 
 The operator vocabulary is a registry of named, module-level functions
@@ -30,14 +29,14 @@ The operator vocabulary is a registry of named, module-level functions
 a thread pool, or inside a worker process, which is how the property
 suite can assert backend-for-backend equivalence.
 
-**Compact row codec.**  Relations cross the process boundary as
-``(attributes, name, row-tuple sequence)`` triples — never as pickled
-:class:`Relation` instances, whose ``__dict__`` drags along the memoised
-key sets and join hash tables (orders of magnitude larger than the
-rows).  Rehydration goes through :meth:`Relation.trusted`, skipping
-per-row re-validation.  Worker-side caches keep the rehydrated instance,
-so its memoised hash structures amortise across operators exactly like
-the parent's do.
+**Relations pickle themselves.**  A relation crosses the process
+boundary as an ordinary pickled value: every carrier's ``__reduce__``
+(the carrier protocol, :mod:`repro.db.relation`) sends its fields and
+rebuilds through its trusted constructor, so the memoised key sets and
+join hash tables in ``__dict__`` (orders of magnitude larger than the
+rows) never travel and rows are not re-validated on arrival.
+Worker-side caches keep the rebuilt instance, so its memoised hash
+structures amortise across operators exactly like the parent's do.
 
 **Broadcast scatter.**  Read-only build-side payloads (a semijoin's key
 set, a broadcast join's partner relation) are registered with
@@ -67,16 +66,15 @@ from ..obs.flight import get_flight_recorder
 from ..obs.profiler import SamplingProfiler, current_profiler
 from ..obs.tracer import span_tuple
 from .annotated import AnnotatedRelation, merge_annotated
-from .columnar import ColumnarRelation, column_from_payload, concat_columnar
+from .columnar import ColumnarRelation, concat_columnar
 from .relation import Relation, Row
-from .semiring import get_semiring
 from .shm import attach_columnar, export_columnar, shm_available
 
 BACKEND_KINDS = ("sequential", "thread", "process")
 
 #: Columnar relations at or above this many rows cross the process
 #: boundary through a shared-memory segment (tiny descriptor on the
-#: queue, zero-copy attach in the worker) instead of the byte codec.
+#: queue, zero-copy attach in the worker) instead of being pickled.
 #: Below it the segment setup costs more than the pickle it saves.
 SHM_MIN_ROWS = 2048
 
@@ -93,74 +91,11 @@ def default_backend_kind() -> str:
     return kind if kind in BACKEND_KINDS else "sequential"
 
 
-# -- compact row codec -----------------------------------------------------
-
-RelationPayload = tuple
-
-
-def encode_relation(rel: Relation) -> RelationPayload:
-    """Flatten *rel* to its cheaply-picklable payload.
-
-    A tuple of plain builtins — attribute tuple, name, row tuples —
-    deliberately excluding the instance's memoised key sets / hash
-    tables, which are worker-local concerns rebuilt (and re-memoised) on
-    the other side.  Annotated relations extend the triple with their
-    semiring tag and ``(row, value)`` annotation items; semirings cross
-    the boundary by tag and are resolved from the registry on arrival.
-    Columnar relations ship their raw column buffers (``tobytes`` plus
-    dictionary pools) as a length-4 payload — no row tuples are ever
-    built on either side; one with a weight column appends its semiring
-    tag, the weight buffer and the weight bound (length 7).
-    """
-    if isinstance(rel, AnnotatedRelation):
-        return (
-            rel.attributes,
-            rel.name,
-            tuple(rel.rows),
-            rel.semiring.tag,
-            tuple(rel.annotations.items()),
-        )
-    if isinstance(rel, ColumnarRelation):
-        payload = (
-            rel.attributes,
-            rel.name,
-            rel.length,
-            tuple(col.payload() for col in rel.columns),
-        )
-        if rel.weights is not None:
-            payload += (rel.semiring.tag, rel.weights.payload(), rel.bound)
-        return payload
-    return (rel.attributes, rel.name, tuple(rel.rows))
-
-
-def decode_relation(payload: RelationPayload) -> Relation:
-    """Rehydrate a relation from its payload without row re-validation."""
-    if len(payload) == 5:
-        attributes, name, rows, tag, items = payload
-        return AnnotatedRelation.make(
-            attributes, frozenset(rows), name, get_semiring(tag), dict(items)
-        )
-    if len(payload) in (4, 7):
-        attributes, name, length, cols = payload[:4]
-        weights: tuple = ()
-        if len(payload) == 7:
-            tag, raw, bound = payload[4:]
-            weights = (column_from_payload(raw), get_semiring(tag), bound)
-        return ColumnarRelation.make(
-            attributes,
-            tuple(column_from_payload(c) for c in cols),
-            name,
-            length,
-            *weights,
-        )
-    attributes, name, rows = payload
-    return Relation.trusted(attributes, frozenset(rows), name)
-
-
 # -- shard operator registry ----------------------------------------------
 #
 # Every shard-level operator the kernel fans out is a named module-level
-# function over plain relations/values: picklable by reference, so the
+# function over relations/values — each a one-line call into the carrier
+# protocol of :mod:`repro.db.relation` — picklable by reference, so the
 # same vocabulary runs inline, on threads, and in worker processes.
 
 _OPS: dict[str, Callable] = {}
@@ -497,14 +432,14 @@ class ThreadBackend(ExecutionContext):
 #                      ("uncache", (token, ...))
 #                      None                          -- shut down
 #   worker -> parent:  ("ok", tid, row_count, spans, samples)   -- resident
-#                      ("ok", tid, encoded_result, spans, samples) -- shipped
+#                      ("ok", tid, result, spans, samples)      -- shipped
 #                      ("err", tid, traceback_text, (), ())
 #
-# Argument/result encodings: ("r", attrs, name, rows) for relations via
-# the compact codec, ("t", token) for worker-resident objects,
+# Argument encodings: ("t", token) for worker-resident objects,
 # ("s", descriptor) for columnar relations riding a shared-memory
 # segment (the worker attaches by name, zero-copy), and ("v", obj) for
-# plain picklable values.  With ``trace`` set the worker
+# everything else, relations included (they pickle through their own
+# ``__reduce__``).  With ``trace`` set the worker
 # times each operator on the shared monotonic clock and ships the span
 # tuples (:func:`repro.obs.tracer.span_tuple`) back in the reply; the
 # parent ingests them into the current tracer labelled with the owning
@@ -515,38 +450,13 @@ class ThreadBackend(ExecutionContext):
 # ``worker-<pid>`` root frame — one profile covers driver and workers.
 
 
-def _encode_value(value) -> tuple:
-    if isinstance(value, Relation):
-        return ("r",) + encode_relation(value)
-    return ("v", value)
-
-
-def _encode_arg(arg) -> tuple:
-    if isinstance(arg, Relation):
-        return ("r",) + encode_relation(arg)
-    if isinstance(arg, (RemoteShard, _BroadcastRef)):
-        return ("t", arg.token)
-    return ("v", arg)
-
-
-def _decode_value(payload: tuple):
-    tag = payload[0]
-    if tag == "r":
-        return decode_relation(payload[1:])
-    if tag == "s":
-        return attach_columnar(payload[1])
-    return payload[1]
-
-
 def _worker_decode(payload: tuple, store: dict):
-    tag = payload[0]
-    if tag == "r":
-        return decode_relation(payload[1:])
+    tag, body = payload
     if tag == "t":
-        return store[payload[1]]
+        return store[body]
     if tag == "s":
-        return attach_columnar(payload[1])
-    return payload[1]
+        return attach_columnar(body)
+    return body
 
 
 def _worker_main(task_queue, result_queue) -> None:  # pragma: no cover - child process
@@ -601,15 +511,15 @@ def _worker_main(task_queue, result_queue) -> None:  # pragma: no cover - child 
                             ("ok", tid, len(result), spans, samples)
                         )
                     else:
-                        result_queue.put(
-                            ("ok", tid, _encode_value(result), spans, samples)
-                        )
+                        result_queue.put(("ok", tid, result, spans, samples))
                 except BaseException:
                     result_queue.put(
                         ("err", tid, traceback.format_exc(), (), ())
                     )
             elif tag == "cache":
-                store[message[1]] = _decode_value(pickle.loads(message[2]))
+                store[message[1]] = _worker_decode(
+                    pickle.loads(message[2]), store
+                )
             elif tag == "uncache":
                 for token in message[1]:
                     store.pop(token, None)
@@ -640,9 +550,9 @@ class ProcessBackend(ExecutionContext):
     ``i % workers``; partition-wise operators are routed to the owner of
     their resident arguments, keep their results resident, and reply
     with a row count only.  Data crosses the process boundary exactly at
-    ``scatter`` (inputs, compact codec, once) and ``gather`` (outputs),
-    so a multi-operator sweep is compute-bound in the workers rather
-    than codec-bound in the parent.
+    ``scatter`` (inputs, once) and ``gather`` (outputs), so a
+    multi-operator sweep is compute-bound in the workers rather than
+    pickle-bound in the parent.
 
     One ``map_shards`` call is atomic with respect to concurrent engine
     threads (an internal lock serialises dispatch+collect); the shard
@@ -876,7 +786,7 @@ class ProcessBackend(ExecutionContext):
                 # Pre-pickle once: each queue would otherwise
                 # re-serialise the same payload per worker.
                 blob = pickle.dumps(
-                    _encode_value(ref.value), protocol=pickle.HIGHEST_PROTOCOL
+                    ("v", ref.value), protocol=pickle.HIGHEST_PROTOCOL
                 )
                 self._blob_lru[key] = (ref.value, blob)
                 while len(self._blob_lru) > self._blob_limit:
@@ -920,7 +830,7 @@ class ProcessBackend(ExecutionContext):
                     ]
                 return [fn(*_resolve_local(tasks[0]))]
             # Per-call shared-memory shipments: big columnar arguments
-            # cross via a segment + descriptor instead of the codec.
+            # cross via a segment + descriptor instead of a pickle.
             # Released in the ``finally`` — by then every task that
             # references a segment has been executed by its worker (the
             # reply arrived), so the worker holds a live mapping and
@@ -943,7 +853,9 @@ class ProcessBackend(ExecutionContext):
                             cached[1].size
                         )
                     return ("s", cached[0])
-                return _encode_arg(a)
+                if isinstance(a, (RemoteShard, _BroadcastRef)):
+                    return ("t", a.token)
+                return ("v", a)
 
             pending: dict[int, tuple[int, str | None, int]] = {}
             try:
@@ -1000,7 +912,7 @@ class ProcessBackend(ExecutionContext):
                             owner,
                         )
                     else:
-                        results[i] = _decode_value(payload)
+                        results[i] = payload
             finally:
                 for _, segment in call_segments.values():
                     segment.release()

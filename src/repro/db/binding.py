@@ -19,6 +19,17 @@ from .database import Database, Snapshot
 from .relation import Relation, Row
 
 
+def check_arity(atom: Atom, db: Database) -> None:
+    """Raise :class:`EvaluationError` unless *atom* has the arity of the
+    relation *db* stores under its predicate."""
+    stored = db.arity(atom.predicate)
+    if stored != atom.arity:
+        raise EvaluationError(
+            f"atom {atom} has arity {atom.arity} but relation "
+            f"{atom.predicate!r} has arity {stored}"
+        )
+
+
 def resolve_atom(
     atom: Atom, db: Database
 ) -> tuple[Snapshot, tuple[str, ...], Iterator[tuple[Row, Row]] | None]:
@@ -37,11 +48,7 @@ def resolve_atom(
             f"query atom {atom} references unknown relation "
             f"{atom.predicate!r}"
         )
-    if db.arity(atom.predicate) != atom.arity:
-        raise EvaluationError(
-            f"atom {atom} has arity {atom.arity} but relation "
-            f"{atom.predicate!r} has arity {db.arity(atom.predicate)}"
-        )
+    check_arity(atom, db)
     first_position: dict[Variable, int] = {}
     constants: list[tuple[int, object]] = []
     repeats: list[tuple[int, int]] = []

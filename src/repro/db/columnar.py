@@ -4,8 +4,8 @@ The row engine in :mod:`repro.db.relation` stores a relation as a
 ``frozenset`` of Python tuples.  That representation is ideal for
 set-semantics correctness but pays interpreter overhead per *row* in
 every hot loop: a semijoin touches one tuple at a time, a projection
-allocates one output tuple per input row, and the process backend's
-codec re-serialises the tuples at every scatter.
+allocates one output tuple per input row, and the process backend
+pickles the tuples at every scatter.
 
 :class:`ColumnarRelation` keeps the same logical contract — an immutable
 named set of tuples, substitutable anywhere a
@@ -301,22 +301,20 @@ class Column:
         data = array(_TYPECODE[self.kind], map(self.data.__getitem__, sel))
         return Column(self.kind, data, self.pool)
 
-    def select(self, mask: bytes) -> "Column":
+    def compress(self, mask: bytes) -> "Column":
         """Filter by a 0/1 byte *mask* — ``itertools.compress`` runs the
         whole sweep in C, no Python bytecode per row."""
         data = array(_TYPECODE[self.kind], compress(self.data, mask))
         return Column(self.kind, data, self.pool)
 
-    def payload(self) -> tuple:
-        """Cheaply-picklable form for the process-backend codec."""
-        return (self.kind, self.data.tobytes(), self.pool)
-
-
-def column_from_payload(payload: tuple) -> Column:
-    kind, raw, pool = payload
-    data = array(_TYPECODE[kind])
-    data.frombytes(raw)
-    return Column(kind, data, pool)
+    def __reduce__(self):
+        data = self.data
+        if not isinstance(data, array):
+            # A memoryview into an attached segment: copy the bytes out,
+            # the mapping does not outlive this process.
+            data = array(_TYPECODE[self.kind])
+            data.frombytes(self.data.cast("B"))
+        return Column, (self.kind, data, self.pool)
 
 
 def encode_column(values: Sequence[Value]) -> Column:
@@ -456,6 +454,12 @@ class ColumnarRelation(Relation):
             object.__setattr__(rel, "semiring", semiring)
             object.__setattr__(rel, "bound", bound)
         return rel
+
+    def __reduce__(self):
+        return ColumnarRelation.make, (
+            self.attributes, self.columns, self.name, self.length,
+            self.weights, self.semiring, self.bound,
+        )
 
     @property
     def _rank(self) -> int:
@@ -600,7 +604,7 @@ class ColumnarRelation(Relation):
     def _select_rows(self, mask, survivors: int) -> "ColumnarRelation":
         """The *survivors* rows whose *mask* entry is set — a numpy
         boolean array or a 0/1 ``bytes`` — each with its weight."""
-        pick = Column.select if isinstance(mask, bytes) else _np_select
+        pick = Column.compress if isinstance(mask, bytes) else _np_select
         weights = self.weights
         return ColumnarRelation.make(
             self.attributes,
@@ -637,16 +641,6 @@ class ColumnarRelation(Relation):
         return cached
 
     # -- relational algebra -----------------------------------------------
-    def semijoin(self, other: Relation) -> Relation:
-        if not other:
-            return self._no_rows(self.attributes, self.name)
-        if not self.length:
-            return self
-        shared = tuple(a for a in self.attributes if a in other.attributes)
-        if not shared:
-            return self
-        return self.semijoin_with_keys(shared, other.key_set(shared))
-
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> Relation:
@@ -878,29 +872,6 @@ class ColumnarRelation(Relation):
         )
 
 
-def _on_the_row_carrier(name: str):
-    """The inherited row operator *name*, which a weighted relation
-    runs as its :meth:`~ColumnarRelation.annotated` form so the result
-    keeps the annotations (``Relation``'s own would decode the rows and
-    drop them)."""
-    plain = getattr(Relation, name)
-
-    def operator(self, *args, **kwargs):
-        if self.weights is None:
-            return plain(self, *args, **kwargs)
-        return getattr(self.annotated(), name)(*args, **kwargs)
-
-    operator.__name__ = name
-    operator.__doc__ = plain.__doc__
-    return operator
-
-
-for _name in (
-    "select", "select_eq", "rename", "union", "intersect", "difference"
-):
-    setattr(ColumnarRelation, _name, _on_the_row_carrier(_name))
-
-
 def _joined_weights(
     build: ColumnarRelation, probe: ColumnarRelation, bsel, psel
 ) -> tuple:
@@ -976,10 +947,10 @@ def columnar_probe_join(
         if build_is_left:
             out_cols = [c.take(bsel) for c in build.columns]
             out_cols.extend(
-                probe.columns[p].select(mask) for p in extra_pos
+                probe.columns[p].compress(mask) for p in extra_pos
             )
         else:
-            out_cols = [c.select(mask) for c in probe.columns]
+            out_cols = [c.compress(mask) for c in probe.columns]
             out_cols.extend(
                 build.columns[p].take(bsel) for p in extra_pos
             )
@@ -1105,22 +1076,19 @@ def _np_probe_join(
     )
 
 
-def to_columnar(rel: Relation, min_rows: int = 0) -> Relation:
+def to_columnar(rel: Relation) -> Relation:
     """Convert a plain relation to columnar storage.
 
     Already-columnar input — weighted or not — and annotated relations
     return unchanged (:func:`lift_columnar` is what encodes an
     annotated relation, weights and all); 0-ary relations stay row
-    (there is nothing to pack).  With *min_rows* > 0 relations below the
-    threshold are returned unchanged — the ``layout="auto"`` gate."""
+    (there is nothing to pack)."""
     if isinstance(rel, (ColumnarRelation, AnnotatedRelation)):
         return rel
     if not rel.attributes:
         return rel
     rows = rel.rows
     n = len(rows)
-    if n < min_rows:
-        return rel
     if not n:
         columns = _empty_columns(len(rel.attributes))
     else:

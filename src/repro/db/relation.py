@@ -1,25 +1,78 @@
-"""Relations and relational-algebra operations (paper §2.1).
+"""Relations and the carrier protocol (paper §2.1).
 
 A relation instance is a finite set of tuples over a named schema.  For
 query evaluation the attribute names are query-variable names, so natural
 join / semijoin operate positionally on shared variables — exactly the
 "common variables acting as join attributes" convention of Lemma 4.6.
 
-The implementation is a straightforward set-of-tuples engine with hash
-joins.  It is deliberately simple and fully observable: the evaluation
-strategies in :mod:`repro.db.yannakakis` and :mod:`repro.db.evaluate`
-record intermediate sizes after every operation, which is how experiments
-E15/E16 reproduce the paper's "semijoins keep intermediates small" claims.
+**The carrier protocol.**  The paper's evaluation route — Lemma 4.6
+bags, then Yannakakis (Theorems 4.7 / 4.8) — needs three operators on a
+node relation: semijoin, join, projection.  The list below is the whole
+contract of a relation carrier, stated here and nowhere else.  Four
+carriers implement it — :class:`Relation` (a ``frozenset`` of row
+tuples), :class:`~repro.db.annotated.AnnotatedRelation` (rows plus a
+semiring value each), :class:`~repro.db.columnar.ColumnarRelation`
+(column buffers, optionally a weight column) and
+:class:`~repro.db.sharded.ShardedRelation` (hash-partitioned pieces on
+an execution backend) — and none has a public method outside it;
+``tests/db/test_carrier_protocol.py`` runs every operator on every
+carrier and checks that no other surface grows back.
 
-Relations are immutable, so the hash structures a join or semijoin needs
-are *memoised per instance*: :meth:`Relation.key_set` and
-:meth:`Relation.key_index` build the probe set / build table for a given
-attribute tuple once and reuse it across the bottom-up and top-down
-Yannakakis sweeps (a relation acting as the filter of several semijoins —
-a star root, or the same tree edge in both sweeps — used to rebuild the
-identical hash structure on every call).  A semijoin that filters nothing
-returns ``self`` unchanged, keeping those memoised structures alive for
-the next pass.
+*Operands* — what the sweeps of :mod:`repro.db.yannakakis` and the bag
+pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
+(what a mixed pair does is the operands' business):
+
+* ``attributes``, ``name``, ``len``, ``bool``, iteration and ``rows`` —
+  the schema and the tuples; ``n_shards`` — 1 unless cut in pieces;
+* ``semijoin(other)`` — ⋉: the rows with a join partner in *other*.
+  Never grows, returns the receiver itself when nothing is filtered,
+  and reads of *other* only ``bool``, ``attributes`` and ``key_set``;
+* ``join(other, name=None)`` — natural join ⋈ on the shared attribute
+  names; the schema is the receiver's attributes, then the partner's
+  others.  Annotations multiply with ``times``;
+* ``project(attributes, name=None)`` — π; collapsed rows deduplicate,
+  their annotations fold with ``plus``;
+* ``key_set(attributes)`` — the distinct key values over *attributes*
+  (the bare value for one attribute, the value tuple otherwise),
+  memoised per instance: the probe set of a semijoin;
+* ``to_relation()`` — the operand as one process-local relation
+  (itself, unless sharded: the gather point).
+
+*Pieces* — what the three single-piece carriers (the :class:`Relation`
+classes, which are also what a shard holds) add for the sharded kernel
+and for atom binding:
+
+* ``semijoin_with_keys(shared, keys)`` — the semijoin probe against a
+  prebuilt key set (the broadcast mode: one set for all shards);
+* ``relabel(attributes, name)`` — the same tuples under another schema,
+  sharing storage (how an atom views a base relation);
+* ``_no_rows(attributes, name)`` — the empty relation of the receiver's
+  own flavour, what every operator's empty short-circuit returns;
+* ``key_index(attributes)``, ``column(attribute)``, ``arity`` — the
+  memoised build table of a hash join, one column's values, the width;
+* ``_rank`` and ``_probe_join`` — operand precedence: the higher-ranked
+  side of a join brings the probe kernel and the result's flavour;
+* ``__reduce__`` — a carrier pickles as a call to its own trusted
+  constructor on its fields, so memoised structures never travel and a
+  new field crosses a process boundary without a codec to teach.
+
+*Constructors*: ``trusted`` / ``from_rows`` / ``empty`` here, ``make`` /
+``lift`` / ``unit`` on the annotated and columnar classes, ``shard`` on
+the sharded one.  *Annotated answers* (a carrier whose rows carry
+semiring values) expose ``semiring``, ``annotations``,
+``annotation(row)``, ``total()`` and ``strip()``; a weighted columnar
+relation also converts with ``annotated()`` and, weighted or not, with
+``row_relation()``.
+
+The row carrier below is a straightforward set-of-tuples engine with
+hash joins, deliberately simple and fully observable: the evaluation
+strategies record intermediate sizes after every operation, which is how
+experiments E15/E16 reproduce the paper's "semijoins keep intermediates
+small" claims.  Relations are immutable, so the hash structures a join
+or semijoin needs are *memoised per instance* and reused across the
+bottom-up and top-down sweeps (a relation acting as the filter of
+several semijoins — a star root, or the same tree edge in both sweeps —
+would otherwise rebuild the identical structure on every call).
 """
 
 from __future__ import annotations
@@ -27,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .._errors import SchemaError, UnknownAttributeError
 
@@ -120,6 +173,13 @@ class Relation:
                 and self.rows == other.rows
             )
         return NotImplemented
+
+    def __reduce__(self):
+        # Fields only: the memoised hash structures in ``__dict__`` are
+        # orders of magnitude larger than the rows and rebuild (and
+        # re-memoise) on the other side.  A subclass that adds no fields
+        # of its own (a database snapshot) arrives as a plain relation.
+        return Relation.trusted, (self.attributes, self.rows, self.name)
 
     def _no_rows(self, attributes: tuple[str, ...], name: str) -> "Relation":
         """The empty relation over *attributes* in the receiver's own
@@ -255,32 +315,6 @@ class Relation:
         *attributes* must be distinct and match the arity."""
         return Relation.trusted(attributes, self.rows, name)
 
-    def rename(self, mapping: Mapping[str, str], name: str | None = None) -> "Relation":
-        """ρ: rename attributes according to *mapping* (others unchanged)."""
-        new_attrs = tuple(mapping.get(a, a) for a in self.attributes)
-        # Validating constructor on purpose: a non-injective mapping can
-        # collapse two attributes into one, which must raise.
-        return Relation(new_attrs, self.rows, name or self.name)
-
-    def select(
-        self, predicate: Callable[[dict[str, Value]], bool], name: str | None = None
-    ) -> "Relation":
-        """σ with an arbitrary row predicate over attribute→value dicts."""
-        attrs = self.attributes
-        rows = frozenset(
-            row for row in self.rows if predicate(dict(zip(attrs, row)))
-        )
-        return Relation.trusted(attrs, rows, name or self.name)
-
-    def select_eq(self, attribute: str, value: Value) -> "Relation":
-        """σ attribute = constant."""
-        i = self._position(attribute)
-        return Relation.trusted(
-            self.attributes,
-            frozenset(row for row in self.rows if row[i] == value),
-            self.name,
-        )
-
     def join(self, other: "Relation", name: str | None = None) -> "Relation":
         """Natural join ⋈ on shared attribute names (hash join).
 
@@ -319,61 +353,46 @@ class Relation:
         without scanning, and a semijoin that filters nothing returns
         ``self`` itself so downstream operations keep its memoised hash
         structures.  Of *other* only ``bool``, ``attributes`` and
-        ``key_set`` are used, so the partner may be sharded.
+        ``key_set`` are used, so the partner may be sharded.  Written
+        once for every single-piece carrier: what differs between them
+        is the probe, :meth:`semijoin_with_keys`.
         """
+        if not self:
+            return self
         if not other:
             # ⋉ against the empty relation is empty regardless of the
             # schemas (with no shared attributes it is a product with
-            # nothing) — and must not scan self.rows to find that out.
+            # nothing) — and must not scan the rows to find that out.
             return self._no_rows(self.attributes, self.name)
-        if not self.rows:
-            return self
         shared = tuple(a for a in self.attributes if a in other.attributes)
         if not shared:
             # Every row has a partner: identity (other is non-empty).
             return self
-        return semijoin_with_keys(self, shared, other.key_set(shared))
+        return self.semijoin_with_keys(shared, other.key_set(shared))
 
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> "Relation":
-        """Filter against a prebuilt key set (method form, so annotated
-        subclasses can carry their annotations through the broadcast
-        semijoin of the sharded kernel)."""
-        return semijoin_with_keys(self, shared, keys)
-
-    def union(self, other: "Relation") -> "Relation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"union of incompatible schemas {self.attributes} and "
-                f"{other.attributes}"
+        """Filter against a prebuilt key set over *shared* — the probe
+        loop behind :meth:`semijoin`, shared with the sharded kernel's
+        broadcast mode (every shard against one key set built for all of
+        them).  Key convention matches :meth:`key_set`: a single
+        attribute keys by the bare value, longer tuples by the value
+        tuple.  Returns ``self`` when nothing is filtered, keeping its
+        memoised hash structures alive."""
+        if not self.rows:
+            return self
+        if len(shared) == 1:
+            i = self._index_of[shared[0]]
+            rows = frozenset(row for row in self.rows if row[i] in keys)
+        else:
+            pos = [self._index_of[a] for a in shared]
+            rows = frozenset(
+                row for row in self.rows if tuple(row[p] for p in pos) in keys
             )
-        return Relation.trusted(self.attributes, self.rows | other.rows, self.name)
-
-    def intersect(self, other: "Relation") -> "Relation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"intersection of incompatible schemas {self.attributes} and "
-                f"{other.attributes}"
-            )
-        return Relation.trusted(self.attributes, self.rows & other.rows, self.name)
-
-    def difference(self, other: "Relation") -> "Relation":
-        if self.attributes != other.attributes:
-            raise SchemaError(
-                f"difference of incompatible schemas {self.attributes} and "
-                f"{other.attributes}"
-            )
-        return Relation.trusted(self.attributes, self.rows - other.rows, self.name)
-
-    def reorder(self, attributes: Sequence[str]) -> "Relation":
-        """Permute columns into the given attribute order (must be a
-        permutation of the schema)."""
-        if set(attributes) != set(self.attributes) or len(attributes) != self.arity:
-            raise SchemaError(
-                f"{attributes} is not a permutation of {self.attributes}"
-            )
-        return self.project(attributes)
+        if len(rows) == len(self.rows):
+            return self
+        return Relation.trusted(self.attributes, rows, self.name)
 
     # -- rendering -------------------------------------------------------------
     def __str__(self) -> str:
@@ -382,33 +401,6 @@ class Relation:
         body = "; ".join(str(r) for r in shown)
         suffix = " ..." if len(self.rows) > 8 else ""
         return f"{self.name}({header}) [{len(self.rows)} rows: {body}{suffix}]"
-
-
-def semijoin_with_keys(
-    rel: Relation, shared: tuple[str, ...], keys: frozenset
-) -> Relation:
-    """Filter *rel* against a prebuilt key set over *shared*.
-
-    The probe loop behind :meth:`Relation.semijoin`, shared with the
-    sharded kernel's broadcast mode (every shard against one key set
-    built for all of them).  Key convention matches
-    :meth:`Relation.key_set`: a single attribute keys by the bare value,
-    longer tuples by the value tuple.  Returns ``rel`` itself when
-    nothing is filtered, keeping its memoised hash structures alive.
-    """
-    if not rel.rows:
-        return rel
-    if len(shared) == 1:
-        i = rel._index_of[shared[0]]
-        rows = frozenset(row for row in rel.rows if row[i] in keys)
-    else:
-        pos = [rel._index_of[a] for a in shared]
-        rows = frozenset(
-            row for row in rel.rows if tuple(row[p] for p in pos) in keys
-        )
-    if len(rows) == len(rel.rows):
-        return rel
-    return Relation.trusted(rel.attributes, rows, rel.name)
 
 
 def probe_join(

@@ -43,8 +43,10 @@ class Semiring:
     """A commutative semiring ``(K, plus, times, zero, one)``.
 
     Subclasses fix the carrier set by choosing the value representation;
-    all values must be hashable and picklable (annotations ride the
-    process-backend codec).  ``is_absorbing`` lets projection folds stop
+    all values must be hashable and picklable (annotations cross to
+    process-backend workers inside their relation).  A semiring itself
+    pickles as its ``tag`` and is resolved from the registry on arrival,
+    so identity (``a.semiring is b.semiring``) survives the boundary.  ``is_absorbing`` lets projection folds stop
     ``plus``-ing once an absorbing element is reached (e.g. probability
     1.0); the default never short-circuits.  ``lift`` maps one base fact
     to its annotation — the single point where database weights (see
@@ -80,6 +82,9 @@ class Semiring:
     def lift(self, db: "Database", predicate: str, row: Row) -> Any:
         """The annotation of one base fact (default: ``one``)."""
         return self.one
+
+    def __reduce__(self):
+        return get_semiring, (self.tag,)
 
     def __repr__(self) -> str:
         return f"<Semiring {self.tag}>"
@@ -228,9 +233,9 @@ class ProbSemiring(Semiring):
 
 
 #: The built-in instances, keyed by tag.  Tags are the wire format of a
-#: semiring: the serve protocol's ``mode`` field, the process-backend
-#: codec, and the plan cache's composite keys all transport tags and
-#: resolve them here.
+#: semiring: the serve protocol's ``mode`` field, a pickled relation and
+#: the plan cache's composite keys all transport tags and resolve them
+#: here.
 COUNTING = CountingSemiring()
 INT_RING = IntegerRing()
 MINCOST = MinCostSemiring()

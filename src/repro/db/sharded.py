@@ -31,17 +31,19 @@ Two properties of the partitioning matter beyond speed:
 A sharded relation is cut with an
 :class:`~repro.db.backend.ExecutionContext` and keeps it: every operator
 fans its shard tasks over that context, and so does every relation
-derived from it.  ``semijoin`` / ``join`` / ``project`` therefore have
-exactly :class:`Relation`'s signatures, and the Yannakakis driver in
-:mod:`repro.db.yannakakis` sweeps plain and sharded operands alike —
+derived from it.  The class answers the operand half of the carrier
+protocol (:mod:`repro.db.relation`) with exactly :class:`Relation`'s
+signatures, so the Yannakakis driver in :mod:`repro.db.yannakakis`
+sweeps plain and sharded operands alike —
 :func:`shard_relations` is what makes some of a join tree's relations
 sharded.  Under a :class:`~repro.db.backend.ProcessBackend` the shard
 pieces are :class:`~repro.db.backend.RemoteShard` handles resident in
 worker processes — operators route to the owning worker, results stay
 resident, and rows only return to the parent on
 :meth:`ShardedRelation.to_relation`.  Semantics are identical to the
-:class:`Relation` operations in every mode, which the property suite in
-``tests/db/test_parallel_equivalence.py`` enforces backend by backend
+:class:`Relation` operations in every mode, which
+``tests/db/test_carrier_protocol.py`` and the property suite in
+``tests/db/test_parallel_equivalence.py`` enforce backend by backend
 and shard-count by shard-count.
 """
 

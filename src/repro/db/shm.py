@@ -1,7 +1,7 @@
 """Shared-memory transport for columnar relations.
 
-The process backend's compact codec serialises row tuples through a
-pickle at every scatter.  A :class:`~repro.db.columnar.ColumnarRelation`
+A row relation crosses to a process-backend worker as a pickle of its
+tuples at every scatter.  A :class:`~repro.db.columnar.ColumnarRelation`
 is a handful of contiguous int64/float64 buffers, so it can cross the
 process boundary without copying rows at all: the parent writes the
 column buffers into one ``multiprocessing.shared_memory`` segment, ships
@@ -30,7 +30,7 @@ Lifecycle rules (POSIX semantics make these easy to get wrong):
 
 Platforms without usable shared memory (no ``/dev/shm``, restricted
 containers) are detected once by :func:`shm_available`; callers then
-fall back to the byte codec, which is always correct.
+fall back to pickling the relation, which is always correct.
 """
 
 from __future__ import annotations

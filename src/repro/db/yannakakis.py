@@ -17,16 +17,14 @@ relation:
   Corollary 5.20 through the Lemma 4.6 transformation).
 
 This is the only place the three passes are written.  They ask of an
-operand nothing but ``semijoin(other)``, ``join(other, name)``,
-``project(attrs, name)``, ``attributes``, ``len`` / ``bool`` and
-``to_relation()``, so a node's relation may be a row, columnar or
-annotated :class:`~repro.db.relation.Relation` or a hash-partitioned
+operand nothing but the operand half of the carrier protocol
+(:mod:`repro.db.relation`), so a node's relation may be a row, columnar
+or annotated :class:`~repro.db.relation.Relation` or a hash-partitioned
 :class:`~repro.db.sharded.ShardedRelation` running on an execution
 backend (:func:`~repro.db.sharded.shard_relations` cuts them), in any
-mix; what a mixed pair does is the operands' business.  Every operator
-is counted in ``stats`` and traced as one ``sweep.semijoin`` /
-``sweep.join`` span naming the node whose relation it writes, the pass,
-whether the result is sharded, and its row count.
+mix.  Every operator is counted in ``stats`` and traced as one
+``sweep.semijoin`` / ``sweep.join`` span naming the node whose relation
+it writes, the pass, whether the result is sharded, and its row count.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ tasks run: ``"sequential"`` (inline, the default), ``"thread"`` (a
 thread pool — low latency, GIL-bound), or ``"process"``
 (worker processes with resident shards — real multicore scaling for
 large relations).  The engine owns one live
-:class:`~repro.db.backend.ExecutionContext` per (kind, width), created
-lazily on the first plan that actually shards something and reused
-across requests, so process workers and their scatter caches persist;
-:meth:`Engine.close` (or the context-manager exit) releases them.
+:class:`~repro.db.backend.ExecutionContext`, created lazily on the
+first plan that actually shards something and reused across requests,
+so process workers and their scatter caches persist;
+:meth:`Engine.close` (or the context-manager exit) releases it.
 Which nodes shard at all is the cost-based policy in
 :func:`repro.engine.plan.compile_plan` — relations estimated under
 :data:`~repro.engine.plan.SHARD_MIN_ROWS` stay unsharded.  The
@@ -156,6 +156,19 @@ class BatchResult:
         }
 
 
+def cheapest(
+    annotations: Mapping[Row, tuple], k: int
+) -> list[tuple[Row, float, tuple[FactId, ...]]]:
+    """The *k* cheapest rows of a min-cost answer as ``(row, cost,
+    witness)`` triples, cost-ascending, equal costs in row-rendering
+    order — the one cut :meth:`Engine.top_k` and the serve tier's
+    ``top_k`` mode share, so the wire and the API break ties alike."""
+    best = heapq.nsmallest(
+        k, annotations.items(), key=lambda item: (item[1][0], repr(item[0]))
+    )
+    return [(row, cost, witness) for row, (cost, witness) in best]
+
+
 class Engine:
     """A decompose-once, execute-many conjunctive-query engine.
 
@@ -261,8 +274,8 @@ class Engine:
             )
         self.layout = layout
         self.decompositions = 0  # fresh planner searches performed
-        self._backends: dict[tuple[str, int], ExecutionContext] = {}
-        self._backends_lock = threading.Lock()
+        self._context: ExecutionContext | None = None
+        self._context_lock = threading.Lock()
         # Single-flight gates: (fingerprint, semiring tag) -> Event set
         # when the leader's search lands in the cache.  Concurrent first
         # requests of one shape (e.g. two tenants submitting isomorphic
@@ -286,31 +299,31 @@ class Engine:
         return spec
 
     # -- resource lifecycle ------------------------------------------------
-    def _backend_for(self, kind: str, workers: int) -> ExecutionContext:
-        """The engine-owned execution context for (kind, width), created
-        once and reused across requests (spinning workers up per query
-        would put process/thread start-up on the hot path this feature
-        speeds up).  Contexts are thread-safe for concurrent requests:
-        thread pools natively, the process backend by serialising each
-        shard fan-out."""
-        key = (kind, workers)
-        with self._backends_lock:
-            ctx = self._backends.get(key)
+    def _execution_context(self) -> ExecutionContext:
+        """The engine-owned execution context, created once and reused
+        across requests (spinning workers up per query would put
+        process/thread start-up on the hot path this feature speeds up).
+        Contexts are thread-safe for concurrent requests: thread pools
+        natively, the process backend by serialising each shard
+        fan-out."""
+        with self._context_lock:
+            ctx = self._context
             if ctx is None or ctx.closed:
                 # `closed` covers a process pool that tore itself down
                 # after losing a worker: the next request gets a fresh
                 # pool instead of a permanently bricked engine.
-                ctx = make_backend(kind, workers)
-                self._backends[key] = ctx
+                ctx = self._context = make_backend(
+                    self.backend, self.backend_workers
+                )
             return ctx
 
     def close(self) -> None:
-        """Shut down the engine's execution backends (thread pools and
+        """Shut down the engine's execution backend (thread pool or
         process workers).  Idempotent; the engine remains usable
-        afterwards (backends are recreated on demand)."""
-        with self._backends_lock:
-            contexts, self._backends = list(self._backends.values()), {}
-        for ctx in contexts:
+        afterwards (the backend is recreated on demand)."""
+        with self._context_lock:
+            ctx, self._context = self._context, None
+        if ctx is not None:
             ctx.close()
 
     def __enter__(self) -> "Engine":
@@ -399,16 +412,6 @@ class Engine:
             gate.set()
         return result.decomposition, False, result.method, result.width
 
-    def _resolve_backend(self, backend: str | None) -> tuple[str, int]:
-        """Per-call backend resolution: an explicit kind overrides the
-        engine default; the width is always the engine's."""
-        if backend is not None and backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKEND_KINDS}"
-            )
-        kind = backend if backend is not None else self.backend
-        return kind, self.backend_workers
-
     def _layout_for(self, semiring: Semiring | None) -> str:
         """The layout policy a request compiles under: the engine's,
         unless it is annotated over a semiring whose values only the row
@@ -422,19 +425,30 @@ class Engine:
         self,
         query: ConjunctiveQuery,
         db: Database | None = None,
-        backend: str | None = None,
         semiring: "Semiring | str | None" = None,
     ) -> QueryPlan:
         """The physical plan the engine would execute (used by explain,
         and by live views registering through the shared cache)."""
-        kind, width = self._resolve_backend(backend)
         semiring = resolve_semiring(semiring)
         hd, hit, method, width_hd = self._decomposition_for(
             query, None, semiring.tag if semiring is not None else "set"
         )
+        return self._compile(query, db, hd, method, hit, semiring)
+
+    def _compile(
+        self,
+        query: ConjunctiveQuery,
+        db: Database | None,
+        hd: HypertreeDecomposition,
+        method: str,
+        hit: bool,
+        semiring: Semiring | None,
+    ) -> QueryPlan:
+        """*hd* compiled against *db* under this engine's backend, shard
+        and layout configuration."""
         return compile_plan(
             query, db, hd, provenance=method, cache_hit=hit,
-            backend=kind, workers=width,
+            backend=self.backend, workers=self.backend_workers,
             shard_threshold=self.shard_threshold,
             layout=self._layout_for(semiring),
         )
@@ -460,7 +474,6 @@ class Engine:
         query: ConjunctiveQuery,
         db: Database | None = None,
         analyze: bool = False,
-        backend: str | None = None,
         semiring: "Semiring | str | None" = None,
     ) -> str:
         """Render the chosen plan (cache provenance, join orders, root,
@@ -475,9 +488,7 @@ class Engine:
         back from the pool.
         """
         if not analyze:
-            return self.plan(
-                query, db, backend=backend, semiring=semiring
-            ).render()
+            return self.plan(query, db, semiring=semiring).render()
         if db is None:
             raise ValueError(
                 "explain(analyze=True) executes the query and needs db="
@@ -488,10 +499,8 @@ class Engine:
         ambient = current_tracer()
         capture = ambient if isinstance(ambient, Tracer) else Tracer()
         with tracing(capture):
-            result = self.execute(
-                query, db, backend=backend, semiring=semiring
-            )
-        plan = self.plan(query, db, backend=backend, semiring=semiring)
+            result = self.execute(query, db, semiring=semiring)
+        plan = self.plan(query, db, semiring=semiring)
         return plan.render_analyzed(
             capture, result.elapsed, len(result.answer)
         )
@@ -503,7 +512,6 @@ class Engine:
         db: Database,
         budget: float | None = None,
         stats: EvalStats | None = None,
-        backend: str | None = None,
         semiring: "Semiring | str | None" = None,
     ) -> EvalResult:
         """Evaluate one query, raising :class:`BudgetExceeded` on timeout.
@@ -520,7 +528,6 @@ class Engine:
         budget = budget if budget is not None else self.budget
         started = time.monotonic()
         deadline = started + budget if budget is not None else None
-        kind, width = self._resolve_backend(backend)
         semiring = resolve_semiring(semiring)
         stats = stats if stats is not None else EvalStats()
         flight = self.flight
@@ -541,12 +548,11 @@ class Engine:
         plan_sink: list[QueryPlan] = []
         try:
             with tracing(tracer), tracer.span(
-                "engine.execute", query=query.name, backend=kind,
+                "engine.execute", query=query.name, backend=self.backend,
                 semiring=semiring.tag if semiring is not None else "set",
             ) as request_span:
                 result = self._execute_request(
-                    query, db, deadline, kind, width, stats, started,
-                    plan_sink, semiring,
+                    query, db, deadline, stats, started, plan_sink, semiring,
                 )
                 request_span.set(
                     cache_hit=result.cache_hit,
@@ -557,14 +563,13 @@ class Engine:
         except (EvaluationError, BudgetExceeded) as error:
             if flight is not None:
                 self._flight_failure(
-                    flight, query, error, kind, plan_sink, tracer,
-                    request_perf,
+                    flight, query, error, plan_sink, tracer, request_perf
                 )
             raise
         self._record_request(result)
         if flight is not None:
             self._flight_request(
-                flight, result, kind, plan_sink, tracer, request_perf
+                flight, result, plan_sink, tracer, request_perf
             )
         return result
 
@@ -593,12 +598,7 @@ class Engine:
         if k < 1:
             raise ValueError(f"top_k needs k >= 1, got {k}")
         result = self.execute(query, db, semiring="mincost", **kwargs)
-        best = heapq.nsmallest(
-            k,
-            result.annotations.items(),
-            key=lambda item: (item[1][0], repr(item[0])),
-        )
-        return [(row, cost, witness) for row, (cost, witness) in best]
+        return cheapest(result.annotations, k)
 
     def provenance(
         self, query: ConjunctiveQuery, db: Database, **kwargs
@@ -624,8 +624,6 @@ class Engine:
         query: ConjunctiveQuery,
         db: Database,
         deadline: float | None,
-        kind: str,
-        width: int,
         stats: EvalStats,
         started: float,
         plan_sink: list | None = None,
@@ -656,12 +654,7 @@ class Engine:
             hd, hit, method, hd_width = self._decomposition_for(
                 query, deadline, tag
             )
-            plan = compile_plan(
-                query, db, hd, provenance=method, cache_hit=hit,
-                backend=kind, workers=width,
-                shard_threshold=self.shard_threshold,
-                layout=self._layout_for(semiring),
-            )
+            plan = self._compile(query, db, hd, method, hit, semiring)
             if plan_sink is not None:
                 # Threaded out so the flight recorder can attach the
                 # plan digest even when execution fails below.
@@ -670,9 +663,8 @@ class Engine:
             # cost-based policy actually sharded something — a process
             # pool is never spawned to evaluate small relations.
             ctx = (
-                self._backend_for(kind, width)
-                if kind != "sequential"
-                and any(np.n_shards > 1 for np in plan.node_plans)
+                self._execution_context()
+                if any(np.n_shards > 1 for np in plan.node_plans)
                 else None
             )
             answer = execute_plan(
@@ -707,7 +699,6 @@ class Engine:
         self,
         flight: FlightRecorder,
         result: EvalResult,
-        kind: str,
         plan_sink: list,
         tracer,
         request_perf: float,
@@ -726,7 +717,7 @@ class Engine:
             cache_hit=result.cache_hit,
             method=result.method,
             width=result.width,
-            backend=kind,
+            backend=self.backend,
             digest=digest,
             stats=result.stats.as_row(),
         )
@@ -756,7 +747,6 @@ class Engine:
         flight: FlightRecorder,
         query: ConjunctiveQuery,
         error: Exception,
-        kind: str,
         plan_sink: list,
         tracer,
         request_perf: float,
@@ -774,7 +764,7 @@ class Engine:
             query=query.name,
             error=type(error).__name__,
             message=str(error),
-            backend=kind,
+            backend=self.backend,
             digest=plan.digest() if plan is not None else None,
             spans=span_forest(spans),
         )
@@ -789,7 +779,6 @@ class Engine:
         db: Database | None = None,
         workers: int | None = None,
         budget: float | None = None,
-        backend: str | None = None,
         semiring: "Semiring | str | None" = None,
     ) -> BatchResult:
         """Evaluate a batch of requests over a worker pool.
@@ -800,9 +789,8 @@ class Engine:
         :class:`EvalResult` with ``error`` set instead of aborting the
         batch.  The merged :class:`EvalStats` (including summed per-query
         wall times, which exceed batch wall-clock under parallelism) ride
-        on the returned :class:`BatchResult`.  *backend* sets the
-        per-request shard backend and *semiring* the per-request
-        annotation algebra (see :meth:`execute`).
+        on the returned :class:`BatchResult`.  *semiring* sets the
+        per-request annotation algebra (see :meth:`execute`).
 
         Each request's *budget* clock starts when a pool worker begins
         executing it — time spent queued behind a saturated pool does not
@@ -829,8 +817,7 @@ class Engine:
                 # deadline here, when the request starts, so a request
                 # queued behind a full pool keeps its whole budget.
                 return self.execute(
-                    query, request_db, budget=budget, backend=backend,
-                    semiring=semiring,
+                    query, request_db, budget=budget, semiring=semiring
                 )
             except ReproError as error:
                 # Per-request fault isolation: a blown budget, a schema

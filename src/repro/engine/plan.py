@@ -59,12 +59,8 @@ from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
-from ..db.backend import (
-    BACKEND_KINDS,
-    SEQUENTIAL,
-    ExecutionContext,
-    make_backend,
-)
+from ..db.backend import BACKEND_KINDS, SEQUENTIAL, ExecutionContext
+from ..db.binding import check_arity
 from ..db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS, ColumnarRelation
 from ..db.database import Database
 from ..db.evaluate import bag_relation, check_deadline
@@ -396,6 +392,13 @@ def _compile_plan_traced(
     # Distinct atoms in query order, so the covered set of a node does
     # not depend on set iteration order.
     query_atoms = [(a, a.variables) for a in dict.fromkeys(query.atoms)]
+    if db is not None:
+        # The estimates below index stored columns by atom position, so
+        # a schema mismatch has to surface here, typed, not as whatever
+        # the first estimate trips over.
+        for atom, _ in query_atoms:
+            if db.has_predicate(atom.predicate):
+                check_arity(atom, db)
     fresh: dict[int, Atom] = {}
     plans: list[NodePlan] = []
     for i, p in enumerate(nodes):
@@ -485,8 +488,8 @@ def _materialise_bag(
     A node compiled with ``layout="columnar"`` yields a
     :class:`~repro.db.columnar.ColumnarRelation` — the Yannakakis
     sweeps then dispatch into the vectorised kernels, and the process
-    backend ships the bag over shared memory instead of the pickle
-    codec.  An annotated bag is one when its semiring's values can ride
+    backend ships the bag over shared memory instead of pickling it.
+    An annotated bag is one when its semiring's values can ride
     a weight column (an :class:`~repro.db.annotated.AnnotatedRelation`
     otherwise); the ``plan.layout_columnar`` /
     ``plan.layout_row`` counters record which path each bag actually
@@ -539,11 +542,10 @@ def execute_plan(
     :class:`BudgetExceeded` when *deadline* (monotonic seconds) passes
     between operators.
 
-    *backend* is a live :class:`~repro.db.backend.ExecutionContext` to
-    run the plan's shard assignment on (typically engine-owned, so
-    process workers persist across requests).  Without one, a plan
-    compiled for a parallel backend creates a private context for the
-    call and closes it afterwards.
+    *backend* is the live :class:`~repro.db.backend.ExecutionContext`
+    to run the plan's shard assignment on (engine-owned, so process
+    workers persist across requests).  Without one the shard tasks run
+    inline, whatever backend the plan was compiled for.
 
     *semiring* switches the run to annotated semantics: the answer
     carries one value per row — an
@@ -554,32 +556,18 @@ def execute_plan(
     the () row's annotation is the query total).
     """
     stats = stats if stats is not None else EvalStats()
-    counts = plan.shard_counts
-    own = False
-    if backend is not None:
-        ctx = backend
-    elif plan.backend != "sequential" and any(
-        n > 1 for n in counts.values()
-    ):
-        ctx = make_backend(plan.backend, plan.workers)
-        own = True
-    else:
-        ctx = SEQUENTIAL
-    try:
-        with current_tracer().span(
-            "plan.execute",
-            query=plan.query.name,
-            backend=plan.backend,
-            nodes=len(plan.node_plans),
-        ) as sp:
-            answer = _execute_with_context(
-                plan, db, stats, deadline, ctx, counts, semiring
-            )
-            sp.set(rows=len(answer))
-        return answer
-    finally:
-        if own:
-            ctx.close()
+    ctx = backend if backend is not None else SEQUENTIAL
+    with current_tracer().span(
+        "plan.execute",
+        query=plan.query.name,
+        backend=plan.backend,
+        nodes=len(plan.node_plans),
+    ) as sp:
+        answer = _execute_with_context(
+            plan, db, stats, deadline, ctx, semiring
+        )
+        sp.set(rows=len(answer))
+    return answer
 
 
 def _execute_with_context(
@@ -588,7 +576,6 @@ def _execute_with_context(
     stats: EvalStats,
     deadline: float | None,
     ctx: ExecutionContext,
-    counts: dict[Atom, int],
     semiring: Semiring | None = None,
 ) -> Relation:
     node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
@@ -635,7 +622,9 @@ def _execute_with_context(
         }
 
     check_deadline(deadline, "Yannakakis passes")
-    operands = shard_relations(plan.join_tree, relations, counts, ctx)
+    operands = shard_relations(
+        plan.join_tree, relations, plan.shard_counts, ctx
+    )
     if plan.output or semiring is not None:
         # Annotated Boolean queries enumerate the 0-ary answer too: the
         # () row's annotation is the semiring total; boolean_eval's

@@ -116,14 +116,6 @@ class LiveEngine:
     engine:
         The planning :class:`repro.engine.Engine` (and with it the shared
         plan cache).  A private one is created when omitted.
-    backend:
-        Execution-backend kind (``"sequential"`` | ``"thread"`` |
-        ``"process"``) configured on the private planning engine —
-        affecting that engine's plans (shard assignment, and any ad hoc
-        ``execute`` calls made through it), not the views: view state is
-        seeded and maintained through the in-process delta-join
-        machinery, which never runs on an execution backend.  Ignored
-        when *engine* is supplied (the given engine's own backend wins).
     parallelism:
         With > 1, :meth:`apply` fans the effective delta out to the
         touched views over a worker pool, one task per view (views are
@@ -137,13 +129,10 @@ class LiveEngine:
         db: Database | None = None,
         engine: Engine | None = None,
         parallelism: int = 1,
-        backend: str | None = None,
     ):
         self.db = db if db is not None else Database()
         self._owns_engine = engine is None
-        self.engine = (
-            engine if engine is not None else Engine(backend=backend)
-        )
+        self.engine = engine if engine is not None else Engine()
         self.parallelism = max(1, parallelism)
         self._lock = threading.RLock()
         self._pool: ThreadPoolExecutor | None = None

@@ -36,7 +36,6 @@ example embed a server in one process.
 from __future__ import annotations
 
 import asyncio
-import heapq
 import logging
 import threading
 import time
@@ -48,7 +47,7 @@ from .._errors import ReproError
 from ..core.parser import parse_query
 from ..core.query import ConjunctiveQuery
 from ..db.database import Database
-from ..engine.executor import Engine
+from ..engine.executor import Engine, cheapest
 from ..incremental.delta import Delta
 from ..obs import get_registry
 from .admission import AdmissionController
@@ -598,18 +597,13 @@ class QueryServer:
                 if semiring is not None:
                     annotations = result.annotations or {}
                     if mode == "top_k":
-                        top = heapq.nsmallest(
-                            k,
-                            annotations.items(),
-                            key=lambda item: (item[1][0], repr(item[0])),
-                        )
                         payload["top"] = [
                             {
                                 "row": list(row),
                                 "cost": cost,
                                 "witness": [[p, list(r)] for p, r in witness],
                             }
-                            for row, (cost, witness) in top
+                            for row, cost, witness in cheapest(annotations, k)
                         ]
                     else:
                         payload["annotations"] = [

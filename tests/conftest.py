@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.atoms import Atom, Variable
+from repro.core.query import ConjunctiveQuery
 from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.db.stats import EvalStats
@@ -94,3 +96,22 @@ def assert_bag_contract(query, db, hd) -> int:
         if not node_plan.covered:
             assert bag == reference
     return sum(len(np.covered) for np in plan.node_plans)
+
+
+def star_query(n: int) -> ConjunctiveQuery:
+    """``e(C, X1), ..., e(C, Xn)`` — one hub, n rays (acyclic)."""
+    body = tuple(
+        Atom("e", (Variable("C"), Variable(f"X{i}"))) for i in range(1, n + 1)
+    )
+    return ConjunctiveQuery(body, (), f"star_{n}")
+
+
+def naive_reduced(query, db, rels):
+    """What the full reducer must leave at each node: the projection of
+    the full join onto the node's attributes."""
+    everything = tuple(sorted(query.variables, key=lambda v: v.name))
+    full = naive_join_eval(query.with_head(everything), db)
+    return {
+        node: full.project(list(rel.attributes)).rows
+        for node, rel in rels.items()
+    }

@@ -19,7 +19,6 @@ from repro.db.columnar import (
     Column,
     ColumnarRelation,
     RowsView,
-    column_from_payload,
     concat_columnar,
     default_layout,
     encode_column,
@@ -87,18 +86,18 @@ class TestEncodeColumn:
         assert col.kind == "i"
         assert list(col.values()) == [lo, hi, -1]
 
-    def test_payload_round_trip(self):
+    def test_pickle_round_trip(self):
         col = encode_column(("a", 1, "a"))
-        back = column_from_payload(col.payload())
+        back = pickle.loads(pickle.dumps(col))
         assert list(back.values()) == ["a", 1, "a"]
         assert back.kind == col.kind
 
 
 class TestColumn:
-    def test_take_and_select(self):
+    def test_take_and_compress(self):
         col = encode_column((10, 20, 30, 40))
         assert list(col.take([3, 0]).values()) == [40, 10]
-        assert list(col.select(bytes([1, 0, 0, 1])).values()) == [10, 40]
+        assert list(col.compress(bytes([1, 0, 0, 1])).values()) == [10, 40]
 
     def test_distinct(self):
         assert encode_column(("a", "b", "a")).distinct() == {"a", "b"}
@@ -191,11 +190,6 @@ class TestConversion:
     def test_zero_ary_stays_row(self):
         unit = Relation.trusted((), frozenset({()}), "unit")
         assert to_columnar(unit) is unit
-
-    def test_min_rows_gate(self):
-        r = rel(("a",), [(i,) for i in range(10)])
-        assert to_columnar(r, min_rows=100) is r
-        assert isinstance(to_columnar(r, min_rows=10), ColumnarRelation)
 
     def test_empty_relation(self):
         r = rel(("a", "b"), [])

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
-from repro.core.atoms import Atom, Variable
+from repro.core.atoms import Variable
 from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
 from repro.db import (
@@ -60,6 +60,7 @@ from repro.db.semiring import INT_RING
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
+from tests.conftest import naive_reduced, star_query
 
 SHARD_COUNTS = (1, 2, 7)
 BACKEND_KINDS = ("sequential", "thread", "process")
@@ -86,13 +87,6 @@ def tiny_shm_threshold():
     backend_mod.SHM_MIN_ROWS = saved
 
 
-def star_query(n: int) -> ConjunctiveQuery:
-    body = tuple(
-        Atom("e", (Variable("C"), Variable(f"X{i}"))) for i in range(1, n + 1)
-    )
-    return ConjunctiveQuery(body, (), f"star_{n}")
-
-
 def _with_head(query: ConjunctiveQuery, k: int = 2) -> ConjunctiveQuery:
     head = tuple(sorted(query.variables, key=lambda v: v.name)[:k])
     return query.with_head(head)
@@ -113,77 +107,10 @@ def _cut_columnar(tree, rels, shards, ctx):
     )
 
 
-def _naive_reduced(query, db, rels):
-    """What the full reducer must leave at each node: the projection of
-    the full join onto the node's attributes."""
-    everything = tuple(sorted(query.variables, key=lambda v: v.name))
-    full = naive_join_eval(query.with_head(everything), db)
-    return {
-        node: full.project(list(rel.attributes)).rows
-        for node, rel in rels.items()
-    }
-
-
 class TestOperatorEquivalence:
-    """Pairwise operator agreement on random relations: every mix of
-    row/columnar operands gives the row oracle's rows."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        domain=st.integers(1, 15),
-        n_left=st.integers(0, 60),
-        n_right=st.integers(0, 60),
-    )
-    def test_semijoin_and_join(self, seed, domain, n_left, n_right):
-        import random
-
-        rng = random.Random(seed)
-        left_rows = [
-            (rng.randrange(domain), rng.randrange(domain))
-            for _ in range(n_left)
-        ]
-        right_rows = [
-            (rng.randrange(domain), rng.randrange(domain))
-            for _ in range(n_right)
-        ]
-        from repro.db import Relation
-
-        left = Relation.from_rows(("a", "b"), left_rows, "l")
-        right = Relation.from_rows(("b", "c"), right_rows, "r")
-        cl, cr = to_columnar(left), to_columnar(right)
-
-        semi = left.semijoin(right)
-        joined = left.join(right)
-        for l_op in (left, cl):
-            for r_op in (right, cr):
-                if l_op is left and r_op is right:
-                    continue
-                assert l_op.semijoin(r_op).rows == semi.rows
-                out = l_op.join(r_op)
-                assert out.rows == joined.rows
-                assert out.attributes == joined.attributes
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        domain=st.integers(1, 12),
-        n=st.integers(0, 80),
-    )
-    def test_project(self, seed, domain, n):
-        import random
-
-        rng = random.Random(seed)
-        rows = [
-            (rng.randrange(domain), rng.randrange(domain), rng.randrange(domain))
-            for _ in range(n)
-        ]
-        from repro.db import Relation
-
-        r = Relation.from_rows(("a", "b", "c"), rows, "r")
-        c = to_columnar(r)
-        for attrs in (["a"], ["b"], ["a", "c"], ["c", "b", "a"], []):
-            assert c.project(attrs).rows == r.project(attrs).rows
+    """What the columnar kernels do beyond giving the row carrier's
+    answer (that, for every operator and every mix of carriers, is
+    ``test_carrier_protocol.py``)."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -243,9 +170,9 @@ class TestShardedColumnarEquivalence:
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
         assert seq_bool == naive_boolean_eval(query, db)
-        naive_reduced = _naive_reduced(query, db, rels)
+        reduced_oracle = naive_reduced(query, db, rels)
         for node in tree.nodes:
-            assert seq_reduced[node].rows == naive_reduced[node]
+            assert seq_reduced[node].rows == reduced_oracle[node]
         assert seq_answers.rows == naive_join_eval(query, db).rows
         for shards in SHARD_COUNTS:
             assert (
@@ -256,7 +183,7 @@ class TestShardedColumnarEquivalence:
                 tree, _cut_columnar(tree, rels, shards, ctx)
             )
             for node in tree.nodes:
-                assert par_reduced[node].rows == naive_reduced[node]
+                assert par_reduced[node].rows == reduced_oracle[node]
             assert (
                 enumerate_answers(
                     tree, _cut_columnar(tree, rels, shards, ctx), output
@@ -617,29 +544,6 @@ class TestWeightColumnEdges:
             assert {id(row) for row in view} == keys
             assert {id(row) for row in view.frozen()} == keys
             assert [weighted.annotations[row] for row in view] == [3] * 50
-
-    def test_inherited_row_operators_keep_the_annotations(self):
-        rows = [(1, 2), (1, 3), (2, 3)]
-        ann = AnnotatedRelation.lift(
-            Relation.from_rows(("a", "b"), rows, "r"), COUNTING,
-            dict(zip(rows, (5, 6, 7))),
-        )
-        weighted = lift_columnar(ann, COUNTING)
-        other = AnnotatedRelation.lift(
-            Relation.from_rows(("a", "b"), [(1, 2), (9, 9)], "s"), COUNTING
-        )
-        for got, want in (
-            (weighted.select_eq("a", 1), ann.select_eq("a", 1)),
-            (weighted.select(lambda r: r["b"] == 3),
-             ann.select(lambda r: r["b"] == 3)),
-            (weighted.rename({"a": "x"}), ann.rename({"a": "x"})),
-            (weighted.union(other), ann.union(other)),
-            (weighted.intersect(other), ann.intersect(other)),
-            (weighted.difference(other), ann.difference(other)),
-        ):
-            assert got == want and got.annotations == want.annotations
-        # ... and set semantics keeps Relation's own.
-        assert weighted.strip().select_eq("a", 1) == ann.strip().select_eq("a", 1)
 
     def test_empty_and_zero_ary_under_the_columnar_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_LAYOUT", "columnar")

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
-from repro.core.atoms import Atom, Variable
 from repro.core.query import ConjunctiveQuery
 from repro.db import (
     ProcessBackend,
@@ -47,6 +46,7 @@ from repro.db.backend import SEQUENTIAL
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
+from tests.conftest import naive_reduced, star_query
 
 SHARD_COUNTS = (1, 2, 7)
 BACKEND_KINDS = ("sequential", "thread", "process")
@@ -64,14 +64,6 @@ def contexts():
         ctx.close()
 
 
-def star_query(n: int) -> ConjunctiveQuery:
-    """``e(C, X1), ..., e(C, Xn)`` — one hub, n rays (acyclic)."""
-    body = tuple(
-        Atom("e", (Variable("C"), Variable(f"X{i}"))) for i in range(1, n + 1)
-    )
-    return ConjunctiveQuery(body, (), f"star_{n}")
-
-
 def _with_head(query: ConjunctiveQuery, k: int = 2) -> ConjunctiveQuery:
     head = tuple(sorted(query.variables, key=lambda v: v.name)[:k])
     return query.with_head(head)
@@ -85,17 +77,6 @@ def _tree_and_relations(query, db):
 def _cut(tree, rels, shards, ctx=SEQUENTIAL):
     """Every node's relation cut into *shards* pieces on *ctx*."""
     return shard_relations(tree, rels, dict.fromkeys(tree.nodes, shards), ctx)
-
-
-def _naive_reduced(query, db, rels):
-    """What the full reducer must leave at each node: the projection of
-    the full join onto the node's attributes."""
-    everything = tuple(sorted(query.variables, key=lambda v: v.name))
-    full = naive_join_eval(query.with_head(everything), db)
-    return {
-        node: full.project(list(rel.attributes)).rows
-        for node, rel in rels.items()
-    }
 
 
 class TestKernelEquivalence:
@@ -118,15 +99,15 @@ class TestKernelEquivalence:
         seq_reduced = full_reduce(tree, dict(rels))
         seq_answers = enumerate_answers(tree, dict(rels), output)
         assert seq_bool == naive_boolean_eval(query, db)
-        naive_reduced = _naive_reduced(query, db, rels)
+        reduced_oracle = naive_reduced(query, db, rels)
         for node in tree.nodes:
-            assert seq_reduced[node].rows == naive_reduced[node]
+            assert seq_reduced[node].rows == reduced_oracle[node]
         assert seq_answers.rows == naive_join_eval(query, db).rows
         for shards in SHARD_COUNTS:
             assert boolean_eval(tree, _cut(tree, rels, shards)) == seq_bool
             par_reduced = full_reduce(tree, _cut(tree, rels, shards))
             for node in tree.nodes:
-                assert par_reduced[node].rows == naive_reduced[node]
+                assert par_reduced[node].rows == reduced_oracle[node]
             assert (
                 enumerate_answers(tree, _cut(tree, rels, shards), output).rows
                 == seq_answers.rows
@@ -169,18 +150,18 @@ class TestKernelEquivalence:
         db = random_database(query, domain, tuples, seed=seed)
         tree, rels = _tree_and_relations(query, db)
 
-        naive_reduced = _naive_reduced(query, db, rels)
+        reduced_oracle = naive_reduced(query, db, rels)
         once = full_reduce(tree, dict(rels))
         twice = full_reduce(tree, dict(once))
         for node in tree.nodes:
-            assert once[node].rows == naive_reduced[node]
+            assert once[node].rows == reduced_oracle[node]
             assert twice[node].rows == once[node].rows
 
         par_once = full_reduce(tree, _cut(tree, rels, shards))
         par_twice = full_reduce(tree, _cut(tree, par_once, shards))
         for node in tree.nodes:
-            assert par_once[node].rows == naive_reduced[node]
-            assert par_twice[node].rows == naive_reduced[node]
+            assert par_once[node].rows == reduced_oracle[node]
+            assert par_twice[node].rows == reduced_oracle[node]
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -204,7 +185,7 @@ class TestBackendEquivalence:
         output = tuple(v.name for v in query.head_terms)
 
         naive_bool = naive_boolean_eval(query, db)
-        naive_reduced = _naive_reduced(query, db, rels)
+        reduced_oracle = naive_reduced(query, db, rels)
         naive_answers = naive_join_eval(query, db)
         assert boolean_eval(tree, dict(rels)) == naive_bool
         assert (
@@ -217,7 +198,7 @@ class TestBackendEquivalence:
             )
             par_reduced = full_reduce(tree, _cut(tree, rels, shards, ctx))
             for node in tree.nodes:
-                assert par_reduced[node].rows == naive_reduced[node]
+                assert par_reduced[node].rows == reduced_oracle[node]
             assert (
                 enumerate_answers(
                     tree, _cut(tree, rels, shards, ctx), output

@@ -75,20 +75,6 @@ class TestProject:
             r.project(["zzz"])
 
 
-class TestSelect:
-    def test_select_eq(self, r):
-        assert r.select_eq("a", 1).rows == {(1, 2), (1, 3)}
-
-    def test_select_predicate(self, r):
-        out = r.select(lambda row: row["b"] > row["a"] + 1)
-        assert out.rows == {(1, 3)}
-
-    def test_rename(self, r):
-        renamed = r.rename({"a": "x"})
-        assert renamed.attributes == ("x", "b")
-        assert renamed.rows == r.rows
-
-
 class TestJoin:
     def test_natural_join(self, r, s):
         out = r.join(s)
@@ -185,27 +171,6 @@ class TestSemijoin:
         keys = s.key_set(("b", "c"))
         assert keys == {(2, 10), (3, 11), (4, 12)}
         assert s.key_set(("b", "c")) is keys
-
-
-class TestSetOperations:
-    def test_union(self, r):
-        extra = Relation.from_rows(("a", "b"), [(9, 9)])
-        assert len(r.union(extra)) == 4
-
-    def test_union_schema_mismatch(self, r, s):
-        with pytest.raises(SchemaError):
-            r.union(s)
-
-    def test_intersect_difference(self, r):
-        other = Relation.from_rows(("a", "b"), [(1, 2), (9, 9)])
-        assert r.intersect(other).rows == {(1, 2)}
-        assert (9, 9) not in r.difference(other).rows
-
-    def test_reorder(self, r):
-        out = r.reorder(("b", "a"))
-        assert out.attributes == ("b", "a")
-        with pytest.raises(SchemaError):
-            r.reorder(("a",))
 
 
 class TestAlgebraicLaws:

@@ -401,28 +401,6 @@ class TestEmptyPartnerKeepsFlavour:
         finally:
             ctx.close()
 
-    def test_every_operand_empties_into_its_own_flavour(self):
-        from repro.db import Relation, ShardedRelation, to_columnar
-        from repro.db.columnar import ColumnarRelation
-
-        rows = [(i, i % 3) for i in range(9)]
-        plain = Relation.from_rows(("a", "b"), rows, "p")
-        nothing = Relation.empty(("b", "c"), "none")
-        annotated = AnnotatedRelation.lift(plain, COUNTING)
-        assert type(plain.semijoin(nothing)) is Relation
-        assert isinstance(annotated.semijoin(nothing), AnnotatedRelation)
-        assert isinstance(
-            to_columnar(plain).semijoin(nothing), ColumnarRelation
-        )
-        for rel in (plain, annotated, to_columnar(plain)):
-            out = ShardedRelation.shard(rel, "b", 3).semijoin(nothing)
-            assert isinstance(out, ShardedRelation) and not out
-            assert all(type(s) is type(rel) for s in out.shards)
-            assert type(out.to_relation()) is type(rel)
-            # ... and the plain-left / sharded-right case
-            empty_right = ShardedRelation.shard(nothing, "b", 3)
-            assert type(rel.semijoin(empty_right)) is type(rel)
-
 
 class TestWeightGenerators:
     def test_assign_weights_is_seeded_and_in_range(self):

@@ -44,7 +44,10 @@ class TestBooleanEval:
             "r(X, Y), s(Y, Z)",
             {"r": [(1, 2)], "s": [(2, 3)]},
         )
-        empty = {a: r.difference(r) for a, r in bound.relations.items()}
+        empty = {
+            a: r._no_rows(r.attributes, r.name)
+            for a, r in bound.relations.items()
+        }
         assert not boolean_eval(jt, empty)
 
     def test_semijoins_never_grow(self):

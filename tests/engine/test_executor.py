@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._errors import BudgetExceeded
+from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
@@ -61,6 +61,28 @@ class TestExecuteCorrectness:
         assert not first.cache_hit and second.cache_hit
         assert engine.decompositions == 1
         assert first.boolean and second.boolean
+
+
+class TestSchemaMismatch:
+    """A query atom whose arity is not its stored relation's fails
+    typed, wherever in the decomposition the atom sits: ``d(D,E)`` lands
+    in the 5-cycle's multi-part bag, whose compile-time estimates index
+    stored columns and used to die of a bare ``IndexError`` first."""
+
+    QUERY = "ans(A) :- a(A,B), b(B,C), c(C,D), d(D,E), e(E,A)."
+
+    @pytest.mark.parametrize("op", ["execute", "explain"])
+    @pytest.mark.parametrize("unary", "abcde")
+    def test_wrong_arity_is_an_evaluation_error(self, unary, op):
+        relations = {p: [(i, (i + 1) % 5) for i in range(5)] for p in "abcde"}
+        relations[unary] = [(i,) for i in range(5)]
+        db = Database.from_relations(relations)
+        with pytest.raises(
+            EvaluationError,
+            match=rf"atom {unary}\(.*\) has arity 2 but relation "
+            rf"'{unary}' has arity 1",
+        ):
+            getattr(Engine(), op)(parse_query(self.QUERY), db)
 
 
 class TestAmortizedWorkload:
@@ -204,21 +226,11 @@ class TestParallelism:
         assert par.answer.rows == seq.answer.rows
         assert par.answer.attributes == seq.answer.attributes
 
-    def test_per_call_override(self):
+    def test_execute_many_runs_on_the_engines_backend(self):
         db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
-        engine = Engine(backend="sequential")
-        result = engine.execute(
-            parse_query("e(X,Y), e(Y,Z), e(Z,X)"), db, backend="thread"
-        )
-        assert result.boolean
-
-    def test_execute_many_forwards_backend(self):
-        db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
-        engine = Engine()
         queries = [cycle_query(3, "e"), cycle_query(4, "e")]
-        batch = engine.execute_many(
-            queries, db=db, workers=2, backend="thread"
-        )
+        with Engine(backend="thread", shard_threshold=0) as engine:
+            batch = engine.execute_many(queries, db=db, workers=2)
         assert all(r.ok for r in batch)
         assert batch.results[0].boolean
 
@@ -236,11 +248,11 @@ class TestParallelism:
             backend="thread", backend_workers=2, shard_threshold=0
         ) as engine:
             engine.execute(query, db)
-            first = engine._backend_for("thread", 2)
+            first = engine._execution_context()
             engine.execute(query, db)
-            # one live context per (kind, width)
-            assert engine._backend_for("thread", 2) is first
-        assert engine._backends == {}  # closed on exit
+            # one live context, reused across requests
+            assert engine._execution_context() is first
+        assert engine._context is None  # closed on exit
         # the engine stays usable: the backend is recreated on demand
         assert engine.execute(query, db).boolean
         engine.close()
@@ -319,7 +331,7 @@ class TestProcessBackendLifecycle:
             seq = Engine(mode="heuristic").execute(query, db)
             par = engine.execute(query, db)
             assert par.answer.rows == seq.answer.rows
-            ctx = engine._backends[("process", 2)]
+            ctx = engine._context
             procs = list(ctx._procs)
             assert all(p.is_alive() for p in procs)
         assert all(not p.is_alive() for p in procs), "orphan workers"
@@ -332,7 +344,7 @@ class TestProcessBackendLifecycle:
             result = engine.execute(parse_query("e(X,Y), e(Y,Z)"), db)
             assert result.ok
             # tiny relations never shard, so no worker pool exists
-            assert engine._backends == {}
+            assert engine._context is None
 
 
 class TestExplain:

@@ -196,7 +196,7 @@ class TestFailureDumps:
             result = engine.execute(query, db)  # healthy: pool spins up
             assert len(result.answer) > 0
 
-            ctx = engine._backend_for("process", engine.backend_workers)
+            ctx = engine._execution_context()
             assert isinstance(ctx, ProcessBackend)
             procs = list(ctx._procs)
             procs[0].kill()
