@@ -9,8 +9,9 @@ pipeline (see the module docstrings for the theory each stage leans on):
 * :mod:`~repro.engine.cache` — a thread-safe LRU plan cache with
   hit/miss/eviction counters, transporting cached decompositions onto
   incoming queries through the Theorem A.7 relabelling maps;
-* :mod:`~repro.engine.plan` — physical plans: cardinality-driven join
-  orders and root choice compiled per database on top of Lemma 4.6;
+* :mod:`~repro.engine.plan` — physical plans: cost-chosen χ labels,
+  cardinality-driven join orders and root choice compiled per database
+  on top of Lemma 4.6;
 * :mod:`~repro.engine.executor` — the :class:`Engine` facade with
   ``execute`` / ``execute_many`` / ``explain``, per-request budgets and
   aggregated :class:`~repro.db.stats.EvalStats`.

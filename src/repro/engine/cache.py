@@ -15,7 +15,8 @@ decomposition onto the incoming query's atoms:
 Validity is preserved because Definition 4.1's conditions see atoms only
 through their variable sets; the independent GHTD checker re-certifies
 every transported plan anyway, so a bug in the isomorphism search can
-cost a cache miss but never a wrong answer.
+cost a cache miss but never a wrong answer.  A lookup for the stored
+query itself skips all of it: the stored tree is handed back as it is.
 
 Because 1-WL fingerprints can (rarely) collide for non-isomorphic
 shapes, each fingerprint maps to a *bucket* of entries; lookups try each
@@ -69,7 +70,16 @@ def transport_plan(
     entry: CachedPlan, query: ConjunctiveQuery
 ) -> HypertreeDecomposition | None:
     """Carry *entry*'s decomposition onto *query*, or ``None`` if the two
-    are not actually isomorphic (fingerprint collision or step cap)."""
+    are not actually isomorphic (fingerprint collision or step cap).
+
+    A request for the stored query itself — same atoms, whatever the
+    head — gets the stored tree under its own query: nothing is
+    transported, so there is no isomorphism to find and nothing to
+    re-certify (the tree is shared, and never mutated:
+    :meth:`~repro.core.hypertree.HypertreeDecomposition.complete`
+    copies)."""
+    if entry.query.atoms == query.atoms:
+        return HypertreeDecomposition(query, entry.decomposition.root)
     varmap = shape_isomorphism(entry.query, query)
     if varmap is None:
         return None

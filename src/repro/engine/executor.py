@@ -4,7 +4,8 @@ One object ties the repo's pieces into a pipeline callers no longer
 hand-wire per query::
 
     fingerprint → plan cache → (portfolio decompose on miss) →
-    physical plan (join orders, root, shard counts) → Yannakakis passes
+    physical plan (χ labels, join orders, root, shard counts) →
+    Yannakakis passes
 
 * :meth:`Engine.execute` answers one query against one database,
   returning an :class:`EvalResult` with the answer relation, per-request
@@ -477,8 +478,9 @@ class Engine:
         semiring: "Semiring | str | None" = None,
     ) -> str:
         """Render the chosen plan (cache provenance, join orders, root,
-        shard assignment) — with *semiring*, the plan an annotated
-        request of that semiring runs.
+        shard assignment, and per node the χ labels priced and
+        rejected) — with *semiring*, the plan an annotated request of
+        that semiring runs.
 
         With ``analyze=True`` (requires *db*) the query is executed once
         under a private tracer and the rendering is annotated with what

@@ -93,17 +93,28 @@ def fingerprint(query: ConjunctiveQuery) -> str:
     Invariant under variable renaming, predicate renaming, constant
     changes, and atom permutation.  Stable across processes (keyed
     hashing via blake2b, not Python's salted ``hash``).
+
+    A query is immutable, so the key is computed once per query object
+    and kept beside its other derived values (``variables``,
+    ``predicates``): a request reads it for the cache lookup, the
+    single-flight gate and the store.
     """
-    edges = _edges_of(query)
-    var_color, edge_color = refine_colors(edges)
-    payload = repr(
-        (
-            len(edges),
-            sorted((edge_color[i], len(e)) for i, e in enumerate(edges)),
-            sorted(var_color.values()),
+    derived = vars(query)
+    key = derived.get("_fingerprint")
+    if key is None:
+        edges = _edges_of(query)
+        var_color, edge_color = refine_colors(edges)
+        payload = repr(
+            (
+                len(edges),
+                sorted((edge_color[i], len(e)) for i, e in enumerate(edges)),
+                sorted(var_color.values()),
+            )
         )
-    )
-    return hashlib.blake2b(payload.encode(), digest_size=12).hexdigest()
+        key = derived["_fingerprint"] = hashlib.blake2b(
+            payload.encode(), digest_size=12
+        ).hexdigest()
+    return key
 
 
 def shape_isomorphism(
@@ -204,9 +215,11 @@ def _edge_matchings(edge, t_edge, varmap, inverse, s_vc, t_vc):
             claimed_targets.add(varmap[v])
         else:
             free_source.append(v)
-    free_target = [
+    # Sorted: *t_edge* is a set, and on a shape with automorphisms its
+    # iteration order would pick which automorph the search returns.
+    free_target = sorted(
         w for w in t_edge if w not in claimed_targets and w not in inverse
-    ]
+    )
     if len(free_source) != len(free_target) or len(edge) != len(t_edge):
         return
     if not free_source:

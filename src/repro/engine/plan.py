@@ -16,6 +16,31 @@ Lemma 4.6 pipeline:
   meet through a connecting atom instead of in a cross product.  The
   filtered bag is a subset of the literal Lemma 4.6 bag and a superset
   of ``π_χ`` of the full join, so the join of the bags is unchanged;
+* **per-node χ** — among decompositions of one width, χ(p) is free
+  anywhere between what connectedness forces and ``var(λ(p))``; the
+  cached decomposition sits wherever its search left it.  Before the
+  pipelines above are fixed, a node that joins more than one λ atom may
+  *grow* its χ by variables of ``var(λ(p))`` that a tree neighbour's χ
+  already holds.  That is sound: coverage (condition 1 of Definition
+  4.1) only gains from a larger χ, the added variable's nodes stay
+  connected because ``p`` is adjacent to one of them (2), it lies in
+  ``var(λ(p))`` (3), and every ancestor already had it in ``χ(T_q)``
+  through that neighbour (4); λ is untouched, so the result is a
+  decomposition of the same width and Lemma 4.6 applies verbatim —
+  :func:`~repro.heuristics.validate.check_decomposition` re-certifies
+  every relabelled plan anyway.  It is *cost-chosen*, per node and per
+  request, because it is not monotone: a larger χ covers more atoms
+  (the 5-cycle's ``{c5b(B,C), c5d(D,E)}`` node holds ``{B,C,E}``, gains
+  D, covers ``c5c(C,D)`` and joins a path instead of multiplying:
+  11 690 rows become 880), but it also joins wider parts — adding P0 to
+  ``book_query(2)``'s second page doubled the request.  A candidate
+  (each addable variable alone, and all of them) is priced by the *sum
+  of its pipeline's estimated intermediates* and kept only if strictly
+  cheaper; the paper's normal form (Definition 5.1, condition 3:
+  ``var(λ(s)) ∩ χ(r) ⊆ χ(s)``) is the always-grow end of the same
+  range.  The plan carries the relabelled decomposition, so bags, join
+  tree, annotation carriers and views all read one χ; the cached
+  decomposition is never touched;
 * **root choice** — the join tree over the materialised bags is re-rooted
   at the bag with the largest estimated cardinality, so the full
   reducer's bottom-up sweep filters the biggest relation with every
@@ -52,7 +77,9 @@ shard task is never interrupted mid-flight).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..core.atoms import Atom, Variable
 from ..core.hypertree import HTNode, HypertreeDecomposition
@@ -69,6 +96,7 @@ from ..db.semiring import Semiring
 from ..db.sharded import shard_relations
 from ..db.stats import CardinalityEstimator, EvalStats
 from ..db.yannakakis import boolean_eval, enumerate_answers
+from ..heuristics.validate import assert_valid
 from ..obs import Tracer, current_tracer, get_registry
 
 #: Estimated bag cardinality below which a node is never sharded: the
@@ -91,6 +119,14 @@ class NodePlan:
     #: The members of ``join_order`` that are not λ atoms of the node but
     #: query atoms its χ covers, joined in as filters (rendered ``⋉``).
     covered: frozenset[Atom] = frozenset()
+    #: The members of ``chi_names`` this plan added to the χ label of
+    #: the decomposition it was compiled from (rendered ``+D``).
+    grown: tuple[str, ...] = ()
+    #: Every χ label priced for this node, as ``(variables added to the
+    #: literal χ, Σ estimated intermediates of its pipeline)`` — the
+    #: literal χ first, as ``()``; the one whose variables are ``grown``
+    #: was chosen.  Empty for a node that never entered the search.
+    candidates: tuple[tuple[tuple[str, ...], float], ...] = ()
 
     def describe(self) -> str:
         steps = "".join(
@@ -100,12 +136,31 @@ class NodePlan:
                 zip(self.join_order, self.atom_estimates)
             )
         )
-        chi = ", ".join(self.chi_names)
+        chi = ", ".join(
+            f"+{v}" if v in self.grown else v for v in self.chi_names
+        )
         shards = f" ×{self.n_shards} shards" if self.n_shards > 1 else ""
         layout = " [columnar]" if self.layout == "columnar" else ""
         return (
             f"{self.bag.predicate}: π[{chi}]({steps or 'unit'}) "
             f"≈{int(self.estimated_rows)} rows{shards}{layout}"
+        )
+
+    def describe_candidates(self) -> str:
+        """The χ label chosen for a node that entered the search and the
+        ones rejected, each with its estimated pipeline cost."""
+        def label(added: tuple[str, ...]) -> str:
+            return ", ".join(f"+{v}" for v in added) or "literal χ"
+
+        rejected = ", ".join(
+            f"{label(added)} ≈{int(cost)}"
+            for added, cost in self.candidates
+            if added != self.grown
+        )
+        chosen = dict(self.candidates)[self.grown]
+        return (
+            f"{self.bag.predicate}: {'grew' if self.grown else 'kept'} "
+            f"{label(self.grown)} ≈{int(chosen)}; rejected {rejected}"
         )
 
 
@@ -180,6 +235,12 @@ class QueryPlan:
         for np in self.node_plans:
             marker = " <- root" if np.bag == self.join_tree.root else ""
             lines.append(f"  {np.describe()}{marker}")
+        considered = [np for np in self.node_plans if np.candidates]
+        if considered:
+            lines.append(
+                "χ per node (estimated pipeline cost, Σ intermediate rows):"
+            )
+            lines.extend(f"  {np.describe_candidates()}" for np in considered)
         lines.append("join tree (semijoin + enumeration passes):")
         lines.append(self.join_tree.render())
         return "\n".join(lines)
@@ -261,9 +322,14 @@ def _bag_pipeline(
     covered: list[Atom],
     chi: frozenset[Variable],
     estimator: CardinalityEstimator,
-) -> tuple[list[Atom], list[float], float]:
+) -> tuple[list[Atom], list[float], float, float]:
     """Greedy join order of one bag pipeline, each part's estimated
-    size, and the estimated size of the bag.
+    size, the estimated size of the bag, and the pipeline's estimated
+    cost: the sum of its intermediates, the running join after every
+    step — what :func:`~repro.db.evaluate.bag_relation` records as
+    tuples produced, and what a χ label is chosen by (the final size is
+    the wrong objective: a bag estimated at no rows at all can sit
+    behind a four-digit intermediate).
 
     Connectivity and sizes are taken over ``var(A) ∩ χ``: the rest is
     projected away before the join and connects nothing.  Start from
@@ -283,7 +349,7 @@ def _bag_pipeline(
         for a, v, k in zip(parts, variables, kept)
     ]
     if len(parts) == 1:  # nothing to order: every node of an acyclic plan
-        return parts, size, size[0]
+        return parts, size, size[0], size[0]
     label = [str(a) for a in parts]
     domain = estimator.domain_size
     seen: frozenset[Variable] = frozenset()
@@ -299,13 +365,108 @@ def _bag_pipeline(
     remaining = list(range(len(parts)))
     order: list[int] = []
     bag_rows = 1.0
+    cost = 0.0
     while remaining:
         i = min(remaining, key=preference)
         remaining.remove(i)
         order.append(i)
         bag_rows = estimator.join_rows(bag_rows, seen, size[i], kept[i], domain)
+        cost += bag_rows
         seen |= kept[i]
-    return [parts[i] for i in order], [size[i] for i in order], bag_rows
+    return [parts[i] for i in order], [size[i] for i in order], bag_rows, cost
+
+
+class _Pipeline(NamedTuple):
+    """One node's bag pipeline under one χ label (see
+    :func:`_bag_pipeline` for the last four fields)."""
+
+    covered: list[Atom]
+    order: list[Atom]
+    sizes: list[float]
+    rows: float
+    cost: float
+
+
+def _node_pipeline(
+    lam: frozenset[Atom],
+    chi: frozenset[Variable],
+    query_atoms: list[tuple[Atom, frozenset[Variable]]],
+    estimator: CardinalityEstimator,
+) -> _Pipeline:
+    """The pipeline of a node labelled ``(χ, λ)``: its contributing λ
+    atoms (those with a variable in χ — the Lemma 4.6 case split) and,
+    when it joins more than one of them, the query atoms χ covers."""
+    contributing = [
+        a for a in lam if (a.variables & chi) or not a.variables
+    ]
+    # The covered atoms: A ∉ λ(p) with ∅ ≠ var(A) ⊆ χ(p).  A
+    # single-part node stays a view of its base relation; only a
+    # pipeline that joins anyway is given them.
+    covered = [
+        a
+        for a, variables in query_atoms
+        if variables and variables <= chi and a not in lam
+    ] if len(contributing) > 1 else []
+    return _Pipeline(
+        covered, *_bag_pipeline(contributing, covered, chi, estimator)
+    )
+
+
+def _grow_chi(
+    nodes: list[HTNode],
+    tree_edges: list[tuple[int, int]],
+    chis: list[frozenset[Variable]],
+    pipelines: list[_Pipeline],
+    query_atoms: list[tuple[Atom, frozenset[Variable]]],
+    estimator: CardinalityEstimator,
+) -> dict[int, dict[frozenset[Variable], float]]:
+    """Choose each multi-part node's χ by estimated pipeline cost.
+
+    A node may add any variable of ``var(λ(p))`` that a tree neighbour's
+    χ already holds (see the module docstring for why the result is
+    still a decomposition of the same width).  Its candidates are every
+    single such variable and all of them together; the cheapest replaces
+    the current label only if it is strictly cheaper.  A variable a node
+    added is new to its neighbours, so they — and nobody else — are
+    looked at again.  *tree_edges* are the tree's (parent, child) pairs
+    as indices into *nodes*.  Updates *chis* and *pipelines* in place;
+    returns, per node that priced anything, variables added to the
+    literal χ → estimated cost, the literal label first."""
+    neighbours: list[list[int]] = [[] for _ in nodes]
+    for parent, child in tree_edges:
+        neighbours[parent].append(child)
+        neighbours[child].append(parent)
+    priced: dict[int, dict[frozenset[Variable], float]] = {}
+    queue = deque(i for i, pl in enumerate(pipelines) if len(pl.order) > 1)
+    multi_part = frozenset(queue)
+    while queue:
+        i = queue.popleft()
+        p, chi = nodes[i], chis[i]
+        held = frozenset().union(*(chis[j] for j in neighbours[i]))
+        addable = sorted((p.lambda_variables - chi) & held)
+        if not addable:
+            continue
+        costs = priced.setdefault(i, {frozenset(): pipelines[i].cost})
+        options = [frozenset({v}) for v in addable]
+        if len(addable) > 1:
+            options.append(frozenset(addable))
+        for extra in options:
+            added = (chi | extra) - p.chi
+            if added in costs:  # priced on an earlier visit, and rejected
+                continue
+            candidate = _node_pipeline(
+                p.lam, chi | extra, query_atoms, estimator
+            )
+            costs[added] = candidate.cost
+            if candidate.cost < pipelines[i].cost:
+                chis[i], pipelines[i] = chi | extra, candidate
+        if chis[i] is not chi:
+            queue.extend(
+                j
+                for j in (i, *neighbours[i])
+                if j in multi_part and j not in queue
+            )
+    return priced
 
 
 def compile_plan(
@@ -321,11 +482,15 @@ def compile_plan(
 ) -> QueryPlan:
     """Compile *hd* into a physical plan against *db*.
 
-    The decomposition is completed (Lemma 4.4) if necessary, each node's
-    bag pipeline is ordered by the database's cardinality estimates, and
-    the mirrored join tree is re-rooted at the largest estimated bag.
-    With ``db=None`` (an ``explain`` without facts) all estimates are 1
-    and the plan falls back to deterministic syntactic order.
+    The decomposition is completed (Lemma 4.4) if necessary, each
+    multi-atom node's χ is chosen and each node's bag pipeline ordered
+    by the database's cardinality estimates, and the mirrored join tree
+    is re-rooted at the largest estimated bag.  The plan's
+    ``decomposition`` is the completed *hd* under the chosen χ labels;
+    *hd* itself is left as it is.
+    With ``db=None`` (an ``explain`` without facts) all estimates are 1,
+    χ stays literal and the plan falls back to deterministic syntactic
+    order.
 
     *backend* selects the execution backend kind (``"sequential"``,
     ``"thread"``, ``"process"``) and *workers* its width; with a parallel
@@ -389,6 +554,9 @@ def _compile_plan_traced(
 
     nodes = complete.nodes
     node_ids = {id(n): i for i, n in enumerate(nodes)}
+    tree_edges = [
+        (i, node_ids[id(c)]) for i, p in enumerate(nodes) for c in p.children
+    ]
     # Distinct atoms in query order, so the covered set of a node does
     # not depend on set iteration order.
     query_atoms = [(a, a.variables) for a in dict.fromkeys(query.atoms)]
@@ -399,28 +567,32 @@ def _compile_plan_traced(
         for atom, _ in query_atoms:
             if db.has_predicate(atom.predicate):
                 check_arity(atom, db)
-    fresh: dict[int, Atom] = {}
-    plans: list[NodePlan] = []
-    for i, p in enumerate(nodes):
-        chi_names = tuple(sorted(v.name for v in p.chi))
-        contributing = [
-            a
-            for a in p.lam
-            if (a.variables & p.chi) or not a.variables
-        ]
-        # The covered atoms: A ∉ λ(p) with ∅ ≠ var(A) ⊆ χ(p).  A
-        # single-part node stays a view of its base relation; only a
-        # pipeline that joins anyway is given them.
-        covered = [
-            a
-            for a, variables in query_atoms
-            if variables and variables <= p.chi and a not in p.lam
-        ] if len(contributing) > 1 else []
-        order, estimates, bag_rows = _bag_pipeline(
-            contributing, covered, p.chi, estimator
+    chis = [p.chi for p in nodes]
+    pipelines = [
+        _node_pipeline(p.lam, p.chi, query_atoms, estimator) for p in nodes
+    ]
+    priced: dict[int, dict[frozenset[Variable], float]] = {}
+    # Without a database every estimate is 1 and nothing can be cheaper;
+    # a plan of single-part nodes (every acyclic one) has nothing to grow.
+    if db is not None and any(len(pl.order) > 1 for pl in pipelines):
+        priced = _grow_chi(
+            nodes, tree_edges, chis, pipelines, query_atoms, estimator
         )
+        grown = sum(len(chi - p.chi) for chi, p in zip(chis, nodes))
+        if grown:
+            chi_of = {id(p): chi for p, chi in zip(nodes, chis)}
+            complete = assert_valid(
+                complete.map_nodes(lambda n: (chi_of[id(n)], n.lam)),
+                f"χ growth on {query.name}",
+            )
+            get_registry().counter("plan.chi_grown").inc(grown)
+    fresh: list[Atom] = []
+    plans: list[NodePlan] = []
+    for i, (p, chi, pipeline) in enumerate(zip(nodes, chis, pipelines)):
+        chi_names = tuple(sorted(v.name for v in chi))
+        bag_rows = pipeline.rows
         bag = Atom(f"n{i}", tuple(Variable(v) for v in chi_names))
-        fresh[i] = bag
+        fresh.append(bag)
         n_shards = (
             workers
             if backend != "sequential"
@@ -436,19 +608,21 @@ def _compile_plan_traced(
         )
         plans.append(
             NodePlan(
-                bag, chi_names, tuple(order), bag_rows, tuple(estimates),
+                bag, chi_names, tuple(pipeline.order), bag_rows,
+                tuple(pipeline.sizes),
                 n_shards=n_shards, layout=node_layout,
-                covered=frozenset(covered),
+                covered=frozenset(pipeline.covered),
+                grown=tuple(sorted(v.name for v in chi - p.chi)),
+                candidates=tuple(
+                    (tuple(sorted(v.name for v in added)), cost)
+                    for added, cost in priced.get(i, {}).items()
+                ),
             )
         )
 
-    edges = [
-        (fresh[i], fresh[node_ids[id(c)]])
-        for i, p in enumerate(nodes)
-        for c in p.children
-    ]
+    edges = [(fresh[i], fresh[j]) for i, j in tree_edges]
     root = max(plans, key=lambda np: (np.estimated_rows, np.bag.predicate)).bag
-    jt = join_tree_from_edges([fresh[i] for i in range(len(nodes))], edges, root)
+    jt = join_tree_from_edges(fresh, edges, root)
 
     head = tuple(
         dict.fromkeys(
@@ -494,7 +668,8 @@ def _materialise_bag(
     otherwise); the ``plan.layout_columnar`` /
     ``plan.layout_row`` counters record which path each bag actually
     took, ``plan.bag_filters`` counts the covered atoms joined in as
-    filters, and a single-atom node's span says whether its bind reused
+    filters (the span also says how many χ variables the plan grew into
+    the node), and a single-atom node's span says whether its bind reused
     the base relation's snapshot or had to (re)build part of it —
     the cost of a read after a write."""
     check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
@@ -507,6 +682,7 @@ def _materialise_bag(
         est=int(np.estimated_rows),
         shards=np.n_shards,
         filters=len(np.covered),
+        grown=len(np.grown),
     ) as sp:
         rel = bag_relation(
             np.join_order, p.chi, np.bag.predicate, db, stats,

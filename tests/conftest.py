@@ -13,6 +13,7 @@ from repro.db.stats import EvalStats
 from repro.engine.plan import _materialise_bag, compile_plan
 from repro.generators.families import random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q3, q4, q5
+from repro.heuristics.validate import check_decomposition
 
 
 @pytest.fixture
@@ -76,17 +77,21 @@ def tiny_queries():
 def assert_bag_contract(query, db, hd) -> int:
     """The contract between a compiled plan's bags and Lemma 4.6.
 
-    Per node: the plan's bag is a subset of the literal bag
-    ``π_χ(⋈ λ)`` (what ``lemma46_transform`` builds), a superset of
+    The plan's decomposition — *hd* with the χ labels the compile chose
+    — is a valid decomposition of *hd*'s width.  Per node: the plan's
+    bag is a subset of the literal bag ``π_χ(⋈ λ)`` (what
+    ``lemma46_transform`` builds over that decomposition), a superset of
     ``π_χ`` of the query's full join (so ``⋈ bags`` is unchanged), and
     equal to the literal bag when no covered atom was joined in.
     Returns how many covered filters the plan placed."""
-    literal = lemma46_transform(query, db, hd).relations
+    plan = compile_plan(query, db, hd)
+    assert check_decomposition(plan.decomposition) == []
+    assert plan.decomposition.width == hd.width
+    literal = lemma46_transform(query, db, plan.decomposition).relations
     everything = naive_join_eval(
         query.with_head(tuple(sorted(query.variables, key=lambda v: v.name))),
         db,
     )
-    plan = compile_plan(query, db, hd)
     for node_plan, p in zip(plan.node_plans, plan.decomposition.nodes):
         bag = _materialise_bag(node_plan, p, db, EvalStats(), None)
         reference = literal[node_plan.bag]

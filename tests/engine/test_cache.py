@@ -2,7 +2,9 @@
 
 import threading
 
+import repro.engine.cache as cache_module
 from repro.core.atoms import Variable
+from repro.core.query import ConjunctiveQuery
 from repro.engine.cache import PlanCache, transport_plan, CachedPlan
 from repro.engine.fingerprint import fingerprint
 from repro.generators.families import book_query, cycle_query, path_query
@@ -34,6 +36,55 @@ class TestTransport:
         result = decompose(base, mode="heuristic")
         entry = CachedPlan(base, result.decomposition, result.width, result.method)
         assert transport_plan(entry, cycle_query(6)) is None
+
+
+class TestIdentityHits:
+    """A request for the stored query itself is handed the stored tree:
+    no isomorphism search, no transport, no re-check."""
+
+    def test_the_stored_tree_comes_back_under_the_requests_query(
+        self, monkeypatch
+    ):
+        def searched(*args):
+            raise AssertionError("an identity hit searched for an isomorphism")
+
+        cache = PlanCache(maxsize=8)
+        base = book_query(2)
+        stored = _store_shape(cache, base).decomposition
+        monkeypatch.setattr(cache_module, "shape_isomorphism", searched)
+        monkeypatch.setattr(cache_module, "check_decomposition", searched)
+        for request in (
+            base,
+            book_query(2),  # equal atoms, another object
+            base.with_head(tuple(sorted(base.variables)[:2])),
+        ):
+            hit = cache.lookup(request)
+            assert hit.decomposition.root is stored.root
+            assert hit.decomposition.query is request
+            assert hit.width == stored.width
+        assert cache.hits == 3 and cache.misses == 0
+
+    def test_a_sibling_tag_is_promoted_without_a_transport(self, monkeypatch):
+        cache = PlanCache(maxsize=8)
+        base = cycle_query(5)
+        stored = _store_shape(cache, base).decomposition
+        monkeypatch.setattr(
+            cache_module, "check_decomposition",
+            lambda hd: ["an identity hit was re-checked"],
+        )
+        hit = cache.lookup(base, "count")
+        assert hit is not None and cache.promotions == 1
+        assert hit.decomposition.root is stored.root
+
+    def test_a_reordered_body_is_still_transported(self):
+        cache = PlanCache(maxsize=8)
+        base = cycle_query(4)
+        stored = _store_shape(cache, base).decomposition
+        shuffled = ConjunctiveQuery(base.atoms[::-1], (), "shuffled")
+        hit = cache.lookup(shuffled)
+        assert hit is not None
+        assert hit.decomposition.root is not stored.root
+        assert check_decomposition(hit.decomposition) == []
 
 
 class TestLookupStore:

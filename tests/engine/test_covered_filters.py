@@ -65,10 +65,13 @@ class TestOrdering:
 
     def order(self, lam, covered, chi, db=None):
         chi = frozenset(v for a in _atoms(chi) for v in a.variables)
-        got, sizes, _ = _bag_pipeline(
+        got, sizes, rows, cost = _bag_pipeline(
             list(_atoms(lam)), list(_atoms(covered)) if covered else [],
             chi, CardinalityEstimator(db),
         )
+        # The cost sums the running join after every step, so it is at
+        # least the first part plus the bag.
+        assert cost >= sizes[0] + rows
         return [str(a) for a in got], sizes
 
     def test_a_bridge_connects_a_cross_product(self):

@@ -53,6 +53,45 @@ class TestInvariance:
         assert fingerprint(q1) == fingerprint(q2)
 
 
+class TestOncePerQuery:
+    def test_a_request_refines_colours_once(self, monkeypatch):
+        """Lookup, the single-flight gate key and the store all need the
+        key; a query is immutable, so it is derived once per object."""
+        import importlib
+
+        from repro.engine import Engine
+
+        # (`repro.engine.fingerprint` the attribute is the function.)
+        module = importlib.import_module("repro.engine.fingerprint")
+        from repro.generators.workloads import random_database
+
+        calls = []
+        refine = module.refine_colors
+
+        def counted(edges):
+            calls.append(len(edges))
+            return refine(edges)
+
+        monkeypatch.setattr(module, "refine_colors", counted)
+        query = path_query(4)  # acyclic: the miss runs no isomorphism
+        with Engine() as engine:
+            db = random_database(query, 6, 12, seed=1)
+            assert not engine.execute(query, db).cache_hit  # miss + store
+            assert engine.execute(query, db).cache_hit
+        assert calls == [len(query.atoms)]
+        assert fingerprint(query) == fingerprint(path_query(4))
+        assert len(calls) == 2  # an equal query is another object
+
+    def test_the_key_survives_pickling_and_ignores_equality(self):
+        import pickle
+
+        query = cycle_query(5)
+        key = fingerprint(query)
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query and hash(clone) == hash(query)
+        assert fingerprint(clone) == key
+
+
 class TestDiscrimination:
     def test_distinguishes_sizes_and_families(self):
         shapes = [
