@@ -22,6 +22,7 @@ from repro.heuristics import (
     greedy_upper_bound,
     is_valid_ghtd,
 )
+from repro.obs import get_registry
 
 
 @pytest.mark.parametrize("n", [10, 30, 60])
@@ -69,6 +70,19 @@ def test_portfolio_auto_q5(benchmark):
     q = q5()
     result = benchmark(decompose, q, mode="auto")
     assert result.width == 2 and result.optimal
+
+
+def test_portfolio_closed_bracket_cycle60(benchmark):
+    """A closed bracket is not searched: the greedy width of a long cycle
+    meets the lower bound, so the local search runs no round.  The gate is
+    that count, not a time."""
+    q = cycle_query(60)
+    rounds = get_registry().counter("decompose.improve_rounds")
+    before = rounds.value
+    result = benchmark(decompose, q, mode="auto")
+    assert result.width == 2 and result.optimal
+    assert rounds.value == before
+    benchmark.extra_info["atoms"] = 60
 
 
 def test_exact_vs_heuristic_cycle12(benchmark):

@@ -26,6 +26,7 @@ from .bounds import (
 )
 from .improve import improve_ordering
 from .ordering_decomp import (
+    CoverTable,
     bags_from_ordering,
     ghtd_from_ordering,
     greedy_cover,
@@ -41,6 +42,7 @@ from .portfolio import MODES, PortfolioResult, decompose
 from .validate import assert_valid, check_decomposition, is_valid_ghtd
 
 __all__ = [
+    "CoverTable",
     "MODES",
     "ORDERING_METHODS",
     "PortfolioResult",

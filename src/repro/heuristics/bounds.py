@@ -34,7 +34,7 @@ from ..core.hypertree import HypertreeDecomposition
 from ..core.query import ConjunctiveQuery
 from ..graphs.primal import Graph, primal_graph
 from ..graphs.treewidth import degeneracy_lower_bound
-from .ordering_decomp import ghtd_from_ordering
+from .ordering_decomp import CoverTable, ghtd_from_ordering
 from .orderings import ORDERING_METHODS, elimination_ordering
 
 
@@ -43,33 +43,48 @@ class UpperBound:
     """A witnessed width upper bound: the decomposition *is* the proof.
 
     ``order`` is the elimination ordering that produced it, so downstream
-    consumers (the local search) can start from it without recomputing.
+    consumers (the local search) can start from it without recomputing;
+    ``orderings`` counts the portfolio orderings built to find it.
     """
 
     width: int
     method: str
     decomposition: HypertreeDecomposition
     order: tuple
+    orderings: int
 
 
 def greedy_upper_bound(
     query: ConjunctiveQuery,
     methods: tuple[str, ...] = ORDERING_METHODS,
     graph: Graph | None = None,
+    table: CoverTable | None = None,
+    lower: int = 0,
 ) -> UpperBound:
-    """The best ordering-heuristic GHTD over the portfolio *methods*."""
+    """The best ordering-heuristic GHTD over the portfolio *methods*.
+
+    *lower* is a sound lower bound on the width, if the caller has one:
+    the portfolio stops at the first ordering that meets it.  No later
+    ordering could be strictly narrower, so the winner is the one the
+    full scan returns.
+    """
     if not query.atoms:
         raise ValueError("cannot bound the width of an empty query")
     if graph is None:
         graph = primal_graph(query)
-    best: UpperBound | None = None
-    for method in methods:
+    if table is None:
+        table = CoverTable(query.atoms)
+    best: tuple[HypertreeDecomposition, str, list] | None = None
+    for built, method in enumerate(methods, 1):
         order = elimination_ordering(graph, method)
-        hd = ghtd_from_ordering(query, order=order, graph=graph)
-        if best is None or hd.width < best.width:
-            best = UpperBound(hd.width, method, hd, tuple(order))
+        hd = ghtd_from_ordering(query, order=order, graph=graph, table=table)
+        if best is None or hd.width < best[0].width:
+            best = hd, method, order
+            if hd.width <= lower:
+                break
     assert best is not None
-    return best
+    hd, method, order = best
+    return UpperBound(hd.width, method, hd, tuple(order), built)
 
 
 def acyclicity_lower_bound(query: ConjunctiveQuery) -> int:
@@ -77,20 +92,27 @@ def acyclicity_lower_bound(query: ConjunctiveQuery) -> int:
     return 1 if is_acyclic(query) else 2
 
 
-def degree_lower_bound(query: ConjunctiveQuery) -> int:
+def degree_lower_bound(
+    query: ConjunctiveQuery, graph: Graph | None = None
+) -> int:
     """``⌈(degeneracy(G(Q)) + 1) / max-arity⌉`` — the treewidth-transfer
-    bound described in the module docstring."""
+    bound described in the module docstring.  *graph* is the query's
+    primal graph, when the caller already holds it."""
     if not query.atoms:
         return 0
     max_vars = max(len(a.variables) for a in query.atoms)
     if max_vars == 0:
         return 1
-    degeneracy = degeneracy_lower_bound(primal_graph(query))
+    if graph is None:
+        graph = primal_graph(query)
+    degeneracy = degeneracy_lower_bound(graph)
     return max(1, math.ceil((degeneracy + 1) / max_vars))
 
 
-def lower_bound(query: ConjunctiveQuery) -> int:
+def lower_bound(query: ConjunctiveQuery, graph: Graph | None = None) -> int:
     """The best trivial lower bound on ``hw(Q)`` (and on ``ghw(Q)``)."""
     if not query.atoms:
         return 0
-    return max(acyclicity_lower_bound(query), degree_lower_bound(query))
+    return max(
+        acyclicity_lower_bound(query), degree_lower_bound(query, graph)
+    )

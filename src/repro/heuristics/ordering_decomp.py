@@ -23,7 +23,7 @@ the GHTD sense is checked by :mod:`repro.heuristics.validate`.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .._errors import DecompositionError
 from ..core.atoms import Atom, Variable
@@ -106,30 +106,71 @@ def bags_from_ordering(
     return bags, children, roots
 
 
+class CoverTable:
+    """A query's atoms indexed for :func:`greedy_cover`, built once.
+
+    The atoms are sorted by rendering (stably, so atoms that render alike
+    keep their body order) and each carries its variable set as a bitmask
+    over the query's variable *names* — the vertices of the primal graph,
+    so an elimination bag needs no translation.  Position is then the
+    greedy cover's tie-break and a gain is one ``&`` and a popcount: the
+    cover chosen is the one the definition gives, without re-rendering and
+    re-collecting every atom at every step of every bag.
+    """
+
+    __slots__ = ("atoms", "masks", "bit")
+
+    def __init__(self, atoms: Iterable[Atom]):
+        self.atoms: list[Atom] = sorted(atoms, key=str)
+        self.bit: dict[str, int] = {}
+        self.masks: list[int] = []
+        for a in self.atoms:
+            mask = 0
+            for t in a.terms:
+                if isinstance(t, Variable):
+                    mask |= self.bit.setdefault(t.name, 1 << len(self.bit))
+            self.masks.append(mask)
+
+    def cover(self, names: Collection[str]) -> list[Atom]:
+        """The greedy cover of the variables named *names*, in the order
+        its atoms were chosen."""
+        bit = self.bit
+        uncovered = 0
+        try:
+            for name in names:
+                uncovered |= bit[name]
+        except KeyError:
+            missing = ", ".join(sorted(n for n in names if n not in bit))
+            raise DecompositionError(
+                f"variables {{{missing}}} are not covered by any atom"
+            ) from None
+        # Every bit belongs to some atom, so each step gains at least one.
+        live = [(m, i) for i, m in enumerate(self.masks) if m & uncovered]
+        chosen: list[Atom] = []
+        while uncovered:
+            best, best_gain = -1, 0
+            for m, i in live:
+                gain = (m & uncovered).bit_count()
+                if gain > best_gain:  # strict: the earliest position wins
+                    best, best_gain = i, gain
+            chosen.append(self.atoms[best])
+            uncovered &= ~self.masks[best]
+        return chosen
+
+
 def greedy_cover(
-    target: frozenset[Variable], atoms: Sequence[Atom]
+    target: Iterable[Variable], atoms: Sequence[Atom] | CoverTable
 ) -> frozenset[Atom]:
     """A greedy set cover of *target* by atom variable sets.
 
     Repeatedly picks the atom covering the most still-uncovered variables
     (ties broken by rendering, for determinism).  Raises
     :class:`DecompositionError` if some target variable occurs in no atom.
+    Callers covering many targets with one query's atoms pass its
+    :class:`CoverTable` as *atoms*.
     """
-    uncovered = set(target)
-    chosen: list[Atom] = []
-    while uncovered:
-        best = min(
-            atoms, key=lambda a: (-len(a.variables & uncovered), str(a))
-        )
-        gain = best.variables & uncovered
-        if not gain:
-            names = ", ".join(sorted(v.name for v in uncovered))
-            raise DecompositionError(
-                f"variables {{{names}}} are not covered by any atom"
-            )
-        chosen.append(best)
-        uncovered -= gain
-    return frozenset(chosen)
+    table = atoms if isinstance(atoms, CoverTable) else CoverTable(atoms)
+    return frozenset(table.cover([v.name for v in target]))
 
 
 def _query_bags(
@@ -150,18 +191,22 @@ def ghtd_from_ordering(
     order: Sequence[Hashable] | None = None,
     method: str = "min_fill",
     graph: Graph | None = None,
+    table: CoverTable | None = None,
 ) -> HypertreeDecomposition:
     """Build a GHTD of *query* from an elimination ordering.
 
     *order* enumerates the primal-graph vertices (variable **names**); when
-    omitted it is computed by the named ordering heuristic.  *graph* lets
-    callers that already hold the primal graph (the bounds/improve/portfolio
-    pipeline) avoid rebuilding it.  The result always satisfies GHTD
-    conditions 1–3 (asserted by the property tests through
+    omitted it is computed by the named ordering heuristic.  *graph* and
+    *table* let callers that already hold the query's primal graph and
+    :class:`CoverTable` (the bounds/improve/portfolio pipeline) avoid
+    rebuilding them.  The result always satisfies GHTD conditions 1–3
+    (asserted by the property tests through
     :mod:`repro.heuristics.validate`).
     """
     if not query.atoms:
         raise ValueError("cannot decompose an empty query")
+    if table is None:
+        table = CoverTable(query.atoms)
     variable_of = {v.name: v for v in query.variables}
     bags, children, roots = _query_bags(query, order, method, graph)
 
@@ -178,10 +223,9 @@ def ghtd_from_ordering(
         while stack:
             v, expanded = stack.pop()
             if expanded:
-                chi = frozenset(variable_of[name] for name in bags[v])
                 built[v] = HTNode(
-                    chi,
-                    greedy_cover(chi, query.atoms),
+                    (variable_of[name] for name in bags[v]),
+                    table.cover(bags[v]),
                     (built[c] for c in children[v]),
                 )
                 continue
@@ -200,25 +244,20 @@ def ordering_width(
     query: ConjunctiveQuery,
     order: Sequence[Hashable],
     graph: Graph | None = None,
+    table: CoverTable | None = None,
 ) -> int:
     """The GHTD width induced by *order* (max greedy-cover size over bags).
 
     Cheaper than :func:`ghtd_from_ordering` — no tree objects are built —
     and used as the objective of the :mod:`repro.heuristics.improve` local
-    search (which passes *graph* to skip rebuilding the primal graph every
-    round).
+    search (which passes *graph* and *table* to skip rebuilding the primal
+    graph and the cover table every round).
     """
     if not query.atoms:
         raise ValueError("cannot decompose an empty query")
-    variable_of = {v.name: v for v in query.variables}
+    if table is None:
+        table = CoverTable(query.atoms)
     bags, _, _ = _query_bags(query, order, "min_fill", graph)
     if not bags:
         return 1
-    return max(
-        len(
-            greedy_cover(
-                frozenset(variable_of[name] for name in bag), query.atoms
-            )
-        )
-        for bag in bags.values()
-    )
+    return max(len(table.cover(bag)) for bag in bags.values())

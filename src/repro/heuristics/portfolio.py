@@ -17,6 +17,11 @@ plugs into.  The three modes:
   if the exact search exhausts its ``budget`` the best checker-validated
   heuristic decomposition is returned instead of failing.
 
+Both heuristic modes are bracket-driven: the lower bound is computed
+first, on the one primal graph the call builds, and every search below it
+— further portfolio orderings, local-search rounds, exact ``k`` — runs
+only while its width could still come down.
+
 Every returned decomposition — including exact ones — passes the
 independent :mod:`repro.heuristics.validate` checker before it leaves
 this module.
@@ -39,11 +44,11 @@ from ..core.detkdecomp import Strategy, decompose_k, hypertree_width
 from ..core.hypergraph import Hypergraph
 from ..core.hypertree import HypertreeDecomposition
 from ..core.query import ConjunctiveQuery
-from ..graphs.primal import primal_graph
+from ..graphs.primal import Graph, primal_graph
 from ..obs import current_tracer, get_registry
 from .bounds import greedy_upper_bound, lower_bound
 from .improve import improve_ordering
-from .ordering_decomp import ghtd_from_ordering
+from .ordering_decomp import CoverTable, ghtd_from_ordering
 from .validate import assert_valid
 
 Mode = Literal["exact", "heuristic", "auto"]
@@ -83,28 +88,41 @@ def _heuristic(
     seed: int,
     improve_rounds: int,
     deadline: float | None,
-) -> tuple[HypertreeDecomposition, str]:
+    graph: Graph,
+    lower: int,
+) -> tuple[HypertreeDecomposition, str, int, int]:
     """Best ordering-pipeline GHTD: portfolio of orderings + local search.
 
-    The primal graph is built once and the winning ordering is reused as
-    the local search's starting point.
+    The cover table is built once and shared by every ordering and every
+    round; the winning ordering is the local search's starting point.
+    Nothing is searched below *lower*: the portfolio stops at the first
+    ordering that meets it and the local search runs only while the
+    bracket is open.  Also returns what was searched: the number of
+    orderings built and of local-search rounds run.
     """
-    graph = primal_graph(query)
-    ub = greedy_upper_bound(query, graph=graph)
+    table = CoverTable(query.atoms)
+    ub = greedy_upper_bound(query, graph=graph, table=table, lower=lower)
     hd, method = ub.decomposition, f"heuristic[{ub.method}]"
-    if improve_rounds > 0 and ub.width > 1:
-        better_order, better_width = improve_ordering(
+    rounds = 0
+    if improve_rounds > 0 and ub.width > lower:
+        found = improve_ordering(
             query,
             ub.order,
             rounds=improve_rounds,
             seed=seed,
             deadline=deadline,
             graph=graph,
+            table=table,
+            lower=lower,
         )
+        rounds = found.rounds
+        better_order, better_width = found
         if better_width < ub.width:
-            hd = ghtd_from_ordering(query, order=better_order, graph=graph)
+            hd = ghtd_from_ordering(
+                query, order=better_order, graph=graph, table=table
+            )
             method = f"heuristic[{ub.method}+improve]"
-    return hd, method
+    return hd, method, ub.orderings, rounds
 
 
 def decompose(
@@ -131,7 +149,8 @@ def decompose(
     seed:
         Seed of the (deterministic) ordering local search.
     improve_rounds:
-        Local-search rounds; 0 disables the improvement phase.
+        Cap on the local-search rounds run while the heuristic width is
+        above the lower bound; 0 disables the improvement phase.
     strategy:
         Candidate-pool strategy forwarded to the exact search.
     """
@@ -179,10 +198,19 @@ def decompose(
                 )
             return result(hd, "exact", True, width, width)
 
-        with tracer.span("decompose.heuristic", seed=seed) as hspan:
-            hd, method = _heuristic(query, seed, improve_rounds, deadline)
-            hspan.set(method=method, width=hd.width)
-        lower = lower_bound(query)
+        graph = primal_graph(query)
+        lower = lower_bound(query, graph)
+        with tracer.span(
+            "decompose.heuristic", seed=seed, lower=lower
+        ) as hspan:
+            hd, method, orderings, rounds = _heuristic(
+                query, seed, improve_rounds, deadline, graph, lower
+            )
+            hspan.set(
+                method=method, width=hd.width,
+                orderings=orderings, rounds=rounds,
+            )
+        get_registry().counter("decompose.improve_rounds").inc(rounds)
         if mode == "heuristic":
             return result(hd, method, hd.width <= lower, lower, hd.width)
 

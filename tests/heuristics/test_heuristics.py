@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._errors import DecompositionError
 from repro.core.acyclicity import is_acyclic
+from repro.core.atoms import Atom, Constant, Variable
 from repro.core.detkdecomp import hypertree_width
 from repro.core.hypertree import HypertreeDecomposition, node
 from repro.generators.families import (
@@ -20,6 +22,7 @@ from repro.generators.paper_queries import all_named_queries, qn
 from repro.graphs.primal import primal_graph
 from repro.heuristics import (
     ORDERING_METHODS,
+    CoverTable,
     bags_from_ordering,
     check_decomposition,
     elimination_ordering,
@@ -110,7 +113,68 @@ class TestBagsFromOrdering:
             assert not bags[p] <= bags[v]
 
 
+def definitional_cover(target, atoms):
+    """The greedy cover as its definition reads — every atom's variable
+    set and rendering recomputed at every step.  The oracle for the
+    table-driven :func:`greedy_cover`."""
+    uncovered = set(target)
+    chosen = []
+    while uncovered:
+        best = min(
+            atoms, key=lambda a: (-len(a.variables & uncovered), str(a))
+        )
+        gain = best.variables & uncovered
+        if not gain:
+            names = ", ".join(sorted(v.name for v in uncovered))
+            raise DecompositionError(
+                f"variables {{{names}}} are not covered by any atom"
+            )
+        chosen.append(best)
+        uncovered -= gain
+    return frozenset(chosen)
+
+
+_COVER_TERMS = st.sampled_from(
+    [Variable(name) for name in ("A", "B", "C", "D", "E", "X1", "X10")]
+    + [Constant(1), Constant("a")]
+)
+# Few predicates and few variables: bodies repeat predicates (even whole
+# atoms) and most steps tie on gain, so the rendering decides.
+_COVER_BODIES = st.lists(
+    st.builds(
+        Atom,
+        st.sampled_from(["e", "p", "p1"]),
+        st.lists(_COVER_TERMS, min_size=1, max_size=4).map(tuple),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
 class TestGreedyCover:
+    @settings(max_examples=300, deadline=None)
+    @given(body=_COVER_BODIES, data=st.data())
+    def test_table_cover_is_the_definitional_cover(self, body, data):
+        occurring = sorted({v for a in body for v in a.variables})
+        target = frozenset(
+            data.draw(st.lists(st.sampled_from(occurring), unique=True))
+            if occurring
+            else ()
+        )
+        expected = definitional_cover(target, body)
+        assert greedy_cover(target, body) == expected
+        assert greedy_cover(target, CoverTable(body)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=_COVER_BODIES)
+    def test_uncoverable_target_raises_like_the_definition(self, body):
+        target = frozenset({Variable("A"), Variable("B"), Variable("ZZ")})
+        with pytest.raises(DecompositionError) as expected:
+            definitional_cover(target, body)
+        with pytest.raises(DecompositionError) as got:
+            greedy_cover(target, body)
+        assert str(got.value) == str(expected.value)
+
     def test_covers_exactly(self, query_q5):
         target = query_q5.variables
         cover = greedy_cover(target, query_q5.atoms)
@@ -118,8 +182,6 @@ class TestGreedyCover:
         assert target <= covered
 
     def test_uncoverable_raises(self, query_q1):
-        from repro.core.atoms import Variable
-
         with pytest.raises(DecompositionError):
             greedy_cover(frozenset({Variable("ZZZ")}), query_q1.atoms)
 
