@@ -17,7 +17,7 @@ decomposition labels, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Union
 
 
@@ -75,24 +75,43 @@ class Atom:
         The relation name this atom refers to.
     terms:
         The ordered argument list.  Arity is ``len(terms)``.
+    variables:
+        ``var(A)``: the set of variables occurring in this atom (derived
+        from ``terms``, not a constructor argument).
     """
 
     predicate: str
     terms: tuple[Term, ...]
+    # Memoised at construction: an atom is a dict key of every sweep, of
+    # the join tree and of the estimator, and ``var(A)`` is read per
+    # tree edge.  Neither takes part in equality, ``repr`` or pickling.
+    _hash: int = field(init=False, repr=False, compare=False)
+    variables: frozenset[Variable] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(self.terms, tuple):
             object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "_hash", hash((self.predicate, self.terms)))
+        object.__setattr__(
+            self,
+            "variables",
+            frozenset(t for t in self.terms if isinstance(t, Variable)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # The hash of a ``str`` is per-process, so the memo must not
+        # travel: the receiving side constructs, and so recomputes.
+        return Atom, (self.predicate, self.terms)
 
     @property
     def arity(self) -> int:
         """Number of argument positions."""
         return len(self.terms)
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        """``var(A)``: the set of variables occurring in this atom."""
-        return frozenset(t for t in self.terms if isinstance(t, Variable))
 
     @property
     def constants(self) -> frozenset[Constant]:

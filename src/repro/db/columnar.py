@@ -25,8 +25,12 @@ in a single ``array(map(...))`` sweep, joins collect matched position
 pairs and materialise output columns without ever allocating per-row
 tuples, and dictionary columns get a pool-level fast path (membership
 is decided once per *distinct* value, then rows are selected by integer
-code).  Because the buffers support the buffer protocol they also ship
-zero-copy through ``multiprocessing.shared_memory`` — see
+code).  Between two columnar relations a semijoin builds no key set at
+all: the membership mask comes from the two sides' buffers, column
+against column (:func:`_np_semijoin_mask`); the key set is for row
+receivers, shard broadcasts and the pairs of columns only Python
+equality can compare.  Because the buffers support the buffer protocol
+they also ship zero-copy through ``multiprocessing.shared_memory`` — see
 :mod:`repro.db.shm` — so process-backend workers attach partitions by
 name instead of decoding row tuples.
 
@@ -191,25 +195,79 @@ def _np_member_mask(view, karr):
     return _np.isin(view, karr)
 
 
-def _np_row_keys(cols: Sequence["Column"]):
-    """One int64 per row, equal exactly where the rows are: each
-    column's raw ints (values or dictionary codes) as a digit of a
-    mixed-radix number over that column's range.  ``None`` for float
-    columns and for ranges whose product leaves int64 — the caller's
-    tuple path handles those."""
-    keys = None
+def _np_radix_keys(*sides):
+    """One int64 per row of every side, equal exactly where the rows
+    are — across sides too.  A side is one int64 view per attribute
+    (raw ints, or dictionary codes in one code space per attribute);
+    each attribute is a digit of a mixed-radix number over the range
+    its values span on all sides together.  ``None`` when that number
+    leaves int64, decided on Python ints before any array subtracts."""
+    keys = [None] * len(sides)
     radix = 1
-    for col in cols:
-        if col.kind == "f":
-            return None
-        view = _np_view(col)
-        lo = int(view.min())
-        span = int(view.max()) - lo + 1
+    for views in zip(*sides):
+        lo = min(int(view.min()) for view in views)
+        span = max(int(view.max()) for view in views) - lo + 1
         radix *= span
         if radix >= 1 << 62:
             return None
-        keys = view - lo if keys is None else keys * span + (view - lo)
+        keys = [
+            view - lo if key is None else key * span + (view - lo)
+            for key, view in zip(keys, views)
+        ]
     return keys
+
+
+def _np_row_keys(cols: Sequence["Column"]):
+    """One int64 per row, equal exactly where the rows are (values or
+    dictionary codes as the digits of :func:`_np_radix_keys`).  ``None``
+    for float columns and for ranges whose product leaves int64 — the
+    caller's tuple path handles those."""
+    if any(col.kind == "f" for col in cols):
+        return None
+    keys = _np_radix_keys([_np_view(col) for col in cols])
+    return None if keys is None else keys[0]
+
+
+def _np_codes_in(col: "Column", space: "Column"):
+    """The codes of dictionary column *col* in the code space of
+    *space*'s pool — one small pass over the *pools*, never the rows,
+    and none at all when the two share a pool (views of one base
+    relation do).  A value *space* does not hold becomes -1, which is
+    no code, so it simply never matches."""
+    if col.pool is space.pool:
+        return _np_view(col)
+    code_of = {v: c for c, v in enumerate(space.pool)}
+    trans = _np.fromiter(
+        (code_of.get(v, -1) for v in col.pool),
+        _np.int64,
+        count=len(col.pool),
+    )
+    return trans[_np_view(col)]
+
+
+def _np_semijoin_mask(mine: Sequence["Column"], theirs: Sequence["Column"]):
+    """Which rows of *mine* have a partner in *theirs* (aligned key
+    columns of two non-empty relations), buffer against buffer: the
+    partner's raw column is the key array — not distinct, not sorted,
+    no Python object per key.  Dictionary columns compare in *mine*'s
+    code space; several attributes become one int64 per row on both
+    sides.  ``None`` where only Python equality can decide
+    (``1 == 1.0 == True``) or no int64 key exists: kinds that differ, a
+    float column in a multi-attribute key, a joint radix past int64."""
+    views, partners = [], []
+    for col, partner in zip(mine, theirs):
+        if col.kind != partner.kind:
+            return None
+        views.append(_np_view(col))
+        partners.append(
+            _np_codes_in(partner, col) if col.kind == "o" else _np_view(partner)
+        )
+    if len(mine) == 1:
+        return _np_member_mask(views[0], partners[0])
+    if any(col.kind == "f" for col in mine):
+        return None
+    keys = _np_radix_keys(views, partners)
+    return None if keys is None else _np_member_mask(*keys)
 
 
 def _np_groups(keys):
@@ -641,6 +699,32 @@ class ColumnarRelation(Relation):
         return cached
 
     # -- relational algebra -----------------------------------------------
+    def _semijoin_probe(
+        self, shared: tuple[str, ...], other: Relation
+    ) -> Relation:
+        """A columnar partner is probed where it lies: the membership
+        mask comes straight from the two sides' column buffers
+        (:func:`_np_semijoin_mask`) and no key set is built.  Any other
+        partner — and any pair of columns only Python equality can
+        compare — is asked for its key set, as on the row carrier."""
+        if _np is not None and isinstance(other, ColumnarRelation):
+            mask = _np_semijoin_mask(
+                [self.columns[self._position(a)] for a in shared],
+                [other.columns[other._position(a)] for a in shared],
+            )
+            if mask is not None:
+                return self._keep(mask, int(_np.count_nonzero(mask)))
+        return super()._semijoin_probe(shared, other)
+
+    def _keep(self, mask, survivors: int) -> "ColumnarRelation":
+        """What a semijoin returns for *mask*: the receiver itself when
+        every row survives, else the *survivors* it selects."""
+        if survivors == self.length:
+            return self
+        if not survivors:
+            return self._no_rows(self.attributes, self.name)
+        return self._select_rows(mask, survivors)
+
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> Relation:
@@ -667,8 +751,6 @@ class ColumnarRelation(Relation):
                     ok = [c for c in used.tolist() if pool[c] in keys]
                     if len(ok) == used.size:
                         return self
-                    if not ok:
-                        return self._take_rows(())
                     mask = _np_member_mask(
                         view, _np.fromiter(ok, _np.int64, count=len(ok))
                     )
@@ -677,31 +759,19 @@ class ColumnarRelation(Relation):
                     if karr is not None:
                         mask = _np_member_mask(_np_view(col), karr)
                 if mask is not None:
-                    survivors = int(mask.sum())
-                    if survivors == self.length:
-                        return self
-                    if not survivors:
-                        return self._take_rows(())
-                    return self._select_rows(mask, survivors)
+                    return self._keep(mask, int(_np.count_nonzero(mask)))
             if col.kind == "o":
                 used = set(data)
                 pool = col.pool
                 ok = {c for c in used if pool[c] in keys}
                 if len(ok) == len(used):
                     return self
-                if not ok:
-                    return self._take_rows(())
                 mask = bytes(map(ok.__contains__, data))
             else:
                 mask = bytes(map(keys.__contains__, data))
         else:
             mask = bytes(map(keys.__contains__, self._key_values(shared)))
-        survivors = mask.count(1)
-        if survivors == self.length:
-            return self
-        if not survivors:
-            return self._take_rows(())
-        return self._select_rows(mask, survivors)
+        return self._keep(mask, mask.count(1))
 
     def join(self, other: Relation, name: str | None = None) -> Relation:
         other = other.to_relation()  # a sharded partner joins coalesced
@@ -1008,28 +1078,16 @@ def _np_probe_join(
     keys expand without a Python loop: the flattened ranges come from
     ``repeat``/``cumsum`` arithmetic), and gather every output column
     with numpy fancy indexing.  Dictionary key columns first translate
-    probe codes into the build pool's code space (one small pass over
-    the *pools*, never the rows).  Returns ``None`` when the key kinds
+    probe codes into the build pool's code space
+    (:func:`_np_codes_in`).  Returns ``None`` when the key kinds
     don't line up — the caller's generic path keeps Python equality
     semantics for those."""
     bcol = build.columns[build._position(key)]
     pcol = probe.columns[probe._position(key)]
-    if bcol.kind == "o" and pcol.kind == "o":
-        bk = _np_view(bcol)
-        code_of = {v: c for c, v in enumerate(bcol.pool)}
-        # -1 never appears as a build code, so untranslatable probe
-        # values simply never match.
-        trans = _np.fromiter(
-            (code_of.get(v, -1) for v in pcol.pool),
-            _np.int64,
-            count=len(pcol.pool),
-        )
-        pk = trans[_np_view(pcol)]
-    elif bcol.kind == pcol.kind and bcol.kind != "o":
-        bk = _np_view(bcol)
-        pk = _np_view(pcol)
-    else:
+    if bcol.kind != pcol.kind:
         return None
+    bk = _np_view(bcol)
+    pk = _np_codes_in(pcol, bcol) if bcol.kind == "o" else _np_view(pcol)
     order = _np.argsort(bk)
     direct = False
     if bk.dtype == _np.int64:

@@ -26,7 +26,9 @@ pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
   the schema and the tuples; ``n_shards`` — 1 unless cut in pieces;
 * ``semijoin(other)`` — ⋉: the rows with a join partner in *other*.
   Never grows, returns the receiver itself when nothing is filtered,
-  and reads of *other* only ``bool``, ``attributes`` and ``key_set``;
+  and reads of *other* only ``bool`` and ``attributes`` before handing
+  it to the receiver's probe hook (``_semijoin_probe``, under *Pieces*),
+  which by default asks it for nothing but ``key_set``;
 * ``join(other, name=None)`` — natural join ⋈ on the shared attribute
   names; the schema is the receiver's attributes, then the partner's
   others.  Annotations multiply with ``times``;
@@ -42,6 +44,12 @@ pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
 classes, which are also what a shard holds) add for the sharded kernel
 and for atom binding:
 
+* ``_semijoin_probe(shared, other)`` — the last line of ``semijoin``:
+  filter the receiver against the *partner*, both non-empty, *shared*
+  non-empty.  The default is ``semijoin_with_keys(shared,
+  other.key_set(shared))`` and works against any operand; a columnar
+  receiver answers a columnar partner column-against-column instead
+  (no key set is built) and reads its ``columns``;
 * ``semijoin_with_keys(shared, keys)`` — the semijoin probe against a
   prebuilt key set (the broadcast mode: one set for all shards);
 * ``relabel(attributes, name)`` — the same tuples under another schema,
@@ -348,14 +356,11 @@ class Relation:
 
         This is the workhorse of Yannakakis' algorithm — it never grows
         the relation, which is why acyclic evaluation stays polynomial.
-        The probe set over the shared attributes is memoised on *other*
-        (:meth:`key_set`), an empty input on either side short-circuits
-        without scanning, and a semijoin that filters nothing returns
-        ``self`` itself so downstream operations keep its memoised hash
-        structures.  Of *other* only ``bool``, ``attributes`` and
-        ``key_set`` are used, so the partner may be sharded.  Written
+        An empty input on either side short-circuits without scanning,
+        and a semijoin that filters nothing returns ``self`` itself so
+        downstream operations keep its memoised hash structures.  Written
         once for every single-piece carrier: what differs between them
-        is the probe, :meth:`semijoin_with_keys`.
+        is the probe, :meth:`_semijoin_probe`.
         """
         if not self:
             return self
@@ -368,6 +373,15 @@ class Relation:
         if not shared:
             # Every row has a partner: identity (other is non-empty).
             return self
+        return self._semijoin_probe(shared, other)
+
+    def _semijoin_probe(
+        self, shared: tuple[str, ...], other: "Relation"
+    ) -> "Relation":
+        """Filter against the partner itself (both sides non-empty,
+        *shared* non-empty).  The probe set over the shared attributes
+        is memoised on *other* (:meth:`key_set`) and nothing else of it
+        is read, so the partner may be sharded."""
         return self.semijoin_with_keys(shared, other.key_set(shared))
 
     def semijoin_with_keys(

@@ -357,9 +357,9 @@ class ShardedRelation:
             ctx.prefers_relation_scatter(other)
         ):
             # Shm-eligible columnar partner: ship the relation itself
-            # (zero-copy segment) and let each worker build — and
-            # memoise — the key set locally, instead of pickling the
-            # key set through the queues.
+            # (zero-copy segment) and let each worker probe its column
+            # buffers in place, instead of pickling a key set through
+            # the queues.
             ref = ctx.scatter(other)
             tasks = [(shard, ref) for shard in self.shards]
             shards = ctx.map_shards(

@@ -1,5 +1,11 @@
 """Unit tests for terms and atoms (paper §2.1)."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +85,41 @@ class TestAtom:
     def test_terms_coerced_to_tuple(self):
         a = Atom("r", [Variable("X")])  # type: ignore[arg-type]
         assert isinstance(a.terms, tuple)
+
+    def test_memoised_hash_does_not_cross_a_process_boundary(self):
+        """``hash(str)`` is per-process, so an atom's memoised hash must
+        be recomputed where it is unpickled: an atom from an interpreter
+        under another ``PYTHONHASHSEED`` is found as a dict key here, and
+        one pickled here is found there."""
+        mine = Atom("enrolled", (Variable("S"), Constant("cs"), Constant(3)))
+        child = (
+            "import pickle, sys\n"
+            "from repro.core.atoms import Atom, Constant, Variable\n"
+            "theirs = pickle.loads(sys.stdin.buffer.read())\n"
+            "own = Atom('enrolled', (Variable('S'), Constant('cs'), Constant(3)))\n"
+            "assert {own: 1}[theirs] == 1 and theirs in {own}\n"
+            "assert theirs.variables == own.variables\n"
+            "sys.stdout.buffer.write(pickle.dumps((own, hash(own))))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        seen = set()
+        for hash_seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", child],
+                input=pickle.dumps(mine), capture_output=True, check=True,
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": str(src),
+                },
+            ).stdout
+            theirs, their_hash = pickle.loads(out)
+            assert {mine: 1}[theirs] == 1 and theirs in {mine}
+            assert hash(theirs) == hash(mine)
+            seen.add(their_hash)
+        # The two children really hashed differently, so at least one of
+        # them differs from this process: the memo cannot have travelled.
+        assert len(seen) == 2
 
 
 class TestAtomHelper:

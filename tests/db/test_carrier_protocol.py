@@ -16,6 +16,7 @@ back unnoticed.
 """
 
 import inspect
+import itertools
 import re
 
 import pytest
@@ -173,7 +174,7 @@ class TestOperands:
         self, ctx, flavour, shards, data
     ):
         semiring, l_weights, r_weights = data
-        l_attrs, r_attrs = ("a", "b"), ("b", "c")
+        l_attrs = ("a", "b")
         # Cut on the shared attribute, like the partners: 3 shards meet
         # a 3-shard partner pairwise and everything else by broadcast.
         left = build(
@@ -181,12 +182,13 @@ class TestOperands:
         )
         l_model = model(flavour, l_weights, semiring)
         row_left = Relation.from_rows(l_attrs, l_weights, "l")
-        row_right = Relation.from_rows(r_attrs, r_weights, "r")
-        for r_flavour, r_shards in (
-            *((f, None) for f in FLAVOURS), ("row", 3), ("annotated", 3)
+        for (r_flavour, r_shards), r_attrs in itertools.product(
+            (*((f, None) for f in FLAVOURS), ("row", 3), ("annotated", 3)),
+            (("b", "c"), ("b", "a")),  # one shared attribute, and two
         ):
             if r_flavour == "weighted" and not rides_buffers(semiring):
                 continue
+            row_right = Relation.from_rows(r_attrs, r_weights, "r")
             right = build(
                 r_flavour, r_shards, r_attrs, r_weights, "r", semiring, ctx
             )
@@ -249,7 +251,11 @@ class TestOperands:
             build(flavour, None, ("a", "b"), weights, "r", COUNTING, ctx)
         )
         nothing = Relation.empty(("b", "c"), "none")
-        for partner in (nothing, ShardedRelation.shard(nothing, "b", 3, ctx)):
+        for partner in (
+            nothing,
+            to_columnar(nothing),
+            ShardedRelation.shard(nothing, "b", 3, ctx),
+        ):
             out = rel.semijoin(partner)
             check(out, ("a", "b"), {}, flavour in ANNOTATED, "r")
             assert type(out) is type(rel)

@@ -8,6 +8,11 @@ row run and with naive evaluation (the reference that shares no code
 with the sweep) across every execution backend (inline / thread pool /
 worker processes) × shard count in {1, 2, 7}.
 
+``TestSemijoinOnBuffers`` is the semijoin's own property: a columnar
+receiver filters against a columnar partner column-against-column, and
+must keep Python equality (``1 == 1.0 == True``) by handing every pair
+of columns it cannot compare as machine numbers to the key-set probe.
+
 The same holds with a weight column: ``TestWeightedColumnarEquivalence``
 checks weighted columnar ≡ ``AnnotatedRelation`` ≡ a brute-force fold /
 ``naive_annotated_eval`` across backends, shard counts and key-column
@@ -50,6 +55,7 @@ from repro.db import (
 from repro.db import backend as backend_mod
 from repro.db import columnar as columnar_mod
 from repro.db.annotated import AnnotatedRelation, naive_annotated_eval
+from repro.db.backend import default_backend_kind
 from repro.db.columnar import (
     ColumnarRelation,
     lift_columnar,
@@ -57,6 +63,7 @@ from repro.db.columnar import (
     weighted_view,
 )
 from repro.db.semiring import INT_RING
+from repro.db.sharded import ShardedRelation
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
@@ -85,6 +92,11 @@ def tiny_shm_threshold():
     backend_mod.SHM_MIN_ROWS = 1
     yield
     backend_mod.SHM_MIN_ROWS = saved
+
+
+needs_numpy = pytest.mark.skipif(
+    columnar_mod._np is None, reason="vectorised kernels need numpy"
+)
 
 
 def _with_head(query: ConjunctiveQuery, k: int = 2) -> ConjunctiveQuery:
@@ -144,6 +156,171 @@ class TestOperatorEquivalence:
         assert len(out) == len(r)
         for attr, col in zip(out.attributes, out.columns):
             assert col is c.columns[c.attributes.index(attr)]
+
+
+#: What a key column may hold, one entry per encoding it lands in (or
+#: straddles): int64 / float64 buffers, dictionary codes, values equal
+#: across types, ints at and past the int64 boundary (2**63 and 2**64
+#: dictionary-encode a column, -2**63 does not), and int64 columns so
+#: wide that no joint radix key exists.
+KEY_DOMAINS = {
+    "int": (0, 1, 2, 3),
+    "float": (0.0, 1.0, 2.5, -0.0),
+    "bool": (True, False),
+    "str": ("a", "b", "1"),
+    "mixed": (1, 1.0, True, 0, None, "a"),
+    "big": (0, 1, 2**62, -(2**62), 2**63, -(2**63), 2**64),
+    "wide": (0, 1, 2**62, -(2**62), 2**63 - 1, -(2**63)),
+}
+
+
+@st.composite
+def semijoin_pairs(draw):
+    """``(attributes, rows)`` of a receiver and a partner sharing 1-3
+    key attributes; each side's key columns draw from their own domain
+    half the time (kinds that differ) and from the same one otherwise."""
+    shared = tuple(f"k{i}" for i in range(draw(st.integers(1, 3))))
+    names = st.sampled_from(sorted(KEY_DOMAINS))
+    domains = [draw(names) for _ in shared]
+    sides = []
+    for extra in ("l", "r"):
+        columns = [
+            st.sampled_from(KEY_DOMAINS[name]) for name in domains
+        ]
+        rows = draw(
+            st.lists(st.tuples(*columns, st.integers(0, 2)), max_size=40)
+        )
+        sides.append((shared + (extra,), rows))
+        if draw(st.booleans()):
+            domains = [draw(names) for _ in shared]
+    return sides
+
+
+class TestSemijoinOnBuffers:
+    """columnar ⋉ columnar ≡ row ⋉ row, whatever the columns hold."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(pair=semijoin_pairs(), weighted=st.booleans())
+    def test_semijoin_matches_the_row_carrier(self, contexts, pair, weighted):
+        ctx = contexts[default_backend_kind()]  # the CI legs' axis
+        (l_attrs, l_rows), (r_attrs, r_rows) = pair
+        row_left = Relation.from_rows(l_attrs, l_rows, "l")
+        row_right = Relation.from_rows(r_attrs, r_rows, "r")
+        expected = row_left.semijoin(row_right).rows
+        weights = {row: 1 + i % 5 for i, row in enumerate(row_left.rows)}
+        if weighted:
+            row_left = AnnotatedRelation.lift(row_left, COUNTING, weights)
+            left = lift_columnar(row_left, COUNTING)
+        else:
+            left = to_columnar(row_left)
+        right = to_columnar(row_right)
+        assert isinstance(right, ColumnarRelation)
+        for receiver, partner in (
+            (left, right),
+            (left, row_right),
+            (row_left, right),
+            (left, ShardedRelation.shard(right, r_attrs[0], 3, ctx)),
+        ):
+            out = receiver.semijoin(partner)
+            assert type(out) is type(receiver)
+            assert out.attributes == l_attrs and out.name == "l"
+            assert len(out) == len(expected) and set(out.rows) == expected
+            if len(expected) == len(row_left):
+                assert out is receiver  # nothing filtered
+            if weighted:
+                assert out.annotations == {r: weights[r] for r in expected}
+                assert out.semiring is COUNTING
+                if isinstance(out, ColumnarRelation) and expected:
+                    assert out.bound == receiver.bound == max(weights.values())
+
+    @pytest.mark.parametrize(
+        "left_keys, right_keys, comparable",
+        [
+            pytest.param([(1,), (2,)], [(1.0,), (3.5,)], True, id="i_vs_f"),
+            pytest.param([(1,), (2,)], [(True,), ("x",)], True, id="i_vs_o"),
+            pytest.param([(1.0,), (2.5,)], [(1,), (None,)], True, id="f_vs_o"),
+            pytest.param(
+                [(2**62, -(2**62)), (0, 1)], [(2**62, -(2**62)), (5, 5)],
+                False, id="joint_radix_past_2**62",
+            ),
+            pytest.param(
+                [(1.5, 1), (2.5, 2)], [(1.5, 1), (2.5, 3)],
+                False, id="float_in_a_2-key",
+            ),
+        ],
+    )
+    def test_python_equality_cases_take_the_key_set(
+        self, monkeypatch, left_keys, right_keys, comparable
+    ):
+        """Each fallback named in ``_np_semijoin_mask`` is reached (the
+        partner is asked for its key set) and agrees with the row
+        carrier.  A partner holding the receiver's own keys is
+        *comparable* on the buffers where the kinds were the obstacle,
+        and not where no int64 row key exists."""
+        asked = []
+        original = ColumnarRelation.key_set
+
+        def spy(self, attributes):
+            asked.append(attributes)
+            return original(self, attributes)
+
+        monkeypatch.setattr(ColumnarRelation, "key_set", spy)
+        shared = tuple(f"k{i}" for i in range(len(left_keys[0])))
+
+        def over(keys, extra):
+            rows = [key + (i,) for i, key in enumerate(keys)]
+            return Relation.from_rows(shared + (extra,), rows, extra)
+
+        row_left, row_right = over(left_keys, "l"), over(right_keys, "r")
+        expected = row_left.semijoin(row_right).rows
+        assert 0 < len(expected) < len(row_left)
+        left = to_columnar(row_left)
+        assert set(left.semijoin(to_columnar(row_right)).rows) == expected
+        assert asked == [shared]
+        asked.clear()
+        assert left.semijoin(to_columnar(over(left_keys, "r"))) is left
+        on_buffers = comparable and columnar_mod._np is not None
+        assert asked == ([] if on_buffers else [shared])
+
+    def test_without_numpy_every_semijoin_takes_the_key_set(self, monkeypatch):
+        monkeypatch.setattr(columnar_mod, "_np", None)
+        row_left = Relation.from_rows(("a", "b"), [(i, i % 7) for i in range(40)])
+        row_right = Relation.from_rows(("b", "c"), [(i, i) for i in range(3)])
+        left, right = to_columnar(row_left), to_columnar(row_right)
+        out = left.semijoin(right)
+        assert isinstance(out, ColumnarRelation)
+        assert set(out.rows) == row_left.semijoin(row_right).rows
+        assert right._key_sets  # the partner's memoised probe set
+
+    @needs_numpy
+    @pytest.mark.parametrize("keys", ["int", "dictionary"])
+    def test_columnar_plans_build_no_key_set(self, monkeypatch, keys):
+        """The count gate: over 2 000-row relations every semijoin of a
+        columnar plan — acyclic sweeps and a width-2 triangle, int and
+        string-valued columns, one pool (``e`` throughout) and several —
+        runs buffer to buffer.  No columnar relation is asked for a key
+        set and no key set is turned back into an array.  (In one piece:
+        a shard broadcast is the key set's remaining caller.)"""
+        cases = []
+        for text in (
+            "ans(A,D) :- p1(A,B), p2(B,C), p3(C,D).",
+            "ans(X) :- s1(X,A), s2(X,B), s3(X,C).",
+            "ans(X1,X5) :- e(X1,X2), e(X2,X3), e(X3,X4), e(X4,X5).",
+            "ans(A) :- t1(A,B), t2(B,C), t3(C,A).",
+        ):
+            query = parse_query(text)
+            db = _retyped(random_database(query, 1500, 2000, seed=7), keys)
+            cases.append((query, db, naive_join_eval(query, db).rows))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a columnar plan built a key set")
+
+        monkeypatch.setattr(ColumnarRelation, "key_set", refuse)
+        monkeypatch.setattr(columnar_mod, "_np_keys", refuse)
+        engine = Engine(layout="columnar", backend="sequential")
+        for query, db, expected in cases:
+            assert expected
+            assert set(engine.execute(query, db).answer.rows) == expected
 
 
 @pytest.mark.parametrize("kind", BACKEND_KINDS)
@@ -376,11 +553,6 @@ def engines():
     yield get
     for engine in made.values():
         engine.close()
-
-
-needs_numpy = pytest.mark.skipif(
-    columnar_mod._np is None, reason="weight columns need numpy"
-)
 
 
 @needs_numpy
