@@ -20,6 +20,18 @@ the process backend puts on the wire per broadcast:
   The descriptor is O(schema), not O(rows), so the reduction factor is
   typically in the thousands; the gate only demands 5x.
 
+* **layout crossover** — where ``layout="auto"`` should flip: whole
+  warm requests (``path3`` / ``star3`` / ``triangle`` / ``path4`` at
+  mean degree 1 and 2) and the three operators alone, row vs columnar,
+  from 10 to 10 000 rows per relation.  The size from which columnar
+  wins at every larger one is the ``layout.crossover.rows`` record,
+  suffixed with the kernels it was measured on (``numpy`` /
+  ``python``: the pure-Python buffers cross an order of magnitude
+  later), next to the per-size medians it was read from;
+  :data:`repro.db.columnar.COLUMNAR_MIN_ROWS` is set from it, and the
+  pytest gate below holds the constant to it on whichever kernels the
+  job runs.
+
 Correctness is a hard gate: every columnar result is compared to the
 row oracle's rows before any time is reported.
 
@@ -36,11 +48,17 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import random
+import statistics
 import time
 
+from repro.core.parser import parse_query
 from repro.db import ProcessBackend, Relation, ShardedRelation, to_columnar
+from repro.db.columnar import COLUMNAR_MIN_ROWS
 from repro.db.shm import shm_available
+from repro.engine import Engine
+from repro.generators.workloads import random_database
 from repro.obs import get_registry
 from repro.obs.history import record
 
@@ -53,6 +71,18 @@ KERNEL_SPEEDUP_GATE = 2.0
 SCATTER_REDUCTION_GATE = 5.0
 
 SELECTIVITIES = (0.5, 0.1, 0.02)
+
+#: The layout crossover sweep: rows per base relation, the request
+#: shapes, and the mean degrees (rows per domain value) they run at —
+#: denser data grows the joins, which moves the crossover down.
+CROSSOVER_SIZES = (10, 30, 60, 120, 250, 500, 1000, 2000, 5000, 10_000)
+CROSSOVER_SHAPES = {
+    "path3": "ans(A,D) :- r(A,B), s(B,C), t(C,D).",
+    "star3": "ans(A) :- r(A,B), s(A,C), t(A,D).",
+    "triangle": "ans(A,B,C) :- r(A,B), s(B,C), t(C,A).",
+    "path4": "ans(A,E) :- r(A,B), s(B,C), t(C,D), u(D,E).",
+}
+CROSSOVER_DEGREES = (1, 2)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -241,6 +271,155 @@ def run_benchmark(n_rows: int = 100_000, repeats: int = 5, seed: int = 0) -> dic
     }
 
 
+def _median_ms(fn, budget_s: float) -> float:
+    """Median wall time of *fn* in milliseconds over as many calls as
+    fit *budget_s* (at least five), after two warm-up calls: a request
+    is measured warm, as the engine serves it."""
+    fn()
+    fn()
+    gc.collect()
+    times: list[float] = []
+    stop = time.perf_counter() + budget_s
+    while len(times) < 5 or (time.perf_counter() < stop and len(times) < 500):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return statistics.median(times) * 1e3
+
+
+def _geomean(values) -> float:
+    values = list(values)
+    return math.exp(sum(map(math.log, values)) / len(values))
+
+
+def _crossover(sizes, speedups) -> float | None:
+    """The size from which columnar wins (speedup ≥ 1) at every larger
+    size of the sweep, interpolated on log axes between the last loss
+    and the win after it; ``None`` when the largest size still loses."""
+    losses = [i for i, s in enumerate(speedups) if s < 1.0]
+    if not losses:
+        return float(sizes[0])
+    i = losses[-1]
+    if i == len(sizes) - 1:
+        return None
+    t = math.log(1.0 / speedups[i]) / math.log(speedups[i + 1] / speedups[i])
+    return sizes[i] * (sizes[i + 1] / sizes[i]) ** t
+
+
+def _request_cells(n_rows: int, seed: int, budget_s: float) -> dict:
+    """Row and columnar medians of every (shape, degree) request over
+    *n_rows*-row relations, answers checked against each other first."""
+    cells = {}
+    for degree in CROSSOVER_DEGREES:
+        for shape, text in CROSSOVER_SHAPES.items():
+            query = parse_query(text)
+            db = random_database(
+                query, max(4, n_rows // degree), n_rows, seed=seed
+            )
+            with Engine(layout="row", backend="sequential") as row, Engine(
+                layout="columnar", backend="sequential"
+            ) as col:
+                expect = row.execute(query, db).answer.rows
+                assert col.execute(query, db).answer.rows == expect
+                cells[f"{shape}.d{degree}"] = (
+                    _median_ms(lambda: row.execute(query, db), budget_s),
+                    _median_ms(lambda: col.execute(query, db), budget_s),
+                )
+    return cells
+
+
+def _operator_cells(n_rows: int, seed: int, budget_s: float) -> dict:
+    """Row and columnar medians of one semijoin (a fresh view of the
+    partner per call, as in the kernel sweep), join and projection."""
+    left, right = _semijoin_pair(n_rows, 0.5, seed)
+    cl, cr = to_columnar(left), to_columnar(right)
+    jl, jr = _join_pair(n_rows, seed)
+    cjl, cjr = to_columnar(jl), to_columnar(jr)
+
+    def semijoin(receiver, partner):
+        return lambda: receiver.semijoin(
+            partner.relabel(partner.attributes, partner.name)
+        )
+
+    return {
+        "semijoin": (
+            _median_ms(semijoin(left, right), budget_s),
+            _median_ms(semijoin(cl, cr), budget_s),
+        ),
+        "join": (
+            _median_ms(lambda: jl.join(jr), budget_s),
+            _median_ms(lambda: cjl.join(cjr), budget_s),
+        ),
+        "project": (
+            _median_ms(lambda: jl.project(["b"]), budget_s),
+            _median_ms(lambda: cjl.project(["b"]), budget_s),
+        ),
+    }
+
+
+def run_crossover(
+    sizes=CROSSOVER_SIZES, seed: int = 0, budget_s: float = 0.1
+) -> dict:
+    """The layout crossover sweep: per size, the geometric mean over the
+    request cells of the row and the columnar median (their ratio is the
+    speedup the crossover is read from), and each operator alone."""
+    kernels = "numpy" if _numpy_version() else "python"
+    records: list[dict] = []
+    request: dict = {}
+    operators: dict = {}
+    for n_rows in sizes:
+        cells = _request_cells(n_rows, seed, budget_s)
+        row_ms = _geomean(row for row, _ in cells.values())
+        col_ms = _geomean(col for _, col in cells.values())
+        request[n_rows] = {
+            "row_ms": round(row_ms, 4),
+            "columnar_ms": round(col_ms, 4),
+            "speedup": round(row_ms / col_ms, 3),
+            "cells": {
+                cell: round(row / col, 3) for cell, (row, col) in cells.items()
+            },
+        }
+        for layout, value in (("row", row_ms), ("columnar", col_ms)):
+            records.append(
+                record(f"layout.request.{n_rows}.{layout}_ms.{kernels}",
+                       value, "ms", tolerance=0.5)
+            )
+        operators[n_rows] = {
+            name: {
+                "row_ms": round(row, 4),
+                "columnar_ms": round(col, 4),
+                "speedup": round(row / col, 3),
+            }
+            for name, (row, col) in _operator_cells(
+                n_rows, seed, budget_s
+            ).items()
+        }
+    crossover = _crossover(
+        sizes, [request[n]["speedup"] for n in sizes]
+    )
+    if crossover is not None:
+        # Four times the recorded value is where the gate below wants a
+        # columnar win, so that is the drift worth failing a diff on.
+        records.append(
+            record(f"layout.crossover.rows.{kernels}", crossover, "rows",
+                   tolerance=3.0)
+        )
+    return {
+        "records": records,
+        "kernels": kernels,
+        "constant": COLUMNAR_MIN_ROWS,
+        "crossover_rows": None if crossover is None else round(crossover),
+        "operator_crossover_rows": {
+            name: _crossover(
+                sizes, [operators[n][name]["speedup"] for n in sizes]
+            )
+            for name in ("semijoin", "join", "project")
+        },
+        "request": request,
+        "operators": operators,
+    }
+
+
 def _numpy_version() -> str | None:
     try:
         import numpy
@@ -266,6 +445,24 @@ def test_bench_columnar_kernel_gates(bench_seed):
         )
 
 
+def test_bench_layout_crossover_gate(bench_seed):
+    """``COLUMNAR_MIN_ROWS`` against the kernels this job runs (numpy or
+    the pure-Python buffers — the constant is set per kernel set): whole
+    requests are no slower columnar at four times the constant and no
+    slower row at a quarter of it.  The measured crossover sits between
+    the two with a factor of two or more to either side."""
+    sizes = (COLUMNAR_MIN_ROWS // 4, COLUMNAR_MIN_ROWS * 4)
+    below, above = (
+        _geomean(
+            row / col
+            for row, col in _request_cells(n_rows, bench_seed, 0.05).values()
+        )
+        for n_rows in sizes
+    )
+    assert below <= 1.0, (sizes[0], below)
+    assert above >= 1.0, (sizes[1], above)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=100_000)
@@ -277,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     result = run_benchmark(
         n_rows=args.rows, repeats=args.repeats, seed=args.seed
     )
+    crossover = run_crossover(seed=args.seed)
+    result["records"] += crossover.pop("records")
+    result["layout_crossover"] = crossover
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -291,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
             if scatter
             else "; scatter: no shared memory here"
         )
+        + f"; layout crossover ≈ {crossover['crossover_rows']} rows "
+        f"({crossover['kernels']} kernels, COLUMNAR_MIN_ROWS = "
+        f"{crossover['constant']})"
         + f"; wrote {args.out}"
     )
     return 0

@@ -36,10 +36,10 @@ def main() -> None:
               f"in {result.elapsed:.3f}s (same rows)")
 
     # -- the auto policy in the plan --------------------------------------
-    # "auto" flips a node to columnar only when its cardinality estimate
-    # clears COLUMNAR_MIN_ROWS (~1k): big bags get the batch kernels,
-    # tiny ones keep the row path's lower constants.
-    print("\nexplain (per-node layout assignment):")
+    # "auto" resolves once per plan: columnar when some relation a bag
+    # pipeline touches reaches COLUMNAR_MIN_ROWS (the measured
+    # crossover), row — with its lower constants — for tiny plans.
+    print("\nexplain (the header says what decided the layout):")
     print(Engine(mode="heuristic", layout="auto").explain(query, db))
 
     # -- one kernel head-to-head ------------------------------------------

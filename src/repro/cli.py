@@ -45,8 +45,8 @@ Commands
     ``--analyze`` the query is executed once under a tracer and the
     rendering gains per-node *actual* row counts and wall times next to
     the estimates (EXPLAIN ANALYZE).  ``--semiring`` renders (and
-    analyzes) the plan of an annotated request instead — which nodes of
-    a ``count`` plan are ``[columnar]``, say.
+    analyzes) the plan of an annotated request instead — whether a
+    ``count`` plan resolved to the columnar layout, say.
 ``watch QUERY [FACTS] [--deltas FILE]``
     Register the query as a live materialized view and stream updates
     through it.  Each update line is a ground atom with an optional

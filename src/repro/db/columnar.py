@@ -80,10 +80,11 @@ except ImportError:  # pragma: no cover - numpy is in the standard image
 #: C-level "is not None" predicate for mask building.
 _NOT_NONE = partial(is_not, None)
 
-#: Valid layout policies for engines / plans.  ``row`` is the historical
-#: tuple engine, ``columnar`` forces conversion of every plain relation,
-#: ``auto`` converts per plan node when the cost model predicts enough
-#: rows for the batch kernels to amortise the conversion.
+#: Valid layout policies for engines / plans.  ``row`` is the tuple
+#: engine, ``columnar`` puts every bag of every plan in column buffers,
+#: ``auto`` picks one of the two per *plan*: columnar when the largest
+#: relation any of its pipelines touches is estimated at
+#: :data:`COLUMNAR_MIN_ROWS` rows or more, row otherwise.
 LAYOUTS = ("row", "columnar", "auto")
 
 #: Environment variable selecting the default layout (CI runs the tier-1
@@ -91,12 +92,25 @@ LAYOUTS = ("row", "columnar", "auto")
 #: kernels end to end).
 LAYOUT_ENV_VAR = "REPRO_LAYOUT"
 
-#: Under ``layout="auto"`` a plan-node relation converts to columnar
-#: only at or above this many rows — below it the O(n) conversion can
-#: cost more than the per-row savings of one sweep.  Deliberately equal
-#: to the shard policy's ``SHARD_MIN_ROWS``: both thresholds answer "is
-#: this relation big enough for batch execution to win".
-COLUMNAR_MIN_ROWS = 1000
+#: Under ``layout="auto"`` a plan is columnar when some relation its
+#: pipelines touch reaches this many (estimated) rows.  No conversion is
+#: being amortised — atoms view their snapshot's buffers and bags join
+#: in them — so this is purely where a batch kernel's fixed cost per
+#: call (a handful of numpy calls, ≈ 10 µs each) is repaid by the
+#: interpreter steps per row it saves.  That is a measurement:
+#: ``benchmarks/bench_columnar.py``'s crossover sweep (warm ``path3`` /
+#: ``star3`` / ``triangle`` / ``path4`` requests at mean degree 1 and 2,
+#: 10 → 10 000 rows per relation, row vs columnar), recorded in
+#: ``benchmarks/baseline.json`` as ``columnar/layout.crossover.rows.*``
+#: beside the per-size medians it was read from.  With numpy the mean
+#: request crosses at ≈ 165 rows (row up to 1.8x faster at 10-60 rows,
+#: columnar 1.8x at 500, 12x at 10 000) and the last operators, the
+#: semijoin and the join, at ≈ 270-290, with single shapes still losing
+#: at 250; on the pure-Python buffers the two layouts stay within 1.2x
+#: of each other up to 2 000 rows and the mean crosses at ≈ 1 350.  The
+#: constant is the power of two above the mean crossover of the kernels
+#: that loaded — which is a fact about the deployment, not an option.
+COLUMNAR_MIN_ROWS = 256 if _np is not None else 2048
 
 
 def default_layout() -> str:
@@ -786,6 +800,10 @@ class ColumnarRelation(Relation):
         if not self.length or not other:
             return self._no_rows(out_attrs, out_name)
         right = to_columnar(other)
+        if not isinstance(right, ColumnarRelation):
+            # What the encoder declines (a 0-ary partner) has no buffers
+            # to probe: the row kernel, by the same dispatch.
+            return Relation.join(self, other, name)
         extra_pos = tuple(right._position(a) for a in extra)
         if self.length <= right.length:
             build, probe, build_is_left = self, right, True

@@ -116,18 +116,22 @@ def bag_relation(
     With *columnar* the result is a
     :class:`~repro.db.columnar.ColumnarRelation` — carrying a weight
     column under a semiring whose values can ride one, see
-    :func:`~repro.db.columnar.lift_columnar` — and a single-atom node
-    starts from the snapshot's column buffers (and the weights built
-    beside them) instead of encoding a freshly bound row relation.
+    :func:`~repro.db.columnar.lift_columnar` — and every part that can
+    be a view is one: an atom over distinct variables starts from its
+    snapshot's column buffers (a carrier from the weights built beside
+    them), so the pre-projections, the joins and the final permutation
+    all run on the buffers and nothing joined is ever encoded.  What
+    cannot be a view — an atom with constants or repeated variables, a
+    0-ary part, a semiring with no vector form — binds on the row
+    carrier, and the operands settle a mixed pair between themselves.
     """
-    view = columnar and len(atoms) == 1
     chi_names = tuple(sorted(v.name for v in chi))
     rel: Relation | None = None
     for a in atoms:
         if a in carriers:
-            part: Relation = bind_atom_annotated(a, db, semiring, view)
+            part: Relation = bind_atom_annotated(a, db, semiring, columnar)
         else:
-            part = bind_atom(a, db, columnar=view)
+            part = bind_atom(a, db, columnar=columnar)
         if not a.variables <= chi:
             part = part.project(sorted(v.name for v in a.variables & chi))
             stats.projections += 1
@@ -138,9 +142,10 @@ def bag_relation(
     if rel is None:
         rel = Relation.trusted((), frozenset({()}), name)
     if columnar:
-        # Encode first: every part lies inside χ, so the projection is a
-        # permutation, which columnar storage does by reordering buffers
-        # where rows would rebuild every tuple.
+        # A no-op on a bag joined in the buffers; whatever a row part
+        # left on the row carrier is encoded before the projection —
+        # every part lies inside χ, so that is a permutation, which
+        # columnar storage does by reordering buffers.
         rel = (
             to_columnar(rel)
             if semiring is None

@@ -198,9 +198,11 @@ class Engine:
         forwarded to :func:`~repro.engine.plan.compile_plan`.
     layout:
         Storage layout for materialised bags: ``"row"`` |
-        ``"columnar"`` | ``"auto"`` (columnar for nodes estimated at
-        :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or more).
-        Columnar bags run the vectorised semijoin/join kernels and
+        ``"columnar"`` | ``"auto"`` (resolved once per plan: columnar
+        when some relation a bag pipeline touches is estimated at
+        :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or more, row
+        otherwise).  Columnar bags are joined in their atoms' column
+        buffers, run the vectorised semijoin/join kernels and
         cross the process-backend boundary over shared memory.
         Defaults to ``$REPRO_LAYOUT`` when set, else ``"auto"``.
         A semiring request follows it when the semiring's values can
@@ -417,7 +419,7 @@ class Engine:
         """The layout policy a request compiles under: the engine's,
         unless it is annotated over a semiring whose values only the row
         carrier can hold — then the plan compiles (and renders) as a row
-        plan rather than silently falling back node by node."""
+        plan rather than silently falling back bag by bag."""
         if semiring is None or rides_buffers(semiring):
             return self.layout
         return "row"

@@ -53,14 +53,19 @@ Lemma 4.6 pipeline:
   smaller bags stay unsharded (below ~1k rows the partitioning overhead
   dominates any shard-task win): the shard decision is per relation,
   from the same cardinality estimates that order the joins.
-* **per-node layout** — ``layout="columnar"`` materialises every bag as
-  a :class:`~repro.db.columnar.ColumnarRelation` (contiguous buffers,
-  vectorised semijoin/join kernels, shared-memory scatter under the
-  process backend); ``"auto"`` flips only the nodes whose estimated
-  cardinality reaches :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`,
-  reusing the shard policy's estimates — small bags keep the row path,
-  whose per-call overhead is lower.  An annotated (semiring) request
-  follows the same policy when its values can ride a weight column
+* **one layout per plan** — ``layout="columnar"`` materialises every
+  bag as a :class:`~repro.db.columnar.ColumnarRelation` (contiguous
+  buffers, vectorised semijoin/join kernels, shared-memory scatter
+  under the process backend); ``"auto"`` resolves to it, once for the
+  whole plan, when the largest relation any node's pipeline touches —
+  the estimate of a part it joins or of the bag it yields — reaches
+  :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`, and to ``"row"``, whose
+  per-call overhead is lower, otherwise.  The inputs decide, not the
+  outputs: a five-row bag behind two 300-row relations is laid out like
+  the relations it joins; and the plan decides, not the node: carriers
+  never mix inside one sweep, where every seam between them would box a
+  key set.  An annotated (semiring) request follows the same policy
+  when its values can ride a weight column
   (:func:`~repro.db.columnar.rides_buffers`); the engine compiles the
   others with ``layout="row"``.
 
@@ -115,7 +120,6 @@ class NodePlan:
     estimated_rows: float
     atom_estimates: tuple[float, ...]
     n_shards: int = 1
-    layout: str = "row"
     #: The members of ``join_order`` that are not λ atoms of the node but
     #: query atoms its χ covers, joined in as filters (rendered ``⋉``).
     covered: frozenset[Atom] = frozenset()
@@ -140,10 +144,9 @@ class NodePlan:
             f"+{v}" if v in self.grown else v for v in self.chi_names
         )
         shards = f" ×{self.n_shards} shards" if self.n_shards > 1 else ""
-        layout = " [columnar]" if self.layout == "columnar" else ""
         return (
             f"{self.bag.predicate}: π[{chi}]({steps or 'unit'}) "
-            f"≈{int(self.estimated_rows)} rows{shards}{layout}"
+            f"≈{int(self.estimated_rows)} rows{shards}"
         )
 
     def describe_candidates(self) -> str:
@@ -178,7 +181,19 @@ class QueryPlan:
     cache_hit: bool = field(default=False)
     backend: str = field(default="sequential")
     workers: int = field(default=1)
+    #: The layout policy the plan was compiled under, and what
+    #: resolves ``auto``: the largest estimate among the relations the
+    #: node pipelines touch (a part's, or the bag's).
     layout: str = field(default="row")
+    layout_rows: float = field(default=0.0)
+
+    @property
+    def resolved_layout(self) -> str:
+        """The layout of every bag of the plan: the policy itself, or
+        what ``auto`` comes to — one answer for the whole plan."""
+        if self.layout != "auto":
+            return self.layout
+        return "columnar" if self.layout_rows >= COLUMNAR_MIN_ROWS else "row"
 
     @property
     def shard_counts(self) -> dict[Atom, int]:
@@ -198,7 +213,7 @@ class QueryPlan:
                 self.provenance,
                 str(self.width),
                 f"{self.backend}x{self.workers}",
-                self.layout,
+                self.resolved_layout,
                 ",".join(self.output),
                 *(np.describe() for np in self.node_plans),
                 self.join_tree.render(),
@@ -216,13 +231,15 @@ class QueryPlan:
             if self.backend != "sequential"
             else ""
         )
-        columnar = sum(1 for np in self.node_plans if np.layout == "columnar")
-        layout_tag = (
-            f", layout {self.layout} "
-            f"({columnar}/{len(self.node_plans)} nodes columnar)"
-            if self.layout != "row"
-            else ""
-        )
+        layout_tag = f", layout {self.layout}" if self.layout != "row" else ""
+        if self.layout == "auto":
+            # What decided it, so a surprising layout is never a puzzle.
+            columnar = self.resolved_layout == "columnar"
+            layout_tag += (
+                f" → {self.resolved_layout} (largest pipeline input "
+                f"≈ {int(self.layout_rows)} rows "
+                f"{'≥' if columnar else '<'} {COLUMNAR_MIN_ROWS})"
+            )
         lines = [
             f"plan for {self.query.name}: width {self.width} "
             f"[{self.provenance}{', cached' if self.cache_hit else ''}"
@@ -499,9 +516,10 @@ def compile_plan(
     none.
 
     *layout* is the storage policy for materialised bags:
-    ``"row"`` (frozenset-of-tuples, the default), ``"columnar"``
-    (every node), or ``"auto"`` (nodes whose estimated cardinality
-    reaches :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`).
+    ``"row"`` (frozenset-of-tuples, the default), ``"columnar"``, or
+    ``"auto"`` — columnar when some node's pipeline touches a relation
+    estimated at :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or
+    more, row otherwise; always the whole plan.
     """
     if backend is None:
         backend = "sequential"
@@ -530,9 +548,12 @@ def compile_plan(
         compile_span.set(
             nodes=len(plan.node_plans),
             sharded=sum(1 for np in plan.node_plans if np.n_shards > 1),
-            columnar=sum(
-                1 for np in plan.node_plans if np.layout == "columnar"
+            columnar=(
+                len(plan.node_plans)
+                if plan.resolved_layout == "columnar"
+                else 0
             ),
+            layout_rows=int(plan.layout_rows),
             width=plan.width,
         )
     return plan
@@ -600,17 +621,11 @@ def _compile_plan_traced(
             and bag_rows >= shard_threshold
             else 1
         )
-        node_layout = (
-            "columnar"
-            if layout == "columnar"
-            or (layout == "auto" and bag_rows >= COLUMNAR_MIN_ROWS)
-            else "row"
-        )
         plans.append(
             NodePlan(
                 bag, chi_names, tuple(pipeline.order), bag_rows,
                 tuple(pipeline.sizes),
-                n_shards=n_shards, layout=node_layout,
+                n_shards=n_shards,
                 covered=frozenset(pipeline.covered),
                 grown=tuple(sorted(v.name for v in chi - p.chi)),
                 candidates=tuple(
@@ -641,6 +656,11 @@ def _compile_plan_traced(
         backend=backend,
         workers=workers,
         layout=layout,
+        # The largest relation any pipeline touches: a part's estimate
+        # or its bag's.
+        layout_rows=max(
+            (max(pl.rows, *pl.sizes) for pl in pipelines), default=0.0
+        ),
     )
 
 
@@ -652,6 +672,7 @@ def _materialise_bag(
     deadline: float | None,
     semiring: Semiring | None = None,
     carriers: frozenset[Atom] = frozenset(),
+    columnar: bool = False,
 ) -> Relation:
     """Materialise one decomposition node's bag relation.
 
@@ -659,8 +680,10 @@ def _materialise_bag(
     Lemma 4.6 kernel) over the plan's join order; *carriers* is this
     node's share of the once-per-atom annotation assignment.
 
-    A node compiled with ``layout="columnar"`` yields a
-    :class:`~repro.db.columnar.ColumnarRelation` — the Yannakakis
+    With *columnar* (the plan's resolved layout: every node of a plan
+    gets the same answer) the node yields a
+    :class:`~repro.db.columnar.ColumnarRelation`, joined in the column
+    buffers of the snapshots its atoms view — the Yannakakis
     sweeps then dispatch into the vectorised kernels, and the process
     backend ships the bag over shared memory instead of pickling it.
     An annotated bag is one when its semiring's values can ride
@@ -686,7 +709,7 @@ def _materialise_bag(
     ) as sp:
         rel = bag_relation(
             np.join_order, p.chi, np.bag.predicate, db, stats,
-            semiring, carriers, np.layout == "columnar", deadline,
+            semiring, carriers, columnar, deadline,
         )
         if isinstance(rel, ColumnarRelation):
             registry.counter("plan.layout_columnar").inc()
@@ -755,6 +778,7 @@ def _execute_with_context(
     semiring: Semiring | None = None,
 ) -> Relation:
     node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
+    columnar = plan.resolved_layout == "columnar"
     carriers_of: dict[int, frozenset[Atom]] = {}
     if semiring is not None:
         assignment = assign_annotated_atoms(
@@ -779,7 +803,7 @@ def _execute_with_context(
             local = EvalStats()
             rel = _materialise_bag(
                 np, p, db, local, deadline, semiring,
-                carriers_of.get(i, frozenset()),
+                carriers_of.get(i, frozenset()), columnar,
             )
             return rel, local
 
@@ -792,7 +816,7 @@ def _execute_with_context(
         relations = {
             np.bag: _materialise_bag(
                 np, p, db, stats, deadline, semiring,
-                carriers_of.get(i, frozenset()),
+                carriers_of.get(i, frozenset()), columnar,
             )
             for i, (np, p) in enumerate(node_pairs)
         }

@@ -11,12 +11,14 @@ the transform the node's λ atoms, the plan those plus the query atoms
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.atoms import Atom, Constant, Variable
 from repro.core.detkdecomp import hypertree_width
 from repro.db import COUNTING, MINCOST, Database, EvalStats, Relation, bind_atom
+from repro.db import columnar as columnar_mod
 from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
 from repro.db.columnar import ColumnarRelation, rides_buffers
 from repro.db.evaluate import bag_relation
@@ -145,3 +147,115 @@ class TestOneKernelTwoCallers:
         db = random_database(query, 3, 6, seed=seed)
         _, hd = hypertree_width(query.as_boolean())
         assert_bag_contract(query, db, hd)
+
+
+def _view_db(values) -> Database:
+    """Three binary relations over *values*, each fact weighted."""
+    rng = random.Random(4)
+    db = Database()
+    for predicate in ("r", "s", "t"):
+        for _ in range(40):
+            db.add_fact(
+                predicate, rng.choice(values), rng.choice(values),
+                weight=rng.choice([1.0, 2.0, 3.0]),
+            )
+    return db
+
+
+_A, _B, _C, _D = _VARS[:4]
+_R, _S, _T = Atom("r", (_A, _B)), Atom("s", (_B, _C)), Atom("t", (_C, _D))
+
+
+class TestJoinedInTheBuffers:
+    """Under a columnar layout every part that can be a view is one, and
+    what they join into is never encoded."""
+
+    @pytest.mark.parametrize(
+        "values", [list(range(8)), list("abcdefgh")], ids=["int", "str"]
+    )
+    @pytest.mark.parametrize("semiring", [None, COUNTING], ids=["set", "count"])
+    @pytest.mark.parametrize(
+        "atoms, chi",
+        [
+            ([_R, _S], {_A, _B, _C}),
+            ([_R, _S], {_A, _C}),  # both parts pre-projected: a product
+            ([_R, _S, _T], {_A, _B, _C, _D}),
+            ([_R, _T, _S], {_A, _B, _D}),  # s is projected onto B
+        ],
+    )
+    def test_no_joined_result_is_encoded(
+        self, monkeypatch, values, semiring, atoms, chi
+    ):
+        if semiring is not None and not rides_buffers(semiring):
+            pytest.skip("weights ride buffers only with numpy")
+        chi = frozenset(chi)
+        db = _view_db(values)
+        carriers = [a for a in atoms if a.variables <= chi] if semiring else ()
+        expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
+        for a in atoms:  # the snapshots' buffers exist; nothing else may
+            db.snapshot(a.predicate).columnar
+        monkeypatch.setattr(
+            columnar_mod, "encode_column",
+            lambda values: pytest.fail("a bag part or result was encoded"),
+        )
+        got = bag_relation(
+            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+            columnar=True,
+        )
+        assert isinstance(got, ColumnarRelation)
+        assert got == expected
+        if semiring is not None:
+            assert got.weights is not None
+            assert got.annotations == expected.annotations
+
+    @pytest.mark.skipif(
+        not rides_buffers(COUNTING), reason="weight columns need numpy"
+    )
+    @pytest.mark.parametrize("atoms", [[_R], [_R, _S]])
+    def test_a_weighted_bag_without_carriers_counts_one_per_row(self, atoms):
+        chi = frozenset().union(*(a.variables for a in atoms))
+        empty = Database()
+        empty.declare("r", 2)
+        empty.declare("s", 2)
+        for db in (_view_db(list(range(8))), empty):
+            got = bag_relation(
+                atoms, chi, "bag", db, EvalStats(), COUNTING, (),
+                columnar=True,
+            )
+            assert isinstance(got, ColumnarRelation)
+            assert got.semiring is COUNTING and got.weights is not None
+            assert got.annotations == dict.fromkeys(got.rows, 1)
+
+    @pytest.mark.parametrize(
+        "guarded",
+        [
+            Atom("s", (_B, Constant(3))),  # a constant: filtered rows
+            Atom("s", (_B, _B)),  # a repeated variable
+            Atom("z", ()),  # 0-ary: nothing to pack
+        ],
+        ids=["constant", "repeated", "zero-ary"],
+    )
+    @pytest.mark.parametrize("semiring", [None, COUNTING, MINCOST])
+    def test_what_cannot_be_a_view_still_lands_in_the_bag(
+        self, guarded, semiring
+    ):
+        db = _view_db(list(range(8)))
+        db.add_fact("z")
+        db.add_fact("s", 3, 3, weight=2.0)
+        atoms, chi = [_R, guarded], frozenset({_A, _B})
+        carriers = atoms if semiring is not None else ()
+        expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
+        assert expected  # the guard path has rows to get right
+        got = bag_relation(
+            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+            columnar=True,
+        )
+        # Encoded after the join — except mincost's (cost, witness)
+        # pairs, which no column can hold.
+        assert isinstance(got, ColumnarRelation) == (
+            semiring is None or rides_buffers(semiring)
+        )
+        assert got == expected
+        if semiring is not None:
+            assert got.semiring is semiring
+            assert got.annotations == expected.annotations

@@ -264,6 +264,35 @@ class TestOperands:
                 assert all(type(piece) is kind for piece in out.shards)
             check(rel.join(partner), ("a", "b", "c"), {}, flavour in ANNOTATED)
 
+    def test_a_zero_ary_operand_on_either_side(self, ctx, flavour, shards):
+        """What no carrier but the row ones can hold (there is nothing
+        to pack or to cut) still joins and semijoins with every one:
+        ``{()}`` is the unit of ⋈, the empty 0-ary relation its zero."""
+        weights = {(i, i % 3): i + 1 for i in range(9)}
+        attrs = ("a", "b")
+        rel = build(flavour, shards, attrs, weights, "r", COUNTING, ctx)
+        held = model(flavour, weights, COUNTING)
+        for zero, value in (
+            (Relation.from_rows((), [()], "z"), 1),
+            (AnnotatedRelation.lift(
+                Relation.from_rows((), [()], "z"), COUNTING, {(): 3}
+            ), 3),
+            (Relation.empty((), "z"), None),
+        ):
+            annotated = flavour in ANNOTATED or value == 3
+            expected = (
+                {} if value is None
+                else {row: v * value for row, v in held.items()}
+            )
+            check(rel.join(zero, name="j"), attrs, expected, annotated, "j")
+            check(zero.join(rel, name="j"), attrs, expected, annotated, "j")
+            kept = rel.semijoin(zero)
+            if value is None:
+                check(kept, attrs, {}, flavour in ANNOTATED, "r")
+            elif not resident(rel):
+                assert kept is rel
+            assert zero.semijoin(rel) is zero
+
     def test_signatures_are_the_row_carriers(self, flavour, shards):
         carrier = ShardedRelation if shards else {
             "row": Relation, "annotated": AnnotatedRelation,

@@ -465,16 +465,13 @@ class TestEngineLayoutEquivalence:
         assert row.count(query, db) == col.count(query, db)
         assert row.top_k(query, db, k=3) == col.top_k(query, db, k=3)
         layouts = {
-            tag: {
-                np.layout
-                for np in col.plan(query, db, semiring=tag).node_plans
-            }
+            tag: col.plan(query, db, semiring=tag).resolved_layout
             for tag in ("count", "mincost")
         }
         vectorised = rides_buffers(COUNTING)  # false without numpy
         assert layouts == {
-            "count": {"columnar" if vectorised else "row"},
-            "mincost": {"row"},
+            "count": "columnar" if vectorised else "row",
+            "mincost": "row",
         }
         answer = col.execute(query, db, semiring="count").answer
         assert isinstance(answer, ColumnarRelation) == vectorised
@@ -744,12 +741,10 @@ class TestWeightColumnEdges:
         monkeypatch.setattr(columnar_mod, "_np", None)
         engine = Engine(layout="columnar")
         plan = engine.plan(query, db, semiring="count")
-        assert {np.layout for np in plan.node_plans} == {"row"}
+        assert plan.resolved_layout == "row"
         assert "columnar" not in engine.explain(query, db, semiring="count")
         got = engine.execute(query, db, semiring="count")
         assert isinstance(got.answer, AnnotatedRelation)
         assert got.annotations == expected.annotations
         # Set semantics keeps its (pure-python) columnar kernels.
-        assert {np.layout for np in engine.plan(query, db).node_plans} == {
-            "columnar"
-        }
+        assert engine.plan(query, db).resolved_layout == "columnar"

@@ -127,7 +127,7 @@ class TestExplainSemiring:
                    for _ in range(2500)]}
         )
 
-    def test_count_plans_render_their_columnar_nodes(self, big_db):
+    def test_count_plans_render_their_layout(self, big_db):
         from repro.db.columnar import rides_buffers
         from repro.db.semiring import COUNTING
 
@@ -136,8 +136,8 @@ class TestExplainSemiring:
             set_plan = engine.explain(query, big_db)
             count_plan = engine.explain(query, big_db, semiring="count")
             mincost_plan = engine.explain(query, big_db, semiring="mincost")
-        assert "[columnar]" in set_plan
-        assert ("[columnar]" in count_plan) == rides_buffers(COUNTING)
+        assert "→ columnar" in set_plan
+        assert ("→ columnar" in count_plan) == rides_buffers(COUNTING)
         # (cost, witness) pairs only fit the row carrier: a row plan.
         assert "columnar" not in mincost_plan
 
