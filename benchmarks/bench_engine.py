@@ -65,7 +65,7 @@ def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
     bag_rows: dict[str, int] = {}
     lemma46_bag_rows: dict[str, int] = {}
     warm_ms: list[float] = []
-    with Engine(backend="sequential", layout="auto") as engine:
+    with Engine(layout="auto") as engine:
         for query in shapes:
             db = random_database(query, rows // 2, rows, seed=seed)
             engine.execute(query, db)  # cold: decompose, build snapshots

@@ -1,14 +1,14 @@
 """Observability overhead gate: tracing must be free when it is off.
 
-The instrumented kernels (:mod:`repro.db.yannakakis`, the backends)
-call ``current_tracer().span()``
-on every semijoin/join/shard operator.  When tracing is disabled that
+The instrumented kernels (:mod:`repro.db.yannakakis`) call
+``current_tracer().span()`` on every semijoin/join operator.  When
+tracing is disabled that
 call hits :class:`repro.obs.tracer.NullTracer` — one method call and an
 empty ``with`` block.  This benchmark pins down what that costs:
 
 * **disabled vs seed** — today's kernel, instrumentation included but
-  tracing off, against the frozen pre-fix seed kernel from
-  :mod:`bench_parallel`.  The gate: the disabled-tracing kernel stays
+  tracing off, against a frozen copy of the pre-fix seed kernel kept
+  below.  The gate: the disabled-tracing kernel stays
   comfortably *faster* than the seed baseline (no-op instrumentation
   must not eat the optimisation win) — asserted at ≤ 5% of the seed
   kernel's time budget, i.e. ``disabled ≤ 1.05 × seed`` per phase, far
@@ -54,15 +54,13 @@ import sys
 import threading
 import time
 
-from bench_parallel import (
-    _best_of,
-    _workloads,
-    seed_enumerate,
-    seed_full_reduce,
-)
-
 from repro.core.acyclicity import join_tree
+from repro.core.atoms import Atom, Variable
+from repro.core.query import ConjunctiveQuery
 from repro.db import bind_atom, enumerate_answers, full_reduce
+from repro.db.relation import Relation
+from repro.generators.families import path_query
+from repro.generators.workloads import random_database
 from repro.obs import (
     NULL_PROFILER,
     NULL_TRACER,
@@ -90,6 +88,122 @@ DISABLED_BUDGET_VS_SEED = 1.05
 #: The profiler gate: with the sampler running at its default rate the
 #: kernel may spend at most 5% more aggregate wall time than unprofiled.
 PROFILED_BUDGET_VS_UNPROFILED = 1.05
+
+
+# -- the seed kernel, preserved verbatim as the baseline -------------------
+#
+# This is the sequential kernel as it stood before the hot-path fixes:
+# `semijoin` rebuilt the probe key set from scratch on every call (one
+# tuple allocation per row on both sides), `join` rebuilt its hash table
+# per call, and nothing short-circuited on empty inputs.  Do not
+# "improve" it — its whole point is to stay the fixed reference.
+
+
+def _seed_semijoin(rel: Relation, other: Relation) -> Relation:
+    shared = [a for a in rel.attributes if a in other._index_of]
+    if not shared:
+        return rel if other.rows else Relation.trusted(
+            rel.attributes, frozenset(), rel.name
+        )
+    left_pos = [rel._position(a) for a in shared]
+    right_pos = [other._position(a) for a in shared]
+    keys = {tuple(row[p] for p in right_pos) for row in other.rows}
+    rows = frozenset(
+        row for row in rel.rows if tuple(row[p] for p in left_pos) in keys
+    )
+    return Relation.trusted(rel.attributes, rows, rel.name)
+
+
+def _seed_join(rel: Relation, other: Relation) -> Relation:
+    shared = [a for a in rel.attributes if a in other._index_of]
+    left_pos = [rel._position(a) for a in shared]
+    right_pos = [other._position(a) for a in shared]
+    extra = [a for a in other.attributes if a not in rel._index_of]
+    extra_pos = [other._position(a) for a in extra]
+    if len(rel.rows) <= len(other.rows):
+        build, probe = rel, other
+        build_key, probe_key, build_is_left = left_pos, right_pos, True
+    else:
+        build, probe = other, rel
+        build_key, probe_key, build_is_left = right_pos, left_pos, False
+    table: dict = {}
+    for row in build.rows:
+        table.setdefault(tuple(row[p] for p in build_key), []).append(row)
+    out_rows = set()
+    for row in probe.rows:
+        key = tuple(row[p] for p in probe_key)
+        for match in table.get(key, ()):
+            left_row = match if build_is_left else row
+            right_row = row if build_is_left else match
+            out_rows.add(left_row + tuple(right_row[p] for p in extra_pos))
+    return Relation.trusted(
+        rel.attributes + tuple(extra), frozenset(out_rows), rel.name
+    )
+
+
+def _seed_project(rel: Relation, attrs, name=None) -> Relation:
+    positions = [rel._position(a) for a in attrs]
+    rows = frozenset(tuple(row[p] for p in positions) for row in rel.rows)
+    return Relation.trusted(tuple(attrs), rows, name or rel.name)
+
+
+def seed_full_reduce(tree, relations):
+    reduced = dict(relations)
+    for node in tree.post_order():
+        for child in tree.children(node):
+            reduced[node] = _seed_semijoin(reduced[node], reduced[child])
+    for node in tree.nodes:
+        for child in tree.children(node):
+            reduced[child] = _seed_semijoin(reduced[child], reduced[node])
+    return reduced
+
+
+def seed_enumerate(tree, relations, output):
+    reduced = seed_full_reduce(tree, relations)
+    out_set = set(output)
+    partial, subtree = {}, {}
+    for node in tree.post_order():
+        rel = reduced[node]
+        attrs_below = set(rel.attributes)
+        for child in tree.children(node):
+            attrs_below.update(subtree[child])
+        keep = set(rel.attributes) | (attrs_below & out_set)
+        for child in tree.children(node):
+            rel = _seed_join(rel, partial[child])
+            rel = _seed_project(rel, [a for a in rel.attributes if a in keep])
+        partial[node] = rel
+        subtree[node] = attrs_below
+    return _seed_project(partial[tree.root], list(output), name="ans")
+
+
+# -- workloads -------------------------------------------------------------
+
+
+def star_query(n: int) -> ConjunctiveQuery:
+    body = tuple(
+        Atom("e", (Variable("C"), Variable(f"X{i}"))) for i in range(1, n + 1)
+    )
+    return ConjunctiveQuery(body, (), f"star_{n}")
+
+
+def _workloads(rows: int, seed: int):
+    for query in (path_query(3), path_query(5), star_query(5)):
+        head = tuple(sorted(query.variables, key=lambda v: v.name)[:2])
+        query = query.with_head(head)
+        db = random_database(query, rows, rows, seed=seed)
+        yield query.name, query, db
+
+
+def _best_of(fn, bind, repeats: int):
+    """Best wall time over *repeats* runs, re-binding fresh relations
+    each time so memoisation cannot leak across repeats."""
+    best, result = float("inf"), None
+    for _ in range(repeats):
+        rels = bind()
+        started = time.perf_counter()
+        result = fn(rels)
+        best = min(best, time.perf_counter() - started)
+    return best, result
 
 
 def _sampler_thread_exists() -> bool:

@@ -95,7 +95,7 @@ def count_sweep(query, db, repeats: int) -> dict:
     then best-of timings on warm plan caches and warm snapshots."""
     seconds, answers = {}, {}
     for layout in ("row", "columnar"):
-        with Engine(backend="sequential", layout=layout) as engine:
+        with Engine(layout=layout) as engine:
             engine.execute(query, db, semiring="count")
             seconds[layout], result = _best_of(
                 lambda: engine.execute(query, db, semiring="count"), repeats
@@ -130,7 +130,7 @@ def run_benchmark(
     query = _query()
     db = _database(n_rows, seed)
     sweep = count_sweep(query, db, repeats)
-    engine = Engine(backend="sequential")
+    engine = Engine()
     try:
         # Warm the plan cache for every tag so the timings compare
         # evaluation, not decomposition (promotion makes this one search).

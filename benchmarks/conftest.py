@@ -8,8 +8,9 @@ measured values in ``benchmark.extra_info`` so they appear in the saved
 benchmark JSON as well.
 
 The ``bench_*`` suites with ``run_benchmark`` entry points (engine,
-parallel, backends, incremental, obs) additionally take a ``bench_seed``
-fixture so every workload generator is seeded deterministically: the
+incremental, obs, serve, semiring, columnar) additionally take a
+``bench_seed`` fixture so every workload generator is seeded
+deterministically: the
 ``--bench-seed`` pytest option wins, then the ``REPRO_BENCH_SEED``
 environment variable, then 0.  Deterministic seeds are what make the
 count-valued records in the unified bench schema

@@ -1,10 +1,9 @@
 """Columnar execution quickstart: row vs columnar vs auto layouts.
 
 One query runs under all three layouts and must produce identical
-answers; ``explain`` shows which plan nodes the auto policy flipped to
-the columnar path, the batch kernels are timed head-to-head against
-their row counterparts, and a process-backend run demonstrates the
-zero-copy shared-memory scatter.  Run with
+answers; ``explain`` shows what the auto policy resolved the plan to,
+and the batch kernels are timed head-to-head against their row
+counterparts, alone and inside a whole request.  Run with
 ``PYTHONPATH=src python examples/columnar_quickstart.py``.
 """
 
@@ -12,7 +11,6 @@ import time
 
 from repro import Engine, parse_query
 from repro.db import Database, Relation, to_columnar
-from repro.db.shm import shm_available
 
 
 def build_database(n: int = 20_000) -> Database:
@@ -61,20 +59,16 @@ def main() -> None:
     print(f"\nsparse semijoin, 50k rows: row {row_ms:.2f}ms, "
           f"columnar {col_ms:.2f}ms ({row_ms / col_ms:.1f}x)")
 
-    # -- zero-copy scatter on the process backend --------------------------
-    # Columnar shards and broadcast partners cross the process boundary
-    # as shared-memory descriptors (O(schema) bytes), not pickles.
-    if shm_available():
-        with Engine(
-            mode="heuristic", backend="process", backend_workers=2,
-            layout="columnar", shard_threshold=0,
-        ) as engine:
+    # -- warm whole requests ----------------------------------------------
+    # The snapshots' column buffers are built once per relation version;
+    # after the first request every bag of a columnar plan is a view of
+    # them, so a warm request pays only for the sweeps.
+    for layout in ("row", "columnar"):
+        with Engine(mode="heuristic", layout=layout) as engine:
+            engine.execute(query, db)  # cold: plan, snapshot buffers
             result = engine.execute(query, db)
         assert result.answer.rows == baseline.answer.rows
-        print(f"process + shm: {len(result.answer)} answers "
-              f"in {result.elapsed:.3f}s (same rows, zero-copy scatter)")
-    else:
-        print("process + shm: skipped (no usable shared memory here)")
+        print(f"warm {layout:>8} request: {result.elapsed * 1e3:.1f}ms")
 
 
 if __name__ == "__main__":

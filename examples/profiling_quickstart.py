@@ -3,9 +3,8 @@
 Three tours in one script:
 
 1. the **sampling profiler** — a background wall-clock sampler that
-   folds stacks into flamegraph form, tags each sample with the
-   innermost active span, and (on the process backend) merges samples
-   recorded *inside worker processes* into one profile;
+   folds stacks into flamegraph form and tags each sample with the
+   innermost active span;
 2. the **flight recorder** — a bounded always-on ring of recent spans,
    requests, and slow queries that dumps itself to JSON when an
    evaluation fails;
@@ -44,24 +43,21 @@ def main() -> None:
     # -- 1. profile an execution -----------------------------------------
     # ``profiling`` installs the profiler process-wide for its extent and
     # runs the sampler thread (default 99 Hz; off means no thread at
-    # all).  ProcessBackend workers run their own sampler and ship their
-    # folded samples back with each task reply, labelled worker-<pid>.
+    # all).  Each sample is rooted at the innermost span open on its
+    # thread (``span:plan.bag;...``): the engine's flight recorder keeps
+    # a tracer live even when nothing else is tracing.
     profiler = SamplingProfiler(hz=500)
-    with profiling(profiler), Engine(backend="process",
-                                     backend_workers=2) as engine:
-        for _ in range(5):
+    with profiling(profiler), Engine() as engine:
+        for _ in range(100):
             result = engine.execute(query, db)
     print(f"{len(result.answer)} answers; "
           f"{profiler.profile.total()} samples collected at {profiler.hz:g} Hz")
 
-    worker_stacks = [
-        stack for stack, _ in profiler.profile.items()
-        if stack.startswith("worker-")
-    ]
-    print(f"{len(worker_stacks)} distinct worker-resident stacks, e.g.:")
-    for stack in sorted(worker_stacks)[:2]:
+    hottest = sorted(profiler.profile.items(), key=lambda item: -item[1])
+    print(f"{len(hottest)} distinct stacks; the hottest:")
+    for stack, count in hottest[:2]:
         frames = stack.split(";")
-        print(f"  {frames[0]};...;{frames[-1]}")
+        print(f"  {count:4d}  {frames[0]};...;{frames[-1]}")
 
     path = os.path.join(tempfile.gettempdir(), "repro_profile.speedscope.json")
     total = write_speedscope(profiler.profile, path, name="two_hop")

@@ -14,7 +14,7 @@ from repro.db import Database
 
 
 def main() -> None:
-    engine = Engine(backend="sequential")
+    engine = Engine()
 
     # A small road network: edges carry costs (for min-cost) which the
     # probability semiring ignores unless they're in [0, 1].

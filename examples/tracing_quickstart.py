@@ -1,10 +1,9 @@
 """Observability quickstart: spans, metrics, EXPLAIN ANALYZE, traces.
 
-One query runs on the process backend under a tracer; we then look at
-the same execution from all four observability angles:
+One query runs under a tracer; we then look at the same execution from
+all four observability angles:
 
-1. the raw **span** stream (including spans recorded *inside* worker
-   processes and shipped back with the task replies);
+1. the raw **span** stream, one span per layer the request crossed;
 2. the exported **Chrome trace** (load it at https://ui.perfetto.dev);
 3. the process-global **metrics registry** snapshot;
 4. ``EXPLAIN ANALYZE`` — the plan annotated with actual row counts and
@@ -34,18 +33,19 @@ def main() -> None:
 
     # -- 1. trace an execution -------------------------------------------
     # ``tracing`` installs the tracer process-wide for its extent; every
-    # layer (decompose -> plan -> sweep -> backend -> worker) records
-    # spans into it.  Tracing is off otherwise, and free when off.
-    with Engine(backend="process", backend_workers=2) as engine, \
-            tracing(Tracer()) as tracer:
+    # layer (decompose -> plan -> bag -> sweep) records spans into it.
+    # Tracing is off otherwise, and free when off.
+    with Engine() as engine, tracing(Tracer()) as tracer:
         result = engine.execute(query, db)
         print(f"{len(result.answer)} answers in {result.elapsed:.3f}s "
               f"({len(tracer.spans())} spans recorded)")
 
-        worker_spans = [s for s in tracer.spans() if s.pid != os.getpid()]
-        print(f"of those, {len(worker_spans)} spans were recorded inside "
-              f"worker processes, e.g.:")
-        for span in worker_spans[:3]:
+        sweep_spans = [
+            s for s in tracer.spans() if s.name.startswith("sweep.")
+        ]
+        print(f"of those, {len(sweep_spans)} are Yannakakis sweep "
+              f"operators, e.g.:")
+        for span in sweep_spans[:3]:
             print(f"  {span}")
 
         # -- 2. export for chrome://tracing / Perfetto -------------------
@@ -65,7 +65,7 @@ def main() -> None:
     # -- 3. the metrics registry -----------------------------------------
     # Counters/gauges/histograms accumulate process-wide whether or not
     # tracing is on: engine requests, eval operator counts, plan-cache
-    # occupancy, backend scatter/gather volumes...
+    # occupancy, snapshot builds and reuses...
     print("\nmetrics snapshot:")
     print(render_metrics(metrics_snapshot()))
 

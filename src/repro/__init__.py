@@ -17,14 +17,6 @@ from ._errors import (
 )
 from .core import *  # noqa: F401,F403 -- curated in core/__init__.py
 from .core import __all__ as _core_all
-from .db import (
-    ExecutionContext,
-    ProcessBackend,
-    SequentialBackend,
-    ShardedRelation,
-    ThreadBackend,
-    shard_relations,
-)
 from .engine import BatchResult, Engine, EvalResult, PlanCache, fingerprint
 from .heuristics import (
     PortfolioResult,
@@ -54,7 +46,7 @@ from .obs import (
     write_chrome_trace,
     write_speedscope,
 )
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 # After __version__: the server advertises it in the hello handshake.
 from .serve import (  # noqa: E402
@@ -74,7 +66,6 @@ __all__ = [
     "Engine",
     "EvalResult",
     "EvaluationError",
-    "ExecutionContext",
     "FlightRecorder",
     "LiveEngine",
     "MaterializedView",
@@ -83,16 +74,12 @@ __all__ = [
     "PlanCache",
     "PortfolioResult",
     "Profile",
-    "ProcessBackend",
     "QueryServer",
     "ReproError",
     "SamplingProfiler",
     "SchemaError",
-    "SequentialBackend",
     "ServeClient",
     "ServerThread",
-    "ShardedRelation",
-    "ThreadBackend",
     "Tracer",
     "UnknownAttributeError",
     "UnknownRelationError",
@@ -108,7 +95,6 @@ __all__ = [
     "lower_bound",
     "profiling",
     "serve_in_thread",
-    "shard_relations",
     "tracing",
     "write_chrome_trace",
     "write_speedscope",

@@ -30,15 +30,14 @@ Commands
     Structurally identical queries share one cached decomposition;
     ``--repeat`` re-runs the batch to demonstrate warm-cache
     amortisation, and ``--stats`` prints the merged counters plus the
-    cache's hit/miss/eviction numbers.  ``--backend
-    sequential|thread|process`` selects where shard tasks run; shard
-    counts themselves come from cardinality estimates — relations under
-    ~1k rows stay unsharded.  ``--layout row|columnar|auto`` picks the
-    bag storage layout (columnar = vectorised kernels + shared-memory
-    scatter).  ``--semiring count|mincost|provenance|prob``
-    switches the batch to annotated evaluation (derivation counts,
+    cache's hit/miss/eviction numbers.  Each query evaluates
+    sequentially; ``--workers`` only runs several queries at once.
+    ``--layout row|columnar|auto`` picks the bag storage layout
+    (columnar = vectorised kernels).  ``--semiring
+    count|mincost|provenance|prob`` switches the batch to annotated
+    evaluation (derivation counts,
     cheapest witnesses, why-provenance, probabilities).
-``explain QUERY [FACTS] [--analyze] [--backend B] [--layout L] [--semiring S]``
+``explain QUERY [FACTS] [--analyze] [--layout L] [--semiring S]``
     Render the physical plan the engine would execute: cached-or-fresh
     decomposition provenance, per-bag join order with cardinality
     estimates (when FACTS is given), and the rooted join tree.  With
@@ -89,11 +88,10 @@ destination, default ``$REPRO_FLIGHT_DUMP``).
 
 ``run``, ``watch`` and ``explain`` accept ``--trace PATH`` (or
 ``$REPRO_TRACE``) to export a Chrome trace-event file of the request's
-spans — including spans recorded inside process-backend workers — and
-``--metrics PATH`` for a JSON metrics snapshot; ``--profile PATH`` (or
-``$REPRO_PROFILE``) runs the wall-clock sampling profiler alongside and
-writes a speedscope JSON profile (or collapsed text for
-``.txt``/``.folded`` paths) covering driver and workers.
+spans and ``--metrics PATH`` for a JSON metrics snapshot;
+``--profile PATH`` (or ``$REPRO_PROFILE``) runs the wall-clock sampling
+profiler alongside and writes a speedscope JSON profile (or collapsed
+text for ``.txt``/``.folded`` paths).
 ``experiments [ID ...]``
     Run the reproduction experiments (same as ``python -m
     repro.experiments``).
@@ -128,6 +126,7 @@ from .db.evaluate import evaluate, evaluate_boolean
 from .db.stats import EvalStats
 from .engine import Engine
 from .heuristics import decompose as portfolio_decompose
+from .graphs.primal import primal_graph
 from .heuristics import greedy_upper_bound, lower_bound
 from .obs import (
     SamplingProfiler,
@@ -219,8 +218,9 @@ def _cmd_width(args: argparse.Namespace) -> int:
     acyclic = is_acyclic(query)
     print(f"acyclic: {acyclic}")
     if args.upper_bound:
-        ub = greedy_upper_bound(query)
-        print(f"hw lower bound: {lower_bound(query)}")
+        graph = primal_graph(query)
+        ub = greedy_upper_bound(query, graph=graph)
+        print(f"hw lower bound: {lower_bound(query, graph=graph)}")
         print(f"hw upper bound (heuristic, {ub.method}): {ub.width}")
     else:
         width, _ = hypertree_width(query)
@@ -311,7 +311,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         mode=args.strategy,
         budget=args.budget,
         workers=args.workers,
-        backend=args.backend,
         layout=args.layout,
         slow_query_ms=args.slow_query_ms,
         flight_dump=args.flight_dump,
@@ -359,9 +358,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
     db = _load_facts(args.facts) if args.facts else None
-    engine = Engine(
-        mode=args.strategy, backend=args.backend, layout=args.layout
-    )
+    engine = Engine(mode=args.strategy, layout=args.layout)
     if args.analyze and db is None:
         print(
             "error: --analyze executes the query and needs a FACTS file",
@@ -401,7 +398,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     db = _load_facts(args.facts) if args.facts else Database()
     engine = Engine(
         mode=args.strategy,
-        backend=args.backend,
         slow_query_ms=args.slow_query_ms,
         flight_dump=args.flight_dump,
     )
@@ -632,7 +628,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate=args.rate,
         burst=args.burst,
         mode=args.strategy,
-        backend=args.backend,
         slow_query_ms=args.slow_query_ms,
         flight_dump=args.flight_dump,
     )
@@ -767,7 +762,7 @@ def _add_observability_options(p: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="PATH",
-        help="record spans across decompose/plan/backend/workers and "
+        help="record spans across decompose/plan/bags/sweeps and "
         "write a Chrome trace-event file (chrome://tracing / Perfetto) "
         "to PATH; $REPRO_TRACE=PATH is the env equivalent",
     )
@@ -783,8 +778,7 @@ def _add_observability_options(p: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="run a wall-clock sampling profiler (spans-tagged folded "
-        "stacks, covering process-backend workers too) and write a "
-        "speedscope JSON profile to PATH (.txt/.folded/.collapsed for "
+        "stacks) and write a speedscope JSON profile to PATH (.txt/.folded/.collapsed for "
         "collapsed flamegraph text); $REPRO_PROFILE=PATH is the env "
         "equivalent",
     )
@@ -862,25 +856,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget", type=float, default=None, help="per-query seconds"
     )
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument(
-        "--backend",
-        default=None,
-        choices=["sequential", "thread", "process"],
-        help="execution backend for intra-query shard tasks: 'thread' "
-        "(low-latency, GIL-bound) or 'process' (worker processes, real "
-        "multicore scaling for large relations); default: $REPRO_BACKEND "
-        "or sequential.  Shard counts are chosen per relation from "
-        "cardinality estimates (sub-1k-row relations stay unsharded)",
+        "--workers",
+        type=int,
+        default=4,
+        help="queries of the batch run at once (each query itself "
+        "evaluates sequentially)",
     )
     p.add_argument(
         "--layout",
         default=None,
         choices=["row", "columnar", "auto"],
         help="bag storage layout: 'columnar' (contiguous buffers + "
-        "vectorised kernels + shared-memory scatter), 'row' "
-        "(frozenset-of-tuples), or 'auto' (columnar for nodes estimated "
-        "at 1k+ rows); default: $REPRO_LAYOUT or auto",
+        "vectorised kernels), 'row' (frozenset-of-tuples), or 'auto' "
+        "(columnar when a plan touches a relation estimated at "
+        "COLUMNAR_MIN_ROWS rows or more); default: $REPRO_LAYOUT or auto",
     )
     p.add_argument(
         "--semiring",
@@ -918,13 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         "FACTS)",
     )
     p.add_argument(
-        "--backend",
-        default=None,
-        choices=["sequential", "thread", "process"],
-        help="execution backend for the plan (and the --analyze run); "
-        "default: $REPRO_BACKEND or sequential",
-    )
-    p.add_argument(
         "--layout",
         default=None,
         choices=["row", "columnar", "auto"],
@@ -960,14 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy", default="auto", choices=["exact", "heuristic", "auto"]
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        choices=["sequential", "thread", "process"],
-        help="execution backend configured on the planning engine "
-        "(view maintenance itself is in-process delta propagation; "
-        "default: $REPRO_BACKEND or sequential)",
     )
     p.add_argument(
         "--parallelism",
@@ -1100,12 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy", default="auto", choices=["exact", "heuristic", "auto"]
-    )
-    p.add_argument(
-        "--backend",
-        default=None,
-        choices=["sequential", "thread", "process"],
-        help="execution backend for intra-query shard tasks",
     )
     _add_flight_options(p)
     p.set_defaults(fn=_cmd_serve)

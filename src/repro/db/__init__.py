@@ -1,13 +1,6 @@
 """Relational engine and the paper's evaluation strategies."""
 
 from .annotated import AnnotatedRelation
-from .backend import (
-    ExecutionContext,
-    ProcessBackend,
-    SequentialBackend,
-    ThreadBackend,
-    make_backend,
-)
 from .binding import BoundQuery, bind_atom
 from .columnar import (
     COLUMNAR_MIN_ROWS,
@@ -43,7 +36,6 @@ from .semiring import (
     get_semiring,
     resolve_semiring,
 )
-from .sharded import ShardedRelation, shard_relations
 from .stats import EvalStats
 from .yannakakis import boolean_eval, enumerate_answers, full_reduce
 
@@ -55,20 +47,15 @@ __all__ = [
     "ColumnarRelation",
     "Database",
     "EvalStats",
-    "ExecutionContext",
     "INT_RING",
     "LAYOUTS",
     "Lemma46Result",
     "MINCOST",
     "PROB",
     "PROVENANCE",
-    "ProcessBackend",
     "Relation",
     "SEMIRINGS",
     "Semiring",
-    "SequentialBackend",
-    "ShardedRelation",
-    "ThreadBackend",
     "backtracking_answers",
     "backtracking_eval",
     "bind_atom",
@@ -83,9 +70,7 @@ __all__ = [
     "lemma46_transform",
     "lift_columnar",
     "resolve_semiring",
-    "make_backend",
     "naive_boolean_eval",
     "naive_join_eval",
-    "shard_relations",
     "to_columnar",
 ]

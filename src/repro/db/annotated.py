@@ -14,8 +14,8 @@ overridden with their annotated semantics:
 
 Because the overrides live on a subclass, every consumer that already
 dispatches through ``Relation`` methods — the Yannakakis sweeps of
-:mod:`repro.db.yannakakis`, the sharded kernel, the execution-backend
-operator registry — evaluates annotated relations unchanged.  Plain
+:mod:`repro.db.yannakakis`, the bag pipeline of
+:mod:`repro.db.evaluate` — evaluates annotated relations unchanged.  Plain
 relations never touch this module: set semantics keeps its memoised key
 sets, specialised inner loops and ``Relation.trusted`` fast paths.
 
@@ -340,52 +340,6 @@ def naive_annotated_eval(query, db: Database, semiring: Semiring, stats=None):
         stats.projections += 1
         stats.record(answer)
     return answer
-
-
-def merge_annotated(
-    pieces: Sequence[Relation],
-    attributes: tuple[str, ...],
-    name: str,
-) -> AnnotatedRelation:
-    """``plus``-merge shard pieces into one annotated relation — the
-    gather point of the sharded kernel.  Aligned shards partition their
-    rows, so collisions normally cannot happen; when they do (broadcast
-    results, re-sharded unions) the duplicate row's values are folded
-    with ``plus``.  Plain pieces contribute ``one`` per row.
-
-    Each per-shard map merges in one pass: collisions are found with a
-    C-speed key-set intersection and only those few rows take the
-    Python-level ``plus`` detour — the common disjoint-shard case is a
-    plain bulk ``dict.update`` instead of a per-row get/store loop
-    (profiled hotspot under ``semiring=count`` with 8 shards)."""
-    semiring = None
-    for piece in pieces:
-        semiring = getattr(piece, "semiring", None)
-        if semiring is not None:
-            break
-    if semiring is None:
-        raise EvaluationError("merge_annotated requires an annotated piece")
-    plus = semiring.plus
-    one = semiring.one
-    merged: dict[Row, object] = {}
-    for piece in pieces:
-        ann = getattr(piece, "annotations", None)
-        if ann is None:
-            ann = dict.fromkeys(piece.rows, one)
-        if not merged:
-            merged.update(ann)
-            continue
-        collisions = merged.keys() & ann.keys()
-        if not collisions:
-            merged.update(ann)
-        else:
-            saved = [(row, merged[row]) for row in collisions]
-            merged.update(ann)
-            for row, prior in saved:
-                merged[row] = plus(prior, merged[row])
-    return AnnotatedRelation.make(
-        attributes, frozenset(merged), name, semiring, merged
-    )
 
 
 def bind_atom_annotated(

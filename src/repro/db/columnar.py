@@ -3,9 +3,8 @@
 The row engine in :mod:`repro.db.relation` stores a relation as a
 ``frozenset`` of Python tuples.  That representation is ideal for
 set-semantics correctness but pays interpreter overhead per *row* in
-every hot loop: a semijoin touches one tuple at a time, a projection
-allocates one output tuple per input row, and the process backend
-pickles the tuples at every scatter.
+every hot loop: a semijoin touches one tuple at a time and a projection
+allocates one output tuple per input row.
 
 :class:`ColumnarRelation` keeps the same logical contract — an immutable
 named set of tuples, substitutable anywhere a
@@ -28,11 +27,8 @@ is decided once per *distinct* value, then rows are selected by integer
 code).  Between two columnar relations a semijoin builds no key set at
 all: the membership mask comes from the two sides' buffers, column
 against column (:func:`_np_semijoin_mask`); the key set is for row
-receivers, shard broadcasts and the pairs of columns only Python
-equality can compare.  Because the buffers support the buffer protocol
-they also ship zero-copy through ``multiprocessing.shared_memory`` — see
-:mod:`repro.db.shm` — so process-backend workers attach partitions by
-name instead of decoding row tuples.
+receivers, no-numpy builds and the pairs of columns only Python
+equality can compare.
 
 Row materialisation stays available (:attr:`ColumnarRelation.rows` is a
 :class:`RowsView`: counting and iterating decode straight from the
@@ -68,7 +64,7 @@ from operator import is_not
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._errors import SchemaError
-from .annotated import AnnotatedRelation, annotated_probe_join, merge_annotated
+from .annotated import AnnotatedRelation, annotated_probe_join
 from .relation import Relation, Row, Value, probe_join
 from .semiring import Semiring
 
@@ -144,8 +140,7 @@ def rides_buffers(semiring: Semiring | None) -> bool:
 
 
 def _np_view(col: "Column"):
-    """Zero-copy numpy view of a column buffer (works for both local
-    ``array`` storage and shared-memory ``memoryview`` columns)."""
+    """Zero-copy numpy view of a column buffer."""
     return _np.frombuffer(
         memoryview(col.data).cast("B"), dtype=_NP_DTYPE[col.kind]
     )
@@ -334,9 +329,7 @@ class Column:
     ``kind`` is ``"i"`` (int64 values in ``data``), ``"f"`` (float64
     values in ``data``), or ``"o"`` (dictionary-encoded: ``data`` holds
     int64 *codes* into ``pool``, a tuple of distinct values).  ``data``
-    is an ``array`` locally, or a typed ``memoryview`` into a shared
-    memory segment when the column was attached zero-copy by a worker.
-    The code→value mapping of a pool is injective, so code-level
+    is an ``array``.  The code→value mapping of a pool is injective, so code-level
     equality coincides with value-level equality — which is what lets
     the kernels deduplicate and select on raw int codes.
     """
@@ -380,13 +373,7 @@ class Column:
         return Column(self.kind, data, self.pool)
 
     def __reduce__(self):
-        data = self.data
-        if not isinstance(data, array):
-            # A memoryview into an attached segment: copy the bytes out,
-            # the mapping does not outlive this process.
-            data = array(_TYPECODE[self.kind])
-            data.frombytes(self.data.cast("B"))
-        return Column, (self.kind, data, self.pool)
+        return Column, (self.kind, self.data, self.pool)
 
 
 def encode_column(values: Sequence[Value]) -> Column:
@@ -430,16 +417,14 @@ class RowsView(Set):
     use and kept; set algebra returns plain ``frozenset`` objects.
     """
 
-    # Slots clear in this order: the buffers go before what maps them.
-    __slots__ = ("_columns", "_frozen", "_decoded", "_segment")
+    __slots__ = ("_columns", "_frozen", "_decoded")
 
-    def __init__(self, columns: tuple["Column", ...], segment=None):
+    def __init__(self, columns: tuple["Column", ...]):
         self._columns = columns
         self._frozen: frozenset[Row] | None = None
         # The rows already decoded, in buffer order (the owner's
         # annotation map, once built): walked instead of decoding again.
         self._decoded: Iterable[Row] | None = None
-        self._segment = segment  # shm mapping under the buffers, if any
 
     def frozen(self) -> frozenset[Row]:
         if self._frozen is None:
@@ -547,9 +532,7 @@ class ColumnarRelation(Relation):
         cached = self.__dict__.get("_rows")
         if cached is None:
             if self.length:
-                # Like the relation itself (see ``shm.attach_columnar``),
-                # the view keeps an attached segment mapped.
-                cached = RowsView(self.columns, self.__dict__.get("_shm"))
+                cached = RowsView(self.columns)
             else:
                 cached = frozenset()
             self.__dict__["_rows"] = cached
@@ -659,18 +642,6 @@ class ColumnarRelation(Relation):
         return ColumnarRelation.make(
             attributes, _empty_columns(len(attributes)), name, 0,
             weights, self.semiring,
-        )
-
-    def _take_rows(self, sel: Sequence[int], name: str | None = None) -> "ColumnarRelation":
-        """Gather a selection vector into a fresh columnar relation."""
-        if not sel:
-            return self._no_rows(self.attributes, name or self.name)
-        cols = tuple(c.take(sel) for c in self.columns)
-        weights = self.weights
-        return ColumnarRelation.make(
-            self.attributes, cols, name or self.name, len(sel),
-            None if weights is None else weights.take(sel),
-            self.semiring, self.bound,
         )
 
     def _select_rows(self, mask, survivors: int) -> "ColumnarRelation":
@@ -788,7 +759,6 @@ class ColumnarRelation(Relation):
         return self._keep(mask, mask.count(1))
 
     def join(self, other: Relation, name: str | None = None) -> Relation:
-        other = other.to_relation()  # a sharded partner joins coalesced
         if other._rank > self._rank:
             # The richer partner brings the kernel: a weighted columnar
             # one this module's, an AnnotatedRelation its row loop.
@@ -1244,179 +1214,3 @@ def from_columns(
     rows = frozenset(zip(*cols)) if cols and cols[0] else frozenset()
     return to_columnar(Relation.trusted(attrs, rows, name))
 
-
-def concat_columnar(
-    pieces: Sequence[ColumnarRelation],
-    attributes: tuple[str, ...],
-    name: str,
-) -> Relation:
-    """Gather-side merge of columnar shard pieces: union the decoded
-    rows (cross-shard dedup) and re-encode, keeping the result columnar
-    for downstream operators.  Weighted pieces are laid end to end and
-    ``plus``-folded on the buffers — a row two shards both produced
-    (a projection that dropped the shard key) sums its weights — unless
-    the pieces disagree on a column's encoding or a sum could leave
-    int64, when the fold happens on decoded rows."""
-    if any(piece.weights is not None for piece in pieces):
-        stacked = _stack_weighted(pieces, attributes, name)
-        folded = (
-            None
-            if stacked is None
-            else stacked._fold(stacked.columns, attributes, name)
-        )
-        if folded is None:
-            merged = merge_annotated(pieces, attributes, name)
-            return lift_columnar(merged, merged.semiring)
-        return folded
-    merged: set[Row] = set()
-    for piece in pieces:
-        merged.update(piece.rows)
-    return to_columnar(Relation.trusted(attributes, frozenset(merged), name))
-
-
-def _stack_weighted(
-    pieces: Sequence[ColumnarRelation],
-    attributes: tuple[str, ...],
-    name: str,
-) -> ColumnarRelation | None:
-    """The non-empty *pieces* laid end to end, weights included (rows
-    may repeat across pieces: :meth:`ColumnarRelation._fold` is what
-    restores the set contract).  ``None`` when the buffers cannot simply
-    be concatenated: a piece without weights or over another semiring,
-    or a column whose kind or dictionary pool differs between pieces."""
-    filled = [piece for piece in pieces if piece.length] or pieces[:1]
-    first = filled[0]
-
-    def encoding(piece: ColumnarRelation) -> list:
-        return [(c.kind, c.pool) for c in piece.columns]
-
-    for piece in filled:
-        if (
-            piece.weights is None
-            or piece.semiring is not first.semiring
-            or encoding(piece) != encoding(first)
-        ):
-            return None
-
-    def stack(cols: Sequence[Column]) -> Column:
-        data = array(_TYPECODE[cols[0].kind])
-        for col in cols:
-            data.frombytes(memoryview(col.data).cast("B"))
-        return Column(cols[0].kind, data, cols[0].pool)
-
-    return ColumnarRelation.make(
-        attributes,
-        tuple(stack(cols) for cols in zip(*(p.columns for p in filled))),
-        name,
-        sum(piece.length for piece in filled),
-        stack([piece.weights for piece in filled]),
-        first.semiring,
-        max(piece.bound for piece in filled),
-    )
-
-
-def partition_columnar(
-    rel: ColumnarRelation,
-    key_pos: int,
-    n_shards: int,
-    hash_fn,
-    skew_factor: float,
-) -> tuple[tuple[ColumnarRelation, ...], frozenset]:
-    """Hash-partition a columnar relation on the column at *key_pos*.
-
-    The columnar counterpart of the row bucketing in
-    :meth:`repro.db.sharded.ShardedRelation.shard`: shard ids come from
-    *hash_fn* (the process-stable hash), a dictionary key column hashes
-    once per *pool entry* instead of once per row, and each shard is
-    carved out with a selection vector (pools stay shared, a weight
-    column is carved with the rows).  Returns the
-    shard pieces plus the heavy-hitter values that were spread
-    round-robin (empty for a clean partition) — same skew-guard
-    semantics as the row path."""
-    col = rel.columns[key_pos]
-    data = col.data
-    sids_np = None
-    if _np is not None:
-        view = _np_view(col)
-        if col.kind == "o":
-            # Hash once per *pool entry*, then map codes → shard ids
-            # with one fancy-index gather.
-            shard_of_code = _np.fromiter(
-                (hash_fn(v) % n_shards for v in col.pool),
-                _np.int64,
-                count=len(col.pool),
-            )
-            sids_np = shard_of_code[view] if view.size else view
-        elif col.kind == "i" and view.size:
-            # CPython's int hash is the identity inside ±(2**61 - 1)
-            # except hash(-1) == -2, so the whole shard-id pass
-            # vectorises; values outside that range take the hash chain
-            # below.
-            modulus = (1 << 61) - 1
-            if -modulus < int(view.min()) and int(view.max()) < modulus:
-                sids_np = _np.where(view == -1, -2, view) % n_shards
-        elif col.kind == "i":
-            sids_np = view
-    if sids_np is not None:
-        counts = _np.bincount(sids_np, minlength=n_shards)
-        sids = None
-    else:
-        if col.kind == "o":
-            shard_of_code = [hash_fn(v) % n_shards for v in col.pool]
-            sids = list(map(shard_of_code.__getitem__, data))
-        else:
-            # stable_hash agrees with builtin hash for numeric scalars,
-            # so the shard-id pass is a C map chain.
-            sids = list(map(n_shards.__rmod__, map(hash, data)))
-        counts = [0] * n_shards
-        for s in sids:
-            counts[s] += 1
-    heavy: frozenset = frozenset()
-    threshold = skew_factor * rel.length / n_shards
-    if rel.length and max(counts) > threshold:
-        # Count key values only inside oversized shards (a value's rows
-        # all share a shard before spreading, so none can hide).
-        if sids is None:
-            sids = sids_np.tolist()
-        heavy_values: set = set()
-        for s in range(n_shards):
-            if counts[s] <= threshold:
-                continue
-            mask = bytes(map(s.__eq__, sids))
-            value_counts: dict = {}
-            for c in compress(data, mask):
-                value_counts[c] = value_counts.get(c, 0) + 1
-            if col.kind == "o":
-                heavy_values.update(
-                    col.pool[c]
-                    for c, k in value_counts.items()
-                    if k > threshold
-                )
-            else:
-                heavy_values.update(
-                    v for v, k in value_counts.items() if k > threshold
-                )
-        heavy = frozenset(heavy_values)
-        if heavy:
-            sels: list[list[int]] = [[] for _ in range(n_shards)]
-            appends = [s.append for s in sels]
-            spread = 0
-            for j, v in enumerate(col.values()):
-                if v in heavy:
-                    appends[spread % n_shards](j)
-                    spread += 1
-                else:
-                    appends[sids[j]](j)
-            pieces = tuple(rel._take_rows(sel) for sel in sels)
-            return pieces, heavy
-    if sids_np is not None:
-        pieces = tuple(
-            rel._select_rows(sids_np == s, int(counts[s]))
-            for s in range(n_shards)
-        )
-    else:
-        masks = [bytes(map(s.__eq__, sids)) for s in range(n_shards)]
-        pieces = tuple(
-            rel._select_rows(mask, mask.count(1)) for mask in masks
-        )
-    return pieces, heavy

@@ -8,26 +8,24 @@ join / semijoin operate positionally on shared variables — exactly the
 **The carrier protocol.**  The paper's evaluation route — Lemma 4.6
 bags, then Yannakakis (Theorems 4.7 / 4.8) — needs three operators on a
 node relation: semijoin, join, projection.  The list below is the whole
-contract of a relation carrier, stated here and nowhere else.  Four
+contract of a relation carrier, stated here and nowhere else.  Three
 carriers implement it — :class:`Relation` (a ``frozenset`` of row
 tuples), :class:`~repro.db.annotated.AnnotatedRelation` (rows plus a
-semiring value each), :class:`~repro.db.columnar.ColumnarRelation`
-(column buffers, optionally a weight column) and
-:class:`~repro.db.sharded.ShardedRelation` (hash-partitioned pieces on
-an execution backend) — and none has a public method outside it;
-``tests/db/test_carrier_protocol.py`` runs every operator on every
-carrier and checks that no other surface grows back.
+semiring value each) and :class:`~repro.db.columnar.ColumnarRelation`
+(column buffers, optionally a weight column) — and none has a public
+method outside it; ``tests/db/test_carrier_protocol.py`` runs every
+operator on every carrier and checks that no other surface grows back.
 
 *Operands* — what the sweeps of :mod:`repro.db.yannakakis` and the bag
 pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
 (what a mixed pair does is the operands' business):
 
 * ``attributes``, ``name``, ``len``, ``bool``, iteration and ``rows`` —
-  the schema and the tuples; ``n_shards`` — 1 unless cut in pieces;
+  the schema and the tuples;
 * ``semijoin(other)`` — ⋉: the rows with a join partner in *other*.
   Never grows, returns the receiver itself when nothing is filtered,
   and reads of *other* only ``bool`` and ``attributes`` before handing
-  it to the receiver's probe hook (``_semijoin_probe``, under *Pieces*),
+  it to the receiver's probe hook (``_semijoin_probe``, under *Kernels*),
   which by default asks it for nothing but ``key_set``;
 * ``join(other, name=None)`` — natural join ⋈ on the shared attribute
   names; the schema is the receiver's attributes, then the partner's
@@ -36,13 +34,10 @@ pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
   their annotations fold with ``plus``;
 * ``key_set(attributes)`` — the distinct key values over *attributes*
   (the bare value for one attribute, the value tuple otherwise),
-  memoised per instance: the probe set of a semijoin;
-* ``to_relation()`` — the operand as one process-local relation
-  (itself, unless sharded: the gather point).
+  memoised per instance: the probe set of a semijoin.
 
-*Pieces* — what the three single-piece carriers (the :class:`Relation`
-classes, which are also what a shard holds) add for the sharded kernel
-and for atom binding:
+*Kernels* — what the operators above are built from, and what atom
+binding uses:
 
 * ``_semijoin_probe(shared, other)`` — the last line of ``semijoin``:
   filter the receiver against the *partner*, both non-empty, *shared*
@@ -51,7 +46,7 @@ and for atom binding:
   receiver answers a columnar partner column-against-column instead
   (no key set is built) and reads its ``columns``;
 * ``semijoin_with_keys(shared, keys)`` — the semijoin probe against a
-  prebuilt key set (the broadcast mode: one set for all shards);
+  prebuilt key set;
 * ``relabel(attributes, name)`` — the same tuples under another schema,
   sharing storage (how an atom views a base relation);
 * ``_no_rows(attributes, name)`` — the empty relation of the receiver's
@@ -61,16 +56,14 @@ and for atom binding:
 * ``_rank`` and ``_probe_join`` — operand precedence: the higher-ranked
   side of a join brings the probe kernel and the result's flavour;
 * ``__reduce__`` — a carrier pickles as a call to its own trusted
-  constructor on its fields, so memoised structures never travel and a
-  new field crosses a process boundary without a codec to teach.
+  constructor on its fields, so memoised structures never travel.
 
 *Constructors*: ``trusted`` / ``from_rows`` / ``empty`` here, ``make`` /
-``lift`` / ``unit`` on the annotated and columnar classes, ``shard`` on
-the sharded one.  *Annotated answers* (a carrier whose rows carry
-semiring values) expose ``semiring``, ``annotations``,
-``annotation(row)``, ``total()`` and ``strip()``; a weighted columnar
-relation also converts with ``annotated()`` and, weighted or not, with
-``row_relation()``.
+``lift`` / ``unit`` on the annotated and columnar classes.  *Annotated
+answers* (a carrier whose rows carry semiring values) expose
+``semiring``, ``annotations``, ``annotation(row)``, ``total()`` and
+``strip()``; a weighted columnar relation also converts with
+``annotated()`` and, weighted or not, with ``row_relation()``.
 
 The row carrier below is a straightforward set-of-tuples engine with
 hash joins, deliberately simple and fully observable: the evaluation
@@ -120,8 +113,6 @@ class Relation:
     #: columnar relations rank 0, a columnar relation with a weight
     #: column 1, annotated ones 2.
     _rank = 0
-    #: A relation held in one piece is one shard.
-    n_shards = 1
 
     def __post_init__(self) -> None:
         if len(set(self.attributes)) != len(self.attributes):
@@ -196,11 +187,6 @@ class Relation:
         return Relation.trusted(attributes, frozenset(), name)
 
     # -- views --------------------------------------------------------------
-    def to_relation(self) -> "Relation":
-        """This operand as one process-local relation: itself.  (A
-        sharded operand coalesces its pieces here.)"""
-        return self
-
     @property
     def arity(self) -> int:
         return len(self.attributes)
@@ -331,7 +317,6 @@ class Relation:
         The build-side hash table comes from :meth:`key_index`, so joining
         repeatedly against the same relation reuses one table.
         """
-        other = other.to_relation()  # a sharded partner joins coalesced
         top = other if other._rank > self._rank else self
         shared = tuple(a for a in self.attributes if a in other._index_of)
         extra = [a for a in other.attributes if a not in self._index_of]
@@ -381,19 +366,17 @@ class Relation:
         """Filter against the partner itself (both sides non-empty,
         *shared* non-empty).  The probe set over the shared attributes
         is memoised on *other* (:meth:`key_set`) and nothing else of it
-        is read, so the partner may be sharded."""
+        is read, so the partner may be any carrier."""
         return self.semijoin_with_keys(shared, other.key_set(shared))
 
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> "Relation":
         """Filter against a prebuilt key set over *shared* — the probe
-        loop behind :meth:`semijoin`, shared with the sharded kernel's
-        broadcast mode (every shard against one key set built for all of
-        them).  Key convention matches :meth:`key_set`: a single
-        attribute keys by the bare value, longer tuples by the value
-        tuple.  Returns ``self`` when nothing is filtered, keeping its
-        memoised hash structures alive."""
+        loop behind :meth:`semijoin`.  Key convention matches
+        :meth:`key_set`: a single attribute keys by the bare value,
+        longer tuples by the value tuple.  Returns ``self`` when nothing
+        is filtered, keeping its memoised hash structures alive."""
         if not self.rows:
             return self
         if len(shared) == 1:
@@ -429,13 +412,12 @@ def probe_join(
     """The hash-join probe loop over an explicit build/probe assignment.
 
     ``build``'s table comes from its memoised :meth:`Relation.key_index`,
-    so a relation probed by many partners — the broadcast mode of the
-    sharded kernel, where every shard probes the same un-co-partitioned
-    partner — pays for the table once.  ``build_is_left`` says which side
-    contributes the row prefix of the output (``out_attrs`` = left
-    attributes + right extras, ``extra_pos`` indexes the extras on the
-    right side).  The inner loop runs once per matched pair; no shape
-    of extras runs a Python-level generator per match.
+    so a relation probed by many partners pays for the table once.
+    ``build_is_left`` says which side contributes the row prefix of the
+    output (``out_attrs`` = left attributes + right extras,
+    ``extra_pos`` indexes the extras on the right side).  The inner loop
+    runs once per matched pair; no shape of extras runs a Python-level
+    generator per match.
     """
     table = build.key_index(shared)
     single = len(shared) == 1

@@ -43,10 +43,11 @@ class Semiring:
     """A commutative semiring ``(K, plus, times, zero, one)``.
 
     Subclasses fix the carrier set by choosing the value representation;
-    all values must be hashable and picklable (annotations cross to
-    process-backend workers inside their relation).  A semiring itself
-    pickles as its ``tag`` and is resolved from the registry on arrival,
-    so identity (``a.semiring is b.semiring``) survives the boundary.  ``is_absorbing`` lets projection folds stop
+    all values must be hashable and picklable (annotations pickle inside
+    their relation).  A semiring itself pickles as its ``tag`` and is
+    resolved from the registry on arrival, so identity
+    (``a.semiring is b.semiring``) survives the round trip.
+    ``is_absorbing`` lets projection folds stop
     ``plus``-ing once an absorbing element is reached (e.g. probability
     1.0); the default never short-circuits.  ``lift`` maps one base fact
     to its annotation — the single point where database weights (see
@@ -152,7 +153,7 @@ class MinCostSemiring(Semiring):
         if a[0] != b[0]:
             return a if a[0] < b[0] else b
         # Equal costs: pick a canonical witness so evaluation order
-        # (join order, shard count, backend) cannot change the answer.
+        # (join order, layout) cannot change the answer.
         return a if (len(a[1]), repr(a[1])) <= (len(b[1]), repr(b[1])) else b
 
     def times(self, a: tuple, b: tuple) -> tuple:

@@ -18,13 +18,14 @@ relation:
 
 This is the only place the three passes are written.  They ask of an
 operand nothing but the operand half of the carrier protocol
-(:mod:`repro.db.relation`), so a node's relation may be a row, columnar
-or annotated :class:`~repro.db.relation.Relation` or a hash-partitioned
-:class:`~repro.db.sharded.ShardedRelation` running on an execution
-backend (:func:`~repro.db.sharded.shard_relations` cuts them), in any
-mix.  Every operator is counted in ``stats`` and traced as one
-``sweep.semijoin`` / ``sweep.join`` span naming the node whose relation
-it writes, the pass, whether the result is sharded, and its row count.
+(:mod:`repro.db.relation`), so a node's relation may be a row
+:class:`~repro.db.relation.Relation`, an
+:class:`~repro.db.annotated.AnnotatedRelation` or a
+:class:`~repro.db.columnar.ColumnarRelation`, in any mix, and the
+passes run directly on the bag relations they are given.  Every
+operator is counted in ``stats`` and traced as one ``sweep.semijoin`` /
+``sweep.join`` span naming the node whose relation it writes, the pass,
+and its row count.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _semijoin(
         out = reduced[node] = stats.record(
             reduced[node].semijoin(reduced[partner])
         )
-        sp.set(rows=len(out), sharded=out.n_shards > 1)
+        sp.set(rows=len(out))
     stats.semijoins += 1
 
 
@@ -100,12 +101,10 @@ def full_reduce(
     """The full reducer: bottom-up then top-down semijoin sweeps.
 
     Afterwards each relation contains exactly the tuples that extend to a
-    full answer of the (acyclic) query.  Sharded operands come back
-    coalesced.
+    full answer of the (acyclic) query.
     """
     stats = stats if stats is not None else EvalStats()
-    reduced = _fully_reduced(tree, relations, stats)
-    return {node: rel.to_relation() for node, rel in reduced.items()}
+    return _fully_reduced(tree, relations, stats)
 
 
 def enumerate_answers(
@@ -121,8 +120,6 @@ def enumerate_answers(
     the current node's attributes plus the output attributes contributed
     by its subtree.  Each intermediate is then at most
     ``|node relation| × |answers|`` — polynomial in input plus output.
-    A sharded partial result stays partitioned for as long as its shard
-    key survives the projection; only the answer is coalesced.
 
     Output attributes must occur in the tree (standard for CQ heads, whose
     variables occur in the body); anything else raises ``ValueError``
@@ -159,9 +156,9 @@ def enumerate_answers(
                     rel.project([a for a in rel.attributes if a in keep])
                 )
                 stats.projections += 1
-                sp.set(rows=len(rel), sharded=rel.n_shards > 1)
+                sp.set(rows=len(rel))
         partial[node] = rel
         subtree_attrs[node] = attrs_below
     answer = partial[tree.root].project(list(output), name="ans")
     stats.projections += 1
-    return stats.record(answer.to_relation())
+    return stats.record(answer)

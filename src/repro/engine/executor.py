@@ -4,7 +4,7 @@ One object ties the repo's pieces into a pipeline callers no longer
 hand-wire per query::
 
     fingerprint → plan cache → (portfolio decompose on miss) →
-    physical plan (χ labels, join orders, root, shard counts) →
+    physical plan (χ labels, join orders, root, layout) →
     Yannakakis passes
 
 * :meth:`Engine.execute` answers one query against one database,
@@ -16,20 +16,10 @@ hand-wire per query::
 * :meth:`Engine.explain` renders the chosen physical plan without
   executing it.
 
-**Execution backends.**  ``Engine(backend=...)`` selects where shard
-tasks run: ``"sequential"`` (inline, the default), ``"thread"`` (a
-thread pool — low latency, GIL-bound), or ``"process"``
-(worker processes with resident shards — real multicore scaling for
-large relations).  The engine owns one live
-:class:`~repro.db.backend.ExecutionContext`, created lazily on the
-first plan that actually shards something and reused across requests,
-so process workers and their scatter caches persist;
-:meth:`Engine.close` (or the context-manager exit) releases it.
-Which nodes shard at all is the cost-based policy in
-:func:`repro.engine.plan.compile_plan` — relations estimated under
-:data:`~repro.engine.plan.SHARD_MIN_ROWS` stay unsharded.  The
-``REPRO_BACKEND`` environment variable supplies the default kind when
-none is given.
+Each request evaluates sequentially, in the thread that submitted it:
+the bags are materialised and the Yannakakis passes run over them
+directly.  Concurrency lives *between* requests (``execute_many``, the
+serve tier, live views), never inside one.
 
 **Semiring evaluation.**  ``execute(..., semiring=...)`` switches a
 request to annotated semantics (:mod:`repro.db.semiring`): the answer
@@ -69,12 +59,6 @@ from ..core.atoms import Variable
 from ..core.hypertree import HypertreeDecomposition
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import AnnotatedRelation
-from ..db.backend import (
-    BACKEND_KINDS,
-    ExecutionContext,
-    default_backend_kind,
-    make_backend,
-)
 from ..db.columnar import LAYOUTS, default_layout, rides_buffers
 from ..db.database import Database
 from ..db.relation import Relation, Row
@@ -85,7 +69,7 @@ from ..obs import Tracer, current_tracer, get_registry, tracing
 from ..obs.flight import FlightRecorder, get_flight_recorder, span_forest
 from .cache import PlanCache
 from .fingerprint import fingerprint
-from .plan import SHARD_MIN_ROWS, QueryPlan, compile_plan, execute_plan
+from .plan import QueryPlan, check_backend, compile_plan, execute_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (incremental imports engine)
     from ..incremental.live import LiveEngine
@@ -188,22 +172,17 @@ class Engine:
     workers:
         Default thread-pool width for :meth:`execute_many`.
     backend:
-        Execution backend kind for intra-query shard tasks:
-        ``"sequential"`` | ``"thread"`` | ``"process"``.  Defaults to
-        ``$REPRO_BACKEND`` when set, else ``"sequential"``.
-    backend_workers:
-        Shard-task width for a parallel backend (default 4).
-    shard_threshold:
-        Minimum estimated bag cardinality for a node to be sharded;
-        forwarded to :func:`~repro.engine.plan.compile_plan`.
+        Selects nothing: only ``"sequential"`` is accepted, and the
+        keyword remains only for the end-to-end benchmark driver under
+        ``benchmarks/e2e``; any other value raises ``ValueError`` (the
+        parallel backends were removed).
     layout:
         Storage layout for materialised bags: ``"row"`` |
         ``"columnar"`` | ``"auto"`` (resolved once per plan: columnar
         when some relation a bag pipeline touches is estimated at
         :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or more, row
         otherwise).  Columnar bags are joined in their atoms' column
-        buffers, run the vectorised semijoin/join kernels and
-        cross the process-backend boundary over shared memory.
+        buffers and run the vectorised semijoin/join kernels.
         Defaults to ``$REPRO_LAYOUT`` when set, else ``"auto"``.
         A semiring request follows it when the semiring's values can
         ride a weight column and compiles a row plan otherwise.
@@ -226,8 +205,8 @@ class Engine:
         a :class:`repro.obs.FlightRecorder` instance records there;
         ``False`` switches flight recording off for this engine.  Every
         request appends one bounded ring event; ``EvaluationError`` /
-        ``BudgetExceeded`` / worker death additionally capture the
-        failing request's span tree and auto-dump to *flight_dump*.
+        ``BudgetExceeded`` additionally capture the failing request's
+        span tree and auto-dump to *flight_dump*.
     flight_dump:
         Where failure dumps are written: a JSON file path (last dump
         wins) or a directory (one file per dump).  Defaults to
@@ -241,9 +220,7 @@ class Engine:
         mode: Mode = "auto",
         budget: float | None = None,
         workers: int = 4,
-        backend: str | None = None,
-        backend_workers: int | None = None,
-        shard_threshold: int = SHARD_MIN_ROWS,
+        backend: str = "sequential",
         layout: str | None = None,
         tracer: Tracer | None = None,
         slow_query_ms: float | None = None,
@@ -258,17 +235,7 @@ class Engine:
         self.mode: Mode = mode
         self.budget = budget
         self.workers = workers
-        if backend is None:
-            backend = default_backend_kind()
-        if backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {BACKEND_KINDS}"
-            )
-        self.backend = backend
-        self.backend_workers = max(
-            1, backend_workers if backend_workers is not None else 4
-        )
-        self.shard_threshold = shard_threshold
+        check_backend(backend)
         if layout is None:
             layout = default_layout()
         if layout not in LAYOUTS:
@@ -277,8 +244,6 @@ class Engine:
             )
         self.layout = layout
         self.decompositions = 0  # fresh planner searches performed
-        self._context: ExecutionContext | None = None
-        self._context_lock = threading.Lock()
         # Single-flight gates: (fingerprint, semiring tag) -> Event set
         # when the leader's search lands in the cache.  Concurrent first
         # requests of one shape (e.g. two tenants submitting isomorphic
@@ -301,45 +266,24 @@ class Engine:
             return get_flight_recorder()
         return spec
 
-    # -- resource lifecycle ------------------------------------------------
-    def _execution_context(self) -> ExecutionContext:
-        """The engine-owned execution context, created once and reused
-        across requests (spinning workers up per query would put
-        process/thread start-up on the hot path this feature speeds up).
-        Contexts are thread-safe for concurrent requests: thread pools
-        natively, the process backend by serialising each shard
-        fan-out."""
-        with self._context_lock:
-            ctx = self._context
-            if ctx is None or ctx.closed:
-                # `closed` covers a process pool that tore itself down
-                # after losing a worker: the next request gets a fresh
-                # pool instead of a permanently bricked engine.
-                ctx = self._context = make_backend(
-                    self.backend, self.backend_workers
-                )
-            return ctx
+    @property
+    def shard_threshold(self) -> None:
+        """Selects nothing (nothing is sharded); read only by the
+        end-to-end benchmark driver under ``benchmarks/e2e``, which
+        forwards it to :func:`~repro.engine.plan.compile_plan`."""
+        return None
 
+    # -- resource lifecycle ------------------------------------------------
     def close(self) -> None:
-        """Shut down the engine's execution backend (thread pool or
-        process workers).  Idempotent; the engine remains usable
-        afterwards (the backend is recreated on demand)."""
-        with self._context_lock:
-            ctx, self._context = self._context, None
-        if ctx is not None:
-            ctx.close()
+        """Release what the engine holds — nothing since requests run
+        sequentially; kept so callers can treat every engine, server and
+        live view alike (``with Engine() as engine:``)."""
 
     def __enter__(self) -> "Engine":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # -- planning ---------------------------------------------------------
     def _decomposition_for(
@@ -447,29 +391,22 @@ class Engine:
         hit: bool,
         semiring: Semiring | None,
     ) -> QueryPlan:
-        """*hd* compiled against *db* under this engine's backend, shard
-        and layout configuration."""
+        """*hd* compiled against *db* under this engine's layout
+        policy."""
         return compile_plan(
             query, db, hd, provenance=method, cache_hit=hit,
-            backend=self.backend, workers=self.backend_workers,
-            shard_threshold=self.shard_threshold,
             layout=self._layout_for(semiring),
         )
 
     def live(
-        self, db: Database | None = None, parallelism: int | None = None
+        self, db: Database | None = None, parallelism: int = 1
     ) -> "LiveEngine":
         """A :class:`repro.incremental.LiveEngine` planning through this
         engine — registered views share this plan cache, so a view of an
-        already-seen shape costs a transport, not a search.  The view
-        fan-out *parallelism* defaults to this engine's shard width."""
+        already-seen shape costs a transport, not a search."""
         # Imported here: the incremental layer sits above the engine.
         from ..incremental.live import LiveEngine
 
-        if parallelism is None:
-            parallelism = (
-                self.backend_workers if self.backend != "sequential" else 1
-            )
         return LiveEngine(db=db, engine=self, parallelism=parallelism)
 
     def explain(
@@ -480,16 +417,13 @@ class Engine:
         semiring: "Semiring | str | None" = None,
     ) -> str:
         """Render the chosen plan (cache provenance, join orders, root,
-        shard assignment, and per node the χ labels priced and
-        rejected) — with *semiring*, the plan an annotated request of
-        that semiring runs.
+        layout, and per node the χ labels priced and rejected) — with
+        *semiring*, the plan an annotated request of that semiring runs.
 
         With ``analyze=True`` (requires *db*) the query is executed once
         under a private tracer and the rendering is annotated with what
         actually happened: per-node actual row counts next to the
-        estimator's predictions, bag/sweep wall times, and — under the
-        process backend — the worker-resident shard-task spans shipped
-        back from the pool.
+        estimator's predictions, and bag/sweep wall times.
         """
         if not analyze:
             return self.plan(query, db, semiring=semiring).render()
@@ -552,7 +486,7 @@ class Engine:
         plan_sink: list[QueryPlan] = []
         try:
             with tracing(tracer), tracer.span(
-                "engine.execute", query=query.name, backend=self.backend,
+                "engine.execute", query=query.name,
                 semiring=semiring.tag if semiring is not None else "set",
             ) as request_span:
                 result = self._execute_request(
@@ -663,17 +597,8 @@ class Engine:
                 # Threaded out so the flight recorder can attach the
                 # plan digest even when execution fails below.
                 plan_sink.append(plan)
-            # The live context is only materialised when the plan's
-            # cost-based policy actually sharded something — a process
-            # pool is never spawned to evaluate small relations.
-            ctx = (
-                self._execution_context()
-                if any(np.n_shards > 1 for np in plan.node_plans)
-                else None
-            )
             answer = execute_plan(
-                plan, db, stats=stats, deadline=deadline, backend=ctx,
-                semiring=semiring,
+                plan, db, stats=stats, deadline=deadline, semiring=semiring
             )
         return EvalResult(
             query, answer, stats, hit, hd_width, method,
@@ -721,7 +646,6 @@ class Engine:
             cache_hit=result.cache_hit,
             method=result.method,
             width=result.width,
-            backend=self.backend,
             digest=digest,
             stats=result.stats.as_row(),
         )
@@ -768,7 +692,6 @@ class Engine:
             query=query.name,
             error=type(error).__name__,
             message=str(error),
-            backend=self.backend,
             digest=plan.digest() if plan is not None else None,
             spans=span_forest(spans),
         )

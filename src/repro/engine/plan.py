@@ -47,20 +47,14 @@ Lemma 4.6 pipeline:
   child before enumeration starts.  (Join trees, unlike hypertree
   decompositions, may be re-rooted freely: the connectedness condition
   is symmetric.)
-* **per-node shard counts** — with a parallel backend selected, each
-  node whose estimated bag cardinality reaches
-  :data:`SHARD_MIN_ROWS` is assigned ``workers`` hash partitions;
-  smaller bags stay unsharded (below ~1k rows the partitioning overhead
-  dominates any shard-task win): the shard decision is per relation,
-  from the same cardinality estimates that order the joins.
 * **one layout per plan** — ``layout="columnar"`` materialises every
   bag as a :class:`~repro.db.columnar.ColumnarRelation` (contiguous
-  buffers, vectorised semijoin/join kernels, shared-memory scatter
-  under the process backend); ``"auto"`` resolves to it, once for the
-  whole plan, when the largest relation any node's pipeline touches —
-  the estimate of a part it joins or of the bag it yields — reaches
-  :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`, and to ``"row"``, whose
-  per-call overhead is lower, otherwise.  The inputs decide, not the
+  buffers, vectorised semijoin/join kernels); ``"auto"`` resolves to
+  it, once for the whole plan, when the largest relation any node's
+  pipeline touches — the estimate of a part it joins or of the bag it
+  yields — reaches :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`, and to
+  ``"row"``, whose per-call overhead is lower, otherwise.  The inputs
+  decide, not the
   outputs: a five-row bag behind two 300-row relations is laid out like
   the relations it joins; and the plan decides, not the node: carriers
   never mix inside one sweep, where every seam between them would box a
@@ -69,15 +63,10 @@ Lemma 4.6 pipeline:
   (:func:`~repro.db.columnar.rides_buffers`); the engine compiles the
   others with ``layout="row"``.
 
-Execution materialises the bags in plan order, cuts those the plan
-assigned more than one shard into :class:`~repro.db.sharded.ShardedRelation`
-pieces on the selected execution backend (:mod:`repro.db.backend`), and
-runs the Yannakakis passes of :mod:`repro.db.yannakakis` over the
-result.  A deadline
-is checked between operators so per-request budgets interrupt long plans
-with :class:`repro._errors.BudgetExceeded` (under the process backend
-the check sits between operators on the coordinating side; an individual
-shard task is never interrupted mid-flight).
+Execution materialises the bags in plan order and runs the Yannakakis
+passes of :mod:`repro.db.yannakakis` directly on them, in one thread.  A
+deadline is checked between operators so per-request budgets interrupt
+long plans with :class:`repro._errors.BudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -91,23 +80,31 @@ from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
-from ..db.backend import BACKEND_KINDS, SEQUENTIAL, ExecutionContext
 from ..db.binding import check_arity
 from ..db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS, ColumnarRelation
 from ..db.database import Database
 from ..db.evaluate import bag_relation, check_deadline
 from ..db.relation import Relation
 from ..db.semiring import Semiring
-from ..db.sharded import shard_relations
 from ..db.stats import CardinalityEstimator, EvalStats
 from ..db.yannakakis import boolean_eval, enumerate_answers
 from ..heuristics.validate import assert_valid
 from ..obs import Tracer, current_tracer, get_registry
 
-#: Estimated bag cardinality below which a node is never sharded: the
-#: ROADMAP's "partition overhead dominates below ~1k rows" observation,
-#: applied per relation by the cost-based policy.
-SHARD_MIN_ROWS = 1000
+
+def check_backend(backend: str) -> None:
+    """Reject every execution backend but the one that exists.
+
+    ``backend="sequential"`` is still accepted by :func:`compile_plan`
+    and :class:`~repro.engine.Engine` only because the end-to-end
+    benchmark driver under ``benchmarks/e2e`` passes it; it selects
+    nothing.  The thread and process backends were removed, and naming
+    one is a typed error rather than a silent fallback."""
+    if backend != "sequential":
+        raise ValueError(
+            f"backend {backend!r}: the parallel execution backends were "
+            "removed; evaluation is always sequential"
+        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,6 @@ class NodePlan:
     join_order: tuple[Atom, ...]
     estimated_rows: float
     atom_estimates: tuple[float, ...]
-    n_shards: int = 1
     #: The members of ``join_order`` that are not λ atoms of the node but
     #: query atoms its χ covers, joined in as filters (rendered ``⋉``).
     covered: frozenset[Atom] = frozenset()
@@ -143,10 +139,9 @@ class NodePlan:
         chi = ", ".join(
             f"+{v}" if v in self.grown else v for v in self.chi_names
         )
-        shards = f" ×{self.n_shards} shards" if self.n_shards > 1 else ""
         return (
             f"{self.bag.predicate}: π[{chi}]({steps or 'unit'}) "
-            f"≈{int(self.estimated_rows)} rows{shards}"
+            f"≈{int(self.estimated_rows)} rows"
         )
 
     def describe_candidates(self) -> str:
@@ -179,8 +174,6 @@ class QueryPlan:
     width: int
     provenance: str = "exact"
     cache_hit: bool = field(default=False)
-    backend: str = field(default="sequential")
-    workers: int = field(default=1)
     #: The layout policy the plan was compiled under, and what
     #: resolves ``auto``: the largest estimate among the relations the
     #: node pipelines touch (a part's, or the bag's).
@@ -195,14 +188,9 @@ class QueryPlan:
             return self.layout
         return "columnar" if self.layout_rows >= COLUMNAR_MIN_ROWS else "row"
 
-    @property
-    def shard_counts(self) -> dict[Atom, int]:
-        """Per-node shard assignment for the Yannakakis passes."""
-        return {np.bag: np.n_shards for np in self.node_plans}
-
     def digest(self) -> str:
         """A short stable hash of the plan's *structure* — provenance,
-        width, backend, per-node pipelines, join tree.  Two requests
+        width, layout, per-node pipelines, join tree.  Two requests
         with the same digest executed the same physical plan, which is
         how the flight recorder's slow-query log groups outliers."""
         import hashlib
@@ -212,7 +200,6 @@ class QueryPlan:
                 str(self.query),
                 self.provenance,
                 str(self.width),
-                f"{self.backend}x{self.workers}",
                 self.resolved_layout,
                 ",".join(self.output),
                 *(np.describe() for np in self.node_plans),
@@ -224,13 +211,6 @@ class QueryPlan:
     def render(self) -> str:
         """The ``explain`` rendering: provenance, per-node pipelines, and
         the rooted join tree the Yannakakis passes will run over."""
-        sharded = sum(1 for np in self.node_plans if np.n_shards > 1)
-        backend_tag = (
-            f", {self.backend} backend × {self.workers} "
-            f"({sharded}/{len(self.node_plans)} nodes sharded)"
-            if self.backend != "sequential"
-            else ""
-        )
         layout_tag = f", layout {self.layout}" if self.layout != "row" else ""
         if self.layout == "auto":
             # What decided it, so a surprising layout is never a puzzle.
@@ -243,7 +223,6 @@ class QueryPlan:
         lines = [
             f"plan for {self.query.name}: width {self.width} "
             f"[{self.provenance}{', cached' if self.cache_hit else ''}"
-            + backend_tag
             + layout_tag
             + "]",
             f"output: ({', '.join(self.output)})" if self.output else "output: boolean",
@@ -269,14 +248,11 @@ class QueryPlan:
         with what one traced execution actually did.
 
         Per node: estimated vs actual bag cardinality (exposing the
-        misestimates the cost-based shard policy silently acts on),
+        misestimates the cost-based choices silently act on),
         materialisation wall time — for a single-atom node, whether it
         reused the base relation's snapshot or had to rebuild part of
         it — and the node's share of the sweep (semijoin/join operator
         time attributed by relation name).
-        Worker-resident shard tasks — whose time is recorded *inside*
-        the process-backend workers and shipped back at reply time —
-        are totalled in the footer.
         """
         spans = tracer.spans()
         bag_spans: dict[object, list] = {}
@@ -320,16 +296,6 @@ class QueryPlan:
                     if sweep_n
                     else ""
                 )
-            )
-        shard_spans = [s for s in spans if s.name.startswith("shard:")]
-        if shard_spans:
-            workers = {(s.pid, s.tid) for s in shard_spans}
-            busy = sum(s.duration for s in shard_spans)
-            resident = sum(1 for s in shard_spans if s.pid != tracer.pid)
-            lines.append(
-                f"shard tasks: {len(shard_spans)} spans "
-                f"({resident} worker-resident) across {len(workers)} "
-                f"track(s), {busy * 1e3:.3f}ms busy"
             )
         return "\n".join(lines)
 
@@ -492,9 +458,9 @@ def compile_plan(
     hd: HypertreeDecomposition,
     provenance: str = "exact",
     cache_hit: bool = False,
-    backend: str | None = None,
-    workers: int | None = None,
-    shard_threshold: int = SHARD_MIN_ROWS,
+    backend: str = "sequential",
+    workers: int = 1,
+    shard_threshold: int | None = None,
     layout: str = "row",
 ) -> QueryPlan:
     """Compile *hd* into a physical plan against *db*.
@@ -509,45 +475,31 @@ def compile_plan(
     χ stays literal and the plan falls back to deterministic syntactic
     order.
 
-    *backend* selects the execution backend kind (``"sequential"``,
-    ``"thread"``, ``"process"``) and *workers* its width; with a parallel
-    backend each node whose estimated cardinality reaches
-    *shard_threshold* is assigned ``workers`` shards, smaller nodes
-    none.
-
     *layout* is the storage policy for materialised bags:
     ``"row"`` (frozenset-of-tuples, the default), ``"columnar"``, or
     ``"auto"`` — columnar when some node's pipeline touches a relation
     estimated at :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or
     more, row otherwise; always the whole plan.
+
+    *backend*, *workers* and *shard_threshold* select nothing: they
+    remain only for the end-to-end benchmark driver under
+    ``benchmarks/e2e``, which passes ``backend="sequential"``, and any
+    other backend raises ``ValueError`` (see :func:`check_backend`).
     """
-    if backend is None:
-        backend = "sequential"
-    if backend not in BACKEND_KINDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKEND_KINDS}"
-        )
+    check_backend(backend)
     if layout not in LAYOUTS:
         raise ValueError(
             f"unknown layout {layout!r}; expected one of {LAYOUTS}"
         )
-    if workers is None:
-        workers = 4
-    if backend == "sequential":
-        workers = 1
-    workers = max(1, workers)
 
     with current_tracer().span(
-        "plan.compile", query=query.name, backend=backend, workers=workers,
-        layout=layout,
+        "plan.compile", query=query.name, layout=layout,
     ) as compile_span:
         plan = _compile_plan_traced(
-            query, db, hd, provenance, cache_hit, backend, workers,
-            shard_threshold, layout,
+            query, db, hd, provenance, cache_hit, layout
         )
         compile_span.set(
             nodes=len(plan.node_plans),
-            sharded=sum(1 for np in plan.node_plans if np.n_shards > 1),
             columnar=(
                 len(plan.node_plans)
                 if plan.resolved_layout == "columnar"
@@ -565,9 +517,6 @@ def _compile_plan_traced(
     hd: HypertreeDecomposition,
     provenance: str,
     cache_hit: bool,
-    backend: str,
-    workers: int,
-    shard_threshold: int,
     layout: str,
 ) -> QueryPlan:
     complete = hd if hd.is_complete else hd.complete()
@@ -614,18 +563,10 @@ def _compile_plan_traced(
         bag_rows = pipeline.rows
         bag = Atom(f"n{i}", tuple(Variable(v) for v in chi_names))
         fresh.append(bag)
-        n_shards = (
-            workers
-            if backend != "sequential"
-            and workers > 1
-            and bag_rows >= shard_threshold
-            else 1
-        )
         plans.append(
             NodePlan(
                 bag, chi_names, tuple(pipeline.order), bag_rows,
                 tuple(pipeline.sizes),
-                n_shards=n_shards,
                 covered=frozenset(pipeline.covered),
                 grown=tuple(sorted(v.name for v in chi - p.chi)),
                 candidates=tuple(
@@ -653,8 +594,6 @@ def _compile_plan_traced(
         width=hd.width,
         provenance=provenance,
         cache_hit=cache_hit,
-        backend=backend,
-        workers=workers,
         layout=layout,
         # The largest relation any pipeline touches: a part's estimate
         # or its bag's.
@@ -684,9 +623,7 @@ def _materialise_bag(
     gets the same answer) the node yields a
     :class:`~repro.db.columnar.ColumnarRelation`, joined in the column
     buffers of the snapshots its atoms view — the Yannakakis
-    sweeps then dispatch into the vectorised kernels, and the process
-    backend ships the bag over shared memory instead of pickling it.
-    An annotated bag is one when its semiring's values can ride
+    sweeps then dispatch into the vectorised kernels.  An annotated bag is one when its semiring's values can ride
     a weight column (an :class:`~repro.db.annotated.AnnotatedRelation`
     otherwise); the ``plan.layout_columnar`` /
     ``plan.layout_row`` counters record which path each bag actually
@@ -703,7 +640,6 @@ def _materialise_bag(
         "plan.bag",
         node=np.bag.predicate,
         est=int(np.estimated_rows),
-        shards=np.n_shards,
         filters=len(np.covered),
         grown=len(np.grown),
     ) as sp:
@@ -731,7 +667,6 @@ def execute_plan(
     db: Database,
     stats: EvalStats | None = None,
     deadline: float | None = None,
-    backend: ExecutionContext | None = None,
     semiring: Semiring | None = None,
 ) -> Relation:
     """Run a compiled plan: materialise bags, then Yannakakis.
@@ -740,11 +675,6 @@ def execute_plan(
     empty schema and is non-empty iff the query is true.  Raises
     :class:`BudgetExceeded` when *deadline* (monotonic seconds) passes
     between operators.
-
-    *backend* is the live :class:`~repro.db.backend.ExecutionContext`
-    to run the plan's shard assignment on (engine-owned, so process
-    workers persist across requests).  Without one the shard tasks run
-    inline, whatever backend the plan was compiled for.
 
     *semiring* switches the run to annotated semantics: the answer
     carries one value per row — an
@@ -755,27 +685,20 @@ def execute_plan(
     the () row's annotation is the query total).
     """
     stats = stats if stats is not None else EvalStats()
-    ctx = backend if backend is not None else SEQUENTIAL
     with current_tracer().span(
-        "plan.execute",
-        query=plan.query.name,
-        backend=plan.backend,
-        nodes=len(plan.node_plans),
+        "plan.execute", query=plan.query.name, nodes=len(plan.node_plans)
     ) as sp:
-        answer = _execute_with_context(
-            plan, db, stats, deadline, ctx, semiring
-        )
+        answer = _execute(plan, db, stats, deadline, semiring)
         sp.set(rows=len(answer))
     return answer
 
 
-def _execute_with_context(
+def _execute(
     plan: QueryPlan,
     db: Database,
     stats: EvalStats,
     deadline: float | None,
-    ctx: ExecutionContext,
-    semiring: Semiring | None = None,
+    semiring: Semiring | None,
 ) -> Relation:
     node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
     columnar = plan.resolved_layout == "columnar"
@@ -791,44 +714,19 @@ def _execute_with_context(
             return naive_annotated_eval(plan.query, db, semiring, stats)
         for atom, i in assignment.items():
             carriers_of[i] = carriers_of.get(i, frozenset()) | {atom}
-    if ctx.kind == "thread" and ctx.workers > 1 and len(node_pairs) > 1:
-        # One task per bag; each task keeps private stats (EvalStats is
-        # not thread-safe) merged once the fan-out completes.  Only the
-        # thread backend fans bags out: bag pipelines close over the
-        # database, which must not cross a process boundary.
-        def one(
-            job: tuple[int, tuple[NodePlan, HTNode]],
-        ) -> tuple[Relation, EvalStats]:
-            i, (np, p) = job
-            local = EvalStats()
-            rel = _materialise_bag(
-                np, p, db, local, deadline, semiring,
-                carriers_of.get(i, frozenset()), columnar,
-            )
-            return rel, local
-
-        produced = ctx.map_local(one, list(enumerate(node_pairs)))
-        relations: dict[Atom, Relation] = {}
-        for (np, _), (rel, local) in zip(node_pairs, produced):
-            relations[np.bag] = rel
-            stats.merge(local)
-    else:
-        relations = {
-            np.bag: _materialise_bag(
-                np, p, db, stats, deadline, semiring,
-                carriers_of.get(i, frozenset()), columnar,
-            )
-            for i, (np, p) in enumerate(node_pairs)
-        }
+    relations = {
+        np.bag: _materialise_bag(
+            np, p, db, stats, deadline, semiring,
+            carriers_of.get(i, frozenset()), columnar,
+        )
+        for i, (np, p) in enumerate(node_pairs)
+    }
 
     check_deadline(deadline, "Yannakakis passes")
-    operands = shard_relations(
-        plan.join_tree, relations, plan.shard_counts, ctx
-    )
     if plan.output or semiring is not None:
         # Annotated Boolean queries enumerate the 0-ary answer too: the
         # () row's annotation is the semiring total; boolean_eval's
         # short-circuit would drop it.
-        return enumerate_answers(plan.join_tree, operands, plan.output, stats)
-    true = boolean_eval(plan.join_tree, operands, stats)
+        return enumerate_answers(plan.join_tree, relations, plan.output, stats)
+    true = boolean_eval(plan.join_tree, relations, stats)
     return Relation.trusted((), frozenset({()} if true else ()), "ans")

@@ -150,11 +150,11 @@ class LiveEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the fan-out pool — and, when the planning engine was
-        created privately by this ``LiveEngine``, that engine's execution
-        backends too (a caller-supplied engine stays the caller's to
-        close).  Idempotent; the engine remains usable afterwards (pools
-        are recreated on demand)."""
+        """Shut down the fan-out pool — and close the planning engine
+        when it was created privately by this ``LiveEngine`` (a
+        caller-supplied engine stays the caller's to close).
+        Idempotent; the engine remains usable afterwards (the pool is
+        recreated on demand)."""
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:

@@ -5,17 +5,15 @@ Two complementary instruments, both with strictly-zero-cost off states:
 * **Tracing** (:mod:`~repro.obs.tracer`): nested wall-clock spans with
   structured attributes, recorded from every layer — portfolio
   decomposition attempts, plan-cache lookups, bag materialisation,
-  Yannakakis sweep operators, backend shard tasks (including spans
-  captured *inside* :class:`~repro.db.backend.ProcessBackend` worker
-  processes and shipped back at reply time), and incremental view
-  maintenance.  Exported as Chrome trace-event JSON
+  Yannakakis sweep operators, and incremental view maintenance.
+  Exported as Chrome trace-event JSON
   (:func:`~repro.obs.export.write_chrome_trace`), loadable in
   ``chrome://tracing`` or Perfetto, or consumed in-process by
   ``Engine.explain(query, db, analyze=True)``.
 * **Metrics** (:mod:`~repro.obs.metrics`): a process-global registry of
   counters, gauges and fixed-bucket histograms (p50/p95/p99) absorbing
-  ``EvalStats``, plan-cache hit rates, backend scatter/gather volumes,
-  skew-guard activations, and live-view maintenance stats.  Exported as
+  ``EvalStats``, plan-cache hit rates, snapshot builds, and live-view
+  maintenance stats.  Exported as
   a JSON snapshot (``repro stats``, ``repro run --metrics out.json``).
 
 Switches: the ``--trace out.json`` CLI flag, the ``$REPRO_TRACE``

@@ -5,9 +5,8 @@ the trace-event JSON array format: complete events (``"ph": "X"``) with
 microsecond ``ts``/``dur``, integer ``pid``/``tid``, and ``args`` for
 the structured attributes; metadata events (``"ph": "M"``) name the
 process/thread tracks.  :func:`chrome_trace_events` lays the tracer's
-spans out with one track per (pid, thread) pair — worker-process shard
-spans therefore appear as their own named rows, which is the point: the
-time a shard task spent inside a worker used to be invisible.
+spans out with one track per (pid, thread) pair — the serve executor's
+and ``execute_many``'s worker threads appear as their own named rows.
 
 :func:`validate_chrome_trace` is the schema check the CI trace-smoke job
 runs on the artifact before uploading it — cheap structural validation,
@@ -29,7 +28,7 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
     Timestamps are rebased to the tracer's creation (µs), so traces
     start near zero.  Each distinct ``(pid, tid-name)`` pair becomes an
     integer ``tid`` with a ``thread_name`` metadata event; each pid gets
-    a ``process_name`` event (the parent process vs shard workers).
+    a ``process_name`` event.
     """
     spans = tracer.spans()
     events: list[dict] = []
@@ -50,16 +49,13 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
             )
         if span.pid not in pids_seen:
             pids_seen.add(span.pid)
-            label = (
-                "repro" if span.pid == tracer.pid else f"repro worker {span.pid}"
-            )
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
                     "pid": span.pid,
                     "tid": 0,
-                    "args": {"name": label},
+                    "args": {"name": "repro"},
                 }
             )
         events.append(

@@ -5,15 +5,15 @@ wrong; a flight recorder is already running when it does.  This module
 keeps a small, bounded, always-on ring of recent activity —
 
 * **events**: one entry per engine request (query, latency, rows, plan
-  digest, per-request stat deltas), plus slow-query captures, errors,
-  and worker deaths, in a ``deque(maxlen=capacity)``;
+  digest, per-request stat deltas), plus slow-query captures and
+  errors, in a ``deque(maxlen=capacity)``;
 * **spans**: a ring-mode :class:`~repro.obs.tracer.Tracer`
   (evict-oldest) the engine installs around requests when nothing else
   is tracing, so the spans *leading up to* a failure are always
   available;
 
 — and knows how to ``dump()`` itself to JSON when an
-``EvaluationError``/``BudgetExceeded``/worker death strikes.  Dump
+``EvaluationError``/``BudgetExceeded`` strikes.  Dump
 *files* are only written when a destination is configured
 (``Engine(flight_dump=...)`` or ``$REPRO_FLIGHT_DUMP``); the in-memory
 ring always records, so ``repro stats --flight`` can inspect a live

@@ -2,9 +2,9 @@
 
 The registry absorbs the counter bags scattered across the stack —
 :class:`~repro.db.stats.EvalStats` operator counts, the plan cache's
-hit/miss/eviction numbers, backend scatter/gather volumes, the sharder's
-skew-guard activations, and :class:`~repro.incremental.live.LiveEngine`
-per-batch maintenance stats — into one named, thread-safe, exportable
+hit/miss/eviction numbers, snapshot builds and reuses, and
+:class:`~repro.incremental.live.LiveEngine` per-batch maintenance
+stats — into one named, thread-safe, exportable
 surface (``repro stats``, ``--metrics out.json``).
 
 Three instrument kinds:

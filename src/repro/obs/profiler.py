@@ -1,9 +1,9 @@
 """Continuous wall-clock sampling profiler (``repro.obs`` wave 2).
 
 Spans (PR 6) say how long a phase took; they cannot say *where inside
-the phase* the interpreter spent its time — and the last three PRs
-showed that constant factors (probe loops, codec costs, scatter volume)
-decide whether the tractability result actually wins on hardware.  This
+the phase* the interpreter spent its time — and constant factors (probe
+loops, hash-table builds, per-row tuples) decide whether the
+tractability result actually wins on hardware.  This
 module adds statistical profiles on top of the tracer:
 
 * :class:`SamplingProfiler` — a daemon thread sampling
@@ -26,13 +26,6 @@ no sampler thread exists unless one is started, and the process-global
 slot defaults to :data:`NULL_PROFILER` whose ``enabled`` is ``False``
 (the benchmark gate in ``benchmarks/bench_obs.py`` additionally bounds
 the *on* overhead at the default rate to <= 5%).
-
-**One profile across processes.**  :class:`~repro.db.backend.
-ProcessBackend` workers run their own sampler (started lazily on the
-first profiled task) and ship drained folded samples back with task
-replies — the same path worker spans travel — where the parent ingests
-them under a ``worker-<pid>`` root frame.  One speedscope file therefore
-covers the driver and every worker.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .tracer import current_tracer
 
@@ -118,15 +111,6 @@ class Profile:
         """Snapshot of ``(folded stack, sample count)`` pairs."""
         with self._lock:
             return list(self._counts.items())
-
-    def drain(self) -> tuple[tuple[str, int], ...]:
-        """Atomically take and reset the counts (the worker-reply path:
-        each task reply ships only the samples accumulated since the
-        previous reply, so nothing is double-counted)."""
-        with self._lock:
-            items = tuple(self._counts.items())
-            self._counts = {}
-        return items
 
     def total(self) -> int:
         """Total number of samples across all stacks."""
@@ -283,22 +267,6 @@ class SamplingProfiler:
         self.samples_taken += 1
         return added
 
-    def ingest(self, samples: Sequence[tuple[str, int]], label: str | None = None) -> None:
-        """Merge folded samples drained from another process, rooted
-        under *label* (the backend labels worker samples
-        ``worker-<pid>``) so driver and worker stacks stay separable in
-        one flamegraph."""
-        if label:
-            self.profile.merge(
-                (f"{label};{stack}", count) for stack, count in samples
-            )
-        else:
-            self.profile.merge(samples)
-
-    def drain(self) -> tuple[tuple[str, int], ...]:
-        """Take-and-reset the folded samples (worker reply payload)."""
-        return self.profile.drain()
-
 
 class NullProfiler:
     """The disabled profiler: no thread, no samples, no allocation."""
@@ -306,12 +274,6 @@ class NullProfiler:
     enabled = False
     running = False
     hz = 0.0
-
-    def ingest(self, samples, label: str | None = None) -> None:
-        """Drop imported samples."""
-
-    def drain(self) -> tuple:
-        return ()
 
 
 NULL_PROFILER = NullProfiler()
@@ -323,7 +285,7 @@ _current: "NullProfiler | SamplingProfiler" = NULL_PROFILER
 
 
 def current_profiler() -> "NullProfiler | SamplingProfiler":
-    """The profiler instrumentation ships samples to (default: no-op)."""
+    """The installed profiler (default: the no-op)."""
     return _current
 
 

@@ -3,10 +3,7 @@
 A :class:`Tracer` records *spans* — named intervals of wall-clock time
 with structured attributes — from every layer of the stack: portfolio
 decomposition attempts, plan-cache lookups, per-bag materialisation,
-Yannakakis sweep operators, backend shard tasks (including tasks that
-ran inside :class:`~repro.db.backend.ProcessBackend` worker processes,
-whose spans are shipped back to the parent at reply time), and
-incremental view maintenance batches.
+Yannakakis sweep operators, and incremental view maintenance batches.
 
 Design constraints, in order:
 
@@ -16,20 +13,13 @@ Design constraints, in order:
    no clock read, no lock.  Hot loops additionally guard on
    ``tracer.enabled`` before building attribute dicts.
 2. **One process-global current tracer.**  Spans are recorded from deep
-   layers (shard operators, the decomposition portfolio) that would need
+   layers (sweep operators, the decomposition portfolio) that would need
    a ``tracer=`` parameter threaded through a dozen signatures.  Instead
    :func:`current_tracer` reads a process-global slot that
    :func:`set_tracer` / the :func:`tracing` context manager install a
    live :class:`Tracer` into.  The engine installs its tracer around
    each request; concurrent requests under one engine share the tracer
    (it is thread-safe, and spans carry their thread id).
-3. **Cross-process mergeable.**  Span timestamps are
-   ``time.perf_counter()`` values, which on the platforms we target
-   (CLOCK_MONOTONIC on Linux/macOS) are system-wide: spans recorded in a
-   forked worker process line up with the parent's on one timeline.
-   Workers record plain tuples (:func:`span_tuple`) and the parent
-   ingests them with :meth:`Tracer.ingest`, labelled with the worker's
-   pid.
 
 The span stream is exported by :mod:`repro.obs.export` as a Chrome
 trace-event file (``chrome://tracing`` / Perfetto loadable) or consumed
@@ -57,10 +47,9 @@ TRACE_ENV_VAR = "REPRO_TRACE"
 class Span:
     """One finished span: a named interval with structured attributes.
 
-    ``start`` / ``end`` are ``time.perf_counter()`` seconds (a shared
-    monotonic timeline across forked processes); ``pid``/``tid`` locate
-    the recording process and thread so exporters can lay spans out in
-    per-worker tracks.
+    ``start`` / ``end`` are ``time.perf_counter()`` seconds; ``pid`` /
+    ``tid`` locate the recording process and thread so exporters can lay
+    spans out in per-thread tracks.
     """
 
     name: str
@@ -117,9 +106,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def ingest(self, records, pid: int | None = None, tid: str | None = None) -> None:
-        """Drop imported worker spans."""
 
     def spans(self) -> list[Span]:
         return []
@@ -247,44 +233,6 @@ class Tracer:
                 return
             self._spans.append(span)
 
-    def ingest(
-        self,
-        records,
-        pid: int | None = None,
-        tid: str | None = None,
-    ) -> None:
-        """Import spans recorded elsewhere (worker processes).
-
-        *records* is an iterable of :func:`span_tuple` tuples
-        ``(name, start, end, pid, attrs)``; *pid*/*tid* override the
-        track labels (the backend labels each worker's track).
-        """
-        imported = [
-            Span(
-                name,
-                start,
-                end,
-                pid if pid is not None else rec_pid,
-                tid if tid is not None else f"pid-{rec_pid}",
-                dict(attrs),
-            )
-            for name, start, end, rec_pid, attrs in records
-        ]
-        with self._lock:
-            if self.ring:
-                self.evicted += max(
-                    0, len(self._spans) + len(imported) - self.max_spans
-                )
-                self._spans.extend(imported)  # deque evicts the oldest
-                return
-            room = self.max_spans - len(self._spans)
-            if room < len(imported):
-                overflow = len(imported) - max(0, room)
-                self.dropped += overflow
-                get_registry().counter("tracer.spans_dropped").inc(overflow)
-                imported = imported[: max(0, room)]
-            self._spans.extend(imported)
-
     def spans(self) -> list[Span]:
         """A snapshot of the finished spans (safe to iterate/mutate)."""
         with self._lock:
@@ -324,12 +272,6 @@ class Tracer:
     def total(self, name: str) -> float:
         """Summed duration of all spans with this name."""
         return sum(s.duration for s in self.find(name))
-
-
-def span_tuple(name: str, start: float, end: float, attrs: dict) -> tuple:
-    """The wire format for spans recorded inside worker processes:
-    ``(name, start, end, pid, attrs)`` — plain picklable builtins."""
-    return (name, start, end, os.getpid(), attrs)
 
 
 # -- the process-global current tracer --------------------------------------

@@ -50,7 +50,7 @@ def estimate_cost(query: ConjunctiveQuery, db: Database | None) -> float:
     the query's atoms (System-R selectivities, memoised per estimator).
 
     Deliberately the *same* estimate the planner uses for join orders
-    and shard counts — the gate and the plan never disagree about what
+    and layouts — the gate and the plan never disagree about what
     "expensive" means.
     """
     estimator = CardinalityEstimator(db)

@@ -190,9 +190,9 @@ class QueryServer:
     Parameters
     ----------
     engine:
-        The shared planning/execution engine.  A private one (``mode``/
-        ``backend`` forwarded) is created — and closed with the server —
-        when omitted.
+        The shared planning/execution engine.  A private one (``mode``
+        forwarded) is created — and closed with the server — when
+        omitted.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port, readable from
         :attr:`port` after :meth:`start`.
@@ -226,14 +226,12 @@ class QueryServer:
         push_queue: int = 256,
         push_max_pending: int = 100_000,
         mode: str = "auto",
-        backend: str | None = None,
         slow_query_ms: float | None = None,
         flight_dump: str | None = None,
     ):
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else Engine(
             mode=mode,
-            backend=backend,
             slow_query_ms=slow_query_ms,
             flight_dump=flight_dump,
         )

@@ -19,15 +19,12 @@ from repro.db.columnar import (
     Column,
     ColumnarRelation,
     RowsView,
-    concat_columnar,
     default_layout,
     encode_column,
     from_columns,
-    partition_columnar,
     to_columnar,
 )
 from repro.db.semiring import COUNTING
-from repro.db.sharded import stable_hash
 from repro._errors import SchemaError
 
 
@@ -208,12 +205,6 @@ class TestConversion:
         with pytest.raises(SchemaError):
             from_columns(("a", "b"), [(1, 2), (3,)])
 
-    def test_concat_deduplicates_across_pieces(self):
-        a = to_columnar(rel(("a",), [(1,), (2,)]))
-        b = to_columnar(rel(("a",), [(2,), (3,)]))
-        merged = concat_columnar([a, b], ("a",), "m")
-        assert merged.rows == {(1,), (2,), (3,)}
-
 
 class TestOperators:
     """Each operator against the row oracle on targeted shapes."""
@@ -362,63 +353,6 @@ class TestOperators:
         assert c.rows == r.rows
         filt = rel(("a",), [(nan,)])
         assert c.semijoin(to_columnar(filt)).rows == r.semijoin(filt).rows
-
-
-class TestPartition:
-    @pytest.mark.parametrize("n_shards", [1, 2, 7])
-    def test_partition_matches_row_shard_ids(self, n_shards):
-        r = rel(("a", "b"), [(i * 13 % 101, f"v{i}") for i in range(200)])
-        c = to_columnar(r)
-        pieces, heavy = partition_columnar(c, 0, n_shards, stable_hash, 2.0)
-        assert len(pieces) == n_shards
-        union = set()
-        for s, piece in enumerate(pieces):
-            for row in piece.rows:
-                if row[0] not in heavy:
-                    assert stable_hash(row[0]) % n_shards == s
-            union |= piece.rows
-        assert union == r.rows
-
-    def test_partition_string_key(self):
-        r = rel(("a",), [(f"key{i % 23}",) for i in range(100)])
-        pieces, heavy = partition_columnar(
-            to_columnar(r), 0, 4, stable_hash, 2.0
-        )
-        union = set()
-        for s, piece in enumerate(pieces):
-            for row in piece.rows:
-                if row[0] not in heavy:
-                    assert stable_hash(row[0]) % 4 == s
-            union |= piece.rows
-        assert union == r.rows
-
-    def test_partition_extreme_and_negative_ints(self):
-        values = [-(2**63), 2**63 - 1, -1, -2, 0, 1, 2**62, -(2**62)]
-        r = rel(("a", "b"), [(v, i) for i, v in enumerate(values)])
-        pieces, heavy = partition_columnar(
-            to_columnar(r), 0, 3, stable_hash, 2.0
-        )
-        union = set()
-        for s, piece in enumerate(pieces):
-            for row in piece.rows:
-                if row[0] not in heavy:
-                    assert stable_hash(row[0]) % 3 == s
-            union |= piece.rows
-        assert union == r.rows
-
-    def test_partition_skew_detection(self):
-        # 90% of rows share one key: the heavy set must flag it and the
-        # union must still be exact.
-        rows = [(1, i) for i in range(180)] + [(i, i) for i in range(2, 22)]
-        r = rel(("a", "b"), rows)
-        pieces, heavy = partition_columnar(
-            to_columnar(r), 0, 4, stable_hash, 2.0
-        )
-        assert 1 in heavy
-        union = set()
-        for piece in pieces:
-            union |= piece.rows
-        assert union == r.rows
 
 
 class TestLayoutPolicy:

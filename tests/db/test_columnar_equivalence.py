@@ -2,11 +2,10 @@
 
 The row engine is the oracle.  For every random database and query
 family, each operator (semijoin / join / project) must produce the same
-row set whether the operands are row or columnar, and the
-Yannakakis passes over sharded columnar operands must agree with the
-row run and with naive evaluation (the reference that shares no code
-with the sweep) across every execution backend (inline / thread pool /
-worker processes) × shard count in {1, 2, 7}.
+row set whether the operands are row or columnar, and the engine must
+give the same answers under every layout.  (The Yannakakis passes over
+columnar operands, and over every other carrier, are
+``test_sweep_equivalence.py``.)
 
 ``TestSemijoinOnBuffers`` is the semijoin's own property: a columnar
 receiver filters against a columnar partner column-against-column, and
@@ -15,14 +14,9 @@ of columns it cannot compare as machine numbers to the key-set probe.
 
 The same holds with a weight column: ``TestWeightedColumnarEquivalence``
 checks weighted columnar ≡ ``AnnotatedRelation`` ≡ a brute-force fold /
-``naive_annotated_eval`` across backends, shard counts and key-column
-encodings, including weights and counts that leave int64 (which must
-come back as the exact Python integers of the row path).
-
-Backends are shared module-scoped (a process pool per hypothesis
-example would dominate the suite's runtime); ``SHM_MIN_ROWS`` is forced
-to 1 on the process-backend examples so even tiny relations take the
-shared-memory scatter path.
+``naive_annotated_eval`` across key-column encodings, including weights
+and counts that leave int64 (which must come back as the exact Python
+integers of the row path).
 """
 
 import math
@@ -39,23 +33,15 @@ from repro.core.query import ConjunctiveQuery
 from repro.db import (
     COUNTING,
     Database,
-    ProcessBackend,
     Relation,
-    SequentialBackend,
-    ThreadBackend,
     bind_atom,
-    boolean_eval,
     enumerate_answers,
-    full_reduce,
     naive_boolean_eval,
     naive_join_eval,
-    shard_relations,
     to_columnar,
 )
-from repro.db import backend as backend_mod
 from repro.db import columnar as columnar_mod
 from repro.db.annotated import AnnotatedRelation, naive_annotated_eval
-from repro.db.backend import default_backend_kind
 from repro.db.columnar import (
     ColumnarRelation,
     lift_columnar,
@@ -63,36 +49,10 @@ from repro.db.columnar import (
     weighted_view,
 )
 from repro.db.semiring import INT_RING
-from repro.db.sharded import ShardedRelation
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
-from tests.conftest import naive_reduced, star_query
-
-SHARD_COUNTS = (1, 2, 7)
-BACKEND_KINDS = ("sequential", "thread", "process")
-
-
-@pytest.fixture(scope="module")
-def contexts():
-    ctxs = {
-        "sequential": SequentialBackend(),
-        "thread": ThreadBackend(workers=4),
-        "process": ProcessBackend(workers=2),
-    }
-    yield ctxs
-    for ctx in ctxs.values():
-        ctx.close()
-
-
-@pytest.fixture(scope="module", autouse=True)
-def tiny_shm_threshold():
-    """Force the shm scatter path even for hypothesis-sized relations."""
-    saved = backend_mod.SHM_MIN_ROWS
-    backend_mod.SHM_MIN_ROWS = 1
-    yield
-    backend_mod.SHM_MIN_ROWS = saved
-
+from tests.conftest import star_query
 
 needs_numpy = pytest.mark.skipif(
     columnar_mod._np is None, reason="vectorised kernels need numpy"
@@ -107,16 +67,6 @@ def _with_head(query: ConjunctiveQuery, k: int = 2) -> ConjunctiveQuery:
 def _tree_and_relations(query, db):
     tree = join_tree(query)
     return tree, {a: bind_atom(a, db) for a in query.atoms}
-
-
-def _cut_columnar(tree, rels, shards, ctx):
-    """Every node's relation columnar, cut into *shards* pieces on *ctx*."""
-    return shard_relations(
-        tree,
-        {node: to_columnar(rel) for node, rel in rels.items()},
-        dict.fromkeys(tree.nodes, shards),
-        ctx,
-    )
 
 
 class TestOperatorEquivalence:
@@ -201,8 +151,7 @@ class TestSemijoinOnBuffers:
 
     @settings(max_examples=120, deadline=None)
     @given(pair=semijoin_pairs(), weighted=st.booleans())
-    def test_semijoin_matches_the_row_carrier(self, contexts, pair, weighted):
-        ctx = contexts[default_backend_kind()]  # the CI legs' axis
+    def test_semijoin_matches_the_row_carrier(self, pair, weighted):
         (l_attrs, l_rows), (r_attrs, r_rows) = pair
         row_left = Relation.from_rows(l_attrs, l_rows, "l")
         row_right = Relation.from_rows(r_attrs, r_rows, "r")
@@ -219,7 +168,6 @@ class TestSemijoinOnBuffers:
             (left, right),
             (left, row_right),
             (row_left, right),
-            (left, ShardedRelation.shard(right, r_attrs[0], 3, ctx)),
         ):
             out = receiver.semijoin(partner)
             assert type(out) is type(receiver)
@@ -299,8 +247,7 @@ class TestSemijoinOnBuffers:
         columnar plan — acyclic sweeps and a width-2 triangle, int and
         string-valued columns, one pool (``e`` throughout) and several —
         runs buffer to buffer.  No columnar relation is asked for a key
-        set and no key set is turned back into an array.  (In one piece:
-        a shard broadcast is the key set's remaining caller.)"""
+        set and no key set is turned back into an array."""
         cases = []
         for text in (
             "ans(A,D) :- p1(A,B), p2(B,C), p3(C,D).",
@@ -317,105 +264,10 @@ class TestSemijoinOnBuffers:
 
         monkeypatch.setattr(ColumnarRelation, "key_set", refuse)
         monkeypatch.setattr(columnar_mod, "_np_keys", refuse)
-        engine = Engine(layout="columnar", backend="sequential")
+        engine = Engine(layout="columnar")
         for query, db, expected in cases:
             assert expected
             assert set(engine.execute(query, db).answer.rows) == expected
-
-
-@pytest.mark.parametrize("kind", BACKEND_KINDS)
-class TestShardedColumnarEquivalence:
-    """The Yannakakis passes over sharded columnar operands agree with
-    the row run and with naive evaluation on every backend × shard
-    count."""
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        n=st.integers(2, 4),
-        seed=st.integers(0, 1_000),
-        domain=st.integers(2, 12),
-        tuples=st.integers(1, 40),
-    )
-    def test_path_all_passes(self, contexts, kind, n, seed, domain, tuples):
-        ctx = contexts[kind]
-        query = _with_head(path_query(n))
-        db = random_database(query, domain, tuples, seed=seed)
-        tree, rels = _tree_and_relations(query, db)
-        output = tuple(v.name for v in query.head_terms)
-
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_reduced = full_reduce(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
-        assert seq_bool == naive_boolean_eval(query, db)
-        reduced_oracle = naive_reduced(query, db, rels)
-        for node in tree.nodes:
-            assert seq_reduced[node].rows == reduced_oracle[node]
-        assert seq_answers.rows == naive_join_eval(query, db).rows
-        for shards in SHARD_COUNTS:
-            assert (
-                boolean_eval(tree, _cut_columnar(tree, rels, shards, ctx))
-                == seq_bool
-            )
-            par_reduced = full_reduce(
-                tree, _cut_columnar(tree, rels, shards, ctx)
-            )
-            for node in tree.nodes:
-                assert par_reduced[node].rows == reduced_oracle[node]
-            assert (
-                enumerate_answers(
-                    tree, _cut_columnar(tree, rels, shards, ctx), output
-                ).rows
-                == seq_answers.rows
-            )
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        rays=st.integers(2, 5),
-        seed=st.integers(0, 1_000),
-        domain=st.integers(2, 10),
-        tuples=st.integers(1, 30),
-    )
-    def test_star_all_passes(self, contexts, kind, rays, seed, domain, tuples):
-        ctx = contexts[kind]
-        query = _with_head(star_query(rays))
-        db = random_database(query, domain, tuples, seed=seed)
-        tree, rels = _tree_and_relations(query, db)
-        output = tuple(v.name for v in query.head_terms)
-
-        seq_bool = boolean_eval(tree, dict(rels))
-        seq_answers = enumerate_answers(tree, dict(rels), output)
-        assert seq_bool == naive_boolean_eval(query, db)
-        assert seq_answers.rows == naive_join_eval(query, db).rows
-        assert (
-            boolean_eval(tree, _cut_columnar(tree, rels, 3, ctx)) == seq_bool
-        )
-        assert (
-            enumerate_answers(
-                tree, _cut_columnar(tree, rels, 3, ctx), output
-            ).rows
-            == seq_answers.rows
-        )
-
-    def test_skewed_database_all_passes(self, contexts, kind):
-        """Heavy-hitter spreading composes with the columnar partition
-        on every backend: 90% of edge tuples share one join-key value."""
-        ctx = contexts[kind]
-        query = _with_head(path_query(3))
-        rows = [(1, j % 9) for j in range(450)]
-        rows += [(2 + j % 37, j % 11) for j in range(50)]
-        from repro.db import Database
-
-        db = Database.from_relations({"e": rows})
-        tree, rels = _tree_and_relations(query, db)
-        output = tuple(v.name for v in query.head_terms)
-        seq_answers = enumerate_answers(tree, dict(rels), output)
-        assert seq_answers.rows == naive_join_eval(query, db).rows
-        assert (
-            enumerate_answers(
-                tree, _cut_columnar(tree, rels, 4, ctx), output
-            ).rows
-            == seq_answers.rows
-        )
 
 
 class TestEngineLayoutEquivalence:
@@ -437,20 +289,39 @@ class TestEngineLayoutEquivalence:
             assert got.answer.rows == seq.answer.rows
             assert got.answer.attributes == seq.answer.attributes
 
-    def test_engine_columnar_forced_sharding(self):
-        """Columnar layout composed with forced sharding on a parallel
-        backend agrees with the sequential row engine."""
-        query = _with_head(path_query(3))
-        db = random_database(query, 8, 60, seed=3, plant_answer=True)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 8),
+        tuples=st.integers(1, 30),
+    )
+    def test_cycle_engine_layout_equivalence(self, n, seed, domain, tuples):
+        """Cycles evaluate through decomposition bags (Lemma 4.6), whose
+        multi-atom joins run in the column buffers under ``columnar``."""
+        query = _with_head(cycle_query(n))
+        db = random_database(query, domain, tuples, seed=seed)
         seq = Engine(mode="heuristic", layout="row").execute(query, db)
         assert seq.answer.rows == naive_join_eval(query, db).rows
-        for kind in ("thread", "process"):
-            with Engine(
-                mode="heuristic", backend=kind, backend_workers=2,
-                shard_threshold=0, layout="columnar",
-            ) as engine:
-                got = engine.execute(query, db)
+        for layout in ("columnar", "auto"):
+            got = Engine(mode="heuristic", layout=layout).execute(query, db)
             assert got.answer.rows == seq.answer.rows
+            assert got.answer.attributes == seq.answer.attributes
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(3, 6),
+        seed=st.integers(0, 1_000),
+        plant=st.booleans(),
+    )
+    def test_boolean_cycle_layout_equivalence(self, n, seed, plant):
+        query = cycle_query(n)
+        db = random_database(query, 6, 12, seed=seed, plant_answer=plant)
+        expected = naive_boolean_eval(query, db)
+        assert expected or not plant
+        for layout in ("row", "columnar", "auto"):
+            got = Engine(mode="heuristic", layout=layout).execute(query, db)
+            assert got.boolean is expected, layout
 
     def test_semiring_requests_follow_the_layout_when_values_fit(self):
         """Counts ride a weight column under ``layout="columnar"``;
@@ -533,27 +404,7 @@ def _brute_fold(query, db, annotated):
     return out
 
 
-@pytest.fixture(scope="module")
-def engines():
-    """Columnar-layout engines per (backend kind, shard count), made on
-    first use; every bag above zero rows is sharded."""
-    made: dict[tuple[str, int], Engine] = {}
-
-    def get(kind: str, shards: int) -> Engine:
-        if (kind, shards) not in made:
-            made[kind, shards] = Engine(
-                mode="heuristic", layout="columnar", backend=kind,
-                backend_workers=shards, shard_threshold=0,
-            )
-        return made[kind, shards]
-
-    yield get
-    for engine in made.values():
-        engine.close()
-
-
 @needs_numpy
-@pytest.mark.parametrize("kind", BACKEND_KINDS)
 class TestWeightedColumnarEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -566,9 +417,8 @@ class TestWeightedColumnarEquivalence:
         ring=st.sampled_from([COUNTING, INT_RING]),
     )
     def test_acyclic_sweeps_carry_hand_built_weights(
-        self, contexts, kind, shape, n, seed, domain, tuples, keys, ring
+        self, shape, n, seed, domain, tuples, keys, ring
     ):
-        ctx = contexts[kind]
         query = _with_head(path_query(n) if shape == "path" else star_query(n))
         db = _retyped(random_database(query, domain, tuples, seed=seed), keys)
         tree, rels = _tree_and_relations(query, db)
@@ -580,27 +430,17 @@ class TestWeightedColumnarEquivalence:
         expected = _brute_fold(query, db, annotated)
         on_rows = enumerate_answers(tree, dict(annotated), output)
         assert on_rows.annotations == expected
-        for shards in (1, 3):
-            cut = shard_relations(
-                tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
-            )
-            got = enumerate_answers(tree, cut, output)
-            # Rows over several float columns have no single sort key:
-            # like the plain kernel's dedup, their fold runs on tuples.
-            assert isinstance(got, ColumnarRelation) or keys == "float"
-            assert got.annotations == expected
-            assert got.total() == sum(expected.values())
-            assert got.strip().rows == on_rows.rows
-            total = enumerate_answers(
-                tree,
-                shard_relations(
-                    tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
-                ),
-                (),
-            )
-            assert total.annotations == (
-                {(): sum(expected.values())} if expected else {}
-            )
+        got = enumerate_answers(tree, dict(weighted), output)
+        # Rows over several float columns have no single sort key: like
+        # the plain kernel's dedup, their fold runs on tuples.
+        assert isinstance(got, ColumnarRelation) or keys == "float"
+        assert got.annotations == expected
+        assert got.total() == sum(expected.values())
+        assert got.strip().rows == on_rows.rows
+        total = enumerate_answers(tree, dict(weighted), ())
+        assert total.annotations == (
+            {(): sum(expected.values())} if expected else {}
+        )
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -610,9 +450,7 @@ class TestWeightedColumnarEquivalence:
         keys=st.sampled_from(sorted(KEY_CASTS)),
         head=st.integers(0, 2),
     )
-    def test_width2_cycle_counts(
-        self, engines, kind, seed, domain, tuples, keys, head
-    ):
+    def test_width2_cycle_counts(self, seed, domain, tuples, keys, head):
         query = _with_head(cycle_query(4), head)
         db = _retyped(random_database(query, domain, tuples, seed=seed), keys)
         expected = naive_annotated_eval(query, db, COUNTING)
@@ -620,16 +458,16 @@ class TestWeightedColumnarEquivalence:
             query, db, semiring="count"
         )
         assert on_rows.annotations == expected.annotations
-        for shards in (1, 3):
-            got = engines(kind, shards).execute(query, db, semiring="count")
-            assert got.annotations == expected.annotations
-            assert got.answer.total() == expected.total()
+        got = Engine(mode="heuristic", layout="columnar").execute(
+            query, db, semiring="count"
+        )
+        assert got.annotations == expected.annotations
+        assert got.answer.total() == expected.total()
 
-    def test_weights_beyond_int64_stay_exact(self, contexts, kind):
+    def test_weights_beyond_int64_stay_exact(self):
         """2**40 on every row of a 3-path: each derivation weighs
         2**120.  The kernels must hand such operands to the row carrier,
         never wrap."""
-        ctx = contexts[kind]
         query = _with_head(path_query(3))
         db = random_database(query, 6, 30, seed=5, plant_answer=True)
         tree, rels = _tree_and_relations(query, db)
@@ -640,14 +478,10 @@ class TestWeightedColumnarEquivalence:
         )
         expected = _brute_fold(query, db, annotated)
         assert expected and min(expected.values()) >= big**3
-        for shards in (1, 3):
-            cut = shard_relations(
-                tree, weighted, dict.fromkeys(tree.nodes, shards), ctx
-            )
-            got = enumerate_answers(tree, cut, output)
-            assert got.annotations == expected
-            assert got.total() == sum(expected.values())
-            assert all(type(v) is int for v in got.annotations.values())
+        got = enumerate_answers(tree, dict(weighted), output)
+        assert got.annotations == expected
+        assert got.total() == sum(expected.values())
+        assert all(type(v) is int for v in got.annotations.values())
 
 
 @needs_numpy

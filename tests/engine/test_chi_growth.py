@@ -58,7 +58,7 @@ def cyclic_bags(request):
 
 @pytest.fixture
 def engine():
-    with Engine(backend="sequential") as made:
+    with Engine() as made:
         yield made
 
 
@@ -251,10 +251,7 @@ class TestEveryConsumerReadsTheSameChi:
         assert assert_bag_contract(query, db, hd) > 0
 
     @pytest.mark.parametrize("layout", ["row", "columnar", "auto"])
-    @pytest.mark.parametrize("backend", ["sequential", "thread"])
-    def test_count_and_top_k_agree_with_naive_evaluation(
-        self, layout, backend
-    ):
+    def test_count_and_top_k_agree_with_naive_evaluation(self, layout):
         query = cycle_query(5)
         query = query.with_head(
             tuple(sorted(query.variables, key=lambda v: v.name)[:2])
@@ -262,10 +259,7 @@ class TestEveryConsumerReadsTheSameChi:
         db = random_database(
             query, 20, 40, seed=5, plant_answer=True, weights="cost"
         )
-        with Engine(
-            backend=backend, backend_workers=2, shard_threshold=0,
-            layout=layout,
-        ) as engine:
+        with Engine(layout=layout) as engine:
             assert _grown(engine.plan(query, db))
             counted = engine.execute(query, db, semiring="count")
             expected = naive_annotated_eval(

@@ -3,8 +3,8 @@
 A node whose pipeline joins more than one part is also given every
 query atom outside λ(p) that χ(p) covers; the filtered bag is a subset of
 the literal Lemma 4.6 bag and a superset of ``π_χ`` of the full join, so
-nothing a request can observe changes — under any semiring, layout or
-backend, in a one-shot request or a maintained view.
+nothing a request can observe changes — under any semiring or layout,
+in a one-shot request or a maintained view.
 """
 
 import os
@@ -43,7 +43,6 @@ TRIANGLE = "ans(A) :- r(A,B), s(B,C), t(C,A)."
 CYCLIC = [cycle_query(n) for n in range(4, 9)] + [
     book_query(2), clique_query(4), grid_query(3),
 ]
-BACKENDS = ("sequential", "thread")
 
 
 def _atoms(text):
@@ -109,7 +108,7 @@ class TestOrdering:
 class TestCompiledPlan:
     @pytest.fixture
     def engine(self):
-        with Engine(backend="sequential", layout="row") as made:
+        with Engine(layout="row") as made:
             yield made
 
     def test_cycle4_joins_its_covered_atom(self, engine):
@@ -199,16 +198,9 @@ class TestCompiledPlan:
 
 @pytest.fixture(scope="module")
 def engines():
-    """One engine per (layout, backend), so the property below pays each
-    shape's decomposition once."""
-    made = {
-        (layout, backend): Engine(
-            backend=backend, backend_workers=2, shard_threshold=0,
-            layout=layout,
-        )
-        for layout in LAYOUTS
-        for backend in BACKENDS
-    }
+    """One engine per layout, so the property below pays each shape's
+    decomposition once."""
+    made = {layout: Engine(layout=layout) for layout in LAYOUTS}
     yield made
     for engine in made.values():
         engine.close()
@@ -221,10 +213,9 @@ def engines():
     with_head=st.booleans(),
     semiring=st.sampled_from([None, "count", "mincost"]),
     layout=st.sampled_from(LAYOUTS),
-    backend=st.sampled_from(BACKENDS),
 )
 def test_execute_agrees_with_naive_evaluation(
-    engines, query, seed, with_head, semiring, layout, backend
+    engines, query, seed, with_head, semiring, layout
 ):
     if with_head:
         query = query.with_head(
@@ -234,7 +225,7 @@ def test_execute_agrees_with_naive_evaluation(
         query, 8, 10, seed=seed, plant_answer=True,
         weights="cost" if semiring == "mincost" else None,
     )
-    engine = engines[layout, backend]
+    engine = engines[layout]
     result = engine.execute(query, db, semiring=semiring)
     if semiring is None:
         assert result.answer.rows == naive_join_eval(query, db).rows
@@ -253,7 +244,7 @@ def test_execute_agrees_with_naive_evaluation(
 def test_every_cyclic_shape_places_a_filter():
     """The property above is only about covered atoms if the planner
     actually places some on these shapes."""
-    with Engine(backend="sequential") as engine:
+    with Engine() as engine:
         for query in CYCLIC:
             db = random_database(query, 8, 10, seed=1, plant_answer=True)
             engine.execute(query, db)
@@ -272,7 +263,7 @@ shapes = [cycle_query(n) for n in range(4, 9)] + [
     book_query(2), clique_query(4), grid_query(3),
     random_query(6, 6, seed=3), random_query(8, 7, seed=5),
 ]
-with Engine(backend="sequential", layout="auto") as engine:
+with Engine(layout="auto") as engine:
     for query in shapes:
         db = random_database(query, 6, 20, seed=1)
         print(engine.plan(query, db).render())
@@ -308,7 +299,7 @@ def test_a_view_stays_fresh_when_only_the_covered_relation_changes(
 ):
     query = parse_query(text, name="view")
     db = random_database(query, 5, 12, seed=seed)
-    with Engine(backend="sequential") as engine:
+    with Engine() as engine:
         plan = engine.plan(query, db)
         covered = _covered_predicates(plan)
         assert covered, plan.render()

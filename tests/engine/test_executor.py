@@ -11,6 +11,7 @@ from repro.core.parser import parse_query
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.engine import Engine, fingerprint
+from repro.engine.plan import compile_plan
 from repro.generators.families import cycle_query, path_query, random_query
 from repro.generators.workloads import query_workload, random_database
 from tests.conftest import small_queries
@@ -212,139 +213,94 @@ class TestBudgets:
             assert result.boolean
 
 
-class TestParallelism:
-    def test_execute_parallel_matches_sequential(self):
-        db = random_database(path_query(3), 20, 200, seed=3)
-        query = path_query(3)
-        query = query.with_head(
-            tuple(sorted(query.variables, key=lambda v: v.name)[:2])
-        )
-        seq = Engine(backend="sequential").execute(query, db)
-        par = Engine(
-            backend="thread", backend_workers=4, shard_threshold=0
-        ).execute(query, db)
-        assert par.answer.rows == seq.answer.rows
-        assert par.answer.attributes == seq.answer.attributes
+class TestSequentialOnly:
+    """Requests evaluate sequentially; the parallel backends are gone and
+    naming one is a typed error, not a silent fallback."""
 
-    def test_execute_many_runs_on_the_engines_backend(self):
+    REMOVED = "parallel execution backends were removed"
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_engine_rejects_a_parallel_backend(self, backend):
+        with pytest.raises(ValueError, match=self.REMOVED):
+            Engine(backend=backend)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_compile_plan_rejects_a_parallel_backend(self, backend):
+        query = parse_query("e(X,Y), e(Y,Z)")
+        db = Database.from_relations({"e": [(1, 2), (2, 3)]})
+        hd = Engine().plan(query, db).decomposition
+        with pytest.raises(ValueError, match=self.REMOVED):
+            compile_plan(query, db, hd, backend=backend)
+
+    @pytest.mark.parametrize("keyword", ["backend_workers", "shard_threshold"])
+    def test_the_shard_knobs_are_gone_from_the_engine(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            Engine(**{keyword: 2})
+
+    def test_shard_threshold_is_read_only(self):
+        engine = Engine()
+        with pytest.raises(AttributeError):
+            engine.shard_threshold = 0
+        assert engine.shard_threshold is None
+
+    def test_execute_plan_takes_no_backend(self):
+        from repro.engine.plan import execute_plan
+
+        query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).")
+        db = Database.from_relations({"e": [(1, 2), (2, 3)]})
+        plan = Engine().plan(query, db)
+        assert execute_plan(plan, db).rows == {(1, 3)}
+        with pytest.raises(TypeError, match="backend"):
+            execute_plan(plan, db, backend="sequential")
+
+    def test_the_backend_environment_variable_selects_nothing(
+        self, monkeypatch
+    ):
+        """``$REPRO_BACKEND`` once chose the default backend; it is read
+        by nothing now, so even a removed backend's name is inert."""
+        query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).")
+        db = Database.from_relations({"e": [(i, i % 7) for i in range(40)]})
+        quiet = Engine()
+        expected = quiet.execute(query, db).answer.rows
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with Engine() as engine:
+            assert engine.execute(query, db).answer.rows == expected
+            plan = engine.plan(query, db)
+            assert plan.digest() == quiet.plan(query, db).digest()
+            assert "backend" not in engine.explain(query, db)
+
+    def test_the_benchmark_keywords_select_nothing(self):
+        """``backend="sequential"``, ``workers`` and ``shard_threshold``
+        are accepted for the end-to-end benchmark driver and change
+        nothing about the plan."""
+        query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).")
+        db = Database.from_relations({"e": [(i, i % 7) for i in range(40)]})
+        engine = Engine(backend="sequential")
+        assert engine.shard_threshold is None
+        hd = engine.plan(query, db).decomposition
+        plain = compile_plan(query, db, hd, layout="auto")
+        legacy = compile_plan(
+            query, db, hd, backend="sequential", workers=1,
+            shard_threshold=engine.shard_threshold, layout="auto",
+        )
+        assert legacy.digest() == plain.digest()
+        assert legacy.render() == plain.render()
+
+    def test_execute_many_runs_requests_concurrently(self):
         db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
         queries = [cycle_query(3, "e"), cycle_query(4, "e")]
-        with Engine(backend="thread", shard_threshold=0) as engine:
+        with Engine() as engine:
             batch = engine.execute_many(queries, db=db, workers=2)
         assert all(r.ok for r in batch)
         assert batch.results[0].boolean
 
-    def test_explain_shows_sharding(self):
-        engine = Engine(backend="thread", shard_threshold=0)
-        db = Database.from_relations({"e": [(1, 2), (2, 3)]})
-        text = engine.explain(parse_query("e(X,Y), e(Y,Z)"), db)
-        assert "thread backend × 4" in text
-        assert "×4 shards" in text
-
-    def test_shard_backend_reused_and_closable(self):
+    def test_close_is_idempotent_and_the_engine_stays_usable(self):
         db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
         query = parse_query("e(X,Y), e(Y,Z), e(Z,X)")
-        with Engine(
-            backend="thread", backend_workers=2, shard_threshold=0
-        ) as engine:
-            engine.execute(query, db)
-            first = engine._execution_context()
-            engine.execute(query, db)
-            # one live context, reused across requests
-            assert engine._execution_context() is first
-        assert engine._context is None  # closed on exit
-        # the engine stays usable: the backend is recreated on demand
+        with Engine() as engine:
+            assert engine.execute(query, db).boolean
+        engine.close()
         assert engine.execute(query, db).boolean
-        engine.close()
-
-
-class TestCostBasedSharding:
-    """The cost-based shard policy: per-node counts from cardinality
-    estimates, sub-1k-row relations unsharded (plan inspection)."""
-
-    def _two_scale_setup(self):
-        big = [(i, i % 97) for i in range(1500)]
-        small = [(i % 97, i % 13) for i in range(60)]
-        db = Database.from_relations({"big": big, "small": small})
-        query = parse_query("ans(X, Z) :- big(X, Y), small(Y, Z).")
-        return query, db
-
-    def test_small_relations_stay_unsharded(self):
-        query, db = self._two_scale_setup()
-        engine = Engine(backend="thread", backend_workers=4, mode="heuristic")
-        plan = engine.plan(query, db)
-        by_size = {
-            np.n_shards
-            for np in plan.node_plans
-            if np.estimated_rows < 1000
-        }
-        assert by_size <= {1}, "sub-1k-row bags must stay unsharded"
-        big_nodes = [
-            np for np in plan.node_plans if np.estimated_rows >= 1000
-        ]
-        assert big_nodes, "setup should produce at least one large bag"
-        assert all(np.n_shards == 4 for np in big_nodes)
-
-    def test_sequential_backend_never_shards(self):
-        query, db = self._two_scale_setup()
-        # backend made explicit so a REPRO_BACKEND env default (the CI
-        # process-backend suite run) cannot override it
-        plan = Engine(mode="heuristic", backend="sequential").plan(query, db)
-        assert plan.backend == "sequential"
-        assert all(np.n_shards == 1 for np in plan.node_plans)
-
-    def test_threshold_is_tunable(self):
-        query, db = self._two_scale_setup()
-        engine = Engine(
-            backend="thread", backend_workers=3, shard_threshold=0,
-            mode="heuristic",
-        )
-        plan = engine.plan(query, db)
-        assert all(np.n_shards == 3 for np in plan.node_plans)
-        assert plan.shard_counts == {
-            np.bag: 3 for np in plan.node_plans
-        }
-
-    def test_cost_sharded_execution_matches_sequential(self):
-        query, db = self._two_scale_setup()
-        seq = Engine(mode="heuristic").execute(query, db)
-        with Engine(
-            backend="thread", backend_workers=4, mode="heuristic"
-        ) as par_engine:
-            par = par_engine.execute(query, db)
-        assert par.answer.rows == seq.answer.rows
-        assert par.answer.attributes == seq.answer.attributes
-
-
-class TestProcessBackendLifecycle:
-    """Engine-owned process workers: created lazily, released on exit."""
-
-    def test_engine_exit_releases_process_workers(self):
-        db = Database.from_relations(
-            {"e": [(i, (i * 7) % 50) for i in range(300)]}
-        )
-        query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).")
-        with Engine(
-            backend="process", backend_workers=2, shard_threshold=0,
-            mode="heuristic",
-        ) as engine:
-            seq = Engine(mode="heuristic").execute(query, db)
-            par = engine.execute(query, db)
-            assert par.answer.rows == seq.answer.rows
-            ctx = engine._context
-            procs = list(ctx._procs)
-            assert all(p.is_alive() for p in procs)
-        assert all(not p.is_alive() for p in procs), "orphan workers"
-        # close is idempotent through the engine too
-        engine.close()
-
-    def test_process_workers_spawn_lazily(self):
-        db = Database.from_relations({"e": [(1, 2), (2, 3)]})
-        with Engine(backend="process", mode="heuristic") as engine:
-            result = engine.execute(parse_query("e(X,Y), e(Y,Z)"), db)
-            assert result.ok
-            # tiny relations never shard, so no worker pool exists
-            assert engine._context is None
 
 
 class TestExplain:

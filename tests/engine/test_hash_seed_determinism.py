@@ -40,7 +40,7 @@ shapes += [book_query(pages) for pages in (2, 3, 4)]
 shapes += [cycle_query(n) for n in (6, 7, 8)]
 shapes += [grid_query(3), random_query(14, 12, seed=109)]
 total = 0
-with Engine(backend="sequential", layout="auto") as engine:
+with Engine(layout="auto") as engine:
     for i, base in enumerate(shapes):
         for query in (base, renamed_variant(base, seed=100 + i)):
             db = random_database(query, 40, 80, seed=i)

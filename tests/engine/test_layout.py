@@ -105,7 +105,7 @@ class TestEngineLayout:
 
     def test_forced_columnar_takes_small_plans_too(self, small_db):
         query = parse_query(QUERY)
-        engine = Engine(layout="columnar", backend="sequential")
+        engine = Engine(layout="columnar")
         plan = engine.plan(query, small_db)
         assert (plan.layout, plan.resolved_layout) == ("columnar", "columnar")
         assert _bags_of(engine, query, small_db) == (0, 2)
@@ -148,7 +148,7 @@ class TestAutoResolvesOncePerPlan:
 
     def test_the_largest_input_decides_at_the_threshold(self):
         query = parse_query(QUERY)
-        engine = Engine(layout="auto", backend="sequential")
+        engine = Engine(layout="auto")
         under = self._two_relations(COLUMNAR_MIN_ROWS - 1, 12)
         plan = engine.plan(query, under)
         assert plan.layout_rows == COLUMNAR_MIN_ROWS - 1
@@ -167,7 +167,7 @@ class TestAutoResolvesOncePerPlan:
         query = book_query(2)
         n = COLUMNAR_MIN_ROWS + 40
         db = random_database(query, n, n, seed=1)
-        engine = Engine(layout="auto", backend="sequential")
+        engine = Engine(layout="auto")
         plan = engine.plan(query, db)
         joined = [np for np in plan.node_plans if len(np.join_order) > 1]
         assert joined and all(
@@ -182,7 +182,7 @@ class TestAutoResolvesOncePerPlan:
     @pytest.mark.parametrize("tuples", [40, COLUMNAR_MIN_ROWS + 40])
     @pytest.mark.parametrize("semiring", [None, "count", "mincost"])
     def test_a_plan_never_mixes_carriers(self, tuples, semiring):
-        engine = Engine(layout="auto", backend="sequential")
+        engine = Engine(layout="auto")
         for query in (cycle_query(5), book_query(2), clique_query(4)):
             db = random_database(
                 query, max(4, tuples // 2), tuples, seed=3,
@@ -197,7 +197,7 @@ class TestAutoResolvesOncePerPlan:
 
         tracer = Tracer()
         with tracing(tracer):
-            Engine(layout="auto", backend="sequential").execute(
+            Engine(layout="auto").execute(
                 parse_query(QUERY), big_db
             )
         (compiled,) = [s for s in tracer.spans() if s.name == "plan.compile"]
@@ -232,16 +232,11 @@ class TestLayoutsAgainstTheNaiveEvaluator:
     counting and min-cost semantics, below and above the ``auto``
     threshold of the numpy kernels: the answers are ``db/naive.py``'s.
     (The CI legs without numpy run the same matrix on the pure-Python
-    kernels; the engines follow ``$REPRO_BACKEND`` and cut every bag in
-    two, so on the process leg the weighted multi-atom bags cross
-    ``__reduce__`` and shared memory.)"""
+    kernels.)"""
 
     @pytest.fixture(scope="class")
     def engines(self):
-        built = {
-            layout: Engine(layout=layout, workers=2, shard_threshold=0)
-            for layout in LAYOUTS
-        }
+        built = {layout: Engine(layout=layout) for layout in LAYOUTS}
         yield built
         for engine in built.values():
             engine.close()

@@ -21,7 +21,7 @@ def db():
 
 @pytest.fixture
 def engine():
-    made = Engine(backend="sequential")
+    made = Engine()
     yield made
     made.close()
 
@@ -61,17 +61,6 @@ class TestConvenienceMethods:
         probs = engine.probability(parse_query(PATH2), db)
         assert all(v == pytest.approx(1.0) for v in probs.values())
 
-    def test_process_backend_end_to_end(self, db):
-        engine = Engine(
-            backend="process", backend_workers=2, shard_threshold=0
-        )
-        try:
-            assert engine.count(parse_query(PATH2), db) == 4
-            prov = engine.provenance(parse_query(PATH2), db)
-            assert len(prov[(2, 5)]) == 2
-        finally:
-            engine.close()
-
     def test_set_semantics_result_has_no_annotations(self, engine, db):
         result = engine.execute(parse_query(PATH2), db)
         assert result.semiring is None
@@ -90,7 +79,7 @@ class TestAnswersDoNotAliasTheDatabase:
     def test_annotations_are_read_only(self, layout, tag):
         db = Database.from_relations({"r": [(1, 2), (3, 4)]})
         query = parse_query("ans(X,Y) :- r(X,Y).")
-        with Engine(backend="sequential", layout=layout) as engine:
+        with Engine(layout=layout) as engine:
             result = engine.execute(query, db, semiring=tag)
             before = dict(result.annotations)
             assert set(before) == {(1, 2), (3, 4)}
@@ -132,7 +121,7 @@ class TestExplainSemiring:
         from repro.db.semiring import COUNTING
 
         query = parse_query(self.QUERY)
-        with Engine(backend="sequential", layout="auto") as engine:
+        with Engine(layout="auto") as engine:
             set_plan = engine.explain(query, big_db)
             count_plan = engine.explain(query, big_db, semiring="count")
             mincost_plan = engine.explain(query, big_db, semiring="mincost")
@@ -146,7 +135,7 @@ class TestExplainSemiring:
         registry = get_registry()
         counted = registry.counter("semiring.count.engine.requests")
         before = counted.value
-        with Engine(backend="sequential", layout="auto") as engine:
+        with Engine(layout="auto") as engine:
             text = engine.explain(
                 query, big_db, analyze=True, semiring="count"
             )
@@ -206,7 +195,7 @@ class TestPlanCacheSharing:
         assert engine.cache.snapshot()["promotions"] == promoted
 
     def test_requests_counted_per_semiring(self, db):
-        engine = Engine(backend="sequential")
+        engine = Engine()
         try:
             registry = get_registry()
             query = parse_query(PATH2)

@@ -253,6 +253,22 @@ class TestBounds:
         hw, _ = hypertree_width(query)
         assert lower_bound(query) <= hw
 
+    @pytest.mark.parametrize("query", FAMILIES, ids=lambda q: q.name)
+    def test_one_graph_serves_both_bounds(self, query):
+        """``repro width --upper-bound`` builds the primal graph once and
+        hands it to the upper bound, then to the lower bound: the search
+        must leave it as it found it, and both bounds must be the ones
+        each computes from its own graph."""
+        graph = primal_graph(query)
+        ub = greedy_upper_bound(query, graph=graph)
+        lb = lower_bound(query, graph=graph)
+        fresh = greedy_upper_bound(query)
+        assert (ub.width, ub.method, ub.order) == (
+            fresh.width, fresh.method, fresh.order
+        )
+        assert lb == lower_bound(query) <= ub.width
+        assert graph == primal_graph(query)
+
     def test_acyclic_bracket_closes(self):
         q = path_query(5)
         assert lower_bound(q) == 1 == greedy_upper_bound(q).width

@@ -276,8 +276,8 @@ class TestParallelFanOut:
         assert live._owns_engine
         live.register(parse_query("ans(X, Y) :- e(X, Y)."))
         live.close()
-        # The owned engine's backends were shut down with the LiveEngine
-        # (close is idempotent on both sides).
+        # The owned engine was closed with the LiveEngine (close is
+        # idempotent on both sides).
         engine.close()
 
     def test_close_leaves_a_borrowed_engine_alone(self):

@@ -1,12 +1,9 @@
 """End-to-end observability acceptance tests.
 
-The centrepiece is the ISSUE's acceptance scenario: a sharded plan
-executed on the process backend, where ``Engine.explain(analyze=True)``
-must show actual-vs-estimated rows plus per-node wall time, and the
-exported Chrome trace must contain the shard spans recorded *inside*
-worker processes.  Alongside it: the no-op-tracer answer-identity
-guarantee and the worker-span round trip through
-``ProcessBackend.map_shards``.
+``Engine.explain(analyze=True)`` must show actual-vs-estimated rows plus
+per-node wall time, and the exported Chrome trace must carry every span
+of the request.  Alongside it: the no-op-tracer answer-identity
+guarantee and one span vocabulary for the sweep whatever the layout.
 """
 
 import json
@@ -16,7 +13,6 @@ import random
 import pytest
 
 from repro.core.parser import parse_query
-from repro.db.backend import ProcessBackend
 from repro.db.database import Database
 from repro.engine import Engine
 from repro.obs import (
@@ -37,7 +33,7 @@ def path_db(edges: int = 60, seed: int = 3) -> Database:
 
 
 def big_db(edges: int = 3000, seed: int = 0) -> Database:
-    """Large enough that every plan node clears the sharding threshold."""
+    """Large enough that every plan resolves ``auto`` to columnar."""
     rng = random.Random(seed)
     rows = {
         (rng.randrange(400), rng.randrange(400)) for _ in range(edges)
@@ -114,7 +110,7 @@ class TestPipelineSpans:
 
 class TestSweepSpanVocabulary:
     """One sweep driver, one span vocabulary: a plan traces the same
-    ``sweep.*`` spans whether its operands are sharded or not."""
+    ``sweep.*`` spans whichever carrier its bags are."""
 
     PATH3 = "ans(X,W) :- e(X,Y), e(Y,Z), e(Z,W)"
 
@@ -134,42 +130,37 @@ class TestSweepSpanVocabulary:
             re.findall(r"^  (\w+): .*sweep \S+ over (\d+) op", text, re.M)
         )
 
-    def test_sequential_and_sharded_runs_trace_the_same_sweep(self):
+    def test_row_and_columnar_runs_trace_the_same_sweep(self):
         from collections import Counter
 
         db = path_db()
         query = parse_query(self.PATH3)
         runs = {}
-        for kind, options in (
-            ("sequential", {}),
-            ("thread", {"backend_workers": 3, "shard_threshold": 0}),
-        ):
-            with Engine(backend=kind, **options) as engine:
+        for layout in ("row", "columnar"):
+            with Engine(layout=layout) as engine:
                 with tracing(Tracer()) as tracer:
                     answer = engine.execute(query, db).answer
                 text = engine.explain(query, db, analyze=True)
-            runs[kind] = (answer, self._sweep_spans(tracer), text)
-        (seq_answer, seq_spans, seq_text) = runs["sequential"]
-        (par_answer, par_spans, par_text) = runs["thread"]
-        assert par_answer.rows == seq_answer.rows
+            runs[layout] = (answer, self._sweep_spans(tracer), text)
+        (row_answer, row_spans, row_text) = runs["row"]
+        (col_answer, col_spans, col_text) = runs["columnar"]
+        assert col_answer.rows == row_answer.rows
 
-        for span in seq_spans + par_spans:
-            assert set(span.attrs) >= {"node", "pass_", "sharded", "rows"}
+        for span in row_spans + col_spans:
+            assert set(span.attrs) == {"node", "pass_", "rows"}
             assert (span.attrs["pass_"] == "enumerate") == (
                 span.name == "sweep.join"
             )
-        assert {s.attrs["pass_"] for s in seq_spans} == {
+        assert {s.attrs["pass_"] for s in row_spans} == {
             "bottom-up", "top-down", "enumerate"
         }
-        assert not any(s.attrs["sharded"] for s in seq_spans)
-        assert any(s.attrs["sharded"] for s in par_spans)
 
         def key(span):
             return span.name, span.attrs["node"], span.attrs["pass_"]
 
-        assert Counter(map(key, par_spans)) == Counter(map(key, seq_spans))
-        assert self._sweep_ops(seq_text)
-        assert self._sweep_ops(par_text) == self._sweep_ops(seq_text)
+        assert Counter(map(key, col_spans)) == Counter(map(key, row_spans))
+        assert self._sweep_ops(row_text)
+        assert self._sweep_ops(col_text) == self._sweep_ops(row_text)
 
 
 class TestExplainAnalyze:
@@ -238,92 +229,38 @@ class TestExplainAnalyze:
         assert tracer.find("plan.bag")
 
 
-class TestProcessBackendAcceptance:
-    """The ISSUE acceptance criterion, end to end."""
+class TestLargeRequestAcceptance:
+    """A request over a few thousand rows, end to end: analyze output,
+    the exported trace, and answers that tracing does not change."""
 
-    def test_sharded_process_analyze_with_worker_spans(self, tmp_path):
+    def test_analyze_and_trace_export(self, tmp_path):
         db = big_db()
         query = parse_query(QUERY)
-        with Engine(backend="process") as engine, \
-                tracing(Tracer()) as tracer:
+        with Engine() as engine, tracing(Tracer()) as tracer:
             text = engine.explain(query, db, analyze=True)
 
-            # --- the rendered EXPLAIN ANALYZE -------------------------
-            assert "process backend" in text
-            assert "nodes sharded" in text
             assert "est ->" in text and "actual rows" in text
-            assert "shard tasks:" in text
-            assert "worker-resident" in text
+            assert "backend" not in text and "shard" not in text
 
-            # --- worker-side spans round-tripped into the tracer ------
-            shard_spans = [
-                s for s in tracer.spans() if s.name.startswith("shard:")
-            ]
-            assert shard_spans
-            resident = [s for s in shard_spans if s.pid != os.getpid()]
-            assert resident, "no spans recorded inside worker processes"
-            assert {s.tid for s in resident} >= {"worker-0"}
-            for span in resident:
-                assert span.duration >= 0.0
-
-            # --- and they survive Chrome-trace export -----------------
             path = tmp_path / "trace.json"
             write_chrome_trace(tracer, str(path))
             events = json.loads(path.read_text())
             assert validate_chrome_trace(events) == []
-            worker_pids = {
-                e["pid"]
-                for e in events
-                if e["ph"] == "X" and e["name"].startswith("shard:")
-                and e["pid"] != os.getpid()
-            }
-            assert worker_pids, "exported trace lost the worker spans"
+            names = {e["name"] for e in events if e["ph"] == "X"}
+            assert {"engine.execute", "plan.bag", "sweep.semijoin"} <= names
+            assert {e["pid"] for e in events} == {os.getpid()}
             labels = {
                 e["args"]["name"]
                 for e in events
                 if e["name"] == "process_name"
             }
-            assert any(label.startswith("repro worker") for label in labels)
+            assert labels == {"repro"}
 
     def test_answers_identical_with_and_without_tracing(self):
         db = big_db(edges=1500, seed=7)
         query = parse_query(QUERY)
-        with Engine(backend="process") as engine:
+        with Engine() as engine:
             baseline = engine.execute(query, db)
             with tracing(Tracer()):
                 traced = engine.execute(query, db)
         assert traced.answer.rows == baseline.answer.rows
-
-
-class TestWorkerSpanRoundTrip:
-    def test_map_shards_ships_spans_back(self):
-        from repro.db.relation import Relation
-
-        left = Relation.from_rows(
-            ("a", "b"), [(i, i % 5) for i in range(40)], "l"
-        )
-        right = Relation.from_rows(
-            ("b", "c"), [(i, i * 2) for i in range(5)], "r"
-        )
-        with ProcessBackend(workers=2) as backend, \
-                tracing(Tracer()) as tracer:
-            results = backend.map_shards(
-                "semijoin_pair", [(left, right), (left, right)]
-            )
-            assert all(len(r) == len(left) for r in results)
-            spans = tracer.find("shard:semijoin_pair")
-            assert len(spans) == 2
-            for span in spans:
-                assert span.pid != os.getpid()
-                assert span.tid.startswith("worker-")
-                assert span.attrs["rows"] == len(left)
-                assert span.end >= span.start
-
-    def test_untraced_map_shards_ships_no_spans(self):
-        from repro.db.relation import Relation
-
-        rel = Relation.from_rows(("a",), [(1,), (2,)], "r")
-        with ProcessBackend(workers=1) as backend:
-            results = backend.map_shards("identity", [(rel,)])
-        assert results[0].rows == rel.rows
-        assert NULL_TRACER.spans() == []

@@ -26,11 +26,10 @@ def tracer():
         sp.set(rows=8)
     with t.span("plan.execute"):
         pass
-    # a worker-process span shipped back through ingest
-    t.ingest(
-        [("shard:semijoin", t.created + 0.001, t.created + 0.002, 4242,
-          {"rows": 5})],
-        tid="worker-0",
+    # a span another thread recorded, at a known offset
+    t._record(
+        Span("sweep.semijoin", t.created + 0.001, t.created + 0.002, t.pid,
+             "worker-0", {"rows": 5})
     )
     return t
 
@@ -43,10 +42,10 @@ class TestChromeTraceEvents:
         for e in complete:
             assert e["ts"] >= 0
             assert e["dur"] >= 0
-        shard = next(e for e in complete if e["name"] == "shard:semijoin")
-        assert shard["ts"] == pytest.approx(1000.0)  # 1ms after creation
-        assert shard["dur"] == pytest.approx(1000.0)
-        assert shard["args"] == {"rows": 5}
+        sweep = next(e for e in complete if e["name"] == "sweep.semijoin")
+        assert sweep["ts"] == pytest.approx(1000.0)  # 1ms after creation
+        assert sweep["dur"] == pytest.approx(1000.0)
+        assert sweep["args"] == {"rows": 5}
 
     def test_metadata_events_name_tracks(self, tracer):
         events = chrome_trace_events(tracer)
@@ -59,15 +58,14 @@ class TestChromeTraceEvents:
             for e in events
             if e["name"] == "process_name"
         }
-        assert process_names[tracer.pid] == "repro"
-        assert process_names[4242] == "repro worker 4242"
+        assert process_names == {tracer.pid: "repro"}
 
     def test_distinct_tracks_get_distinct_tids(self, tracer):
         events = chrome_trace_events(tracer)
         complete = [e for e in events if e["ph"] == "X"]
-        parent = {e["tid"] for e in complete if e["pid"] == tracer.pid}
-        worker = {e["tid"] for e in complete if e["pid"] == 4242}
-        assert parent and worker and parent.isdisjoint(worker)
+        worker = {e["tid"] for e in complete if e["name"] == "sweep.semijoin"}
+        main = {e["tid"] for e in complete if e["name"] != "sweep.semijoin"}
+        assert main and worker and main.isdisjoint(worker)
 
     def test_non_scalar_attrs_fall_back_to_repr(self):
         t = Tracer()
@@ -154,7 +152,7 @@ class TestRenderTraceSummary:
     def test_totals_and_tracks(self, tracer):
         text = render_trace_summary(chrome_trace_events(tracer))
         assert "2 thread track(s)" in text
-        assert "shard:semijoin" in text
+        assert "sweep.semijoin" in text
         assert "plan.bag" in text
 
 

@@ -1,6 +1,6 @@
 """Flight recorder: ring bounds and ordering under concurrency, the
 slow-query log, dump gating, and the crash-dump integration paths
-(budget exhaustion, process-backend worker death)."""
+(budget exhaustion, an operator failing mid-request)."""
 
 import json
 import os
@@ -10,14 +10,12 @@ import pytest
 
 from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
-from repro.db.backend import ProcessBackend
 from repro.db.database import Database
 from repro.engine import Engine
 from repro.obs import (
     FlightRecorder,
     get_flight_recorder,
     render_flight,
-    set_flight_recorder,
     span_forest,
     tracing,
 )
@@ -174,56 +172,45 @@ class TestFailureDumps:
         [error] = [e for e in doc["events"] if e["kind"] == "error"]
         assert error["error"] == "BudgetExceeded"
 
-    def test_worker_kill_mid_request_dumps_span_tree_and_digest(
-        self, tmp_path
+    def test_failure_mid_request_dumps_span_tree_and_digest(
+        self, tmp_path, monkeypatch
     ):
-        """The acceptance path: a process-backend worker dies while a
-        request is in flight; the auto-dump carries the failing
-        request's span tree and plan digest."""
+        """An operator fails after the plan compiled; the auto-dump
+        carries the failing request's span tree and plan digest."""
+        import repro.engine.plan as plan_module
+
         dump = tmp_path / "dump.json"
-        flight = set_flight_recorder(None)  # fresh global: the backend
-        # reports worker deaths to the global recorder, and the engine
-        # defaults to the same one, so the dump sees both.
-        try:
-            engine = Engine(
-                backend="process",
-                backend_workers=2,
-                shard_threshold=1,
-                flight_dump=str(dump),
-            )
-            query = parse_query("e(X,Y), e(Y,Z)")
-            db = _db(400)
-            result = engine.execute(query, db)  # healthy: pool spins up
-            assert len(result.answer) > 0
+        flight = FlightRecorder()
+        engine = Engine(flight=flight, flight_dump=str(dump))
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        db = _db(400)
+        result = engine.execute(query, db)  # healthy
+        assert len(result.answer) > 0
 
-            ctx = engine._execution_context()
-            assert isinstance(ctx, ProcessBackend)
-            procs = list(ctx._procs)
-            procs[0].kill()
-            with pytest.raises(EvaluationError):
-                engine.execute(query, db)
-            engine.close()
+        def fail(*args, **kwargs):
+            raise EvaluationError("sweep failed")
 
-            doc = json.loads(dump.read_text())
-            kinds = [e["kind"] for e in doc["events"]]
-            assert "worker_death" in kinds, kinds
-            [error] = [e for e in doc["events"] if e["kind"] == "error"]
-            # The failing request's plan digest matches the healthy
-            # request's (same query, same cached plan)...
-            [request] = [e for e in doc["events"] if e["kind"] == "request"]
-            assert error["digest"] == request["digest"]
-            # ...and its span tree is in the dump, nested.
-            assert error["spans"], "failing request's span tree missing"
+        monkeypatch.setattr(plan_module, "enumerate_answers", fail)
+        with pytest.raises(EvaluationError):
+            engine.execute(query, db)
 
-            def names(nodes):
-                for node in nodes:
-                    yield node["name"]
-                    yield from names(node["children"])
+        doc = json.loads(dump.read_text())
+        [error] = [e for e in doc["events"] if e["kind"] == "error"]
+        # The failing request's plan digest matches the healthy
+        # request's (same query, same cached plan)...
+        [request] = [e for e in doc["events"] if e["kind"] == "request"]
+        assert error["digest"] == request["digest"]
+        # ...and its span tree is in the dump, nested.
+        assert error["spans"], "failing request's span tree missing"
 
-            assert any("plan" in n or "execute" in n or "shard" in n
-                       for n in names(error["spans"]))
-        finally:
-            set_flight_recorder(None)
+        def names(nodes):
+            for node in nodes:
+                yield node["name"]
+                yield from names(node["children"])
+
+        assert {"engine.execute", "plan.execute", "plan.bag"} <= set(
+            names(error["spans"])
+        )
 
     def test_no_dump_file_without_destination(self, tmp_path, monkeypatch):
         monkeypatch.delenv(FLIGHT_ENV_VAR, raising=False)

@@ -206,5 +206,5 @@ class TestCliGate:
         )
         doc = load_run(str(baseline))
         suites = {r["suite"] for r in doc["records"]}
-        assert {"engine", "parallel", "backends", "incremental",
-                "obs"} <= suites
+        assert {"engine", "incremental", "obs", "serve", "semiring",
+                "columnar"} == suites

@@ -1,5 +1,4 @@
-"""Sampling profiler: fold losslessness, span tagging, zero-cost off,
-and the worker-sample round trip through the process backend."""
+"""Sampling profiler: fold losslessness, span tagging, zero-cost off."""
 
 import json
 import os
@@ -9,8 +8,6 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import ProcessBackend
-from repro.db.relation import Relation
 from repro.obs import (
     NULL_PROFILER,
     NULL_TRACER,
@@ -80,12 +77,6 @@ class TestFoldLossless:
         }
         assert rebuilt == counts
 
-    def test_drain_takes_and_resets(self):
-        profile = Profile()
-        profile.add("a;b", 3)
-        assert dict(profile.drain()) == {"a;b": 3}
-        assert profile.total() == 0 and not profile
-
 
 class TestFoldFrame:
     def test_renders_root_first_with_qualnames(self):
@@ -145,6 +136,13 @@ class TestZeroCostOff:
             assert profiler.running  # inner exit must not stop the outer
         assert not profiler.running
 
+    def test_samples_are_read_where_they_are_taken(self):
+        """The take-and-reset and import hooks that carried samples out
+        of worker processes are gone and must not grow back."""
+        for owner in (Profile, SamplingProfiler, NULL_PROFILER):
+            for name in ("drain", "ingest"):
+                assert not hasattr(owner, name), (owner, name)
+
 
 class TestSampling:
     def _worker(self, ready, release, span_name=None):
@@ -186,14 +184,6 @@ class TestSampling:
             for stack, _ in profiler.profile.items()
         )
 
-    def test_ingest_roots_samples_under_label(self):
-        profiler = SamplingProfiler(hz=1)
-        profiler.ingest([("a;b", 3), ("c", 1)], label="worker-42")
-        assert dict(profiler.profile.items()) == {
-            "worker-42;a;b": 3,
-            "worker-42;c": 1,
-        }
-
 
 class TestExports:
     def test_write_speedscope_and_collapsed(self, tmp_path):
@@ -208,39 +198,3 @@ class TestExports:
         assert doc["$schema"].startswith("https://www.speedscope.app")
         assert sum(doc["profiles"][0]["weights"]) == 3
         assert Profile.from_collapsed(txt.read_text()).total() == 3
-
-
-class TestWorkerSampleRoundTrip:
-    """Mirror of the worker-span round trip: ProcessBackend workers run
-    their own sampler and ship folded samples back with task replies."""
-
-    def test_map_shards_ships_samples_back(self):
-        left = Relation.from_rows(
-            ("a", "b"), [(i, i % 997) for i in range(20_000)], "l"
-        )
-        right = Relation.from_rows(
-            ("b", "c"), [(i, i * 2) for i in range(997)], "r"
-        )
-        profiler = SamplingProfiler(hz=997)
-        with profiling(profiler), ProcessBackend(workers=2) as backend:
-            results = backend.map_shards(
-                "semijoin_pair", [(left, right)] * 8
-            )
-        assert all(len(r) == len(left) for r in results)
-        worker_stacks = [
-            stack
-            for stack, _ in profiler.profile.items()
-            if stack.startswith("worker-")
-        ]
-        assert worker_stacks, "no worker samples shipped back"
-        # The label is worker-<pid> for a real worker pid, not ours.
-        pid = int(worker_stacks[0].split(";")[0].split("-")[1])
-        assert pid != os.getpid()
-
-    def test_unprofiled_map_shards_ships_no_samples(self):
-        rel = Relation.from_rows(("a",), [(1,), (2,)], "r")
-        assert current_profiler() is NULL_PROFILER
-        with ProcessBackend(workers=1) as backend:
-            results = backend.map_shards("identity", [(rel,)])
-        assert results[0].rows == rel.rows
-        assert NULL_PROFILER.drain() == ()

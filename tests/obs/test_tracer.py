@@ -1,5 +1,5 @@
 """Unit tests for :mod:`repro.obs.tracer`: spans, the null tracer, the
-process-global slot, cross-process ingest, and the env switch."""
+process-global slot, and the env switch."""
 
 import os
 import threading
@@ -15,7 +15,6 @@ from repro.obs.tracer import (
     current_tracer,
     iter_leaf_totals,
     set_tracer,
-    span_tuple,
     trace_path_from_env,
     tracing,
 )
@@ -110,8 +109,6 @@ class TestNullTracer:
             sp.set(rows=5)
             sp.add("rows", 1)
         assert NULL_TRACER.spans() == []
-        NULL_TRACER.ingest([span_tuple("x", 0.0, 1.0, {})])
-        assert NULL_TRACER.spans() == []
 
     def test_null_span_does_not_swallow_exceptions(self):
         with pytest.raises(RuntimeError):
@@ -153,39 +150,6 @@ class TestCurrentTracerSlot:
         finally:
             set_tracer(None)
         assert current_tracer() is NULL_TRACER
-
-
-class TestIngest:
-    def test_ingest_worker_records(self):
-        tracer = Tracer()
-        records = [
-            span_tuple("shard:semijoin", 1.0, 2.0, {"rows": 5}),
-            ("shard:join", 2.0, 3.5, 4242, {"rows": 9}),
-        ]
-        tracer.ingest(records, tid="worker-0")
-        first, second = tracer.spans()
-        assert first.name == "shard:semijoin"
-        assert first.pid == os.getpid()  # span_tuple stamps the caller pid
-        assert first.tid == "worker-0"
-        assert first.attrs == {"rows": 5}
-        assert second.pid == 4242
-        assert second.duration == pytest.approx(1.5)
-
-    def test_ingest_default_tid_from_pid(self):
-        tracer = Tracer()
-        tracer.ingest([("x", 0.0, 1.0, 99, {})])
-        assert tracer.spans()[0].tid == "pid-99"
-
-    def test_ingest_respects_max_spans(self):
-        tracer = Tracer(max_spans=3)
-        tracer.ingest([("x", 0.0, 1.0, 1, {}) for _ in range(5)])
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-
-    def test_span_tuple_shape(self):
-        name, start, end, pid, attrs = span_tuple("n", 1.0, 2.0, {"a": 1})
-        assert (name, start, end, pid) == ("n", 1.0, 2.0, os.getpid())
-        assert attrs == {"a": 1}
 
 
 class TestEnvSwitch:
@@ -272,3 +236,26 @@ class TestActiveSpans:
 
     def test_null_tracer_has_no_active_span(self):
         assert NULL_TRACER.active_span(threading.get_ident()) is None
+
+
+class TestOneProcess:
+    """A request's spans are recorded in the process that runs it: the
+    import path for spans recorded elsewhere is gone and must not grow
+    back."""
+
+    def test_no_import_path_for_foreign_spans(self):
+        import repro.obs
+        import repro.obs.tracer as tracer_module
+
+        for cls in (Tracer, NullTracer):
+            assert not hasattr(cls, "ingest"), cls
+        for module in (tracer_module, repro.obs):
+            assert not hasattr(module, "span_tuple"), module
+
+    def test_spans_carry_this_process(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+        assert tracer.pid == os.getpid()
+        assert {s.pid for s in tracer.spans()} == {os.getpid()}

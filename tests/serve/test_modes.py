@@ -12,7 +12,7 @@ EDGES = [[1, 2], [2, 3], [2, 4], [4, 5], [3, 5]]
 
 @pytest.fixture
 def served():
-    with serve_in_thread(backend="sequential") as st:
+    with serve_in_thread() as st:
         with ServeClient(st.host, st.port, tenant="t1") as client:
             client.declare("e", 2)
             client.load("e", EDGES)

@@ -104,6 +104,16 @@ class TestBasics:
             assert "plan_cache" in stats
 
 
+class TestConstruction:
+    def test_the_backend_option_is_gone(self):
+        """Requests run on the engine's one sequential sweep; a server
+        offers no backend to choose."""
+        from repro.serve.server import QueryServer
+
+        with pytest.raises(TypeError, match="backend"):
+            QueryServer(backend="thread")
+
+
 class TestMultiTenancy:
     def test_isomorphic_queries_across_tenants_plan_once(self, server):
         """The headline: two tenants, renamed-isomorphic queries fired

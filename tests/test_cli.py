@@ -51,6 +51,22 @@ class TestWidth:
         assert "hw upper bound (heuristic" in out
         assert "hypertree-width:" not in out
 
+    def test_upper_bound_builds_one_primal_graph(self, monkeypatch, capsys):
+        """Both bounds read the graph the command built, neither builds
+        its own."""
+        import repro.cli
+        import repro.heuristics.bounds as bounds
+
+        built = []
+        real = repro.cli.primal_graph
+        monkeypatch.setattr(
+            repro.cli, "primal_graph", lambda q: built.append(q) or real(q)
+        )
+        monkeypatch.setattr(bounds, "primal_graph", None)  # must not run
+        assert main(["width", "e(X,Y), e(Y,Z), e(Z,X)", "--upper-bound"]) == 0
+        assert len(built) == 1
+        assert "hw upper bound (heuristic" in capsys.readouterr().out
+
 
 class TestDecompose:
     def test_optimal(self, capsys):
@@ -200,16 +216,20 @@ class TestRun:
         assert code == 1
         assert "ERROR" in capsys.readouterr().out
 
-    def test_backend_flag_matches_sequential(self, facts_file, capsys):
-        assert main(["run", facts_file, "ans(X) :- e(X, Y)."]) == 0
-        sequential = capsys.readouterr().out
-        code = main(
-            ["run", facts_file, "ans(X) :- e(X, Y).", "--backend", "thread"]
-        )
-        assert code == 0
-        parallel = capsys.readouterr().out
-        assert "3 answers" in sequential
-        assert "3 answers" in parallel
+    @pytest.mark.parametrize("command", ["run", "explain", "watch", "serve"])
+    def test_the_backend_flag_is_gone(self, facts_file, command, capsys):
+        """No command takes ``--backend`` any more: naming one is an
+        argument error (exit 2), never a silent sequential run."""
+        args = {
+            "run": ["run", facts_file, "ans(X) :- e(X, Y)."],
+            "explain": ["explain", "ans(X) :- e(X, Y).", facts_file],
+            "watch": ["watch", "ans(X) :- e(X, Y).", facts_file],
+            "serve": ["serve", facts_file],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, "--backend", "process"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_semiring_flag_reports_count_total(self, facts_file, capsys):
         # Triangle: each X has exactly one two-hop path, so 3 derivations.
