@@ -23,6 +23,12 @@ warm request materialises — the n^k term of Lemma 4.6 that joining
 is its own record: its product bag has no covered atom until the plan
 grows the bag's χ by the variable that makes one.
 
+A third leg (:func:`run_floor_leg`) records the per-request floor: the
+warm latency of a 1-atom query over 3 rows (``null_request_ms``) and of
+a 4-atom path over four 3-row relations (``four_atom_request_ms``),
+where planning, the replayed plan and the observability hooks are all
+there is to pay.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py \
@@ -39,6 +45,8 @@ import statistics
 import sys
 import time
 
+from repro.core.parser import parse_query
+from repro.db.database import Database
 from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.engine import Engine, fingerprint
@@ -100,6 +108,35 @@ def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
     }
 
 
+def run_floor_leg(repeats: int = 1000) -> dict:
+    """The fixed cost of a warm request, where the data costs nothing:
+    a 1-atom query over 3 rows (``null_ms``) and a 4-atom path over four
+    3-row relations (``four_atom_ms``), each the median of *repeats*
+    ``Engine.execute`` calls after a warm-up, flight recorder on as in
+    production."""
+    cycle = [(0, 1), (1, 2), (2, 0)]
+    null = parse_query("ans(X, Y) :- r(X, Y).")
+    four = parse_query(
+        "ans(X1, X5) :- p1(X1, X2), p2(X2, X3), p3(X3, X4), p4(X4, X5)."
+    )
+    db = Database.from_relations(
+        {"r": cycle, **{f"p{i}": cycle for i in range(1, 5)}}
+    )
+    out = {}
+    with Engine() as engine:
+        for key, query in (("null_ms", null), ("four_atom_ms", four)):
+            expected = naive_join_eval(query, db).rows
+            for _ in range(20):
+                assert engine.execute(query, db).answer.rows == expected
+            times = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                engine.execute(query, db)
+                times.append((time.perf_counter() - started) * 1e3)
+            out[key] = round(statistics.median(times), 4)
+    return out
+
+
 def run_benchmark(
     n_queries: int = 100,
     n_shapes: int = 8,
@@ -148,6 +185,7 @@ def run_benchmark(
     assert baseline.failures == 0 and cold.failures == 0 and warm.failures == 0
 
     cyclic = run_cyclic_leg(seed)
+    floor = run_floor_leg()
     widths = sorted({r.width for r in warm.results})
     result = {
         "benchmark": "engine_amortized_throughput",
@@ -177,6 +215,7 @@ def run_benchmark(
         "speedup_warm_vs_baseline": round(baseline_seconds / warm_seconds, 2),
         "warm_stats": warm.stats.as_row(),
         "cyclic": cyclic,
+        "floor": floor,
     }
     result["suite"] = SUITE
     # Unified schema for repro bench record/diff.  Counts are exact under
@@ -197,6 +236,10 @@ def run_benchmark(
                "rows", better="lower", tolerance=0.0),
         record("cyclic_warm_ms", cyclic["warm_ms"], "ms",
                better="lower", tolerance=2.0),
+        record("null_request_ms", floor["null_ms"], "ms",
+               better="lower", tolerance=1.0),
+        record("four_atom_request_ms", floor["four_atom_ms"], "ms",
+               better="lower", tolerance=1.0),
         record("throughput_warm", result["throughput_qps"]["warm"], "qps",
                better="higher", tolerance=0.5),
         record("throughput_baseline", result["throughput_qps"]["baseline"],
@@ -223,6 +266,8 @@ def test_bench_engine_smoke(bench_seed):
     assert 0 < cyclic["bag_rows"] < cyclic["lemma46_bag_rows"]
     # The 5-cycle's product bag is gone, not merely filtered.
     assert 0 < cyclic["cycle5_bag_rows"] * 5 < cyclic["cycle5_lemma46_bag_rows"]
+    floor = result["floor"]
+    assert 0 < floor["null_ms"] < floor["four_atom_ms"]
 
 
 def main(argv: list[str] | None = None) -> int:

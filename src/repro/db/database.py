@@ -196,13 +196,18 @@ class Database:
 
         Lets update streams reference a relation that starts empty (the
         implicit first-``add_fact`` schema fixing cannot express that).
+        Creating a predicate bumps :attr:`version` — an atom over it now
+        estimates to no rows instead of an unknown one — and re-declaring
+        a known one is a no-op.
         """
         known = self._arities.setdefault(predicate, arity)
         if known != arity:
             raise SchemaError(
                 f"predicate {predicate!r} already declared with arity {known}"
             )
-        self._relations.setdefault(predicate, set())
+        if predicate not in self._relations:
+            self._relations[predicate] = set()
+            self._version += 1
 
     def apply(self, delta: "Delta") -> "Delta":
         """Apply a signed :class:`repro.incremental.Delta` in place.
@@ -234,7 +239,8 @@ class Database:
 
     @property
     def version(self) -> int:
-        """Monotonic change counter, bumped on every effective mutation."""
+        """Monotonic change counter, bumped on every effective mutation
+        and every new predicate (weights do not move it)."""
         return self._version
 
     def add_atom(self, atom: Atom) -> None:

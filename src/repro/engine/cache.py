@@ -17,6 +17,17 @@ through their variable sets; the independent GHTD checker re-certifies
 every transported plan anyway, so a bug in the isomorphism search can
 cost a cache miss but never a wrong answer.  A lookup for the stored
 query itself skips all of it: the stored tree is handed back as it is.
+The entry remembers each certified transport by the incoming body, so a
+renamed variant is searched and certified once, and every later lookup
+hands its tree back the way the identity case does.
+
+An entry also holds the physical plans the engine compiled over its
+decomposition, per database (weakly — a dropped database takes its
+plans with it) and keyed by query, decomposition root, method and
+layout policy, each stamped with the database version it was priced
+at (:meth:`PlanCache.recall_plan` / :meth:`PlanCache.keep_plan`).
+Evicting the entry drops them; ``maxsize`` bounds each memo, so a
+disabled cache remembers nothing.
 
 Because 1-WL fingerprints can (rarely) collide for non-isomorphic
 shapes, each fingerprint maps to a *bucket* of entries; lookups try each
@@ -35,35 +46,61 @@ transport, not a decomposition.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
+from ..core.atoms import Atom
 from ..core.canonical import hypergraph_decomposition_to_query
-from ..core.hypertree import HypertreeDecomposition
+from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.query import ConjunctiveQuery
 from ..heuristics.validate import check_decomposition
 from .fingerprint import fingerprint, shape_isomorphism
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..db.database import Database
+    from .plan import QueryPlan
 
 
 @dataclass(frozen=True)
 class CachedPlan:
     """One stored shape: the representative query it was planned for,
-    its decomposition, and provenance from the planner."""
+    its decomposition, and provenance from the planner — plus the memos
+    that live and die with it: the certified transported tree per
+    incoming body, and the compiled plans per database."""
 
     query: ConjunctiveQuery
     decomposition: HypertreeDecomposition
     width: int
     method: str
+    transports: dict[tuple[Atom, ...], HTNode] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    plans: weakref.WeakKeyDictionary[Database, dict] = field(
+        default_factory=weakref.WeakKeyDictionary, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
 class CacheHit:
     """A successful lookup: the decomposition transported onto the
-    incoming query, plus the stored provenance."""
+    incoming query, plus the stored provenance and the entry that
+    answered (where the engine memoises compiled plans)."""
 
     decomposition: HypertreeDecomposition
     width: int
     method: str
+    entry: CachedPlan | None = None
+
+
+def _bounded_put(memo: dict, key, value, bound: int) -> None:
+    """Store *value* as *memo*'s most recent item, dropping the oldest
+    beyond *bound* items."""
+    memo.pop(key, None)
+    memo[key] = value
+    while len(memo) > bound:
+        del memo[next(iter(memo))]
 
 
 def transport_plan(
@@ -148,30 +185,80 @@ class PlanCache:
         # only read immutable entries, so concurrent lookups proceed in
         # parallel and the lock guards bookkeeping alone.
         for entry in bucket:
-            transported = transport_plan(entry, query)
+            transported = self._transport(entry, query)
             if transported is not None:
                 with self._lock:
                     self.hits += 1
-                return CacheHit(transported, entry.width, entry.method)
+                return CacheHit(transported, entry.width, entry.method, entry)
         for tag in sibling_tags:
             with self._lock:
                 sibling = list(self._buckets.get((fp, tag), ()))
             for entry in sibling:
-                transported = transport_plan(entry, query)
+                transported = self._transport(entry, query)
                 if transported is not None:
                     with self._lock:
                         self.hits += 1
                         self.promotions += 1
                     # Copy the shape into this tag's bucket so the next
                     # lookup hits directly.
-                    self.store(
+                    promoted = self.store(
                         query, transported, entry.width, entry.method,
                         semiring_tag=semiring_tag,
                     )
-                    return CacheHit(transported, entry.width, entry.method)
+                    return CacheHit(
+                        transported, entry.width, entry.method, promoted
+                    )
         with self._lock:
             self.misses += 1
         return None
+
+    def _transport(
+        self, entry: CachedPlan, query: ConjunctiveQuery
+    ) -> HypertreeDecomposition | None:
+        """:func:`transport_plan`, searched and certified once per
+        incoming body: the entry remembers the certified tree, and hands
+        it back under the request's query as the identity case does."""
+        with self._lock:
+            root = entry.transports.get(query.atoms)
+        if root is not None:
+            return HypertreeDecomposition(query, root)
+        transported = transport_plan(entry, query)
+        if transported is not None and transported.root is not (
+            entry.decomposition.root
+        ):
+            with self._lock:
+                _bounded_put(
+                    entry.transports, query.atoms, transported.root,
+                    self.maxsize,
+                )
+        return transported
+
+    def recall_plan(
+        self, entry: CachedPlan, db: Database, key: tuple
+    ) -> tuple[int, QueryPlan] | None:
+        """The plan compiled over *entry* against *db* under *key*, as
+        ``(database version it was priced at, plan)``, or ``None``."""
+        with self._lock:
+            plans = entry.plans.get(db)
+            return None if plans is None else plans.get(key)
+
+    def keep_plan(
+        self,
+        entry: CachedPlan,
+        db: Database,
+        key: tuple,
+        version: int,
+        plan: QueryPlan,
+    ) -> None:
+        """Remember *plan* as compiled over *entry* against *db* at
+        *version* under *key*, replacing what *key* held.  At most
+        ``maxsize`` databases per entry and plans per database."""
+        with self._lock:
+            plans = entry.plans.get(db)
+            if plans is None:
+                plans = {}
+                _bounded_put(entry.plans, db, plans, self.maxsize)
+            _bounded_put(plans, key, (version, plan), self.maxsize)
 
     def store(
         self,
@@ -180,11 +267,12 @@ class PlanCache:
         width: int,
         method: str,
         semiring_tag: str = "set",
-    ) -> None:
+    ) -> CachedPlan | None:
         """Insert a freshly computed plan under *query*'s fingerprint and
-        semiring tag."""
+        semiring tag; returns the new entry (``None`` when caching is
+        disabled or an isomorphic entry was already there)."""
         if self.maxsize <= 0:
-            return
+            return None
         fp = fingerprint(query)
         key = (fp, semiring_tag)
         entry = CachedPlan(query.as_boolean(), decomposition, width, method)
@@ -199,7 +287,7 @@ class PlanCache:
                 shape_isomorphism(e.query, entry.query) is not None
                 for e in bucket
             ):
-                return
+                return None
             bucket.append(entry)
             self._buckets.move_to_end(key)
             self._tags_of.setdefault(fp, set()).add(semiring_tag)
@@ -218,6 +306,7 @@ class PlanCache:
                     tags.discard(evicted_tag)
                     if not tags:
                         del self._tags_of[evicted_fp]
+        return entry
 
     def clear(self) -> None:
         with self._lock:

@@ -4,8 +4,8 @@ One object ties the repo's pieces into a pipeline callers no longer
 hand-wire per query::
 
     fingerprint → plan cache → (portfolio decompose on miss) →
-    physical plan (χ labels, join orders, root, layout) →
-    Yannakakis passes
+    physical plan (χ labels, join orders, root, layout; compiled once
+    per database version, replayed after) → Yannakakis passes
 
 * :meth:`Engine.execute` answers one query against one database,
   returning an :class:`EvalResult` with the answer relation, per-request
@@ -50,13 +50,12 @@ import heapq
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .._errors import BudgetExceeded, EvaluationError, ReproError
 from ..core.atoms import Variable
-from ..core.hypertree import HypertreeDecomposition
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import AnnotatedRelation
 from ..db.columnar import LAYOUTS, default_layout, rides_buffers
@@ -67,7 +66,7 @@ from ..db.stats import EvalStats
 from ..heuristics.portfolio import Mode, decompose
 from ..obs import Tracer, current_tracer, get_registry, tracing
 from ..obs.flight import FlightRecorder, get_flight_recorder, span_forest
-from .cache import PlanCache
+from .cache import CacheHit, PlanCache
 from .fingerprint import fingerprint
 from .plan import QueryPlan, check_backend, compile_plan, execute_plan
 
@@ -157,12 +156,21 @@ def cheapest(
 class Engine:
     """A decompose-once, execute-many conjunctive-query engine.
 
+    The hypertree decomposition depends only on the query's shape and is
+    cached per fingerprint; the physical plan over it (join orders,
+    grown χ, root, layout) depends on the data as well, and is compiled
+    once per (query, decomposition, method, layout policy, database,
+    ``Database.version``) and replayed by every later request until an
+    effective write bumps the version.  The replay memo lives on the
+    plan-cache entry, bounded by ``cache_size`` and dropped with it; a
+    database is held weakly.
+
     Parameters
     ----------
     cache_size:
         Maximum number of cached plans (0 disables the cache — every
-        request decomposes from scratch, the baseline configuration the
-        E22 experiment measures against).
+        request decomposes and compiles from scratch, the baseline
+        configuration the E22 experiment measures against).
     mode:
         Planner strategy forwarded to the heuristics portfolio
         (``"exact"``, ``"heuristic"``, or ``"auto"``).
@@ -291,8 +299,10 @@ class Engine:
         query: ConjunctiveQuery,
         deadline: float | None,
         semiring_tag: str = "set",
-    ) -> tuple[HypertreeDecomposition, bool, str, int]:
-        """Cached-or-fresh decomposition: (hd, cache_hit, method, width).
+    ) -> tuple[CacheHit, bool]:
+        """The cached-or-fresh decomposition, as a :class:`CacheHit`
+        whose ``entry`` is where its compiled plans are memoised
+        (``None`` with the cache disabled), and whether it was a hit.
 
         Cache misses are *single-flight* per structural fingerprint: of N
         threads missing the same shape concurrently, one runs the
@@ -308,7 +318,7 @@ class Engine:
             hit = self.cache.lookup(query, semiring_tag)
             sp.set(hit=hit is not None)
         if hit is not None:
-            return hit.decomposition, True, hit.method, hit.width
+            return hit, True
         key = (fingerprint(query), semiring_tag)
         while True:
             with self._plan_gates_lock:
@@ -333,7 +343,7 @@ class Engine:
             hit = self.cache.lookup(query, semiring_tag)
             if hit is not None:
                 get_registry().counter("engine.singleflight_waits").inc()
-                return hit.decomposition, True, hit.method, hit.width
+                return hit, True
             if deadline is not None and time.monotonic() >= deadline:
                 raise BudgetExceeded(
                     f"budget exhausted waiting for the in-flight "
@@ -349,7 +359,7 @@ class Engine:
             )
             result = decompose(query, mode=self.mode, budget=remaining)
             self.decompositions += 1
-            self.cache.store(
+            entry = self.cache.store(
                 query, result.decomposition, result.width, result.method,
                 semiring_tag=semiring_tag,
             )
@@ -357,7 +367,9 @@ class Engine:
             with self._plan_gates_lock:
                 self._plan_gates.pop(key, None)
             gate.set()
-        return result.decomposition, False, result.method, result.width
+        return CacheHit(
+            result.decomposition, result.width, result.method, entry
+        ), False
 
     def _layout_for(self, semiring: Semiring | None) -> str:
         """The layout policy a request compiles under: the engine's,
@@ -375,28 +387,56 @@ class Engine:
         semiring: "Semiring | str | None" = None,
     ) -> QueryPlan:
         """The physical plan the engine would execute (used by explain,
-        and by live views registering through the shared cache)."""
+        and by live views registering through the shared cache) — the
+        one an ``execute`` of *query* on *db* right now would run,
+        replayed if it was already compiled at this database version."""
         semiring = resolve_semiring(semiring)
-        hd, hit, method, width_hd = self._decomposition_for(
+        found, hit = self._decomposition_for(
             query, None, semiring.tag if semiring is not None else "set"
         )
-        return self._compile(query, db, hd, method, hit, semiring)
+        return self._compile(query, db, found, hit, semiring)
 
     def _compile(
         self,
         query: ConjunctiveQuery,
         db: Database | None,
-        hd: HypertreeDecomposition,
-        method: str,
+        found: CacheHit,
         hit: bool,
         semiring: Semiring | None,
     ) -> QueryPlan:
-        """*hd* compiled against *db* under this engine's layout
-        policy."""
-        return compile_plan(
-            query, db, hd, provenance=method, cache_hit=hit,
-            layout=self._layout_for(semiring),
-        )
+        """*found*'s decomposition compiled against *db* under this
+        engine's layout policy — or replayed: the plan is a pure function
+        of (query with its name, decomposition, method, layout policy,
+        the database's contents), so the plan compiled for the same key
+        at the current ``db.version`` is reused.  The global version, not
+        a per-predicate one: the estimator's active domain reads every
+        relation.  The memo sits on the cache entry; without one (cache
+        disabled) or without a database, every call compiles."""
+        layout = self._layout_for(semiring)
+        hd, method, entry = found.decomposition, found.method, found.entry
+        if entry is None or db is None:
+            return compile_plan(
+                query, db, hd, provenance=method, cache_hit=hit, layout=layout
+            )
+        key = (query, query.name, hd.root, method, layout)
+        version = db.version
+        memo = self.cache.recall_plan(entry, db, key)
+        if memo is None or memo[0] != version:
+            plan = compile_plan(
+                query, db, hd, provenance=method, cache_hit=hit, layout=layout
+            )
+            self.cache.keep_plan(entry, db, key, version, plan)
+            return plan
+        plan = memo[1]
+        if plan.reused_version is None or plan.cache_hit != hit:
+            plan = replace(plan, cache_hit=hit, reused_version=version)
+            self.cache.keep_plan(entry, db, key, version, plan)
+        with current_tracer().span(
+            "plan.compile", query=query.name, layout=layout, reused=True,
+        ) as sp:
+            sp.set(**plan.compile_attrs())
+        get_registry().counter("plan.reused").inc()
+        return plan
 
     def live(
         self, db: Database | None = None, parallelism: int = 1
@@ -589,10 +629,8 @@ class Engine:
                     query, answer, stats, False, 0, "empty",
                     time.monotonic() - started, semiring=semiring,
                 )
-            hd, hit, method, hd_width = self._decomposition_for(
-                query, deadline, tag
-            )
-            plan = self._compile(query, db, hd, method, hit, semiring)
+            found, hit = self._decomposition_for(query, deadline, tag)
+            plan = self._compile(query, db, found, hit, semiring)
             if plan_sink is not None:
                 # Threaded out so the flight recorder can attach the
                 # plan digest even when execution fails below.
@@ -601,7 +639,7 @@ class Engine:
                 plan, db, stats=stats, deadline=deadline, semiring=semiring
             )
         return EvalResult(
-            query, answer, stats, hit, hd_width, method,
+            query, answer, stats, hit, found.width, found.method,
             time.monotonic() - started, semiring=semiring,
         )
 

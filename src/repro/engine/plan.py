@@ -2,7 +2,9 @@
 
 A cached (or freshly computed) hypertree decomposition fixes only the
 *structure* of evaluation.  This module adds the database-dependent
-choices — cheap, polynomial-time, recomputed per request — on top of the
+choices — cheap, polynomial-time, compiled once per query,
+decomposition, layout and database version (the engine replays a plan
+until an effective write bumps ``Database.version``) — on top of the
 Lemma 4.6 pipeline:
 
 * **per-node join order** — each node's bag relation joins its λ atoms
@@ -71,8 +73,10 @@ long plans with :class:`repro._errors.BudgetExceeded`.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from ..core.atoms import Atom, Variable
@@ -179,6 +183,10 @@ class QueryPlan:
     #: node pipelines touch (a part's, or the bag's).
     layout: str = field(default="row")
     layout_rows: float = field(default=0.0)
+    #: The database version the engine replayed this plan at instead of
+    #: compiling (``None`` for a fresh compile) — the version it was
+    #: priced at, since any effective write forces a compile.
+    reused_version: int | None = field(default=None)
 
     @property
     def resolved_layout(self) -> str:
@@ -188,13 +196,30 @@ class QueryPlan:
             return self.layout
         return "columnar" if self.layout_rows >= COLUMNAR_MIN_ROWS else "row"
 
+    def compile_attrs(self) -> dict[str, int]:
+        """What a ``plan.compile`` span says about the plan, compiled or
+        replayed."""
+        return {
+            "nodes": len(self.node_plans),
+            "columnar": (
+                len(self.node_plans)
+                if self.resolved_layout == "columnar"
+                else 0
+            ),
+            "layout_rows": int(self.layout_rows),
+            "width": self.width,
+        }
+
     def digest(self) -> str:
         """A short stable hash of the plan's *structure* — provenance,
         width, layout, per-node pipelines, join tree.  Two requests
         with the same digest executed the same physical plan, which is
-        how the flight recorder's slow-query log groups outliers."""
-        import hashlib
+        how the flight recorder's slow-query log groups outliers.
+        Computed once per plan object."""
+        return self._digest
 
+    @cached_property
+    def _digest(self) -> str:
         payload = "\n".join(
             [
                 str(self.query),
@@ -228,6 +253,10 @@ class QueryPlan:
             f"output: ({', '.join(self.output)})" if self.output else "output: boolean",
             "bag materialisation (cardinality-ascending joins):",
         ]
+        if self.reused_version is not None:
+            lines.insert(
+                1, f"plan reused (database version {self.reused_version})"
+            )
         for np in self.node_plans:
             marker = " <- root" if np.bag == self.join_tree.root else ""
             lines.append(f"  {np.describe()}{marker}")
@@ -485,6 +514,11 @@ def compile_plan(
     remain only for the end-to-end benchmark driver under
     ``benchmarks/e2e``, which passes ``backend="sequential"``, and any
     other backend raises ``ValueError`` (see :func:`check_backend`).
+
+    Every call is one compile: the registry counter ``plan.compiled``
+    counts them, and ``plan.chi_grown`` the χ variables they grew — per
+    compile, not per request, so a plan the engine replays adds to
+    neither (``plan.reused`` counts those).
     """
     check_backend(backend)
     if layout not in LAYOUTS:
@@ -493,21 +527,13 @@ def compile_plan(
         )
 
     with current_tracer().span(
-        "plan.compile", query=query.name, layout=layout,
+        "plan.compile", query=query.name, layout=layout, reused=False,
     ) as compile_span:
         plan = _compile_plan_traced(
             query, db, hd, provenance, cache_hit, layout
         )
-        compile_span.set(
-            nodes=len(plan.node_plans),
-            columnar=(
-                len(plan.node_plans)
-                if plan.resolved_layout == "columnar"
-                else 0
-            ),
-            layout_rows=int(plan.layout_rows),
-            width=plan.width,
-        )
+        compile_span.set(**plan.compile_attrs())
+    get_registry().counter("plan.compiled").inc()
     return plan
 
 

@@ -65,10 +65,23 @@ class TestLifecycle:
         version = db.version
         assert not db.add_fact("e", 1, 2)  # already present
         assert not db.remove_fact("e", 9, 9)  # never there
-        db.declare("e", 2)
-        db.declare("fresh", 3)
+        db.declare("e", 2)  # re-declaring a known predicate
         assert db.snapshot("e") is e
         assert db.version == version
+
+    def test_declaring_a_new_predicate_bumps_the_version(self):
+        """A new predicate changes what the estimator reads (an atom over
+        it goes from unknown, 1 row, to empty), so plans priced before
+        must not be replayed: the version moves once, the snapshots of
+        the other predicates stay."""
+        db = _db()
+        e = db.snapshot("e")
+        version = db.version
+        db.declare("fresh", 3)
+        assert db.version == version + 1
+        assert db.snapshot("e") is e
+        db.declare("fresh", 3)
+        assert db.version == version + 1
 
     def test_apply_invalidates_effective_changes_only(self):
         db = _db()

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.db.annotated import naive_annotated_eval
+from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.db.semiring import resolve_semiring
 from repro.db.stats import EvalStats
@@ -345,15 +346,24 @@ class TestExplainableChoice:
     def test_spans_and_the_registry_count_the_grown_variables(
         self, engine, cyclic_bags
     ):
-        shapes, db = cyclic_bags
+        shapes, shared = cyclic_bags
+        db = Database.from_facts(shared.facts())  # this test writes
         query = shapes["cycle5"]
         engine.execute(query, db)
         counter = get_registry().counter("plan.chi_grown")
         before = counter.value
+        engine.execute(query, db)  # replays the plan: no compile, no count
+        assert counter.value == before
+        # An effective write outside the query's relations, over a value
+        # already in the active domain: the estimates stay, the plan is
+        # compiled again and counted again.
+        db.add_fact("unrelated", next(iter(db.universe)))
         tracer = Tracer()
         with tracing(tracer):
             engine.execute(query, db)
         assert counter.value - before == 1
+        (compiled,) = [s for s in tracer.spans() if s.name == "plan.compile"]
+        assert compiled.attrs["reused"] is False
         bags = [s for s in tracer.spans() if s.name == "plan.bag"]
         assert sorted(s.attrs["grown"] for s in bags) == [0, 0, 0, 1]
         assert all("filters" in s.attrs for s in bags)
