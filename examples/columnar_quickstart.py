@@ -34,9 +34,9 @@ def main() -> None:
               f"in {result.elapsed:.3f}s (same rows)")
 
     # -- the auto policy in the plan --------------------------------------
-    # "auto" resolves once per plan: columnar when some relation a bag
-    # pipeline touches reaches COLUMNAR_MIN_ROWS (the measured
-    # crossover), row — with its lower constants — for tiny plans.
+    # "auto" resolves once per plan, to the layout with fewer predicted
+    # milliseconds: the plan's operators priced by fitted fixed + per-row
+    # costs, so row — with its lower constants — wins tiny plans.
     print("\nexplain (the header says what decided the layout):")
     print(Engine(mode="heuristic", layout="auto").explain(query, db))
 

@@ -869,8 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["row", "columnar", "auto"],
         help="bag storage layout: 'columnar' (contiguous buffers + "
         "vectorised kernels), 'row' (frozenset-of-tuples), or 'auto' "
-        "(columnar when a plan touches a relation estimated at "
-        "COLUMNAR_MIN_ROWS rows or more); default: $REPRO_LAYOUT or auto",
+        "(per plan, the layout with fewer predicted milliseconds; "
+        "explain prints both); default: $REPRO_LAYOUT or auto",
     )
     p.add_argument(
         "--semiring",

@@ -3,7 +3,6 @@
 from .annotated import AnnotatedRelation
 from .binding import BoundQuery, bind_atom
 from .columnar import (
-    COLUMNAR_MIN_ROWS,
     LAYOUTS,
     ColumnarRelation,
     default_layout,
@@ -42,7 +41,6 @@ from .yannakakis import boolean_eval, enumerate_answers, full_reduce
 __all__ = [
     "AnnotatedRelation",
     "BoundQuery",
-    "COLUMNAR_MIN_ROWS",
     "COUNTING",
     "ColumnarRelation",
     "Database",

@@ -56,6 +56,7 @@ and the sweep carries on with a mixed pair — never a wrapped count.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Set
 from functools import partial
@@ -78,9 +79,9 @@ _NOT_NONE = partial(is_not, None)
 
 #: Valid layout policies for engines / plans.  ``row`` is the tuple
 #: engine, ``columnar`` puts every bag of every plan in column buffers,
-#: ``auto`` picks one of the two per *plan*: columnar when the largest
-#: relation any of its pipelines touches is estimated at
-#: :data:`COLUMNAR_MIN_ROWS` rows or more, row otherwise.
+#: ``auto`` picks one of the two per *plan*: the one whose predicted
+#: milliseconds (:data:`OPERATOR_COSTS`) are fewer — for a weight-column
+#: request, by :data:`WEIGHTED_MIN_ROWS`.
 LAYOUTS = ("row", "columnar", "auto")
 
 #: Environment variable selecting the default layout (CI runs the tier-1
@@ -88,25 +89,107 @@ LAYOUTS = ("row", "columnar", "auto")
 #: kernels end to end).
 LAYOUT_ENV_VAR = "REPRO_LAYOUT"
 
-#: Under ``layout="auto"`` a plan is columnar when some relation its
-#: pipelines touch reaches this many (estimated) rows.  No conversion is
-#: being amortised — atoms view their snapshot's buffers and bags join
-#: in them — so this is purely where a batch kernel's fixed cost per
-#: call (a handful of numpy calls, ≈ 10 µs each) is repaid by the
-#: interpreter steps per row it saves.  That is a measurement:
-#: ``benchmarks/bench_columnar.py``'s crossover sweep (warm ``path3`` /
-#: ``star3`` / ``triangle`` / ``path4`` requests at mean degree 1 and 2,
-#: 10 → 10 000 rows per relation, row vs columnar), recorded in
-#: ``benchmarks/baseline.json`` as ``columnar/layout.crossover.rows.*``
-#: beside the per-size medians it was read from.  With numpy the mean
-#: request crosses at ≈ 165 rows (row up to 1.8x faster at 10-60 rows,
-#: columnar 1.8x at 500, 12x at 10 000) and the last operators, the
-#: semijoin and the join, at ≈ 270-290, with single shapes still losing
-#: at 250; on the pure-Python buffers the two layouts stay within 1.2x
-#: of each other up to 2 000 rows and the mean crosses at ≈ 1 350.  The
-#: constant is the power of two above the mean crossover of the kernels
-#: that loaded — which is a fact about the deployment, not an option.
-COLUMNAR_MIN_ROWS = 256 if _np is not None else 2048
+#: The time model ``layout="auto"`` resolves a plan by: per kernel set
+#: (``numpy`` / ``python``), per layout, the ``(fixed µs, µs per row)``
+#: pair of each operator a plan runs — ``bag`` (a part joined into a
+#: Lemma 4.6 bag pipeline, its snapshot view bound; rows are the join's
+#: inputs and output), ``semijoin`` (receiver and partner rows),
+#: ``join`` (the enumeration join: inputs and output) and ``project``
+#: (input rows).  The three that probe a key have a second entry,
+#: suffixed ``2``, for a key of two or more attributes: it builds a
+#: tuple per row on the row carrier and takes the generic path of the
+#: columnar one, several times the per-row cost of a one-attribute key.
+#: The plan compiler prices every plan under both layouts from the
+#: estimates it already has and ``auto`` takes the fewer predicted
+#: milliseconds (:func:`repro.engine.plan.predict_ms`).  No conversion
+#: is being amortised — atoms view their snapshot's buffers and bags
+#: join in them — so what the model weighs is a batch kernel's fixed
+#: cost per call (a handful of numpy calls) against the interpreter
+#: steps per row it saves; a bag that joins atoms touches far more rows
+#: than its largest input, which is why cyclic plans cross long before
+#: acyclic ones.  The pairs are a measurement, not a tuning:
+#: ``benchmarks/bench_columnar.py``'s operator sweep (10 → 10 000 rows,
+#: the operators timed in turn, as a plan runs them; fitted for least
+#: relative error by ``fit_operator_costs``), taken once and committed,
+#: so a plan never depends on the machine it compiles on.  The sweep's
+#: whole-request cells, cyclic shapes included, are the check: its
+#: ``layout.auto.regret`` record is how far ``auto``'s pick trails the
+#: faster layout in the worst cell, and a pytest gate holds that within
+#: 1.15x in every cell up to 1 000 rows.
+OPERATOR_COSTS: dict[str, dict[str, dict[str, tuple[float, float]]]] = {
+    "numpy": {
+        "row": {
+            "bag": (27.4, 0.1431),
+            "bag2": (25.7, 0.5029),
+            "semijoin": (6.6, 0.0908),
+            "semijoin2": (7.8, 0.4611),
+            "join": (9.9, 0.1322),
+            "join2": (9.2, 0.3359),
+            "project": (3.6, 0.1205),
+        },
+        "columnar": {
+            "bag": (66.4, 0.0222),
+            "bag2": (31.7, 0.1736),
+            "semijoin": (27.3, 0.013),
+            "semijoin2": (44.6, 0.0161),
+            "join": (46.2, 0.0214),
+            "join2": (23.4, 0.3101),
+            "project": (30.1, 0.0329),
+        },
+    },
+    "python": {
+        "row": {
+            "bag": (27.7, 0.155),
+            "bag2": (26.1, 0.545),
+            "semijoin": (6.2, 0.1003),
+            "semijoin2": (7.7, 0.4941),
+            "join": (9.0, 0.1427),
+            "join2": (8.0, 0.3662),
+            "project": (3.4, 0.1318),
+        },
+        "columnar": {
+            "bag": (37.8, 0.2448),
+            "bag2": (34.0, 0.1805),
+            "semijoin": (11.0, 0.0937),
+            "semijoin2": (11.7, 0.1553),
+            "join": (19.1, 0.2411),
+            "join2": (22.4, 0.3306),
+            "project": (5.7, 0.146),
+        },
+    },
+}
+
+
+def kernels() -> str:
+    """Which kernel set runs the columnar operators: ``numpy`` or the
+    pure-Python buffers (``python``) — a fact about the deployment."""
+    return "numpy" if _np is not None else "python"
+
+
+def _break_even(operator: str) -> float:
+    """Rows from which *operator*'s fitted numpy pairs are cheaper
+    columnar than row."""
+    (row_fixed, row_per_row), (col_fixed, col_per_row) = (
+        OPERATOR_COSTS["numpy"][layout][operator]
+        for layout in ("row", "columnar")
+    )
+    return (col_fixed - row_fixed) / (row_per_row - col_per_row)
+
+
+#: Under ``layout="auto"`` an annotated request whose values ride a
+#: weight column (:func:`rides_buffers`, so numpy is loaded) is columnar
+#: when the largest relation its pipelines touch — a part's estimate or
+#: a bag's — is estimated at this many rows or more.  The time model is
+#: not asked: its pairs are set-semantics operators, and a weight
+#: column's gathers and folds were never swept.  Derived, not tuned: the
+#: row count where the fitted one-attribute ``semijoin`` pairs, the
+#: operator every join-tree edge runs, break even (267).  It is
+#: conservative: warm ``count`` requests (2-vCPU box) already run
+#: 1.2-1.7x faster columnar from 200 rows.  Pricing them needs weighted
+#: cells in the operator sweep, and moves the row bags
+#: ``benchmarks/e2e/test_e2e_smoke.py`` expects of its 200-row
+#: ``semiring_count`` run.
+WEIGHTED_MIN_ROWS = math.ceil(_break_even("semijoin"))
 
 
 def default_layout() -> str:

@@ -8,7 +8,9 @@ fact store (``add_fact`` / ``facts()``) and a relation store
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .._errors import SchemaError, UnknownRelationError
@@ -72,6 +74,13 @@ class Snapshot(Relation):
         """Number of distinct values in one column."""
         return len(self.key_set((self.attributes[column],)))
 
+    @property
+    def derived(self) -> int:
+        """How many lazily derived forms this version holds (its column
+        buffers, its per-semiring lifts) — it grows when a reader builds
+        one, which is what a reader compares to tell whether it did."""
+        return ("columnar" in self.__dict__) + len(self._lifted)
+
 
 class Database:
     """A mutable database instance over an implicit schema.
@@ -97,6 +106,10 @@ class Database:
         self._versions: dict[str, int] = {}
         self._snapshots: dict[str, Snapshot] = {}
         self._universe: frozenset[Value] | None = None
+        # Value -> occurrences in the current rows, from the first
+        # universe / domain_size() on (None until then: loading pays
+        # nothing).
+        self._occurrences: Counter | None = None
 
     # -- construction -----------------------------------------------------
     @staticmethod
@@ -137,6 +150,8 @@ class Database:
         if row in rows:
             return False
         rows.add(row)
+        if self._occurrences is not None:
+            self._occurrences.update(row)
         self._rows_changed(predicate)
         return True
 
@@ -149,6 +164,11 @@ class Database:
         if row not in rows:
             return False
         rows.remove(row)
+        if self._occurrences is not None:
+            self._occurrences.subtract(row)
+            for value in row:
+                if not self._occurrences[value]:
+                    del self._occurrences[value]
         weights = self._weights.get(predicate)
         if weights is not None:
             weights.pop(row, None)
@@ -286,6 +306,13 @@ class Database:
         self._snapshots[predicate] = snap
         return snap
 
+    def built_snapshot(self, predicate: str) -> Snapshot | None:
+        """The predicate's current snapshot if one is built, else
+        ``None`` — builds nothing and counts no reuse."""
+        snap = self._snapshots.get(predicate)
+        current = self._versions.get(predicate, 0)
+        return snap if snap is not None and snap.version == current else None
+
     def cardinality(self, predicate: str) -> int:
         """Tuple count of one relation (0 for unknown names), without
         building its snapshot."""
@@ -348,16 +375,27 @@ class Database:
     @property
     def universe(self) -> frozenset[Value]:
         """The active domain: every value occurring in some tuple
-        (memoised until the next effective mutation; the union of the
-        snapshots' per-column value sets)."""
+        (memoised until the next effective mutation)."""
         if self._universe is None:
-            values: set[Value] = set()
-            for predicate in self._relations:
-                snap = self.snapshot(predicate)
-                for attribute in snap.attributes:
-                    values |= snap.key_set((attribute,))
-            self._universe = frozenset(values)
+            self._universe = frozenset(self._counted())
         return self._universe
+
+    def domain_size(self) -> int:
+        """``len(universe)``, without building it: the plan compiler asks
+        on every compile, a read after a write included."""
+        return len(self._counted())
+
+    def _counted(self) -> Counter:
+        """Value -> occurrences in the current rows: counted once, then
+        kept by every effective write, so the active domain is never
+        rescanned."""
+        if self._occurrences is None:
+            self._occurrences = Counter(
+                chain.from_iterable(chain.from_iterable(
+                    self._relations.values()
+                ))
+            )
+        return self._occurrences
 
     def size(self) -> int:
         """``‖DB‖`` measured as the total number of value occurrences."""

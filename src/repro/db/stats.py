@@ -177,4 +177,4 @@ class CardinalityEstimator:
     @property
     def domain_size(self) -> int:
         """Active-domain size (1 when no database is attached)."""
-        return 1 if self.db is None else max(1, len(self.db.universe))
+        return 1 if self.db is None else max(1, self.db.domain_size())

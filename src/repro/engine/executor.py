@@ -27,7 +27,8 @@ relation carries one value per row and :attr:`EvalResult.annotations`
 exposes the map (read-only).  A semiring whose values can ride a weight
 column (:func:`repro.db.columnar.rides_buffers` — counting, the integer
 ring) is planned under the engine's layout policy like a set request;
-the others compile row plans.  :meth:`Engine.count`, :meth:`Engine.top_k`,
+the others compile row plans (:func:`~repro.engine.plan.compile_plan`
+decides both).  :meth:`Engine.count`, :meth:`Engine.top_k`,
 :meth:`Engine.provenance` and :meth:`Engine.probability` are the four
 workload-family front doors built on it.  Plans are shared across
 semirings: the cache keys on ``(fingerprint, semiring tag)`` and
@@ -58,7 +59,7 @@ from .._errors import BudgetExceeded, EvaluationError, ReproError
 from ..core.atoms import Variable
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import AnnotatedRelation
-from ..db.columnar import LAYOUTS, default_layout, rides_buffers
+from ..db.columnar import LAYOUTS, default_layout
 from ..db.database import Database
 from ..db.relation import Relation, Row
 from ..db.semiring import FactId, Semiring, resolve_semiring
@@ -186,14 +187,18 @@ class Engine:
         parallel backends were removed).
     layout:
         Storage layout for materialised bags: ``"row"`` |
-        ``"columnar"`` | ``"auto"`` (resolved once per plan: columnar
-        when some relation a bag pipeline touches is estimated at
-        :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or more, row
-        otherwise).  Columnar bags are joined in their atoms' column
-        buffers and run the vectorised semijoin/join kernels.
+        ``"columnar"`` | ``"auto"`` (resolved once per plan, to the
+        layout its operators are predicted to run in fewer
+        milliseconds — each priced from the plan's estimates by the
+        fitted per-operator costs of
+        :data:`~repro.db.columnar.OPERATOR_COSTS`; ``explain`` prints
+        both predictions).  Columnar bags are joined in their atoms'
+        column buffers and run the vectorised semijoin/join kernels.
         Defaults to ``$REPRO_LAYOUT`` when set, else ``"auto"``.
         A semiring request follows it when the semiring's values can
-        ride a weight column and compiles a row plan otherwise.
+        ride a weight column — ``auto`` then by its largest pipeline
+        input against :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`, not
+        by predicted time — and compiles a row plan otherwise.
     tracer:
         Default :class:`~repro.obs.Tracer` installed around each request
         when no ambient tracer is active (an enabled tracer installed
@@ -371,15 +376,6 @@ class Engine:
             result.decomposition, result.width, result.method, entry
         ), False
 
-    def _layout_for(self, semiring: Semiring | None) -> str:
-        """The layout policy a request compiles under: the engine's,
-        unless it is annotated over a semiring whose values only the row
-        carrier can hold — then the plan compiles (and renders) as a row
-        plan rather than silently falling back bag by bag."""
-        if semiring is None or rides_buffers(semiring):
-            return self.layout
-        return "row"
-
     def plan(
         self,
         query: ConjunctiveQuery,
@@ -405,25 +401,27 @@ class Engine:
         semiring: Semiring | None,
     ) -> QueryPlan:
         """*found*'s decomposition compiled against *db* under this
-        engine's layout policy — or replayed: the plan is a pure function
-        of (query with its name, decomposition, method, layout policy,
-        the database's contents), so the plan compiled for the same key
-        at the current ``db.version`` is reused.  The global version, not
-        a per-predicate one: the estimator's active domain reads every
-        relation.  The memo sits on the cache entry; without one (cache
+        engine's layout policy, for *semiring* — or replayed: the plan is
+        a pure function of (query with its name, decomposition, method,
+        layout policy, semiring, the database's contents), so the plan
+        compiled for the same key at the current ``db.version`` is
+        reused.  The global version, not a per-predicate one: the
+        estimator's active domain reads every relation.  The memo sits on
+        the cache entry (one per semiring tag); without one (cache
         disabled) or without a database, every call compiles."""
-        layout = self._layout_for(semiring)
         hd, method, entry = found.decomposition, found.method, found.entry
         if entry is None or db is None:
             return compile_plan(
-                query, db, hd, provenance=method, cache_hit=hit, layout=layout
+                query, db, hd, provenance=method, cache_hit=hit,
+                layout=self.layout, semiring=semiring,
             )
-        key = (query, query.name, hd.root, method, layout)
+        key = (query, query.name, hd.root, method, self.layout)
         version = db.version
         memo = self.cache.recall_plan(entry, db, key)
         if memo is None or memo[0] != version:
             plan = compile_plan(
-                query, db, hd, provenance=method, cache_hit=hit, layout=layout
+                query, db, hd, provenance=method, cache_hit=hit,
+                layout=self.layout, semiring=semiring,
             )
             self.cache.keep_plan(entry, db, key, version, plan)
             return plan
@@ -432,7 +430,7 @@ class Engine:
             plan = replace(plan, cache_hit=hit, reused_version=version)
             self.cache.keep_plan(entry, db, key, version, plan)
         with current_tracer().span(
-            "plan.compile", query=query.name, layout=layout, reused=True,
+            "plan.compile", query=query.name, layout=plan.layout, reused=True,
         ) as sp:
             sp.set(**plan.compile_attrs())
         get_registry().counter("plan.reused").inc()

@@ -52,18 +52,25 @@ Lemma 4.6 pipeline:
 * **one layout per plan** — ``layout="columnar"`` materialises every
   bag as a :class:`~repro.db.columnar.ColumnarRelation` (contiguous
   buffers, vectorised semijoin/join kernels); ``"auto"`` resolves to
-  it, once for the whole plan, when the largest relation any node's
-  pipeline touches — the estimate of a part it joins or of the bag it
-  yields — reaches :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS`, and to
-  ``"row"``, whose per-call overhead is lower, otherwise.  The inputs
-  decide, not the
-  outputs: a five-row bag behind two 300-row relations is laid out like
-  the relations it joins; and the plan decides, not the node: carriers
-  never mix inside one sweep, where every seam between them would box a
-  key set.  An annotated (semiring) request follows the same policy
-  when its values can ride a weight column
-  (:func:`~repro.db.columnar.rides_buffers`); the engine compiles the
-  others with ``layout="row"``.
+  it or to ``"row"``, once for the whole plan, by *predicted
+  milliseconds*: the operators the plan will run — each bag pipeline's
+  parts and the rows its joins read and write, and per join-tree edge
+  the semijoins and the enumeration join over the bag estimates — are
+  priced under each layout's fitted fixed + per-row cost
+  (:data:`~repro.db.columnar.OPERATOR_COSTS`, :func:`predict_ms`), and
+  the cheaper layout wins.  A bag that joins atoms is priced by its
+  intermediates, not by its largest input, so a five-row bag behind two
+  300-row relations costs what its joins cost; and the plan decides,
+  not the node: carriers never mix inside one sweep, where every seam
+  between them would box a key set.  Only the layout can follow from
+  the prediction — join order, χ and root are chosen on estimated rows
+  as above.  Only ``auto`` prices a plan: a forced layout has nothing
+  to choose.  An annotated (semiring) request compiles as a row plan
+  unless its values can ride a weight column
+  (:func:`~repro.db.columnar.rides_buffers`); one that can follows the
+  policy, but the model's pairs are set-semantics operators, so
+  ``auto`` lays it out by its largest pipeline input against
+  :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`.
 
 Execution materialises the bags in plan order and runs the Yannakakis
 passes of :mod:`repro.db.yannakakis` directly on them, in one thread.  A
@@ -74,10 +81,11 @@ long plans with :class:`repro._errors.BudgetExceeded`.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ..core.atoms import Atom, Variable
 from ..core.hypertree import HTNode, HypertreeDecomposition
@@ -85,7 +93,14 @@ from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
 from ..db.binding import check_arity
-from ..db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS, ColumnarRelation
+from ..db.columnar import (
+    LAYOUTS,
+    OPERATOR_COSTS,
+    WEIGHTED_MIN_ROWS,
+    ColumnarRelation,
+    kernels,
+    rides_buffers,
+)
 from ..db.database import Database
 from ..db.evaluate import bag_relation, check_deadline
 from ..db.relation import Relation
@@ -179,10 +194,16 @@ class QueryPlan:
     provenance: str = "exact"
     cache_hit: bool = field(default=False)
     #: The layout policy the plan was compiled under, and what
-    #: resolves ``auto``: the largest estimate among the relations the
-    #: node pipelines touch (a part's, or the bag's).
+    #: resolves ``auto``: the plan's operators priced under each layout
+    #: (:func:`predict_ms`; ``None`` where nothing chooses from them —
+    #: a forced layout, or a *weighted* plan).
     layout: str = field(default="row")
-    layout_rows: float = field(default=0.0)
+    predicted_row_ms: float | None = field(default=None)
+    predicted_columnar_ms: float | None = field(default=None)
+    #: Compiled for an annotated request whose values ride a weight
+    #: column: ``auto`` compares :attr:`largest_input` with
+    #: :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS` instead.
+    weighted: bool = field(default=False)
     #: The database version the engine replayed this plan at instead of
     #: compiling (``None`` for a fresh compile) — the version it was
     #: priced at, since any effective write forces a compile.
@@ -194,21 +215,47 @@ class QueryPlan:
         what ``auto`` comes to — one answer for the whole plan."""
         if self.layout != "auto":
             return self.layout
-        return "columnar" if self.layout_rows >= COLUMNAR_MIN_ROWS else "row"
+        if self.weighted:
+            cheaper = self.largest_input >= WEIGHTED_MIN_ROWS
+        else:
+            cheaper = self.predicted_columnar_ms < self.predicted_row_ms
+        return "columnar" if cheaper else "row"
 
-    def compile_attrs(self) -> dict[str, int]:
+    @property
+    def largest_input(self) -> float:
+        """The largest estimate among the relations the node pipelines
+        touch: a part's, or a bag's."""
+        return max(
+            (max(np.estimated_rows, *np.atom_estimates)
+             for np in self.node_plans),
+            default=0.0,
+        )
+
+    @property
+    def predicted_ms(self) -> float | None:
+        """The predicted milliseconds of the layout the plan runs."""
+        if self.resolved_layout == "columnar":
+            return self.predicted_columnar_ms
+        return self.predicted_row_ms
+
+    def compile_attrs(self) -> dict[str, int | float]:
         """What a ``plan.compile`` span says about the plan, compiled or
         replayed."""
-        return {
+        attrs = {
             "nodes": len(self.node_plans),
             "columnar": (
                 len(self.node_plans)
                 if self.resolved_layout == "columnar"
                 else 0
             ),
-            "layout_rows": int(self.layout_rows),
             "width": self.width,
         }
+        if self.predicted_row_ms is not None:
+            attrs["predicted_row_ms"] = round(self.predicted_row_ms, 4)
+            attrs["predicted_columnar_ms"] = round(
+                self.predicted_columnar_ms, 4
+            )
+        return attrs
 
     def digest(self) -> str:
         """A short stable hash of the plan's *structure* — provenance,
@@ -237,13 +284,19 @@ class QueryPlan:
         """The ``explain`` rendering: provenance, per-node pipelines, and
         the rooted join tree the Yannakakis passes will run over."""
         layout_tag = f", layout {self.layout}" if self.layout != "row" else ""
-        if self.layout == "auto":
+        if self.layout == "auto" and self.weighted:
             # What decided it, so a surprising layout is never a puzzle.
             columnar = self.resolved_layout == "columnar"
             layout_tag += (
-                f" → {self.resolved_layout} (largest pipeline input "
-                f"≈ {int(self.layout_rows)} rows "
-                f"{'≥' if columnar else '<'} {COLUMNAR_MIN_ROWS})"
+                f" → {self.resolved_layout} (weight column, largest "
+                f"pipeline input ≈ {int(self.largest_input)} rows "
+                f"{'≥' if columnar else '<'} {WEIGHTED_MIN_ROWS})"
+            )
+        elif self.layout == "auto":
+            layout_tag += (
+                f" → {self.resolved_layout} (predicted row "
+                f"{self.predicted_row_ms:.2f} ms, columnar "
+                f"{self.predicted_columnar_ms:.2f} ms)"
             )
         lines = [
             f"plan for {self.query.name}: width {self.width} "
@@ -276,18 +329,27 @@ class QueryPlan:
         """The ``EXPLAIN ANALYZE`` rendering: the static plan annotated
         with what one traced execution actually did.
 
-        Per node: estimated vs actual bag cardinality (exposing the
-        misestimates the cost-based choices silently act on),
-        materialisation wall time — for a single-atom node, whether it
-        reused the base relation's snapshot or had to rebuild part of
-        it — and the node's share of the sweep (semijoin/join operator
-        time attributed by relation name).
+        The measured ``plan.execute`` time is printed beside the time
+        model's prediction for the layout the plan ran (the model's
+        error, per request), when ``auto`` priced it.  Per node:
+        estimated vs actual bag
+        cardinality (exposing the misestimates the cost-based choices
+        silently act on), materialisation wall time — for a single-atom
+        node, whether it reused the base relation's snapshot or had to
+        rebuild part of it — and the node's share of the sweep
+        (semijoin/join operator time attributed by relation name).
         """
         spans = tracer.spans()
         bag_spans: dict[object, list] = {}
+        executed = None
         for span in spans:
             if span.name == "plan.bag" and "node" in span.attrs:
                 bag_spans.setdefault(span.attrs["node"], []).append(span)
+            elif (
+                span.name == "plan.execute"
+                and span.attrs.get("query") == self.query.name
+            ):
+                executed = span
         sweep: dict[object, tuple[float, int]] = {}
         for span in spans:
             if span.name in ("sweep.semijoin", "sweep.join"):
@@ -295,10 +357,21 @@ class QueryPlan:
                 seconds, count = sweep.get(node, (0.0, 0))
                 sweep[node] = (seconds + span.duration, count + 1)
 
+        execute = (
+            f"plan execute {executed.duration * 1e3:.3f}ms"
+            if executed is not None
+            else "plan execute (no trace recorded)"
+        )
+        if self.predicted_ms is not None:
+            execute += (
+                f", predicted {self.predicted_ms:.3f}ms "
+                f"({self.resolved_layout})"
+            )
         lines = [
             self.render(),
             f"analyze: executed in {elapsed * 1e3:.3f}ms, "
             f"{answer_rows} answer row(s)",
+            execute,
             "per-node actuals (estimated vs actual rows, wall time):",
         ]
         for np in self.node_plans:
@@ -424,6 +497,140 @@ def _node_pipeline(
     )
 
 
+#: One operator call the plan will run: its entry in an
+#: :data:`~repro.db.columnar.OPERATOR_COSTS` table and the estimated
+#: rows it touches.
+_Work = tuple[str, float]
+
+
+def _keyed(kind: str, key: int) -> str:
+    """The cost-table entry of a key-driven operator: a key of two or
+    more attributes is a kernel of its own (a tuple per row on the row
+    carrier, the generic path of the columnar one)."""
+    return kind + "2" if key > 1 else kind
+
+
+def _plan_work(
+    pipelines: Sequence[_Pipeline],
+    chi_names: Sequence[Iterable[str]],
+    bags: Sequence[Atom],
+    join_tree: JoinTree,
+    output: Iterable[str],
+    estimator: CardinalityEstimator,
+) -> list[_Work]:
+    """What executing the plan will do, operator by operator, from the
+    estimates the compile already made (*chi_names* and *bags* give each
+    pipeline's χ and its bag in the join tree; *output* is the head's
+    variable names).
+
+    A bag pipeline's first part is a view of its snapshot, the same in
+    either layout; every later part is one ``bag`` call over the rows
+    its join reads and writes — the running relation, the part, the
+    running relation after it, as :func:`_bag_pipeline` estimated them —
+    and a part reaching outside χ is pre-projected.  Then the passes, in
+    the order :mod:`repro.db.yannakakis` runs them: each semijoin reads
+    its two sides and shrinks its receiver; for a plan with output, each
+    enumeration join reads the node's reduced bag (or its running
+    result) and the child's, and writes their join — and a projection
+    follows it, as one does the answer.  Sizes follow the estimator's
+    rule (each shared variable divides a product by the active domain);
+    variables are compared by name, which hashes in C."""
+    work: list[_Work] = []
+    domain = estimator.domain_size
+    names = [frozenset(chi) for chi in chi_names]
+    # Per node, the parts it joins, as (predicate, variables).
+    parts: list[set[tuple[str, frozenset[str]]]] = []
+    for pl, chi in zip(pipelines, names):
+        seen: frozenset[str] = frozenset()
+        running = 1.0
+        parts.append(set())
+        for i, (atom, size) in enumerate(zip(pl.order, pl.sizes)):
+            own = frozenset([v.name for v in atom.variables])
+            parts[-1].add((atom.predicate, own))
+            kept = own & chi
+            if kept != own:
+                work.append(("project", estimator.atom_rows(atom)))
+            if i:
+                key = len(kept & seen)
+                joined = running * size / domain**key
+                work.append((_keyed("bag", key), running + size + joined))
+                running, seen = joined, seen | kept
+            else:
+                running, seen = size, kept
+    node_of = {id(bag): i for i, bag in enumerate(bags)}
+    children_of = join_tree.children_of
+    full = [pl.rows for pl in pipelines]
+    rows = list(full)
+    up = [  # (node, its children), children first
+        (node_of[id(n)], [node_of[id(c)] for c in children_of.get(n, ())])
+        for n in join_tree.post_order()
+    ]
+    # Per tree edge, its key width and what a partner row matches: a
+    # receiver row survives when some partner row shares its key, under
+    # independence with probability 1 - exp(-matches).  A key the atoms
+    # both pipelines join bind whole is not independent — both sides
+    # hold the same joined tuples on it — and keeps every row (None).
+    edge: dict[tuple[int, int], tuple[int, float | None]] = {}
+    for node, children in up:
+        for child in children:
+            shared = names[node] & names[child]
+            bound = frozenset().union(
+                *(own for _, own in parts[node] & parts[child])
+            )
+            independent = bool(shared) and not shared <= bound
+            edge[node, child] = edge[child, node] = (
+                len(shared), domain ** len(shared) if independent else None
+            )
+
+    def semijoin(node: int, partner: int) -> None:
+        key, per_match = edge[node, partner]
+        work.append((_keyed("semijoin", key), rows[node] + rows[partner]))
+        if per_match is not None:
+            rows[node] *= -math.expm1(-rows[partner] / per_match)
+
+    for node, children in up:
+        for child in children:
+            semijoin(node, child)
+    output = frozenset(output)
+    if not output:
+        return work
+    for node, children in reversed(up):  # parents before children
+        for child in children:
+            semijoin(child, node)
+    # A join's output is that of the unreduced bags — a semijoin drops
+    # exactly the rows that join nothing — and a projection onto the
+    # node's own χ leaves no more rows than its bag.
+    partial: dict[int, tuple[float, frozenset[str]]] = {}
+    for node, children in up:
+        est, held, reading = full[node], names[node], rows[node]
+        for child in children:
+            child_est, child_held = partial[child]
+            key = len(held & child_held)
+            out = est * child_est / domain**key
+            work.append((_keyed("join", key), reading + child_est + out))
+            work.append(("project", out))
+            held = held | (child_held & output)
+            if held == names[node]:
+                out = min(out, full[node])
+            est = reading = out
+        partial[node] = est, held
+    work.append(("project", partial[up[-1][0]][0]))
+    return work
+
+
+def predict_ms(
+    work: Sequence[_Work], costs: Mapping[str, tuple[float, float]]
+) -> float:
+    """Milliseconds the operators in *work* take under one layout's
+    fitted ``(fixed µs, µs per row)`` pairs — one table of
+    :data:`~repro.db.columnar.OPERATOR_COSTS`."""
+    micros = 0.0
+    for kind, rows in work:
+        fixed, per_row = costs[kind]
+        micros += fixed + per_row * rows
+    return micros / 1e3
+
+
 def _grow_chi(
     nodes: list[HTNode],
     tree_edges: list[tuple[int, int]],
@@ -491,6 +698,7 @@ def compile_plan(
     workers: int = 1,
     shard_threshold: int | None = None,
     layout: str = "row",
+    semiring: Semiring | None = None,
 ) -> QueryPlan:
     """Compile *hd* into a physical plan against *db*.
 
@@ -506,9 +714,19 @@ def compile_plan(
 
     *layout* is the storage policy for materialised bags:
     ``"row"`` (frozenset-of-tuples, the default), ``"columnar"``, or
-    ``"auto"`` — columnar when some node's pipeline touches a relation
-    estimated at :data:`~repro.db.columnar.COLUMNAR_MIN_ROWS` rows or
-    more, row otherwise; always the whole plan.
+    ``"auto"`` — whichever of the two the plan's operators are predicted
+    to run faster on (:func:`predict_ms`, under the pairs of
+    :data:`~repro.db.columnar.OPERATOR_COSTS` for the kernels that
+    loaded); always the whole plan.  Only ``auto`` makes (and carries)
+    the two predictions.
+
+    *semiring* is the annotated request the plan is for (``None``: set
+    semantics).  One whose values only the row carrier can hold compiles
+    (and renders) as a row plan, whatever *layout* says, rather than
+    falling back bag by bag; one whose values ride a weight column
+    (:func:`~repro.db.columnar.rides_buffers`) is a *weighted* plan,
+    which ``auto`` does not price but lays out by its largest pipeline
+    input (:data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`).
 
     *backend*, *workers* and *shard_threshold* select nothing: they
     remain only for the end-to-end benchmark driver under
@@ -525,12 +743,15 @@ def compile_plan(
         raise ValueError(
             f"unknown layout {layout!r}; expected one of {LAYOUTS}"
         )
+    weighted = rides_buffers(semiring)
+    if semiring is not None and not weighted:
+        layout = "row"
 
     with current_tracer().span(
         "plan.compile", query=query.name, layout=layout, reused=False,
     ) as compile_span:
         plan = _compile_plan_traced(
-            query, db, hd, provenance, cache_hit, layout
+            query, db, hd, provenance, cache_hit, layout, weighted
         )
         compile_span.set(**plan.compile_attrs())
     get_registry().counter("plan.compiled").inc()
@@ -544,6 +765,7 @@ def _compile_plan_traced(
     provenance: str,
     cache_hit: bool,
     layout: str,
+    weighted: bool,
 ) -> QueryPlan:
     complete = hd if hd.is_complete else hd.complete()
     estimator = CardinalityEstimator(db)
@@ -611,6 +833,17 @@ def _compile_plan_traced(
             t.name for t in query.head_terms if isinstance(t, Variable)
         )
     )
+    predicted = {}
+    if layout == "auto" and not weighted:
+        work = _plan_work(
+            pipelines, [np.chi_names for np in plans], fresh, jt, head,
+            estimator,
+        )
+        costs = OPERATOR_COSTS[kernels()]
+        predicted = {
+            "predicted_row_ms": predict_ms(work, costs["row"]),
+            "predicted_columnar_ms": predict_ms(work, costs["columnar"]),
+        }
     return QueryPlan(
         query=query,
         decomposition=complete,
@@ -621,11 +854,8 @@ def _compile_plan_traced(
         provenance=provenance,
         cache_hit=cache_hit,
         layout=layout,
-        # The largest relation any pipeline touches: a part's estimate
-        # or its bag's.
-        layout_rows=max(
-            (max(pl.rows, *pl.sizes) for pl in pipelines), default=0.0
-        ),
+        weighted=weighted,
+        **predicted,
     )
 
 
@@ -657,11 +887,15 @@ def _materialise_bag(
     filters (the span also says how many χ variables the plan grew into
     the node), and a single-atom node's span says whether its bind reused
     the base relation's snapshot or had to (re)build part of it —
-    the cost of a read after a write."""
+    the cost of a read after a write.  That is read off the atom's own
+    snapshot (replaced, or grown a derived form, across the bind), never
+    off a process-wide counter another request's build could move."""
     check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
     registry = get_registry()
-    builds = registry.counter("db.snapshot.builds")
-    built_before = builds.value
+    single = np.join_order[0].predicate if len(np.join_order) == 1 else None
+    if single is not None:
+        before = db.built_snapshot(single)
+        derived = before.derived if before is not None else 0
     with current_tracer().span(
         "plan.bag",
         node=np.bag.predicate,
@@ -681,10 +915,14 @@ def _materialise_bag(
         sp.set(rows=len(rel), layout=(
             "columnar" if isinstance(rel, ColumnarRelation) else "row"
         ))
-        if len(np.join_order) == 1:
-            sp.set(snapshot=(
-                "built" if builds.value > built_before else "reused"
-            ))
+        if single is not None:
+            after = db.built_snapshot(single)
+            reused = (
+                before is not None
+                and after is before
+                and after.derived == derived
+            )
+            sp.set(snapshot="reused" if reused else "built")
     return rel
 
 

@@ -14,8 +14,8 @@ import pytest
 from repro.db import Database, Relation
 from repro.db.annotated import AnnotatedRelation
 from repro.db.columnar import (
-    COLUMNAR_MIN_ROWS,
     LAYOUTS,
+    OPERATOR_COSTS,
     Column,
     ColumnarRelation,
     RowsView,
@@ -359,7 +359,20 @@ class TestLayoutPolicy:
     def test_layout_constants(self):
         assert LAYOUTS == ("row", "columnar", "auto")
         assert default_layout() in LAYOUTS
-        assert COLUMNAR_MIN_ROWS >= 1
+
+    def test_cost_table_prices_every_operator_on_both_layouts(self):
+        operators = {
+            "bag", "bag2", "semijoin", "semijoin2", "join", "join2", "project"
+        }
+        assert set(OPERATOR_COSTS) == {"numpy", "python"}
+        for tables in OPERATOR_COSTS.values():
+            assert set(tables) == {"row", "columnar"}
+            for table in tables.values():
+                assert set(table) == operators
+                assert all(
+                    fixed >= 0 and per_row >= 0 and fixed + per_row > 0
+                    for fixed, per_row in table.values()
+                )
 
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_LAYOUT", "columnar")

@@ -135,10 +135,18 @@ class TestLifecycle:
         db = _db()
         assert db.universe == {1, 2, 3, "a", "b"}
         assert db.universe is db.universe
+        assert db.domain_size() == 5
         db.add_fact("r", 4, "c")
         assert db.universe == {1, 2, 3, 4, "a", "b", "c"}
+        assert db.domain_size() == 7
         db.remove_fact("r", 4, "c")
         assert db.universe == {1, 2, 3, "a", "b"}
+        assert db.domain_size() == 5
+        # Kept by counting occurrences: a value leaves with its last
+        # row, and hash-equal values (1, 1.0, True) are one, as in a set.
+        db.add_fact("r", 1.0, True)
+        db.remove_fact("e", 1, 2)
+        assert db.domain_size() == len(db.universe)
 
     def test_estimator_reads_the_current_version(self):
         db = _db()
@@ -390,6 +398,7 @@ class SnapshotMachine(RuleBasedStateMachine):
             assert snap is self.db.snapshot(predicate)
             assert len(snap) == self.db.cardinality(predicate)
             assert all(self.db.contains(predicate, *row) for row in snap.rows)
+        assert self.db.domain_size() == len(self.db.universe)
 
 
 SnapshotMachine.TestCase.settings = settings(

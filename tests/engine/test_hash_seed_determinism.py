@@ -11,7 +11,9 @@ each as stored (an identity hit) and renamed (a transported hit) — and
 must print the same warm digests and the same ``total_tuples_produced``.
 Those shapes' greedy width meets the lower bound; ``grid_3`` (exact
 search) and ``rand_14_12_109`` (won by the local search's shuffled
-intervals) pin the planner's open-bracket path the same way.
+intervals) pin the planner's open-bracket path the same way.  One
+``auto`` plan at the layout crossover pins the time model: its two
+predicted milliseconds, bit for bit, and the layout they pick.
 """
 
 import os
@@ -54,6 +56,14 @@ with Engine(layout="auto") as engine:
                 base.name, engine.plan(query, db).digest(),
                 warm.stats.total_tuples_produced, len(warm.answer),
             )
+    # An auto plan at the layout crossover (the two predictions within a
+    # few per cent): both, to the last bit, and the layout they pick.
+    near = cycle_query(4)
+    plan = engine.plan(near, random_database(near, 30, 60, seed=5))
+    print(
+        "crossover", plan.resolved_layout,
+        plan.predicted_row_ms.hex(), plan.predicted_columnar_ms.hex(),
+    )
 print("total_tuples_produced", total)
 """
 
@@ -74,7 +84,7 @@ def test_warm_plans_and_exact_counts_do_not_depend_on_the_hash_seed():
 
     first = dump(0)
     assert "total_tuples_produced" in first
-    for name in ("book_2", "grid_3", "rand_14_12_109"):
+    for name in ("book_2", "grid_3", "rand_14_12_109", "crossover"):
         assert name in first
     for hash_seed in range(1, 6):
         assert dump(hash_seed) == first, hash_seed

@@ -1,23 +1,26 @@
 """Engine / plan layout policy: row | columnar | auto.
 
-A plan has *one* layout.  ``auto`` resolves it at compile time from the
-largest relation any node's pipeline touches — a part's estimate or the
-bag's — against ``COLUMNAR_MIN_ROWS``; bag materialisation then puts
-every bag on that carrier and records which one each took in the
-``plan.layout_*`` counters.  Annotated requests follow the same policy
-when their semiring's values can ride a weight column, and compile row
-plans otherwise.  Whatever the layout, the answers are the naive
-evaluator's.
+A plan has *one* layout.  ``auto`` resolves it at compile time to the
+layout whose predicted milliseconds are fewer — the plan's operators
+priced by the fitted per-operator costs of ``OPERATOR_COSTS`` for the
+kernels that loaded; bag materialisation then puts every bag on that
+carrier and records which one each took in the ``plan.layout_*``
+counters.  Annotated requests follow the same policy when their
+semiring's values can ride a weight column, and compile row plans
+otherwise.  Whatever the layout, the answers are the naive evaluator's.
 """
 
+import dataclasses
 import random
+import re
 
 import pytest
 
 from repro.core.parser import parse_query
 from repro.db import Database
+from repro.db import columnar as columnar_mod
 from repro.db.annotated import naive_annotated_eval
-from repro.db.columnar import COLUMNAR_MIN_ROWS, LAYOUTS
+from repro.db.columnar import LAYOUTS
 from repro.db.naive import naive_join_eval
 from repro.db.semiring import COUNTING, MINCOST
 from repro.engine import Engine
@@ -48,6 +51,13 @@ def small_db():
 
 
 QUERY = "ans(X,Z) :- e(X,Y), f(Y,Z)."
+
+
+def _big_layout() -> str:
+    """What ``auto`` makes of ``QUERY`` over ``big_db``: a path join of
+    4 000 and 2 500 rows runs several times faster in the numpy kernels
+    and slower on the pure-Python buffers (19 vs 23 ms)."""
+    return "columnar" if columnar_mod.kernels() == "numpy" else "row"
 
 
 def _counters() -> tuple[float, float]:
@@ -85,17 +95,27 @@ class TestEngineLayout:
             assert got.answer.rows == base.answer.rows
 
     def test_explain_says_what_decided_the_layout(self, big_db, small_db):
+        """The header prints both predictions and names the cheaper
+        layout: over ``big_db`` (4 000 / 2 500 rows) the path join is
+        columnar with numpy and row on the pure-Python buffers; over
+        ``small_db`` (20 rows) every kernel's fixed cost shows: row."""
         query = parse_query(QUERY)
-        header = Engine(layout="auto").explain(query, big_db).splitlines()[0]
-        assert (
-            "layout auto → columnar (largest pipeline input ≈ 3972 rows "
-            f"≥ {COLUMNAR_MIN_ROWS})"
-        ) in header
-        header = Engine(layout="auto").explain(query, small_db).splitlines()[0]
-        assert (
-            "layout auto → row (largest pipeline input ≈ 20 rows "
-            f"< {COLUMNAR_MIN_ROWS})"
-        ) in header
+        tag = re.compile(
+            r"layout auto → (row|columnar) \(predicted row (\d+\.\d\d) ms, "
+            r"columnar (\d+\.\d\d) ms\)\]$"
+        )
+        for db, expected in ((big_db, _big_layout()), (small_db, "row")):
+            engine = Engine(layout="auto")
+            header = engine.explain(query, db).splitlines()[0]
+            picked, row_ms, col_ms = tag.search(header).groups()
+            plan = engine.plan(query, db)
+            assert picked == plan.resolved_layout == expected
+            assert (row_ms, col_ms) == (
+                f"{plan.predicted_row_ms:.2f}",
+                f"{plan.predicted_columnar_ms:.2f}",
+            )
+            cheaper = plan.predicted_columnar_ms < plan.predicted_row_ms
+            assert picked == ("columnar" if cheaper else "row")
         # A forced layout has nothing to explain, and no node is marked.
         text = Engine(layout="columnar").explain(query, big_db)
         assert text.splitlines()[0].endswith("layout columnar]")
@@ -118,7 +138,7 @@ class TestEngineLayout:
         }
         assert digests["row"] != digests["columnar"]
         # The digest names the physical plan: ``auto`` ran one of the two.
-        assert digests["auto"] == digests["columnar"]
+        assert digests["auto"] == digests[_big_layout()]
 
     def test_layout_counters_recorded(self, big_db):
         query = parse_query(QUERY)
@@ -134,8 +154,8 @@ class TestEngineLayout:
 
 
 class TestAutoResolvesOncePerPlan:
-    """``auto`` looks at what the pipelines read, not what they yield,
-    and answers for the whole plan."""
+    """``auto`` prices what the plan's operators will touch, under each
+    layout, and answers for the whole plan."""
 
     @staticmethod
     def _two_relations(n_e: int, n_f: int) -> Database:
@@ -146,40 +166,88 @@ class TestAutoResolvesOncePerPlan:
             db.add_fact("f", i % 7, i)
         return db
 
-    def test_the_largest_input_decides_at_the_threshold(self):
+    def test_the_cheaper_prediction_decides(self):
         query = parse_query(QUERY)
         engine = Engine(layout="auto")
-        under = self._two_relations(COLUMNAR_MIN_ROWS - 1, 12)
-        plan = engine.plan(query, under)
-        assert plan.layout_rows == COLUMNAR_MIN_ROWS - 1
+        small = self._two_relations(20, 12)
+        plan = engine.plan(query, small)
+        assert plan.predicted_row_ms < plan.predicted_columnar_ms
         assert (plan.layout, plan.resolved_layout) == ("auto", "row")
-        assert _bags_of(engine, query, under) == (2, 0)
-        at = self._two_relations(COLUMNAR_MIN_ROWS, 12)
-        plan = engine.plan(query, at)
-        assert plan.layout_rows == COLUMNAR_MIN_ROWS
+        assert _bags_of(engine, query, small) == (2, 0)
+        # A triangle's bag joins atoms: columnar on either kernel set.
+        triangle = _triangle()
+        large = random_database(triangle, 500, 1000, seed=1)
+        plan = engine.plan(triangle, large)
+        assert plan.predicted_columnar_ms < plan.predicted_row_ms
         assert (plan.layout, plan.resolved_layout) == ("auto", "columnar")
-        # The 12-row relation is laid out like the plan it is part of.
-        assert _bags_of(engine, query, at) == (0, 2)
+        # Its single-atom node is laid out like the plan it is part of.
+        assert len(plan.node_plans) == 2
+        assert _bags_of(engine, triangle, large) == (0, 2)
+        # A tie keeps the row layout, whose per-call overhead is lower.
+        tied = dataclasses.replace(
+            plan, predicted_row_ms=1.0, predicted_columnar_ms=1.0
+        )
+        assert tied.resolved_layout == "row"
+        assert tied.predicted_ms == 1.0
 
-    def test_a_small_bag_behind_large_inputs_is_columnar(self):
-        """``book_2``: both pages estimate to a handful of rows, joined
-        from relations over the threshold."""
+    def test_a_forced_layout_is_not_priced(self, big_db):
+        query = parse_query(QUERY)
+        for layout in ("row", "columnar"):
+            engine = Engine(layout=layout)
+            plan = engine.plan(query, big_db)
+            assert plan.resolved_layout == layout
+            assert plan.predicted_row_ms is plan.predicted_columnar_ms is None
+            assert plan.predicted_ms is None
+            analyzed = engine.explain(query, big_db, analyze=True)
+            assert "predicted" not in analyzed
+            assert re.search(r"^plan execute \d+\.\d{3}ms$", analyzed, re.M)
+
+    def test_a_weighted_plan_is_laid_out_by_its_largest_input(self):
+        """A count request (values on a weight column, numpy loaded) is
+        not priced: ``auto`` compares the largest relation its pipelines
+        touch with ``WEIGHTED_MIN_ROWS``, and the header says so."""
+        query = parse_query(QUERY)
+        engine = Engine(layout="auto")
+        floor = columnar_mod.WEIGHTED_MIN_ROWS
+        for n_e, expected in ((floor - 1, "row"), (floor, "columnar")):
+            db = self._two_relations(n_e, 12)
+            plan = engine.plan(query, db, semiring=COUNTING)
+            header = engine.explain(query, db, semiring=COUNTING)
+            if not columnar_mod.rides_buffers(COUNTING):
+                # The pure-Python buffers hold no weight column: row plan.
+                assert (plan.layout, plan.weighted) == ("row", False)
+                assert "layout" not in header.splitlines()[0]
+                continue
+            assert plan.weighted and plan.largest_input == n_e
+            assert plan.predicted_row_ms is None
+            assert (plan.layout, plan.resolved_layout) == ("auto", expected)
+            sign = "≥" if expected == "columnar" else "<"
+            assert (
+                f"layout auto → {expected} (weight column, largest pipeline "
+                f"input ≈ {n_e} rows {sign} {floor})]"
+            ) in header
+            # The 12-row relation is laid out like the plan it is part of.
+            bags = _bags_of(engine, query, db, semiring=COUNTING)
+            assert bags == ((2, 0) if expected == "row" else (0, 2))
+
+    def test_a_bag_that_joins_atoms_is_priced_by_its_joins(self):
+        """``book_2`` at the end-to-end benchmark's size: every relation
+        is under 256 rows and both pages estimate to a handful, yet the
+        page bags join two atoms and filter by a third on two variables
+        — priced by those joins, the plan is columnar."""
         query = book_query(2)
-        n = COLUMNAR_MIN_ROWS + 40
-        db = random_database(query, n, n, seed=1)
+        db = random_database(query, 107, 215, seed=1)
         engine = Engine(layout="auto")
         plan = engine.plan(query, db)
         joined = [np for np in plan.node_plans if len(np.join_order) > 1]
-        assert joined and all(
-            np.estimated_rows < COLUMNAR_MIN_ROWS / 8 for np in joined
-        )
-        assert all(
-            max(np.atom_estimates) >= COLUMNAR_MIN_ROWS for np in joined
-        )
+        assert joined and all(np.estimated_rows < 32 for np in joined)
+        assert max(
+            e for np in plan.node_plans for e in np.atom_estimates
+        ) < 256
         assert plan.resolved_layout == "columnar"
         assert _bags_of(engine, query, db) == (0, len(plan.node_plans))
 
-    @pytest.mark.parametrize("tuples", [40, COLUMNAR_MIN_ROWS + 40])
+    @pytest.mark.parametrize("tuples", [40, 300])
     @pytest.mark.parametrize("semiring", [None, "count", "mincost"])
     def test_a_plan_never_mixes_carriers(self, tuples, semiring):
         engine = Engine(layout="auto")
@@ -192,20 +260,52 @@ class TestAutoResolvesOncePerPlan:
             assert row + col == len(engine.plan(query, db).node_plans)
             assert not (row and col), (query.name, row, col)
 
-    def test_compile_span_carries_the_deciding_estimate(self, big_db):
+    def test_compile_span_carries_both_predictions(self, big_db):
         from repro.obs import Tracer, tracing
 
         tracer = Tracer()
+        engine = Engine(layout="auto")
         with tracing(tracer):
-            Engine(layout="auto").execute(
-                parse_query(QUERY), big_db
-            )
+            engine.execute(parse_query(QUERY), big_db)
         (compiled,) = [s for s in tracer.spans() if s.name == "plan.compile"]
+        plan = engine.plan(parse_query(QUERY), big_db)
         assert compiled.attrs["layout"] == "auto"
-        assert compiled.attrs["layout_rows"] == 3972
-        assert compiled.attrs["columnar"] == compiled.attrs["nodes"] == 2
+        assert "layout_rows" not in compiled.attrs
+        assert compiled.attrs["predicted_row_ms"] == round(
+            plan.predicted_row_ms, 4
+        )
+        assert compiled.attrs["predicted_columnar_ms"] == round(
+            plan.predicted_columnar_ms, 4
+        )
+        columnar = _big_layout() == "columnar"
+        assert compiled.attrs["nodes"] == 2
+        assert compiled.attrs["columnar"] == (2 if columnar else 0)
         bags = [s for s in tracer.spans() if s.name == "plan.bag"]
-        assert {s.attrs["layout"] for s in bags} == {"columnar"}
+        assert {s.attrs["layout"] for s in bags} == {_big_layout()}
+
+    @pytest.mark.parametrize("tuples", [60, 250, 1000])
+    @pytest.mark.parametrize("shape", ["path3", "star3", "path4"])
+    def test_without_numpy_acyclic_plans_stay_row(
+        self, monkeypatch, shape, tuples
+    ):
+        """On the pure-Python buffers an acyclic plan loses up to ≈ 1 000
+        rows per relation and further (the crossover sweep's acyclic
+        cells run 0.6-0.85x columnar there), so ``auto`` keeps it row —
+        under the pure-Python table, whatever the numpy table says."""
+        query = parse_query(CROSSOVER_SHAPES[shape], name=shape)
+        db = random_database(query, max(4, tuples // 2), tuples, seed=2)
+        monkeypatch.setattr(columnar_mod, "_np", None)
+        plan = Engine(layout="auto").plan(query, db)
+        assert plan.resolved_layout == "row"
+
+
+#: The acyclic request shapes of ``benchmarks/bench_columnar.py``'s
+#: crossover sweep.
+CROSSOVER_SHAPES = {
+    "path3": "ans(A,D) :- r(A,B), s(B,C), t(C,D).",
+    "star3": "ans(A) :- r(A,B), s(A,C), t(A,D).",
+    "path4": "ans(A,E) :- r(A,B), s(B,C), t(C,D), u(D,E).",
+}
 
 
 def _triangle():
@@ -229,10 +329,12 @@ SHAPES = {
 
 class TestLayoutsAgainstTheNaiveEvaluator:
     """Every shape whose bags join several atoms × every layout × set,
-    counting and min-cost semantics, below and above the ``auto``
-    threshold of the numpy kernels: the answers are ``db/naive.py``'s.
-    (The CI legs without numpy run the same matrix on the pure-Python
-    kernels.)"""
+    counting and min-cost semantics, at sizes where ``auto`` picks row,
+    where it picks columnar, and between (120 tuples, where a largest
+    input still far under 256 rows no longer decides): the answers are
+    ``db/naive.py``'s.  The same matrix runs once more on the
+    pure-Python kernels, numpy switched off (the CI legs without numpy
+    run all of it there)."""
 
     @pytest.fixture(scope="class")
     def engines(self):
@@ -241,9 +343,19 @@ class TestLayoutsAgainstTheNaiveEvaluator:
         for engine in built.values():
             engine.close()
 
-    @pytest.mark.parametrize("tuples", [30, 300])
+    @pytest.mark.parametrize("tuples", [30, 120, 300])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_differential(self, engines, shape, tuples):
+        self._check(engines, shape, tuples)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_differential_without_numpy(self, monkeypatch, shape):
+        monkeypatch.setattr(columnar_mod, "_np", None)
+        engines = {layout: Engine(layout=layout) for layout in LAYOUTS}
+        self._check(engines, shape, 120)
+
+    @staticmethod
+    def _check(engines, shape, tuples):
         query = SHAPES[shape]()
         db = random_database(
             query, max(4, tuples // 2), tuples, seed=11,

@@ -65,7 +65,7 @@ def _fresh(engine, query, db, semiring=None):
     )
     return compile_plan(
         query, db, hit.decomposition, provenance=hit.method, cache_hit=True,
-        layout=engine._layout_for(semiring),
+        layout=engine.layout, semiring=semiring,
     )
 
 
@@ -369,8 +369,16 @@ class TestWhatAReplaySays:
         ]
         assert compiled.attrs["reused"] is False
         assert replayed.attrs["reused"] is True
-        for key in ("nodes", "columnar", "layout_rows", "width", "layout"):
-            assert replayed.attrs[key] == compiled.attrs[key], key
+        # (Only ``auto`` prices a plan: a forced layout carries no
+        # predictions, fresh or replayed.)
+        assert ("predicted_row_ms" in compiled.attrs) == (
+            engine.layout == "auto"
+        )
+        for key in (
+            "nodes", "columnar", "predicted_row_ms", "predicted_columnar_ms",
+            "width", "layout",
+        ):
+            assert replayed.attrs.get(key) == compiled.attrs.get(key), key
 
     def test_the_registry_and_repro_stats_count_both(self):
         query = path_query(2)

@@ -9,6 +9,8 @@ guarantee and one span vocabulary for the sweep whatever the layout.
 import json
 import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -33,7 +35,8 @@ def path_db(edges: int = 60, seed: int = 3) -> Database:
 
 
 def big_db(edges: int = 3000, seed: int = 0) -> Database:
-    """Large enough that every plan resolves ``auto`` to columnar."""
+    """A few thousand rows: ``auto`` runs the path query columnar on the
+    numpy kernels."""
     rng = random.Random(seed)
     rows = {
         (rng.randrange(400), rng.randrange(400)) for _ in range(edges)
@@ -218,6 +221,54 @@ class TestExplainAnalyze:
             assert "(snapshot built)" in engine.explain(
                 query, db, analyze=True
             )
+
+    def test_another_requests_build_is_not_billed_to_this_bag(self):
+        """Whether a bag's bind built its snapshot is read off the atom's
+        own snapshot: while one thread keeps rebuilding another
+        database's snapshots (a write before each read), every warm bag
+        of a second thread, on a database nobody writes, says
+        ``reused`` — a process-wide build counter compared across the
+        bind would bill it the other thread's builds."""
+        warm_db, busy_db = path_db(), path_db(seed=4)
+        query = parse_query(QUERY)
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def rebuild():
+            try:
+                # Columnar: the bind itself builds the new version's
+                # buffers (the compile has already built its rows).
+                with Engine(layout="columnar") as engine:
+                    i = 0
+                    while not stop.is_set():
+                        busy_db.add_fact("e", 1000 + i, 1001 + i)
+                        engine.execute(query, busy_db)
+                        i += 1
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Engine(layout="columnar") as engine:
+                engine.execute(query, warm_db)
+                with tracing(Tracer(max_spans=200_000)) as tracer:
+                    writer = threading.Thread(target=rebuild, name="writer")
+                    writer.start()
+                    try:
+                        for _ in range(300):
+                            engine.execute(query, warm_db)
+                    finally:
+                        stop.set()
+                        writer.join(timeout=30)
+            assert not writer.is_alive() and not errors
+        finally:
+            sys.setswitchinterval(interval)
+        bags = tracer.find("plan.bag")
+        mine = [s.attrs["snapshot"] for s in bags if s.tid != "writer"]
+        theirs = {s.attrs["snapshot"] for s in bags if s.tid == "writer"}
+        assert len(mine) == 600 and set(mine) == {"reused"}
+        assert "built" in theirs
 
     def test_analyze_feeds_outer_ambient_tracer(self):
         """Under a CLI-style ambient tracer the analyze run records into
