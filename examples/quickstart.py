@@ -7,11 +7,12 @@ Run with::
 Walks through the paper's headline pipeline on the Example 1.1 query Q1
 ("is some student enrolled in a course taught by their own parent?"):
 acyclicity test, hypertree decomposition, and decomposition-guided
-evaluation against a tiny database.
+evaluation against a tiny database through the plan-caching
+:class:`repro.Engine`.
 """
 
-from repro import hypertree_width, is_acyclic, parse_query
-from repro.db import Database, EvalStats, evaluate, evaluate_boolean
+from repro import Engine, hypertree_width, is_acyclic, parse_query
+from repro.db import Database, EvalStats
 
 
 def main() -> None:
@@ -48,10 +49,13 @@ def main() -> None:
     db.add_fact("parent", "bob", "ann")   # bob teaches his child ann!
     db.add_fact("parent", "eva", "tim")
 
+    # The engine decomposes Q1 once (its cache key is Q1's shape),
+    # compiles a plan against db, and runs Yannakakis over the bags.
+    engine = Engine()
     stats = EvalStats()
-    answer = evaluate_boolean(q1, db, method="decomposition", hd=hd, stats=stats)
-    print(f"\nQ1 on the toy database: {answer}")
-    print(f"  evaluation stats: {stats.as_row()}")
+    result = engine.execute(q1, db, stats=stats)
+    print(f"\nQ1 on the toy database: {result.boolean}")
+    print(f"  plan width {result.width}, evaluation stats: {stats.as_row()}")
 
     # ------------------------------------------------------------------
     # 4. The non-Boolean variant (Theorem 4.8): who are those students?
@@ -60,8 +64,8 @@ def main() -> None:
         "ans(S, C) :- enrolled(S, C, R), teaches(P, C, A), parent(P, S).",
         name="Q1h",
     )
-    result = evaluate(q1h, db, method="decomposition")
-    print(f"\nanswers of {q1h.name}: {sorted(result.rows)}")
+    answers = engine.execute(q1h, db).answer
+    print(f"\nanswers of {q1h.name}: {sorted(answers.rows)}")
 
 
 if __name__ == "__main__":

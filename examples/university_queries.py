@@ -8,16 +8,17 @@ Generates a synthetic university database (students, courses, teaching
 assignments, parent links) and contrasts the evaluation strategies the
 paper compares:
 
-* Q2 is acyclic → Yannakakis applies directly (§2.1);
-* Q1 is cyclic but hw(Q1) = 2 → the Lemma 4.6 pipeline evaluates it with
-  bounded intermediate results while the naive join materialises far
+* Q2 is acyclic → the engine's width-1 plan is Yannakakis (§2.1);
+* Q1 is cyclic but hw(Q1) = 2 → the engine's Lemma 4.6 plan evaluates it
+  with bounded intermediate results while the naive join materialises far
   larger intermediates.
 """
 
 import time
 
-from repro import hypertree_width, is_acyclic
-from repro.db import EvalStats, evaluate, evaluate_boolean
+from repro import Engine, hypertree_width, is_acyclic
+from repro.db import EvalStats
+from repro.db.naive import backtracking_eval, naive_boolean_eval
 from repro.generators.paper_queries import q1, q2
 from repro.generators.workloads import university_database
 
@@ -38,17 +39,19 @@ def main() -> None:
         seed=42,
     )
     print(f"database: {db}")
+    engine = Engine()
+
+    def decide(query, db, stats):
+        return engine.execute(query, db, stats=stats).boolean
 
     # ------------------------------------------------------------------
     # Q2 (acyclic): "is there a professor with a child enrolled somewhere?"
     # ------------------------------------------------------------------
     query2 = q2()
     print(f"\n{query2.name} acyclic? {is_acyclic(query2)}")
-    for method in ("yannakakis", "naive"):
+    for method, fn in (("yannakakis", decide), ("naive", naive_boolean_eval)):
         stats = EvalStats()
-        answer, ms = timed(
-            evaluate_boolean, query2, db, method=method, stats=stats
-        )
+        answer, ms = timed(fn, query2, db, stats)
         print(
             f"  {method:12s}: {answer}  {ms:7.2f} ms  "
             f"max intermediate = {stats.max_intermediate}"
@@ -61,16 +64,13 @@ def main() -> None:
     width, hd = hypertree_width(query1)
     print(f"\n{query1.name} is cyclic; hw = {width}; decomposition:")
     print("  " + hd.render_atoms().replace("\n", "\n  "))
-    for method in ("decomposition", "naive", "backtracking"):
+    for method, fn in (
+        ("decomposition", decide),
+        ("naive", naive_boolean_eval),
+        ("backtracking", backtracking_eval),
+    ):
         stats = EvalStats()
-        answer, ms = timed(
-            evaluate_boolean,
-            query1,
-            db,
-            method=method,
-            hd=hd if method == "decomposition" else None,
-            stats=stats,
-        )
+        answer, ms = timed(fn, query1, db, stats)
         print(
             f"  {method:12s}: {answer}  {ms:7.2f} ms  "
             f"max intermediate = {stats.max_intermediate}"
@@ -85,7 +85,7 @@ def main() -> None:
         "ans(P, S, C) :- enrolled(S, C, R), teaches(P, C, A), parent(P, S).",
         name="Q1-heads",
     )
-    result = evaluate(q1h, db, method="decomposition")
+    result = engine.execute(q1h, db).answer
     print(f"\nparent-taught enrolments ({len(result)} rows):")
     for row in sorted(result.rows):
         print(f"  professor {row[0]} teaches their child {row[1]} in {row[2]}")

@@ -22,8 +22,11 @@ Commands
     exhausted (or no width ≤ K decomposition exists under ``-k``) the
     command exits with status 1 and a one-line message — never a
     traceback.
-``evaluate QUERY FACTS [--method M]``
-    Evaluate a query against a facts file (one ground atom per line).
+``evaluate QUERY FACTS [--method decomposition|naive|backtracking]``
+    Evaluate a query against a facts file (one ground atom per line):
+    through an engine request (``decomposition``, the default), or by
+    one of the :mod:`repro.db.naive` baselines
+    (:func:`repro.core.containment.answers`).
 ``run FACTS QUERY [QUERY ...] [--repeat N] [--budget S] [--workers N]``
     Evaluate one or more queries through the :class:`repro.engine.Engine`
     pipeline (fingerprint → plan cache → physical plan → Yannakakis).
@@ -116,13 +119,12 @@ from ._errors import (
     UnknownRelationError,
 )
 from .core.acyclicity import is_acyclic
-from .core.containment import contains
+from .core.containment import answers, contains
 from .core.detkdecomp import decompose_k, hypertree_width
 from .core.parser import parse_atom, parse_query
 from .core.query import ConjunctiveQuery
 from .core.qwsearch import query_width
 from .db.database import Database
-from .db.evaluate import evaluate, evaluate_boolean
 from .db.stats import EvalStats
 from .engine import Engine
 from .heuristics import decompose as portfolio_decompose
@@ -289,13 +291,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
     db = _load_facts(args.facts)
     stats = EvalStats()
+    answer = answers(query, db, args.method, stats)
     if query.is_boolean:
-        answer = evaluate_boolean(query, db, method=args.method, stats=stats)
-        print(f"answer: {answer}")
+        print(f"answer: {bool(answer)}")
     else:
-        relation = evaluate(query, db, method=args.method, stats=stats)
-        print(f"answers ({len(relation)} rows over {relation.attributes}):")
-        for row in sorted(relation.rows, key=repr):
+        print(f"answers ({len(answer)} rows over {answer.attributes}):")
+        for row in sorted(answer.rows, key=repr):
             print("  " + ", ".join(map(str, row)))
     if args.stats:
         print(f"stats: {stats.as_row()}")
@@ -835,7 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="decomposition",
-        choices=["decomposition", "yannakakis", "naive", "backtracking"],
+        choices=["decomposition", "naive", "backtracking"],
+        help="'decomposition' runs the engine's plan; the others are the "
+        "naive-join and backtracking baselines",
     )
     p.add_argument("--stats", action="store_true")
     p.set_defaults(fn=_cmd_evaluate)

@@ -17,10 +17,11 @@ The classical Chandra–Merlin machinery implemented here:
   ``Q2`` with *all* its variables in the head (so the decomposition
   pipeline, not blind search, does the work).
 
-:func:`contains` evaluates through any strategy of :mod:`repro.db`;
-with ``method="decomposition"`` it is the paper's tractable route and is
-cross-validated against brute-force search in the tests and experiment
-E19.
+:func:`contains` and the other deciders evaluate through :func:`answers`
+(also behind ``repro evaluate``): ``method="decomposition"`` is the
+paper's tractable route, an :class:`~repro.engine.Engine` request; it is
+cross-validated against the :mod:`repro.db.naive` baselines in the
+tests and experiment E19.
 """
 
 from __future__ import annotations
@@ -31,8 +32,31 @@ from .._errors import EvaluationError
 from ..core.atoms import Constant, Term, Variable
 from ..core.query import ConjunctiveQuery
 from ..db.database import Database
-from ..db.evaluate import Method, evaluate
+from ..db.naive import backtracking_answers, naive_join_eval
+from ..db.relation import Relation
 from ..db.stats import EvalStats
+from ..engine.executor import Engine
+
+# Shared by every call: isomorphic queries decompose once.  Each decider
+# builds a fresh canonical database, so its requests still compile cold.
+_ENGINE = Engine()
+
+
+def answers(
+    query: ConjunctiveQuery,
+    db: Database,
+    method: str = "decomposition",
+    stats: EvalStats | None = None,
+) -> Relation:
+    """*query*'s answers on *db* by *method*: ``"decomposition"`` (an
+    engine request), ``"naive"`` or ``"backtracking"`` (the baselines)."""
+    if method == "naive":
+        return naive_join_eval(query, db, stats)
+    if method == "backtracking":
+        return backtracking_answers(query, db, stats)
+    if method != "decomposition":
+        raise ValueError(f"unknown evaluation method {method!r}")
+    return _ENGINE.execute(query, db, stats=stats).answer
 
 
 class _Frozen:
@@ -81,7 +105,7 @@ def _compatible_heads(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> None:
 def contains(
     q2: ConjunctiveQuery,
     q1: ConjunctiveQuery,
-    method: Method = "decomposition",
+    method: str = "decomposition",
     stats: EvalStats | None = None,
 ) -> bool:
     """Decide ``Q1 ⊑ Q2`` (every answer of Q1 is an answer of Q2).
@@ -117,13 +141,11 @@ def contains(
                 return False
             substitution[term] = Constant(value)
     grounded = q2.renamed(substitution).as_boolean()
-    from ..db.evaluate import evaluate_boolean
-
-    return evaluate_boolean(grounded, db, method=method, stats=stats)
+    return bool(answers(grounded, db, method, stats))
 
 
 def equivalent(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery, method: Method = "decomposition"
+    q1: ConjunctiveQuery, q2: ConjunctiveQuery, method: str = "decomposition"
 ) -> bool:
     """``Q1 ≡ Q2``: mutual containment."""
     return contains(q2, q1, method) and contains(q1, q2, method)
@@ -132,7 +154,7 @@ def equivalent(
 def homomorphism(
     source: ConjunctiveQuery,
     target: ConjunctiveQuery,
-    method: Method = "decomposition",
+    method: str = "decomposition",
 ) -> dict[Variable, Term] | None:
     """A homomorphism ``source → target`` (mapping source variables to
     target terms so every source atom lands in target's body), or ``None``.
@@ -148,10 +170,10 @@ def homomorphism(
             atom.predicate
         ) != atom.arity:
             return None
-    answers = evaluate(asked, db, method=method)
-    if not answers:
+    found = answers(asked, db, method)
+    if not found:
         return None
-    row = min(answers.rows, key=repr)
+    row = min(found.rows, key=repr)
 
     def unfreeze(value) -> Term:
         if isinstance(value, _Frozen):
@@ -180,7 +202,7 @@ def tuple_of_query(
     query: ConjunctiveQuery,
     db: Database,
     values: tuple,
-    method: Method = "decomposition",
+    method: str = "decomposition",
 ) -> bool:
     """The tuple-of-query problem (§1.1): does *values* belong to the
     answer of *query* on *db*?
@@ -205,6 +227,4 @@ def tuple_of_query(
                 return False
             substitution[term] = Constant(value)
     grounded = query.renamed(substitution).as_boolean()
-    from ..db.evaluate import evaluate_boolean
-
-    return evaluate_boolean(grounded, db, method=method)
+    return bool(answers(grounded, db, method))

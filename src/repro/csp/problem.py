@@ -108,18 +108,22 @@ class CSPInstance:
     def to_database(self) -> Database:
         """The database of allowed tuples matching :meth:`to_query`.
 
-        Unary domain constraints are *not* added implicitly: a variable
-        outside every constraint scope is unconstrained and handled by the
-        solver directly.
+        Unary domain constraints are *not* added as atoms: a constraint
+        keeps only the tuples whose every value lies in its scope
+        variable's domain, and a variable outside every constraint scope
+        is unconstrained and handled by the solver directly.
         """
         db = Database()
+        domains = {v: frozenset(dom) for v, dom in self.domains}
         for i, c in enumerate(self.constraints):
             predicate = f"{c.name}_{i}"
             # Declared first so an unsatisfiable (empty) constraint
             # still defines its relation.
             db.declare(predicate, len(c.scope))
+            scope = [domains[v] for v in c.scope]
             for row in c.allowed:
-                db.add_fact(predicate, *row)
+                if all(value in dom for value, dom in zip(row, scope)):
+                    db.add_fact(predicate, *row)
         return db
 
     def hypergraph(self) -> Hypergraph:

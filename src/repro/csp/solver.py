@@ -3,10 +3,13 @@
 * :func:`solve_backtracking` — chronological backtracking with MRV and
   forward checking; the classical exponential-time baseline.
 * :func:`solve_via_decomposition` — the paper's pipeline: translate to a
-  Boolean CQ (§6 equivalence), compute a hypertree decomposition, apply
-  the Lemma 4.6 transformation, run the Yannakakis full reducer, then read
-  a solution off the reduced join tree top-down (every reduced tuple
-  extends to a solution, so no backtracking is needed).
+  Boolean CQ (§6 equivalence), plan it with an
+  :class:`~repro.engine.Engine` (a cached hypertree decomposition compiled
+  into Lemma 4.6 bags), materialise the plan's bags, run the Yannakakis
+  full reducer over its join tree, then read a solution off the reduced
+  bags top-down (every reduced tuple extends to a solution, so no
+  backtracking is needed).  Isomorphic constraint hypergraphs share one
+  decomposition through the engine's plan cache.
 
 For bounded-hypertree-width constraint classes the second route is
 polynomial (Corollary 5.19 via the CSP equivalence) — experiment E17/E15
@@ -15,11 +18,13 @@ material.
 
 from __future__ import annotations
 
-from ..core.detkdecomp import hypertree_width
-from ..core.hypertree import HypertreeDecomposition
-from ..db.evaluate import lemma46_transform
+import time
+
+from ..db.evaluate import check_deadline
 from ..db.stats import EvalStats
 from ..db.yannakakis import full_reduce
+from ..engine.executor import Engine
+from ..engine.plan import materialise_bags
 from .problem import CSPInstance, Value
 
 
@@ -88,27 +93,34 @@ def solve_backtracking(
 
 def solve_via_decomposition(
     csp: CSPInstance,
-    hd: HypertreeDecomposition | None = None,
+    engine: Engine | None = None,
     stats: EvalStats | None = None,
 ) -> dict[str, Value] | None:
     """One solution via hypertree decomposition + Yannakakis full reducer.
 
-    Unconstrained variables (outside every scope) are assigned their first
-    domain value.  Returns ``None`` iff the CSP is unsatisfiable.
+    *engine* plans the CSP's query (a fresh :class:`Engine` when
+    ``None``); its ``budget`` bounds the search, the bags and the
+    reducer.  Unconstrained variables (outside every scope) are assigned
+    their first domain value.  Returns ``None`` iff the CSP is
+    unsatisfiable.
     """
     stats = stats if stats is not None else EvalStats()
     query = csp.to_query()
     if not query.atoms:
-        return {
-            v: csp.domain_of[v][0] if csp.domain_of[v] else None
-            for v in csp.variables
-        }
+        if any(not csp.domain_of[v] for v in csp.variables):
+            return None
+        return {v: csp.domain_of[v][0] for v in csp.variables}
+    engine = engine if engine is not None else Engine()
+    deadline = (
+        time.monotonic() + engine.budget if engine.budget is not None else None
+    )
     db = csp.to_database()
-    if hd is None:
-        _, hd = hypertree_width(query)
-    transformed = lemma46_transform(query, db, hd, stats)
-    reduced = full_reduce(transformed.jt, transformed.relations, stats)
-    if any(not reduced[node] for node in transformed.jt.nodes):
+    plan = engine.plan(query, db)
+    jt = plan.join_tree
+    bags = materialise_bags(plan, db, stats, deadline)
+    check_deadline(deadline, "Yannakakis full reducer")
+    reduced = full_reduce(jt, bags, stats)
+    if any(not reduced[node] for node in jt.nodes):
         return None
 
     # Top-down extraction: pick any root tuple, then a compatible tuple at
@@ -127,9 +139,9 @@ def solve_via_decomposition(
                 break
         else:  # pragma: no cover - impossible after full reduction
             return False
-        return all(descend(child) for child in transformed.jt.children(node))
+        return all(descend(child) for child in jt.children(node))
 
-    if not descend(transformed.jt.root):
+    if not descend(jt.root):
         return None
     for v in csp.variables:
         if v not in assignment:

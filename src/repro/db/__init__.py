@@ -1,4 +1,6 @@
-"""Relational engine and the paper's evaluation strategies."""
+"""The relational layer under :class:`repro.engine.Engine`, the one
+evaluator: carriers, databases, semirings, the Lemma 4.6 transformation,
+the Yannakakis passes, and the naive-join and backtracking baselines."""
 
 from .annotated import AnnotatedRelation
 from .binding import BoundQuery, bind_atom
@@ -11,12 +13,7 @@ from .columnar import (
     to_columnar,
 )
 from .database import Database
-from .evaluate import (
-    Lemma46Result,
-    evaluate,
-    evaluate_boolean,
-    lemma46_transform,
-)
+from .evaluate import Lemma46Result, lemma46_transform
 from .naive import (
     backtracking_answers,
     backtracking_eval,
@@ -61,8 +58,6 @@ __all__ = [
     "default_layout",
     "enumerate_answers",
     "from_columns",
-    "evaluate",
-    "evaluate_boolean",
     "full_reduce",
     "get_semiring",
     "lemma46_transform",

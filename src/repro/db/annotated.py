@@ -53,12 +53,6 @@ from .semiring import Semiring
 _MISSING = object()
 
 
-class AnnotationAssignmentError(EvaluationError):
-    """Raised when a decomposition admits no once-per-atom annotation
-    assignment (see :func:`assign_annotated_atoms`); callers fall back
-    to :func:`naive_annotated_eval`."""
-
-
 class AnnotatedRelation(Relation):
     """A relation whose rows carry semiring annotations.
 

@@ -1,4 +1,4 @@
-"""Decomposition-guided query evaluation (Lemma 4.6, Theorems 4.7/4.8).
+"""The Lemma 4.6 bag kernel, and the literal transformation it builds.
 
 Lemma 4.6 turns a query ``Q`` with a width-k hypertree decomposition into
 an *acyclic* query ``Q′`` over a derived database ``DB′`` together with a
@@ -13,41 +13,33 @@ join tree ``JT``:
 
 Each node relation is a join of ≤ k database relations, so
 ``‖⟨Q′, DB′, JT⟩‖ = O((‖Q‖ + ‖HD‖) · r^k)`` — measured empirically by
-experiment E08.  Evaluation then runs Yannakakis on ``JT``: Boolean
-(Theorem 4.7 / Corollary 5.19) or output-polynomial enumeration
-(Theorem 4.8 / Corollary 5.20).
+experiment E08.  :func:`bag_relation` is the one node-relation kernel;
+:class:`~repro.engine.Engine` plans call it per bag (with join orders,
+covered-atom filters, a layout and a semiring) before running
+Yannakakis — Boolean (Theorem 4.7 / Corollary 5.19) or output-polynomial
+enumeration (Theorem 4.8 / Corollary 5.20).  :func:`lemma46_transform`
+is the literal, unplanned ``⟨Q′, DB′, JT⟩``: the reference the engine's
+bags are checked against, and what E08 measures.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Container, Literal, Sequence
+from typing import Container, Sequence
 
-from .._errors import BudgetExceeded, EvaluationError
-from ..core.acyclicity import join_tree as build_join_tree
+from .._errors import BudgetExceeded
 from ..core.atoms import Atom, Variable
-from ..core.detkdecomp import hypertree_width
-from ..core.hypertree import HTNode, HypertreeDecomposition
+from ..core.hypertree import HypertreeDecomposition
 from ..core.jointree import JoinTree
 from ..core.query import ConjunctiveQuery
-from .annotated import (
-    AnnotatedRelation,
-    AnnotationAssignmentError,
-    assign_annotated_atoms,
-    bind_atom_annotated,
-    naive_annotated_eval,
-)
-from .binding import BoundQuery, bind_atom
+from .annotated import AnnotatedRelation, bind_atom_annotated
+from .binding import bind_atom
 from .columnar import lift_columnar, to_columnar
 from .database import Database
-from .naive import backtracking_eval, naive_boolean_eval, naive_join_eval
 from .relation import Relation
 from .semiring import Semiring
 from .stats import EvalStats
-from .yannakakis import boolean_eval, enumerate_answers
-
-Method = Literal["decomposition", "yannakakis", "naive", "backtracking"]
 
 
 @dataclass
@@ -57,7 +49,6 @@ class Lemma46Result:
     qprime: ConjunctiveQuery
     jt: JoinTree
     relations: dict[Atom, Relation]
-    node_of_atom: dict[Atom, HTNode]
     stats: EvalStats = field(default_factory=EvalStats)
 
     def size(self) -> int:
@@ -67,17 +58,6 @@ class Lemma46Result:
         query_size = sum(1 + a.arity for a in self.qprime.atoms)
         tree_size = 2 * len(self.jt.nodes)
         return db_size + query_size + tree_size
-
-    def database(self) -> Database:
-        """DB′ as a standalone :class:`Database` (one relation per node)."""
-        db = Database()
-        for atom, rel in self.relations.items():
-            # Declared first so an empty relation keeps its existence
-            # and arity.
-            db.declare(atom.predicate, rel.arity)
-            for row in rel.rows:
-                db.add_fact(atom.predicate, *row)
-        return db
 
 
 def check_deadline(deadline: float | None, phase: str) -> None:
@@ -163,39 +143,15 @@ def lemma46_transform(
     db: Database,
     hd: HypertreeDecomposition,
     stats: EvalStats | None = None,
-    semiring: Semiring | None = None,
 ) -> Lemma46Result:
-    """Construct ``⟨Q′, DB′, JT⟩`` from ``⟨Q, DB, HD⟩`` (Lemma 4.6).
-
-    With a *semiring*, node relations carry annotations: each distinct
-    query atom's annotation enters at exactly one node (its *carrier*,
-    picked by :func:`~repro.db.annotated.assign_annotated_atoms`; other
-    mentions join unannotated as pure filters).  Every part joined at a
-    node has attributes ⊆ χ(p) — carriers because assignment requires
-    ``var(A) ⊆ χ(p)``, the rest by pre-projection — so the bag-level
-    projection never ``plus``-folds; all variable elimination happens in
-    the enumeration pass, once per variable by χ-connectedness.  Raises
-    :class:`AnnotationAssignmentError` when no assignment exists (the
-    caller falls back to naive annotated evaluation)."""
+    """Construct ``⟨Q′, DB′, JT⟩`` from ``⟨Q, DB, HD⟩`` (Lemma 4.6)."""
     stats = stats if stats is not None else EvalStats()
     complete = hd if hd.is_complete else hd.complete()
 
     fresh_atoms: dict[int, Atom] = {}
     relations: dict[Atom, Relation] = {}
-    node_of_atom: dict[Atom, HTNode] = {}
     nodes = complete.nodes
     node_ids = {id(n): i for i, n in enumerate(nodes)}
-
-    assignment: dict[Atom, int] | None = None
-    if semiring is not None:
-        assignment = assign_annotated_atoms(
-            [(tuple(p.lam), p.chi) for p in nodes], query.atoms
-        )
-        if assignment is None:
-            raise AnnotationAssignmentError(
-                f"decomposition of {query.name} admits no once-per-atom "
-                "annotation assignment"
-            )
 
     for i, p in enumerate(nodes):
         # Atoms with variables but none in χ(p) contribute no bindings
@@ -205,18 +161,10 @@ def lemma46_transform(
             for a in sorted(p.lam, key=str)
             if (a.variables & p.chi) or not a.variables
         ]
-        carriers = (
-            [a for a in contributing if assignment.get(a) == i]
-            if assignment is not None
-            else ()
-        )
-        rel = bag_relation(
-            contributing, p.chi, f"n{i}", db, stats, semiring, carriers
-        )
+        rel = bag_relation(contributing, p.chi, f"n{i}", db, stats)
         atom = Atom(f"n{i}", tuple(Variable(a) for a in rel.attributes))
         fresh_atoms[i] = atom
         relations[atom] = rel
-        node_of_atom[atom] = p
 
     children_map: dict[Atom, tuple[Atom, ...]] = {}
     for i, p in enumerate(nodes):
@@ -230,122 +178,4 @@ def lemma46_transform(
         query.head_terms,
         f"{query.name}'",
     )
-    return Lemma46Result(qprime, jt, relations, node_of_atom, stats)
-
-
-def evaluate_boolean(
-    query: ConjunctiveQuery,
-    db: Database,
-    method: Method = "decomposition",
-    hd: HypertreeDecomposition | None = None,
-    stats: EvalStats | None = None,
-) -> bool:
-    """Evaluate a Boolean conjunctive query.
-
-    Methods
-    -------
-    ``"decomposition"``
-        The paper's pipeline: hypertree decomposition (computed with
-        :func:`~repro.core.detkdecomp.hypertree_width` when *hd* is not
-        supplied) → Lemma 4.6 transformation → Boolean Yannakakis.
-    ``"yannakakis"``
-        Direct Yannakakis; requires the query to be acyclic.
-    ``"naive"`` / ``"backtracking"``
-        The baselines of :mod:`repro.db.naive`.
-    """
-    stats = stats if stats is not None else EvalStats()
-    query = query.as_boolean()
-    if not query.atoms:
-        return True
-    if method == "naive":
-        return naive_boolean_eval(query, db, stats)
-    if method == "backtracking":
-        return backtracking_eval(query, db, stats)
-    if method == "yannakakis":
-        jt = build_join_tree(query)
-        if jt is None:
-            raise EvaluationError(
-                "method 'yannakakis' requires an acyclic query; "
-                f"{query.name} is cyclic"
-            )
-        bound = BoundQuery.bind(query, db)
-        return boolean_eval(jt, bound.relations, stats)
-    if method == "decomposition":
-        if hd is None:
-            _, hd = hypertree_width(query)
-        transformed = lemma46_transform(query, db, hd, stats)
-        return boolean_eval(transformed.jt, transformed.relations, stats)
-    raise ValueError(f"unknown evaluation method {method!r}")
-
-
-def evaluate(
-    query: ConjunctiveQuery,
-    db: Database,
-    method: Method = "decomposition",
-    hd: HypertreeDecomposition | None = None,
-    stats: EvalStats | None = None,
-    semiring: Semiring | None = None,
-) -> Relation:
-    """Evaluate a (possibly non-Boolean) conjunctive query to its answer
-    relation (Theorem 4.8 for the decomposition method).
-
-    With a *semiring* the result is an
-    :class:`~repro.db.annotated.AnnotatedRelation` whose rows carry
-    provenance-semiring values (derivation counts, minimal costs,
-    witness sets, probabilities — per the chosen algebra).  Set
-    semantics (``semiring=None``) runs the untouched plain pipeline.
-    """
-    stats = stats if stats is not None else EvalStats()
-    head = tuple(
-        dict.fromkeys(
-            t.name for t in query.head_terms if isinstance(t, Variable)
-        )
-    )
-    if not query.atoms:
-        if semiring is not None:
-            rows = frozenset({()} if not head else ())
-            return AnnotatedRelation.make(
-                head, rows, "ans", semiring,
-                dict.fromkeys(rows, semiring.one),
-            )
-        return Relation(head, frozenset({()} if not head else ()), "ans")
-    if method == "naive":
-        if semiring is not None:
-            return naive_annotated_eval(query, db, semiring, stats)
-        return naive_join_eval(query, db, stats)
-    if method == "backtracking":
-        if semiring is not None:
-            # Backtracking enumerates rows, not derivations; annotated
-            # semantics routes to the always-correct naive join.
-            return naive_annotated_eval(query, db, semiring, stats)
-        from .naive import backtracking_answers
-
-        return backtracking_answers(query, db, stats)
-    if method == "yannakakis":
-        jt = build_join_tree(query)
-        if jt is None:
-            raise EvaluationError(
-                "method 'yannakakis' requires an acyclic query; "
-                f"{query.name} is cyclic"
-            )
-        if semiring is not None:
-            relations: dict[Atom, Relation] = {
-                a: bind_atom_annotated(a, db, semiring)
-                for a in dict.fromkeys(query.atoms)
-            }
-            return enumerate_answers(jt, relations, head, stats)
-        bound = BoundQuery.bind(query, db)
-        return enumerate_answers(jt, bound.relations, head, stats)
-    if method == "decomposition":
-        if hd is None:
-            _, hd = hypertree_width(query.as_boolean())
-        try:
-            transformed = lemma46_transform(
-                query, db, hd, stats, semiring=semiring
-            )
-        except AnnotationAssignmentError:
-            return naive_annotated_eval(query, db, semiring, stats)
-        return enumerate_answers(
-            transformed.jt, transformed.relations, head, stats
-        )
-    raise ValueError(f"unknown evaluation method {method!r}")
+    return Lemma46Result(qprime, jt, relations, stats)

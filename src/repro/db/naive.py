@@ -1,7 +1,8 @@
 """Baseline evaluation strategies (the "NP-complete in general" side).
 
-Two baselines bracket the decomposition-guided evaluator of
-:mod:`repro.db.evaluate` in experiments E15/E16:
+Two baselines bracket the decomposition-guided evaluator,
+:class:`repro.engine.Engine`, in experiments E15/E16, and are the
+references the tests check it against:
 
 * :func:`naive_join_eval` — materialise the join of all body atoms
   left-to-right.  On cyclic queries the intermediates can blow up
@@ -126,7 +127,9 @@ def backtracking_answers(
     limit: int | None = None,
 ) -> Relation:
     """All answers (projections of satisfying substitutions onto the head)
-    by backtracking; *limit* caps enumeration for benchmarks."""
+    by backtracking; *limit* caps enumeration for benchmarks.  A Boolean
+    query (empty head) has at most the one answer ``()``, so its search
+    stops at the first satisfying substitution."""
     stats = stats if stats is not None else EvalStats()
     head = tuple(
         dict.fromkeys(
@@ -134,6 +137,8 @@ def backtracking_answers(
         )
     )
     head_vars = [Variable(a) for a in head]
+    if not head:
+        limit = 1
     rows: set[tuple] = set()
     for theta in _substitutions(query, db, stats):
         rows.add(tuple(theta[v] for v in head_vars))

@@ -68,6 +68,9 @@ class Semiring:
     zero: Any = None
     one: Any = None
     vector: tuple[str, str, str] | None = None
+    #: ``times`` distributes over ``plus``, so a plan may fold a variable
+    #: early; the engine runs one full join for a semiring without it.
+    distributive: bool = True
 
     def plus(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
@@ -208,7 +211,9 @@ class ProbSemiring(Semiring):
     events).  This is the standard tuple-independent approximation:
     noisy-or does not distribute over ×, so answers whose derivations
     share facts are approximated, exactly as lineage-free probabilistic
-    engines do.  1.0 absorbs, which lets projection folds stop early.
+    engines do.  Early folds would approximate them plan by plan
+    (``x·(y⊕z) ≠ xy ⊕ xz``), so the engine folds every derivation once.
+    1.0 absorbs, which lets projection folds stop early.
     No vector form: a segmented float fold would visit the derivations
     in another order and move the last ulp of the answers.
 
@@ -219,6 +224,7 @@ class ProbSemiring(Semiring):
     tag = "prob"
     zero = 0.0
     one = 1.0
+    distributive = False
 
     def plus(self, a: float, b: float) -> float:
         return a + b - a * b

@@ -385,10 +385,15 @@ class Engine:
         """The physical plan the engine would execute (used by explain,
         and by live views registering through the shared cache) — the
         one an ``execute`` of *query* on *db* right now would run,
-        replayed if it was already compiled at this database version."""
+        replayed if it was already compiled at this database version.
+        The engine's ``budget`` bounds the decomposition search, as it
+        does an ``execute``'s."""
         semiring = resolve_semiring(semiring)
+        deadline = (
+            time.monotonic() + self.budget if self.budget is not None else None
+        )
         found, hit = self._decomposition_for(
-            query, None, semiring.tag if semiring is not None else "set"
+            query, deadline, semiring.tag if semiring is not None else "set"
         )
         return self._compile(query, db, found, hit, semiring)
 
@@ -589,9 +594,9 @@ class Engine:
         self, query: ConjunctiveQuery, db: Database, **kwargs
     ) -> dict[Row, float]:
         """Row probabilities over a tuple-independent database (fact
-        weights read as marginal probabilities; derivations combined by
-        noisy-or, an upper-bound approximation when derivations share
-        facts)."""
+        weights read as marginal probabilities; a row's derivations
+        combined by noisy-or after one full join, an upper-bound
+        approximation when derivations share facts)."""
         result = self.execute(query, db, semiring="prob", **kwargs)
         return dict(result.annotations)
 

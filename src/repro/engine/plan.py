@@ -957,13 +957,18 @@ def execute_plan(
     return answer
 
 
-def _execute(
+def materialise_bags(
     plan: QueryPlan,
     db: Database,
     stats: EvalStats,
-    deadline: float | None,
-    semiring: Semiring | None,
-) -> Relation:
+    deadline: float | None = None,
+    semiring: Semiring | None = None,
+) -> dict[Atom, Relation] | None:
+    """Every bag relation of *plan* over *db*, keyed by the plan's bag
+    atoms (the nodes of ``plan.join_tree``), in the plan's resolved
+    layout.  Under a *semiring* each query atom's annotation enters at
+    one bag; ``None`` when the plan's join orders admit no such
+    once-per-atom assignment."""
     node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
     columnar = plan.resolved_layout == "columnar"
     carriers_of: dict[int, frozenset[Atom]] = {}
@@ -973,18 +978,33 @@ def _execute(
             plan.query.atoms,
         )
         if assignment is None:
-            # No once-per-atom assignment over this plan's join orders;
-            # annotated naive evaluation is always correct.
-            return naive_annotated_eval(plan.query, db, semiring, stats)
+            return None
         for atom, i in assignment.items():
             carriers_of[i] = carriers_of.get(i, frozenset()) | {atom}
-    relations = {
+    return {
         np.bag: _materialise_bag(
             np, p, db, stats, deadline, semiring,
             carriers_of.get(i, frozenset()), columnar,
         )
         for i, (np, p) in enumerate(node_pairs)
     }
+
+
+def _execute(
+    plan: QueryPlan,
+    db: Database,
+    stats: EvalStats,
+    deadline: float | None,
+    semiring: Semiring | None,
+) -> Relation:
+    relations = None
+    if semiring is None or semiring.distributive:
+        relations = materialise_bags(plan, db, stats, deadline, semiring)
+    if relations is None:
+        # A non-distributive fold, or no once-per-atom assignment over
+        # this plan's join orders: annotated naive evaluation is always
+        # correct.
+        return naive_annotated_eval(plan.query, db, semiring, stats)
 
     check_deadline(deadline, "Yannakakis passes")
     if plan.output or semiring is not None:

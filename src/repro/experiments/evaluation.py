@@ -2,11 +2,12 @@
 
 E08 — the Lemma 4.6 transformation: answer equivalence of Q and Q′ and
 the ``O((‖Q‖+‖HD‖)·r^k)`` size bound measured against the database size.
-E15 — the tractability headline: decomposition-guided evaluation vs the
-naive join and backtracking baselines on cyclic queries as the database
-grows (time and max intermediate relation size).
-E16 — Yannakakis on acyclic queries: scaling and output-polynomial
-enumeration.
+E15 — the tractability headline: decomposition-guided evaluation (an
+:class:`~repro.engine.Engine` whose decomposition is cached before the
+clock starts) vs the naive join and backtracking baselines on cyclic
+queries as the database grows (time and max intermediate relation size).
+E16 — Yannakakis on acyclic queries (the engine's width-1 plans): scaling
+and output-polynomial enumeration.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from __future__ import annotations
 import time
 
 from ..core.detkdecomp import hypertree_width
-from ..db.evaluate import evaluate, evaluate_boolean, lemma46_transform
+from ..db.evaluate import lemma46_transform
+from ..db.naive import backtracking_eval, naive_boolean_eval
 from ..db.stats import EvalStats
+from ..db.yannakakis import boolean_eval
+from ..engine import Engine
 from ..generators.families import cycle_query, path_query
 from ..generators.paper_queries import q1, q2, q5
 from ..generators.workloads import random_database
@@ -35,10 +39,8 @@ def e08_lemma46() -> list[Table]:
                 q, domain_size=4, tuples_per_relation=16, seed=seed,
                 plant_answer=seed % 2 == 0,
             )
-            direct = evaluate_boolean(q, db, method="naive")
+            direct = naive_boolean_eval(q, db)
             transformed = lemma46_transform(q, db, hd)
-            from ..db.yannakakis import boolean_eval
-
             via = boolean_eval(transformed.jt, transformed.relations)
             equivalence.add(
                 query=q.name,
@@ -91,28 +93,27 @@ def e15_evaluation() -> list[Table]:
         ),
     )
     q = cycle_query(6)
-    _, hd = hypertree_width(q)
+    engine = Engine()
+    engine.plan(q)  # the decomposition is cached before any clock starts
+    evaluators = (
+        ("decomp", lambda db, s: engine.execute(q, db, stats=s).boolean),
+        ("naive", lambda db, s: naive_boolean_eval(q, db, s)),
+        ("backtrack", lambda db, s: backtracking_eval(q, db, s)),
+    )
     for tuples in (20, 40, 80, 160):
         db = random_database(
             q, domain_size=max(4, tuples // 8), tuples_per_relation=tuples,
             seed=3, plant_answer=True,
         )
         row: dict[str, float | int] = {"tuples": tuples}
-        for method, key in (
-            ("decomposition", "decomp"),
-            ("naive", "naive"),
-            ("backtracking", "backtrack"),
-        ):
+        for key, decide in evaluators:
             stats = EvalStats()
             start = time.perf_counter()
-            result = evaluate_boolean(
-                q, db, method=method, hd=hd if method == "decomposition" else None,
-                stats=stats,
-            )
+            result = decide(db, stats)
             elapsed = (time.perf_counter() - start) * 1000
             assert result is True
             row[f"t_{key}_ms"] = round(elapsed, 2)
-            if method in ("decomposition", "naive"):
+            if key != "backtrack":
                 row[f"max_int_{key}"] = stats.max_intermediate
         table.add(**row)
     table.note(
@@ -134,15 +135,9 @@ def e15_evaluation() -> list[Table]:
         )
         row: dict[str, float | int | bool] = {"tuples": tuples}
         answers = set()
-        for method, key in (
-            ("decomposition", "decomp"),
-            ("naive", "naive"),
-            ("backtracking", "backtrack"),
-        ):
+        for key, decide in evaluators:
             start = time.perf_counter()
-            result = evaluate_boolean(
-                q, db, method=method, hd=hd if method == "decomposition" else None
-            )
+            result = decide(db, EvalStats())
             row[f"t_{key}_ms"] = round((time.perf_counter() - start) * 1000, 2)
             answers.add(result)
         assert len(answers) == 1
@@ -164,13 +159,18 @@ def e16_yannakakis() -> list[Table]:
         ("tuples", "t_yannakakis_ms", "t_naive_ms", "max_int_yk", "max_int_naive"),
     )
     q = q2()
+    engine = Engine()
+    engine.plan(q)
     for tuples in (50, 100, 200, 400):
         db = random_database(q, domain_size=tuples // 5, tuples_per_relation=tuples, seed=2, plant_answer=True)
         row: dict[str, float | int] = {"tuples": tuples}
-        for method, key in (("yannakakis", "yk"), ("naive", "naive")):
+        for key, decide in (
+            ("yk", lambda stats: engine.execute(q, db, stats=stats).boolean),
+            ("naive", lambda stats: naive_boolean_eval(q, db, stats)),
+        ):
             stats = EvalStats()
             start = time.perf_counter()
-            result = evaluate_boolean(q, db, method=method, stats=stats)
+            result = decide(stats)
             column = "t_yannakakis_ms" if key == "yk" else "t_naive_ms"
             row[column] = round((time.perf_counter() - start) * 1000, 2)
             row[f"max_int_{key}"] = stats.max_intermediate
@@ -186,10 +186,11 @@ def e16_yannakakis() -> list[Table]:
     for n in (3, 5, 7):
         q = path_query(n)
         q = q.with_head((Variable("X1"), Variable(f"X{n+1}")))
+        engine.plan(q)
         db = random_database(q, domain_size=12, tuples_per_relation=60, seed=4)
         stats = EvalStats()
         start = time.perf_counter()
-        answers = evaluate(q, db, method="yannakakis", stats=stats)
+        answers = engine.execute(q, db, stats=stats).answer
         elapsed = (time.perf_counter() - start) * 1000
         output_poly.add(
             path_len=n,

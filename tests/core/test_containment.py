@@ -14,6 +14,7 @@ from repro.core.containment import (
     tuple_of_query,
 )
 from repro.core.parser import parse_query
+from repro.db.naive import naive_join_eval
 from repro.generators.families import cycle_query, random_query
 from repro.generators.workloads import random_database, university_database
 
@@ -98,6 +99,11 @@ class TestContainment:
         assert contains(path, triangle, method=method)
         assert not contains(triangle, path, method=method)
 
+    def test_unknown_method(self):
+        path = parse_query("e(A, B), e(B, C)")
+        with pytest.raises(ValueError, match="magic"):
+            contains(path, path, method="magic")
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2_000), drop=st.integers(0, 3))
     def test_randomised_methods_agree(self, seed, drop):
@@ -155,9 +161,7 @@ class TestTupleOfQuery:
             "ans(S, C) :- enrolled(S, C, R), teaches(P, C, A), parent(P, S)."
         )
         db = university_database(parent_teacher_pairs=1, seed=3)
-        from repro.db.evaluate import evaluate
-
-        answers = evaluate(q, db, method="naive")
+        answers = naive_join_eval(q, db)
         some = next(iter(answers.rows)) if answers else None
         if some is not None:
             assert tuple_of_query(q, db, some)
@@ -174,8 +178,6 @@ class TestTupleOfQuery:
             (parse_query("r(X, Y)").atoms[0].terms[0],)
         )
         db = random_database(q, 3, 5, seed=1)
-        from repro.db.evaluate import evaluate
-
-        answers = evaluate(q, db, method="naive")
+        answers = naive_join_eval(q, db)
         for row in answers.rows:
             assert tuple_of_query(q, db, row)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._errors import EvaluationError
+from repro._errors import BudgetExceeded, EvaluationError
 from repro.csp.problem import CSPInstance, Constraint, from_query, graph_coloring
 from repro.csp.solver import (
     count_solutions_backtracking,
     solve_backtracking,
     solve_via_decomposition,
 )
+from repro.engine import Engine
 from repro.generators.families import random_query
 from repro.generators.paper_queries import q1
 from repro.generators.workloads import random_database
@@ -106,3 +107,63 @@ class TestSolvers:
         assert (bt is None) == (dec is None)
         if dec is not None:
             assert csp.check(dec)
+
+
+@pytest.mark.parametrize(
+    "csp",
+    [
+        # An empty domain makes the CSP unsatisfiable even when the
+        # variable is in no constraint scope.
+        CSPInstance.of({"x": [], "y": [1]}, []),
+        # An allowed tuple outside its variables' domains is no solution.
+        CSPInstance.of(
+            {"x": [1], "y": [1]},
+            [Constraint(("x", "y"), frozenset({(2, 2)}))],
+        ),
+        CSPInstance.of(
+            {"x": [1, 2], "y": [1]},
+            [Constraint(("x", "y"), frozenset({(2, 2), (1, 3)}))],
+        ),
+    ],
+    ids=["empty-domain", "tuple-outside-domains", "every-tuple-outside"],
+)
+def test_both_solvers_agree(csp):
+    bt = solve_backtracking(csp)
+    dec = solve_via_decomposition(csp)
+    assert (bt is None) == (dec is None)
+    if dec is not None:
+        assert csp.check(dec)
+
+
+class TestThroughTheEngine:
+    def test_isomorphic_colourings_share_one_decomposition(self):
+        engine = Engine()
+        square = graph_coloring(
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], 2
+        )
+        renamed = graph_coloring(
+            [("p", "q"), ("q", "r"), ("r", "s"), ("s", "p")], 3,
+            name="renamed",
+        )
+        assert square.check(solve_via_decomposition(square, engine))
+        assert engine.decompositions == 1
+        assert engine.cache.snapshot()["hits"] == 0
+        assert renamed.check(solve_via_decomposition(renamed, engine))
+        assert engine.cache.snapshot()["hits"] == 1
+        assert engine.decompositions == 1
+
+    def test_budget_is_enforced(self, triangle):
+        with pytest.raises(BudgetExceeded):
+            solve_via_decomposition(triangle, Engine(budget=0))
+
+    def test_budget_cuts_the_decomposition_search(self):
+        # The exact search on a 5×5 grid takes seconds; 50 ms cut it,
+        # before any decomposition is stored or bag materialised.
+        grid = [(f"v{i}_{j}", f"v{i}_{j + 1}") for i in range(5)
+                for j in range(4)]
+        grid += [(f"v{j}_{i}", f"v{j + 1}_{i}") for i in range(5)
+                 for j in range(4)]
+        engine = Engine(mode="exact", budget=0.05)
+        with pytest.raises(BudgetExceeded):
+            solve_via_decomposition(graph_coloring(grid, 3), engine)
+        assert engine.decompositions == 0

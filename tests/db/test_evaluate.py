@@ -1,23 +1,52 @@
-"""Integration tests: Lemma 4.6 and the evaluation strategies agree.
+"""Integration tests: Lemma 4.6, the engine and the baselines agree.
 
 The core property (Theorems 4.7/4.8): for any query and database, the
-decomposition-guided pipeline computes the same answers as the naive join
-and the backtracking search — checked on the paper corpus and on random
-query/database pairs.
+decomposition-guided pipeline — the literal Lemma 4.6 transformation, and
+the :class:`~repro.engine.Engine` plans built on its bag kernel — computes
+the same answers as the naive join and the backtracking search — checked
+on the paper corpus and on random query/database pairs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._errors import EvaluationError
 from repro.core.detkdecomp import hypertree_width
 from repro.core.parser import parse_query
-from repro.db.evaluate import evaluate, evaluate_boolean, lemma46_transform
+from repro.db.evaluate import lemma46_transform
+from repro.db.naive import (
+    backtracking_answers,
+    backtracking_eval,
+    naive_boolean_eval,
+    naive_join_eval,
+)
 from repro.db.stats import EvalStats
+from repro.engine import Engine
 from repro.generators.families import cycle_query, random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q5
 from repro.generators.workloads import random_database, university_database
+
+ENGINE = Engine()
+
+
+def engine_boolean(query, db, stats=None):
+    return ENGINE.execute(query.as_boolean(), db, stats=stats).boolean
+
+
+def engine_answers(query, db):
+    return ENGINE.execute(query, db).answer
+
+
+DECIDERS = {
+    "naive": naive_boolean_eval,
+    "backtracking": backtracking_eval,
+    "decomposition": engine_boolean,
+}
+ANSWERERS = {
+    "naive": naive_join_eval,
+    "backtracking": backtracking_answers,
+    "decomposition": engine_answers,
+}
 
 
 class TestLemma46:
@@ -47,10 +76,7 @@ class TestLemma46:
         db = random_database(query_q1, 4, 8, seed=2)
         _, hd = hypertree_width(query_q1)
         out = lemma46_transform(query_q1, db, hd)
-        assert out.size() > 0
-        assert out.database().tuple_count() == sum(
-            len(r) for r in out.relations.values()
-        )
+        assert out.size() > sum(len(r) for r in out.relations.values())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equivalence_on_corpus(self, seed):
@@ -63,41 +89,40 @@ class TestLemma46:
             out = lemma46_transform(q, db, hd)
             from repro.db.yannakakis import boolean_eval
 
-            assert boolean_eval(out.jt, out.relations) == evaluate_boolean(
-                q, db, method="naive"
+            assert boolean_eval(out.jt, out.relations) == naive_boolean_eval(
+                q, db
             )
 
 
 class TestEvaluateBoolean:
     def test_university_q1_true(self):
         db = university_database(parent_teacher_pairs=1)
-        assert evaluate_boolean(q1(), db, method="decomposition")
+        assert engine_boolean(q1(), db)
 
     def test_university_q1_false_without_planted_pairs(self):
         db = university_database(parent_teacher_pairs=0, seed=11)
-        expected = evaluate_boolean(q1(), db, method="naive")
-        assert evaluate_boolean(q1(), db, method="decomposition") == expected
-
-    def test_yannakakis_requires_acyclic(self):
-        db = random_database(q1(), 3, 5, seed=0)
-        with pytest.raises(EvaluationError):
-            evaluate_boolean(q1(), db, method="yannakakis")
-
-    def test_unknown_method(self):
-        db = random_database(q2(), 3, 5, seed=0)
-        with pytest.raises(ValueError):
-            evaluate_boolean(q2(), db, method="magic")  # type: ignore[arg-type]
+        expected = naive_boolean_eval(q1(), db)
+        assert engine_boolean(q1(), db) == expected
 
     def test_empty_query_true(self):
         from repro.core.query import ConjunctiveQuery
 
-        assert evaluate_boolean(ConjunctiveQuery((), ()), random_database(q2(), 2, 2))
+        db = random_database(q2(), 2, 2)
+        assert engine_boolean(ConjunctiveQuery((), ()), db)
+
+    def test_boolean_backtracking_stops_at_first_witness(self):
+        q = cycle_query(4)
+        db = random_database(q, 3, 10, seed=4, plant_answer=True)
+        first, answers = EvalStats(), EvalStats()
+        assert backtracking_eval(q, db, first)
+        assert backtracking_answers(q, db, answers).rows == {()}
+        assert answers.total_tuples_produced == first.total_tuples_produced
 
     @pytest.mark.parametrize("method", ["naive", "backtracking", "decomposition"])
     def test_methods_on_cycle(self, method):
         q = cycle_query(4)
         db = random_database(q, 3, 10, seed=4, plant_answer=True)
-        assert evaluate_boolean(q, db, method=method)
+        assert DECIDERS[method](q, db)
 
 
 class TestEvaluateAnswers:
@@ -107,22 +132,20 @@ class TestEvaluateAnswers:
             name="Q1h",
         )
         db = university_database()
-        answers = {
-            m: evaluate(q, db, method=m).rows
-            for m in ("naive", "backtracking", "decomposition")
-        }
+        answers = {m: answer(q, db).rows for m, answer in ANSWERERS.items()}
         assert answers["naive"] == answers["backtracking"] == answers["decomposition"]
 
     def test_acyclic_answers_with_yannakakis(self):
+        """The engine's plan of an acyclic query is width-1 Yannakakis."""
         q = parse_query("ans(P, S) :- teaches(P, C, A), parent(P, S).")
         db = university_database()
-        got = evaluate(q, db, method="yannakakis")
-        assert got.rows == evaluate(q, db, method="naive").rows
+        got = engine_answers(q, db)
+        assert got.rows == naive_join_eval(q, db).rows
 
     def test_stats_recorded(self, query_q5):
         db = random_database(query_q5, 4, 10, seed=5)
         stats = EvalStats()
-        evaluate_boolean(query_q5, db, method="decomposition", stats=stats)
+        engine_boolean(query_q5, db, stats=stats)
         assert stats.joins > 0 and stats.semijoins > 0
 
 
@@ -139,19 +162,17 @@ class TestRandomisedEquivalence:
             query, domain_size=3, tuples_per_relation=8, seed=dbseed,
             plant_answer=plant,
         )
-        naive = evaluate_boolean(query, db, method="naive")
-        assert evaluate_boolean(query, db, method="backtracking") == naive
-        assert evaluate_boolean(query, db, method="decomposition") == naive
+        naive = naive_boolean_eval(query, db)
+        assert backtracking_eval(query, db) == naive
+        assert engine_boolean(query, db) == naive
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5_000), dbseed=st.integers(0, 100))
     def test_answer_methods_agree(self, seed, dbseed):
-        from repro.core.atoms import Variable
-
         query = random_query(n_atoms=3, n_variables=4, max_arity=3, seed=seed)
         head = tuple(sorted(query.variables, key=lambda v: v.name))[:2]
         query = query.with_head(head)
         db = random_database(query, domain_size=3, tuples_per_relation=8, seed=dbseed)
-        naive = evaluate(query, db, method="naive").rows
-        assert evaluate(query, db, method="decomposition").rows == naive
-        assert evaluate(query, db, method="backtracking").rows == naive
+        naive = naive_join_eval(query, db).rows
+        assert engine_answers(query, db).rows == naive
+        assert backtracking_answers(query, db).rows == naive

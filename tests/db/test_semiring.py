@@ -32,11 +32,14 @@ from repro.db import (
     PROB,
     PROVENANCE,
     Database,
-    evaluate,
     get_semiring,
     resolve_semiring,
 )
-from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
+from repro.db.annotated import (
+    AnnotatedRelation,
+    bind_atom_annotated,
+    naive_annotated_eval,
+)
 from repro.db.semiring import INT_RING, SEMIRINGS
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
@@ -57,6 +60,14 @@ def _with_head(query: ConjunctiveQuery, n: int = 2) -> ConjunctiveQuery:
 
 FAMILIES = [_with_head(path_query(3)), _with_head(star_query(3)),
             _with_head(cycle_query(4))]
+
+#: The engine under the default layout policy (``$REPRO_LAYOUT``).
+ENGINE = Engine()
+
+
+def evaluate(query, db, semiring=None):
+    """The engine's answer relation for *query* on *db*."""
+    return ENGINE.execute(query, db, semiring=semiring).answer
 
 
 def brute_annotations(query, db, semiring):
@@ -199,22 +210,27 @@ class TestCountsMatchBruteForce:
         seed=st.integers(0, 1_000),
         domain=st.integers(2, 6),
         tuples=st.integers(1, 20),
-        method=st.sampled_from(["decomposition", "yannakakis", "naive"]),
+        method=st.sampled_from(["row", "columnar", "naive"]),
     )
-    def test_count_equals_bag_count(self, family, seed, domain, tuples, method):
+    def test_count_equals_bag_count(
+        self, engines, family, seed, domain, tuples, method
+    ):
         query = FAMILIES[family]
-        if method == "yannakakis" and query.name.startswith("cycle"):
-            method = "decomposition"
         db = random_database(query, domain, tuples, seed=seed)
         _, expected = brute_annotations(query, db, COUNTING)
-        answer = evaluate(query, db, method=method, semiring=COUNTING)
+        if method == "naive":
+            answer = naive_annotated_eval(query, db, COUNTING)
+        else:
+            answer = engines[method].execute(
+                query, db, semiring=COUNTING
+            ).answer
         got = {
             row: answer.annotation(row) for row in answer.rows
         }
         assert got == expected
         # ℕ total == brute-force bag count; set answers == distinct rows.
         assert answer.total() == sum(expected.values())
-        plain = evaluate(query, db, method="decomposition")
+        plain = evaluate(query, db)
         assert set(plain.rows) == set(expected)
         assert len(plain) == len(expected)
 
@@ -327,7 +343,7 @@ def _same_fold(tag, got, expected):
 
 class TestLayoutsAgree:
     """Every semiring × every family, on the row and the columnar
-    engine: the brute-force fold (probability: one answer)."""
+    engine: the brute-force fold."""
 
     @pytest.mark.parametrize(
         "family", range(len(FAMILIES)), ids=["path", "star", "cycle"]
@@ -347,14 +363,8 @@ class TestLayoutsAgree:
         )
         for result in (row, col):
             assert result.answer.rows == frozenset(expected)
-        if tag == "prob":
-            # Noisy-or does not distribute over ×: where a plan projects
-            # decides how shared facts are approximated, so the layouts
-            # answer to the row plan, not to the brute-force fold.
-            _same_fold(tag, col.annotations, row.annotations)
-        else:
-            _same_fold(tag, row.annotations, expected)
-            _same_fold(tag, col.annotations, expected)
+        _same_fold(tag, row.annotations, expected)
+        _same_fold(tag, col.annotations, expected)
 
 
 class TestEmptyPartnerKeepsFlavour:

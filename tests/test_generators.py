@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.acyclicity import is_acyclic
-from repro.db.evaluate import evaluate_boolean
+from repro.db.naive import naive_boolean_eval
 from repro.generators.families import (
     book_query,
     clique_query,
@@ -75,7 +75,7 @@ class TestWorkloads:
 
     def test_planted_answer_makes_query_true(self, query_q5):
         db = random_database(query_q5, 3, 5, seed=1, plant_answer=True)
-        assert evaluate_boolean(query_q5, db, method="naive")
+        assert naive_boolean_eval(query_q5, db)
 
     def test_deterministic(self, query_q1):
         a = random_database(query_q1, 4, 6, seed=5)
@@ -86,7 +86,7 @@ class TestWorkloads:
         from repro.generators.paper_queries import q1
 
         db = university_database(parent_teacher_pairs=2)
-        assert evaluate_boolean(q1(), db, method="naive")
+        assert naive_boolean_eval(q1(), db)
 
     def test_grid_database_binary_only(self, query_q1):
         with pytest.raises(ValueError):

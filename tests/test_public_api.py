@@ -22,13 +22,13 @@ def test_quickstart_surface():
     assert width == 2
     assert hd.is_valid
 
-    from repro.db import Database, evaluate_boolean
+    from repro.db import Database
 
     db = Database()
     db.add_fact("enrolled", "ann", "db101", "2026-01-01")
     db.add_fact("teaches", "bob", "db101", "yes")
     db.add_fact("parent", "bob", "ann")
-    assert evaluate_boolean(q, db)
+    assert repro.Engine().execute(q, db).boolean
 
 
 def test_exceptions_exported():
