@@ -19,7 +19,14 @@ Three layers:
   model is total (``U = V``), matching the paper's remark that the program
   has a total well-founded model computable in polynomial time.
 
-Facts are stored as ``dict[str, set[tuple]]`` (predicate → ground tuples).
+Each rule body is a conjunctive query, and each least-model round runs
+it as one :class:`~repro.engine.Engine` request over a working
+:class:`~repro.db.database.Database` holding the EDB, every derived
+predicate ``p`` and its *delta* ``Δp`` — the facts ``p`` gained in the
+previous round.  Semi-naive evaluation renames one positive body atom to
+its delta predicate, so the delta is data in the working database, not
+an argument of the evaluator.  The boundary type is :data:`Facts`,
+``dict[str, set[tuple]]`` (predicate → ground tuples).
 """
 
 from __future__ import annotations
@@ -27,37 +34,21 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ..core.atoms import Atom, Constant, Variable
+from ..core.query import ConjunctiveQuery
+from ..db.database import Database
+from ..engine.executor import Engine
+from ..incremental.delta import Delta
 from .program import Program, Rule
 
 Facts = dict[str, set[tuple]]
 
+# Shared by every call: each rule-body shape decomposes once, and every
+# later round and well-founded Γ call reuses the cached decomposition.
+_ENGINE = Engine()
+
 
 def _copy_facts(facts: Mapping[str, Iterable[tuple]]) -> Facts:
     return {p: set(rows) for p, rows in facts.items()}
-
-
-def _match_atom(
-    atom: Atom, row: tuple, binding: dict[Variable, object]
-) -> dict[Variable, object] | None:
-    """Unify a ground *row* with *atom* under *binding*; return the
-    extended binding or ``None``."""
-    if len(row) != atom.arity:
-        return None
-    extended = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term] = value
-            elif bound != value:
-                return None
-    return extended
-
-
-_UNBOUND = object()
 
 
 def _ground(atom: Atom, binding: dict[Variable, object]) -> tuple:
@@ -66,45 +57,30 @@ def _ground(atom: Atom, binding: dict[Variable, object]) -> tuple:
     )
 
 
-def _rule_derivations(
-    rule: Rule,
-    facts: Facts,
-    frozen: Facts,
-    delta: Facts | None,
-    delta_index: int | None,
+def _derive(
+    rule: Rule, body: tuple[Atom, ...], db: Database, frozen: Facts
 ) -> set[tuple]:
-    """All head tuples derivable by *rule* from *facts*.
-
-    With semi-naive arguments, the positive literal at *delta_index* must
-    match a tuple of *delta* (other literals use the full *facts*).
-    Negative literals succeed iff the ground tuple is absent from *frozen*.
-    """
-    results: set[tuple] = set()
-    positives = rule.positive_body
-
-    def source(i: int) -> set[tuple]:
-        predicate = positives[i].atom.predicate
-        if delta is not None and i == delta_index:
-            return delta.get(predicate, set())
-        return facts.get(predicate, set())
-
-    def extend(i: int, binding: dict[Variable, object]) -> None:
-        if i == len(positives):
-            for lit in rule.negative_body:
-                if _ground(lit.atom, binding) in frozen.get(
-                    lit.atom.predicate, set()
-                ):
-                    return
-            results.add(_ground(rule.head, binding))
-            return
-        atom = positives[i].atom
-        for row in source(i):
-            extended = _match_atom(atom, row, binding)
-            if extended is not None:
-                extend(i + 1, extended)
-
-    extend(0, {})
-    return results
+    """The head tuples *rule* derives with its positive literals read as
+    *body* (the rule's atoms, one of them possibly renamed to a delta
+    predicate); negative literals succeed iff their ground tuple is
+    absent from *frozen*."""
+    negatives = [lit.atom for lit in rule.negative_body]
+    head = tuple(dict.fromkeys(
+        t
+        for a in (rule.head, *negatives)
+        for t in a.terms
+        if isinstance(t, Variable)
+    ))
+    answer = _ENGINE.execute(ConjunctiveQuery(body, head), db).answer
+    derived: set[tuple] = set()
+    for row in answer.rows:
+        binding = dict(zip(head, row))
+        if not any(
+            _ground(a, binding) in frozen.get(a.predicate, ())
+            for a in negatives
+        ):
+            derived.add(_ground(rule.head, binding))
+    return derived
 
 
 def least_model(
@@ -116,39 +92,55 @@ def least_model(
     *edb*, with negation evaluated against the fixed interpretation
     *frozen* (i.e. the operator ``Γ_P(frozen)``).
 
-    Returns all facts (EDB ∪ derived IDB).
+    Returns all facts (EDB ∪ derived IDB).  A predicate used at two
+    arities raises :class:`~repro._errors.SchemaError`.
     """
-    facts = _copy_facts(edb)
     frozen_facts = _copy_facts(frozen) if frozen is not None else {}
+    db = Database.from_relations(edb)
+    for r in program.rules:
+        for a in (r.head, *(lit.atom for lit in r.body)):
+            db.declare(a.predicate, a.arity)
+    # No predicate of the working database starts with the prefix, so no
+    # delta name collides with one a rule or the EDB mentions.
+    prefix = "Δ"
+    while any(p.startswith(prefix) for p in db.predicates()):
+        prefix += "Δ"
+    delta_of = {p: prefix + p for p in program.idb_predicates}
+    for p, name in delta_of.items():
+        db.declare(name, db.arity(p))
 
-    # Initial round: full evaluation of every rule.
-    delta: Facts = {}
-    for rule in program.rules:
-        new = _rule_derivations(rule, facts, frozen_facts, None, None)
-        known = facts.setdefault(rule.head.predicate, set())
-        fresh = new - known
-        if fresh:
-            known.update(fresh)
-            delta.setdefault(rule.head.predicate, set()).update(fresh)
-
-    # Semi-naive iterations: at least one positive literal matches delta.
-    while delta:
-        next_delta: Facts = {}
-        for rule in program.rules:
-            positives = rule.positive_body
-            for i, lit in enumerate(positives):
-                if lit.atom.predicate not in delta:
-                    continue
-                new = _rule_derivations(rule, facts, frozen_facts, delta, i)
-                known = facts.setdefault(rule.head.predicate, set())
-                fresh = new - known
-                if fresh:
-                    known.update(fresh)
-                    next_delta.setdefault(
-                        rule.head.predicate, set()
-                    ).update(fresh)
-        delta = next_delta
-    return facts
+    # Round 0 evaluates every rule over the full relations; each later
+    # round, for every positive literal whose predicate gained facts,
+    # reads that literal from its delta.
+    bodies = [
+        tuple(lit.atom for lit in r.positive_body) for r in program.rules
+    ]
+    requests = list(zip(program.rules, bodies))
+    while requests:
+        fresh: Facts = {}
+        for r, body in requests:
+            fresh.setdefault(r.head.predicate, set()).update(
+                _derive(r, body, db, frozen_facts)
+            )
+        # One batch: the fresh facts go into p and Δp, the old Δp goes.
+        changes = {
+            name: dict.fromkeys(db.rows(name), -1)
+            for name in delta_of.values()
+        }
+        for p, rows in fresh.items():
+            rows -= db.rows(p)
+            changes[p] = dict.fromkeys(rows, 1)
+            changes[delta_of[p]].update(changes[p])
+        db.apply(Delta(changes))
+        requests = [
+            (r, body[:i] + (Atom(delta_of[a.predicate], a.terms),)
+             + body[i + 1:])
+            for r, body in zip(program.rules, bodies)
+            for i, a in enumerate(body)
+            if a.predicate in delta_of
+            and db.cardinality(delta_of[a.predicate])
+        ]
+    return {p: set(db.rows(p)) for p in (*edb, *program.idb_predicates)}
 
 
 def stratified_model(
@@ -170,7 +162,6 @@ def stratified_model(
 def well_founded_model(
     program: Program,
     edb: Mapping[str, Iterable[tuple]],
-    max_rounds: int = 10_000,
 ) -> tuple[Facts, Facts]:
     """The well-founded model via the alternating fixpoint [42].
 
@@ -184,14 +175,14 @@ def well_founded_model(
 
     under: Facts = _copy_facts(edb)
     over: Facts = gamma(under)
-    for _ in range(max_rounds):
+    # Terminates: Γ is antimonotone, so U only grows and V only shrinks,
+    # both within the finite set of ground facts over the EDB's values.
+    while True:
         new_under = gamma(over)
         new_over = gamma(new_under)
         if new_under == under and new_over == over:
             break
         under, over = new_under, new_over
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("alternating fixpoint did not converge")
 
     undefined: Facts = {}
     for predicate, rows in over.items():

@@ -6,7 +6,10 @@ but whose atom-level dependencies are well-founded.  This module provides
 the program representation plus predicate-level dependency analysis; the
 evaluation semantics (semi-naive least model, stratified negation, and the
 well-founded semantics via the alternating fixpoint of Van Gelder, Ross &
-Schlipf [42]) live in :mod:`repro.datalog.engine`.
+Schlipf [42]) live in :mod:`repro.datalog.engine`, which runs each rule's
+positive body as a conjunctive query through :class:`repro.engine.Engine`.
+A predicate has one arity across a program and its EDB; evaluation
+rejects a second one with :class:`~repro._errors.SchemaError`.
 
 Terms reuse :class:`repro.core.atoms.Variable` / ``Constant`` / ``Atom``.
 """

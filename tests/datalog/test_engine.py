@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro._errors import DatalogError
+from repro import Engine
+from repro._errors import BudgetExceeded, DatalogError, SchemaError
 from repro.core.atoms import atom
+from repro.datalog import engine as datalog_engine
 from repro.datalog.engine import (
     holds,
     least_model,
@@ -67,6 +69,51 @@ class TestLeastModel:
         edb = {"e": {(i, i + 1) for i in range(30)}}
         facts = least_model(tc_program(), edb)
         assert len(facts["t"]) == 30 * 31 // 2
+
+    def test_rule_may_name_a_predicate_like_a_delta(self):
+        p = Program.of(
+            list(tc_program().rules)
+            + [rule(atom("Δt", "X", "Y"), atom("t", "X", "Y"))]
+        )
+        facts = least_model(p, {"e": {(1, 2), (2, 3)}})
+        assert facts["Δt"] == facts["t"] == {(1, 2), (2, 3), (1, 3)}
+
+
+class TestArity:
+    def test_head_arity_differs_from_edb(self):
+        p = Program.of([rule(atom("e", "X"), atom("f", "X"))])
+        with pytest.raises(SchemaError):
+            least_model(p, {"e": {(1, 2)}, "f": {(5,)}})
+
+    def test_body_predicate_at_two_arities(self):
+        p = Program.of(
+            [
+                rule(atom("p", "X"), atom("e", "X")),
+                rule(atom("q", "X"), atom("e", "X", "Y")),
+            ]
+        )
+        with pytest.raises(SchemaError):
+            least_model(p, {"e": {(1, 2)}})
+
+
+class TestThroughTheEngine:
+    """Rule bodies are engine requests: the engine's plan cache and
+    budget apply to them."""
+
+    def test_second_model_reuses_the_decompositions(self, monkeypatch):
+        engine = Engine()
+        monkeypatch.setattr(datalog_engine, "_ENGINE", engine)
+        least_model(tc_program(), {"e": {(1, 2), (2, 3)}})
+        searched = engine.decompositions
+        assert searched > 0
+        facts = least_model(tc_program(), {"e": {("a", "b"), ("b", "a")}})
+        assert facts["t"] == {("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")}
+        assert engine.decompositions == searched
+
+    def test_budget_exceeded_is_typed(self, monkeypatch):
+        monkeypatch.setattr(datalog_engine, "_ENGINE", Engine(budget=0))
+        with pytest.raises(BudgetExceeded):
+            least_model(tc_program(), {"e": {(1, 2), (2, 3)}})
 
 
 class TestSafety:
