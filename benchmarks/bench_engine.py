@@ -156,14 +156,14 @@ def run_benchmark(
 
     engine = Engine(cache_size=max(64, n_shapes * 2))
     started = time.perf_counter()
-    cold = engine.execute_many(requests, workers=1)
+    cold = engine.execute_many(requests)
     cold_seconds = time.perf_counter() - started
     decompositions_cold = engine.decompositions
 
     snapshot_builds = get_registry().counter("db.snapshot.builds")
     builds_cold = snapshot_builds.value
     started = time.perf_counter()
-    warm = engine.execute_many(requests, workers=1)
+    warm = engine.execute_many(requests)
     warm_seconds = time.perf_counter() - started
     decompositions_warm = engine.decompositions - decompositions_cold
     snapshot_builds_warm = snapshot_builds.value - builds_cold
@@ -179,7 +179,7 @@ def run_benchmark(
 
     uncached = Engine(cache_size=0)
     started = time.perf_counter()
-    baseline = uncached.execute_many(requests, workers=1)
+    baseline = uncached.execute_many(requests)
     baseline_seconds = time.perf_counter() - started
     assert uncached.decompositions == n_queries
     assert baseline.failures == 0 and cold.failures == 0 and warm.failures == 0

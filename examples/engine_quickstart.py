@@ -41,9 +41,9 @@ def main() -> None:
                             seed=i, plant_answer=True))
         for i, q in enumerate(workload)
     ]
-    cold = engine.execute_many(requests, workers=1)
+    cold = engine.execute_many(requests)
     decompositions_after_cold = engine.decompositions
-    warm = engine.execute_many(requests, workers=4)
+    warm = engine.execute_many(requests)
 
     print("\ncold pass:", cold.summary())
     print("warm pass:", warm.summary())

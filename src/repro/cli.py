@@ -27,14 +27,14 @@ Commands
     through an engine request (``decomposition``, the default), or by
     one of the :mod:`repro.db.naive` baselines
     (:func:`repro.core.containment.answers`).
-``run FACTS QUERY [QUERY ...] [--repeat N] [--budget S] [--workers N]``
+``run FACTS QUERY [QUERY ...] [--repeat N] [--budget S]``
     Evaluate one or more queries through the :class:`repro.engine.Engine`
     pipeline (fingerprint → plan cache → physical plan → Yannakakis).
     Structurally identical queries share one cached decomposition;
     ``--repeat`` re-runs the batch to demonstrate warm-cache
     amortisation, and ``--stats`` prints the merged counters plus the
-    cache's hit/miss/eviction numbers.  Each query evaluates
-    sequentially; ``--workers`` only runs several queries at once.
+    cache's hit/miss/eviction numbers.  The queries run one after
+    another, each evaluated sequentially.
     ``--layout row|columnar|auto`` picks the bag storage layout
     (columnar = vectorised kernels).  ``--semiring
     count|mincost|provenance|prob`` switches the batch to annotated
@@ -311,7 +311,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     engine = Engine(
         mode=args.strategy,
         budget=args.budget,
-        workers=args.workers,
         layout=args.layout,
         slow_query_ms=args.slow_query_ms,
         flight_dump=args.flight_dump,
@@ -402,7 +401,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         slow_query_ms=args.slow_query_ms,
         flight_dump=args.flight_dump,
     )
-    live = LiveEngine(db=db, engine=engine, parallelism=args.parallelism)
+    live = LiveEngine(db=db, engine=engine)
     with engine, live, _observed(args):
         handle = live.register(query)
         print(
@@ -860,13 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget", type=float, default=None, help="per-query seconds"
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="queries of the batch run at once (each query itself "
-        "evaluates sequentially)",
-    )
-    p.add_argument(
         "--layout",
         default=None,
         choices=["row", "columnar", "auto"],
@@ -946,12 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--strategy", default="auto", choices=["exact", "heuristic", "auto"]
-    )
-    p.add_argument(
-        "--parallelism",
-        type=int,
-        default=1,
-        help="fan updates out to touched views over this many workers",
     )
     p.add_argument("--stats", action="store_true")
     _add_observability_options(p)

@@ -10,16 +10,17 @@ hand-wire per query::
 * :meth:`Engine.execute` answers one query against one database,
   returning an :class:`EvalResult` with the answer relation, per-request
   :class:`~repro.db.stats.EvalStats`, and cache provenance.
-* :meth:`Engine.execute_many` runs a batch over a thread pool (plan
-  transport and bag joins release no locks; the cache itself is
-  thread-safe), aggregating stats with ``EvalStats.merge``.
+* :meth:`Engine.execute_many` runs a batch one request after another
+  in the caller's thread, isolating failures per request and
+  aggregating stats with ``EvalStats.merge``.
 * :meth:`Engine.explain` renders the chosen physical plan without
   executing it.
 
 Each request evaluates sequentially, in the thread that submitted it:
 the bags are materialised and the Yannakakis passes run over them
-directly.  Concurrency lives *between* requests (``execute_many``, the
-serve tier, live views), never inside one.
+directly.  The engine starts no threads; only the serve tier calls one
+``Engine`` from several threads at once, which is what the plan cache's
+lock and the single-flight planning gates are for.
 
 **Semiring evaluation.**  ``execute(..., semiring=...)`` switches a
 request to annotated semantics (:mod:`repro.db.semiring`): the answer
@@ -50,7 +51,6 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -178,8 +178,6 @@ class Engine:
     budget:
         Default per-request wall-clock budget in seconds (``None`` =
         unbounded); individual calls may override it.
-    workers:
-        Default thread-pool width for :meth:`execute_many`.
     backend:
         Selects nothing: only ``"sequential"`` is accepted, and the
         keyword remains only for the end-to-end benchmark driver under
@@ -232,7 +230,6 @@ class Engine:
         cache_size: int = 256,
         mode: Mode = "auto",
         budget: float | None = None,
-        workers: int = 4,
         backend: str = "sequential",
         layout: str | None = None,
         tracer: Tracer | None = None,
@@ -247,7 +244,6 @@ class Engine:
         self.flight_dump = flight_dump
         self.mode: Mode = mode
         self.budget = budget
-        self.workers = workers
         check_backend(backend)
         if layout is None:
             layout = default_layout()
@@ -441,16 +437,14 @@ class Engine:
         get_registry().counter("plan.reused").inc()
         return plan
 
-    def live(
-        self, db: Database | None = None, parallelism: int = 1
-    ) -> "LiveEngine":
+    def live(self, db: Database | None = None) -> "LiveEngine":
         """A :class:`repro.incremental.LiveEngine` planning through this
         engine — registered views share this plan cache, so a view of an
         already-seen shape costs a transport, not a search."""
         # Imported here: the incremental layer sits above the engine.
         from ..incremental.live import LiveEngine
 
-        return LiveEngine(db=db, engine=self, parallelism=parallelism)
+        return LiveEngine(db=db, engine=self)
 
     def explain(
         self,
@@ -745,25 +739,25 @@ class Engine:
         self,
         requests: Iterable[tuple[ConjunctiveQuery, Database] | ConjunctiveQuery],
         db: Database | None = None,
-        workers: int | None = None,
         budget: float | None = None,
         semiring: "Semiring | str | None" = None,
     ) -> BatchResult:
-        """Evaluate a batch of requests over a worker pool.
+        """Evaluate a batch of requests, one after another, in the
+        caller's thread.
 
         *requests* is an iterable of ``(query, database)`` pairs, or of
         bare queries when a shared *db* is given.  Results come back in
-        request order; a request whose budget runs out yields an
-        :class:`EvalResult` with ``error`` set instead of aborting the
-        batch.  The merged :class:`EvalStats` (including summed per-query
-        wall times, which exceed batch wall-clock under parallelism) ride
-        on the returned :class:`BatchResult`.  *semiring* sets the
-        per-request annotation algebra (see :meth:`execute`).
+        request order; a request that fails with a library error (a
+        blown budget, a schema mismatch, an undecomposable query) yields
+        an :class:`EvalResult` with ``error`` set instead of aborting the
+        batch, and keeps the time and counters it spent before failing.
+        Non-library exceptions still propagate — those are bugs, not
+        request outcomes.  The merged :class:`EvalStats` ride on the
+        returned :class:`BatchResult`.  *semiring* sets the per-request
+        annotation algebra (see :meth:`execute`).
 
-        Each request's *budget* clock starts when a pool worker begins
-        executing it — time spent queued behind a saturated pool does not
-        count against the request (deadlines are computed inside
-        :meth:`execute`, per call, not here at submission).
+        Each request gets the whole *budget*: its deadline is anchored
+        when :meth:`execute` starts it, not when the batch starts.
         """
         pairs: list[tuple[ConjunctiveQuery, Database]] = []
         for request in requests:
@@ -778,33 +772,22 @@ class Engine:
                 query, request_db = request
                 pairs.append((query, request_db))
 
-        def run_one(pair: tuple[ConjunctiveQuery, Database]) -> EvalResult:
-            query, request_db = pair
-            try:
-                # Runs on a pool worker: execute() anchors the budget
-                # deadline here, when the request starts, so a request
-                # queued behind a full pool keeps its whole budget.
-                return self.execute(
-                    query, request_db, budget=budget, semiring=semiring
-                )
-            except ReproError as error:
-                # Per-request fault isolation: a blown budget, a schema
-                # mismatch, or an undecomposable query fails that request
-                # alone, not the batch.  Non-library exceptions still
-                # propagate — those are bugs, not request outcomes.
-                method = "budget" if isinstance(error, BudgetExceeded) else "error"
-                return EvalResult(
-                    query, None, EvalStats(), False, 0, method,
-                    0.0, error=str(error),
-                )
-
         started = time.monotonic()
-        pool_width = workers if workers is not None else self.workers
-        if pool_width <= 1 or len(pairs) <= 1:
-            results = [run_one(p) for p in pairs]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_width) as pool:
-                results = list(pool.map(run_one, pairs))
+        results: list[EvalResult] = []
+        for query, request_db in pairs:
+            stats = EvalStats()
+            request_started = time.monotonic()
+            try:
+                results.append(self.execute(
+                    query, request_db, budget=budget, stats=stats,
+                    semiring=semiring,
+                ))
+            except ReproError as error:
+                method = "budget" if isinstance(error, BudgetExceeded) else "error"
+                results.append(EvalResult(
+                    query, None, stats, False, 0, method,
+                    time.monotonic() - request_started, error=str(error),
+                ))
         elapsed = time.monotonic() - started
 
         merged = EvalStats()

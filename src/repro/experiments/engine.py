@@ -35,9 +35,7 @@ def e22_engine_amortization() -> list[Table]:
 
     engine = Engine(cache_size=64)
     started = time.monotonic()
-    # workers=1 keeps the cold pass deterministic: concurrent misses of
-    # one shape would each (benignly) decompose it, blurring the counter.
-    cold = engine.execute_many(requests, workers=1)
+    cold = engine.execute_many(requests)
     cold_seconds = time.monotonic() - started
     decompositions_cold = engine.decompositions
     assert decompositions_cold == shapes, (decompositions_cold, shapes)

@@ -14,8 +14,9 @@ one decomposition search — the fingerprint/isomorphism transport of the
 plan cache serves live views exactly as it serves one-shot requests.
 
 ``apply`` first folds the batch into the database (obtaining the
-*effective* delta under set semantics), then fans it out to every view
-whose atoms mention a touched predicate; untouched views pay nothing.
+*effective* delta under set semantics), then applies it, in the
+caller's thread, to every view whose atoms mention a touched predicate;
+untouched views pay nothing.
 All public methods (including handle reads) are serialised by an
 :class:`threading.RLock` — like the plan cache, a ``LiveEngine`` may be
 shared between request threads.  Subscriber callbacks run while the lock
@@ -28,7 +29,6 @@ fire and the first exception is re-raised once the fan-out completes.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 from ..core.query import ConjunctiveQuery
@@ -116,49 +116,26 @@ class LiveEngine:
     engine:
         The planning :class:`repro.engine.Engine` (and with it the shared
         plan cache).  A private one is created when omitted.
-    parallelism:
-        With > 1, :meth:`apply` fans the effective delta out to the
-        touched views over a worker pool, one task per view (views are
-        independent state machines, so concurrent maintenance is safe).
-        Views the delta does not touch are never scheduled at all —
-        routing stays delta-driven either way.
     """
 
     def __init__(
         self,
         db: Database | None = None,
         engine: Engine | None = None,
-        parallelism: int = 1,
     ):
         self.db = db if db is not None else Database()
         self._owns_engine = engine is None
         self.engine = engine if engine is not None else Engine()
-        self.parallelism = max(1, parallelism)
         self._lock = threading.RLock()
-        self._pool: ThreadPoolExecutor | None = None
         self._views: dict[int, ViewHandle] = {}
         self._next_id = 0
         self.batches_applied = 0
 
-    def _view_pool(self) -> ThreadPoolExecutor:
-        """The lazily created fan-out pool (kept until :meth:`close`)."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="live-apply",
-            )
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the fan-out pool — and close the planning engine
-        when it was created privately by this ``LiveEngine`` (a
-        caller-supplied engine stays the caller's to close).
-        Idempotent; the engine remains usable afterwards (the pool is
-        recreated on demand)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
+        """Close the planning engine when it was created privately by
+        this ``LiveEngine`` (a caller-supplied engine stays the caller's
+        to close).  Idempotent; the live engine remains usable
+        afterwards."""
         if self._owns_engine:
             self.engine.close()
 
@@ -167,14 +144,6 @@ class LiveEngine:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            pool = self.__dict__.get("_pool")
-            if pool is not None:
-                pool.shutdown(wait=False)
-        except Exception:
-            pass
 
     # -- registration -----------------------------------------------------
     def register(self, query: ConjunctiveQuery) -> ViewHandle:
@@ -251,24 +220,10 @@ class LiveEngine:
                     for view_id, handle in self._views.items()
                     if effective.touches(handle.view.predicates)
                 ]
-                if self.parallelism > 1 and len(touched) > 1:
-                    # One task per touched view; each task mutates only
-                    # its own view's state, so the fan-out is safe.  The
-                    # coordinator holds the lock throughout — handle
-                    # reads still serialise against the batch as a whole.
-                    futures = [
-                        (view_id, self._view_pool().submit(
-                            handle.view.apply, effective, False
-                        ))
-                        for view_id, handle in touched
-                    ]
-                    for view_id, future in futures:
-                        results[view_id] = future.result()
-                else:
-                    for view_id, handle in touched:
-                        results[view_id] = handle.view.apply(
-                            effective, notify=False
-                        )
+                for view_id, handle in touched:
+                    results[view_id] = handle.view.apply(
+                        effective, notify=False
+                    )
             self.batches_applied += 1
             batch_span.set(
                 touched_views=len(touched),

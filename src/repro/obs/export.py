@@ -6,7 +6,7 @@ microsecond ``ts``/``dur``, integer ``pid``/``tid``, and ``args`` for
 the structured attributes; metadata events (``"ph": "M"``) name the
 process/thread tracks.  :func:`chrome_trace_events` lays the tracer's
 spans out with one track per (pid, thread) pair — the serve executor's
-and ``execute_many``'s worker threads appear as their own named rows.
+worker threads appear as their own named rows.
 
 :func:`validate_chrome_trace` is the schema check the CI trace-smoke job
 runs on the artifact before uploading it — cheap structural validation,

@@ -657,7 +657,6 @@ class QueryServer:
                 with tenant.rw.read():
                     batch = self.engine.execute_many(
                         queries, db=tenant.db, budget=budget,
-                        workers=1,  # the batch already owns one slot
                         semiring=semiring,
                     )
                 tenant.charge(

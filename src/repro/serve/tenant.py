@@ -293,8 +293,8 @@ class Tenant:
             }
 
     def close(self) -> None:
-        """Release the tenant's view fan-out pool (the shared planning
-        engine is owned — and closed — by the server)."""
+        """Close the tenant's ``LiveEngine`` (the shared planning engine
+        is owned — and closed — by the server)."""
         self.live.close()
 
     def __repr__(self) -> str:

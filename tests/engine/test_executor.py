@@ -1,5 +1,6 @@
 """Engine facade: correctness vs the naive baseline, amortisation, budgets."""
 
+import threading
 import time
 
 import pytest
@@ -100,12 +101,12 @@ class TestAmortizedWorkload:
             for i, q in enumerate(workload)
         ]
         engine = Engine(cache_size=32)
-        cold = engine.execute_many(requests, workers=1)
+        cold = engine.execute_many(requests)
         assert cold.failures == 0
         decompositions_after_cold = engine.decompositions
         assert decompositions_after_cold <= n_shapes
 
-        warm = engine.execute_many(requests, workers=4)
+        warm = engine.execute_many(requests)
         # zero decomposition searches on the second pass — cache hits only
         assert engine.decompositions == decompositions_after_cold
         assert warm.cache_hits == n_queries
@@ -123,7 +124,7 @@ class TestAmortizedWorkload:
             for i, q in enumerate(workload)
         ]
         engine = Engine()
-        batch = engine.execute_many(requests, workers=2)
+        batch = engine.execute_many(requests)
         assert batch.stats.joins == sum(r.stats.joins for r in batch.results)
         assert batch.stats.wall_time == pytest.approx(
             sum(r.stats.wall_time for r in batch.results)
@@ -160,7 +161,7 @@ class TestBudgets:
             parse_query("e(X,Y,Z)"),  # wrong arity for relation e
             parse_query("e(A,B), e(B,C), e(C,A)"),
         ]
-        batch = engine.execute_many(queries, db=db, workers=1)
+        batch = engine.execute_many(queries, db=db)
         assert batch.failures == 1
         assert not batch.results[1].ok and "arity" in batch.results[1].error
         assert batch.results[0].ok and batch.results[0].boolean
@@ -173,13 +174,13 @@ class TestBudgets:
             engine.execute(parse_query("e(X,Y)"), db)
 
     def test_queued_requests_keep_their_whole_budget(self):
-        """Regression (pool saturation): a request's budget clock must
-        start when it begins *executing*, not when the batch is
-        submitted.  Two slow requests saturate the 2-thread pool for far
-        longer than the whole per-request budget; the fast requests
-        queued behind them must still succeed.  The slow requests are
-        slow by construction — every base-relation read stalls for two
-        budgets — not because the engine happens to be."""
+        """A request's budget clock starts when the request itself
+        starts, not when the batch does.  Two slow requests at the head
+        of the batch run for far longer than the whole per-request
+        budget; the fast requests behind them must still succeed.  The
+        slow requests are slow by construction — every base-relation
+        read stalls for two budgets — not because the engine happens to
+        be."""
         budget = 0.15
 
         class StallingDatabase(Database):
@@ -199,12 +200,15 @@ class TestBudgets:
 
         engine = Engine(mode="heuristic")
         requests = [(slow_query, slow_db)] * 2 + [(fast, fast_db)] * 3
-        batch = engine.execute_many(requests, workers=2, budget=budget)
+        batch = engine.execute_many(requests, budget=budget)
 
         # The slow head-of-line requests blow their own budgets...
         for result in batch.results[:2]:
             assert not result.ok
             assert "budget" in result.error
+            # ...and keep the time they spent doing so.
+            assert result.elapsed >= budget
+            assert result.stats.wall_time >= budget
         # ...and the batch as a whole ran well past any single budget...
         assert batch.elapsed > budget
         # ...yet every queued request still completed within its own.
@@ -286,14 +290,6 @@ class TestSequentialOnly:
         assert legacy.digest() == plain.digest()
         assert legacy.render() == plain.render()
 
-    def test_execute_many_runs_requests_concurrently(self):
-        db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
-        queries = [cycle_query(3, "e"), cycle_query(4, "e")]
-        with Engine() as engine:
-            batch = engine.execute_many(queries, db=db, workers=2)
-        assert all(r.ok for r in batch)
-        assert batch.results[0].boolean
-
     def test_close_is_idempotent_and_the_engine_stays_usable(self):
         db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
         query = parse_query("e(X,Y), e(Y,Z), e(Z,X)")
@@ -301,6 +297,39 @@ class TestSequentialOnly:
             assert engine.execute(query, db).boolean
         engine.close()
         assert engine.execute(query, db).boolean
+
+
+class TestCallerThreadOnly:
+    """A batch runs in the caller's thread; the knob that sized its pool
+    is gone, and naming it is a ``TypeError``."""
+
+    def test_the_engine_takes_no_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            Engine(workers=2)
+        assert not hasattr(Engine(), "workers")
+
+    def test_execute_many_takes_no_workers(self):
+        db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
+        with pytest.raises(TypeError, match="workers"):
+            Engine().execute_many([cycle_query(3, "e")], db=db, workers=2)
+
+    def test_every_request_of_a_batch_runs_in_the_callers_thread(
+        self, monkeypatch
+    ):
+        db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1)]})
+        queries = [cycle_query(3, "e"), cycle_query(4, "e")] * 3
+        engine = Engine()
+        threads = []
+        execute = engine.execute
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute", spy)
+        batch = engine.execute_many(queries, db=db)
+        assert batch.failures == 0
+        assert threads == [threading.get_ident()] * len(queries)
 
 
 class TestExplain:
@@ -334,7 +363,7 @@ class TestSharedDatabaseBatch:
         engine = Engine()
         db = Database.from_relations({"e": [(1, 2), (2, 3), (3, 1), (1, 3)]})
         queries = [cycle_query(3, "e"), cycle_query(4, "e")]
-        batch = engine.execute_many(queries, db=db, workers=1)
+        batch = engine.execute_many(queries, db=db)
         assert len(batch) == 2
         assert all(r.ok for r in batch)
 
@@ -351,6 +380,6 @@ def test_workload_variants_share_plans(seed):
         (q, random_database(q, 4, 6, seed=i, plant_answer=True))
         for i, q in enumerate(workload)
     ]
-    batch = engine.execute_many(requests, workers=1)
+    batch = engine.execute_many(requests)
     assert batch.failures == 0
     assert engine.decompositions == 1

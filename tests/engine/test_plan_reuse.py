@@ -285,7 +285,10 @@ class TestWhatTheMemoHolds:
 
 
 class TestUnderLoad:
-    def test_execute_many_on_four_workers_agrees_with_naive(self):
+    def test_four_threads_calling_execute_agree_with_naive(self):
+        """The serve executor's shape: several threads share one engine,
+        each calling ``execute`` on its own share of a mixed workload of
+        shapes and renamed variants."""
         shapes = [cycle_query(4), cycle_query(5), path_query(3)]
         db = random_database(shapes[1], 12, 30, seed=4, plant_answer=True)
         queries = []
@@ -295,14 +298,32 @@ class TestUnderLoad:
                 renamed_variant(shape, seed=i % 4, rename_predicates=False)
                 if i % 2 else shape
             )
-        with Engine(workers=4) as engine:
-            for _ in range(2):
-                batch = engine.execute_many(queries, db=db, workers=4)
-                assert batch.failures == 0
-                for query, result in zip(queries, batch):
-                    assert (
-                        result.answer.rows == naive_join_eval(query, db).rows
-                    ), query
+        answers: list = []
+        errors: list = []
+        with Engine() as engine:
+
+            def work(share):
+                try:
+                    for _ in range(2):
+                        for query in share:
+                            rows = engine.execute(query, db).answer.rows
+                            answers.append((query, rows))
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=work, args=(queries[i::4],))
+                for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert not errors
+        assert len(answers) == 2 * len(queries)
+        for query, rows in answers:
+            assert rows == naive_join_eval(query, db).rows, query
 
     def test_concurrent_readers_between_writes_stay_correct(self):
         """Six readers replay at a tight switch interval while a writer

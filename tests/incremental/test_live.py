@@ -225,51 +225,7 @@ class TestCallbackIsolation:
         assert quiet.answers().rows == set()
 
 
-class TestParallelFanOut:
-    def test_parallel_apply_matches_sequential(self):
-        """parallelism > 1 fans the delta out to touched views over a
-        pool; answers must match the sequential fan-out view for view."""
-        from repro.generators.workloads import update_workload
-
-        db_seq = Database.from_relations(
-            {"e": [(i, i + 1) for i in range(30)]}
-        )
-        db_par = Database.from_relations(
-            {"e": [(i, i + 1) for i in range(30)]}
-        )
-        queries = [
-            parse_query("ans(X, Y) :- e(X, Y)."),
-            parse_query("ans(X, Z) :- e(X, Y), e(Y, Z)."),
-            parse_query("ans(A) :- e(A, A)."),
-        ]
-        seq = LiveEngine(db=db_seq)
-        par = LiveEngine(db=db_par, parallelism=4)
-        seq_handles = [seq.register(q) for q in queries]
-        par_handles = [par.register(q) for q in queries]
-
-        stream = update_workload(
-            db_seq, n_batches=12, batch_size=6,
-            delete_ratio=0.4, reinsert_ratio=0.4, seed=11,
-        )
-        for delta in stream:
-            seq_changes = seq.apply(delta)
-            par_changes = par.apply(delta)
-            assert set(seq_changes) == set(par_changes)
-        for a, b in zip(seq_handles, par_handles):
-            assert a.answers().rows == b.answers().rows
-
-    def test_close_shuts_the_pool_and_stays_usable(self):
-        with LiveEngine(parallelism=4) as live:
-            a = live.register(parse_query("ans(X, Y) :- e(X, Y)."))
-            b = live.register(parse_query("ans(Y, X) :- e(X, Y)."))
-            live.apply(Delta.inserts("e", [(1, 2)]))
-            assert live._pool is not None
-        assert live._pool is None  # closed on exit
-        live.apply(Delta.inserts("e", [(3, 4)]))  # recreated on demand
-        assert a.answers().rows == {(1, 2), (3, 4)}
-        assert b.answers().rows == {(2, 1), (4, 3)}
-        live.close()
-
+class TestLifecycle:
     def test_close_closes_a_privately_created_engine(self):
         live = LiveEngine()
         engine = live.engine
@@ -301,8 +257,18 @@ class TestParallelFanOut:
         assert handle.answers().rows == {(1, 2)}
         live.close()
 
+    def test_view_updates_take_no_parallelism(self):
+        import pytest
+
+        with pytest.raises(TypeError, match="parallelism"):
+            LiveEngine(parallelism=2)
+        with Engine() as engine:
+            with pytest.raises(TypeError, match="parallelism"):
+                engine.live(parallelism=2)
+            assert not hasattr(engine.live(), "parallelism")
+
     def test_untouched_views_are_not_scheduled(self):
-        live = LiveEngine(parallelism=4)
+        live = LiveEngine()
         touched = live.register(parse_query("ans(X, Y) :- e(X, Y)."))
         untouched = live.register(parse_query("ans(X, Y) :- f(X, Y)."))
         before = untouched.view.batches

@@ -181,6 +181,34 @@ class TestMultiTenancy:
             # No query ever executed (loads are not charged requests).
             assert snap["requests"] == 0
 
+    def test_query_many_bills_requests_that_blow_their_budget(
+        self, server, monkeypatch
+    ):
+        """A batch request that runs until its budget runs out spent that
+        time: the tenant's quota is charged for it, not for zero.  The
+        requests are slow by construction — every base-relation read of
+        the tenant's database stalls for two budgets."""
+        budget = 0.005
+        with ServeClient(server.host, server.port, tenant="bill") as client:
+            client.load("e", [(1, 2), (2, 3), (3, 4)])
+            tenant = server.server.tenants["bill"]
+            snapshot = tenant.db.snapshot
+
+            def stalling(predicate):
+                time.sleep(2 * budget)
+                return snapshot(predicate)
+
+            monkeypatch.setattr(tenant.db, "snapshot", stalling)
+            before = tenant.snapshot()["consumed_seconds"]
+            out = client.query_many([PATH2_A] * 3, budget_ms=budget * 1e3)
+            failed = [r for r in out["results"] if not r["ok"]]
+            assert len(failed) == 3
+            assert all(
+                r["error"]["type"] == "BudgetExceeded" for r in failed
+            )
+            consumed = tenant.snapshot()["consumed_seconds"] - before
+            assert consumed >= len(failed) * budget
+
     def test_rate_limited_tenant_gets_retry_after(self):
         with serve_in_thread(rate=2.0, burst=1.0) as st:
             with ServeClient(st.host, st.port, tenant="rl") as client:

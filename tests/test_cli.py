@@ -180,16 +180,12 @@ class TestRun:
         assert "batch: 1 queries" in out
 
     def test_shared_plan_across_renamed_queries(self, facts_file, capsys):
-        # workers=1 keeps the miss-then-hit sequence deterministic; with a
-        # pool the two same-shape queries could race and both miss.
         code = main(
             [
                 "run",
                 facts_file,
                 "e(X,Y), e(Y,Z), e(Z,X)",
                 "e(A,B), e(B,C), e(C,A)",
-                "--workers",
-                "1",
                 "--stats",
             ]
         )
@@ -230,6 +226,21 @@ class TestRun:
             main([*args, "--backend", "process"])
         assert exit_info.value.code == 2
         assert "--backend" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag", [("run", "--workers"), ("watch", "--parallelism")]
+    )
+    def test_the_pool_flags_are_gone(self, facts_file, command, flag, capsys):
+        """Queries and view updates run in the caller's thread: sizing a
+        pool is an argument error (exit 2)."""
+        args = {
+            "run": ["run", facts_file, "ans(X) :- e(X, Y)."],
+            "watch": ["watch", "ans(X) :- e(X, Y).", facts_file],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*args, flag, "2"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_semiring_flag_reports_count_total(self, facts_file, capsys):
         # Triangle: each X has exactly one two-hop path, so 3 derivations.
@@ -364,22 +375,6 @@ class TestWatch:
         assert "0 initial answers" in out
         assert "+ (1, 2)" in out
         assert "final: 1 answers after 1 updates" in out
-
-    def test_watch_parallelism_flag(self, facts_file, delta_file, capsys):
-        code = main(
-            [
-                "watch",
-                "ans(X) :- e(X,Y), e(Y,Z), e(Z,X).",
-                facts_file,
-                "--deltas",
-                delta_file,
-                "--parallelism",
-                "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "final: 3 answers after 3 updates" in out
 
     def test_watch_rejects_non_ground_updates(self, tmp_path, capsys):
         deltas = tmp_path / "d.txt"
