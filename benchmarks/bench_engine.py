@@ -23,6 +23,11 @@ warm request materialises — the n^k term of Lemma 4.6 that joining
 is its own record: its product bag has no covered atom until the plan
 grows the bag's χ by the variable that makes one.
 
+A sweep leg (:func:`run_sweep_leg`) counts the Yannakakis operators a
+warm request of the end-to-end ``acyclic_large`` shapes runs (exact, so
+``repro bench diff`` gates the operator count): a root holding the head
+leaves ``star3`` two bottom-up semijoins and no join.
+
 A third leg (:func:`run_floor_leg`) records the per-request floor: the
 warm latency of a 1-atom query over 3 rows (``null_request_ms``) and of
 a 4-atom path over four 3-row relations (``four_atom_request_ms``),
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import statistics
 import sys
 import time
@@ -105,6 +111,54 @@ def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
         "cycle5_bag_rows": bag_rows["cycle_5"],
         "cycle5_lemma46_bag_rows": lemma46_bag_rows["cycle_5"],
         "warm_ms": round(statistics.median(warm_ms), 3),
+    }
+
+
+#: The end-to-end benchmark's ``acyclic_large`` shapes.
+ACYCLIC_SHAPES = (
+    ("path4", "ans() :- r1(A,B), r2(B,C), r3(C,D), r4(D,E)."),
+    ("path3", "ans(W,Z) :- r1(W,X), r2(X,Y), r3(Y,Z)."),
+    ("star3", "ans(X) :- r1(X,A), r2(X,B), r3(X,C)."),
+)
+
+
+def run_sweep_leg(seed: int = 0, rows: int = 400) -> dict:
+    """How many sweep operators (``sweep.semijoin`` / ``sweep.join``
+    spans) a warm ``auto`` request of each ``acyclic_large`` shape runs,
+    per shape and averaged over the three, over relations drawn the way
+    that workload draws them (the i-th of ``r1..r4`` gets
+    ``rows·(1 + i/16)`` uniform pairs over a domain of *rows*); answers
+    are checked against the naive join."""
+    rng = random.Random(seed)
+    db = Database.from_relations({
+        p: [
+            (rng.randrange(rows), rng.randrange(rows))
+            for _ in range(rows + i * rows // 16)
+        ]
+        for i, p in enumerate(("r1", "r2", "r3", "r4"))
+    })
+    shapes: dict[str, dict[str, int]] = {}
+    with Engine(layout="auto") as engine:
+        for name, text in ACYCLIC_SHAPES:
+            query = parse_query(text, name=name)
+            engine.execute(query, db)
+            tracer = Tracer()
+            with tracing(tracer):
+                result = engine.execute(query, db)
+            assert result.answer.rows == naive_join_eval(query, db).rows
+            spans = [s.name for s in tracer.spans()]
+            shapes[name] = {
+                "semijoins": spans.count("sweep.semijoin"),
+                "joins": spans.count("sweep.join"),
+            }
+
+    def per_request(kind: str) -> float:
+        return round(sum(c[kind] for c in shapes.values()) / len(shapes), 4)
+
+    return {
+        "shapes": shapes,
+        "semijoins_per_request": per_request("semijoins"),
+        "joins_per_request": per_request("joins"),
     }
 
 
@@ -185,6 +239,7 @@ def run_benchmark(
     assert baseline.failures == 0 and cold.failures == 0 and warm.failures == 0
 
     cyclic = run_cyclic_leg(seed)
+    sweep = run_sweep_leg(seed)
     floor = run_floor_leg()
     widths = sorted({r.width for r in warm.results})
     result = {
@@ -215,6 +270,7 @@ def run_benchmark(
         "speedup_warm_vs_baseline": round(baseline_seconds / warm_seconds, 2),
         "warm_stats": warm.stats.as_row(),
         "cyclic": cyclic,
+        "sweep": sweep,
         "floor": floor,
     }
     result["suite"] = SUITE
@@ -234,6 +290,10 @@ def run_benchmark(
                "rows", better="lower", tolerance=0.0),
         record("cycle5_bag_rows_per_request", cyclic["cycle5_bag_rows"],
                "rows", better="lower", tolerance=0.0),
+        record("sweep_semijoins_per_request", sweep["semijoins_per_request"],
+               "count", better="lower", tolerance=0.0),
+        record("sweep_joins_per_request", sweep["joins_per_request"],
+               "count", better="lower", tolerance=0.0),
         record("cyclic_warm_ms", cyclic["warm_ms"], "ms",
                better="lower", tolerance=2.0),
         record("null_request_ms", floor["null_ms"], "ms",
@@ -266,6 +326,9 @@ def test_bench_engine_smoke(bench_seed):
     assert 0 < cyclic["bag_rows"] < cyclic["lemma46_bag_rows"]
     # The 5-cycle's product bag is gone, not merely filtered.
     assert 0 < cyclic["cycle5_bag_rows"] * 5 < cyclic["cycle5_lemma46_bag_rows"]
+    # A root that holds the head: the star needs no join and no top-down
+    # semijoin.
+    assert result["sweep"]["shapes"]["star3"] == {"semijoins": 2, "joins": 0}
     floor = result["floor"]
     assert 0 < floor["null_ms"] < floor["four_atom_ms"]
 

@@ -54,7 +54,8 @@ binding uses:
 * ``key_index(attributes)``, ``column(attribute)``, ``arity`` — the
   memoised build table of a hash join, one column's values, the width;
 * ``_rank`` and ``_probe_join`` — operand precedence: the higher-ranked
-  side of a join brings the probe kernel and the result's flavour;
+  side of a join brings the probe kernel and the result's flavour (a
+  non-zero rank is also how the sweep tells an operand carrying values);
 * ``__reduce__`` — a carrier pickles as a call to its own trusted
   constructor on its fields, so memoised structures never travel.
 

@@ -10,13 +10,40 @@ relation:
 * ``full_reduce`` — the bottom-up pass followed by a top-down pass yields
   the *full reducer*: every remaining tuple participates in at least one
   answer.
-* ``enumerate_answers`` — after full reduction, a bottom-up join pass that
-  projects each partial result onto the node's variables plus the output
-  variables seen so far computes the answer relation in time polynomial in
-  input + output (Theorem: Yannakakis [44]; used by Theorem 4.8 /
-  Corollary 5.20 through the Lemma 4.6 transformation).
+* ``enumerate_answers`` — the semijoin passes, then a bottom-up join
+  pass that projects each partial result onto the node's variables plus
+  the output variables seen so far, computes the answer relation in time
+  polynomial in input + output (Theorem: Yannakakis [44]; used by
+  Theorem 4.8 / Corollary 5.20 through the Lemma 4.6 transformation).
 
-This is the only place the three passes are written.  They ask of an
+``enumerate_answers`` runs only the operators its output needs.  A node
+is *self-contained* (:func:`self_contained`) when every output attribute
+of its subtree is one of its own attributes — and then, by
+connectedness, so is every child.  Then:
+
+* the top-down pass descends only into children that are not
+  self-contained;
+* under set semantics a self-contained node's partial result is its
+  bottom-up-reduced relation — no join runs inside its subtree — so a
+  self-contained root answers with ``π_output`` of the reduced root
+  (one bottom-up pass and one projection);
+* when the root is self-contained and an operand carries values (an
+  annotated relation, or a weight column: the operand's ``_rank``), no
+  semijoin runs at all — the join-and-⊕-fold pass filters by itself.
+
+This is sound because the joins are exact and the semijoins only bound
+sizes.  After the bottom-up pass a node holds the projection of its
+subtree's join onto its own attributes; a self-contained subtree has
+nothing else to hand its parent (connectedness puts every attribute it
+shares with the rest of the tree in its root), so that projection *is*
+its partial result, at most as large as its relation, and the parent's
+join against it is exact.  The nodes that are not self-contained form a
+subtree around the root and are fully reduced, so their partials keep
+the ``|node relation| × |answers|`` bound.  A root whose attributes hold
+every output attribute makes every node self-contained, which is why the
+plan compiler roots the tree at such a bag when one exists.
+
+This is the only place the passes are written.  They ask of an
 operand nothing but the operand half of the carrier protocol
 (:mod:`repro.db.relation`), so a node's relation may be a row
 :class:`~repro.db.relation.Relation`, an
@@ -29,6 +56,8 @@ and its row count.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 from ..core.atoms import Atom
 from ..core.jointree import JoinTree
@@ -69,15 +98,42 @@ def _reduced_bottom_up(
 
 
 def _fully_reduced(
-    tree: JoinTree, relations: dict[Atom, Relation], stats: EvalStats
+    tree: JoinTree,
+    relations: dict[Atom, Relation],
+    stats: EvalStats,
+    skip: frozenset[Atom] = frozenset(),
 ) -> dict[Atom, Relation]:
-    """Bottom-up then top-down sweeps; operands stay as they are."""
+    """Bottom-up then top-down sweeps; operands stay as they are.  The
+    top-down sweep does not descend into the nodes in *skip*."""
     tracer = current_tracer()
     reduced = _reduced_bottom_up(tree, relations, stats)
     for node in tree.nodes:  # preorder: parents before children
         for child in tree.children(node):
-            _semijoin(reduced, child, node, "top-down", stats, tracer)
+            if child not in skip:
+                _semijoin(reduced, child, node, "top-down", stats, tracer)
     return reduced
+
+
+def self_contained(
+    tree: JoinTree,
+    attributes: Mapping[Atom, Iterable[str]],
+    output: Iterable[str],
+) -> frozenset[Atom]:
+    """The nodes of *tree* whose subtree hands its parent nothing but
+    the node's own attributes: every *output* attribute of the subtree
+    is one of the node's (*attributes* maps each node to its own).  On a
+    join tree connectedness then makes every child of such a node
+    self-contained too.  The one rule both :func:`enumerate_answers` and
+    the plan compiler's cost model apply (see the module docstring)."""
+    out = frozenset(output)
+    below: dict[Atom, frozenset[str]] = {}  # output attributes per subtree
+    for node in tree.post_order():
+        below[node] = out.intersection(attributes[node]).union(
+            *(below[child] for child in tree.children(node))
+        )
+    return frozenset(
+        node for node in tree.nodes if below[node] <= set(attributes[node])
+    )
 
 
 def boolean_eval(
@@ -115,38 +171,46 @@ def enumerate_answers(
 ) -> Relation:
     """Compute the projection of the join onto *output* attribute names.
 
-    Implements the output-polynomial phase of Yannakakis' algorithm: after
-    full reduction, join bottom-up but project every partial result onto
-    the current node's attributes plus the output attributes contributed
-    by its subtree.  Each intermediate is then at most
-    ``|node relation| × |answers|`` — polynomial in input plus output.
+    Implements the output-polynomial phase of Yannakakis' algorithm:
+    join bottom-up, projecting every partial result onto the current
+    node's attributes plus the output attributes contributed by its
+    subtree, over relations the semijoin passes have reduced — as far
+    as the output needs them (see the module docstring for which
+    operators a self-contained subtree skips).  Each intermediate is
+    then at most ``|node relation| × max(1, |answers|)`` — polynomial in
+    input plus output.
 
     Output attributes must occur in the tree (standard for CQ heads, whose
     variables occur in the body); anything else raises ``ValueError``
     before any operator runs.
     """
     stats = stats if stats is not None else EvalStats()
-    tree_attrs: set[str] = set()
-    for node in tree.nodes:
-        tree_attrs.update(relations[node].attributes)
-    missing = set(output) - tree_attrs
+    attributes = {node: relations[node].attributes for node in tree.nodes}
+    missing = set(output).difference(*attributes.values())
     if missing:
         raise ValueError(
             f"output attributes {sorted(missing)} do not occur in the join tree"
         )
-    reduced = _fully_reduced(tree, relations, stats)
+    closed = self_contained(tree, attributes, output)
+    weighted = any(relations[node]._rank for node in tree.nodes)
+    if weighted and tree.root in closed:
+        reduced = dict(relations)
+    else:
+        reduced = _fully_reduced(tree, relations, stats, closed)
 
     out_set = set(output)
     tracer = current_tracer()
     partial: dict[Atom, Relation] = {}
-    subtree_attrs: dict[Atom, set[str]] = {}
     for node in tree.post_order():
         rel = reduced[node]
-        attrs_below: set[str] = set(rel.attributes)
-        for child in tree.children(node):
-            attrs_below.update(subtree_attrs[child])
-        keep = set(rel.attributes) | (attrs_below & out_set)
-        for child in tree.children(node):
+        children = tree.children(node)
+        if node in closed and not weighted:
+            partial[node] = rel
+            continue
+        keep = set(rel.attributes).union(
+            *(out_set.intersection(partial[c].attributes) for c in children)
+        )
+        for child in children:
             with tracer.span(
                 "sweep.join", node=node.predicate, pass_="enumerate"
             ) as sp:
@@ -158,7 +222,6 @@ def enumerate_answers(
                 stats.projections += 1
                 sp.set(rows=len(rel))
         partial[node] = rel
-        subtree_attrs[node] = attrs_below
     answer = partial[tree.root].project(list(output), name="ans")
     stats.projections += 1
     return stats.record(answer)

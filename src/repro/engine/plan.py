@@ -44,9 +44,15 @@ Lemma 4.6 pipeline:
   tree, annotation carriers and views all read one χ; the cached
   decomposition is never touched;
 * **root choice** — the join tree over the materialised bags is re-rooted
-  at the bag with the largest estimated cardinality, so the full
-  reducer's bottom-up sweep filters the biggest relation with every
-  child before enumeration starts.  (Join trees, unlike hypertree
+  at a bag whose χ holds every head variable when one exists (every bag
+  does, for a Boolean head), and among those — or, when none does, among
+  all bags — at the one with the largest estimated cardinality, so the
+  bottom-up sweep filters the biggest relation with every child.  A
+  root holding the head makes every node *self-contained*
+  (:func:`~repro.db.yannakakis.self_contained`): the sweep then runs
+  the bottom-up semijoins and one projection under set semantics, and
+  only the join pass on weighted operands — no intermediate has a head
+  variable to carry up the tree.  (Join trees, unlike hypertree
   decompositions, may be re-rooted freely: the connectedness condition
   is symmetric.)
 * **one layout per plan** — ``layout="columnar"`` materialises every
@@ -55,7 +61,8 @@ Lemma 4.6 pipeline:
   it or to ``"row"``, once for the whole plan, by *predicted
   milliseconds*: the operators the plan will run — each bag pipeline's
   parts and the rows its joins read and write, and per join-tree edge
-  the semijoins and the enumeration join over the bag estimates — are
+  the semijoins and the enumeration join the sweep runs there (the
+  self-contained rule above decides which), over the bag estimates — are
   priced under each layout's fitted fixed + per-row cost
   (:data:`~repro.db.columnar.OPERATOR_COSTS`, :func:`predict_ms`), and
   the cheaper layout wins.  A bag that joins atoms is priced by its
@@ -106,7 +113,7 @@ from ..db.evaluate import bag_relation, check_deadline
 from ..db.relation import Relation
 from ..db.semiring import Semiring
 from ..db.stats import CardinalityEstimator, EvalStats
-from ..db.yannakakis import boolean_eval, enumerate_answers
+from ..db.yannakakis import boolean_eval, enumerate_answers, self_contained
 from ..heuristics.validate import assert_valid
 from ..obs import Tracer, current_tracer, get_registry
 
@@ -528,9 +535,12 @@ def _plan_work(
     its join reads and writes — the running relation, the part, the
     running relation after it, as :func:`_bag_pipeline` estimated them —
     and a part reaching outside χ is pre-projected.  Then the passes, in
-    the order :mod:`repro.db.yannakakis` runs them: each semijoin reads
-    its two sides and shrinks its receiver; for a plan with output, each
-    enumeration join reads the node's reduced bag (or its running
+    the order :mod:`repro.db.yannakakis` runs them on set semantics, and
+    only those it runs (:func:`~repro.db.yannakakis.self_contained`
+    decides, as there): each semijoin reads its two sides and shrinks
+    its receiver; for a plan with output, the top-down pass skips the
+    self-contained children, and each enumeration join outside a
+    self-contained subtree reads the node's reduced bag (or its running
     result) and the child's, and writes their join — and a projection
     follows it, as one does the answer.  Sizes follow the estimator's
     rule (each shared variable divides a product by the active domain);
@@ -594,15 +604,24 @@ def _plan_work(
     output = frozenset(output)
     if not output:
         return work
+    closed = {
+        node_of[id(bag)]
+        for bag in self_contained(join_tree, dict(zip(bags, names)), output)
+    }
     for node, children in reversed(up):  # parents before children
         for child in children:
-            semijoin(child, node)
+            if child not in closed:
+                semijoin(child, node)
     # A join's output is that of the unreduced bags — a semijoin drops
     # exactly the rows that join nothing — and a projection onto the
-    # node's own χ leaves no more rows than its bag.
+    # node's own χ leaves no more rows than its bag.  A self-contained
+    # node's partial is its reduced bag, which no join writes.
     partial: dict[int, tuple[float, frozenset[str]]] = {}
     for node, children in up:
         est, held, reading = full[node], names[node], rows[node]
+        if node in closed:
+            partial[node] = est, held
+            continue
         for child in children:
             child_est, child_held = partial[child]
             key = len(held & child_held)
@@ -705,7 +724,8 @@ def compile_plan(
     The decomposition is completed (Lemma 4.4) if necessary, each
     multi-atom node's χ is chosen and each node's bag pipeline ordered
     by the database's cardinality estimates, and the mirrored join tree
-    is re-rooted at the largest estimated bag.  The plan's
+    is re-rooted at the largest estimated bag among those holding the
+    head's variables (among all bags when none does).  The plan's
     ``decomposition`` is the completed *hd* under the chosen χ labels;
     *hd* itself is left as it is.
     With ``db=None`` (an ``explain`` without facts) all estimates are 1,
@@ -824,15 +844,17 @@ def _compile_plan_traced(
             )
         )
 
-    edges = [(fresh[i], fresh[j]) for i, j in tree_edges]
-    root = max(plans, key=lambda np: (np.estimated_rows, np.bag.predicate)).bag
-    jt = join_tree_from_edges(fresh, edges, root)
-
     head = tuple(
         dict.fromkeys(
             t.name for t in query.head_terms if isinstance(t, Variable)
         )
     )
+    edges = [(fresh[i], fresh[j]) for i, j in tree_edges]
+    holding = [np for np in plans if set(head) <= set(np.chi_names)]
+    root = max(
+        holding or plans, key=lambda np: (np.estimated_rows, np.bag.predicate)
+    ).bag
+    jt = join_tree_from_edges(fresh, edges, root)
     predicted = {}
     if layout == "auto" and not weighted:
         work = _plan_work(

@@ -17,7 +17,11 @@ relation):
   join onto the node's attributes, each surviving row keeping its
   annotation, and is idempotent,
 * ``enumerate_answers`` agrees with ``naive_join_eval`` — and, on the
-  annotated carriers, with ``naive_annotated_eval``,
+  annotated carriers, with ``naive_annotated_eval`` — whatever the head
+  (empty, held by one atom, spread over several) and wherever the tree
+  is rooted, and no intermediate it records outgrows the Yannakakis
+  bound ``max node rows × max(1, |answer|)`` although a self-contained
+  subtree skips the passes that used to guarantee it,
 * and no pass changes the relations it was given.
 """
 
@@ -26,6 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
+from repro.core.atoms import Variable
+from repro.core.jointree import join_tree_from_edges
 from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
 from repro.db import (
@@ -41,6 +47,7 @@ from repro.db import (
 from repro.db.annotated import bind_atom_annotated, naive_annotated_eval
 from repro.db.columnar import ColumnarRelation, rides_buffers
 from repro.db.semiring import COUNTING, MINCOST
+from repro.db.stats import EvalStats
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
 from tests.conftest import naive_reduced, star_query
@@ -118,6 +125,60 @@ def all_passes(carrier, query, db):
         carrier, enumerate_answers(tree, dict(rels), output), query, db
     )
     return tree, rels, reduced
+
+
+def rerooted(query: ConjunctiveQuery, pick: int):
+    """A join tree of *query* rooted at its *pick*-th node (cyclically)."""
+    tree = join_tree(query)
+    nodes = list(tree.nodes)
+    return join_tree_from_edges(
+        nodes, list(tree.edges()), root=nodes[pick % len(nodes)]
+    )
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+class TestOutputAwareSweep:
+    """The head decides which operators run: a subtree whose head
+    variables all sit in its root hands up its reduced relation, and a
+    root that holds the whole head answers with one projection (set
+    semantics) or joins without semijoins (values to fold)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        star=st.booleans(),
+        size=st.integers(2, 4),
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 10),
+        tuples=st.integers(1, 30),
+        one_atom=st.booleans(),
+        pick=st.integers(0, 4),
+        data=st.data(),
+    )
+    def test_any_head_any_root(
+        self, carrier, star, size, seed, domain, tuples, one_atom, pick, data
+    ):
+        base = star_query(size) if star else path_query(size)
+        pool = (
+            data.draw(st.sampled_from(base.atoms)).variables
+            if one_atom
+            else base.variables
+        )
+        head = tuple(
+            data.draw(
+                st.lists(
+                    st.sampled_from(sorted(v.name for v in pool)),
+                    unique=True,
+                )
+            )
+        )
+        query = base.with_head(tuple(Variable(name) for name in head))
+        db = random_database(query, domain, tuples, seed=seed, weights="cost")
+        rels = bound(carrier, query, db)
+        stats = EvalStats()
+        got = enumerate_answers(rerooted(query, pick), dict(rels), head, stats)
+        same_answers(carrier, got, query, db)
+        largest = max(len(rel) for rel in rels.values())
+        assert stats.max_intermediate <= largest * max(1, len(got))
 
 
 @pytest.mark.parametrize("carrier", CARRIERS)

@@ -190,6 +190,46 @@ class TestAutoResolvesOncePerPlan:
         assert tied.resolved_layout == "row"
         assert tied.predicted_ms == 1.0
 
+    @pytest.mark.parametrize("text", [
+        "ans(W,Z) :- r(W,X), s(X,Y), t(Y,Z).",  # no bag holds W and Z
+        "ans(W) :- r(W,X), s(X,Y), t(Y,Z).",  # rooted at r's bag
+        "ans(A) :- r(A,B), s(A,C), t(A,D).",
+        "ans(Y,W) :- r(W,X), s(X,Y), t(Y,Z), u(Z,V).",
+        "ans() :- r(W,X), s(X,Y), t(Y,Z).",
+        "ans(A,C) :- r(A,B), s(B,C), t(C,D), u(D,A).",
+    ])
+    def test_the_model_prices_the_operators_the_sweep_runs(
+        self, monkeypatch, text
+    ):
+        """The time model walks the passes the sweep runs, skipping what
+        a self-contained subtree skips: one priced semijoin per
+        ``sweep.semijoin`` span, one priced enumeration join per
+        ``sweep.join`` span."""
+        from repro.engine import plan as plan_mod
+        from repro.obs import Tracer, tracing
+
+        priced = []
+
+        def spy(*args):
+            work = real(*args)
+            priced.append(work)
+            return work
+
+        real = plan_mod._plan_work
+        monkeypatch.setattr(plan_mod, "_plan_work", spy)
+        query = parse_query(text)
+        db = random_database(query, 30, 60, seed=4, plant_answer=True)
+        with tracing(Tracer()) as tracer:
+            Engine(layout="auto").execute(query, db)
+        (work,) = priced
+        spans = [s.name for s in tracer.spans()]
+
+        def kinds(prefix):
+            return sum(kind.rstrip("2") == prefix for kind, _ in work)
+
+        assert kinds("semijoin") == spans.count("sweep.semijoin")
+        assert kinds("join") == spans.count("sweep.join")
+
     def test_a_forced_layout_is_not_priced(self, big_db):
         query = parse_query(QUERY)
         for layout in ("row", "columnar"):

@@ -113,9 +113,26 @@ class TestPipelineSpans:
 
 class TestSweepSpanVocabulary:
     """One sweep driver, one span vocabulary: a plan traces the same
-    ``sweep.*`` spans whichever carrier its bags are."""
+    ``sweep.*`` spans whichever carrier its bags are — and only the
+    passes its head needs."""
 
-    PATH3 = "ans(X,W) :- e(X,Y), e(Y,Z), e(Z,W)"
+    PATH3 = "ans(W,Z) :- e(W,X), e(X,Y), e(Y,Z)"
+    STAR = "ans(X) :- e(X,A), e(X,B), e(X,C)"
+
+    #: case -> (query, semiring, the (span, pass) kinds its sweep runs).
+    #: No bag of the 3-path holds both W and Z, so it runs every pass; a
+    #: bag of the star holds X, and rooted there the star needs only the
+    #: bottom-up semijoins under set semantics and only the joins that
+    #: fold its counts.
+    CASES = {
+        "path3 ans(W,Z)": (PATH3, None, {
+            ("sweep.semijoin", "bottom-up"),
+            ("sweep.semijoin", "top-down"),
+            ("sweep.join", "enumerate"),
+        }),
+        "star ans(X)": (STAR, None, {("sweep.semijoin", "bottom-up")}),
+        "star ans(X), count": (STAR, "count", {("sweep.join", "enumerate")}),
+    }
 
     @staticmethod
     def _sweep_spans(tracer):
@@ -133,30 +150,34 @@ class TestSweepSpanVocabulary:
             re.findall(r"^  (\w+): .*sweep \S+ over (\d+) op", text, re.M)
         )
 
-    def test_row_and_columnar_runs_trace_the_same_sweep(self):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_and_columnar_runs_trace_the_same_sweep(self, case):
         from collections import Counter
 
+        text, semiring, kinds = self.CASES[case]
         db = path_db()
-        query = parse_query(self.PATH3)
+        query = parse_query(text)
         runs = {}
         for layout in ("row", "columnar"):
             with Engine(layout=layout) as engine:
                 with tracing(Tracer()) as tracer:
-                    answer = engine.execute(query, db).answer
-                text = engine.explain(query, db, analyze=True)
-            runs[layout] = (answer, self._sweep_spans(tracer), text)
-        (row_answer, row_spans, row_text) = runs["row"]
-        (col_answer, col_spans, col_text) = runs["columnar"]
-        assert col_answer.rows == row_answer.rows
+                    result = engine.execute(query, db, semiring=semiring)
+                text = engine.explain(
+                    query, db, analyze=True, semiring=semiring
+                )
+            runs[layout] = (result, self._sweep_spans(tracer), text)
+        (row_result, row_spans, row_text) = runs["row"]
+        (col_result, col_spans, col_text) = runs["columnar"]
+        assert row_result.answer
+        assert col_result.answer.rows == row_result.answer.rows
+        assert col_result.annotations == row_result.annotations
 
         for span in row_spans + col_spans:
             assert set(span.attrs) == {"node", "pass_", "rows"}
             assert (span.attrs["pass_"] == "enumerate") == (
                 span.name == "sweep.join"
             )
-        assert {s.attrs["pass_"] for s in row_spans} == {
-            "bottom-up", "top-down", "enumerate"
-        }
+        assert {(s.name, s.attrs["pass_"]) for s in row_spans} == kinds
 
         def key(span):
             return span.name, span.attrs["node"], span.attrs["pass_"]
