@@ -1,7 +1,8 @@
 """Benchmark-suite configuration.
 
 Every file ``bench_eXX_*.py`` regenerates one experiment of the paper (see
-DESIGN.md §2 and EXPERIMENTS.md) and times its computational core with
+README.md's "CLI tour" and "Layout" sections; ``python -m repro
+experiments list`` names them) and times its computational core with
 pytest-benchmark.  The printed rows/series themselves come from
 ``python -m repro.experiments <id>``; each benchmark stores the headline
 measured values in ``benchmark.extra_info`` so they appear in the saved

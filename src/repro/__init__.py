@@ -1,7 +1,8 @@
 """repro: Hypertree Decompositions and Tractable Queries.
 
 A from-scratch reproduction of Gottlob, Leone & Scarcello (PODS'99 /
-JCSS 2002).  See README.md for a tour and DESIGN.md for the system map.
+JCSS 2002).  See README.md for a tour, and its "Layout" section for the
+system map.
 """
 
 from ._errors import (
@@ -46,7 +47,7 @@ from .obs import (
     write_chrome_trace,
     write_speedscope,
 )
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 # After __version__: the server advertises it in the hello handshake.
 from .serve import (  # noqa: E402

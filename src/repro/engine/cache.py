@@ -23,9 +23,9 @@ hands its tree back the way the identity case does.
 
 An entry also holds the physical plans the engine compiled over its
 decomposition, per database (weakly — a dropped database takes its
-plans with it) and keyed by query, decomposition root, method and
-layout policy, each stamped with the database version it was priced
-at (:meth:`PlanCache.recall_plan` / :meth:`PlanCache.keep_plan`).
+plans with it) and keyed by query, decomposition root, method, layout
+policy and semiring tag, each stamped with the database version it was
+priced at (:meth:`PlanCache.recall_plan` / :meth:`PlanCache.keep_plan`).
 Evicting the entry drops them; ``maxsize`` bounds each memo, so a
 disabled cache remembers nothing.
 
@@ -33,14 +33,13 @@ Because 1-WL fingerprints can (rarely) collide for non-isomorphic
 shapes, each fingerprint maps to a *bucket* of entries; lookups try each
 entry's isomorphism in turn and fall through to a miss.
 
-Buckets are keyed ``(fingerprint, semiring tag)`` — ``"set"`` for plain
-set semantics — so per-semiring hit rates stay observable and eviction
-treats each workload family independently.  Decompositions themselves
-are *semiring-independent* (they fix evaluation structure, not the
-algebra annotations are folded in), so a miss under one tag first tries
-to **promote** a sibling tag's entry at the same fingerprint: the first
-``Engine.count`` of a shape that set semantics already planned costs a
-transport, not a decomposition.
+The fingerprint alone keys a bucket.  A decomposition depends only on
+the query's hypergraph (Definition 4.1), and the Lemma 4.6 / Theorem
+4.8 evaluation over it is the same for every commutative semiring, so
+one entry serves set semantics and every annotated request of its
+shape.  Only the compiled plan depends on the semiring (a *weighted*
+plan, or a row plan for values no weight column holds), which is why
+the semiring tag is part of the plan-memo key and not of the bucket's.
 """
 
 from __future__ import annotations
@@ -137,8 +136,7 @@ def transport_plan(
 
 
 class PlanCache:
-    """Thread-safe LRU cache: ``(fingerprint, semiring tag)`` → bucket of
-    :class:`CachedPlan`.
+    """Thread-safe LRU cache: fingerprint → bucket of :class:`CachedPlan`.
 
     ``maxsize`` bounds the number of stored plans (0 disables caching
     entirely: every lookup is a miss and stores are dropped).  Counters:
@@ -146,41 +144,32 @@ class PlanCache:
     * :attr:`hits` — lookups answered from the cache;
     * :attr:`misses` — lookups that fell through (unknown fingerprint,
       failed certification, or caching disabled);
-    * :attr:`promotions` — hits served by copying a sibling semiring
-      tag's entry at the same fingerprint (decompositions are
-      semiring-independent, so the structure is shared across tags);
     * :attr:`evictions` — plans dropped to respect ``maxsize``.
+
+    :meth:`lookup` and :meth:`store` still accept ``semiring_tag=``, which
+    selects nothing: only the end-to-end benchmark under
+    ``benchmarks/e2e`` passes it.
     """
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
         self._lock = threading.RLock()
-        self._buckets: OrderedDict[tuple[str, str], list[CachedPlan]] = (
-            OrderedDict()
-        )
-        # fingerprint → tags holding a bucket for it, for promotion.
-        self._tags_of: dict[str, set[str]] = {}
+        self._buckets: OrderedDict[str, list[CachedPlan]] = OrderedDict()
         self._size = 0
         self.hits = 0
         self.misses = 0
-        self.promotions = 0
         self.evictions = 0
 
     def lookup(
         self, query: ConjunctiveQuery, semiring_tag: str = "set"
     ) -> CacheHit | None:
-        """Find and transport a plan for *query*'s shape under the given
-        semiring tag (None = miss).  A miss under this tag first tries
-        the sibling tags at the same fingerprint and promotes a match."""
+        """Find and transport a plan for *query*'s shape (None = miss);
+        *semiring_tag* selects nothing."""
         fp = fingerprint(query)
-        key = (fp, semiring_tag)
         with self._lock:
-            bucket = list(self._buckets.get(key, ()))
+            bucket = list(self._buckets.get(fp, ()))
             if bucket:
-                self._buckets.move_to_end(key)
-            sibling_tags = [
-                t for t in self._tags_of.get(fp, ()) if t != semiring_tag
-            ]
+                self._buckets.move_to_end(fp)
         # The isomorphism search and transport run outside the lock: they
         # only read immutable entries, so concurrent lookups proceed in
         # parallel and the lock guards bookkeeping alone.
@@ -190,24 +179,6 @@ class PlanCache:
                 with self._lock:
                     self.hits += 1
                 return CacheHit(transported, entry.width, entry.method, entry)
-        for tag in sibling_tags:
-            with self._lock:
-                sibling = list(self._buckets.get((fp, tag), ()))
-            for entry in sibling:
-                transported = self._transport(entry, query)
-                if transported is not None:
-                    with self._lock:
-                        self.hits += 1
-                        self.promotions += 1
-                    # Copy the shape into this tag's bucket so the next
-                    # lookup hits directly.
-                    promoted = self.store(
-                        query, transported, entry.width, entry.method,
-                        semiring_tag=semiring_tag,
-                    )
-                    return CacheHit(
-                        transported, entry.width, entry.method, promoted
-                    )
         with self._lock:
             self.misses += 1
         return None
@@ -268,13 +239,13 @@ class PlanCache:
         method: str,
         semiring_tag: str = "set",
     ) -> CachedPlan | None:
-        """Insert a freshly computed plan under *query*'s fingerprint and
-        semiring tag; returns the new entry (``None`` when caching is
-        disabled or an isomorphic entry was already there)."""
+        """Insert a freshly computed plan under *query*'s fingerprint;
+        returns the new entry (``None`` when caching is disabled or an
+        isomorphic entry was already there).  *semiring_tag* selects
+        nothing."""
         if self.maxsize <= 0:
             return None
         fp = fingerprint(query)
-        key = (fp, semiring_tag)
         entry = CachedPlan(query.as_boolean(), decomposition, width, method)
         with self._lock:
             # Concurrent misses of one shape race to store it; dedup
@@ -282,36 +253,27 @@ class PlanCache:
             # must be atomic) so the bucket never accumulates copies.
             # Stores are rare — cold misses only — so holding the lock
             # through the small isomorphism search is fine.
-            bucket = self._buckets.setdefault(key, [])
+            bucket = self._buckets.setdefault(fp, [])
             if any(
                 shape_isomorphism(e.query, entry.query) is not None
                 for e in bucket
             ):
                 return None
             bucket.append(entry)
-            self._buckets.move_to_end(key)
-            self._tags_of.setdefault(fp, set()).add(semiring_tag)
+            self._buckets.move_to_end(fp)
             self._size += 1
             # Evict least-recently-used buckets, but never the one just
             # written: a single bucket of colliding shapes may therefore
             # exceed maxsize slightly rather than self-destruct.
             while self._size > self.maxsize and len(self._buckets) > 1:
-                (evicted_fp, evicted_tag), evicted = self._buckets.popitem(
-                    last=False
-                )
+                _, evicted = self._buckets.popitem(last=False)
                 self._size -= len(evicted)
                 self.evictions += len(evicted)
-                tags = self._tags_of.get(evicted_fp)
-                if tags is not None:
-                    tags.discard(evicted_tag)
-                    if not tags:
-                        del self._tags_of[evicted_fp]
         return entry
 
     def clear(self) -> None:
         with self._lock:
             self._buckets.clear()
-            self._tags_of.clear()
             self._size = 0
 
     def __len__(self) -> int:
@@ -330,7 +292,6 @@ class PlanCache:
                 "maxsize": self.maxsize,
                 "hits": self.hits,
                 "misses": self.misses,
-                "promotions": self.promotions,
                 "evictions": self.evictions,
             }
 

@@ -31,11 +31,12 @@ ring) is planned under the engine's layout policy like a set request;
 the others compile row plans (:func:`~repro.engine.plan.compile_plan`
 decides both).  :meth:`Engine.count`, :meth:`Engine.top_k`,
 :meth:`Engine.provenance` and :meth:`Engine.probability` are the four
-workload-family front doors built on it.  Plans are shared across
-semirings: the cache keys on ``(fingerprint, semiring tag)`` and
-promotes sibling-tag entries, so the first ``count`` of an
-already-planned shape transports the stored decomposition instead of
-searching again.
+workload-family front doors built on it.  Decompositions are shared
+across semirings: the cache keys on the fingerprint alone, so the first
+``count`` of an already-planned shape is a cache hit, and the first
+requests of one new shape under two semirings run one search.  Only
+the compiled plan depends on the semiring, so the plan memo keys on its
+tag.
 
 Per-request time *budgets* (wall-clock seconds) bound both the
 decomposition search — via the portfolio's own budget handling, which
@@ -159,12 +160,12 @@ class Engine:
 
     The hypertree decomposition depends only on the query's shape and is
     cached per fingerprint; the physical plan over it (join orders,
-    grown χ, root, layout) depends on the data as well, and is compiled
-    once per (query, decomposition, method, layout policy, database,
-    ``Database.version``) and replayed by every later request until an
-    effective write bumps the version.  The replay memo lives on the
-    plan-cache entry, bounded by ``cache_size`` and dropped with it; a
-    database is held weakly.
+    grown χ, root, layout) depends on the data and the semiring as
+    well, and is compiled once per (query, decomposition, method, layout
+    policy, semiring, database, ``Database.version``) and replayed by
+    every later request until an effective write bumps the version.  The
+    replay memo lives on the plan-cache entry, bounded by ``cache_size``
+    and dropped with it; a database is held weakly.
 
     Parameters
     ----------
@@ -197,13 +198,6 @@ class Engine:
         ride a weight column — ``auto`` then by its largest pipeline
         input against :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`, not
         by predicted time — and compiles a row plan otherwise.
-    tracer:
-        Default :class:`~repro.obs.Tracer` installed around each request
-        when no ambient tracer is active (an enabled tracer installed
-        via :func:`repro.obs.tracing` — e.g. by the CLI's ``--trace`` —
-        always wins).  ``None`` (the default) leaves explicit tracing
-        off; requests then record into the flight recorder's bounded
-        span ring instead (see *flight*).
     slow_query_ms:
         Latency threshold for the flight recorder's slow-query log:
         requests at/above it get a ``slow_query`` event carrying the
@@ -232,13 +226,11 @@ class Engine:
         budget: float | None = None,
         backend: str = "sequential",
         layout: str | None = None,
-        tracer: Tracer | None = None,
         slow_query_ms: float | None = None,
         flight: "FlightRecorder | bool | None" = None,
         flight_dump: str | None = None,
     ):
         self.cache = PlanCache(cache_size)
-        self.tracer = tracer
         self.slow_query_ms = slow_query_ms
         self._flight_spec = flight
         self.flight_dump = flight_dump
@@ -253,13 +245,11 @@ class Engine:
             )
         self.layout = layout
         self.decompositions = 0  # fresh planner searches performed
-        # Single-flight gates: (fingerprint, semiring tag) -> Event set
-        # when the leader's search lands in the cache.  Concurrent first
-        # requests of one shape (e.g. two tenants submitting isomorphic
-        # queries at once) elect one decomposer; the rest wait and
-        # re-read the cache.  Keys follow the cache's composite keys, so
-        # a count and a set request of the same shape race at most once
-        # each — the loser of either race is served by promotion.
+        # Single-flight gates: fingerprint -> Event set when the
+        # leader's search lands in the cache.  Concurrent first requests
+        # of one shape (e.g. two tenants submitting isomorphic queries at
+        # once, under any semirings) elect one decomposer; the rest wait
+        # and re-read the cache.
         self._plan_gates: dict = {}
         self._plan_gates_lock = threading.Lock()
 
@@ -296,10 +286,7 @@ class Engine:
 
     # -- planning ---------------------------------------------------------
     def _decomposition_for(
-        self,
-        query: ConjunctiveQuery,
-        deadline: float | None,
-        semiring_tag: str = "set",
+        self, query: ConjunctiveQuery, deadline: float | None
     ) -> tuple[CacheHit, bool]:
         """The cached-or-fresh decomposition, as a :class:`CacheHit`
         whose ``entry`` is where its compiled plans are memoised
@@ -314,13 +301,13 @@ class Engine:
         searched.
         """
         with current_tracer().span(
-            "plan.cache_lookup", query=query.name, semiring=semiring_tag
+            "plan.cache_lookup", query=query.name
         ) as sp:
-            hit = self.cache.lookup(query, semiring_tag)
+            hit = self.cache.lookup(query)
             sp.set(hit=hit is not None)
         if hit is not None:
             return hit, True
-        key = (fingerprint(query), semiring_tag)
+        key = fingerprint(query)
         while True:
             with self._plan_gates_lock:
                 gate = self._plan_gates.get(key)
@@ -341,7 +328,7 @@ class Engine:
                 else None
             )
             gate.wait(timeout=remaining)
-            hit = self.cache.lookup(query, semiring_tag)
+            hit = self.cache.lookup(query)
             if hit is not None:
                 get_registry().counter("engine.singleflight_waits").inc()
                 return hit, True
@@ -361,8 +348,7 @@ class Engine:
             result = decompose(query, mode=self.mode, budget=remaining)
             self.decompositions += 1
             entry = self.cache.store(
-                query, result.decomposition, result.width, result.method,
-                semiring_tag=semiring_tag,
+                query, result.decomposition, result.width, result.method
             )
         finally:
             with self._plan_gates_lock:
@@ -388,9 +374,7 @@ class Engine:
         deadline = (
             time.monotonic() + self.budget if self.budget is not None else None
         )
-        found, hit = self._decomposition_for(
-            query, deadline, semiring.tag if semiring is not None else "set"
-        )
+        found, hit = self._decomposition_for(query, deadline)
         return self._compile(query, db, found, hit, semiring)
 
     def _compile(
@@ -408,15 +392,19 @@ class Engine:
         compiled for the same key at the current ``db.version`` is
         reused.  The global version, not a per-predicate one: the
         estimator's active domain reads every relation.  The memo sits on
-        the cache entry (one per semiring tag); without one (cache
-        disabled) or without a database, every call compiles."""
+        the cache entry, which every semiring shares, so the key holds
+        the semiring tag; without an entry (cache disabled) or without a
+        database, every call compiles."""
         hd, method, entry = found.decomposition, found.method, found.entry
         if entry is None or db is None:
             return compile_plan(
                 query, db, hd, provenance=method, cache_hit=hit,
                 layout=self.layout, semiring=semiring,
             )
-        key = (query, query.name, hd.root, method, self.layout)
+        key = (
+            query, query.name, hd.root, method, self.layout,
+            semiring.tag if semiring is not None else "set",
+        )
         version = db.version
         memo = self.cache.recall_plan(entry, db, key)
         if memo is None or memo[0] != version:
@@ -506,15 +494,13 @@ class Engine:
         semiring = resolve_semiring(semiring)
         stats = stats if stats is not None else EvalStats()
         flight = self.flight
-        # An ambient tracer (CLI --trace, explain(analyze=True)) wins,
-        # then the engine's own tracer; with neither, requests record
-        # into the flight recorder's always-on bounded span ring (the
-        # black box holds the spans leading up to a failure).
+        # An ambient tracer (CLI --trace, explain(analyze=True)) wins;
+        # without one, requests record into the flight recorder's
+        # always-on bounded span ring (the black box holds the spans
+        # leading up to a failure).
         ambient = current_tracer()
         if ambient.enabled:
             tracer = ambient
-        elif self.tracer is not None:
-            tracer = self.tracer
         elif flight is not None:
             tracer = flight.tracer
         else:
@@ -604,7 +590,6 @@ class Engine:
         plan_sink: list | None = None,
         semiring: Semiring | None = None,
     ) -> EvalResult:
-        tag = semiring.tag if semiring is not None else "set"
         with stats.timed():
             if not query.atoms:
                 head = tuple(
@@ -626,7 +611,7 @@ class Engine:
                     query, answer, stats, False, 0, "empty",
                     time.monotonic() - started, semiring=semiring,
                 )
-            found, hit = self._decomposition_for(query, deadline, tag)
+            found, hit = self._decomposition_for(query, deadline)
             plan = self._compile(query, db, found, hit, semiring)
             if plan_sink is not None:
                 # Threaded out so the flight recorder can attach the

@@ -125,7 +125,11 @@ def check_backend(backend: str) -> None:
     and :class:`~repro.engine.Engine` only because the end-to-end
     benchmark driver under ``benchmarks/e2e`` passes it; it selects
     nothing.  The thread and process backends were removed, and naming
-    one is a typed error rather than a silent fallback."""
+    one is a typed error rather than a silent fallback.  For the same
+    benchmark, :meth:`~repro.engine.cache.PlanCache.lookup` and
+    :meth:`~repro.engine.cache.PlanCache.store` still take
+    ``semiring_tag=``, which selects nothing either: one cache entry
+    serves every semiring."""
     if backend != "sequential":
         raise ValueError(
             f"backend {backend!r}: the parallel execution backends were "

@@ -64,17 +64,31 @@ class TestIdentityHits:
             assert hit.width == stored.width
         assert cache.hits == 3 and cache.misses == 0
 
-    def test_a_sibling_tag_is_promoted_without_a_transport(self, monkeypatch):
+    def test_a_tagged_lookup_hits_the_untagged_entry(self, monkeypatch):
+        """``semiring_tag=`` selects nothing: a tagged lookup is the
+        identity hit on the one entry, and a tagged store of the same
+        shape adds none."""
+
+        def searched(*args):
+            raise AssertionError("an identity hit searched for an isomorphism")
+
         cache = PlanCache(maxsize=8)
         base = cycle_query(5)
-        stored = _store_shape(cache, base).decomposition
-        monkeypatch.setattr(
-            cache_module, "check_decomposition",
-            lambda hd: ["an identity hit was re-checked"],
-        )
-        hit = cache.lookup(base, "count")
-        assert hit is not None and cache.promotions == 1
-        assert hit.decomposition.root is stored.root
+        stored = _store_shape(cache, base)
+        monkeypatch.setattr(cache_module, "shape_isomorphism", searched)
+        monkeypatch.setattr(cache_module, "check_decomposition", searched)
+        untagged = cache.lookup(base)
+        for tag in ("count", "mincost"):
+            hit = cache.lookup(base, tag)
+            assert hit.entry is untagged.entry
+            assert hit.decomposition.root is stored.decomposition.root
+        monkeypatch.undo()
+        assert cache.store(
+            base, stored.decomposition, stored.width, stored.method,
+            semiring_tag="count",
+        ) is None
+        assert len(cache) == 1
+        assert cache.hits == 3 and cache.misses == 0
 
     def test_a_reordered_body_is_still_transported(self):
         cache = PlanCache(maxsize=8)

@@ -60,9 +60,7 @@ def _moved(before: tuple[float, float]) -> tuple[float, float]:
 
 def _fresh(engine, query, db, semiring=None):
     """What compiling from scratch gives for the request's decomposition."""
-    hit = engine.cache.lookup(
-        query, semiring.tag if semiring is not None else "set"
-    )
+    hit = engine.cache.lookup(query)
     return compile_plan(
         query, db, hit.decomposition, provenance=hit.method, cache_hit=True,
         layout=engine.layout, semiring=semiring,

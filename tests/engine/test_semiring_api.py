@@ -1,6 +1,6 @@
-"""Engine-level semiring API: count/top_k/provenance/probability, the
-(fingerprint, semiring)-keyed plan cache with cross-tag promotion, and
-the per-semiring request counters."""
+"""Engine-level semiring API: count/top_k/provenance/probability, one
+plan-cache entry per shape with a compiled plan per semiring, and the
+per-semiring request counters."""
 
 import pytest
 
@@ -182,22 +182,42 @@ class TestWeightWrites:
 
 
 class TestPlanCacheSharing:
-    def test_semiring_switch_promotes_instead_of_replanning(self, engine, db):
+    def test_one_entry_one_search_one_plan_per_semiring(self, engine, db):
+        """The cache keys on the shape alone, the plan memo on the
+        semiring too: set, count and mincost on one shape and one
+        database version share one entry and one decomposition, and
+        each compiles (and then replays) a plan of its own."""
+        from repro.db.columnar import kernels, rides_buffers
+        from repro.db.semiring import COUNTING, resolve_semiring
+        from repro.engine.plan import compile_plan
+
         query = parse_query(PATH2)
-        engine.execute(query, db)
-        decompositions = engine.decompositions
-        before = engine.cache.snapshot()
-        result = engine.execute(query, db, semiring="count")
-        assert result.answer.total() == 4
-        after = engine.cache.snapshot()
-        # The count-tagged miss was served by transporting the set-tagged
-        # entry: no new decomposition search ran.
-        assert engine.decompositions == decompositions
-        assert after["promotions"] > before["promotions"]
-        # A second count execution hits its own bucket directly.
-        promoted = after["promotions"]
-        engine.execute(query, db, semiring="count")
-        assert engine.cache.snapshot()["promotions"] == promoted
+        compiled = get_registry().counter("plan.compiled")
+        before = compiled.value
+        semirings = (None, "count", "mincost")
+        for _ in range(2):
+            for semiring in semirings:
+                engine.execute(query, db, semiring=semiring)
+        assert engine.decompositions == 1 and len(engine.cache) == 1
+        assert compiled.value - before == 3
+        plans = {s: engine.plan(query, db, semiring=s) for s in semirings}
+        assert compiled.value - before == 3
+        hit = engine.cache.lookup(query)
+        for semiring, plan in plans.items():
+            assert plan.reused_version == db.version
+            fresh = compile_plan(
+                query, db, hit.decomposition, provenance=hit.method,
+                cache_hit=True, layout=engine.layout,
+                semiring=resolve_semiring(semiring),
+            )
+            assert plan.digest() == fresh.digest(), semiring
+        assert not plans[None].weighted
+        assert plans["count"].weighted == rides_buffers(COUNTING)
+        if kernels() == "numpy":
+            assert plans["count"].weighted
+        # (cost, witness) pairs only fit the row carrier.
+        assert plans["mincost"].layout == "row"
+        assert not plans["mincost"].weighted
 
     def test_requests_counted_per_semiring(self, db):
         engine = Engine()

@@ -19,6 +19,7 @@ from repro.db.database import Database
 from repro.engine import Engine
 from repro.obs import (
     NULL_TRACER,
+    FlightRecorder,
     Tracer,
     chrome_trace_events,
     current_tracer,
@@ -50,20 +51,16 @@ QUERY = "ans(X,Z) :- e(X,Y), e(Y,Z)"
 class TestNoOpIdentity:
     def test_untraced_and_traced_answers_identical(self):
         """Tracing must never change answers: same rows, attributes and
-        flags with the null tracer, a live tracer, and an Engine-owned
-        tracer."""
+        flags with the null tracer and a live tracer."""
         db = path_db()
         query = parse_query(QUERY)
         with Engine() as engine:
             baseline = engine.execute(query, db)
         with Engine() as engine, tracing(Tracer()):
             traced = engine.execute(query, db)
-        with Engine(tracer=Tracer()) as engine:
-            owned = engine.execute(query, db)
-        for other in (traced, owned):
-            assert other.answer.rows == baseline.answer.rows
-            assert other.answer.attributes == baseline.answer.attributes
-            assert other.boolean == baseline.boolean
+        assert traced.answer.rows == baseline.answer.rows
+        assert traced.answer.attributes == baseline.answer.attributes
+        assert traced.boolean == baseline.boolean
 
     def test_default_tracer_is_null_and_records_nothing(self):
         assert current_tracer() is NULL_TRACER or not current_tracer().enabled
@@ -95,20 +92,20 @@ class TestPipelineSpans:
         for bag in tracer.find("plan.bag"):
             assert bag.attrs["rows"] >= 0 and bag.attrs["est"] >= 0
 
-    def test_engine_owned_tracer_used_without_ambient(self):
-        tracer = Tracer()
+    def test_flight_recorder_used_without_ambient(self):
+        recorder = FlightRecorder()
         db = path_db()
-        with Engine(tracer=tracer) as engine:
+        with Engine(flight=recorder) as engine:
             engine.execute(parse_query(QUERY), db)
-        assert tracer.find("engine.execute")
+        assert recorder.tracer.find("engine.execute")
 
-    def test_ambient_tracer_wins_over_engine_tracer(self):
-        owned, ambient = Tracer(), Tracer()
+    def test_ambient_tracer_wins_over_flight_recorder(self):
+        recorder, ambient = FlightRecorder(), Tracer()
         db = path_db()
-        with Engine(tracer=owned) as engine, tracing(ambient):
+        with Engine(flight=recorder) as engine, tracing(ambient):
             engine.execute(parse_query(QUERY), db)
         assert ambient.find("engine.execute")
-        assert not owned.find("engine.execute")
+        assert not recorder.tracer.find("engine.execute")
 
 
 class TestSweepSpanVocabulary:

@@ -8,7 +8,9 @@ misses of one fingerprint into one portfolio search.
 from __future__ import annotations
 
 import threading
+import time
 
+import repro.engine.executor as executor_module
 from repro.core.parser import parse_query
 from repro.db.database import Database
 from repro.engine import Engine
@@ -55,6 +57,40 @@ def test_concurrent_isomorphic_misses_decompose_once():
     # All answers agree (isomorphic queries over the same data).
     rows = {r.answer.rows for r in results}
     assert len(rows) == 1 and rows.pop()
+
+
+def test_first_set_and_count_requests_decompose_once(monkeypatch):
+    """The gate keys on the fingerprint alone, as the cache does: the
+    first set and the first count request of one shape, racing through a
+    slowed search, run it once."""
+    search = executor_module.decompose
+
+    def slow_decompose(*args, **kwargs):
+        time.sleep(0.2)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "decompose", slow_decompose)
+    db = _db()
+    engine = Engine()
+    query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z)")
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def run(semiring):
+        barrier.wait(timeout=10.0)
+        results[semiring] = engine.execute(query, db, semiring=semiring)
+
+    threads = [
+        threading.Thread(target=run, args=(tag,)) for tag in (None, "count")
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert engine.decompositions == 1
+    assert sorted(r.cache_hit for r in results.values()) == [False, True]
+    assert results["count"].answer.total() == len(db.relation("e").rows)
+    assert engine._plan_gates == {}
 
 
 def test_distinct_shapes_do_not_serialise():
