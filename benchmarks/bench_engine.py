@@ -34,6 +34,13 @@ a 4-atom path over four 3-row relations (``four_atom_request_ms``),
 where planning, the replayed plan and the observability hooks are all
 there is to pay.
 
+A replay leg (:func:`run_replay_leg`) counts the plans a warm call
+compiles where every request brings a database of its own: a
+containment test builds a fresh canonical database, and each
+semi-naive round of the Datalog ``hw ≤ k`` recogniser writes the one it
+reads.  A plan replays wherever its estimator reads still hold, so
+both count 0 (exact records).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_engine.py \
@@ -51,12 +58,15 @@ import statistics
 import sys
 import time
 
+from repro.core.containment import contains
 from repro.core.parser import parse_query
+from repro.datalog.hw_program import datalog_has_hw_at_most
 from repro.db.database import Database
 from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.engine import Engine, fingerprint
 from repro.generators.families import book_query, cycle_query
+from repro.generators.paper_queries import all_named_queries
 from repro.generators.workloads import query_workload, random_database
 from repro.obs import Tracer, get_registry, tracing
 from repro.obs.history import record
@@ -191,6 +201,32 @@ def run_floor_leg(repeats: int = 1000) -> dict:
     return out
 
 
+def run_replay_leg(repeats: int = 20) -> dict:
+    """Compiles per warm call (``plan.compiled`` moves) and the median
+    wall time of one, for ``contains(C6, C3)`` and
+    ``datalog_has_hw_at_most(Q1, 2)`` — each called once first, to warm
+    the module-level engine it plans through."""
+    c3, c6 = cycle_query(3), cycle_query(6)
+    q1 = all_named_queries()["Q1"]
+    compiled = get_registry().counter("plan.compiled")
+    out = {}
+    for key, call in (
+        ("contains_c6_c3", lambda: contains(c6, c3)),
+        ("datalog_q1", lambda: datalog_has_hw_at_most(q1, 2)),
+    ):
+        assert call() is True
+        before = compiled.value
+        assert call() is True
+        out[f"{key}_compiles"] = int(compiled.value - before)
+        times = []
+        for _ in range(repeats):
+            started = time.perf_counter()
+            call()
+            times.append((time.perf_counter() - started) * 1e3)
+        out[f"{key}_ms"] = round(statistics.median(times), 4)
+    return out
+
+
 def run_benchmark(
     n_queries: int = 100,
     n_shapes: int = 8,
@@ -241,6 +277,7 @@ def run_benchmark(
     cyclic = run_cyclic_leg(seed)
     sweep = run_sweep_leg(seed)
     floor = run_floor_leg()
+    replay = run_replay_leg()
     widths = sorted({r.width for r in warm.results})
     result = {
         "benchmark": "engine_amortized_throughput",
@@ -272,6 +309,7 @@ def run_benchmark(
         "cyclic": cyclic,
         "sweep": sweep,
         "floor": floor,
+        "replay": replay,
     }
     result["suite"] = SUITE
     # Unified schema for repro bench record/diff.  Counts are exact under
@@ -293,6 +331,11 @@ def run_benchmark(
         record("sweep_semijoins_per_request", sweep["semijoins_per_request"],
                "count", better="lower", tolerance=0.0),
         record("sweep_joins_per_request", sweep["joins_per_request"],
+               "count", better="lower", tolerance=0.0),
+        record("warm_compiles_contains_c6_c3",
+               replay["contains_c6_c3_compiles"], "count",
+               better="lower", tolerance=0.0),
+        record("warm_compiles_datalog_q1", replay["datalog_q1_compiles"],
                "count", better="lower", tolerance=0.0),
         record("cyclic_warm_ms", cyclic["warm_ms"], "ms",
                better="lower", tolerance=2.0),
@@ -331,6 +374,10 @@ def test_bench_engine_smoke(bench_seed):
     assert result["sweep"]["shapes"]["star3"] == {"semijoins": 2, "joins": 0}
     floor = result["floor"]
     assert 0 < floor["null_ms"] < floor["four_atom_ms"]
+    # Fresh canonical databases and Datalog rounds replay their plans.
+    replay = result["replay"]
+    assert replay["contains_c6_c3_compiles"] == 0
+    assert replay["datalog_q1_compiles"] == 0
 
 
 def main(argv: list[str] | None = None) -> int:

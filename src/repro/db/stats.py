@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.atoms import Atom, Constant, Variable
+from .binding import check_arity
 from .relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (database imports relation)
@@ -104,17 +105,33 @@ class CardinalityEstimator:
     O(1) reads; distinct counts and the active domain are memoised per
     relation version on the database's snapshots, so an estimator is
     free to build per request.
+
+    It is the one place a plan compile reads data: :attr:`reads` logs
+    every :func:`read` with its value, which the engine re-reads in log
+    order before replaying the plan — a predicate's arity is logged
+    before anything else about it, so it is confirmed first.
     """
 
     def __init__(self, db: "Database | None"):
         self.db = db
+        self.reads: dict[tuple, int | None] = {}
         self._atom_memo: dict[Atom, float] = {}
+
+    def _read(self, *key) -> int | None:
+        if key not in self.reads:
+            self.reads[key] = None if self.db is None else read(self.db, key)
+        return self.reads[key]
+
+    def check_arity(self, atom: Atom) -> None:
+        """Raise ``EvaluationError`` if *atom*'s predicate has another arity."""
+        if self._read("arity", atom.predicate) not in (None, atom.arity):
+            check_arity(atom, self.db)
 
     def distinct(self, predicate: str, column: int) -> int:
         """Number of distinct values in one column (≥ 1 for estimates)."""
-        if self.db is None or not self.db.has_predicate(predicate):
+        if self._read("arity", predicate) is None:
             return 1
-        return max(1, self.db.snapshot(predicate).distinct(column))
+        return max(1, self._read("distinct", predicate, column))
 
     def atom_rows(self, atom: Atom) -> float:
         """Estimated row count of ``bind_atom(atom, db)``, memoised per
@@ -130,11 +147,9 @@ class CardinalityEstimator:
         return self._atom_memo[atom]
 
     def _atom_rows_uncached(self, atom: Atom) -> float:
-        if self.db is None or not self.db.has_predicate(atom.predicate):
+        if self._read("arity", atom.predicate) != atom.arity:
             return 1.0
-        if self.db.arity(atom.predicate) != atom.arity:
-            return 1.0
-        estimate = float(self.db.cardinality(atom.predicate))
+        estimate = float(self._read("rows", atom.predicate))
         first_position: dict[Variable, int] = {}
         for i, term in enumerate(atom.terms):
             if isinstance(term, Constant):
@@ -177,4 +192,17 @@ class CardinalityEstimator:
     @property
     def domain_size(self) -> int:
         """Active-domain size (1 when no database is attached)."""
-        return 1 if self.db is None else max(1, self.db.domain_size())
+        return 1 if self.db is None else max(1, self._read("domain"))
+
+
+def read(db: "Database", key: tuple) -> int | None:
+    """One estimator read: ``("arity", p)`` (``None`` when *p* is
+    absent), ``("rows", p)``, ``("distinct", p, column)``, ``("domain",)``."""
+    kind = key[0]
+    if kind == "arity":
+        return db.arity(key[1]) if db.has_predicate(key[1]) else None
+    if kind == "rows":
+        return db.cardinality(key[1])
+    if kind == "distinct":
+        return db.snapshot(key[1]).distinct(key[2])
+    return db.domain_size()

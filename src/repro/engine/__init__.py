@@ -10,8 +10,8 @@ pipeline (see the module docstrings for the theory each stage leans on):
   hit/miss/eviction counters, transporting cached decompositions onto
   incoming queries through the Theorem A.7 relabelling maps;
 * :mod:`~repro.engine.plan` — physical plans: cost-chosen χ labels,
-  cardinality-driven join orders and root choice compiled per database
-  on top of Lemma 4.6;
+  cardinality-driven join orders and root choice compiled from the
+  estimates on top of Lemma 4.6;
 * :mod:`~repro.engine.executor` — the :class:`Engine` facade with
   ``execute`` / ``execute_many`` / ``explain``, per-request budgets and
   aggregated :class:`~repro.db.stats.EvalStats`.

@@ -22,10 +22,10 @@ renamed variant is searched and certified once, and every later lookup
 hands its tree back the way the identity case does.
 
 An entry also holds the physical plans the engine compiled over its
-decomposition, per database (weakly — a dropped database takes its
-plans with it) and keyed by query, decomposition root, method, layout
-policy and semiring tag, each stamped with the database version it was
-priced at (:meth:`PlanCache.recall_plan` / :meth:`PlanCache.keep_plan`).
+decomposition, one per query, decomposition root, method, layout
+policy and semiring tag (:meth:`PlanCache.recall_plan` /
+:meth:`PlanCache.keep_plan`).  A plan names no database: it carries the
+estimator reads it was priced on, re-checked on each request's.
 Evicting the entry drops them; ``maxsize`` bounds each memo, so a
 disabled cache remembers nothing.
 
@@ -45,7 +45,6 @@ the semiring tag is part of the plan-memo key and not of the bucket's.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -58,7 +57,6 @@ from ..heuristics.validate import check_decomposition
 from .fingerprint import fingerprint, shape_isomorphism
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from ..db.database import Database
     from .plan import QueryPlan
 
 
@@ -67,7 +65,7 @@ class CachedPlan:
     """One stored shape: the representative query it was planned for,
     its decomposition, and provenance from the planner — plus the memos
     that live and die with it: the certified transported tree per
-    incoming body, and the compiled plans per database."""
+    incoming body, and the compiled plan per plan-memo key."""
 
     query: ConjunctiveQuery
     decomposition: HypertreeDecomposition
@@ -76,9 +74,7 @@ class CachedPlan:
     transports: dict[tuple[Atom, ...], HTNode] = field(
         default_factory=dict, compare=False, repr=False
     )
-    plans: weakref.WeakKeyDictionary[Database, dict] = field(
-        default_factory=weakref.WeakKeyDictionary, compare=False, repr=False
-    )
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -204,32 +200,16 @@ class PlanCache:
                 )
         return transported
 
-    def recall_plan(
-        self, entry: CachedPlan, db: Database, key: tuple
-    ) -> tuple[int, QueryPlan] | None:
-        """The plan compiled over *entry* against *db* under *key*, as
-        ``(database version it was priced at, plan)``, or ``None``."""
+    def recall_plan(self, entry: CachedPlan, key: tuple) -> QueryPlan | None:
+        """The plan last compiled over *entry* under *key*, or ``None``."""
         with self._lock:
-            plans = entry.plans.get(db)
-            return None if plans is None else plans.get(key)
+            return entry.plans.get(key)
 
-    def keep_plan(
-        self,
-        entry: CachedPlan,
-        db: Database,
-        key: tuple,
-        version: int,
-        plan: QueryPlan,
-    ) -> None:
-        """Remember *plan* as compiled over *entry* against *db* at
-        *version* under *key*, replacing what *key* held.  At most
-        ``maxsize`` databases per entry and plans per database."""
+    def keep_plan(self, entry: CachedPlan, key: tuple, plan: QueryPlan) -> None:
+        """Remember *plan* as compiled over *entry* under *key*, replacing
+        what *key* held.  At most ``maxsize`` plans per entry."""
         with self._lock:
-            plans = entry.plans.get(db)
-            if plans is None:
-                plans = {}
-                _bounded_put(entry.plans, db, plans, self.maxsize)
-            _bounded_put(plans, key, (version, plan), self.maxsize)
+            _bounded_put(entry.plans, key, plan, self.maxsize)
 
     def store(
         self,

@@ -4,8 +4,8 @@ One object ties the repo's pieces into a pipeline callers no longer
 hand-wire per query::
 
     fingerprint → plan cache → (portfolio decompose on miss) →
-    physical plan (χ labels, join orders, root, layout; compiled once
-    per database version, replayed after) → Yannakakis passes
+    physical plan (χ labels, join orders, root, layout; compiled once,
+    replayed while its estimator reads hold) → Yannakakis passes
 
 * :meth:`Engine.execute` answers one query against one database,
   returning an :class:`EvalResult` with the answer relation, per-request
@@ -64,7 +64,7 @@ from ..db.columnar import LAYOUTS, default_layout
 from ..db.database import Database
 from ..db.relation import Relation, Row
 from ..db.semiring import FactId, Semiring, resolve_semiring
-from ..db.stats import EvalStats
+from ..db.stats import EvalStats, read
 from ..heuristics.portfolio import Mode, decompose
 from ..obs import Tracer, current_tracer, get_registry, tracing
 from ..obs.flight import FlightRecorder, get_flight_recorder, span_forest
@@ -160,12 +160,12 @@ class Engine:
 
     The hypertree decomposition depends only on the query's shape and is
     cached per fingerprint; the physical plan over it (join orders,
-    grown χ, root, layout) depends on the data and the semiring as
-    well, and is compiled once per (query, decomposition, method, layout
-    policy, semiring, database, ``Database.version``) and replayed by
-    every later request until an effective write bumps the version.  The
-    replay memo lives on the plan-cache entry, bounded by ``cache_size``
-    and dropped with it; a database is held weakly.
+    grown χ, root, layout) depends on the semiring and the cardinality
+    estimates as well.  One plan per (query, decomposition, method,
+    layout policy, semiring) is memoised on the plan-cache entry —
+    bounded by ``cache_size``, dropped with it — and replayed on any
+    database that returns every estimator read it logged with the same
+    value; otherwise a fresh compile replaces it.
 
     Parameters
     ----------
@@ -367,7 +367,7 @@ class Engine:
         """The physical plan the engine would execute (used by explain,
         and by live views registering through the shared cache) — the
         one an ``execute`` of *query* on *db* right now would run,
-        replayed if it was already compiled at this database version.
+        replayed if the memoised plan's estimator reads hold on *db*.
         The engine's ``budget`` bounds the decomposition search, as it
         does an ``execute``'s."""
         semiring = resolve_semiring(semiring)
@@ -388,36 +388,31 @@ class Engine:
         """*found*'s decomposition compiled against *db* under this
         engine's layout policy, for *semiring* — or replayed: the plan is
         a pure function of (query with its name, decomposition, method,
-        layout policy, semiring, the database's contents), so the plan
-        compiled for the same key at the current ``db.version`` is
-        reused.  The global version, not a per-predicate one: the
-        estimator's active domain reads every relation.  The memo sits on
-        the cache entry, which every semiring shares, so the key holds
-        the semiring tag; without an entry (cache disabled) or without a
-        database, every call compiles."""
+        layout policy, semiring) and of what its compile read
+        (:attr:`QueryPlan.reads`), so the plan memoised under that key is
+        reused, whatever database it was compiled on, while every read
+        returns the same value on *db*, and a fresh compile replaces it
+        otherwise.  The memo sits on the cache entry, which every
+        semiring shares, so the key holds the semiring tag; without an
+        entry (cache disabled) or a database, every call compiles."""
         hd, method, entry = found.decomposition, found.method, found.entry
-        if entry is None or db is None:
-            return compile_plan(
-                query, db, hd, provenance=method, cache_hit=hit,
-                layout=self.layout, semiring=semiring,
-            )
+        memoised = entry is not None and db is not None
         key = (
             query, query.name, hd.root, method, self.layout,
             semiring.tag if semiring is not None else "set",
         )
-        version = db.version
-        memo = self.cache.recall_plan(entry, db, key)
-        if memo is None or memo[0] != version:
+        plan = self.cache.recall_plan(entry, key) if memoised else None
+        if plan is None or any(read(db, k) != v for k, v in plan.reads):
             plan = compile_plan(
                 query, db, hd, provenance=method, cache_hit=hit,
                 layout=self.layout, semiring=semiring,
             )
-            self.cache.keep_plan(entry, db, key, version, plan)
+            if memoised:
+                self.cache.keep_plan(entry, key, plan)
             return plan
-        plan = memo[1]
-        if plan.reused_version is None or plan.cache_hit != hit:
-            plan = replace(plan, cache_hit=hit, reused_version=version)
-            self.cache.keep_plan(entry, db, key, version, plan)
+        if not plan.reused or plan.cache_hit != hit:
+            plan = replace(plan, cache_hit=hit, reused=True)
+            self.cache.keep_plan(entry, key, plan)
         with current_tracer().span(
             "plan.compile", query=query.name, layout=plan.layout, reused=True,
         ) as sp:
@@ -703,7 +698,7 @@ class Engine:
         auto-dump the black box."""
         plan = plan_sink[0] if plan_sink else None
         spans = (
-            tracer.spans_since(request_perf)
+            tracer.view_since(request_perf).spans()
             if isinstance(tracer, Tracer)
             else []
         )

@@ -2,10 +2,10 @@
 
 A cached (or freshly computed) hypertree decomposition fixes only the
 *structure* of evaluation.  This module adds the database-dependent
-choices — cheap, polynomial-time, compiled once per query,
-decomposition, layout and database version (the engine replays a plan
-until an effective write bumps ``Database.version``) — on top of the
-Lemma 4.6 pipeline:
+choices — cheap, polynomial-time, and a function of the estimates alone
+(:attr:`QueryPlan.reads` logs what the compile read through
+:class:`~repro.db.stats.CardinalityEstimator`) — on top of the Lemma 4.6
+pipeline:
 
 * **per-node join order** — each node's bag relation joins its λ atoms
   smallest-estimate first, preferring atoms sharing variables with the
@@ -99,7 +99,6 @@ from ..core.hypertree import HTNode, HypertreeDecomposition
 from ..core.jointree import JoinTree, join_tree_from_edges
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import assign_annotated_atoms, naive_annotated_eval
-from ..db.binding import check_arity
 from ..db.columnar import (
     LAYOUTS,
     OPERATOR_COSTS,
@@ -215,10 +214,10 @@ class QueryPlan:
     #: column: ``auto`` compares :attr:`largest_input` with
     #: :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS` instead.
     weighted: bool = field(default=False)
-    #: The database version the engine replayed this plan at instead of
-    #: compiling (``None`` for a fresh compile) — the version it was
-    #: priced at, since any effective write forces a compile.
-    reused_version: int | None = field(default=None)
+    #: What the compile read, with the values (:mod:`repro.db.stats`).
+    reads: tuple[tuple[tuple, int | None], ...] = field(default=(), repr=False)
+    #: Handed back by the engine's plan memo instead of compiled.
+    reused: bool = field(default=False)
 
     @property
     def resolved_layout(self) -> str:
@@ -317,10 +316,8 @@ class QueryPlan:
             f"output: ({', '.join(self.output)})" if self.output else "output: boolean",
             "bag materialisation (cardinality-ascending joins):",
         ]
-        if self.reused_version is not None:
-            lines.insert(
-                1, f"plan reused (database version {self.reused_version})"
-            )
+        if self.reused:
+            lines.insert(1, "plan reused")
         for np in self.node_plans:
             marker = " <- root" if np.bag == self.join_tree.root else ""
             lines.append(f"  {np.describe()}{marker}")
@@ -802,13 +799,11 @@ def _compile_plan_traced(
     # Distinct atoms in query order, so the covered set of a node does
     # not depend on set iteration order.
     query_atoms = [(a, a.variables) for a in dict.fromkeys(query.atoms)]
-    if db is not None:
-        # The estimates below index stored columns by atom position, so
-        # a schema mismatch has to surface here, typed, not as whatever
-        # the first estimate trips over.
-        for atom, _ in query_atoms:
-            if db.has_predicate(atom.predicate):
-                check_arity(atom, db)
+    # The estimates below index stored columns by atom position, so a
+    # schema mismatch has to surface here, typed, not as whatever the
+    # first estimate trips over.
+    for atom, _ in query_atoms:
+        estimator.check_arity(atom)
     chis = [p.chi for p in nodes]
     pipelines = [
         _node_pipeline(p.lam, p.chi, query_atoms, estimator) for p in nodes
@@ -881,6 +876,7 @@ def _compile_plan_traced(
         cache_hit=cache_hit,
         layout=layout,
         weighted=weighted,
+        reads=tuple(estimator.reads.items()),
         **predicted,
     )
 

@@ -238,20 +238,19 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def spans_since(self, start: float) -> list[Span]:
-        """Spans whose interval started at/after *start* (perf_counter
-        seconds) — how the flight recorder isolates one request's spans
-        out of the shared ring."""
-        with self._lock:
-            return [s for s in self._spans if s.start >= start]
-
     def view_since(self, start: float) -> "Tracer":
-        """A detached tracer holding only the spans since *start* — how
-        the engine renders one request's EXPLAIN ANALYZE / span tree out
-        of the shared flight ring without re-executing anything."""
+        """A detached tracer holding only the calling thread's spans that
+        started at/after *start* (perf_counter seconds) — how the engine
+        renders one request's EXPLAIN ANALYZE / span tree out of the
+        shared flight ring, which other threads' requests record into
+        too, without re-executing anything."""
+        tid = threading.current_thread().name
         view = Tracer(max_spans=self.max_spans)
         view.pid = self.pid
-        view._spans = self.spans_since(start)
+        with self._lock:
+            view._spans = [
+                s for s in self._spans if s.start >= start and s.tid == tid
+            ]
         return view
 
     def clear(self) -> None:

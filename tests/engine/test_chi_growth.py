@@ -355,9 +355,13 @@ class TestExplainableChoice:
         engine.execute(query, db)  # replays the plan: no compile, no count
         assert counter.value == before
         # An effective write outside the query's relations, over a value
-        # already in the active domain: the estimates stay, the plan is
-        # compiled again and counted again.
+        # already in the active domain, changes no read the plan logged:
+        # it replays.  A new value grows the active domain, which the
+        # plan did read: it is compiled again and counted again.
         db.add_fact("unrelated", next(iter(db.universe)))
+        engine.execute(query, db)
+        assert counter.value == before
+        db.add_fact("unrelated", "a value no relation holds")
         tracer = Tracer()
         with tracing(tracer):
             engine.execute(query, db)

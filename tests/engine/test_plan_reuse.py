@@ -1,13 +1,16 @@
-"""Plan reuse: a warm request replays the plan compiled for it until the
-data it was priced on changes.
+"""Plan reuse: a warm request replays the plan compiled for it while the
+statistics it was priced on still hold.
 
 The physical plan is a pure function of (query, decomposition, method,
-layout policy, database contents).  The engine memoises it on the plan
-cache entry per database and stamps it with ``Database.version``; an
-effective write bumps the version and forces a compile, a no-op write
-or a weight change does not.  A replayed plan must be the plan a fresh
-compile would produce — same digest, same rendering — and answers must
-not notice the difference.
+layout policy, semiring) and of the values its compile read through the
+cardinality estimator, which it logs.  The engine memoises one plan per
+key on the plan-cache entry and replays it on any database on which
+every logged read returns the same value: a write (or a declaration)
+that changes one compiles afresh, one that changes none — a no-op, a
+weight, a relation the plan never read — replays, and so does another
+database with other rows but the same statistics.  A replayed plan must
+be the plan a fresh compile would produce — same digest, same rendering
+— and answers must not notice the difference.
 """
 
 import gc
@@ -18,14 +21,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import repro.engine.cache as cache_module
-from repro._errors import BudgetExceeded
+from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
 from repro.db.annotated import naive_annotated_eval
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.db.semiring import resolve_semiring
+from repro.db.stats import read
 from repro.engine import Engine
 from repro.engine.plan import compile_plan
 from repro.generators.families import cycle_query, path_query
@@ -100,14 +106,38 @@ class TestAReplayedPlanIsTheCompiledOne:
                 assert _moved(before) == (0, 1), label
                 assert again.answer.rows == first.answer.rows, label
                 plan = engine.plan(query, db, semiring=semiring)
-                assert plan.reused_version == db.version, label
+                assert plan.reused, label
                 fresh = _fresh(engine, query, db, semiring)
                 assert plan.digest() == fresh.digest(), label
                 rendered = plan.render().splitlines()
-                assert rendered.pop(1) == (
-                    f"plan reused (database version {db.version})"
-                ), label
+                assert rendered.pop(1) == "plan reused", label
                 assert rendered == fresh.render().splitlines(), label
+
+    def test_a_plan_replays_on_another_database_loaded_alike(self):
+        """Compiled on one database, replayed on a second loaded from the
+        same relations: the replay is what a fresh compile on the second
+        gives, and its answers are the naive join's."""
+        requests = _e2e_requests()
+        with Engine(layout="auto") as engine:
+            for label, query, db, semiring in requests:
+                engine.execute(query, db, semiring=semiring)
+                other = Database.from_facts(db.facts())
+                before = _counts()
+                result = engine.execute(query, other, semiring=semiring)
+                assert _moved(before) == (0, 1), label
+                plan = engine.plan(query, other, semiring=semiring)
+                fresh = _fresh(engine, query, other, semiring)
+                assert plan.digest() == fresh.digest(), label
+                rendered = plan.render().splitlines()
+                assert rendered.pop(1) == "plan reused", label
+                assert rendered == fresh.render().splitlines(), label
+                assert result.answer.rows == (
+                    naive_join_eval(query, other).rows
+                ), label
+                if semiring is not None:
+                    assert dict(result.annotations) == dict(
+                        naive_annotated_eval(query, other, semiring).annotations
+                    ), label
 
     def test_a_fresh_engine_explains_a_compiled_plan(self):
         query = cycle_query(5)
@@ -119,10 +149,7 @@ class TestAReplayedPlanIsTheCompiledOne:
                 ", cached", "", 1
             )
             engine.execute(query, db)
-            assert (
-                f"plan reused (database version {db.version})"
-                in engine.explain(query, db).splitlines()[1]
-            )
+            assert engine.explain(query, db).splitlines()[1] == "plan reused"
             analyzed = engine.explain(query, db, analyze=True)
             assert "plan reused" in analyzed and "grew +" in analyzed
 
@@ -147,7 +174,21 @@ class TestWhatInvalidates:
             result = engine.execute(query, db)
             assert _moved(before) == (1, 0)
             assert result.answer.rows == naive_join_eval(query, db).rows
-            assert engine.plan(query, db).reused_version == db.version
+            assert engine.plan(query, db).reused
+
+    def test_a_write_that_changes_no_logged_read_replays(self):
+        """A fact over a relation the plan never read, whose values the
+        active domain already holds, moves ``Database.version`` and no
+        read: the plan replays."""
+        query = path_query(3)
+        db = random_database(query, 20, 40, seed=2)
+        with Engine() as engine:
+            engine.execute(query, db)
+            assert db.add_fact("unrelated", next(iter(db.universe)))
+            before = _counts()
+            result = engine.execute(query, db)
+            assert _moved(before) == (0, 1)
+            assert result.answer.rows == naive_join_eval(query, db).rows
 
     def test_declaring_a_predicate_recompiles(self):
         """An atom over an unknown predicate estimates to one row, over a
@@ -168,6 +209,31 @@ class TestWhatInvalidates:
             before = _counts()
             assert not engine.execute(query, db).answer.rows
             assert _moved(before) == (0, 1)
+
+    def test_declaring_a_predicate_the_plan_never_read_replays(self):
+        query = parse_query("ans(X) :- e(X, Y), f(Y, Z).")
+        db = Database.from_relations({"e": [(1, 2)], "f": [(2, 3)]})
+        with Engine() as engine:
+            engine.execute(query, db)
+            db.declare("g", 3)
+            before = _counts()
+            assert engine.execute(query, db).answer.rows == {(1,)}
+            assert _moved(before) == (0, 1)
+
+    def test_replaying_onto_another_arity_raises_the_compile_error(self):
+        """The plan read ``e``'s arity: on a database storing ``e`` at
+        another arity that read differs, so the request compiles — and
+        fails the way a fresh compile fails."""
+        query = parse_query("ans(X) :- e(X, Y), e(Y, Z).")
+        with Engine() as engine:
+            engine.execute(query, Database.from_relations({"e": [(1, 2)]}))
+            wide = Database.from_relations({"e": [(1, 2, 3)]})
+            with pytest.raises(EvaluationError) as replayed:
+                engine.execute(query, wide)
+            with pytest.raises(EvaluationError) as fresh:
+                _fresh(engine, query, wide)
+            assert str(replayed.value) == str(fresh.value)
+            assert "arity" in str(fresh.value)
 
     def test_weights_replay_the_plan_and_answers_follow_them(self):
         query = cycle_query(4).with_head(
@@ -197,36 +263,129 @@ class TestWhatInvalidates:
                 row: value[0] for row, value in cheapest.annotations.items()
             } == pytest.approx({row: value[0] for row, value in expected.items()})
 
-    def test_two_databases_at_equal_version_never_share_a_plan(self):
+    def test_two_databases_with_other_statistics_recompile_on_every_switch(
+        self,
+    ):
+        """One plan per key: alternating two databases whose statistics
+        differ compiles on every switch, and each request runs the plan a
+        fresh compile on its own database gives."""
         query = parse_query("ans(A, C) :- r1(A, B), r2(B, C).")
         big, small = [(i, i % 3) for i in range(9)], [(0, 1)]
         one = Database.from_relations({"r1": big, "r2": small})
         two = Database.from_relations({"r1": small, "r2": big})
-        assert one.version == two.version
         with Engine() as engine:
+            before = _counts()
             for db in (one, two, one, two):
                 result = engine.execute(query, db)
                 assert result.answer.rows == naive_join_eval(query, db).rows
+            assert _moved(before) == (4, 0)
             plans = [engine.plan(query, db) for db in (one, two)]
             assert plans[0] is not plans[1]
             assert plans[0].digest() != plans[1].digest()
             for plan, db in zip(plans, (one, two)):
                 assert plan.digest() == _fresh(engine, query, db).digest()
 
+    def test_two_databases_with_other_rows_and_equal_statistics_share_a_plan(
+        self,
+    ):
+        """The second database renames every value of the first: other
+        rows, the same sizes, distinct counts and active domain.  It
+        replays the first's plan, and both answer as the naive join."""
+        query = parse_query("ans(A) :- r1(A, B), r2(B, 4), r1(C, C).")
+        rows = {
+            "r1": [(i, i % 3) for i in range(9)] + [(5, 5)],
+            "r2": [(i % 4, i) for i in range(7)],
+        }
+        one = Database.from_relations(rows)
+        two = Database.from_relations({
+            p: [tuple(100 + v for v in row) for row in r]
+            for p, r in rows.items()
+        })
+        assert one.rows("r1") != two.rows("r1")
+        with Engine() as engine:
+            before = _counts()
+            for db in (one, two, one, two):
+                result = engine.execute(query, db)
+                assert result.answer.rows == naive_join_eval(query, db).rows
+            assert _moved(before) == (1, 3)
+            assert engine.plan(query, one) is engine.plan(query, two)
+
+
+#: Shapes whose compiles read every kind of value: presence, sizes,
+#: distinct counts (a constant, a repeated variable, a projected part)
+#: and the active domain (multi-part bags).
+_PROPERTY_QUERIES = [
+    parse_query("ans(X) :- r(X, Y), s(Y, Z), r(Z, X)."),
+    parse_query("ans(X, Z) :- r(X, 1), s(1, Y), r(Y, Z), s(Z, Z)."),
+    parse_query("ans() :- r(A, B), s(B, C), r(C, D), s(D, A)."),
+]
+
+_RELATION = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8
+)
+
+
+@st.composite
+def _database_pairs(draw):
+    """Two databases over ``r`` and ``s``: the second drawn
+    independently, or the first with its values permuted — other rows,
+    often the same statistics."""
+    one = {"r": draw(_RELATION), "s": draw(_RELATION)}
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(4)))
+        two = {
+            p: [tuple(perm[v] for v in row) for row in rows]
+            for p, rows in one.items()
+        }
+    else:
+        two = {"r": draw(_RELATION), "s": draw(_RELATION)}
+    pair = Database.from_relations(one), Database.from_relations(two)
+    for db in pair:
+        db.declare("r", 2)
+        db.declare("s", 2)
+    return pair
+
+
+class TestTheReplayProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=_database_pairs(), which=st.integers(0, 2))
+    def test_whenever_the_logged_reads_agree_the_replay_is_a_fresh_compile(
+        self, pair, which
+    ):
+        query = _PROPERTY_QUERIES[which]
+        one, two = pair
+        with Engine() as engine:
+            engine.execute(query, one)
+            compiled = engine.plan(query, one)
+            agree = all(read(two, key) == v for key, v in compiled.reads)
+            event("reads agree" if agree else "reads differ")
+            before = _counts()
+            result = engine.execute(query, two)
+            assert _moved(before) == ((0, 1) if agree else (1, 0))
+            assert result.answer.rows == naive_join_eval(query, two).rows
+            if agree:
+                fresh = _fresh(engine, query, two)
+                assert compiled.digest() == fresh.digest()
+                assert engine.plan(query, two).digest() == fresh.digest()
+
 
 class TestWhatTheMemoHolds:
-    def test_a_dropped_database_releases_its_plans(self):
+    def test_a_dropped_database_is_collected_while_its_plan_stays(self):
+        """A plan names no database: the one it was compiled on can be
+        collected, and a database loaded alike replays the plan."""
         query = cycle_query(4)
         with Engine() as engine:
             db = random_database(query, 10, 20, seed=1)
             engine.execute(query, db)
             entry = engine.cache.lookup(query).entry
-            assert len(entry.plans) == 1
             dropped = weakref.ref(db)
             del db
             gc.collect()
             assert dropped() is None
-            assert len(entry.plans) == 0
+            assert len(entry.plans) == 1
+            before = _counts()
+            engine.execute(query, random_database(query, 10, 20, seed=1))
+            assert _moved(before) == (0, 1)
 
     def test_evicting_the_entry_drops_its_plans(self):
         first, second = cycle_query(4), path_query(3)
@@ -325,7 +484,7 @@ class TestUnderLoad:
 
     def test_concurrent_readers_between_writes_stay_correct(self):
         """Six readers replay at a tight switch interval while a writer
-        bumps the version between rounds: every answer matches the
+        changes the data between rounds: every answer matches the
         database it was read from, every request either compiled or
         replayed, and the memo holds one plan for the one key."""
         query = cycle_query(4)
@@ -357,7 +516,7 @@ class TestUnderLoad:
                     db.add_fact("e", 100 + round_, 101 + round_)
                 assert sum(_moved(before)) == 3 * 6 * 10
                 entry = engine.cache.lookup(query).entry
-                assert len(entry.plans[db]) == 1
+                assert len(entry.plans) == 1
         finally:
             sys.setswitchinterval(interval)
         assert not errors
@@ -422,4 +581,4 @@ class TestWhatAReplaySays:
             plan = engine.plan(query, db)
             assert plan is engine.plan(query, db)
             assert plan.digest() is plan.digest()
-            assert replace(plan, reused_version=None).digest() == plan.digest()
+            assert replace(plan, reused=False).digest() == plan.digest()

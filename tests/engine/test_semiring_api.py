@@ -185,7 +185,7 @@ class TestPlanCacheSharing:
     def test_one_entry_one_search_one_plan_per_semiring(self, engine, db):
         """The cache keys on the shape alone, the plan memo on the
         semiring too: set, count and mincost on one shape and one
-        database version share one entry and one decomposition, and
+        database share one entry and one decomposition, and
         each compiles (and then replays) a plan of its own."""
         from repro.db.columnar import kernels, rides_buffers
         from repro.db.semiring import COUNTING, resolve_semiring
@@ -204,7 +204,7 @@ class TestPlanCacheSharing:
         assert compiled.value - before == 3
         hit = engine.cache.lookup(query)
         for semiring, plan in plans.items():
-            assert plan.reused_version == db.version
+            assert plan.reused
             fresh = compile_plan(
                 query, db, hit.decomposition, provenance=hit.method,
                 cache_hit=True, layout=engine.layout,

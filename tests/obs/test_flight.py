@@ -4,6 +4,7 @@ slow-query log, dump gating, and the crash-dump integration paths
 
 import json
 import os
+import re
 import threading
 
 import pytest
@@ -222,6 +223,74 @@ class TestFailureDumps:
         # The ring recorded the error; no file appeared anywhere.
         assert [e.kind for e in flight.events()].count("error") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConcurrentRequests:
+    """Two requests share one flight ring.  A second thread's request runs
+    start to finish inside a slow one; what the slow one captures — its
+    EXPLAIN ANALYZE, its failure span tree — holds its own spans only."""
+
+    QUERY = "ans(X,Z) :- e(X,Y), e(Y,Z)"
+
+    def _nest(self, monkeypatch, engine, fail=False):
+        """The next request, once its plan is compiled, runs a 5-row
+        request of the same shape on a second thread to completion — and
+        then fails, with *fail* — before it executes its own plan."""
+        import repro.engine.executor as executor_module
+
+        real = executor_module.execute_plan
+        small = parse_query(self.QUERY, name="small")
+        nested = []
+
+        def execute_plan(plan, db, **kwargs):
+            if not nested:
+                nested.append(small)
+                thread = threading.Thread(
+                    target=engine.execute, args=(small, _db(5)),
+                    name="concurrent",
+                )
+                thread.start()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+                if fail:
+                    raise EvaluationError("failed after the nested request")
+            return real(plan, db, **kwargs)
+
+        monkeypatch.setattr(executor_module, "execute_plan", execute_plan)
+
+    def test_a_slow_query_explains_its_own_spans(self, monkeypatch):
+        flight = FlightRecorder()
+        engine = Engine(slow_query_ms=0.0, flight=flight)
+        big, db = parse_query(self.QUERY, name="big"), _db(400)
+        engine.execute(big, db)  # compiles
+        engine.execute(big, db)  # replays, alone
+        self._nest(monkeypatch, engine)
+        engine.execute(big, db)  # replays, another request inside it
+
+        def untimed(event):
+            return re.sub(r"\d+\.\d+ms", "ms", event.payload["explain"])
+
+        alone, nested = [
+            untimed(e) for e in flight.events(kind="slow_query")
+            if e.payload["query"] == "big"
+        ][1:]
+        assert "over 2 op(s)" in alone
+        assert nested == alone
+
+    def test_a_failure_dumps_its_own_span_tree(self, monkeypatch):
+        flight = FlightRecorder()
+        engine = Engine(flight=flight)
+        big, db = parse_query(self.QUERY, name="big"), _db(400)
+        engine.execute(big, db)
+        self._nest(monkeypatch, engine, fail=True)
+        with pytest.raises(EvaluationError):
+            engine.execute(big, db)
+        [error] = flight.events(kind="error")
+        roots = error.payload["spans"]
+        assert [root["tid"] for root in roots] == [
+            threading.current_thread().name
+        ]
+        assert roots[0]["attrs"]["query"] == "big"
 
 
 def test_span_forest_handles_interleaved_tracks():

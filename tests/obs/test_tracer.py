@@ -208,7 +208,7 @@ class TestDropGuardSurfacing:
         assert [s.name for s in tracer.spans()] == ["s3", "s4"]
         assert tracer.evicted == 3 and tracer.dropped == 0
 
-    def test_spans_since_and_view_since_filter_by_start(self):
+    def test_view_since_filters_by_start_and_thread(self):
         import time
 
         tracer = Tracer(ring=True)
@@ -217,7 +217,16 @@ class TestDropGuardSurfacing:
         cut = time.perf_counter()
         with tracer.span("new"):
             pass
-        assert [s.name for s in tracer.spans_since(cut)] == ["new"]
+
+        def record():
+            with tracer.span("other thread"):
+                pass
+
+        thread = threading.Thread(target=record)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(tracer) == 3
         view = tracer.view_since(cut)
         assert [s.name for s in view.spans()] == ["new"]
         assert view is not tracer
