@@ -43,6 +43,13 @@ the integer ring) carries its annotations as one more buffer,
 filters it with the mask it already computed, a join multiplies the
 matched pairs' weights, a projection ``plus``-folds the rows it
 collapses with a segmented reduction over the sort that finds them.
+The sum-product sweep makes two shapes common, and both skip the sort:
+a join whose partner is all key (a child's marginal on the separator)
+is a lookup — a direct-address table of the partner's positions, one
+gather, one mask (:func:`_np_lookup_join`) — and a fold over one
+integer or code column of dense span counts its groups with
+``bincount`` and sums them with ``plus.at`` into a table addressed by
+the key.
 :func:`rides_buffers` is the one place that says whether a semiring's
 annotations can be such a column; the others (object carriers, float
 folds whose result depends on order), and any build without numpy, stay
@@ -185,10 +192,10 @@ def _break_even(operator: str) -> float:
 #: row count where the fitted one-attribute ``semijoin`` pairs, the
 #: operator every join-tree edge runs, break even (267).  It is
 #: conservative: warm ``count`` requests (2-vCPU box) already run
-#: 1.2-1.7x faster columnar from 200 rows.  Pricing them needs weighted
-#: cells in the operator sweep, and moves the row bags
-#: ``benchmarks/e2e/test_e2e_smoke.py`` expects of its 200-row
-#: ``semiring_count`` run.
+#: 1.4-1.9x faster columnar at 200 rows (the e2e acyclic shapes).
+#: Pricing them needs weighted cells in the operator sweep, and moves
+#: the row bags ``benchmarks/e2e/test_e2e_smoke.py`` expects of its
+#: 200-row ``semiring_count`` run.
 WEIGHTED_MIN_ROWS = math.ceil(_break_even("semijoin"))
 
 
@@ -268,23 +275,34 @@ def _np_used_codes(col: "Column"):
     return _np.flatnonzero(counts)
 
 
+def _np_dense(keys, rows: int):
+    """``(lo, hi)`` of int64 *keys* when a table over their range is
+    small enough to address directly next to *rows* rows — at most four
+    slots a row, or 65 536 — else ``None``."""
+    if keys.dtype != _np.int64:
+        return None
+    lo = int(keys.min())
+    hi = int(keys.max())
+    return (lo, hi) if hi - lo < max(4 * rows, 1 << 16) else None
+
+
 def _np_member_mask(view, karr):
     """Boolean membership mask of *view* against key array *karr*.
 
     Integer keys spanning a modest range get a direct-address table
     (one boolean gather per row, no sorting); everything else uses the
     sort-based ``numpy.isin``."""
-    if karr.size and karr.dtype == _np.int64 and view.size:
-        lo = int(karr.min())
-        hi = int(karr.max())
-        span = hi - lo + 1
-        if span <= max(4 * (karr.size + view.size), 1 << 16):
-            table = _np.zeros(span, dtype=bool)
-            table[karr - lo] = True
-            in_range = (view >= lo) & (view <= hi)
-            offsets = _np.where(in_range, view - lo, 0)
-            return in_range & table[offsets]
-    return _np.isin(view, karr)
+    dense = None
+    if karr.size and view.size:
+        dense = _np_dense(karr, karr.size + view.size)
+    if dense is None:
+        return _np.isin(view, karr)
+    lo, hi = dense
+    table = _np.zeros(hi - lo + 1, dtype=bool)
+    table[karr - lo] = True
+    in_range = (view >= lo) & (view <= hi)
+    offsets = _np.where(in_range, view - lo, 0)
+    return in_range & table[offsets]
 
 
 def _np_radix_keys(*sides):
@@ -337,15 +355,14 @@ def _np_codes_in(col: "Column", space: "Column"):
     return trans[_np_view(col)]
 
 
-def _np_semijoin_mask(mine: Sequence["Column"], theirs: Sequence["Column"]):
-    """Which rows of *mine* have a partner in *theirs* (aligned key
-    columns of two non-empty relations), buffer against buffer: the
-    partner's raw column is the key array — not distinct, not sorted,
-    no Python object per key.  Dictionary columns compare in *mine*'s
-    code space; several attributes become one int64 per row on both
-    sides.  ``None`` where only Python equality can decide
-    (``1 == 1.0 == True``) or no int64 key exists: kinds that differ, a
-    float column in a multi-attribute key, a joint radix past int64."""
+def _np_key_pair(mine: Sequence["Column"], theirs: Sequence["Column"]):
+    """One key per row on each side (aligned key columns of two
+    non-empty relations), equal exactly where the rows agree: the raw
+    buffer for one attribute, dictionary columns in *mine*'s code space,
+    several attributes one int64 per row on both sides.  ``None`` where
+    only Python equality can decide (``1 == 1.0 == True``) or no int64
+    key exists: kinds that differ, a float column in a multi-attribute
+    key, a joint radix past int64."""
     views, partners = [], []
     for col, partner in zip(mine, theirs):
         if col.kind != partner.kind:
@@ -355,10 +372,18 @@ def _np_semijoin_mask(mine: Sequence["Column"], theirs: Sequence["Column"]):
             _np_codes_in(partner, col) if col.kind == "o" else _np_view(partner)
         )
     if len(mine) == 1:
-        return _np_member_mask(views[0], partners[0])
+        return views[0], partners[0]
     if any(col.kind == "f" for col in mine):
         return None
-    keys = _np_radix_keys(views, partners)
+    return _np_radix_keys(views, partners)
+
+
+def _np_semijoin_mask(mine: Sequence["Column"], theirs: Sequence["Column"]):
+    """Which rows of *mine* have a partner in *theirs*, buffer against
+    buffer (:func:`_np_key_pair`): the partner's raw key is the key
+    array — not distinct, not sorted, no Python object per key.
+    ``None`` where there is no such key."""
+    keys = _np_key_pair(mine, theirs)
     return None if keys is None else _np_member_mask(*keys)
 
 
@@ -978,9 +1003,11 @@ class ColumnarRelation(Relation):
     ) -> "ColumnarRelation | None":
         """π with ⊕ over a weight column: rows equal on *cols* become
         one row whose weight is the ``plus``-fold of theirs — a segmented
-        reduction over the sort that finds them.  ``None`` when it has to
-        be done on Python numbers instead: the rows have no single sort
-        key (see :func:`_np_row_keys`), or a sum could leave int64."""
+        reduction over the sort that finds them, or, for one integer or
+        code column of dense span, ``plus.at`` into a table addressed by
+        the key (no sort).  ``None`` when it has to be done on Python
+        numbers instead: the rows have no single sort key (see
+        :func:`_np_row_keys`), or a sum could leave int64."""
         weights = self.weights
         if not self.length:
             return ColumnarRelation.make(
@@ -989,24 +1016,38 @@ class ColumnarRelation(Relation):
         keys = _np_view(cols[0]) if len(cols) == 1 else _np_row_keys(cols)
         if keys is None:
             return None
-        order, first = _np_groups(keys)
-        if first.all():
+        dense = _np_dense(keys, self.length) if len(cols) == 1 else None
+        if dense is None:
+            order, first = _np_groups(keys)
+            starts = _np.flatnonzero(first)
+            longest = int(_np.diff(starts, append=first.size).max())
+        else:
+            slot = keys - dense[0]
+            sizes = _np.bincount(slot)
+            longest = int(sizes.max())
+        if longest == 1:
             return ColumnarRelation.make(
                 attrs, tuple(cols), name, self.length,
                 weights, self.semiring, self.bound,
             )
-        starts = _np.flatnonzero(first)
-        longest = int(_np.diff(starts, append=first.size).max())
         if self.bound * longest >= _WEIGHT_LIMIT:
             return None
         plus = getattr(_np, self.semiring.vector[2])
-        folded = plus.reduceat(_np_view(weights)[order], starts)
-        sel = order[starts]
+        view = _np_view(weights)
+        if dense is None:
+            folded = plus.reduceat(view[order], starts)
+            out_cols = tuple(_np_take(c, order[starts]) for c in cols)
+        else:
+            table = _np.full(sizes.size, self.semiring.zero, dtype=view.dtype)
+            plus.at(table, slot, view)
+            present = _np.flatnonzero(sizes)
+            folded = table[present]
+            out_cols = (_np_column(present + dense[0], cols[0]),)
         return ColumnarRelation.make(
             attrs,
-            tuple(_np_take(c, sel) for c in cols),
+            out_cols,
             name,
-            starts.size,
+            folded.size,
             _np_column(folded, weights),
             self.semiring,
             _np_bound(folded),
@@ -1034,6 +1075,49 @@ def _joined_weights(
     return _np_column(product, bw), build.semiring, _np_bound(product)
 
 
+def _np_lookup_join(
+    left: ColumnarRelation,
+    right: ColumnarRelation,
+    shared: tuple[str, ...],
+    out_attrs: tuple[str, ...],
+    name: str,
+) -> ColumnarRelation | None:
+    """The join with a partner that is all key (*right*'s attributes are
+    all *shared*), as a lookup: *right*'s rows are distinct, so each row
+    of *left* has at most one partner, found through a direct-address
+    table of *right*'s positions over the key (:func:`_np_key_pair`) —
+    one gather, then a mask; no sort, no expansion.  The output is
+    *left*'s matched rows, weighted by the ``times`` of the two sides.
+    ``None`` for float keys, kinds that differ and sparse key spans."""
+    keys = _np_key_pair(
+        [left.columns[left._position(a)] for a in shared],
+        [right.columns[right._position(a)] for a in shared],
+    )
+    if keys is None:
+        return None
+    lk, rk = keys
+    dense = _np_dense(rk, lk.size + rk.size)
+    if dense is None:
+        return None
+    lo, hi = dense
+    table = _np.full(hi - lo + 1, -1, dtype=_np.int64)
+    table[rk - lo] = _np.arange(rk.size)
+    in_range = (lk >= lo) & (lk <= hi)
+    pos = _np.where(in_range, table[_np.where(in_range, lk - lo, 0)], -1)
+    lsel = _np.flatnonzero(pos >= 0)
+    if not lsel.size:
+        top = right if right._rank > left._rank else left
+        return top._no_rows(out_attrs, name)
+    if lsel.size == left.length:
+        cols = left.columns
+    else:
+        cols = tuple(_np_take(c, lsel) for c in left.columns)
+    return ColumnarRelation.make(
+        out_attrs, cols, name, lsel.size,
+        *_joined_weights(left, right, lsel, pos[lsel]),
+    )
+
+
 def columnar_probe_join(
     build: ColumnarRelation,
     probe: ColumnarRelation,
@@ -1056,7 +1140,8 @@ def columnar_probe_join(
     duplicate-free (output rows are in bijection with matched pairs
     agreeing on the shared columns), so no output dedup is needed —
     and a weight column needs no ``plus``: every exit multiplies the
-    matched pairs' weights (:func:`_joined_weights`)."""
+    matched pairs' weights (:func:`_joined_weights`).  A right side that
+    is all key is looked up instead (:func:`_np_lookup_join`)."""
     n_build = build.length
     top = probe if probe._rank > build._rank else build
     if not n_build or not probe.length:
@@ -1070,6 +1155,11 @@ def columnar_probe_join(
         return annotated_probe_join(
             build, probe, build_is_left, shared, extra_pos, out_attrs, name
         )
+    if _np is not None and shared and not extra_pos:
+        left, right = (build, probe) if build_is_left else (probe, build)
+        result = _np_lookup_join(left, right, shared, out_attrs, name)
+        if result is not None:
+            return result
     if _np is not None and len(shared) == 1:
         result = _np_probe_join(
             build, probe, build_is_left, shared[0], extra_pos, out_attrs, name
@@ -1160,16 +1250,13 @@ def _np_probe_join(
     bk = _np_view(bcol)
     pk = _np_codes_in(pcol, bcol) if bcol.kind == "o" else _np_view(pcol)
     order = _np.argsort(bk)
-    direct = False
-    if bk.dtype == _np.int64:
-        kmin = int(bk.min())
-        kmax = int(bk.max())
-        span = kmax - kmin + 1
-        direct = span <= max(4 * (bk.size + pk.size), 1 << 16)
-    if direct:
+    dense = _np_dense(bk, bk.size + pk.size)
+    if dense is not None:
         # Direct-address CSR: ``order`` groups build rows by key value
         # and ``starts[v]`` is the group boundary, so each probe key
         # resolves its match range with two gathers — no binary search.
+        kmin, kmax = dense
+        span = kmax - kmin + 1
         group_counts = _np.bincount(bk - kmin, minlength=span)
         starts = _np.zeros(span + 1, dtype=_np.int64)
         _np.cumsum(group_counts, out=starts[1:])

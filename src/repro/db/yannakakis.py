@@ -11,10 +11,22 @@ relation:
   the *full reducer*: every remaining tuple participates in at least one
   answer.
 * ``enumerate_answers`` — the semijoin passes, then a bottom-up join
-  pass that projects each partial result onto the node's variables plus
-  the output variables seen so far, computes the answer relation in time
+  pass in which a child hands its parent its *marginal*: its partial
+  result projected onto the parent's variables plus the output
+  variables, before the join.  It computes the answer relation in time
   polynomial in input + output (Theorem: Yannakakis [44]; used by
   Theorem 4.8 / Corollary 5.20 through the Lemma 4.6 transformation).
+
+The marginal is sound by connectedness: a variable of the child's
+partial result that the parent does not hold occurs in no other subtree
+of the parent, so once no output needs it nothing later joins on it.
+Under set semantics the projection is a dedup; under a semiring it is a
+``plus``-fold, and folding before the ``times`` of the join is
+distributivity — the sum-product (variable elimination) reading of the
+join tree.  A Boolean ``count`` is then ``Σ`` over the root of the root
+row's weight times, per child, the child's folded weight on the shared
+variables: no join ever produces more rows than the parent's bag, and a
+join whose partner is all shared variables is a lookup.
 
 ``enumerate_answers`` runs only the operators its output needs.  A node
 is *self-contained* (:func:`self_contained`) when every output attribute
@@ -52,7 +64,8 @@ operand nothing but the operand half of the carrier protocol
 passes run directly on the bag relations they are given.  Every
 operator is counted in ``stats`` and traced as one ``sweep.semijoin`` /
 ``sweep.join`` span naming the node whose relation it writes, the pass,
-and its row count.
+and its row count; a marginal is a projection inside its edge's
+``sweep.join`` span.
 """
 
 from __future__ import annotations
@@ -172,13 +185,16 @@ def enumerate_answers(
     """Compute the projection of the join onto *output* attribute names.
 
     Implements the output-polynomial phase of Yannakakis' algorithm:
-    join bottom-up, projecting every partial result onto the current
-    node's attributes plus the output attributes contributed by its
-    subtree, over relations the semijoin passes have reduced — as far
-    as the output needs them (see the module docstring for which
-    operators a self-contained subtree skips).  Each intermediate is
-    then at most ``|node relation| × max(1, |answers|)`` — polynomial in
-    input plus output.
+    join bottom-up over relations the semijoin passes have reduced — as
+    far as the output needs them (see the module docstring for which
+    operators a self-contained subtree skips) — where each child's
+    partial result is first projected onto the node's attributes plus
+    the output attributes, its marginal (a dedup, or under a semiring a
+    ``plus``-fold: the sum-product form, which needs ``times`` to
+    distribute over ``plus``).  Each intermediate is then at most
+    ``|node relation| × max(1, |answers|)`` — polynomial in input plus
+    output — and one whose child brings no output attribute the node
+    lacks is at most ``|node relation|``.
 
     Output attributes must occur in the tree (standard for CQ heads, whose
     variables occur in the body); anything else raises ``ValueError``
@@ -198,28 +214,25 @@ def enumerate_answers(
     else:
         reduced = _fully_reduced(tree, relations, stats, closed)
 
-    out_set = set(output)
     tracer = current_tracer()
     partial: dict[Atom, Relation] = {}
     for node in tree.post_order():
         rel = reduced[node]
-        children = tree.children(node)
         if node in closed and not weighted:
             partial[node] = rel
             continue
-        keep = set(rel.attributes).union(
-            *(out_set.intersection(partial[c].attributes) for c in children)
-        )
-        for child in children:
+        keep = set(rel.attributes).union(output)
+        for child in tree.children(node):
             with tracer.span(
                 "sweep.join", node=node.predicate, pass_="enumerate"
             ) as sp:
-                rel = rel.join(partial[child])
+                operand = partial[child]
+                marginal = [a for a in operand.attributes if a in keep]
+                if len(marginal) < operand.arity:
+                    operand = stats.record(operand.project(marginal))
+                    stats.projections += 1
+                rel = stats.record(rel.join(operand))
                 stats.joins += 1
-                rel = stats.record(
-                    rel.project([a for a in rel.attributes if a in keep])
-                )
-                stats.projections += 1
                 sp.set(rows=len(rel))
         partial[node] = rel
     answer = partial[tree.root].project(list(output), name="ans")

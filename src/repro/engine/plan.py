@@ -542,8 +542,9 @@ def _plan_work(
     its receiver; for a plan with output, the top-down pass skips the
     self-contained children, and each enumeration join outside a
     self-contained subtree reads the node's reduced bag (or its running
-    result) and the child's, and writes their join — and a projection
-    follows it, as one does the answer.  Sizes follow the estimator's
+    result) and the child's marginal — a projection, where the child
+    holds variables the node drops — and writes their join; a projection
+    makes the answer.  Sizes follow the estimator's
     rule (each shared variable divides a product by the active domain);
     variables are compared by name, which hashes in C."""
     work: list[_Work] = []
@@ -616,7 +617,10 @@ def _plan_work(
     # A join's output is that of the unreduced bags — a semijoin drops
     # exactly the rows that join nothing — and a projection onto the
     # node's own χ leaves no more rows than its bag.  A self-contained
-    # node's partial is its reduced bag, which no join writes.
+    # node's partial is its reduced bag, which no join writes.  A child
+    # holding variables the node neither has nor outputs is first
+    # projected onto the rest, its marginal: under independence, draws
+    # from the domain**width values that remain.
     partial: dict[int, tuple[float, frozenset[str]]] = {}
     for node, children in up:
         est, held, reading = full[node], names[node], rows[node]
@@ -625,11 +629,15 @@ def _plan_work(
             continue
         for child in children:
             child_est, child_held = partial[child]
-            key = len(held & child_held)
+            marginal = child_held & (names[node] | output)
+            if marginal != child_held:
+                work.append(("project", child_est))
+                values = domain ** len(marginal)
+                child_est = -values * math.expm1(-child_est / values)
+            key = len(held & marginal)
             out = est * child_est / domain**key
             work.append((_keyed("join", key), reading + child_est + out))
-            work.append(("project", out))
-            held = held | (child_held & output)
+            held = held | marginal
             if held == names[node]:
                 out = min(out, full[node])
             est = reading = out

@@ -23,7 +23,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
@@ -582,3 +582,175 @@ class TestWeightColumnEdges:
         assert got.annotations == expected.annotations
         # Set semantics keeps its (pure-python) columnar kernels.
         assert engine.plan(query, db).resolved_layout == "columnar"
+
+
+def _spy(monkeypatch, name):
+    """Record what ``repro.db.columnar.<name>`` returns, call by call."""
+    real = getattr(columnar_mod, name)
+    calls = []
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(columnar_mod, name, spy)
+    return calls
+
+
+def _lifted(attrs, weights, name, ring=COUNTING):
+    """``{row: weight}`` as a weight column — the row carrier where none
+    can ride (no numpy)."""
+    plain = Relation.from_rows(attrs, weights, name)
+    return lift_columnar(AnnotatedRelation.lift(plain, ring, weights), ring)
+
+
+class TestLookupJoin:
+    """A join whose partner is all key runs as a lookup (with numpy) and
+    answers what the row carrier answers; where no int64 key exists it
+    hands over to the probe join.  Without numpy every case runs the
+    fallback and must answer the same."""
+
+    #: (receiver attributes, rows; partner attributes, rows; whether the
+    #: lookup takes it).
+    CASES = {
+        # Pools differ; "z" and "y" are no code of the receiver's (-1).
+        "dictionary, other pools": (
+            ("a", "b"), [("x", 1), ("b", 2), ("c", 3), ("b", 4)],
+            ("a",), [("b",), ("z",), ("y",), ("c",)], True,
+        ),
+        "dictionary pair, other pools": (
+            ("a", "b"), [("x", "p"), ("b", "q"), ("c", "p")],
+            ("b", "a"), [("q", "b"), ("p", "z"), ("r", "c"), ("p", "c")],
+            True,
+        ),
+        "two-attribute radix": (
+            ("a", "b", "c"), [(i, i % 3, -i) for i in range(20)],
+            ("b", "a"), [(i % 3, i) for i in range(0, 30, 2)], True,
+        ),
+        "1 == 1.0": (
+            ("a", "b"), [(1, 5), (2, 6), (3, 7)],
+            ("a",), [(1.0,), (2.5,)], False,
+        ),
+        "float keys": (
+            ("a", "b"), [(0.5, 1), (1.5, 2), (2.5, 3)],
+            ("a",), [(1.5,), (9.5,)], False,
+        ),
+        "sparse span": (
+            ("a", "b"), [(0, 1), (2**62, 2)],
+            ("a",), [(2**62,), (-(2**62),)], False,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_the_row_join(self, case, monkeypatch):
+        l_attrs, l_rows, r_attrs, r_rows, taken = self.CASES[case]
+        calls = _spy(monkeypatch, "_np_lookup_join")
+        left = Relation.from_rows(l_attrs, l_rows, "l")
+        right = Relation.from_rows(r_attrs, r_rows, "r")
+        got = to_columnar(left).join(to_columnar(right))
+        assert got.attributes == l_attrs
+        assert got.rows == left.join(right).rows
+        if columnar_mod._np is not None:
+            assert isinstance(got, ColumnarRelation)
+            assert [out is not None for out in calls] == [taken]
+        else:
+            assert not calls
+
+    @pytest.mark.parametrize("ring", [COUNTING, INT_RING])
+    def test_weights_multiply_and_the_flavour_follows_rank(
+        self, ring, monkeypatch
+    ):
+        calls = _spy(monkeypatch, "_np_lookup_join")
+        sign = -1 if ring is INT_RING else 1  # negatives only exist in ℤ
+        l_weights = {(i, i % 4): i % 5 for i in range(12)}
+        r_weights = {(k,): sign * (k + 1) for k in (0, 1, 3, 7)}
+        l_attrs, r_attrs = ("a", "b"), ("b",)
+        weighted_l = _lifted(l_attrs, l_weights, "l", ring)
+        weighted_r = _lifted(r_attrs, r_weights, "r", ring)
+        plain_l = to_columnar(Relation.from_rows(l_attrs, l_weights, "l"))
+        plain_r = to_columnar(Relation.from_rows(r_attrs, r_weights, "r"))
+        both = {
+            row: w * r_weights[(row[1],)]
+            for row, w in l_weights.items() if (row[1],) in r_weights
+        }
+        cases = [
+            (weighted_l, weighted_r, both),
+            # A plain side counts one, on either side of the join.
+            (weighted_l, plain_r, {r: l_weights[r] for r in both}),
+            (plain_l, weighted_r, {r: r_weights[(r[1],)] for r in both}),
+        ]
+        for left, right, expected in cases:
+            got = left.join(right)
+            assert got.attributes == l_attrs
+            assert got.semiring is ring
+            assert dict(got.annotations) == expected
+        if columnar_mod._np is not None:
+            assert all(out is not None for out in calls) and len(calls) == 3
+
+    def test_empty_inputs(self):
+        full = _lifted(("a", "b"), {(1, 2): 3, (2, 2): 4}, "l")
+        key = _lifted(("b",), {(2,): 5}, "r")
+        empty_key = _lifted(("b",), {}, "r")
+        none = to_columnar(Relation.from_rows(("b",), [(9,)], "r"))
+        for got in (full.join(empty_key), full.join(none)):
+            assert not got and got.attributes == ("a", "b")
+            assert got.semiring is COUNTING
+        assert dict(full.join(key).annotations) == {(1, 2): 15, (2, 2): 20}
+
+    def test_a_product_that_reaches_int64_is_done_on_python_ints(self):
+        left = _lifted(("a", "b"), {(i, i % 2): 2**32 for i in range(6)}, "l")
+        right = _lifted(("b",), {(0,): 2**31, (1,): 3}, "r")
+        got = left.join(right)
+        assert dict(got.annotations) == {
+            (i, i % 2): 2**63 if i % 2 == 0 else 3 * 2**32 for i in range(6)
+        }
+        assert all(type(v) is int for v in got.annotations.values())
+
+
+class TestDenseFold:
+    """A fold over one integer or code column of dense span skips the
+    sort: it must answer exactly what the sort fold answers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ring=st.sampled_from([COUNTING, INT_RING]),
+        keys=st.sampled_from(["int", "str"]),
+        weights=st.dictionaries(
+            st.tuples(st.integers(-3, 12), st.integers(0, 3)),
+            st.integers(-4, 9),
+            max_size=30,
+        ),
+    )
+    @example(
+        ring=INT_RING, keys="int",
+        weights={(-2, 0): 3, (-2, 1): -5, (4, 0): 1, (4, 2): -1},
+    )
+    def test_equals_the_sort_fold(self, ring, keys, weights):
+        if ring is COUNTING:
+            weights = {row: abs(w) for row, w in weights.items()}
+        if keys == "str":
+            weights = {(f"k{a}", b): w for (a, b), w in weights.items()}
+        rel = _lifted(("a", "b"), weights, "r", ring)
+        expected = {}
+        for (a, _), w in weights.items():
+            expected[(a,)] = expected.get((a,), 0) + w
+        dense = rel.project(["a"])
+        assert dict(dense.annotations) == expected
+        if columnar_mod._np is not None and weights:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(columnar_mod, "_np_dense", lambda *_: None)
+                by_sort = rel.project(["a"])
+            assert list(dense) == list(by_sort)
+            assert dense.weights.data == by_sort.weights.data
+            assert dense.bound == by_sort.bound
+
+    def test_a_marginal_that_reaches_int64_is_done_on_python_ints(self):
+        for ring, weight in ((COUNTING, 2**62), (INT_RING, -(2**62))):
+            rel = _lifted(
+                ("a", "b"), {(i % 3, i): weight for i in range(9)}, "r", ring
+            )
+            got = rel.project(["a"])
+            expected = {(k,): 3 * weight for k in range(3)}
+            assert dict(got.annotations) == expected
+            assert all(type(v) is int for v in got.annotations.values())

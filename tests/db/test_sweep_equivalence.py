@@ -23,14 +23,23 @@ relation):
   bound ``max node rows × max(1, |answer|)`` although a self-contained
   subtree skips the passes that used to guarantee it,
 * and no pass changes the relations it was given.
+
+The sum-product pass — each child folded onto what its parent keeps
+before the join — is checked against brute force over random acyclic
+queries (:class:`TestSumProductSweep`): every satisfying substitution
+enumerated, counted, collected as a why-provenance witness and costed,
+with no semiring code in the oracle.
 """
+
+from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.acyclicity import join_tree
-from repro.core.atoms import Variable
+from repro.core.atoms import Atom, Variable
 from repro.core.jointree import join_tree_from_edges
 from repro.core.parser import parse_query
 from repro.core.query import ConjunctiveQuery
@@ -46,8 +55,10 @@ from repro.db import (
 )
 from repro.db.annotated import bind_atom_annotated, naive_annotated_eval
 from repro.db.columnar import ColumnarRelation, rides_buffers
-from repro.db.semiring import COUNTING, MINCOST
+from repro.db.semiring import COUNTING, INT_RING, MINCOST, PROVENANCE
 from repro.db.stats import EvalStats
+from repro.db.yannakakis import self_contained
+from repro.obs import Tracer, tracing
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
 from tests.conftest import naive_reduced, star_query
@@ -271,3 +282,127 @@ class TestSweepOnEveryCarrier:
             assert (set(rel.rows), getattr(rel, "annotations", None)) == (
                 before[node]
             )
+
+
+@st.composite
+def acyclic_queries(draw):
+    """A random acyclic query with a head: atoms grown as a tree, each
+    new atom taking one or two variables of an earlier one plus up to two
+    fresh ones (so the growth order is a join tree), every predicate its
+    own.  The head is drawn from one atom's variables (a bag covers it)
+    or from all of them."""
+    fresh = (f"V{i}" for i in count())
+    names = [[next(fresh) for _ in range(draw(st.integers(1, 3)))]]
+    for i in range(1, draw(st.integers(2, 5))):
+        parent = names[draw(st.integers(0, i - 1))]
+        shared = draw(
+            st.lists(
+                st.sampled_from(parent), min_size=1,
+                max_size=min(2, len(parent)), unique=True,
+            )
+        )
+        own = [next(fresh) for _ in range(draw(st.integers(0, 2)))]
+        names.append(shared + own)
+    if draw(st.booleans()):
+        pool = draw(st.sampled_from(names))
+    else:
+        pool = sorted({v for atom in names for v in atom})
+    head = draw(st.lists(st.sampled_from(pool), unique=True))
+    body = tuple(
+        Atom(f"r{i}", tuple(map(Variable, atom)))
+        for i, atom in enumerate(names)
+    )
+    return ConjunctiveQuery(body, tuple(map(Variable, head)), "acyclic")
+
+
+def derivations(query, db):
+    """Every satisfying substitution, as (head row, the fact each atom
+    uses) — brute force, no semiring code."""
+    names = sorted(v.name for v in query.variables)
+    full = naive_join_eval(
+        query.with_head(tuple(map(Variable, names))), db
+    )
+    head = [names.index(v.name) for v in query.head_terms]
+    atoms = [
+        (atom.predicate, [names.index(v.name) for v in atom.terms])
+        for atom in query.atoms
+    ]
+    for row in full.rows:
+        yield tuple(row[i] for i in head), tuple(
+            (p, tuple(row[i] for i in pos)) for p, pos in atoms
+        )
+
+
+#: Semiring tag -> semiring, for the sum-product property.
+SUM_PRODUCT = {
+    "count": COUNTING, "int": INT_RING,
+    "provenance": PROVENANCE, "mincost": MINCOST,
+}
+
+
+class TestSumProductSweep:
+    """Children hand their parents ⊕-marginals: the answers of every
+    distributive semiring stay the brute-force ones, on row carriers and
+    on weight columns, whatever the head and the root."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=acyclic_queries(),
+        tag=st.sampled_from(sorted(SUM_PRODUCT)),
+        columnar=st.booleans(),
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 6),
+        tuples=st.integers(1, 20),
+        pick=st.integers(0, 4),
+    )
+    def test_answers_are_brute_force(
+        self, query, tag, columnar, seed, domain, tuples, pick
+    ):
+        semiring = SUM_PRODUCT[tag]
+        db = random_database(
+            query, domain, tuples, seed=seed, plant_answer=True,
+            weights="cost",
+        )
+        tree = rerooted(query, pick)
+        rels = {
+            atom: bind_atom_annotated(atom, db, semiring, columnar=columnar)
+            for atom in query.atoms
+        }
+        if columnar and rides_buffers(semiring):
+            assert all(isinstance(r, ColumnarRelation) for r in rels.values())
+        head = tuple(v.name for v in query.head_terms)
+        stats = EvalStats()
+        with tracing(Tracer()) as tracer:
+            got = enumerate_answers(tree, dict(rels), head, stats)
+        found = list(derivations(query, db))
+        assert got.rows == {row for row, _ in found}
+        if tag in ("count", "int"):
+            assert got.annotations == dict(Counter(row for row, _ in found))
+        elif tag == "provenance":
+            expected = {}
+            for row, facts in found:
+                expected.setdefault(row, set()).add(frozenset(facts))
+            assert got.annotations == {
+                row: frozenset(sets) for row, sets in expected.items()
+            }
+        else:
+            costs = {}
+            for row, facts in found:
+                cost = sum(db.weight(p, fact) for p, fact in facts)
+                costs.setdefault(row, {})[frozenset(facts)] = cost
+            for row, (cost, witness) in got.annotations.items():
+                assert cost == pytest.approx(min(costs[row].values()))
+                # The witness is one derivation of the row, at that cost.
+                assert costs[row][frozenset(witness)] == pytest.approx(cost)
+
+        # A node whose subtree brings no head variable it lacks joins
+        # marginals that are all key: no join there outgrows its bag.
+        attributes = {node: rels[node].attributes for node in tree.nodes}
+        closed = {
+            node.predicate for node in self_contained(tree, attributes, head)
+        }
+        size = {node.predicate: len(rels[node]) for node in tree.nodes}
+        for span in tracer.spans():
+            node = span.attrs.get("node")
+            if span.name == "sweep.join" and node in closed:
+                assert span.attrs["rows"] <= size[node]

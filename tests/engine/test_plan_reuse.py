@@ -28,6 +28,7 @@ import repro.engine.cache as cache_module
 from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
 from repro.db.annotated import naive_annotated_eval
+from repro.db.columnar import kernels
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.db.semiring import resolve_semiring
@@ -93,6 +94,51 @@ def _e2e_requests():
     for op in serve.requests[0][:6]:
         out.append((f"serve_small/{op.key}~", parse_query(op.payload), db, None))
     return out
+
+
+#: The layout ``auto`` resolves every ``_e2e_requests()`` shape to, per
+#: kernel set (``repro.db.columnar.kernels()``).  The cost model prices
+#: each enumeration join over the child's marginal
+#: (``engine/plan.py::_plan_work``); that moved predictions, and must
+#: move no shape's pick.  ``semiring_count`` is decided by
+#: ``WEIGHTED_MIN_ROWS`` (row without numpy: no weight column), the rest
+#: by predicted milliseconds.
+_NUMPY_LAYOUTS = {
+    "cyclic_bags/cycle4": "columnar",
+    "cyclic_bags/cycle5": "columnar",
+    "cyclic_bags/book2": "columnar",
+    "acyclic_large/path4": "columnar",
+    "acyclic_large/path3": "columnar",
+    "acyclic_large/star3": "columnar",
+    "semiring_count/path4": "columnar",
+    "semiring_count/path3": "columnar",
+    "semiring_count/star3": "columnar",
+    "serve_small/path3": "row",
+    "serve_small/star3": "row",
+    "serve_small/triangle": "columnar",
+    "serve_small/path3~": "row",
+    "serve_small/star3~": "row",
+    "serve_small/triangle~": "columnar",
+}
+E2E_LAYOUTS = {
+    "numpy": _NUMPY_LAYOUTS,
+    "python": {
+        **_NUMPY_LAYOUTS,
+        "acyclic_large/path3": "row",
+        "semiring_count/path4": "row",
+        "semiring_count/path3": "row",
+        "semiring_count/star3": "row",
+    },
+}
+
+
+def test_e2e_shapes_keep_their_layouts():
+    with Engine(layout="auto") as engine:
+        resolved = {
+            label: engine.plan(query, db, semiring=semiring).resolved_layout
+            for label, query, db, semiring in _e2e_requests()
+        }
+    assert resolved == E2E_LAYOUTS[kernels()]
 
 
 class TestAReplayedPlanIsTheCompiledOne:
