@@ -28,7 +28,11 @@ code).  Between two columnar relations a semijoin builds no key set at
 all: the membership mask comes from the two sides' buffers, column
 against column (:func:`_np_semijoin_mask`); the key set is for row
 receivers, no-numpy builds and the pairs of columns only Python
-equality can compare.
+equality can compare.  With numpy, integer and code keys of modest span
+are probed through one direct-address table (:func:`_np_slots`): over
+both sides' span where that costs little, each probe is one plain
+gather with no range check.  The mask becomes one index vector that
+every column gathers by.
 
 Row materialisation stays available (:attr:`ColumnarRelation.rows` is a
 :class:`RowsView`: counting and iterating decode straight from the
@@ -46,7 +50,7 @@ collapses with a segmented reduction over the sort that finds them.
 The sum-product sweep makes two shapes common, and both skip the sort:
 a join whose partner is all key (a child's marginal on the separator)
 is a lookup — a direct-address table of the partner's positions, one
-gather, one mask (:func:`_np_lookup_join`) — and a fold over one
+gather (:func:`_np_lookup_join`) — and a fold over one
 integer or code column of dense span counts its groups with
 ``bincount`` and sums them with ``plus.at`` into a table addressed by
 the key.
@@ -286,23 +290,42 @@ def _np_dense(keys, rows: int):
     return (lo, hi) if hi - lo < max(4 * rows, 1 << 16) else None
 
 
+def _np_slots(keys, probes):
+    """``(size, key slots, probe slots)`` of a direct-address table for
+    non-empty *probes* to look up among non-empty *keys*, or ``None``
+    when the keys' span fails :func:`_np_dense`'s bound.  The table
+    spans both sides, so each slot is one subtraction, when that fits
+    the bound and costs at most four slots a row or one slot a probe
+    over the keys' own span; else it spans the keys, and a probe
+    outside gets a spare last slot no key fills."""
+    rows = keys.size + probes.size
+    dense = _np_dense(keys, rows)
+    if dense is None:
+        return None
+    lo, hi = dense
+    ulo = min(lo, int(probes.min()))
+    uhi = max(hi, int(probes.max()))
+    if uhi - ulo < max(4 * rows, min(1 << 16, hi - lo + probes.size)):
+        return uhi - ulo + 1, keys - ulo, probes - ulo
+    inside = (probes >= lo) & (probes <= hi)
+    spare = hi - lo + 1
+    return spare + 1, keys - lo, _np.where(inside, probes - lo, spare)
+
+
 def _np_member_mask(view, karr):
     """Boolean membership mask of *view* against key array *karr*.
 
     Integer keys spanning a modest range get a direct-address table
-    (one boolean gather per row, no sorting); everything else uses the
-    sort-based ``numpy.isin``."""
-    dense = None
-    if karr.size and view.size:
-        dense = _np_dense(karr, karr.size + view.size)
-    if dense is None:
+    (:func:`_np_slots`): one boolean gather per row, no sorting, and no
+    range check when the table spans both sides.  Everything else uses
+    the sort-based ``numpy.isin``."""
+    slots = _np_slots(karr, view) if karr.size and view.size else None
+    if slots is None:
         return _np.isin(view, karr)
-    lo, hi = dense
-    table = _np.zeros(hi - lo + 1, dtype=bool)
-    table[karr - lo] = True
-    in_range = (view >= lo) & (view <= hi)
-    offsets = _np.where(in_range, view - lo, 0)
-    return in_range & table[offsets]
+    size, kslots, vslots = slots
+    table = _np.zeros(size, dtype=bool)
+    table[kslots] = True
+    return table[vslots]
 
 
 def _np_radix_keys(*sides):
@@ -404,11 +427,6 @@ def _np_column(values, like: "Column") -> "Column":
     out = array(_TYPECODE[like.kind])
     out.frombytes(values.tobytes())
     return Column(like.kind, out, like.pool)
-
-
-def _np_select(col: "Column", mask) -> "Column":
-    """Filter by a numpy boolean mask — one vectorised gather."""
-    return _np_column(_np_view(col)[mask], col)
 
 
 def _np_take(col: "Column", sel) -> "Column":
@@ -754,15 +772,20 @@ class ColumnarRelation(Relation):
 
     def _select_rows(self, mask, survivors: int) -> "ColumnarRelation":
         """The *survivors* rows whose *mask* entry is set — a numpy
-        boolean array or a 0/1 ``bytes`` — each with its weight."""
-        pick = Column.compress if isinstance(mask, bytes) else _np_select
+        boolean array or a 0/1 ``bytes`` — each with its weight.  A
+        numpy mask becomes one index vector, which every column and the
+        weight column gather by."""
+        if isinstance(mask, bytes):
+            pick, sel = Column.compress, mask
+        else:
+            pick, sel = _np_take, _np.flatnonzero(mask)
         weights = self.weights
         return ColumnarRelation.make(
             self.attributes,
-            tuple(pick(c, mask) for c in self.columns),
+            tuple(pick(c, sel) for c in self.columns),
             self.name,
             survivors,
-            None if weights is None else pick(weights, mask),
+            None if weights is None else pick(weights, sel),
             self.semiring,
             self.bound,
         )
@@ -1096,14 +1119,13 @@ def _np_lookup_join(
     if keys is None:
         return None
     lk, rk = keys
-    dense = _np_dense(rk, lk.size + rk.size)
-    if dense is None:
+    slots = _np_slots(rk, lk)
+    if slots is None:
         return None
-    lo, hi = dense
-    table = _np.full(hi - lo + 1, -1, dtype=_np.int64)
-    table[rk - lo] = _np.arange(rk.size)
-    in_range = (lk >= lo) & (lk <= hi)
-    pos = _np.where(in_range, table[_np.where(in_range, lk - lo, 0)], -1)
+    size, rslots, lslots = slots
+    table = _np.full(size, -1, dtype=_np.int64)
+    table[rslots] = _np.arange(rk.size)
+    pos = table[lslots]
     lsel = _np.flatnonzero(pos >= 0)
     if not lsel.size:
         top = right if right._rank > left._rank else left
@@ -1234,15 +1256,16 @@ def _np_probe_join(
     out_attrs: tuple[str, ...],
     name: str,
 ):
-    """Vectorised single-key probe: sort the build keys once, binary
-    search every probe key for its match *range* (so duplicate build
-    keys expand without a Python loop: the flattened ranges come from
-    ``repeat``/``cumsum`` arithmetic), and gather every output column
-    with numpy fancy indexing.  Dictionary key columns first translate
-    probe codes into the build pool's code space
-    (:func:`_np_codes_in`).  Returns ``None`` when the key kinds
-    don't line up — the caller's generic path keeps Python equality
-    semantics for those."""
+    """Vectorised single-key probe: group the build rows by key once
+    (an ``argsort``), find every probe key's match *range* — through a
+    direct-address CSR over the key span (:func:`_np_slots`) where one
+    fits, else by binary search — expand the ranges without a Python
+    loop (``repeat``/``cumsum`` arithmetic), and gather every output
+    column with numpy fancy indexing.  Dictionary key columns first
+    translate probe codes into the build pool's code space
+    (:func:`_np_codes_in`).  Returns ``None`` when the key kinds don't
+    line up — the caller's generic path keeps Python equality semantics
+    for those."""
     bcol = build.columns[build._position(key)]
     pcol = probe.columns[probe._position(key)]
     if bcol.kind != pcol.kind:
@@ -1250,31 +1273,26 @@ def _np_probe_join(
     bk = _np_view(bcol)
     pk = _np_codes_in(pcol, bcol) if bcol.kind == "o" else _np_view(pcol)
     order = _np.argsort(bk)
-    dense = _np_dense(bk, bk.size + pk.size)
-    if dense is not None:
-        # Direct-address CSR: ``order`` groups build rows by key value
-        # and ``starts[v]`` is the group boundary, so each probe key
-        # resolves its match range with two gathers — no binary search.
-        kmin, kmax = dense
-        span = kmax - kmin + 1
-        group_counts = _np.bincount(bk - kmin, minlength=span)
-        starts = _np.zeros(span + 1, dtype=_np.int64)
-        _np.cumsum(group_counts, out=starts[1:])
-        in_range = (pk >= kmin) & (pk <= kmax)
-        slot = _np.where(in_range, pk - kmin, 0)
-        lo = _np.where(in_range, starts[slot], 0)
-        hi = _np.where(in_range, starts[slot + 1], 0)
+    slots = _np_slots(bk, pk)
+    if slots is not None:
+        # Direct-address CSR: ``order`` groups build rows by key, slot
+        # s's group starts at ``starts[s]`` and holds ``counts[s]`` rows:
+        # two gathers per probe key, no binary search.
+        size, bslots, pslots = slots
+        counts = _np.bincount(bslots, minlength=size)
+        starts = _np.cumsum(counts) - counts
+        lo = starts[pslots]
+        matches = counts[pslots]
     else:
         sbk = bk[order]
         lo = _np.searchsorted(sbk, pk, side="left")
-        hi = _np.searchsorted(sbk, pk, side="right")
-    matches = hi - lo
+        matches = _np.searchsorted(sbk, pk, side="right") - lo
     total = int(matches.sum())
     if not total:
         top = probe if probe._rank > build._rank else build
         return top._no_rows(out_attrs, name)
     # Flatten the per-probe match ranges: probe row j repeats once per
-    # partner, and the partner positions are lo[j], lo[j]+1, … hi[j)-1
+    # partner, and the partner positions are lo[j], lo[j]+1, …
     # (arange minus each range's running start).
     ppos = _np.repeat(_np.arange(pk.size), matches)
     ends = _np.cumsum(matches)

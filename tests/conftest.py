@@ -111,6 +111,20 @@ def star_query(n: int) -> ConjunctiveQuery:
     return ConjunctiveQuery(body, (), f"star_{n}")
 
 
+def spy_on(monkeypatch, module, name):
+    """Record what ``module.<name>`` returns, call by call."""
+    real = getattr(module, name)
+    calls = []
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def naive_reduced(query, db, rels):
     """What the full reducer must leave at each node: the projection of
     the full join onto the node's attributes."""

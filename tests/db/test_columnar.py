@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.db import Database, Relation
+from repro.db import columnar as columnar_mod
 from repro.db.annotated import AnnotatedRelation
 from repro.db.columnar import (
     LAYOUTS,
@@ -22,10 +23,12 @@ from repro.db.columnar import (
     default_layout,
     encode_column,
     from_columns,
+    lift_columnar,
     to_columnar,
 )
 from repro.db.semiring import COUNTING
 from repro._errors import SchemaError
+from tests.conftest import spy_on
 
 
 def rel(attrs, rows, name="r"):
@@ -381,3 +384,125 @@ class TestLayoutPolicy:
         assert default_layout() == "auto"
         monkeypatch.delenv("REPRO_LAYOUT")
         assert default_layout() == "auto"
+
+
+def _weighted(attrs, rows, weighted: bool):
+    """*rows* as a columnar relation, weighted 1, 2, 3, … in row order
+    when *weighted* (the row carrier where no weight column can ride)."""
+    plain = rel(attrs, rows)
+    if not weighted:
+        return to_columnar(plain)
+    weights = {row: 1 + i for i, row in enumerate(rows)}
+    return lift_columnar(
+        AnnotatedRelation.lift(plain, COUNTING, weights), COUNTING
+    )
+
+
+def _weight(side, row):
+    """*row*'s weight in *side*, a plain side counting one."""
+    return 1 if side.semiring is None else side.annotation(row)
+
+
+@pytest.fixture(params=["numpy", "python"])
+def kernels(request, monkeypatch):
+    """Run a test with the vectorised kernels and with numpy hidden (the
+    pure-Python kernels: ``bytes`` masks and ``dict`` probes)."""
+    if request.param == "numpy" and columnar_mod._np is None:
+        pytest.skip("vectorised kernels need numpy")
+    if request.param == "python":
+        monkeypatch.setattr(columnar_mod, "_np", None)
+    return request.param
+
+
+class TestProbeJoin:
+    """A single-key join of columnar relations runs the vectorised probe
+    join (:func:`repro.db.columnar._np_probe_join`) — or, with numpy
+    hidden, the pure-Python one — and answers what the row join answers:
+    rows, weights and the flavour of the higher-ranked side."""
+
+    #: (left rows over (a, b), right rows over (b, c)).  The smaller
+    #: side builds.
+    CASES = {
+        "unique, build left": (
+            [(i, i % 5) for i in range(5)],
+            [(i % 7, i) for i in range(30)],
+        ),
+        "unique, build right": (
+            [(i, i % 7) for i in range(30)],
+            [(i, -i) for i in range(5)],
+        ),
+        "duplicates, build left": (
+            [(i, i % 3) for i in range(6)],
+            [(i % 4, i) for i in range(20)],
+        ),
+        "duplicates, build right": (
+            [(i, i % 4) for i in range(20)],
+            [(i % 3, i) for i in range(6)],
+        ),
+        "no match": (
+            [(i, i) for i in range(5)],
+            [(100 + i, i) for i in range(10)],
+        ),
+        "sparse keys": (
+            [(0, 0), (1, 2**62)],
+            [(2**62, 1), (0, 2), (5, 3)],
+        ),
+        "far probe": (
+            [(i, i) for i in range(4)],
+            [(2**50, 1), (2, 2), (-(2**62), 3), (3, 4), (3, 5)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("weighted", ["none", "left", "right", "both"])
+    def test_equals_the_row_join(self, case, weighted, kernels, monkeypatch):
+        l_rows, r_rows = self.CASES[case]
+        left = _weighted(("a", "b"), l_rows, weighted in ("left", "both"))
+        right = _weighted(("b", "c"), r_rows, weighted in ("right", "both"))
+        expected = rel(("a", "b"), l_rows).join(rel(("b", "c"), r_rows))
+        calls = spy_on(monkeypatch, columnar_mod, "_np_probe_join")
+        got = left.join(right)
+        assert got.attributes == ("a", "b", "c")
+        assert got.rows == expected.rows
+        if weighted == "none":
+            assert got.semiring is None
+        else:
+            # A weighted side outranks a plain one, whichever side it is.
+            assert got.semiring is COUNTING
+            assert dict(got.annotations) == {
+                row: _weight(left, row[:2]) * _weight(right, row[1:])
+                for row in expected.rows
+            }
+        if kernels == "numpy":
+            assert isinstance(got, ColumnarRelation)
+            assert [out is not None for out in calls] == [True]
+        else:
+            assert not calls
+
+
+class TestSelectRows:
+    """A semijoin's survivors: every column and the weight column gather
+    by one index vector (numpy) or compress by one ``bytes`` mask (numpy
+    hidden), and stay aligned."""
+
+    def test_weights_stay_aligned_and_the_bound_stays(self, kernels):
+        rows = [(i, f"v{i % 3}") for i in range(12)]
+        weights = [(7 * i) % 11 - 5 for i in range(12)]
+        full = ColumnarRelation.make(
+            ("a", "b"),
+            (encode_column([r[0] for r in rows]),
+             encode_column([r[1] for r in rows])),
+            "r", len(rows), encode_column(weights), COUNTING, 9,
+        )
+        keep = [i % 3 != 1 for i in range(12)]
+        masks = [bytes(keep)]
+        if kernels == "numpy":
+            masks.append(columnar_mod._np.array(keep))
+        for mask in masks:
+            got = full._select_rows(mask, sum(keep))
+            assert list(got) == [r for r, k in zip(rows, keep) if k]
+            assert list(got.weights.data) == [
+                w for w, k in zip(weights, keep) if k
+            ]
+            assert len(got) == sum(keep) and got.bound == 9
+            assert got.semiring is COUNTING

@@ -52,7 +52,7 @@ from repro.db.semiring import INT_RING
 from repro.engine import Engine
 from repro.generators.families import cycle_query, path_query
 from repro.generators.workloads import random_database
-from tests.conftest import star_query
+from tests.conftest import spy_on, star_query
 
 needs_numpy = pytest.mark.skipif(
     columnar_mod._np is None, reason="vectorised kernels need numpy"
@@ -584,20 +584,6 @@ class TestWeightColumnEdges:
         assert engine.plan(query, db).resolved_layout == "columnar"
 
 
-def _spy(monkeypatch, name):
-    """Record what ``repro.db.columnar.<name>`` returns, call by call."""
-    real = getattr(columnar_mod, name)
-    calls = []
-
-    def spy(*args):
-        out = real(*args)
-        calls.append(out)
-        return out
-
-    monkeypatch.setattr(columnar_mod, name, spy)
-    return calls
-
-
 def _lifted(attrs, weights, name, ring=COUNTING):
     """``{row: weight}`` as a weight column — the row carrier where none
     can ride (no numpy)."""
@@ -645,7 +631,7 @@ class TestLookupJoin:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equals_the_row_join(self, case, monkeypatch):
         l_attrs, l_rows, r_attrs, r_rows, taken = self.CASES[case]
-        calls = _spy(monkeypatch, "_np_lookup_join")
+        calls = spy_on(monkeypatch, columnar_mod, "_np_lookup_join")
         left = Relation.from_rows(l_attrs, l_rows, "l")
         right = Relation.from_rows(r_attrs, r_rows, "r")
         got = to_columnar(left).join(to_columnar(right))
@@ -661,7 +647,7 @@ class TestLookupJoin:
     def test_weights_multiply_and_the_flavour_follows_rank(
         self, ring, monkeypatch
     ):
-        calls = _spy(monkeypatch, "_np_lookup_join")
+        calls = spy_on(monkeypatch, columnar_mod, "_np_lookup_join")
         sign = -1 if ring is INT_RING else 1  # negatives only exist in ℤ
         l_weights = {(i, i % 4): i % 5 for i in range(12)}
         r_weights = {(k,): sign * (k + 1) for k in (0, 1, 3, 7)}
@@ -754,3 +740,91 @@ class TestDenseFold:
             expected = {(k,): 3 * weight for k in range(3)}
             assert dict(got.annotations) == expected
             assert all(type(v) is int for v in got.annotations.values())
+
+
+@needs_numpy
+class TestMemberMask:
+    """The membership mask a semijoin probes with equals ``numpy.isin``
+    in each regime of :func:`repro.db.columnar._np_slots`, each reached
+    through its inputs: a table over both sides' span (small values;
+    one plain gather), a table over the keys alone (far values on the
+    probe side, range-checked into its spare slot), and ``isin`` itself
+    (far values on the key side)."""
+
+    #: Values no table over small keys may address.
+    FAR = [-(2**63), -(2**40), 2**40, 2**63 - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        regime=st.sampled_from(["union", "keys", "isin"]),
+        keys=st.lists(st.integers(-40, 40), min_size=1, max_size=30),
+        # 26 rows or more allow a union table over any span up to 100.
+        probes=st.lists(st.integers(-50, 50), min_size=25, max_size=40),
+        far=st.lists(st.sampled_from(FAR), min_size=1, max_size=3),
+    )
+    @example(regime="keys", keys=[-1, 0], probes=[0, 1, -1], far=FAR)
+    def test_equals_isin(self, regime, keys, probes, far):
+        # Small values include -1, the code of a partner value the
+        # receiver's pool lacks.
+        np = columnar_mod._np
+        if regime == "keys":
+            probes = probes + far
+        elif regime == "isin":
+            keys = keys + far
+        karr = np.array(keys, dtype=np.int64)
+        view = np.array(probes, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            tables = spy_on(patch, columnar_mod, "_np_slots")
+            got = columnar_mod._np_member_mask(view, karr)
+        assert got.dtype == bool
+        assert got.tolist() == np.isin(view, karr).tolist()
+        (table,) = tables
+        if regime == "isin":
+            assert table is None
+        else:
+            spanned = keys + probes if regime == "union" else keys
+            spare = regime == "keys"
+            assert table[0] == max(spanned) - min(spanned) + 1 + spare
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mine=st.lists(st.integers(0, 9), min_size=1, max_size=25),
+        theirs=st.lists(st.integers(0, 14), min_size=1, max_size=25),
+    )
+    def test_dictionary_codes_absent_from_the_pool(self, mine, theirs):
+        # Partner values the receiver's pool lacks translate to code -1.
+        left = Relation.from_rows(
+            ("a", "b"), [(f"k{v}", i) for i, v in enumerate(mine)], "l"
+        )
+        right = Relation.from_rows(("a",), [(f"k{v}",) for v in theirs], "r")
+        got = to_columnar(left).semijoin(to_columnar(right))
+        expected = left.semijoin(right).rows
+        assert isinstance(got, ColumnarRelation)
+        assert list(got) == [row for row in to_columnar(left) if row in expected]
+
+    def test_narrow_keys_take_no_table_over_wide_probes(self, monkeypatch):
+        np = columnar_mod._np
+        tables = spy_on(monkeypatch, columnar_mod, "_np_slots")
+        karr = np.arange(10, dtype=np.int64)
+        view = np.linspace(0, 60_000, 100).astype(np.int64)
+        got = columnar_mod._np_member_mask(view, karr)
+        assert got.tolist() == np.isin(view, karr).tolist()
+        # The keys' ten slots and the spare, not 60 001 over both sides.
+        assert tables[0][0] == 10 + 1
+
+    @pytest.mark.parametrize("side", ["keys", "probes"])
+    def test_a_value_near_2_40_allocates_no_table_over_it(
+        self, side, monkeypatch
+    ):
+        np = columnar_mod._np
+        tables = spy_on(monkeypatch, columnar_mod, "_np_slots")
+        near = [5, -2, 11, 0, 5]
+        far = near + [2**40 - 3]
+        karr, view = (far, near) if side == "keys" else (near, far)
+        karr = np.array(karr, dtype=np.int64)
+        view = np.array(view, dtype=np.int64)
+        got = columnar_mod._np_member_mask(view, karr)
+        assert got.tolist() == np.isin(view, karr).tolist()
+        (table,) = tables
+        # Probed from a table over -2..11 and its spare slot, or sorted.
+        assert table is None if side == "keys" else table[0] == 14 + 1
