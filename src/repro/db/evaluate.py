@@ -60,9 +60,10 @@ class Lemma46Result:
         return db_size + query_size + tree_size
 
 
-def check_deadline(deadline: float | None, phase: str) -> None:
+def check_deadline(deadline: float | None, phase: object) -> None:
     """Raise :class:`BudgetExceeded` once *deadline* (monotonic seconds)
-    has passed; checked between operators, never inside one."""
+    has passed; checked between operators, never inside one.  *phase*
+    names where (formatted only when it raises)."""
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceeded(f"engine budget exhausted during {phase}")
 

@@ -17,6 +17,13 @@ relation:
   polynomial in input + output (Theorem: Yannakakis [44]; used by
   Theorem 4.8 / Corollary 5.20 through the Lemma 4.6 transformation).
 
+Each builds, then runs, a :class:`Program`: :func:`sweep_program`
+compiles the passes into a flat tuple of operators — :class:`Semijoin`,
+:class:`Join`, :class:`Project` — and a terminal naming what the run
+hands back, and :func:`run_program` is the one interpreter loop.  The
+plan compiler (:mod:`repro.engine.plan`) builds a plan's program once,
+runs it on every request, prices it and prints it.
+
 The marginal is sound by connectedness: a variable of the child's
 partial result that the parent does not hold occurs in no other subtree
 of the parent, so once no output needs it nothing later joins on it.
@@ -28,10 +35,10 @@ row's weight times, per child, the child's folded weight on the shared
 variables: no join ever produces more rows than the parent's bag, and a
 join whose partner is all shared variables is a lookup.
 
-``enumerate_answers`` runs only the operators its output needs.  A node
-is *self-contained* (:func:`self_contained`) when every output attribute
-of its subtree is one of its own attributes — and then, by
-connectedness, so is every child.  Then:
+The builder alone decides which operators an answer needs.  A node is
+*self-contained* when every output attribute of its subtree is one of
+its own attributes — and then, by connectedness, so is every child.
+Then:
 
 * the top-down pass descends only into children that are not
   self-contained;
@@ -39,9 +46,10 @@ connectedness, so is every child.  Then:
   bottom-up-reduced relation — no join runs inside its subtree — so a
   self-contained root answers with ``π_output`` of the reduced root
   (one bottom-up pass and one projection);
-* when the root is self-contained and an operand carries values (an
-  annotated relation, or a weight column: the operand's ``_rank``), no
-  semijoin runs at all — the join-and-⊕-fold pass filters by itself.
+* when the root is self-contained and the operands carry values
+  (*weighted*: an annotated relation, or a weight column — the operand's
+  ``_rank``), no semijoin runs at all — the join-and-⊕-fold pass
+  filters by itself.
 
 This is sound because the joins are exact and the semijoins only bound
 sizes.  After the bottom-up pass a node holds the projection of its
@@ -55,98 +63,206 @@ the ``|node relation| × |answers|`` bound.  A root whose attributes hold
 every output attribute makes every node self-contained, which is why the
 plan compiler roots the tree at such a bag when one exists.
 
-This is the only place the passes are written.  They ask of an
-operand nothing but the operand half of the carrier protocol
-(:mod:`repro.db.relation`), so a node's relation may be a row
+Operators ask of an operand nothing but the operand half of the carrier
+protocol (:mod:`repro.db.relation`), so a node's relation may be a row
 :class:`~repro.db.relation.Relation`, an
 :class:`~repro.db.annotated.AnnotatedRelation` or a
-:class:`~repro.db.columnar.ColumnarRelation`, in any mix, and the
-passes run directly on the bag relations they are given.  Every
-operator is counted in ``stats`` and traced as one ``sweep.semijoin`` /
-``sweep.join`` span naming the node whose relation it writes, the pass,
-and its row count; a marginal is a projection inside its edge's
-``sweep.join`` span.
+:class:`~repro.db.columnar.ColumnarRelation`, in any mix.  Each writes
+the relation of the node it names, is counted in ``stats``, and — a
+semijoin or a join — is traced as one ``sweep.semijoin`` /
+``sweep.join`` span naming that node, the pass, and its row count; a
+marginal is a projection inside its edge's ``sweep.join`` span.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..core.atoms import Atom
 from ..core.jointree import JoinTree
 from ..obs import current_tracer
+from .evaluate import check_deadline
 from .relation import Relation
 from .stats import EvalStats
 
+#: A program's terminal: it hands back the root's relation (after its
+#: :class:`Project`, the answer), whether the root is non-empty, or
+#: every node's reduced relation.
+ANSWER, NONEMPTY, REDUCED = "answer", "nonempty", "reduced"
 
-def _semijoin(
-    reduced: dict[Atom, Relation],
-    node: Atom,
-    partner: Atom,
-    pass_: str,
-    stats: EvalStats,
-    tracer,
-) -> None:
-    """``reduced[node] ⋉= reduced[partner]``, counted and traced."""
-    with tracer.span(
-        "sweep.semijoin", node=node.predicate, pass_=pass_
-    ) as sp:
-        out = reduced[node] = stats.record(
-            reduced[node].semijoin(reduced[partner])
+
+class Semijoin(NamedTuple):
+    """``receiver ⋉= partner``, in the ``bottom-up`` or ``top-down`` pass."""
+
+    receiver: Atom
+    partner: Atom
+    pass_: str
+
+    def __str__(self) -> str:
+        return (
+            f"semijoin {self.receiver.predicate} by "
+            f"{self.partner.predicate} ({self.pass_})"
         )
-        sp.set(rows=len(out))
-    stats.semijoins += 1
+
+    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
+        with tracer.span(
+            "sweep.semijoin", node=self.receiver.predicate, pass_=self.pass_
+        ) as sp:
+            out = rels[self.receiver] = stats.record(
+                rels[self.receiver].semijoin(rels[self.partner])
+            )
+            sp.set(rows=len(out))
+        stats.semijoins += 1
 
 
-def _reduced_bottom_up(
-    tree: JoinTree, relations: dict[Atom, Relation], stats: EvalStats
-) -> dict[Atom, Relation]:
-    """One bottom-up semijoin sweep (child filters parent)."""
-    tracer = current_tracer()
-    reduced = dict(relations)
-    for node in tree.post_order():
-        for child in tree.children(node):
-            _semijoin(reduced, node, child, "bottom-up", stats, tracer)
-    return reduced
+class Join(NamedTuple):
+    """``node ⋈= child``'s partial result, first projected onto its
+    *marginal* — what the node holds or the output needs — unless that
+    drops nothing (``None``)."""
+
+    node: Atom
+    child: Atom
+    marginal: frozenset[str] | None
+
+    def __str__(self) -> str:
+        child = self.child.predicate
+        if self.marginal is not None:
+            child = f"π[{', '.join(sorted(self.marginal))}]({child})"
+        return f"join {self.node.predicate} ⋈ {child}"
+
+    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
+        with tracer.span(
+            "sweep.join", node=self.node.predicate, pass_="enumerate"
+        ) as sp:
+            operand = rels[self.child]
+            if self.marginal is not None:
+                operand = stats.record(operand.project(
+                    [a for a in operand.attributes if a in self.marginal]
+                ))
+                stats.projections += 1
+            rel = rels[self.node] = stats.record(rels[self.node].join(operand))
+            stats.joins += 1
+            sp.set(rows=len(rel))
 
 
-def _fully_reduced(
-    tree: JoinTree,
-    relations: dict[Atom, Relation],
-    stats: EvalStats,
-    skip: frozenset[Atom] = frozenset(),
-) -> dict[Atom, Relation]:
-    """Bottom-up then top-down sweeps; operands stay as they are.  The
-    top-down sweep does not descend into the nodes in *skip*."""
-    tracer = current_tracer()
-    reduced = _reduced_bottom_up(tree, relations, stats)
-    for node in tree.nodes:  # preorder: parents before children
-        for child in tree.children(node):
-            if child not in skip:
-                _semijoin(reduced, child, node, "top-down", stats, tracer)
-    return reduced
+class Project(NamedTuple):
+    """``root := π_head(root)``: the answer."""
 
+    root: Atom
+    head: tuple[str, ...]
 
-def self_contained(
-    tree: JoinTree,
-    attributes: Mapping[Atom, Iterable[str]],
-    output: Iterable[str],
-) -> frozenset[Atom]:
-    """The nodes of *tree* whose subtree hands its parent nothing but
-    the node's own attributes: every *output* attribute of the subtree
-    is one of the node's (*attributes* maps each node to its own).  On a
-    join tree connectedness then makes every child of such a node
-    self-contained too.  The one rule both :func:`enumerate_answers` and
-    the plan compiler's cost model apply (see the module docstring)."""
-    out = frozenset(output)
-    below: dict[Atom, frozenset[str]] = {}  # output attributes per subtree
-    for node in tree.post_order():
-        below[node] = out.intersection(attributes[node]).union(
-            *(below[child] for child in tree.children(node))
+    def __str__(self) -> str:
+        return f"project π[{', '.join(self.head)}]({self.root.predicate})"
+
+    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
+        rels[self.root] = stats.record(
+            rels[self.root].project(list(self.head), name="ans")
         )
-    return frozenset(
-        node for node in tree.nodes if below[node] <= set(attributes[node])
-    )
+        stats.projections += 1
+
+
+class Program(NamedTuple):
+    """A compiled sweep: operators in run order, a terminal, and the join
+    tree's nodes (root first)."""
+
+    ops: tuple[Semijoin | Join | Project, ...]
+    terminal: str
+    nodes: tuple[Atom, ...]
+
+    def render(self) -> list[str]:
+        """One line per operator, then the terminal."""
+        return [*map(str, self.ops), {
+            ANSWER: "→ the answer",
+            NONEMPTY: f"→ {self.nodes[0].predicate} non-empty",
+            REDUCED: "→ the reduced bags",
+        }[self.terminal]]
+
+
+def sweep_program(
+    tree: JoinTree,
+    terminal: str,
+    attributes: Mapping[Atom, Iterable[str]] | None = None,
+    output: tuple[str, ...] = (),
+    weighted: bool = False,
+) -> Program:
+    """The operators *terminal* needs on *tree*: the bottom-up semijoins
+    for ``NONEMPTY``, both passes for ``REDUCED``; for ``ANSWER`` the
+    passes, joins and projection *output* needs (*attributes*: each
+    node's attribute names; *weighted*: the operands carry values).
+    Output attributes that occur in no node raise ``ValueError``."""
+    children = tree.children
+    order = tuple(tree.post_order())
+    ops: list = [
+        Semijoin(node, child, "bottom-up")
+        for node in order
+        for child in children(node)
+    ]
+    if terminal == NONEMPTY:
+        return Program(tuple(ops), terminal, tree.nodes)
+    closed: frozenset[Atom] = frozenset()
+    if terminal == ANSWER:
+        own = {node: frozenset(attributes[node]) for node in order}
+        out = frozenset(output)
+        missing = out.difference(*own.values())
+        if missing:
+            raise ValueError(
+                f"output attributes {sorted(missing)} do not occur in the "
+                "join tree"
+            )
+        below: dict[Atom, frozenset[str]] = {}  # output attributes per subtree
+        for node in order:
+            below[node] = (out & own[node]).union(
+                *map(below.get, children(node))
+            )
+        closed = frozenset(node for node in order if below[node] <= own[node])
+    if weighted and tree.root in closed:
+        ops = []
+    else:
+        ops += (
+            Semijoin(child, node, "top-down")
+            for node in tree.nodes  # preorder: parents before children
+            for child in children(node)
+            if child not in closed
+        )
+    if terminal == ANSWER:
+        held = dict(own)  # the attributes of each partial result
+        for node in order:
+            if node in closed and not weighted:
+                continue
+            for child in children(node):
+                marginal = held[child] & (own[node] | out)
+                ops.append(Join(
+                    node, child, marginal if marginal != held[child] else None
+                ))
+                held[node] |= marginal
+        ops.append(Project(tree.root, tuple(output)))
+    return Program(tuple(ops), terminal, tree.nodes)
+
+
+def run_program(
+    program: Program,
+    relations: Mapping[Atom, Relation],
+    stats: EvalStats | None = None,
+    deadline: float | None = None,
+):
+    """Run *program* over *relations* (left as they are) and hand back
+    what its terminal names: a relation, a bool, or a dict of reduced
+    relations.  A ``NONEMPTY`` program over an empty relation is false
+    before any operator runs.  Before every operator, a passed *deadline*
+    (monotonic seconds) raises :class:`~repro._errors.BudgetExceeded`
+    naming it."""
+    stats = stats if stats is not None else EvalStats()
+    rels = dict(relations)
+    if program.terminal == NONEMPTY and not all(map(rels.get, program.nodes)):
+        return False
+    tracer = current_tracer()
+    for op in program.ops:
+        check_deadline(deadline, op)
+        op.run(rels, stats, tracer)
+    if program.terminal == REDUCED:
+        return rels
+    root = rels[program.nodes[0]]
+    return bool(root) if program.terminal == NONEMPTY else root
 
 
 def boolean_eval(
@@ -155,11 +271,7 @@ def boolean_eval(
     stats: EvalStats | None = None,
 ) -> bool:
     """Boolean Yannakakis: true iff the root survives the bottom-up pass."""
-    stats = stats if stats is not None else EvalStats()
-    if any(not relations[node] for node in tree.nodes):
-        return False
-    reduced = _reduced_bottom_up(tree, relations, stats)
-    return bool(reduced[tree.root])
+    return run_program(sweep_program(tree, NONEMPTY), relations, stats)
 
 
 def full_reduce(
@@ -172,8 +284,7 @@ def full_reduce(
     Afterwards each relation contains exactly the tuples that extend to a
     full answer of the (acyclic) query.
     """
-    stats = stats if stats is not None else EvalStats()
-    return _fully_reduced(tree, relations, stats)
+    return run_program(sweep_program(tree, REDUCED), relations, stats)
 
 
 def enumerate_answers(
@@ -184,57 +295,17 @@ def enumerate_answers(
 ) -> Relation:
     """Compute the projection of the join onto *output* attribute names.
 
-    Implements the output-polynomial phase of Yannakakis' algorithm:
-    join bottom-up over relations the semijoin passes have reduced — as
-    far as the output needs them (see the module docstring for which
-    operators a self-contained subtree skips) — where each child's
-    partial result is first projected onto the node's attributes plus
-    the output attributes, its marginal (a dedup, or under a semiring a
-    ``plus``-fold: the sum-product form, which needs ``times`` to
-    distribute over ``plus``).  Each intermediate is then at most
-    ``|node relation| × max(1, |answers|)`` — polynomial in input plus
-    output — and one whose child brings no output attribute the node
-    lacks is at most ``|node relation|``.
-
-    Output attributes must occur in the tree (standard for CQ heads, whose
-    variables occur in the body); anything else raises ``ValueError``
-    before any operator runs.
+    The semijoin passes and the join pass, as far as the output needs
+    them (see the module docstring), each child's partial result first
+    projected onto its marginal — a dedup, or under a semiring a
+    ``plus``-fold, which needs ``times`` to distribute over ``plus``.
+    Each intermediate is then at most ``|node relation| × max(1,
+    |answers|)``, and one whose child brings no output attribute the
+    node lacks is at most ``|node relation|``.  Output attributes must
+    occur in the tree (standard for CQ heads); anything else raises
+    ``ValueError`` before any operator runs.
     """
-    stats = stats if stats is not None else EvalStats()
     attributes = {node: relations[node].attributes for node in tree.nodes}
-    missing = set(output).difference(*attributes.values())
-    if missing:
-        raise ValueError(
-            f"output attributes {sorted(missing)} do not occur in the join tree"
-        )
-    closed = self_contained(tree, attributes, output)
     weighted = any(relations[node]._rank for node in tree.nodes)
-    if weighted and tree.root in closed:
-        reduced = dict(relations)
-    else:
-        reduced = _fully_reduced(tree, relations, stats, closed)
-
-    tracer = current_tracer()
-    partial: dict[Atom, Relation] = {}
-    for node in tree.post_order():
-        rel = reduced[node]
-        if node in closed and not weighted:
-            partial[node] = rel
-            continue
-        keep = set(rel.attributes).union(output)
-        for child in tree.children(node):
-            with tracer.span(
-                "sweep.join", node=node.predicate, pass_="enumerate"
-            ) as sp:
-                operand = partial[child]
-                marginal = [a for a in operand.attributes if a in keep]
-                if len(marginal) < operand.arity:
-                    operand = stats.record(operand.project(marginal))
-                    stats.projections += 1
-                rel = stats.record(rel.join(operand))
-                stats.joins += 1
-                sp.set(rows=len(rel))
-        partial[node] = rel
-    answer = partial[tree.root].project(list(output), name="ans")
-    stats.projections += 1
-    return stats.record(answer)
+    program = sweep_program(tree, ANSWER, attributes, output, weighted)
+    return run_program(program, relations, stats)

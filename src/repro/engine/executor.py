@@ -437,16 +437,18 @@ class Engine:
         semiring: "Semiring | str | None" = None,
     ) -> str:
         """Render the chosen plan (cache provenance, join orders, root,
-        layout, and per node the χ labels priced and rejected) — with
-        *semiring*, the plan an annotated request of that semiring runs.
+        layout, per node the χ labels priced and rejected, and the sweep
+        program) — with *semiring*, the plan and the program an annotated
+        request of that semiring runs.
 
         With ``analyze=True`` (requires *db*) the query is executed once
         under a private tracer and the rendering is annotated with what
         actually happened: per-node actual row counts next to the
         estimator's predictions, and bag/sweep wall times.
         """
+        semiring = resolve_semiring(semiring)
         if not analyze:
-            return self.plan(query, db, semiring=semiring).render()
+            return self.plan(query, db, semiring=semiring).render(semiring)
         if db is None:
             raise ValueError(
                 "explain(analyze=True) executes the query and needs db="
@@ -460,7 +462,7 @@ class Engine:
             result = self.execute(query, db, semiring=semiring)
         plan = self.plan(query, db, semiring=semiring)
         return plan.render_analyzed(
-            capture, result.elapsed, len(result.answer)
+            capture, result.elapsed, len(result.answer), semiring
         )
 
     # -- execution --------------------------------------------------------
@@ -674,6 +676,7 @@ class Engine:
                 tracer.view_since(request_perf),
                 result.elapsed,
                 len(result.answer) if result.answer is not None else 0,
+                result.semiring,
             )
         flight.record(
             "slow_query",

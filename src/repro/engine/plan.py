@@ -48,10 +48,10 @@ pipeline:
   does, for a Boolean head), and among those — or, when none does, among
   all bags — at the one with the largest estimated cardinality, so the
   bottom-up sweep filters the biggest relation with every child.  A
-  root holding the head makes every node *self-contained*
-  (:func:`~repro.db.yannakakis.self_contained`): the sweep then runs
-  the bottom-up semijoins and one projection under set semantics, and
-  only the join pass on weighted operands — no intermediate has a head
+  root holding the head makes every node *self-contained* (see
+  :mod:`repro.db.yannakakis`): the sweep program then holds the
+  bottom-up semijoins and one projection under set semantics, and only
+  the join pass on weighted operands — no intermediate has a head
   variable to carry up the tree.  (Join trees, unlike hypertree
   decompositions, may be re-rooted freely: the connectedness condition
   is symmetric.)
@@ -60,9 +60,9 @@ pipeline:
   buffers, vectorised semijoin/join kernels); ``"auto"`` resolves to
   it or to ``"row"``, once for the whole plan, by *predicted
   milliseconds*: the operators the plan will run — each bag pipeline's
-  parts and the rows its joins read and write, and per join-tree edge
-  the semijoins and the enumeration join the sweep runs there (the
-  self-contained rule above decides which), over the bag estimates — are
+  parts and the rows its joins read and write, then every operator of
+  the plan's set-semantics sweep program (:meth:`QueryPlan.program`,
+  the very program execution runs), over the bag estimates — are
   priced under each layout's fitted fixed + per-row cost
   (:data:`~repro.db.columnar.OPERATOR_COSTS`, :func:`predict_ms`), and
   the cheaper layout wins.  A bag that joins atoms is priced by its
@@ -79,10 +79,15 @@ pipeline:
   ``auto`` lays it out by its largest pipeline input against
   :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`.
 
-Execution materialises the bags in plan order and runs the Yannakakis
-passes of :mod:`repro.db.yannakakis` directly on them, in one thread.  A
-deadline is checked between operators so per-request budgets interrupt
-long plans with :class:`repro._errors.BudgetExceeded`.
+Execution materialises the bags in plan order and runs the plan's sweep
+program (:func:`~repro.db.yannakakis.run_program`) directly on them, in
+one thread: the set-semantics program, or the annotated one when the
+request carries a semiring — chosen at execute time, since a plan
+compiled without a semiring may run with one, and built at most once
+per plan either way.  A deadline is checked before every bag and after
+each of its joins, and before every sweep operator, so per-request budgets
+interrupt long plans with :class:`repro._errors.BudgetExceeded` naming
+the step.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -112,7 +117,8 @@ from ..db.evaluate import bag_relation, check_deadline
 from ..db.relation import Relation
 from ..db.semiring import Semiring
 from ..db.stats import CardinalityEstimator, EvalStats
-from ..db.yannakakis import boolean_eval, enumerate_answers, self_contained
+from ..db.yannakakis import ANSWER, NONEMPTY, Join, Program, Semijoin
+from ..db.yannakakis import run_program, sweep_program
 from ..heuristics.validate import assert_valid
 from ..obs import Tracer, current_tracer, get_registry
 
@@ -218,6 +224,26 @@ class QueryPlan:
     reads: tuple[tuple[tuple, int | None], ...] = field(default=(), repr=False)
     #: Handed back by the engine's plan memo instead of compiled.
     reused: bool = field(default=False)
+    #: The sweep programs built so far, by ``annotated`` (see
+    #: :meth:`program`); a replayed copy shares them.
+    _programs: dict[bool, Program] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def program(self, annotated: bool = False) -> Program:
+        """The Yannakakis sweep this plan runs
+        (:func:`~repro.db.yannakakis.sweep_program`): under set semantics
+        — what ``auto`` priced — or on *annotated* bags, which enumerate
+        even a Boolean head (the 0-ary answer's annotation is the
+        total).  Built at most once per variant."""
+        if annotated not in self._programs:
+            self._programs[annotated] = sweep_program(
+                self.join_tree,
+                ANSWER if self.output or annotated else NONEMPTY,
+                {np.bag: np.chi_names for np in self.node_plans},
+                self.output, annotated,
+            )
+        return self._programs[annotated]
 
     @property
     def resolved_layout(self) -> str:
@@ -290,9 +316,11 @@ class QueryPlan:
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
-    def render(self) -> str:
-        """The ``explain`` rendering: provenance, per-node pipelines, and
-        the rooted join tree the Yannakakis passes will run over."""
+    def render(self, semiring: Semiring | None = None) -> str:
+        """The ``explain`` rendering: provenance, per-node pipelines, the
+        rooted join tree the Yannakakis passes will run over, and the
+        sweep program a request under *semiring* (``None``: set
+        semantics) runs, one operator a line."""
         layout_tag = f", layout {self.layout}" if self.layout != "row" else ""
         if self.layout == "auto" and self.weighted:
             # What decided it, so a surprising layout is never a puzzle.
@@ -329,13 +357,22 @@ class QueryPlan:
             lines.extend(f"  {np.describe_candidates()}" for np in considered)
         lines.append("join tree (semijoin + enumeration passes):")
         lines.append(self.join_tree.render())
+        if semiring is None or semiring.distributive:  # else: naive
+            annotated = semiring is not None
+            lines.append(f"sweep ({'annotated' if annotated else 'set'}):")
+            lines.extend(f"  {op}" for op in self.program(annotated).render())
         return "\n".join(lines)
 
     def render_analyzed(
-        self, tracer: Tracer, elapsed: float, answer_rows: int
+        self,
+        tracer: Tracer,
+        elapsed: float,
+        answer_rows: int,
+        semiring: Semiring | None = None,
     ) -> str:
-        """The ``EXPLAIN ANALYZE`` rendering: the static plan annotated
-        with what one traced execution actually did.
+        """The ``EXPLAIN ANALYZE`` rendering: the static plan (with the
+        program of a request under *semiring*) annotated with what one
+        traced execution actually did.
 
         The measured ``plan.execute`` time is printed beside the time
         model's prediction for the layout the plan ran (the model's
@@ -376,7 +413,7 @@ class QueryPlan:
                 f"({self.resolved_layout})"
             )
         lines = [
-            self.render(),
+            self.render(semiring),
             f"analyze: executed in {elapsed * 1e3:.3f}ms, "
             f"{answer_rows} answer row(s)",
             execute,
@@ -522,29 +559,24 @@ def _plan_work(
     pipelines: Sequence[_Pipeline],
     chi_names: Sequence[Iterable[str]],
     bags: Sequence[Atom],
-    join_tree: JoinTree,
-    output: Iterable[str],
+    program: Program,
     estimator: CardinalityEstimator,
 ) -> list[_Work]:
     """What executing the plan will do, operator by operator, from the
     estimates the compile already made (*chi_names* and *bags* give each
-    pipeline's χ and its bag in the join tree; *output* is the head's
-    variable names).
+    pipeline's χ and its bag in the join tree; *program* is the plan's
+    set-semantics sweep).
 
     A bag pipeline's first part is a view of its snapshot, the same in
     either layout; every later part is one ``bag`` call over the rows
     its join reads and writes — the running relation, the part, the
     running relation after it, as :func:`_bag_pipeline` estimated them —
-    and a part reaching outside χ is pre-projected.  Then the passes, in
-    the order :mod:`repro.db.yannakakis` runs them on set semantics, and
-    only those it runs (:func:`~repro.db.yannakakis.self_contained`
-    decides, as there): each semijoin reads its two sides and shrinks
-    its receiver; for a plan with output, the top-down pass skips the
-    self-contained children, and each enumeration join outside a
-    self-contained subtree reads the node's reduced bag (or its running
-    result) and the child's marginal — a projection, where the child
-    holds variables the node drops — and writes their join; a projection
-    makes the answer.  Sizes follow the estimator's
+    and a part reaching outside χ is pre-projected.  Then *program*'s
+    operators, the ones execution runs: each semijoin reads its two
+    sides and shrinks its receiver; each join reads the node's reduced
+    bag (or its running result) and the child's partial — projected
+    first onto the op's marginal, when it has one — and writes their
+    join; the projection makes the answer.  Sizes follow the estimator's
     rule (each shared variable divides a product by the active domain);
     variables are compared by name, which hashes in C."""
     work: list[_Work] = []
@@ -570,68 +602,47 @@ def _plan_work(
             else:
                 running, seen = size, kept
     node_of = {id(bag): i for i, bag in enumerate(bags)}
-    children_of = join_tree.children_of
     full = [pl.rows for pl in pipelines]
     rows = list(full)
-    up = [  # (node, its children), children first
-        (node_of[id(n)], [node_of[id(c)] for c in children_of.get(n, ())])
-        for n in join_tree.post_order()
-    ]
-    # Per tree edge, its key width and what a partner row matches: a
-    # receiver row survives when some partner row shares its key, under
-    # independence with probability 1 - exp(-matches).  A key the atoms
-    # both pipelines join bind whole is not independent — both sides
-    # hold the same joined tuples on it — and keeps every row (None).
-    edge: dict[tuple[int, int], tuple[int, float | None]] = {}
-    for node, children in up:
-        for child in children:
-            shared = names[node] & names[child]
-            bound = frozenset().union(
-                *(own for _, own in parts[node] & parts[child])
-            )
-            independent = bool(shared) and not shared <= bound
-            edge[node, child] = edge[child, node] = (
-                len(shared), domain ** len(shared) if independent else None
-            )
-
-    def semijoin(node: int, partner: int) -> None:
-        key, per_match = edge[node, partner]
-        work.append((_keyed("semijoin", key), rows[node] + rows[partner]))
-        if per_match is not None:
-            rows[node] *= -math.expm1(-rows[partner] / per_match)
-
-    for node, children in up:
-        for child in children:
-            semijoin(node, child)
-    output = frozenset(output)
-    if not output:
-        return work
-    closed = {
-        node_of[id(bag)]
-        for bag in self_contained(join_tree, dict(zip(bags, names)), output)
-    }
-    for node, children in reversed(up):  # parents before children
-        for child in children:
-            if child not in closed:
-                semijoin(child, node)
-    # A join's output is that of the unreduced bags — a semijoin drops
-    # exactly the rows that join nothing — and a projection onto the
-    # node's own χ leaves no more rows than its bag.  A self-contained
-    # node's partial is its reduced bag, which no join writes.  A child
-    # holding variables the node neither has nor outputs is first
-    # projected onto the rest, its marginal: under independence, draws
-    # from the domain**width values that remain.
+    # Per node a join wrote, its partial: (rows, variables held).  A
+    # node no join writes hands on its reduced bag, whose rows are its
+    # bag's — a semijoin drops exactly the rows that join nothing.
     partial: dict[int, tuple[float, frozenset[str]]] = {}
-    for node, children in up:
-        est, held, reading = full[node], names[node], rows[node]
-        if node in closed:
-            partial[node] = est, held
-            continue
-        for child in children:
-            child_est, child_held = partial[child]
-            marginal = child_held & (names[node] | output)
-            if marginal != child_held:
+    for op in program.ops:
+        if type(op) is Semijoin:
+            # A receiver row survives when some partner row shares its
+            # key, under independence with probability 1 - exp(-matches).
+            # A key the atoms both pipelines join bind whole is not
+            # independent — both sides hold the same joined tuples on
+            # it — and keeps every row.
+            node, partner = node_of[id(op.receiver)], node_of[id(op.partner)]
+            shared = names[node] & names[partner]
+            bound = frozenset().union(
+                *(own for _, own in parts[node] & parts[partner])
+            )
+            work.append((
+                _keyed("semijoin", len(shared)), rows[node] + rows[partner]
+            ))
+            if shared and not shared <= bound:
+                rows[node] *= -math.expm1(
+                    -rows[partner] / domain ** len(shared)
+                )
+        elif type(op) is Join:
+            # A projection onto the node's own χ leaves no more rows than
+            # its bag; a marginal draws, under independence, from the
+            # domain**width values that remain.
+            node, child = node_of[id(op.node)], node_of[id(op.child)]
+            if node in partial:  # its running result
+                est, held = partial[node]
+                reading = est
+            else:  # its bag: joins multiply the unreduced estimate
+                est, held, reading = full[node], names[node], rows[node]
+            child_est, marginal = partial.get(
+                child, (full[child], names[child])
+            )
+            if op.marginal is not None:
                 work.append(("project", child_est))
+                marginal = op.marginal
                 values = domain ** len(marginal)
                 child_est = -values * math.expm1(-child_est / values)
             key = len(held & marginal)
@@ -640,9 +651,10 @@ def _plan_work(
             held = held | marginal
             if held == names[node]:
                 out = min(out, full[node])
-            est = reading = out
-        partial[node] = est, held
-    work.append(("project", partial[up[-1][0]][0]))
+            partial[node] = out, held
+        else:  # the projection onto the head
+            root = node_of[id(op.root)]
+            work.append(("project", partial.get(root, (full[root],))[0]))
     return work
 
 
@@ -862,18 +874,7 @@ def _compile_plan_traced(
         holding or plans, key=lambda np: (np.estimated_rows, np.bag.predicate)
     ).bag
     jt = join_tree_from_edges(fresh, edges, root)
-    predicted = {}
-    if layout == "auto" and not weighted:
-        work = _plan_work(
-            pipelines, [np.chi_names for np in plans], fresh, jt, head,
-            estimator,
-        )
-        costs = OPERATOR_COSTS[kernels()]
-        predicted = {
-            "predicted_row_ms": predict_ms(work, costs["row"]),
-            "predicted_columnar_ms": predict_ms(work, costs["columnar"]),
-        }
-    return QueryPlan(
+    plan = QueryPlan(
         query=query,
         decomposition=complete,
         node_plans=tuple(plans),
@@ -885,7 +886,18 @@ def _compile_plan_traced(
         layout=layout,
         weighted=weighted,
         reads=tuple(estimator.reads.items()),
-        **predicted,
+    )
+    if layout != "auto" or weighted:
+        return plan
+    work = _plan_work(
+        pipelines, [np.chi_names for np in plans], fresh, plan.program(),
+        estimator,
+    )
+    costs = OPERATOR_COSTS[kernels()]
+    return replace(  # shares the program it priced
+        plan,
+        predicted_row_ms=predict_ms(work, costs["row"]),
+        predicted_columnar_ms=predict_ms(work, costs["columnar"]),
     )
 
 
@@ -1036,11 +1048,8 @@ def _execute(
         # correct.
         return naive_annotated_eval(plan.query, db, semiring, stats)
 
-    check_deadline(deadline, "Yannakakis passes")
-    if plan.output or semiring is not None:
-        # Annotated Boolean queries enumerate the 0-ary answer too: the
-        # () row's annotation is the semiring total; boolean_eval's
-        # short-circuit would drop it.
-        return enumerate_answers(plan.join_tree, relations, plan.output, stats)
-    true = boolean_eval(plan.join_tree, relations, stats)
-    return Relation.trusted((), frozenset({()} if true else ()), "ans")
+    program = plan.program(annotated=semiring is not None)
+    answer = run_program(program, relations, stats, deadline)
+    if program.terminal == NONEMPTY:
+        return Relation.trusted((), frozenset({()} if answer else ()), "ans")
+    return answer

@@ -4,12 +4,15 @@ The paper compares hypertree-width against the treewidth of the query's
 primal graph and of its variable-atom incidence graph (§6, Theorem 6.2).
 We implement treewidth from scratch:
 
-* :func:`exact_treewidth` — the Bodlaender–Fomin–Koster–Kratsch–Thilikos
-  subset DP over elimination prefixes: for a prefix set ``S`` already
-  eliminated, ``tw(S) = min_{v∈S} max(tw(S−v), q(S−v, v))`` where
-  ``q(S', v)`` counts the vertices outside ``S' ∪ {v}`` reachable from
-  ``v`` through ``S'`` (the degree of ``v`` at its elimination point).
-  Exponential in ``|V|``; guarded to ≤ 22 vertices.
+* :func:`exact_treewidth` — bracket first: a component whose degeneracy
+  lower bound meets its min-fill / min-degree upper bound has that
+  treewidth, and only the others run the
+  Bodlaender–Fomin–Koster–Kratsch–Thilikos subset DP over elimination
+  prefixes: for a prefix set ``S`` already eliminated,
+  ``tw(S) = min_{v∈S} max(tw(S−v), q(S−v, v))`` where ``q(S', v)``
+  counts the vertices outside ``S' ∪ {v}`` reachable from ``v`` through
+  ``S'`` (the degree of ``v`` at its elimination point).  Exponential in
+  ``|V|``; guarded to ≤ 22 vertices.
 * :func:`greedy_order` / :func:`width_of_order` — min-fill and min-degree
   elimination heuristics giving upper bounds (and the triangulations used
   by the tree-clustering baseline in :mod:`repro.csp.methods`).
@@ -61,10 +64,11 @@ def _reachable_through(
 
 
 def exact_treewidth(graph: Graph, max_vertices: int = 22) -> int:
-    """Exact treewidth by subset DP (O(2ⁿ·n²·poly)); n ≤ *max_vertices*.
+    """Exact treewidth; every component has ≤ *max_vertices* vertices.
 
     The treewidth of a graph is the maximum over its connected components,
-    each solved independently.
+    each solved independently: by its bounds when they meet, else by the
+    subset DP (O(2ⁿ·n²·poly)).
     """
     if not graph:
         return 0
@@ -81,6 +85,16 @@ def _exact_component(graph: Graph, max_vertices: int) -> int:
             f"exact treewidth limited to {max_vertices} vertices "
             f"(got {n}); use greedy_order for an upper bound"
         )
+    upper = treewidth_upper_bound(graph)
+    if degeneracy_lower_bound(graph) == upper:  # a closed bracket
+        return upper
+    return _subset_dp(graph)
+
+
+def _subset_dp(graph: Graph) -> int:
+    """The subset DP over elimination prefixes, unbounded: the treewidth
+    of *graph* with no help from its bounds."""
+    n = len(graph)
     if n <= 1:
         return 0
     _, masks = _index_graph(graph)

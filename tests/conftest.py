@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import strategies as st
 
@@ -123,6 +126,23 @@ def spy_on(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+@contextmanager
+def ran_operators():
+    """Every sweep operator :func:`repro.db.yannakakis.run_program` runs
+    while the block is open, in run order."""
+    from repro.db.yannakakis import Join, Project, Semijoin
+
+    ran = []
+    with ExitStack() as stack:
+        for kind in (Semijoin, Join, Project):
+            def spy(op, *args, _real=kind.run):
+                ran.append(op)
+                return _real(op, *args)
+
+            stack.enter_context(mock.patch.object(kind, "run", spy))
+        yield ran
 
 
 def naive_reduced(query, db, rels):

@@ -28,7 +28,9 @@ The sum-product pass — each child folded onto what its parent keeps
 before the join — is checked against brute force over random acyclic
 queries (:class:`TestSumProductSweep`): every satisfying substitution
 enumerated, counted, collected as a why-provenance witness and costed,
-with no semiring code in the oracle.
+with no semiring code in the oracle.  And the interpreter runs exactly
+the operators of the program it is given, which ``EvalStats`` counts
+(:class:`TestTheProgramIsWhatRuns`).
 """
 
 from collections import Counter
@@ -57,11 +59,19 @@ from repro.db.annotated import bind_atom_annotated, naive_annotated_eval
 from repro.db.columnar import ColumnarRelation, rides_buffers
 from repro.db.semiring import COUNTING, INT_RING, MINCOST, PROVENANCE
 from repro.db.stats import EvalStats
-from repro.db.yannakakis import self_contained
+from repro.db.yannakakis import (
+    ANSWER,
+    NONEMPTY,
+    REDUCED,
+    Join,
+    Project,
+    Semijoin,
+    sweep_program,
+)
 from repro.obs import Tracer, tracing
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
-from tests.conftest import naive_reduced, star_query
+from tests.conftest import naive_reduced, ran_operators, star_query
 
 #: The semiring each annotated assignment binds its atoms over.
 ANNOTATED = {"count": COUNTING, "mincost": MINCOST, "weighted": COUNTING}
@@ -397,12 +407,66 @@ class TestSumProductSweep:
 
         # A node whose subtree brings no head variable it lacks joins
         # marginals that are all key: no join there outgrows its bag.
+        # Those are the self-contained nodes, the ones the set-semantics
+        # program of the same tree and head joins nothing into.
         attributes = {node: rels[node].attributes for node in tree.nodes}
-        closed = {
-            node.predicate for node in self_contained(tree, attributes, head)
-        }
+        program = sweep_program(tree, ANSWER, attributes, head)
+        joined = {op.node for op in program.ops if type(op) is Join}
+        closed = {node.predicate for node in tree.nodes if node not in joined}
         size = {node.predicate: len(rels[node]) for node in tree.nodes}
         for span in tracer.spans():
             node = span.attrs.get("node")
             if span.name == "sweep.join" and node in closed:
                 assert span.attrs["rows"] <= size[node]
+
+
+class TestTheProgramIsWhatRuns:
+    """The interpreter runs a program's operators, in order, and
+    ``EvalStats`` counts exactly those: one semijoin per
+    :class:`Semijoin`, one join per :class:`Join`, one projection per
+    :class:`Project` and per marginal a join takes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=acyclic_queries(),
+        terminal=st.sampled_from([ANSWER, NONEMPTY, REDUCED]),
+        annotated=st.booleans(),
+        seed=st.integers(0, 1_000),
+        domain=st.integers(2, 6),
+        tuples=st.integers(1, 12),
+        pick=st.integers(0, 4),
+    )
+    def test_operators_run_by_kind_are_the_counts(
+        self, query, terminal, annotated, seed, domain, tuples, pick
+    ):
+        db = random_database(query, domain, tuples, seed=seed)
+        tree = rerooted(query, pick)
+        rels = {
+            atom: bind_atom_annotated(atom, db, COUNTING)
+            if annotated else bind_atom(atom, db)
+            for atom in query.atoms
+        }
+        head = tuple(v.name for v in query.head_terms)
+        run = {
+            ANSWER: lambda s: enumerate_answers(tree, dict(rels), head, s),
+            NONEMPTY: lambda s: boolean_eval(tree, dict(rels), s),
+            REDUCED: lambda s: full_reduce(tree, dict(rels), s),
+        }[terminal]
+        stats = EvalStats()
+        with ran_operators() as ran:
+            run(stats)
+        program = sweep_program(
+            tree, terminal, {a: rels[a].attributes for a in tree.nodes},
+            head, weighted=annotated,
+        )
+        assert tuple(ran) == program.ops
+
+        def kind(t):
+            return sum(type(op) is t for op in ran)
+
+        marginals = sum(
+            type(op) is Join and op.marginal is not None for op in ran
+        )
+        assert kind(Semijoin) == stats.semijoins
+        assert kind(Join) == stats.joins
+        assert kind(Project) + marginals == stats.projections

@@ -28,6 +28,7 @@ from repro.engine.plan import compile_plan
 from repro.generators.families import book_query, clique_query, cycle_query
 from repro.generators.workloads import random_database
 from repro.obs import get_registry
+from tests.conftest import ran_operators
 
 
 @pytest.fixture()
@@ -201,34 +202,52 @@ class TestAutoResolvesOncePerPlan:
     def test_the_model_prices_the_operators_the_sweep_runs(
         self, monkeypatch, text
     ):
-        """The time model walks the passes the sweep runs, skipping what
-        a self-contained subtree skips: one priced semijoin per
-        ``sweep.semijoin`` span, one priced enumeration join per
-        ``sweep.join`` span."""
+        """The time model prices the program the interpreter runs: with
+        every semijoin priced at 1 ms and every enumeration join at 1 s
+        (and nothing else at all), a set request's prediction counts the
+        operators its sweep then runs.  Count and min-cost requests, on
+        either layout, run their plan's annotated program.  Every
+        operator run is one ``sweep.*`` span and one counted operator."""
+        from repro.db.yannakakis import Join, Semijoin
         from repro.engine import plan as plan_mod
         from repro.obs import Tracer, tracing
 
-        priced = []
+        def price(kind):
+            fixed = {"semijoin": 1e3, "join": 1e6}.get(kind.rstrip("2"), 0.0)
+            return fixed, 0.0
 
-        def spy(*args):
-            work = real(*args)
-            priced.append(work)
-            return work
-
-        real = plan_mod._plan_work
-        monkeypatch.setattr(plan_mod, "_plan_work", spy)
+        fitted = columnar_mod.OPERATOR_COSTS[columnar_mod.kernels()]
+        table = {kind: price(kind) for kind in fitted["row"]}
+        monkeypatch.setattr(plan_mod, "OPERATOR_COSTS", {
+            columnar_mod.kernels(): {"row": table, "columnar": table}
+        })
         query = parse_query(text)
-        db = random_database(query, 30, 60, seed=4, plant_answer=True)
-        with tracing(Tracer()) as tracer:
-            Engine(layout="auto").execute(query, db)
-        (work,) = priced
-        spans = [s.name for s in tracer.spans()]
-
-        def kinds(prefix):
-            return sum(kind.rstrip("2") == prefix for kind, _ in work)
-
-        assert kinds("semijoin") == spans.count("sweep.semijoin")
-        assert kinds("join") == spans.count("sweep.join")
+        db = random_database(
+            query, 30, 60, seed=4, plant_answer=True, weights="cost"
+        )
+        requests = [("auto", None)] + [
+            (layout, semiring)
+            for layout in ("row", "columnar")
+            for semiring in (COUNTING, MINCOST)
+        ]
+        for layout, semiring in requests:
+            engine = Engine(layout=layout)
+            with tracing(Tracer()) as tracer, ran_operators() as ran:
+                result = engine.execute(query, db, semiring=semiring)
+            plan = engine.plan(query, db, semiring=semiring)
+            assert plan.reused
+            program = plan.program(annotated=semiring is not None)
+            assert tuple(ran) == program.ops
+            semijoins = sum(type(op) is Semijoin for op in ran)
+            joins = sum(type(op) is Join for op in ran)
+            spans = [s.name for s in tracer.spans()]
+            assert semijoins == spans.count("sweep.semijoin")
+            assert semijoins == result.stats.semijoins
+            assert joins == spans.count("sweep.join")
+            if semiring is None:
+                assert plan.predicted_row_ms == pytest.approx(
+                    semijoins + 1e3 * joins
+                )
 
     def test_a_forced_layout_is_not_priced(self, big_db):
         query = parse_query(QUERY)

@@ -17,6 +17,7 @@ from repro.graphs.primal import (
     variable_atom_incidence_graph,
 )
 from repro.graphs.treewidth import (
+    _subset_dp,
     degeneracy_lower_bound,
     exact_treewidth,
     greedy_order,
@@ -103,6 +104,33 @@ class TestHeuristics:
     def test_treewidth_dispatcher_large_graph(self):
         g = _cycle(30)  # beyond the exact limit
         assert treewidth(g, exact_limit=10) >= 2
+
+
+class TestBracketFirst:
+    """``exact_treewidth`` answers from its bounds when they meet and
+    runs the subset DP otherwise; the unbounded DP is the oracle."""
+
+    def test_an_open_bracket_runs_the_dp(self):
+        g = _grid(3)
+        assert degeneracy_lower_bound(g) < treewidth_upper_bound(g)
+        assert exact_treewidth(g) == _subset_dp(g) == 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=10),
+        seed=st.integers(min_value=0, max_value=5_000),
+        p=st.floats(min_value=0.1, max_value=0.9),
+    )
+    def test_equals_the_unbounded_dp(self, n, seed, p):
+        rng = random.Random(seed)
+        edges = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < p
+        ]
+        g = graph_from_edges(edges, range(n))
+        assert exact_treewidth(g) == _subset_dp(g)
 
 
 class TestBoundsSandwich:

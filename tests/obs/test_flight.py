@@ -6,6 +6,7 @@ import json
 import os
 import re
 import threading
+import time
 
 import pytest
 
@@ -27,6 +28,13 @@ def _db(n=300):
     return Database.from_relations(
         {"e": [(i, (i + 1) % n) for i in range(n)]}
     )
+
+
+def _span_names(nodes):
+    """Every span name in a dumped span tree."""
+    for node in nodes:
+        yield node["name"]
+        yield from _span_names(node["children"])
 
 
 class TestRing:
@@ -173,6 +181,39 @@ class TestFailureDumps:
         [error] = [e for e in doc["events"] if e["kind"] == "error"]
         assert error["error"] == "BudgetExceeded"
 
+    def test_a_budget_spent_on_the_bags_stops_the_next_sweep_operator(
+        self, tmp_path, monkeypatch
+    ):
+        """The deadline passes once the bags are built: the sweep checks
+        it before every operator, so the first one raises, naming
+        itself, and the dump still holds the request."""
+        import repro.engine.plan as plan_module
+
+        real = plan_module.materialise_bags
+
+        def outlast(plan, db, stats, deadline=None, semiring=None):
+            bags = real(plan, db, stats, deadline, semiring)
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+            return bags
+
+        monkeypatch.setattr(plan_module, "materialise_bags", outlast)
+        dump = tmp_path / "dump.json"
+        engine = Engine(flight=FlightRecorder(), flight_dump=str(dump))
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        with pytest.raises(
+            BudgetExceeded, match=r"during semijoin n\d by n\d \(bottom-up\)"
+        ):
+            engine.execute(query, _db(30), budget=0.5)
+
+        doc = json.loads(dump.read_text())
+        assert "BudgetExceeded" in doc["reason"]
+        [error] = [e for e in doc["events"] if e["kind"] == "error"]
+        assert error["error"] == "BudgetExceeded" and error["digest"]
+
+        ran = set(_span_names(error["spans"]))
+        assert {"engine.execute", "plan.execute", "plan.bag"} <= ran
+        assert not {"sweep.semijoin", "sweep.join"} & ran
+
     def test_failure_mid_request_dumps_span_tree_and_digest(
         self, tmp_path, monkeypatch
     ):
@@ -191,7 +232,7 @@ class TestFailureDumps:
         def fail(*args, **kwargs):
             raise EvaluationError("sweep failed")
 
-        monkeypatch.setattr(plan_module, "enumerate_answers", fail)
+        monkeypatch.setattr(plan_module, "run_program", fail)
         with pytest.raises(EvaluationError):
             engine.execute(query, db)
 
@@ -204,13 +245,8 @@ class TestFailureDumps:
         # ...and its span tree is in the dump, nested.
         assert error["spans"], "failing request's span tree missing"
 
-        def names(nodes):
-            for node in nodes:
-                yield node["name"]
-                yield from names(node["children"])
-
         assert {"engine.execute", "plan.execute", "plan.bag"} <= set(
-            names(error["spans"])
+            _span_names(error["spans"])
         )
 
     def test_no_dump_file_without_destination(self, tmp_path, monkeypatch):
