@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import time
 
-from ..db.evaluate import check_deadline
 from ..db.stats import EvalStats
-from ..db.yannakakis import full_reduce
+from ..db.yannakakis import REDUCED, run_program, sweep_program
 from ..engine.executor import Engine
 from ..engine.plan import materialise_bags
 from .problem import CSPInstance, Value
@@ -118,8 +117,7 @@ def solve_via_decomposition(
     plan = engine.plan(query, db)
     jt = plan.join_tree
     bags = materialise_bags(plan, db, stats, deadline)
-    check_deadline(deadline, "Yannakakis full reducer")
-    reduced = full_reduce(jt, bags, stats)
+    reduced = run_program(sweep_program(jt, REDUCED), bags, stats, deadline)
     if any(not reduced[node] for node in jt.nodes):
         return None
 

@@ -30,6 +30,23 @@ def check_arity(atom: Atom, db: Database) -> None:
         )
 
 
+def term_positions(atom: Atom) -> tuple[dict[Variable, int], tuple, tuple]:
+    """Each distinct variable's first position (in order of first
+    occurrence), then ``(position, value)`` per constant and ``(position,
+    first position)`` per repeated variable: what a row must satisfy."""
+    first_position: dict[Variable, int] = {}
+    constants: list[tuple[int, object]] = []
+    repeats: list[tuple[int, int]] = []
+    for i, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            constants.append((i, term.value))
+        elif term in first_position:
+            repeats.append((i, first_position[term]))
+        else:
+            first_position[term] = i
+    return first_position, tuple(constants), tuple(repeats)
+
+
 def resolve_atom(
     atom: Atom, db: Database
 ) -> tuple[Snapshot, tuple[str, ...], Iterator[tuple[Row, Row]] | None]:
@@ -49,16 +66,7 @@ def resolve_atom(
             f"{atom.predicate!r}"
         )
     check_arity(atom, db)
-    first_position: dict[Variable, int] = {}
-    constants: list[tuple[int, object]] = []
-    repeats: list[tuple[int, int]] = []
-    for i, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            constants.append((i, term.value))
-        elif term in first_position:
-            repeats.append((i, first_position[term]))
-        else:
-            first_position[term] = i
+    first_position, constants, repeats = term_positions(atom)
     snap = db.snapshot(atom.predicate)
     names = tuple(v.name for v in first_position)
     if not constants and not repeats:

@@ -9,8 +9,10 @@ polynomial:
 * :mod:`~repro.incremental.delta` — signed, normalised update batches;
 * :mod:`~repro.incremental.counting` — support counters and the
   sequential delta-join rule (the counting algorithm);
-* :mod:`~repro.incremental.view` — :class:`MaterializedView`, per-node
-  maintained state plus answer-change subscriptions;
+* :mod:`~repro.incremental.view` — :class:`MaterializedView`, the
+  plan's annotated sweep program maintained node by node (a child slot
+  carries its marginal; the root's counter is the answer) plus
+  answer-change subscriptions;
 * :mod:`~repro.incremental.live` — :class:`LiveEngine`, the thread-safe
   facade owning the database and the registered views, planning through
   the engine's fingerprint-keyed plan cache.

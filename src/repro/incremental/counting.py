@@ -28,8 +28,11 @@ This module provides the three machine parts, all join-tree agnostic:
   ``Δ(I⋈J) = ΔI⋈J ∪ I'⋈ΔJ``, generalised to k inputs.
 
 :class:`repro.incremental.view.MaterializedView` instantiates one
-:class:`DeltaJoin` per join-tree node; the set-level output delta of a
-child node is the input delta of its parent's child slot.
+:class:`DeltaJoin` per join-tree node, read off the plan's annotated
+sweep program: a child slot carries its marginal — what the parent's
+``Join`` reads of the child — so the set-level output delta of a child
+node is the input delta of its parent's child slot, and the root's
+:attr:`DeltaJoin.result` is the answer relation.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ join orders, rooted join tree), and thereafter keeps the answer relation
 fresh under :class:`~repro.incremental.delta.Delta` batches without
 recomputation.
 
-The maintained state mirrors the batch pipeline node for node:
+The maintained state is the plan's annotated sweep program
+(:meth:`QueryPlan.program` with ``annotated=True``) read as a delta
+pipeline:
 
 * each λ atom of a decomposition node becomes an *atom feed* — the
   binding transform of :func:`repro.db.binding.bind_atom` (constants,
@@ -15,12 +17,15 @@ The maintained state mirrors the batch pipeline node for node:
   projection onto the χ overlap when the atom carries variables the bag
   drops;
 * each join-tree node owns a :class:`~repro.incremental.counting.DeltaJoin`
-  over its atom inputs and child slots, maintaining
-  ``π_keep(bag ⋈ children)`` exactly as the enumeration pass of
-  Yannakakis' algorithm computes it (``keep`` = χ plus the output
-  variables contributed by the subtree);
-* the root's projection onto the head is one more support counter, whose
+  over its atom inputs and one child slot per program ``Join``; a child
+  slot carries its marginal — what the parent's ``Join`` reads of the
+  child — so a child's ``DeltaJoin`` keeps exactly that, and the root's
+  keeps the ``Project`` head;
+* the root's support counter is therefore the answer relation, and its
   zero crossings are the :class:`AnswerDelta` handed to subscribers.
+
+The program's semijoins are skipped: they only bound sizes, and the
+delta joins are exact without them.
 
 Initial evaluation is not a special case: it is the delta "insert every
 base row" applied to empty state, so the property tests exercise the
@@ -32,15 +37,17 @@ re-inserts and deletes of absent rows are dropped) before propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .._errors import SchemaError
-from ..core.atoms import Atom, Constant, Variable
+from ..core.atoms import Atom, Variable
 from ..core.query import ConjunctiveQuery
+from ..db.binding import term_positions
 from ..db.database import Database
 from ..db.relation import Relation
 from ..db.semiring import INT_RING
 from ..db.stats import EvalStats
+from ..db.yannakakis import Join, Project
 from ..engine.plan import QueryPlan
 from ..obs import current_tracer, get_registry
 from .counting import DeltaJoin, JoinInput, Row, SignedRows, SupportCounter
@@ -97,25 +104,14 @@ class _AtomFeed:
         self.predicate = atom.predicate
         self.arity = atom.arity
         self.input_index = input_index
-        first_position: dict[Variable, int] = {}
-        const_checks: list[tuple[int, object]] = []
-        eq_checks: list[tuple[int, int]] = []
-        for i, term in enumerate(atom.terms):
-            if isinstance(term, Constant):
-                const_checks.append((i, term.value))
-            elif term in first_position:
-                eq_checks.append((i, first_position[term]))
-            else:
-                first_position[term] = i
-        self._const_checks = tuple(const_checks)
-        self._eq_checks = tuple(eq_checks)
+        first, self._const_checks, self._eq_checks = term_positions(atom)
         self._out_positions = tuple(
-            first_position[Variable(name)] for name in attributes
+            first[Variable(name)] for name in attributes
         )
         # The bound-row -> output-row map is injective exactly when every
         # distinct variable survives the projection; otherwise dropped
         # variables make several base rows support one output row.
-        injective = len(attributes) == len(first_position)
+        injective = len(attributes) == len(first)
         self._projector = None if injective else SupportCounter()
 
     def feed(self, rows: Mapping[Row, int]) -> SignedRows:
@@ -134,22 +130,14 @@ class _AtomFeed:
         return self._projector.apply(signed)
 
 
-class _ViewNode:
-    """One join-tree node's maintained state."""
+class _ViewNode(NamedTuple):
+    """One join-tree node's maintained state, and where its output delta
+    goes: the parent's child slot, or nowhere (``None``) at the root."""
 
-    __slots__ = ("bag", "join", "feeds", "child_slot")
-
-    def __init__(
-        self,
-        bag: Atom,
-        join: DeltaJoin,
-        feeds: tuple[_AtomFeed, ...],
-        child_slot: dict[Atom, int],
-    ):
-        self.bag = bag
-        self.join = join
-        self.feeds = feeds
-        self.child_slot = child_slot
+    join: DeltaJoin
+    feeds: tuple[_AtomFeed, ...]
+    parent: Atom | None
+    slot: int
 
 
 class MaterializedView:
@@ -190,26 +178,29 @@ class MaterializedView:
         self.output = plan.output
         self.predicates = frozenset(query.predicates)
         self._arities = dict(query.arities)
-        tree = plan.join_tree
-        self._order = list(tree.post_order())
-        self._parent = tree.parent_of
-        self._root = tree.root
-
+        # The annotated program joins along every edge, children before
+        # parents: each Join names a child slot and what it carries, and
+        # the closing Project what the root keeps.
+        program = plan.program(annotated=True)
         plans_by_bag = {np.bag: np for np in plan.node_plans}
-        out_set = set(plan.output)
-        below: dict[Atom, set[str]] = {}
+        held = {bag: frozenset(p.chi_names) for bag, p in plans_by_bag.items()}
         keeps: dict[Atom, tuple[str, ...]] = {}
-        for bag in self._order:
-            chi = set(plans_by_bag[bag].chi_names)
-            attrs = set(chi)
-            for child in tree.children(bag):
-                attrs |= below[child]
-            below[bag] = attrs
-            keeps[bag] = tuple(sorted(chi | (attrs & out_set)))
+        slots: dict[Atom, list[Atom]] = {bag: [] for bag in program.nodes}
+        for op in program.ops:
+            if isinstance(op, Join):
+                marginal = (
+                    held[op.child] if op.marginal is None else op.marginal
+                )
+                keeps[op.child] = tuple(sorted(marginal))
+                slots[op.node].append(op.child)
+                held[op.node] |= marginal
+            elif isinstance(op, Project):
+                keeps[op.root] = op.head
 
         self._nodes: dict[Atom, _ViewNode] = {}
         self._unit_bags: set[Atom] = set()
-        for bag in self._order:
+        route: dict[Atom, tuple[Atom, int]] = {}  # child -> parent, slot
+        for bag in program.nodes:  # preorder: parents first
             np = plans_by_bag[bag]
             chi_set = set(np.chi_names)
             inputs: list[JoinInput] = []
@@ -220,9 +211,8 @@ class MaterializedView:
                 )
                 feeds.append(_AtomFeed(atom, attrs, len(inputs)))
                 inputs.append(JoinInput(attrs))
-            child_slot: dict[Atom, int] = {}
-            for child in tree.children(bag):
-                child_slot[child] = len(inputs)
+            for child in slots[bag]:
+                route[child] = (bag, len(inputs))
                 inputs.append(JoinInput(keeps[child]))
             if not inputs:
                 # A node with no contributing atoms and no children (an
@@ -231,13 +221,14 @@ class MaterializedView:
                 inputs.append(JoinInput(()))
                 self._unit_bags.add(bag)
             self._nodes[bag] = _ViewNode(
-                bag, DeltaJoin(inputs, keeps[bag]), tuple(feeds), child_slot
+                DeltaJoin(inputs, keeps[bag]), tuple(feeds),
+                *route.get(bag, (None, 0)),
             )
 
-        self._project_root = tuple(
-            keeps[self._root].index(a) for a in plan.output
-        )
-        self._answers = SupportCounter()
+        # Reversed preorder: every child before its parent.
+        self._order = program.nodes[::-1]
+        # The root keeps the head, so its support counter is the answer.
+        self._answers = self._nodes[program.nodes[0]].join.result
         self._subscribers: list[Callable[[AnswerDelta], None]] = []
         self.stats = EvalStats()
         self.last_batch: EvalStats | None = None
@@ -364,7 +355,7 @@ class MaterializedView:
         stats = EvalStats()
         touched = 0
         nodes_touched = 0
-        root_delta: SignedRows = {}
+        answer_signed: SignedRows = {}
         pending: dict[Atom, dict[int, SignedRows]] = {}
         batch_span = current_tracer().span(
             "view.apply_batch", view=self.query.name, initial=seed_units
@@ -389,22 +380,10 @@ class MaterializedView:
                 touched += len(out)
                 if not out:
                     continue
-                if bag == self._root:
-                    root_delta = out
+                if node.parent is None:
+                    answer_signed = out
                 else:
-                    parent = self._parent[bag]
-                    slot = self._nodes[parent].child_slot[bag]
-                    pending.setdefault(parent, {})[slot] = out
-            signed: SignedRows = {}
-            ring = INT_RING
-            for row, weight in root_delta.items():
-                projected = tuple(row[p] for p in self._project_root)
-                signed[projected] = ring.plus(
-                    signed.get(projected, ring.zero), weight
-                )
-            answer_signed = self._answers.apply(signed)
-            if root_delta:
-                stats.projections += 1
+                    pending.setdefault(node.parent, {})[node.slot] = out
             batch_span.set(
                 touched_rows=touched,
                 nodes_touched=nodes_touched,

@@ -156,6 +156,31 @@ class TestThroughTheEngine:
         with pytest.raises(BudgetExceeded):
             solve_via_decomposition(triangle, Engine(budget=0))
 
+    def test_budget_is_checked_between_reducer_semijoins(self, monkeypatch):
+        # The first semijoin outlasts the budget; the reducer stops
+        # before the next one instead of running the pass to the end.
+        import time
+
+        from repro.db.yannakakis import REDUCED, Semijoin, sweep_program
+
+        path = graph_coloring([("a", "b"), ("b", "c"), ("c", "d")], 2)
+        engine = Engine(budget=1.0)
+        ran = []
+        run = Semijoin.run
+
+        def slow(op, *args):
+            run(op, *args)
+            ran.append(op)
+            time.sleep(engine.budget)
+
+        monkeypatch.setattr(Semijoin, "run", slow)
+        with pytest.raises(BudgetExceeded) as info:
+            solve_via_decomposition(path, engine)
+        plan = engine.plan(path.to_query(), path.to_database())
+        ops = sweep_program(plan.join_tree, REDUCED).ops
+        assert len(ran) == 1 and len(ops) > 1
+        assert str(info.value).endswith(f"during {ops[1]}")
+
     def test_budget_cuts_the_decomposition_search(self):
         # The exact search on a 5×5 grid takes seconds; 50 ms cut it,
         # before any decomposition is stored or bag materialised.

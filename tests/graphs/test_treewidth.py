@@ -2,7 +2,6 @@
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -158,6 +157,7 @@ class TestBoundsSandwich:
         seed=st.integers(min_value=0, max_value=5_000),
     )
     def test_matches_networkx_sandwich(self, n, seed):
+        nx = pytest.importorskip("networkx")
         rng = random.Random(seed)
         edges = [
             (i, j)

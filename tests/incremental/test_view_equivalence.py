@@ -183,6 +183,30 @@ def test_invalid_batch_leaves_view_consistent():
     assert handle.answers().rows == expected.rows
 
 
+def assert_view_is_the_program(view):
+    """Every non-root node's ``DeltaJoin`` keeps what its parent's
+    ``Join`` of the plan's annotated program reads — the marginal, or,
+    when that drops nothing, all the child holds (its χ plus what its
+    own children hand it) — and the root's keeps the head."""
+    from repro.db.yannakakis import Join
+
+    plan = view.plan
+    chi = {np.bag: set(np.chi_names) for np in plan.node_plans}
+    joins = [
+        op for op in plan.program(annotated=True).ops if isinstance(op, Join)
+    ]
+    assert len(joins) == len(plan.node_plans) - 1
+    keep = {bag: view._nodes[bag].join.keep for bag in chi}
+    for op in joins:
+        below = chi[op.child].union(
+            *(keep[j.child] for j in joins if j.node == op.child)
+        )
+        reads = below if op.marginal is None else op.marginal
+        assert set(keep[op.child]) == reads, (view.query.name, op)
+        assert len(keep[op.child]) == len(reads)
+    assert keep[plan.join_tree.root] == plan.output
+
+
 def test_live_views_rooted_at_their_head_match_recompute():
     """The four views of the end-to-end ``live_updates`` workload under a
     stream of 64-change batches.  Each is rooted at a bag that holds its
@@ -222,6 +246,14 @@ def test_live_views_rooted_at_their_head_match_recompute():
         assert set(plan.output) <= set(root.chi_names), handle.query.name
         if handle.query.name == "path3":
             assert [a.predicate for a in root.join_order] == ["r1"]
+        assert_view_is_the_program(handle.view)
+        if handle.query.name == "path3":
+            (r2,) = [
+                np.bag for np in plan.node_plans
+                if [a.predicate for a in np.join_order] == ["r2"]
+            ]
+            # r1 reads only X of r2's subtree: Y and Z stay below.
+            assert handle.view._nodes[r2].join.keep == ("X",)
 
     stream = update_workload(
         db, n_batches=6, batch_size=64, delete_ratio=0.3, skew=0.5, seed=11
