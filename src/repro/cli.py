@@ -176,7 +176,7 @@ def _observed(args: argparse.Namespace):
 
     Installs a tracer for the command's dynamic extent when ``--trace``
     (or ``$REPRO_TRACE``) asks for one and writes the Chrome trace-event
-    file on the way out; likewise a sampling profiler for ``--profile``
+    file on the way out, also when the command fails; likewise a sampling profiler for ``--profile``
     (or ``$REPRO_PROFILE``), written as speedscope JSON (or collapsed
     text when the path ends in ``.txt``/``.folded``/``.collapsed``);
     writes the ``--metrics`` snapshot regardless.  Notices go to stderr,
@@ -186,31 +186,33 @@ def _observed(args: argparse.Namespace):
     profile_path = getattr(args, "profile", None) or profile_path_from_env()
     tracer = Tracer() if trace_path else None
     profiler = SamplingProfiler() if profile_path else None
-    with contextlib.ExitStack() as stack:
+    try:
+        with contextlib.ExitStack() as stack:
+            if tracer is not None:
+                stack.enter_context(tracing(tracer))
+            if profiler is not None:
+                stack.enter_context(profiling(profiler))
+            yield
+    finally:
         if tracer is not None:
-            stack.enter_context(tracing(tracer))
+            events = write_chrome_trace(tracer, trace_path)
+            print(
+                f"trace: {events} events -> {trace_path}"
+                + (f" ({tracer.dropped} spans dropped)" if tracer.dropped else ""),
+                file=sys.stderr,
+            )
         if profiler is not None:
-            stack.enter_context(profiling(profiler))
-        yield
-    if tracer is not None:
-        events = write_chrome_trace(tracer, trace_path)
-        print(
-            f"trace: {events} events -> {trace_path}"
-            + (f" ({tracer.dropped} spans dropped)" if tracer.dropped else ""),
-            file=sys.stderr,
-        )
-    if profiler is not None:
-        if profile_path.endswith((".txt", ".folded", ".collapsed")):
-            total = write_collapsed(profiler.profile, profile_path)
-        else:
-            total = write_speedscope(profiler.profile, profile_path)
-        print(
-            f"profile: {total} samples -> {profile_path}", file=sys.stderr
-        )
-    metrics_path = getattr(args, "metrics", None)
-    if metrics_path:
-        write_metrics_snapshot(metrics_path)
-        print(f"metrics: snapshot -> {metrics_path}", file=sys.stderr)
+            if profile_path.endswith((".txt", ".folded", ".collapsed")):
+                total = write_collapsed(profiler.profile, profile_path)
+            else:
+                total = write_speedscope(profiler.profile, profile_path)
+            print(
+                f"profile: {total} samples -> {profile_path}", file=sys.stderr
+            )
+        metrics_path = getattr(args, "metrics", None)
+        if metrics_path:
+            write_metrics_snapshot(metrics_path)
+            print(f"metrics: snapshot -> {metrics_path}", file=sys.stderr)
 
 
 def _cmd_width(args: argparse.Namespace) -> int:

@@ -119,7 +119,7 @@ class IntegerRing(CountingSemiring):
 
     This is the algebra the incremental layer's support counting runs
     on — a deletion is an insertion with weight ``minus(zero, one)``,
-    and :class:`repro.incremental.counting.SupportCounter` folds signed
+    and :class:`repro.incremental.counting.CountedRows` folds signed
     weights with exactly these operations.  Support counting *is* the
     ℕ instance, extended with inverses so deltas can retract.
     """

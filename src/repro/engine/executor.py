@@ -458,9 +458,11 @@ class Engine:
         # private one.
         ambient = current_tracer()
         capture = ambient if isinstance(ambient, Tracer) else Tracer()
+        plan_sink: list[QueryPlan] = []
         with tracing(capture):
-            result = self.execute(query, db, semiring=semiring)
-        plan = self.plan(query, db, semiring=semiring)
+            result = self._execute(query, db, None, None, semiring, plan_sink)
+        # The plan the request ran (an atom-less query runs none).
+        plan = plan_sink[0] if plan_sink else self.plan(query, db, semiring)
         return plan.render_analyzed(
             capture, result.elapsed, len(result.answer), semiring
         )
@@ -485,6 +487,18 @@ class Engine:
         semantics; the result's answer then carries one semiring value
         per row (see :attr:`EvalResult.annotations`).
         """
+        return self._execute(query, db, budget, stats, semiring, [])
+
+    def _execute(
+        self,
+        query: ConjunctiveQuery,
+        db: Database,
+        budget: float | None,
+        stats: EvalStats | None,
+        semiring: "Semiring | str | None",
+        plan_sink: list[QueryPlan],
+    ) -> EvalResult:
+        """:meth:`execute`, handing the plan it runs to *plan_sink*."""
         budget = budget if budget is not None else self.budget
         started = time.monotonic()
         deadline = started + budget if budget is not None else None
@@ -503,7 +517,6 @@ class Engine:
         else:
             tracer = ambient
         request_perf = time.perf_counter()
-        plan_sink: list[QueryPlan] = []
         try:
             with tracing(tracer), tracer.span(
                 "engine.execute", query=query.name,

@@ -1,4 +1,4 @@
-"""Support counting for delta propagation (the counting algorithm).
+"""Counted row sets and the delta join (the counting algorithm).
 
 The classic counting algorithm for view maintenance (Gupta, Mumick &
 Subrahmanian) keeps, for every derived tuple, the number of derivations
@@ -16,23 +16,21 @@ weight folds below go through the ring's ``plus``/``times``.  The
 machinery here is therefore the incremental face of the same instance
 the batch evaluator runs, not a private arithmetic.
 
-This module provides the three machine parts, all join-tree agnostic:
+This module provides the two machine parts, both join-tree agnostic:
 
-* :class:`SupportCounter` — a multiset of rows that folds signed weight
-  updates and reports only the zero crossings (the set-level delta);
-* :class:`JoinInput` — one operand of a join: a row set plus
-  incrementally maintained hash indexes on the key attributes the delta
-  rules need;
+* :class:`CountedRows` — one join operand as a ℤ-set: rows with their
+  positive support plus key indexes; folding a signed delta reports
+  only the zero crossings (the set-level delta);
 * :class:`DeltaJoin` — a compiled ``π_keep(I_0 ⋈ ... ⋈ I_k)`` operator
-  maintained under per-input set deltas via the sequential delta rule
-  ``Δ(I⋈J) = ΔI⋈J ∪ I'⋈ΔJ``, generalised to k inputs.
+  over :class:`CountedRows`, maintained under signed per-input deltas
+  via the sequential delta rule ``Δ(I⋈J) = ΔI⋈J ∪ I'⋈ΔJ``, generalised
+  to k inputs; its output is the projection's *signed* delta.
 
 :class:`repro.incremental.view.MaterializedView` instantiates one
 :class:`DeltaJoin` per join-tree node, read off the plan's annotated
-sweep program: a child slot carries its marginal — what the parent's
-``Join`` reads of the child — so the set-level output delta of a child
-node is the input delta of its parent's child slot, and the root's
-:attr:`DeltaJoin.result` is the answer relation.
+sweep program: a child's signed output is the delta of its parent's
+child-slot input, so each edge's rows are counted in exactly one place,
+and the root's output folds into one :class:`CountedRows` — the answer.
 """
 
 from __future__ import annotations
@@ -49,8 +47,16 @@ Row = tuple
 SignedRows = dict[Row, int]
 
 
-class SupportCounter:
-    """Rows with strictly positive derivation counts.
+class _Counts(dict):
+    # A full collection untracks an exact dict of untracked row tuples,
+    # and the next fresh row re-tracks it as a young object that every
+    # young collection then traverses; a subclass stays in the oldest
+    # generation, as a set does.
+    __slots__ = ()
+
+
+class CountedRows:
+    """Rows with strictly positive support, plus key indexes.
 
     :meth:`apply` folds a signed weight update into the counts with the
     ring's ``plus`` and returns the *set-level* delta: ``one`` for rows
@@ -59,13 +65,21 @@ class SupportCounter:
     it would, the caller fed a delta that was not effective against the
     maintained state, which is an internal invariant violation, not a
     user error.
+
+    Key indexes are built lazily on first request (at :class:`DeltaJoin`
+    compile time) and index the row *set*: only a zero crossing moves
+    them, so a delta-rule probe never rescans the input.
     """
 
-    __slots__ = ("counts", "ring")
+    __slots__ = ("attributes", "counts", "ring", "_indexes")
 
-    def __init__(self, ring: IntegerRing = INT_RING) -> None:
-        self.counts: dict[Row, int] = {}
+    def __init__(
+        self, attributes: tuple[str, ...], ring: IntegerRing = INT_RING
+    ) -> None:
+        self.attributes = attributes
+        self.counts: dict[Row, int] = _Counts()
         self.ring = ring
+        self._indexes: dict[tuple[int, ...], dict[Row, set[Row]]] = {}
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -74,14 +88,25 @@ class SupportCounter:
         return row in self.counts
 
     def support(self, row: Row) -> int:
-        return self.counts.get(row, 0)
+        return self.counts.get(row, self.ring.zero)
 
     def rows(self) -> frozenset[Row]:
         return frozenset(self.counts)
 
+    def index_on(self, positions: tuple[int, ...]) -> dict[Row, set[Row]]:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = {}
+            for row in self.counts:
+                key = tuple(row[p] for p in positions)
+                index.setdefault(key, set()).add(row)
+            self._indexes[positions] = index
+        return index
+
     def apply(self, signed: Mapping[Row, int]) -> SignedRows:
         out: SignedRows = {}
         counts = self.counts
+        indexes = self._indexes.items()
         ring = self.ring
         zero, one = ring.zero, ring.one
         appeared, vanished = one, ring.negate(one)
@@ -98,57 +123,20 @@ class SupportCounter:
             if new == zero:
                 del counts[row]
                 out[row] = vanished
+                for positions, index in indexes:
+                    key = tuple(row[p] for p in positions)
+                    bucket = index[key]
+                    bucket.discard(row)
+                    if not bucket:
+                        del index[key]
             else:
                 counts[row] = new
                 if old == zero:
                     out[row] = appeared
+                    for positions, index in indexes:
+                        key = tuple(row[p] for p in positions)
+                        index.setdefault(key, set()).add(row)
         return out
-
-
-class JoinInput:
-    """One operand of a :class:`DeltaJoin`: a row set plus key indexes.
-
-    Indexes are created lazily the first time a key position tuple is
-    requested (at plan compile time) and maintained incrementally on
-    every :meth:`apply`, so a delta-rule probe never rescans the input.
-    """
-
-    __slots__ = ("attributes", "rows", "_indexes")
-
-    def __init__(self, attributes: tuple[str, ...]):
-        self.attributes = attributes
-        self.rows: set[Row] = set()
-        self._indexes: dict[tuple[int, ...], dict[Row, set[Row]]] = {}
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def index_on(self, positions: tuple[int, ...]) -> dict[Row, set[Row]]:
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
-            for row in self.rows:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, set()).add(row)
-            self._indexes[positions] = index
-        return index
-
-    def apply(self, set_delta: Mapping[Row, int]) -> None:
-        for row, sign in set_delta.items():
-            if sign > 0:
-                self.rows.add(row)
-                for positions, index in self._indexes.items():
-                    key = tuple(row[p] for p in positions)
-                    index.setdefault(key, set()).add(row)
-            else:
-                self.rows.discard(row)
-                for positions, index in self._indexes.items():
-                    key = tuple(row[p] for p in positions)
-                    bucket = index.get(key)
-                    if bucket is not None:
-                        bucket.discard(row)
-                        if not bucket:
-                            del index[key]
 
 
 @dataclass(frozen=True)
@@ -170,19 +158,18 @@ class DeltaJoin:
     prefer operands sharing attributes with what is already joined, as the
     batch planner does), and the required indexes are registered on the
     inputs up front.  :meth:`apply` implements the sequential k-way delta
-    rule: inputs are updated in index order, and the contribution of
-    ``ΔI_j`` joins the *new* state of inputs before ``j`` with the *old*
-    state of inputs after ``j`` — summed and projected, that is exactly
-    the delta of the projected join.  Weights combine through the ring:
-    a joined row's weight is the delta weight ``times`` the stored
-    row's unit annotation, and the projection ``plus``-folds collapsed
-    rows.  The projection's derivation counts live in :attr:`result`,
-    so only zero crossings escape to the caller.
+    rule: each input folds its signed delta in index order, and the zero
+    crossings of ``I_j`` join the *new* state of inputs before ``j`` with
+    the *old* state of inputs after ``j`` — summed and projected, that is
+    exactly the delta of the projected join of the inputs' row sets.
+    Weights combine through the ring: a joined row's weight is the
+    crossing's weight ``times`` the stored row's unit annotation, and the
+    projection ``plus``-folds collapsed rows.
     """
 
     def __init__(
         self,
-        inputs: list[JoinInput],
+        inputs: list[CountedRows],
         keep: tuple[str, ...],
         ring: IntegerRing = INT_RING,
     ):
@@ -191,7 +178,6 @@ class DeltaJoin:
         self.inputs = inputs
         self.keep = keep
         self.ring = ring
-        self.result = SupportCounter(ring)
         self._plans: list[tuple[tuple[_FoldStep, ...], tuple[int, ...]]] = [
             self._compile(j) for j in range(len(inputs))
         ]
@@ -239,18 +225,21 @@ class DeltaJoin:
         self,
         deltas: Mapping[int, SignedRows],
         stats: EvalStats | None = None,
-    ) -> SignedRows:
-        """Fold the batch of per-input set deltas; return the set-level
-        delta of the projected join result."""
+    ) -> tuple[SignedRows, int]:
+        """Fold the batch of signed per-input deltas into the inputs;
+        return the signed delta of the projected join's derivation
+        counts and the number of zero crossings the inputs reported."""
         signed_out: SignedRows = {}
+        crossed = 0
         ring = self.ring
         zero, one = ring.zero, ring.one
         for j in sorted(deltas):
-            delta_j = deltas[j]
-            if not delta_j:
+            # Input j turns "new" before its crossings probe the others.
+            acc = self.inputs[j].apply(deltas[j])
+            if not acc:
                 continue
+            crossed += len(acc)
             steps, project = self._plans[j]
-            acc: SignedRows = dict(delta_j)
             for step in steps:
                 if not acc:
                     break
@@ -281,8 +270,8 @@ class DeltaJoin:
                 signed_out[projected] = ring.plus(
                     signed_out.get(projected, zero), weight
                 )
-            # Input j's state becomes "new" for the inputs still pending.
-            self.inputs[j].apply(delta_j)
         if stats is not None:
             stats.projections += 1
-        return self.result.apply(signed_out)
+        return {
+            row: weight for row, weight in signed_out.items() if weight != zero
+        }, crossed

@@ -9,20 +9,21 @@ recomputation.
 
 The maintained state is the plan's annotated sweep program
 (:meth:`QueryPlan.program` with ``annotated=True``) read as a delta
-pipeline:
+pipeline over ℤ-sets (:class:`~repro.incremental.counting.CountedRows`):
 
 * each λ atom of a decomposition node becomes an *atom feed* — the
   binding transform of :func:`repro.db.binding.bind_atom` (constants,
-  repeated variables) compiled to a per-row filter, plus a counted
-  projection onto the χ overlap when the atom carries variables the bag
-  drops;
+  repeated variables) compiled to a per-row filter plus a projection
+  onto the χ overlap, emitting signed rows; the input it feeds counts
+  the base rows a projection collapses;
 * each join-tree node owns a :class:`~repro.incremental.counting.DeltaJoin`
   over its atom inputs and one child slot per program ``Join``; a child
   slot carries its marginal — what the parent's ``Join`` reads of the
-  child — so a child's ``DeltaJoin`` keeps exactly that, and the root's
-  keeps the ``Project`` head;
-* the root's support counter is therefore the answer relation, and its
-  zero crossings are the :class:`AnswerDelta` handed to subscribers.
+  child — and a child's signed output *is* that slot's delta, so each
+  edge's rows are counted once, in the parent's input;
+* the root keeps the ``Project`` head, and its signed output folds into
+  one counted row set: the answer relation, whose zero crossings are
+  the :class:`AnswerDelta` handed to subscribers.
 
 The program's semijoins are skipped: they only bound sizes, and the
 delta joins are exact without them.
@@ -50,7 +51,7 @@ from ..db.stats import EvalStats
 from ..db.yannakakis import Join, Project
 from ..engine.plan import QueryPlan
 from ..obs import current_tracer, get_registry
-from .counting import DeltaJoin, JoinInput, Row, SignedRows, SupportCounter
+from .counting import CountedRows, DeltaJoin, Row, SignedRows
 from .delta import Delta
 
 
@@ -86,9 +87,9 @@ class AnswerDelta:
 
 class _AtomFeed:
     """Compiled transform from one base relation's delta to one join
-    input's delta: binding filter, projection onto the χ overlap, and —
-    when the projection drops variables — a support counter so dropped-
-    variable multiplicity is tracked exactly."""
+    input's signed delta: binding filter, then projection onto the χ
+    overlap.  Base rows that the projection collapses add up, so the
+    input's support counts them exactly."""
 
     __slots__ = (
         "predicate",
@@ -97,7 +98,6 @@ class _AtomFeed:
         "_const_checks",
         "_eq_checks",
         "_out_positions",
-        "_projector",
     )
 
     def __init__(self, atom: Atom, attributes: tuple[str, ...], input_index: int):
@@ -108,11 +108,6 @@ class _AtomFeed:
         self._out_positions = tuple(
             first[Variable(name)] for name in attributes
         )
-        # The bound-row -> output-row map is injective exactly when every
-        # distinct variable survives the projection; otherwise dropped
-        # variables make several base rows support one output row.
-        injective = len(attributes) == len(first)
-        self._projector = None if injective else SupportCounter()
 
     def feed(self, rows: Mapping[Row, int]) -> SignedRows:
         signed: SignedRows = {}
@@ -125,9 +120,7 @@ class _AtomFeed:
                 continue
             out = tuple(row[p] for p in self._out_positions)
             signed[out] = ring.plus(signed.get(out, zero), sign)
-        if self._projector is None:
-            return {row: sign for row, sign in signed.items() if sign != zero}
-        return self._projector.apply(signed)
+        return {row: sign for row, sign in signed.items() if sign != zero}
 
 
 class _ViewNode(NamedTuple):
@@ -203,22 +196,22 @@ class MaterializedView:
         for bag in program.nodes:  # preorder: parents first
             np = plans_by_bag[bag]
             chi_set = set(np.chi_names)
-            inputs: list[JoinInput] = []
+            inputs: list[CountedRows] = []
             feeds: list[_AtomFeed] = []
             for atom in np.join_order:
                 attrs = tuple(
                     sorted(v.name for v in atom.variables if v.name in chi_set)
                 )
                 feeds.append(_AtomFeed(atom, attrs, len(inputs)))
-                inputs.append(JoinInput(attrs))
+                inputs.append(CountedRows(attrs))
             for child in slots[bag]:
                 route[child] = (bag, len(inputs))
-                inputs.append(JoinInput(keeps[child]))
+                inputs.append(CountedRows(keeps[child]))
             if not inputs:
                 # A node with no contributing atoms and no children (an
                 # empty-χ leaf) joins as the 0-ary unit relation; its one
                 # row is seeded during the initial propagation.
-                inputs.append(JoinInput(()))
+                inputs.append(CountedRows(()))
                 self._unit_bags.add(bag)
             self._nodes[bag] = _ViewNode(
                 DeltaJoin(inputs, keeps[bag]), tuple(feeds),
@@ -227,8 +220,8 @@ class MaterializedView:
 
         # Reversed preorder: every child before its parent.
         self._order = program.nodes[::-1]
-        # The root keeps the head, so its support counter is the answer.
-        self._answers = self._nodes[program.nodes[0]].join.result
+        # The root keeps the head; its signed output folds into the answer.
+        self._answers = CountedRows(self.output)
         self._subscribers: list[Callable[[AnswerDelta], None]] = []
         self.stats = EvalStats()
         self.last_batch: EvalStats | None = None
@@ -375,13 +368,13 @@ class MaterializedView:
                 if not deltas:
                     continue
                 nodes_touched += 1
-                touched += sum(len(d) for d in deltas.values())
-                out = node.join.apply(deltas, stats)
-                touched += len(out)
+                out, crossed = node.join.apply(deltas, stats)
+                touched += crossed
                 if not out:
                     continue
                 if node.parent is None:
-                    answer_signed = out
+                    answer_signed = self._answers.apply(out)
+                    touched += len(answer_signed)
                 else:
                     pending.setdefault(node.parent, {})[node.slot] = out
             batch_span.set(

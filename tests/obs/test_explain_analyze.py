@@ -23,6 +23,7 @@ from repro.obs import (
     Tracer,
     chrome_trace_events,
     current_tracer,
+    get_registry,
     tracing,
     validate_chrome_trace,
     write_chrome_trace,
@@ -287,6 +288,25 @@ class TestExplainAnalyze:
         theirs = {s.attrs["snapshot"] for s in bags if s.tid == "writer"}
         assert len(mine) == 600 and set(mine) == {"reused"}
         assert "built" in theirs
+
+    def test_analyze_plans_once_without_a_cache(self):
+        """The rendered plan is the one the analyzed request ran: with
+        the cache off, one decomposition search, not a second one to
+        render."""
+        with Engine(cache_size=0) as engine:
+            text = engine.explain(parse_query(QUERY), path_db(), analyze=True)
+            assert engine.decompositions == 1
+        assert "analyze: executed in" in text
+
+    def test_analyze_records_no_phantom_cache_hit(self):
+        """A fresh shape misses once and replays nothing: no cache hit
+        and no ``plan.reused`` from re-planning after the execution."""
+        reused = get_registry().counter("plan.reused")
+        before = reused.value
+        with Engine() as engine:
+            engine.explain(parse_query(QUERY), path_db(), analyze=True)
+            assert engine.cache.hits == 0
+        assert reused.value == before
 
     def test_analyze_feeds_outer_ambient_tracer(self):
         """Under a CLI-style ambient tracer the analyze run records into

@@ -417,6 +417,28 @@ class TestObservabilityCli:
         doc = json.loads(profile.read_text())
         assert doc["$schema"].startswith("https://www.speedscope.app")
 
+    def test_failed_watch_still_writes_trace_and_metrics(
+        self, facts_file, tmp_path, capsys
+    ):
+        deltas = tmp_path / "bad.txt"
+        deltas.write_text("+e(1, 2).\n+e(X, 3).\n")
+        trace = tmp_path / "t.json"
+        metrics = tmp_path / "m.json"
+        code = main(
+            [
+                "watch", self.QUERY, facts_file,
+                "--deltas", str(deltas),
+                "--trace", str(trace),
+                "--metrics", str(metrics),
+            ]
+        )
+        assert code == 2
+        assert "not ground" in capsys.readouterr().err
+        assert trace.exists() and metrics.exists()
+        assert "counters" in json.loads(metrics.read_text())
+        assert main(["stats", str(trace)]) == 0
+        assert "valid chrome trace" in capsys.readouterr().out
+
     def test_profile_collapsed_extension(self, facts_file, tmp_path, capsys):
         from repro.obs import Profile
 
