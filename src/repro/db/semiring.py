@@ -118,10 +118,13 @@ class IntegerRing(CountingSemiring):
     """ℤ under (+, ×): the counting semiring completed with subtraction.
 
     This is the algebra the incremental layer's support counting runs
-    on — a deletion is an insertion with weight ``minus(zero, one)``,
-    and :class:`repro.incremental.counting.CountedRows` folds signed
-    weights with exactly these operations.  Support counting *is* the
-    ℕ instance, extended with inverses so deltas can retract.
+    on — a deletion is an insertion with weight ``minus(zero, one)``.
+    Its elements are plain Python ints and ``plus`` is ``a + b``, so
+    :class:`repro.incremental.counting.CountedRows` and ``DeltaJoin``
+    fold signed weights with ``+`` inline, without a method call per
+    row; a stored row's unit annotation makes ``times`` the identity.
+    Support counting *is* the ℕ instance, extended with inverses so
+    deltas can retract.
     """
 
     tag = "int"

@@ -155,6 +155,20 @@ def cheapest(
     return [(row, cost, witness) for row, (cost, witness) in best]
 
 
+def _empty_answer_rows(
+    query: ConjunctiveQuery,
+) -> tuple[tuple[str, ...], frozenset[Row]]:
+    """The head and rows an atom-less query answers: the empty
+    conjunction holds once, so a head without variables gets the 0-ary
+    unit row and one with variables (bound by nothing) gets none."""
+    head = tuple(
+        dict.fromkeys(
+            t.name for t in query.head_terms if isinstance(t, Variable)
+        )
+    )
+    return head, frozenset({()} if not head else ())
+
+
 class Engine:
     """A decompose-once, execute-many conjunctive-query engine.
 
@@ -369,7 +383,9 @@ class Engine:
         one an ``execute`` of *query* on *db* right now would run,
         replayed if the memoised plan's estimator reads hold on *db*.
         The engine's ``budget`` bounds the decomposition search, as it
-        does an ``execute``'s."""
+        does an ``execute``'s.  An atom-less query has nothing to
+        decompose and no plan (``ValueError``); ``execute`` and
+        ``explain`` answer it without one."""
         semiring = resolve_semiring(semiring)
         deadline = (
             time.monotonic() + self.budget if self.budget is not None else None
@@ -447,12 +463,30 @@ class Engine:
         estimator's predictions, and bag/sweep wall times.
         """
         semiring = resolve_semiring(semiring)
-        if not analyze:
-            return self.plan(query, db, semiring=semiring).render(semiring)
-        if db is None:
+        if analyze and db is None:
             raise ValueError(
                 "explain(analyze=True) executes the query and needs db="
             )
+        if not query.atoms:
+            # No atoms, nothing to decompose: the request answers the
+            # 0-ary unit relation (or nothing, under a head variable)
+            # without a plan, as execute does.
+            head, rows = _empty_answer_rows(query)
+            output = f"({', '.join(head)})" if head else "boolean"
+            text = (
+                f"plan for {query.name}: no atoms [empty]\n"
+                f"output: {output}\n"
+                f"answer: {len(rows)} row(s), no bags and no sweep"
+            )
+            if analyze:
+                result = self._execute(query, db, None, None, semiring, [])
+                text += (
+                    f"\nanalyze: executed in {result.elapsed * 1e3:.3f}ms, "
+                    f"{len(result.answer)} answer row(s)"
+                )
+            return text
+        if not analyze:
+            return self.plan(query, db, semiring=semiring).render(semiring)
         # Reuse an ambient tracer (e.g. the CLI's --trace) so analyze
         # spans land in the exported trace too; otherwise capture into a
         # private one.
@@ -461,8 +495,8 @@ class Engine:
         plan_sink: list[QueryPlan] = []
         with tracing(capture):
             result = self._execute(query, db, None, None, semiring, plan_sink)
-        # The plan the request ran (an atom-less query runs none).
-        plan = plan_sink[0] if plan_sink else self.plan(query, db, semiring)
+        # The plan the request ran.
+        plan = plan_sink[0]
         return plan.render_analyzed(
             capture, result.elapsed, len(result.answer), semiring
         )
@@ -602,14 +636,7 @@ class Engine:
     ) -> EvalResult:
         with stats.timed():
             if not query.atoms:
-                head = tuple(
-                    dict.fromkeys(
-                        t.name
-                        for t in query.head_terms
-                        if isinstance(t, Variable)
-                    )
-                )
-                rows = frozenset({()} if not head else ())
+                head, rows = _empty_answer_rows(query)
                 if semiring is not None:
                     answer: Relation = AnnotatedRelation.make(
                         head, rows, "ans", semiring,

@@ -11,10 +11,11 @@ delta actually affects.
 Algebraically this is annotated evaluation over
 :class:`repro.db.semiring.IntegerRing` — the ℕ counting semiring of
 ``Engine.count`` completed with additive inverses so deltas can
-retract: a deletion is an insertion annotated ``negate(one)``, and all
-weight folds below go through the ring's ``plus``/``times``.  The
-machinery here is therefore the incremental face of the same instance
-the batch evaluator runs, not a private arithmetic.
+retract: a deletion is an insertion annotated ``-1``.  That ring's
+``plus`` is ``a + b`` and its ``times`` by a stored row's unit
+annotation is the identity, so the weights below are plain Python ints
+folded with ``+``: the same algebra the batch evaluator runs, without a
+method call per row.
 
 This module provides the two machine parts, both join-tree agnostic:
 
@@ -35,16 +36,32 @@ and the root's output folds into one :class:`CountedRows` — the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Mapping
 
-from ..db.semiring import INT_RING, IntegerRing
 from ..db.stats import EvalStats
 
 Row = tuple
 #: row -> non-zero signed weight (a sparse delta of a counted relation).
-#: Weights are :data:`repro.db.semiring.INT_RING` elements.
+#: Weights are plain ints: elements of :data:`repro.db.semiring.INT_RING`.
 SignedRows = dict[Row, int]
+#: A compiled position tuple: row -> the tuple of its values there.
+KeyFn = Callable[[Row], Row]
+
+
+def key_of(positions: tuple[int, ...]) -> KeyFn:
+    """Compile *positions* once into a key function equal to
+    ``lambda row: tuple(row[p] for p in positions)`` on tuple rows.
+
+    Both forms run in C.  A run of consecutive positions (one position,
+    none, or a whole row) is a tuple slice — ``itemgetter(p)`` would
+    return a bare value, not a 1-tuple, and slicing a whole row hands
+    back the row itself.  Any other tuple is ``itemgetter(*positions)``.
+    """
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
 
 
 class _Counts(dict):
@@ -58,28 +75,28 @@ class _Counts(dict):
 class CountedRows:
     """Rows with strictly positive support, plus key indexes.
 
-    :meth:`apply` folds a signed weight update into the counts with the
-    ring's ``plus`` and returns the *set-level* delta: ``one`` for rows
-    whose support rose from zero (appeared), ``negate(one)`` for rows
-    whose support hit zero (vanished).  Support never goes negative — if
-    it would, the caller fed a delta that was not effective against the
-    maintained state, which is an internal invariant violation, not a
-    user error.
+    :meth:`apply` folds a signed weight update into the counts with
+    ``+`` and returns the *set-level* delta: ``1`` for rows whose
+    support rose from zero (appeared), ``-1`` for rows whose support hit
+    zero (vanished).  Support never goes negative — if it would, the
+    caller fed a delta that was not effective against the maintained
+    state, which is an internal invariant violation, not a user error.
 
     Key indexes are built lazily on first request (at :class:`DeltaJoin`
     compile time) and index the row *set*: only a zero crossing moves
-    them, so a delta-rule probe never rescans the input.
+    them, so a delta-rule probe never rescans the input.  An index maps
+    a key to its bucket, an exact ``dict`` of rows (row -> ``None``).
     """
 
-    __slots__ = ("attributes", "counts", "ring", "_indexes")
+    __slots__ = ("attributes", "counts", "_indexes")
 
-    def __init__(
-        self, attributes: tuple[str, ...], ring: IntegerRing = INT_RING
-    ) -> None:
+    def __init__(self, attributes: tuple[str, ...]) -> None:
         self.attributes = attributes
         self.counts: dict[Row, int] = _Counts()
-        self.ring = ring
-        self._indexes: dict[tuple[int, ...], dict[Row, set[Row]]] = {}
+        # positions -> (compiled key, key -> bucket)
+        self._indexes: dict[
+            tuple[int, ...], tuple[KeyFn, dict[Row, dict[Row, None]]]
+        ] = {}
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -88,67 +105,72 @@ class CountedRows:
         return row in self.counts
 
     def support(self, row: Row) -> int:
-        return self.counts.get(row, self.ring.zero)
+        return self.counts.get(row, 0)
 
     def rows(self) -> frozenset[Row]:
         return frozenset(self.counts)
 
-    def index_on(self, positions: tuple[int, ...]) -> dict[Row, set[Row]]:
-        index = self._indexes.get(positions)
-        if index is None:
-            index = {}
+    def index_on(
+        self, positions: tuple[int, ...]
+    ) -> dict[Row, dict[Row, None]]:
+        entry = self._indexes.get(positions)
+        if entry is None:
+            key = key_of(positions)
+            index: dict[Row, dict[Row, None]] = {}
             for row in self.counts:
-                key = tuple(row[p] for p in positions)
-                index.setdefault(key, set()).add(row)
-            self._indexes[positions] = index
-        return index
+                index.setdefault(key(row), {})[row] = None
+            entry = self._indexes[positions] = (key, index)
+        return entry[1]
 
     def apply(self, signed: Mapping[Row, int]) -> SignedRows:
         out: SignedRows = {}
         counts = self.counts
-        indexes = self._indexes.items()
-        ring = self.ring
-        zero, one = ring.zero, ring.one
-        appeared, vanished = one, ring.negate(one)
+        indexes = self._indexes.values()
         for row, weight in signed.items():
-            if weight == zero:
+            if not weight:
                 continue
-            old = counts.get(row, zero)
-            new = ring.plus(old, weight)
-            if new < zero:
+            old = counts.get(row, 0)
+            new = old + weight
+            if new < 0:
                 raise RuntimeError(
                     f"support underflow for {row!r}: {old} + {weight} "
                     "(delta not effective against maintained state)"
                 )
-            if new == zero:
+            if not new:
                 del counts[row]
-                out[row] = vanished
-                for positions, index in indexes:
-                    key = tuple(row[p] for p in positions)
-                    bucket = index[key]
-                    bucket.discard(row)
+                out[row] = -1
+                for key, index in indexes:
+                    k = key(row)
+                    bucket = index[k]
+                    del bucket[row]
                     if not bucket:
-                        del index[key]
+                        del index[k]
             else:
                 counts[row] = new
-                if old == zero:
-                    out[row] = appeared
-                    for positions, index in indexes:
-                        key = tuple(row[p] for p in positions)
-                        index.setdefault(key, set()).add(row)
+                if not old:
+                    out[row] = 1
+                    for key, index in indexes:
+                        # A bucket is an exact dict (row -> None), not a
+                        # set: a full collection untracks a dict whose
+                        # rows are all atomic, so settled buckets drop
+                        # out of every later collection and a fresh row
+                        # re-tracks only its own small bucket.  A set is
+                        # never untracked.  ``get`` first: no empty
+                        # bucket is built per call, as ``setdefault``
+                        # would.
+                        k = key(row)
+                        bucket = index.get(k)
+                        if bucket is None:
+                            index[k] = {row: None}
+                        else:
+                            bucket[row] = None
         return out
 
 
-@dataclass(frozen=True)
-class _FoldStep:
-    """One probe of the delta rule: join the accumulated rows with one
-    stored input through its key index, appending the input's new
-    attributes."""
-
-    input_index: int
-    acc_key_positions: tuple[int, ...]
-    input_key_positions: tuple[int, ...]
-    append_positions: tuple[int, ...]
+#: One probe of the delta rule: join the accumulated rows with one stored
+#: input through its key index (the index, the accumulated rows' compiled
+#: probe key), appending the input's new attributes (compiled slice).
+_FoldStep = tuple[dict[Row, dict[Row, None]], KeyFn, KeyFn]
 
 
 class DeltaJoin:
@@ -162,29 +184,21 @@ class DeltaJoin:
     crossings of ``I_j`` join the *new* state of inputs before ``j`` with
     the *old* state of inputs after ``j`` — summed and projected, that is
     exactly the delta of the projected join of the inputs' row sets.
-    Weights combine through the ring: a joined row's weight is the
-    crossing's weight ``times`` the stored row's unit annotation, and the
-    projection ``plus``-folds collapsed rows.
+    Weights are plain ints: a stored row is annotated ``1``, so a joined
+    row carries its crossing's weight, and the projection adds up the
+    weights of the rows it collapses.
     """
 
-    def __init__(
-        self,
-        inputs: list[CountedRows],
-        keep: tuple[str, ...],
-        ring: IntegerRing = INT_RING,
-    ):
+    def __init__(self, inputs: list[CountedRows], keep: tuple[str, ...]):
         if not inputs:
             raise ValueError("DeltaJoin needs at least one input")
         self.inputs = inputs
         self.keep = keep
-        self.ring = ring
-        self._plans: list[tuple[tuple[_FoldStep, ...], tuple[int, ...]]] = [
+        self._plans: list[tuple[tuple[_FoldStep, ...], KeyFn]] = [
             self._compile(j) for j in range(len(inputs))
         ]
 
-    def _compile(
-        self, j: int
-    ) -> tuple[tuple[_FoldStep, ...], tuple[int, ...]]:
+    def _compile(self, j: int) -> tuple[tuple[_FoldStep, ...], KeyFn]:
         acc_attrs = list(self.inputs[j].attributes)
         remaining = [i for i in range(len(self.inputs)) if i != j]
         steps: list[_FoldStep] = []
@@ -201,16 +215,16 @@ class DeltaJoin:
             attrs = self.inputs[m].attributes
             shared = [a for a in attrs if a in acc_set]
             extra = [a for a in attrs if a not in acc_set]
-            step = _FoldStep(
-                input_index=m,
-                acc_key_positions=tuple(acc_attrs.index(a) for a in shared),
-                input_key_positions=tuple(attrs.index(a) for a in shared),
-                append_positions=tuple(attrs.index(a) for a in extra),
+            # Registering the index now means the first apply() probes an
+            # already-maintained structure; the step holds it directly.
+            index = self.inputs[m].index_on(
+                tuple(attrs.index(a) for a in shared)
             )
-            # Register the index now so the first apply() probes an
-            # already-maintained structure.
-            self.inputs[m].index_on(step.input_key_positions)
-            steps.append(step)
+            steps.append((
+                index,
+                key_of(tuple(acc_attrs.index(a) for a in shared)),
+                key_of(tuple(attrs.index(a) for a in extra)),
+            ))
             acc_attrs.extend(extra)
         missing = [a for a in self.keep if a not in acc_attrs]
         if missing:
@@ -218,7 +232,7 @@ class DeltaJoin:
                 f"projection attributes {missing} not produced by the join "
                 f"of {[i.attributes for i in self.inputs]}"
             )
-        project = tuple(acc_attrs.index(a) for a in self.keep)
+        project = key_of(tuple(acc_attrs.index(a) for a in self.keep))
         return tuple(steps), project
 
     def apply(
@@ -230,9 +244,8 @@ class DeltaJoin:
         return the signed delta of the projected join's derivation
         counts and the number of zero crossings the inputs reported."""
         signed_out: SignedRows = {}
+        out_get = signed_out.get
         crossed = 0
-        ring = self.ring
-        zero, one = ring.zero, ring.one
         for j in sorted(deltas):
             # Input j turns "new" before its crossings probe the others.
             acc = self.inputs[j].apply(deltas[j])
@@ -240,23 +253,18 @@ class DeltaJoin:
                 continue
             crossed += len(acc)
             steps, project = self._plans[j]
-            for step in steps:
+            for index, probe, append in steps:
                 if not acc:
                     break
-                index = self.inputs[step.input_index].index_on(
-                    step.input_key_positions
-                )
-                nxt: SignedRows = {}
-                for row, weight in acc.items():
-                    key = tuple(row[p] for p in step.acc_key_positions)
-                    # Stored rows are set-level state, annotated ``one``.
-                    weight = ring.times(weight, one)
-                    for match in index.get(key, ()):
-                        joined = row + tuple(
-                            match[p] for p in step.append_positions
-                        )
-                        nxt[joined] = ring.plus(nxt.get(joined, zero), weight)
-                acc = nxt
+                # No two (row, match) pairs join to one row: the row is
+                # its prefix, and the probe key plus the appended values
+                # are all of the match.  So each weight is stored, not
+                # added up, and none cancels to zero.
+                acc = {
+                    row + append(match): weight
+                    for row, weight in acc.items()
+                    for match in index.get(probe(row), ())
+                }
                 if stats is not None:
                     stats.joins += 1
                     size = len(acc)
@@ -264,14 +272,10 @@ class DeltaJoin:
                     if size > stats.max_intermediate:
                         stats.max_intermediate = size
             for row, weight in acc.items():
-                if weight == zero:
-                    continue
-                projected = tuple(row[p] for p in project)
-                signed_out[projected] = ring.plus(
-                    signed_out.get(projected, zero), weight
-                )
+                projected = project(row)
+                signed_out[projected] = out_get(projected, 0) + weight
         if stats is not None:
             stats.projections += 1
         return {
-            row: weight for row, weight in signed_out.items() if weight != zero
+            row: weight for row, weight in signed_out.items() if weight
         }, crossed

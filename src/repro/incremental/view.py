@@ -46,12 +46,11 @@ from ..core.query import ConjunctiveQuery
 from ..db.binding import term_positions
 from ..db.database import Database
 from ..db.relation import Relation
-from ..db.semiring import INT_RING
 from ..db.stats import EvalStats
 from ..db.yannakakis import Join, Project
 from ..engine.plan import QueryPlan
 from ..obs import current_tracer, get_registry
-from .counting import CountedRows, DeltaJoin, Row, SignedRows
+from .counting import CountedRows, DeltaJoin, Row, SignedRows, key_of
 from .delta import Delta
 
 
@@ -97,7 +96,7 @@ class _AtomFeed:
         "input_index",
         "_const_checks",
         "_eq_checks",
-        "_out_positions",
+        "_out",
     )
 
     def __init__(self, atom: Atom, attributes: tuple[str, ...], input_index: int):
@@ -105,22 +104,23 @@ class _AtomFeed:
         self.arity = atom.arity
         self.input_index = input_index
         first, self._const_checks, self._eq_checks = term_positions(atom)
-        self._out_positions = tuple(
-            first[Variable(name)] for name in attributes
+        self._out = key_of(
+            tuple(first[Variable(name)] for name in attributes)
         )
 
     def feed(self, rows: Mapping[Row, int]) -> SignedRows:
         signed: SignedRows = {}
-        ring = INT_RING
-        zero = ring.zero
+        get = signed.get
+        out_of = self._out
+        const_checks, eq_checks = self._const_checks, self._eq_checks
         for row, sign in rows.items():
-            if any(row[i] != value for i, value in self._const_checks):
+            if const_checks and any(row[i] != v for i, v in const_checks):
                 continue
-            if any(row[i] != row[f] for i, f in self._eq_checks):
+            if eq_checks and any(row[i] != row[f] for i, f in eq_checks):
                 continue
-            out = tuple(row[p] for p in self._out_positions)
-            signed[out] = ring.plus(signed.get(out, zero), sign)
-        return {row: sign for row, sign in signed.items() if sign != zero}
+            out = out_of(row)
+            signed[out] = get(out, 0) + sign
+        return {row: sign for row, sign in signed.items() if sign}
 
 
 class _ViewNode(NamedTuple):
@@ -237,7 +237,7 @@ class MaterializedView:
             else None
         )
         initial = {
-            p: {row: INT_RING.one for row in rows}
+            p: dict.fromkeys(rows, 1)
             for p, rows in initial_rows.items()
             if rows
         }
@@ -305,15 +305,14 @@ class MaterializedView:
                 continue
             shadow = self._base[predicate]
             effective: dict[Row, int] = {}
-            inserted, deleted = INT_RING.one, INT_RING.negate(INT_RING.one)
             for row, sign in rows.items():
                 if sign > 0:
                     if row not in shadow:
                         shadow.add(row)
-                        effective[row] = inserted
+                        effective[row] = 1
                 elif row in shadow:
                     shadow.remove(row)
-                    effective[row] = deleted
+                    effective[row] = -1
             if effective:
                 base[predicate] = effective
         result = self._propagate(base)

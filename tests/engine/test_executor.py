@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
+from repro.core.query import ConjunctiveQuery
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.engine import Engine, fingerprint
@@ -47,8 +48,6 @@ class TestExecuteCorrectness:
         assert not engine.execute(parse_query("e(X,X)"), db).boolean
 
     def test_empty_query(self):
-        from repro.core.query import ConjunctiveQuery
-
         engine = Engine()
         result = engine.execute(ConjunctiveQuery((), (), "empty"), Database())
         assert result.boolean  # empty conjunction is vacuously true
@@ -345,6 +344,18 @@ class TestExplain:
         engine = Engine()
         text = engine.explain(cycle_query(5))
         assert "width" in text and "boolean" in text
+
+    @pytest.mark.parametrize("analyze", [False, True])
+    def test_explain_an_atomless_query(self, analyze):
+        """Nothing to decompose: explain says what execute answers."""
+        engine = Engine()
+        db = Database.from_relations({"e": [(1, 2)]})
+        query = ConjunctiveQuery((), ())
+        text = engine.explain(query, db, analyze=analyze)
+        assert "no atoms" in text and "output: boolean" in text
+        assert "1 row(s)" in text
+        assert ("1 answer row(s)" in text) == analyze
+        assert engine.execute(query, db).boolean
 
     def test_explain_marks_cached_plans(self):
         engine = Engine()
