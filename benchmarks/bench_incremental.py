@@ -6,7 +6,11 @@ batch sizes, timing :meth:`repro.incremental.LiveEngine.apply` against a
 from-scratch ``Engine.execute`` with a *warm* plan cache (so the
 comparison isolates evaluation, not decomposition).  Correctness is a
 hard gate: after the timed phase every stream is cross-checked
-answer-for-answer against recomputation.
+answer-for-answer against recomputation.  The recompute leg also counts
+how the relation's column buffers followed the writes: fresh encodes
+and derivations from the previous version's buffers, exact seeded
+records, so a silent fallback to re-encoding shows in ``repro bench
+diff``.
 
 A second section micro-benchmarks the trusted ``Relation`` constructor
 (the hot-path satellite): constructing an n-row relation with and
@@ -37,6 +41,7 @@ from repro.engine import Engine
 from repro.generators.families import path_query
 from repro.generators.workloads import update_workload
 from repro.incremental import LiveEngine
+from repro.obs import get_registry
 from repro.obs.history import record
 
 #: Suite tag for the unified bench-record schema (repro bench record/diff).
@@ -71,12 +76,17 @@ def _timed_stream(live: LiveEngine, stream) -> float:
     return time.perf_counter() - started
 
 
-def _timed_recompute(engine: Engine, query, db: Database, stream) -> float:
+def _timed_recompute(
+    engine: Engine, query, db: Database, stream
+) -> tuple[float, int]:
+    """Seconds to apply and recompute every batch, and how many batches
+    changed the database (each makes the next read build a snapshot)."""
+    changed = 0
     started = time.perf_counter()
     for delta in stream:
-        db.apply(delta)
+        changed += bool(db.apply(delta))
         engine.execute(query, db)
-    return time.perf_counter() - started
+    return time.perf_counter() - started, changed
 
 
 def run_benchmark(
@@ -107,9 +117,15 @@ def run_benchmark(
         recompute_engine.execute(query, db_batch)  # warm the plan cache
 
         maintain_seconds = _timed_stream(live, stream)
-        recompute_seconds = _timed_recompute(
+        builds = get_registry().counter("db.snapshot.builds")
+        derivations = get_registry().counter("db.snapshot.derivations")
+        builds_before, derivations_before = builds.value, derivations.value
+        recompute_seconds, changed = _timed_recompute(
             recompute_engine, query, db_batch, stream
         )
+        # A build is a snapshot or a fresh encode of its buffers.
+        encodes = builds.value - builds_before - changed
+        derived = derivations.value - derivations_before
 
         # Hard gate: the maintained view equals recomputation at the end
         # of the stream (the hypothesis suite checks every batch).
@@ -127,6 +143,8 @@ def run_benchmark(
                 "speedup": round(recompute_seconds / maintain_seconds, 2),
                 "touched_rows_per_batch": round(touched / n_batches, 1),
                 "answers": len(handle.answers()),
+                "recompute_encodes": int(encodes),
+                "recompute_derivations": int(derived),
             }
         )
 
@@ -145,6 +163,16 @@ def run_benchmark(
         records.append(
             record(f"speedup.delta{c['delta_size']}", c["speedup"], "x",
                    better="higher", tolerance=0.75)
+        )
+        records.append(
+            record(f"recompute_encodes.delta{c['delta_size']}",
+                   c["recompute_encodes"], "count",
+                   better="lower", tolerance=0.0)
+        )
+        records.append(
+            record(f"recompute_derivations.delta{c['delta_size']}",
+                   c["recompute_derivations"], "count",
+                   better="higher", tolerance=0.0)
         )
     records.append(
         record("trusted_ctor_speedup",

@@ -69,9 +69,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Set
+from collections.abc import Collection, Set
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import is_not
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -517,6 +517,12 @@ def encode_column(values: Sequence[Value]) -> Column:
         if all(v == v for v in values):
             return Column("f", array("d", values))
     index: dict[Value, int] = {}
+    return Column("o", _codes(values, index), tuple(index))
+
+
+def _codes(values: Iterable[Value], index: dict[Value, int]) -> array:
+    """Dictionary codes of *values*; a value *index* lacks gets the next
+    code and is added to it."""
     codes = array("q")
     append = codes.append
     for v in values:
@@ -524,7 +530,87 @@ def encode_column(values: Sequence[Value]) -> Column:
         if code < 0:
             code = index[v] = len(index)
         append(code)
-    return Column("o", codes, tuple(index))
+    return codes
+
+
+def _encode_into(col: Column, values: Sequence[Value]):
+    """``(buffer, pool)`` holding *values* in *col*'s kind, or ``None``
+    when :func:`encode_column` would give them another kind — a value
+    other than an int64 ``int`` in an ``"i"`` column, or than a non-NaN
+    ``float`` in an ``"f"`` column (a bool is neither).  A dictionary
+    column takes every value; unseen ones extend a copy of its pool."""
+    if not values:
+        return array(_TYPECODE[col.kind]), col.pool
+    if col.kind != "o":
+        fresh = encode_column(values)
+        return (fresh.data, None) if fresh.kind == col.kind else None
+    index = dict(zip(col.pool, range(len(col.pool))))
+    codes = _codes(values, index)
+    return codes, col.pool + tuple(islice(index, len(col.pool), None))
+
+
+def patch_columns(
+    columns: Sequence[Column],
+    order: list[Row],
+    positions: dict[Row, int],
+    deleted: Collection[Row],
+    inserted: Sequence[Row],
+) -> tuple[Column, ...] | None:
+    """The buffers of *columns* less the rows *deleted*, plus the rows
+    *inserted*, or ``None`` where :func:`encode_column` is the answer:
+    an inserted value breaks its column's kind (:func:`_encode_into`),
+    or a dictionary pool would hold more than twice as many entries as
+    its column has rows.
+
+    *order* (position → row) and *positions* (row → position) describe
+    *columns* on entry and the result on return; they are the caller's
+    own copies and are patched in place.  The buffers are copied, never
+    written, so whoever reads *columns* sees no change.  A deleted row's
+    position takes an inserted row, or else the current last row
+    (swap-remove); the inserted rows left over are appended.  Deleted
+    values stay in a dictionary pool as unused entries: the bound above
+    keeps a pool within twice its column's rows, and past it the column
+    is encoded afresh with exactly the values it holds."""
+    length = len(order) - len(deleted) + len(inserted)
+    added = []
+    for col, values in zip(
+        columns, zip(*inserted) if inserted else repeat(())
+    ):
+        encoded = _encode_into(col, values)
+        if encoded is None or (
+            encoded[1] is not None and len(encoded[1]) > 2 * length
+        ):
+            return None
+        added.append(encoded)
+    holes = sorted(map(positions.pop, deleted))
+    filled = min(len(holes), len(inserted))
+    # The holes no inserted row fills close from the top down, each
+    # taking the last row, which by then is never itself a hole.
+    moves = []
+    end = len(order)
+    for hole in reversed(holes[filled:]):
+        end -= 1
+        if hole != end:
+            moves.append((hole, end))
+            row = order[hole] = order[end]
+            positions[row] = hole
+    del order[end:]
+    for hole, row in zip(holes, inserted[:filled]):
+        order[hole] = row
+        positions[row] = hole
+    positions.update(zip(inserted[filled:], range(end, length)))
+    order.extend(inserted[filled:])
+    out = []
+    for col, (data, pool) in zip(columns, added):
+        buffer = col.data[:]
+        for hole, source in moves:
+            buffer[hole] = buffer[source]
+        del buffer[end:]
+        for hole, value in zip(holes, data[:filled]):
+            buffer[hole] = value
+        buffer.extend(data[filled:])
+        out.append(Column(col.kind, buffer, pool))
+    return tuple(out)
 
 
 def _empty_columns(arity: int) -> tuple[Column, ...]:

@@ -35,13 +35,42 @@ class Snapshot(Relation):
     one value set per column (the inherited, memoised
     :meth:`Relation.key_set`) instead of re-deriving them per request.
     A reader holding a snapshot is isolated from later writes.
+
+    A version may be built with a *base*: an earlier version of the same
+    predicate whose column buffers were built.  Its own buffers are then
+    derived from the base's rather than encoded afresh — DBSP's
+    integration operator, the state as the running sum of its deltas
+    (Budiu, McSherry, Ryzhyk, Tannen, VLDB 2023):
+
+    * the change is two frozenset differences, ``rows − base.rows``
+      inserted and ``base.rows − rows`` deleted — writers record
+      nothing;
+    * it is derived when it is smaller than the version
+      (``|inserted| + |deleted| < |rows|``) and every inserted value
+      fits its column's kind (:func:`~repro.db.columnar.patch_columns`
+      says which do); otherwise :func:`~repro.db.columnar.to_columnar`
+      encodes the version afresh;
+    * the base's buffers and row → position map are copied, then
+      patched: a deleted row's slot takes an inserted row or the last
+      row, and the remaining inserted rows are appended.
+
+    A derived buffer lists the rows in another order than a fresh encode
+    would; only the set they form is the snapshot's.  Derivation reads
+    two immutable versions and writes only what it returns, so two
+    threads forcing :attr:`columnar` at once each get correct buffers
+    (one is kept).  Once built, a version drops its base, so bases never
+    chain.
     """
 
     version: int
 
     @staticmethod
     def build(
-        predicate: str, arity: int, rows: Iterable[Row], version: int
+        predicate: str,
+        arity: int,
+        rows: Iterable[Row],
+        version: int,
+        base: "Snapshot | None" = None,
     ) -> "Snapshot":
         snap = object.__new__(Snapshot)
         object.__setattr__(
@@ -50,19 +79,67 @@ class Snapshot(Relation):
         object.__setattr__(snap, "rows", frozenset(rows))
         object.__setattr__(snap, "name", predicate)
         object.__setattr__(snap, "version", version)
+        if base is not None:
+            snap.__dict__["_base"] = base
         get_registry().counter("db.snapshot.builds").inc()
         return snap
 
-    @cached_property
+    @property
     def columnar(self) -> Relation:
         """The columnar encoding of this version (a plain relation for
         arity 0, where there is nothing to pack)."""
+        return self._encoding[0]
+
+    @cached_property
+    def _encoding(self) -> tuple[Relation, tuple[list, dict] | None]:
+        # (columnar form, placement): the placement of a derived form is
+        # its (order, row → position) pair; a fresh encode has none (its
+        # order is the frozenset's own).  One cached value, so racing
+        # builds never pair one's buffers with another's placement.
+        base = self.__dict__.get("_base")
+        encoding = None if base is None else self._derive(base)
+        # Built, this version needs its base no more: dropping it keeps
+        # bases from chaining.
+        self.__dict__.pop("_base", None)
+        if encoding is not None:
+            get_registry().counter("db.snapshot.derivations").inc()
+            return encoding
         # Imported here: columnar sits above this module (it imports
         # annotated, which imports Database).
         from .columnar import to_columnar
 
         get_registry().counter("db.snapshot.builds").inc()
-        return to_columnar(self)
+        return to_columnar(self), None
+
+    def _derive(
+        self, base: "Snapshot"
+    ) -> tuple[Relation, tuple[list, dict]] | None:
+        """This version's columnar form patched from *base*'s, with its
+        placement, or ``None`` when a fresh encode is the answer."""
+        from .columnar import ColumnarRelation, patch_columns
+
+        source, placement = base._encoding
+        if not isinstance(source, ColumnarRelation):
+            return None
+        inserted = self.rows - base.rows
+        deleted = base.rows - self.rows
+        if len(inserted) + len(deleted) >= len(self.rows):
+            return None
+        if placement is None:
+            # to_columnar encoded the base in its frozenset's order.
+            order = list(base.rows)
+            positions = dict(zip(order, range(len(order))))
+        else:
+            order, positions = placement[0][:], placement[1].copy()
+        columns = patch_columns(
+            source.columns, order, positions, deleted, list(inserted)
+        )
+        if columns is None:
+            return None
+        derived = ColumnarRelation.make(
+            source.attributes, columns, self.name, len(order)
+        )
+        return derived, (order, positions)
 
     @cached_property
     def _lifted(self) -> dict[object, object]:
@@ -79,7 +156,7 @@ class Snapshot(Relation):
         """How many lazily derived forms this version holds (its column
         buffers, its per-semiring lifts) — it grows when a reader builds
         one, which is what a reader compares to tell whether it did."""
-        return ("columnar" in self.__dict__) + len(self._lifted)
+        return ("_encoding" in self.__dict__) + len(self._lifted)
 
 
 class Database:
@@ -96,6 +173,13 @@ class Database:
     retracting an absent one keeps it).  The snapshot is the mutable
     store's one frozen copy — that copy, plus lazily the columnar
     buffers, is its memory cost.
+
+    A write that replaces a snapshot whose column buffers were built
+    keeps it as the predicate's *base*, one per predicate, and the next
+    snapshot derives its buffers from the base's instead of encoding
+    the relation again (see :class:`Snapshot`).  A predicate whose
+    buffers no reader built keeps no base: a database that is only
+    loaded and read holds nothing more.
     """
 
     def __init__(self) -> None:
@@ -105,6 +189,8 @@ class Database:
         self._version = 0
         self._versions: dict[str, int] = {}
         self._snapshots: dict[str, Snapshot] = {}
+        # The last replaced snapshot whose column buffers were built.
+        self._bases: dict[str, Snapshot] = {}
         self._universe: frozenset[Value] | None = None
         # Value -> occurrences in the current rows, from the first
         # universe / domain_size() on (None until then: loading pays
@@ -165,23 +251,33 @@ class Database:
             return False
         rows.remove(row)
         if self._occurrences is not None:
-            self._occurrences.subtract(row)
-            for value in row:
-                if not self._occurrences[value]:
-                    del self._occurrences[value]
+            self._forget((row,))
         weights = self._weights.get(predicate)
         if weights is not None:
             weights.pop(row, None)
         self._rows_changed(predicate)
         return True
 
+    def _forget(self, rows: Iterable[Row]) -> None:
+        """Take removed *rows* out of the value occurrence counts."""
+        occurrences = self._occurrences
+        occurrences.subtract(chain.from_iterable(rows))
+        for value in set(chain.from_iterable(rows)):
+            if not occurrences[value]:
+                del occurrences[value]
+
     def _rows_changed(self, predicate: str) -> None:
         """An effective mutation of *predicate*: new versions, and the
-        snapshot (with everything derived from it) is dropped.  O(1) —
-        the next reader pays for the rebuild, not the writer."""
+        snapshot (with everything derived from it) is dropped — kept as
+        the predicate's base instead when its column buffers were built,
+        so the next version's buffers derive from them (when the change
+        is smaller than that version and fits their kinds) rather than
+        being encoded again.  O(1) for the writer."""
         self._version += 1
         self._versions[predicate] = self._versions.get(predicate, 0) + 1
-        self._snapshots.pop(predicate, None)
+        snap = self._snapshots.pop(predicate, None)
+        if snap is not None and "_encoding" in snap.__dict__:
+            self._bases[predicate] = snap
         self._universe = None
 
     # -- fact weights ------------------------------------------------------
@@ -238,6 +334,11 @@ class Database:
         what :class:`repro.incremental.LiveEngine` fans out to views.
         Inserting into an unknown predicate declares it (first-use arity,
         as with :meth:`add_fact`); deleting from one is a no-op.
+
+        One set operation per predicate: the effective changes are the
+        inserts absent from the stored set and the deletes present in
+        it, applied as one symmetric difference, with one version bump
+        and one snapshot replacement however many rows changed.
         """
         # Imported here: the incremental layer sits above db and imports
         # this module at load time.
@@ -246,21 +347,40 @@ class Database:
         delta.check_schema(self)
         effective: dict[str, dict[tuple[Value, ...], int]] = {}
         for predicate in sorted(delta.changes):
-            changed: dict[tuple[Value, ...], int] = {}
-            for row, sign in delta.changes[predicate].items():
-                if sign > 0:
-                    if self.add_fact(predicate, *row):
-                        changed[row] = 1
-                elif self.remove_fact(predicate, *row):
-                    changed[row] = -1
-            if changed:
-                effective[predicate] = changed
-        return Delta(effective)
+            signed = delta.changes[predicate]
+            rows = self._relations.get(predicate)
+            if rows is None:
+                if all(sign < 0 for sign in signed.values()):
+                    continue
+                self._arities[predicate] = len(next(iter(signed)))
+                rows = self._relations[predicate] = set()
+            changed = {
+                row: sign for row, sign in signed.items()
+                if (row in rows) != (sign > 0)
+            }
+            if not changed:
+                continue
+            rows.symmetric_difference_update(changed)
+            gone = [row for row, sign in changed.items() if sign < 0]
+            if self._occurrences is not None:
+                self._occurrences.update(chain.from_iterable(
+                    row for row, sign in changed.items() if sign > 0
+                ))
+                self._forget(gone)
+            weights = self._weights.get(predicate)
+            if weights:
+                for row in gone:
+                    weights.pop(row, None)
+            self._rows_changed(predicate)
+            effective[predicate] = changed
+        return Delta.trusted(effective)
 
     @property
     def version(self) -> int:
-        """Monotonic change counter, bumped on every effective mutation
-        and every new predicate (weights do not move it)."""
+        """Monotonic change counter, bumped by every effective write —
+        once per changed predicate, whether :meth:`add_fact` /
+        :meth:`remove_fact` changed one row or :meth:`apply` a batch —
+        and by every new predicate (weights do not move it)."""
         return self._version
 
     def add_atom(self, atom: Atom) -> None:
@@ -291,7 +411,8 @@ class Database:
         *predicate*; concurrent first-touch builds are idempotent (each
         copies the same rows; the dict store is atomic), and a build
         that raced a write carries a stale version and is rebuilt on
-        the next call."""
+        the next call.  A new version gets the predicate's base, if one
+        was kept, to derive its column buffers from."""
         version = self._versions.get(predicate, 0)
         snap = self._snapshots.get(predicate)
         if snap is not None and snap.version == version:
@@ -301,7 +422,8 @@ class Database:
         if rows is None:
             raise UnknownRelationError(f"unknown predicate {predicate!r}")
         snap = Snapshot.build(
-            predicate, self._arities[predicate], rows, version
+            predicate, self._arities[predicate], rows, version,
+            self._bases.get(predicate),
         )
         self._snapshots[predicate] = snap
         return snap

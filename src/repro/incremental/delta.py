@@ -63,6 +63,15 @@ class Delta:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
+    def trusted(changes: dict[str, dict[Row, int]]) -> "Delta":
+        """A delta over *changes* that are already normal (tuple rows of
+        one arity per predicate, signs ``±1``, no empty predicate), kept
+        as given instead of normalised again."""
+        delta = object.__new__(Delta)
+        delta.changes = changes
+        return delta
+
+    @staticmethod
     def empty() -> "Delta":
         return Delta({})
 
