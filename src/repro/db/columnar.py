@@ -1195,9 +1195,11 @@ def _np_lookup_join(
     all *shared*), as a lookup: *right*'s rows are distinct, so each row
     of *left* has at most one partner, found through a direct-address
     table of *right*'s positions over the key (:func:`_np_key_pair`) —
-    one gather, then a mask; no sort, no expansion.  The output is
-    *left*'s matched rows, weighted by the ``times`` of the two sides.
-    ``None`` for float keys, kinds that differ and sparse key spans."""
+    one gather, then a mask; no expansion.  A key span too sparse for a
+    table (:func:`_np_slots`) sorts *right*'s keys once and finds each
+    partner by binary search instead.  The output is *left*'s matched
+    rows, weighted by the ``times`` of the two sides.  ``None`` for
+    float keys and kinds that differ."""
     keys = _np_key_pair(
         [left.columns[left._position(a)] for a in shared],
         [right.columns[right._position(a)] for a in shared],
@@ -1206,12 +1208,18 @@ def _np_lookup_join(
         return None
     lk, rk = keys
     slots = _np_slots(rk, lk)
-    if slots is None:
+    if slots is not None:
+        size, rslots, lslots = slots
+        table = _np.full(size, -1, dtype=_np.int64)
+        table[rslots] = _np.arange(rk.size)
+        pos = table[lslots]
+    elif rk.dtype == _np.int64:
+        order = _np.argsort(rk)
+        ordered = rk[order]
+        at = _np.minimum(_np.searchsorted(ordered, lk), rk.size - 1)
+        pos = _np.where(ordered[at] == lk, order[at], -1)
+    else:
         return None
-    size, rslots, lslots = slots
-    table = _np.full(size, -1, dtype=_np.int64)
-    table[rslots] = _np.arange(rk.size)
-    pos = table[lslots]
     lsel = _np.flatnonzero(pos >= 0)
     if not lsel.size:
         top = right if right._rank > left._rank else left

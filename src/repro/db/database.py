@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from threading import Lock
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping
 
 from .._errors import SchemaError, UnknownRelationError
 from ..core.atoms import Atom, Constant
@@ -37,16 +38,18 @@ class Snapshot(Relation):
     A reader holding a snapshot is isolated from later writes.
 
     A version may be built with a *base*: an earlier version of the same
-    predicate whose column buffers were built.  Its own buffers are then
-    derived from the base's rather than encoded afresh — DBSP's
-    integration operator, the state as the running sum of its deltas
-    (Budiu, McSherry, Ryzhyk, Tannen, VLDB 2023):
+    predicate whose column buffers were built, and the change since it.
+    Its own buffers are then derived from the base's rather than encoded
+    afresh — DBSP's integration operator, the state as the running sum
+    of its deltas (Budiu, McSherry, Ryzhyk, Tannen, VLDB 2023):
 
-    * the change is two frozenset differences, ``rows − base.rows``
-      inserted and ``base.rows − rows`` deleted — writers record
-      nothing;
+    * the change is the one the writes made, handed over by
+      :meth:`Database.snapshot` as the rows whose membership flipped
+      since the base — exactly ``rows △ base.rows``; the inserted ones
+      are those the version holds, the deleted ones those it lacks, both
+      read in O(|change|) instead of diffing the two row sets;
     * it is derived when it is smaller than the version
-      (``|inserted| + |deleted| < |rows|``) and every inserted value
+      (``|change| < |rows|``) and every inserted value
       fits its column's kind (:func:`~repro.db.columnar.patch_columns`
       says which do); otherwise :func:`~repro.db.columnar.to_columnar`
       encodes the version afresh;
@@ -56,10 +59,10 @@ class Snapshot(Relation):
 
     A derived buffer lists the rows in another order than a fresh encode
     would; only the set they form is the snapshot's.  Derivation reads
-    two immutable versions and writes only what it returns, so two
-    threads forcing :attr:`columnar` at once each get correct buffers
-    (one is kept).  Once built, a version drops its base, so bases never
-    chain.
+    an immutable base and the version's own frozen change and writes
+    only what it returns, so two threads forcing :attr:`columnar` at
+    once each get correct buffers (one is kept).  Once built, a version
+    drops its base and change, so bases never chain.
     """
 
     version: int
@@ -70,8 +73,11 @@ class Snapshot(Relation):
         arity: int,
         rows: Iterable[Row],
         version: int,
-        base: "Snapshot | None" = None,
+        base: "tuple[Snapshot, frozenset[Row]] | None" = None,
     ) -> "Snapshot":
+        """A new version of *predicate* holding *rows*.  *base* is
+        ``(base, change)``: an earlier version whose buffers were built,
+        and exactly ``rows △ base.rows``."""
         snap = object.__new__(Snapshot)
         object.__setattr__(
             snap, "attributes", tuple(f"${i}" for i in range(arity))
@@ -97,9 +103,9 @@ class Snapshot(Relation):
         # order is the frozenset's own).  One cached value, so racing
         # builds never pair one's buffers with another's placement.
         base = self.__dict__.get("_base")
-        encoding = None if base is None else self._derive(base)
-        # Built, this version needs its base no more: dropping it keeps
-        # bases from chaining.
+        encoding = None if base is None else self._derive(*base)
+        # Built, this version needs its base and change no more:
+        # dropping them keeps bases from chaining.
         self.__dict__.pop("_base", None)
         if encoding is not None:
             get_registry().counter("db.snapshot.derivations").inc()
@@ -112,18 +118,17 @@ class Snapshot(Relation):
         return to_columnar(self), None
 
     def _derive(
-        self, base: "Snapshot"
+        self, base: "Snapshot", change: frozenset[Row]
     ) -> tuple[Relation, tuple[list, dict]] | None:
-        """This version's columnar form patched from *base*'s, with its
-        placement, or ``None`` when a fresh encode is the answer."""
+        """This version's columnar form patched from *base*'s by the
+        change since it, with its placement, or ``None`` when a fresh
+        encode is the answer."""
         from .columnar import ColumnarRelation, patch_columns
 
         source, placement = base._encoding
         if not isinstance(source, ColumnarRelation):
             return None
-        inserted = self.rows - base.rows
-        deleted = base.rows - self.rows
-        if len(inserted) + len(deleted) >= len(self.rows):
+        if len(change) >= len(self.rows):
             return None
         if placement is None:
             # to_columnar encoded the base in its frozenset's order.
@@ -131,8 +136,10 @@ class Snapshot(Relation):
             positions = dict(zip(order, range(len(order))))
         else:
             order, positions = placement[0][:], placement[1].copy()
+        # Both set operations walk the change, the smaller operand.
         columns = patch_columns(
-            source.columns, order, positions, deleted, list(inserted)
+            source.columns, order, positions,
+            change - self.rows, list(change & self.rows),
         )
         if columns is None:
             return None
@@ -158,6 +165,13 @@ class Snapshot(Relation):
         one, which is what a reader compares to tell whether it did."""
         return ("_encoding" in self.__dict__) + len(self._lifted)
 
+    @property
+    def patched(self) -> bool:
+        """Whether this version's column buffers were derived from a
+        base's (``False`` while unbuilt, or when encoded afresh)."""
+        encoding = self.__dict__.get("_encoding")
+        return encoding is not None and encoding[1] is not None
+
 
 class Database:
     """A mutable database instance over an implicit schema.
@@ -177,9 +191,23 @@ class Database:
     A write that replaces a snapshot whose column buffers were built
     keeps it as the predicate's *base*, one per predicate, and the next
     snapshot derives its buffers from the base's instead of encoding
-    the relation again (see :class:`Snapshot`).  A predicate whose
-    buffers no reader built keeps no base: a database that is only
-    loaded and read holds nothing more.
+    the relation again (see :class:`Snapshot`).  Beside the base the
+    database keeps the net change since it: the set of rows whose
+    membership flipped, each effective write flipping the rows it
+    changed, so a row inserted and then deleted cancels out.  Every new
+    version gets a frozen copy.  The change is bounded by the relation:
+    once it is as large as the relation's rows, the base and its change
+    are dropped (that version would encode afresh anyway; a later write
+    that cancels back below the bound finds no base, and its version
+    encodes afresh too).  A predicate whose buffers no reader built
+    keeps no base and records no change: a database that is only loaded
+    and read holds nothing more.
+
+    A write changes the rows, the version and the change under one lock
+    (loading a predicate nobody has read takes none), and a new
+    snapshot copies them under it, so a snapshot taken while another
+    thread writes is one consistent version, never a partly recorded
+    change.
     """
 
     def __init__(self) -> None:
@@ -189,8 +217,13 @@ class Database:
         self._version = 0
         self._versions: dict[str, int] = {}
         self._snapshots: dict[str, Snapshot] = {}
-        # The last replaced snapshot whose column buffers were built.
+        # The last replaced snapshot whose column buffers were built, and
+        # the net change since it: the rows whose membership flipped.
         self._bases: dict[str, Snapshot] = {}
+        self._changes: dict[str, set[Row]] = {}
+        # Held by a snapshot build and by a write, except a load (see
+        # _toggle).
+        self._lock = Lock()
         self._universe: frozenset[Value] | None = None
         # Value -> occurrences in the current rows, from the first
         # universe / domain_size() on (None until then: loading pays
@@ -235,10 +268,17 @@ class Database:
             self.set_weight(predicate, row, weight)
         if row in rows:
             return False
-        rows.add(row)
+        if predicate in self._snapshots or predicate in self._bases:
+            self._toggle(predicate, rows, {row})
+        else:
+            # Loading: no snapshot to replace and no change to record, so
+            # no lock (see _toggle) — this is the bulk-load loop.
+            rows.add(row)
+            self._version += 1
+            self._versions[predicate] = self._versions.get(predicate, 0) + 1
+            self._universe = None
         if self._occurrences is not None:
             self._occurrences.update(row)
-        self._rows_changed(predicate)
         return True
 
     def remove_fact(self, predicate: str, *values: Value) -> bool:
@@ -249,13 +289,12 @@ class Database:
         row = tuple(values)
         if row not in rows:
             return False
-        rows.remove(row)
+        self._toggle(predicate, rows, {row})
         if self._occurrences is not None:
             self._forget((row,))
         weights = self._weights.get(predicate)
         if weights is not None:
             weights.pop(row, None)
-        self._rows_changed(predicate)
         return True
 
     def _forget(self, rows: Iterable[Row]) -> None:
@@ -266,19 +305,49 @@ class Database:
             if not occurrences[value]:
                 del occurrences[value]
 
-    def _rows_changed(self, predicate: str) -> None:
-        """An effective mutation of *predicate*: new versions, and the
-        snapshot (with everything derived from it) is dropped — kept as
-        the predicate's base instead when its column buffers were built,
-        so the next version's buffers derive from them (when the change
-        is smaller than that version and fits their kinds) rather than
-        being encoded again.  O(1) for the writer."""
-        self._version += 1
-        self._versions[predicate] = self._versions.get(predicate, 0) + 1
-        snap = self._snapshots.pop(predicate, None)
-        if snap is not None and "_encoding" in snap.__dict__:
-            self._bases[predicate] = snap
-        self._universe = None
+    def _toggle(
+        self, predicate: str, rows: set[Row], changed: Collection[Row]
+    ) -> None:
+        """An effective mutation of *predicate*: flip the membership of
+        the *changed* rows (a set or a dict) in its stored *rows*, with
+        new versions, and the snapshot (with everything derived from it)
+        is dropped — kept as the predicate's base instead when its
+        column buffers were built, with an empty change, so the next
+        version's buffers derive from them (when the change is smaller
+        than that version and fits their kinds) rather than being
+        encoded again.  With a base kept, the same rows flip in the
+        change since it, and a change that reaches the relation's size
+        drops both.  O(|changed|) for the writer.
+
+        It runs under the lock :meth:`snapshot` builds under, so a
+        version built on another thread never pairs new rows with a
+        partly flipped change.  :meth:`add_fact` of a predicate with no
+        snapshot and no base (loading) skips it: there is no change to
+        pair, and a version built meanwhile copies rows at least as new
+        as its version number, so it is never kept as a base below."""
+        with self._lock:
+            rows.symmetric_difference_update(changed)
+            self._version += 1
+            version = self._versions.get(predicate, 0)
+            self._versions[predicate] = version + 1
+            self._universe = None
+            snap = self._snapshots.pop(predicate, None)
+            # One built during an unlocked add_fact may hold newer rows
+            # than its number says: only one of the current number is a
+            # base.
+            if (
+                snap is not None
+                and snap.version == version
+                and "_encoding" in snap.__dict__
+            ):
+                self._bases[predicate] = snap
+                self._changes[predicate] = set()
+            change = self._changes.get(predicate)
+            if change is None:
+                return
+            change.symmetric_difference_update(changed)
+            if len(change) >= len(rows):
+                del self._bases[predicate], self._changes[predicate]
 
     # -- fact weights ------------------------------------------------------
     def set_weight(self, predicate: str, row: Iterable[Value], weight: float) -> None:
@@ -338,7 +407,9 @@ class Database:
         One set operation per predicate: the effective changes are the
         inserts absent from the stored set and the deletes present in
         it, applied as one symmetric difference, with one version bump
-        and one snapshot replacement however many rows changed.
+        and one snapshot replacement however many rows changed.  The
+        same rows flip in the predicate's change since its base, when it
+        keeps one (see :meth:`_toggle`).
         """
         # Imported here: the incremental layer sits above db and imports
         # this module at load time.
@@ -360,7 +431,7 @@ class Database:
             }
             if not changed:
                 continue
-            rows.symmetric_difference_update(changed)
+            self._toggle(predicate, rows, changed)
             gone = [row for row, sign in changed.items() if sign < 0]
             if self._occurrences is not None:
                 self._occurrences.update(chain.from_iterable(
@@ -371,7 +442,6 @@ class Database:
             if weights:
                 for row in gone:
                     weights.pop(row, None)
-            self._rows_changed(predicate)
             effective[predicate] = changed
         return Delta.trusted(effective)
 
@@ -410,9 +480,12 @@ class Database:
         The same object is returned until an effective mutation of
         *predicate*; concurrent first-touch builds are idempotent (each
         copies the same rows; the dict store is atomic), and a build
-        that raced a write carries a stale version and is rebuilt on
-        the next call.  A new version gets the predicate's base, if one
-        was kept, to derive its column buffers from."""
+        that raced an unlocked load carries a stale version and is
+        rebuilt on the next call.  A new version gets the predicate's
+        base, if one was kept, and a frozen copy of the change since it,
+        to derive its column buffers from.  It copies the change and the
+        rows under the lock every write of a predicate with a base holds
+        (see :meth:`_toggle`), so the two always agree."""
         version = self._versions.get(predicate, 0)
         snap = self._snapshots.get(predicate)
         if snap is not None and snap.version == version:
@@ -421,11 +494,15 @@ class Database:
         rows = self._relations.get(predicate)
         if rows is None:
             raise UnknownRelationError(f"unknown predicate {predicate!r}")
-        snap = Snapshot.build(
-            predicate, self._arities[predicate], rows, version,
-            self._bases.get(predicate),
-        )
-        self._snapshots[predicate] = snap
+        with self._lock:
+            version = self._versions.get(predicate, 0)
+            base = self._bases.get(predicate)
+            if base is not None:
+                base = (base, frozenset(self._changes[predicate]))
+            snap = Snapshot.build(
+                predicate, self._arities[predicate], rows, version, base
+            )
+            self._snapshots[predicate] = snap
         return snap
 
     def built_snapshot(self, predicate: str) -> Snapshot | None:

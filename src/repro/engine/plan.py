@@ -380,7 +380,8 @@ class QueryPlan:
         estimated vs actual bag
         cardinality (exposing the misestimates the cost-based choices
         silently act on), materialisation wall time — for a single-atom
-        node, whether it reused the base relation's snapshot or had to
+        node, whether it reused the base relation's snapshot, derived
+        its column buffers from an earlier version's, or had to
         rebuild part of it — and the node's share of the sweep
         (semijoin/join operator time attributed by relation name).
         """
@@ -928,7 +929,8 @@ def _materialise_bag(
     took, ``plan.bag_filters`` counts the covered atoms joined in as
     filters (the span also says how many χ variables the plan grew into
     the node), and a single-atom node's span says whether its bind reused
-    the base relation's snapshot or had to (re)build part of it —
+    the base relation's snapshot, patched its column buffers from an
+    earlier version's (``derived``) or had to (re)build part of it —
     the cost of a read after a write.  That is read off the atom's own
     snapshot (replaced, or grown a derived form, across the bind), never
     off a process-wide counter another request's build could move."""
@@ -938,6 +940,7 @@ def _materialise_bag(
     if single is not None:
         before = db.built_snapshot(single)
         derived = before.derived if before is not None else 0
+        patched = before is not None and before.patched
     with current_tracer().span(
         "plan.bag",
         node=np.bag.predicate,
@@ -959,12 +962,15 @@ def _materialise_bag(
         ))
         if single is not None:
             after = db.built_snapshot(single)
-            reused = (
-                before is not None
-                and after is before
-                and after.derived == derived
-            )
-            sp.set(snapshot="reused" if reused else "built")
+            if before is not None and after is before and (
+                after.derived == derived
+            ):
+                snapshot = "reused"
+            elif after is not None and after.patched and not patched:
+                snapshot = "derived"
+            else:
+                snapshot = "built"
+            sp.set(snapshot=snapshot)
     return rel
 
 

@@ -622,9 +622,14 @@ class TestLookupJoin:
             ("a", "b"), [(0.5, 1), (1.5, 2), (2.5, 3)],
             ("a",), [(1.5,), (9.5,)], False,
         ),
+        # No direct-address table fits: the lookup sorts the partner.
         "sparse span": (
             ("a", "b"), [(0, 1), (2**62, 2)],
-            ("a",), [(2**62,), (-(2**62),)], False,
+            ("a",), [(2**62,), (-(2**62),)], True,
+        ),
+        "two-attribute sparse radix": (
+            ("a", "b", "c"), [(i * 10**6, i % 3, i) for i in range(20)],
+            ("b", "a"), [(i % 3, i * 10**6) for i in range(0, 30, 2)], True,
         ),
     }
 

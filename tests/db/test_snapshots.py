@@ -27,6 +27,7 @@ from repro._errors import EvaluationError, UnknownRelationError
 from repro.core.atoms import Atom, Constant, Variable
 from repro.core.parser import parse_query
 from repro.db import COUNTING, MINCOST, Database, Relation, bind_atom
+from repro.db import columnar as columnar_mod
 from repro.db.annotated import bind_atom_annotated
 from repro.db.columnar import ColumnarRelation, to_columnar
 from repro.db.database import Snapshot
@@ -257,6 +258,151 @@ class TestDerivedBuffers:
         before = _derivations()
         _assert_buffers_match(db.snapshot("e"))
         assert _derivations() == before + 1
+
+    def test_a_stale_unbuilt_version_derives_from_its_own_change(self):
+        """A reader holding an unbuilt version forces it after a newer
+        version has derived from the same base and replaced it: the stale
+        version patches the base by the change it was handed, not by the
+        store's later one."""
+        db = self._db()
+        first = db.snapshot("e")
+        first.columnar
+        db.add_fact("e", 300, 1)
+        stale = db.snapshot("e")
+        db.remove_fact("e", 0, 0)
+        db.add_fact("e", 301, 2)
+        newer = db.snapshot("e")
+        assert stale.__dict__["_base"][0] is newer.__dict__["_base"][0]
+        before = _derivations()
+        _assert_buffers_match(newer)
+        db.add_fact("e", 302, 3)  # the newer version is the base now
+        assert db._bases["e"] is newer
+        _assert_buffers_match(stale)
+        assert _derivations() == before + 2
+        assert stale.rows == first.rows | {(300, 1)}
+        _assert_buffers_match(first)
+
+    def test_a_steady_state_derivation_never_reads_the_base_rows(self):
+        """Once the base is itself derived, a derivation reads the change
+        the writes recorded: it neither iterates nor diffs the base's row
+        set (only the first derivation after a fresh encode walks it, to
+        build the row → position map)."""
+
+        class Untouchable(frozenset):
+            def _touched(self, *args):
+                raise AssertionError("the base's row set was read")
+
+            __iter__ = __sub__ = __rsub__ = difference = _touched
+
+        db = self._db()
+        db.snapshot("e").columnar
+        db.add_fact("e", 300, 1)
+        base = db.snapshot("e")
+        before = _derivations()
+        base.columnar
+        assert _derivations() == before + 1  # the base is derived itself
+        db.apply(Delta({"e": {(0, 0): -1, (301, 2): 1, (300, 1): -1}}))
+        db.add_fact("e", 302, 3)
+        db.remove_fact("e", 302, 3)  # inserted and deleted: cancels out
+        assert db._bases["e"] is base
+        snap = db.snapshot("e")
+        rows = base.rows
+        object.__setattr__(base, "rows", Untouchable(rows))
+        before = _derivations()
+        try:
+            snap.columnar
+        finally:
+            object.__setattr__(base, "rows", rows)
+        assert _derivations() == before + 1
+        assert snap.patched
+        _assert_buffers_match(snap)
+
+    def test_a_change_that_reaches_the_relation_size_drops_the_base(self):
+        """The change kept beside a base stays below the relation's size:
+        once it reaches it, base and change go, and the next version
+        encodes afresh, as a derivation would have declined to."""
+        db = self._db(10)
+        db.snapshot("e").columnar
+        db.add_fact("e", 300, 1)
+        assert db._changes["e"] == {(300, 1)} and "e" in db._bases
+        for i in range(5):
+            db.remove_fact("e", i, (i * 7) % 10)
+        assert "e" not in db._bases and "e" not in db._changes
+        before = (_builds(), _derivations())
+        snap = db.snapshot("e")
+        snap.columnar
+        assert (_builds(), _derivations()) == (before[0] + 2, before[1])
+        _assert_buffers_match(snap)
+
+    def test_a_snapshot_taken_during_a_write_is_one_version(self):
+        """A reader on another thread takes a snapshot, and forces its
+        buffers, while a write is halfway through: right after the
+        version moved, before the change was recorded.  Whatever it got
+        is one consistent version (its buffers hold its rows), and the
+        writer's version reads right afterwards."""
+        db = self._db()
+        db.snapshot("e").columnar
+        db.add_fact("e", 300, 1)
+        db.snapshot("e").columnar  # derived: the base is itself derived
+        taken: list[Snapshot] = []
+
+        def read():
+            snap = db.snapshot("e")
+            snap.columnar
+            taken.append(snap)
+
+        readers: list[threading.Thread] = []
+
+        class Versions(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                if key == "e":
+                    reader = threading.Thread(target=read)
+                    readers.append(reader)
+                    reader.start()
+                    # Give the reader the window; a writer that keeps
+                    # it out (it waits for the write) goes on alone.
+                    reader.join(timeout=0.1)
+
+        db._versions = Versions(db._versions)
+        db.apply(Delta({"e": {(0, 0): -1, (301, 2): 1}}))
+        db.add_fact("e", 302, 3)
+        db.remove_fact("e", 1, 7)
+        for reader in readers:
+            reader.join()
+        assert len(taken) == 3
+        for snap in taken:
+            _assert_buffers_match(snap)
+        current = db.snapshot("e")
+        assert current.rows == frozenset(db._relations["e"])
+        _assert_buffers_match(current)
+        assert (300, 1) in current.rows and (1, 7) not in current.rows
+
+    def test_a_version_built_during_an_unlocked_write_is_never_a_base(self):
+        """Loading (``add_fact`` of a predicate with neither snapshot nor
+        base) takes no lock, so it can land between a snapshot build's
+        copy of the rows and its store (here on one thread, from the
+        store itself).  That version carries the older rows and number;
+        built and then replaced by a write, it is not kept as the base."""
+        db = self._db()
+        stale: list[Snapshot] = []
+
+        class Snapshots(dict):
+            def __setitem__(self, key, snap):
+                if key == "e" and not stale:
+                    stale.append(snap)
+                    assert db.add_fact("e", 300, 1)  # the unlocked load
+                super().__setitem__(key, snap)
+
+        db._snapshots = Snapshots()
+        snap = db.snapshot("e")
+        assert snap is stale[0] and (300, 1) not in snap.rows
+        snap.columnar
+        db.add_fact("e", 301, 2)
+        assert "e" not in db._bases
+        current = db.snapshot("e")
+        assert {(300, 1), (301, 2)} <= current.rows
+        _assert_buffers_match(current)
 
     def test_a_database_only_read_by_rows_keeps_no_base(self):
         db = self._db()
@@ -610,6 +756,8 @@ class SnapshotMachine(RuleBasedStateMachine):
             layout: Engine(layout=layout)
             for layout in ("row", "columnar", "auto")
         }
+        # Versions a reader holds unbuilt, to force after later writes.
+        self.held: list[Snapshot] = []
 
     @initialize(loaded=st.booleans())
     def load(self, loaded):
@@ -640,6 +788,35 @@ class SnapshotMachine(RuleBasedStateMachine):
         for (predicate, row), sign in changes:
             delta.setdefault(predicate, {})[row] = sign
         self.db.apply(Delta(delta))
+
+    @rule(
+        fact=_FACTS,
+        first=st.sampled_from(["fact", "apply"]),
+        second=st.sampled_from(["fact", "apply"]),
+    )
+    def write_and_undo(self, fact, first, second):
+        """A row inserted then deleted (or deleted then re-inserted)
+        between two reads, by single-row writes or by batches."""
+        predicate, row = fact
+        sign = -1 if self.db.contains(predicate, *row) else 1
+        for how, signed in ((first, sign), (second, -sign)):
+            if how == "apply":
+                self.db.apply(Delta({predicate: {row: signed}}))
+            elif signed > 0:
+                self.db.add_fact(predicate, *row)
+            else:
+                self.db.remove_fact(predicate, *row)
+
+    @rule(predicate=st.sampled_from(sorted(_ARITY)))
+    def hold_version(self, predicate):
+        if self.db.has_predicate(predicate):
+            self.held.append(self.db.snapshot(predicate))
+
+    @rule()
+    def force_held(self):
+        for snap in self.held:
+            _assert_buffers_match(snap)
+        self.held.clear()
 
     @rule()
     def declare(self):
@@ -692,6 +869,26 @@ class SnapshotMachine(RuleBasedStateMachine):
         assert self.db.domain_size() == len(self.db.universe)
 
     @invariant()
+    def recorded_changes_are_the_set_differences(self):
+        """What a version derives from is the diff of its rows against
+        its base's, and what the store keeps beside a base is the diff
+        of the current rows against it, below the relation's size."""
+        current = [self.db.built_snapshot(p) for p in self.db.predicates()]
+        for snap in [*current, *self.held]:
+            recorded = None if snap is None else snap.__dict__.get("_base")
+            if recorded is not None:
+                base, change = recorded
+                assert change & snap.rows == snap.rows - base.rows
+                assert change - snap.rows == base.rows - snap.rows
+        assert self.db._changes.keys() == self.db._bases.keys()
+        for predicate, change in self.db._changes.items():
+            rows = set(self.db.rows(predicate))
+            base = self.db._bases[predicate].rows
+            assert change & rows == rows - base
+            assert change - rows == base - rows
+            assert len(change) < len(rows)
+
+    @invariant()
     def built_buffers_hold_their_rows(self):
         built = [self.db.built_snapshot(p) for p in self.db.predicates()]
         for snap in [*built, *self.db._bases.values()]:
@@ -699,7 +896,25 @@ class SnapshotMachine(RuleBasedStateMachine):
                 _assert_buffers_match(snap)
 
 
-SnapshotMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
-)
+class PurePythonSnapshotMachine(SnapshotMachine):
+    """The same machine with numpy hidden: the pure-Python buffers are
+    encoded, derived and read by the interpreted kernels."""
+
+    def __init__(self):
+        self.numpy = columnar_mod._np
+        columnar_mod._np = None
+        super().__init__()
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            columnar_mod._np = self.numpy
+
+
+for _machine in (SnapshotMachine, PurePythonSnapshotMachine):
+    _machine.TestCase.settings = settings(
+        max_examples=40, stateful_step_count=30, deadline=None
+    )
 TestSnapshotMachine = SnapshotMachine.TestCase
+TestPurePythonSnapshotMachine = PurePythonSnapshotMachine.TestCase

@@ -208,9 +208,10 @@ class TestExplainAnalyze:
 
     def test_read_after_write_is_attributable_to_a_snapshot_rebuild(self):
         """Single-atom bags say whether they reused the base relation's
-        snapshot: a warm read is all ``reused``, the first read after a
-        write ``built`` — in the spans, in EXPLAIN ANALYZE and in the
-        exported Chrome trace."""
+        snapshot: the first read encodes (``built``), a warm read is all
+        ``reused``, the first read after a small write patches the
+        previous buffers (``derived``) — in the spans, in EXPLAIN
+        ANALYZE and in the exported Chrome trace."""
         db = path_db()
         query = parse_query(QUERY)
 
@@ -218,7 +219,9 @@ class TestExplainAnalyze:
             return [s.attrs.get("snapshot") for s in tracer.find("plan.bag")]
 
         with Engine(layout="columnar") as engine:
-            engine.execute(query, db)
+            with tracing(Tracer()) as cold:
+                engine.execute(query, db)
+            assert bag_snapshots(cold) == ["built", "reused"]
             with tracing(Tracer()) as warm:
                 engine.execute(query, db)
             assert set(bag_snapshots(warm)) == {"reused"}
@@ -228,18 +231,24 @@ class TestExplainAnalyze:
             db.add_fact("e", 100, 101)
             with tracing(Tracer()) as after_write:
                 engine.execute(query, db)
-            # One rebuild serves both bags over e; the second reuses it.
-            assert bag_snapshots(after_write) == ["built", "reused"]
+            # One derivation serves both bags over e; the second reuses it.
+            assert bag_snapshots(after_write) == ["derived", "reused"]
             exported = [
                 e["args"].get("snapshot")
                 for e in chrome_trace_events(after_write)
                 if e["name"] == "plan.bag"
             ]
-            assert exported == ["built", "reused"]
+            assert exported == ["derived", "reused"]
             db.add_fact("e", 101, 102)
-            assert "(snapshot built)" in engine.explain(
+            assert "(snapshot derived)" in engine.explain(
                 query, db, analyze=True
             )
+            # A change as large as the relation encodes afresh.
+            for row in sorted(db.rows("e"))[1:]:
+                db.remove_fact("e", *row)
+            with tracing(Tracer()) as rewritten:
+                engine.execute(query, db)
+            assert bag_snapshots(rewritten) == ["built", "reused"]
 
     def test_another_requests_build_is_not_billed_to_this_bag(self):
         """Whether a bag's bind built its snapshot is read off the atom's
