@@ -60,9 +60,10 @@ from functools import partial
 
 import pytest
 
+from repro.core.atoms import Atom
 from repro.core.parser import parse_query
 from repro.db import EvalStats, Relation, to_columnar
-from repro.db.evaluate import bag_relation
+from repro.db.yannakakis import Bag, Part, RunContext, bag_program, run_program
 from repro.engine import Engine
 from repro.generators.workloads import random_database
 from repro.obs.history import record
@@ -379,11 +380,15 @@ def _operator_cells(n_rows: int, seed: int, budget_s: float) -> dict:
         query = parse_query(text)
         db = random_database(query, max(2, n_rows // 2), n_rows, seed=seed)
         first, second = query.atoms
-        out = bag_relation(query.atoms, query.variables, "n0", db, EvalStats())
+        chi = sorted(query.variables, key=lambda v: v.name)
+        program = bag_program([Bag(
+            Atom("n0", tuple(chi)), tuple(v.name for v in chi),
+            tuple(Part.of(a, query.variables) for a in query.atoms),
+        )])
+        out = _bag_call(program, db, False)
         for layout in ("row", "columnar"):
             calls[name, layout] = partial(
-                bag_relation, query.atoms, query.variables, "n0", db,
-                EvalStats(), columnar=layout == "columnar",
+                _bag_call, program, db, layout == "columnar"
             )
         assert calls[name, "columnar"]().rows == out.rows
         rows[name] = (
@@ -396,6 +401,14 @@ def _operator_cells(n_rows: int, seed: int, budget_s: float) -> dict:
         name: (count, medians[name, "row"], medians[name, "columnar"])
         for name, count in rows.items()
     }
+
+
+def _bag_call(program, db, columnar):
+    """Run a one-bag program: the plan's bag operator, alone."""
+    [bag] = run_program(
+        program, {}, EvalStats(), RunContext(db, columnar)
+    ).values()
+    return bag
 
 
 def _semijoin_call(receiver, partner):

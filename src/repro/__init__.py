@@ -47,7 +47,7 @@ from .obs import (
     write_chrome_trace,
     write_speedscope,
 )
-__version__ = "1.27.3"
+__version__ = "1.28.0"
 
 # After __version__: the server advertises it in the hello handshake.
 from .serve import (  # noqa: E402

@@ -5,11 +5,11 @@
 * :func:`solve_via_decomposition` — the paper's pipeline: translate to a
   Boolean CQ (§6 equivalence), plan it with an
   :class:`~repro.engine.Engine` (a cached hypertree decomposition compiled
-  into Lemma 4.6 bags), materialise the plan's bags, run the Yannakakis
-  full reducer over its join tree, then read a solution off the reduced
-  bags top-down (every reduced tuple extends to a solution, so no
-  backtracking is needed).  Isomorphic constraint hypergraphs share one
-  decomposition through the engine's plan cache.
+  into Lemma 4.6 bags), run the plan's bag operators and the Yannakakis
+  full reducer over its join tree as one program, then read a solution
+  off the reduced bags top-down (every reduced tuple extends to a
+  solution, so no backtracking is needed).  Isomorphic constraint
+  hypergraphs share one decomposition through the engine's plan cache.
 
 For bounded-hypertree-width constraint classes the second route is
 polynomial (Corollary 5.19 via the CSP equivalence) — experiment E17/E15
@@ -21,9 +21,8 @@ from __future__ import annotations
 import time
 
 from ..db.stats import EvalStats
-from ..db.yannakakis import REDUCED, run_program, sweep_program
+from ..db.yannakakis import REDUCED, RunContext, run_program, sweep_program
 from ..engine.executor import Engine
-from ..engine.plan import materialise_bags
 from .problem import CSPInstance, Value
 
 
@@ -116,8 +115,12 @@ def solve_via_decomposition(
     db = csp.to_database()
     plan = engine.plan(query, db)
     jt = plan.join_tree
-    bags = materialise_bags(plan, db, stats, deadline)
-    reduced = run_program(sweep_program(jt, REDUCED), bags, stats, deadline)
+    # The plan's bags, then the full reducer over them: one program.
+    sweep = sweep_program(jt, REDUCED)
+    reduced = run_program(
+        sweep._replace(ops=plan.program().bags + sweep.ops), {}, stats,
+        RunContext(db, plan.resolved_layout == "columnar", None, deadline),
+    )
     if any(not reduced[node] for node in jt.nodes):
         return None
 

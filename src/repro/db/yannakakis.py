@@ -20,8 +20,12 @@ relation:
 Each builds, then runs, a :class:`Program`: :func:`sweep_program`
 compiles the passes into a flat tuple of operators — :class:`Semijoin`,
 :class:`Join`, :class:`Project` — and a terminal naming what the run
-hands back, and :func:`run_program` is the one interpreter loop.  The
-plan compiler (:mod:`repro.engine.plan`) builds a plan's program once,
+hands back, and :func:`run_program` is the one interpreter loop.
+
+A plan's program (:mod:`repro.engine.plan`) is the whole request: a
+:class:`Bag` operator per decomposition node — the Lemma 4.6 node
+relation ``π_χ(⋈ parts)``, bound from the database a :class:`RunContext`
+names — then the sweep over the bags.  The plan compiler builds it once,
 runs it on every request, prices it and prints it.
 
 The marginal is sound by connectedness: a variable of the child's
@@ -69,26 +73,184 @@ protocol (:mod:`repro.db.relation`), so a node's relation may be a row
 :class:`~repro.db.annotated.AnnotatedRelation` or a
 :class:`~repro.db.columnar.ColumnarRelation`, in any mix.  Each writes
 the relation of the node it names, is counted in ``stats``, and — a
-semijoin or a join — is traced as one ``sweep.semijoin`` /
-``sweep.join`` span naming that node, the pass, and its row count; a
-marginal is a projection inside its edge's ``sweep.join`` span.
+bag, a semijoin or a join — is traced as one ``plan.bag`` /
+``sweep.semijoin`` / ``sweep.join`` span naming that node and its row
+count; a marginal is a projection inside its edge's ``sweep.join``
+span.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Mapping, NamedTuple
 
-from ..core.atoms import Atom
+from .._errors import BudgetExceeded
+from ..core.atoms import Atom, Variable
 from ..core.jointree import JoinTree
-from ..obs import current_tracer
-from .evaluate import check_deadline
+from ..obs import Tracer, current_tracer, get_registry
+from .annotated import AnnotatedRelation, bind_atom_annotated
+from .binding import bind_atom
+from .columnar import ColumnarRelation, lift_columnar, to_columnar
+from .database import Database
 from .relation import Relation
+from .semiring import Semiring
 from .stats import EvalStats
 
 #: A program's terminal: it hands back the root's relation (after its
 #: :class:`Project`, the answer), whether the root is non-empty, or
-#: every node's reduced relation.
+#: every node's relation (after the passes, the reduced bags).
 ANSWER, NONEMPTY, REDUCED = "answer", "nonempty", "reduced"
+
+
+def check_deadline(deadline: float | None, phase: object) -> None:
+    """Raise :class:`BudgetExceeded` once *deadline* (monotonic seconds)
+    has passed; checked between operators, never inside one.  *phase*
+    names where (formatted only when it raises)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceeded(f"engine budget exhausted during {phase}")
+
+
+class RunContext(NamedTuple):
+    """What a run reads besides its relations: the database a
+    :class:`Bag` binds its parts from, whether it lays them out
+    columnar, the semiring it annotates under (``None``: set
+    semantics), the deadline (monotonic seconds) and the tracer, which
+    :func:`run_program` fills in."""
+
+    db: Database | None = None
+    columnar: bool = False
+    semiring: Semiring | None = None
+    deadline: float | None = None
+    tracer: Tracer | None = None
+
+
+class Part(NamedTuple):
+    """One atom a :class:`Bag` joins, pre-projected onto ``keep``
+    (sorted ``var(A) ∩ χ``; ``None``: the atom lies inside χ).  A
+    *carrier* binds annotated under a semiring; a *covered* atom lies
+    outside λ and joins as a filter (rendered ``⋉``)."""
+
+    atom: Atom
+    keep: tuple[str, ...] | None
+    carrier: bool = False
+    covered: bool = False
+    est: float = 0.0
+
+    @classmethod
+    def of(
+        cls,
+        atom: Atom,
+        chi: frozenset[Variable],
+        carrier: bool = False,
+        covered: bool = False,
+        est: float = 0.0,
+    ) -> "Part":
+        """*atom* as a part of the bag over *chi*."""
+        variables = atom.variables
+        keep = None
+        if not variables <= chi:
+            keep = tuple(sorted(v.name for v in variables & chi))
+        return cls(atom, keep, carrier, covered, est)
+
+    def __str__(self) -> str:
+        return f"{self.atom}[≈{int(self.est)}]"
+
+
+class Bag(NamedTuple):
+    """``node := π_χ(⋈ parts)``, the node relation of Lemma 4.6; ``chi``
+    is the node's attributes, sorted.  ``est`` is its estimated rows,
+    ``grown`` the χ variables a plan added to its decomposition's
+    (rendered ``+D``)."""
+
+    node: Atom
+    chi: tuple[str, ...]
+    parts: tuple[Part, ...]
+    est: float = 0.0
+    grown: tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        steps = "".join(
+            (" ⋉ " if part.covered else " ⋈ " if i else "") + str(part)
+            for i, part in enumerate(self.parts)
+        )
+        chi = ", ".join(f"+{v}" if v in self.grown else v for v in self.chi)
+        return (
+            f"{self.node.predicate}: π[{chi}]({steps or 'unit'}) "
+            f"≈{int(self.est)} rows"
+        )
+
+    def run(self, rels: dict, stats: EvalStats, ctx: RunContext) -> None:
+        """Bind each part from ``ctx.db`` (a view of its snapshot where
+        possible: under ``ctx.columnar``, of its column buffers, so
+        nothing joined is ever encoded), pre-project it and join it in,
+        checking the deadline after each join; then project into
+        sorted-χ order.  ``stats`` counts one join per part and one
+        projection per pre-projection and per bag, as Lemma 4.6 states
+        the pipeline.  Under a semiring the carriers bind annotated and
+        the rest act as filters.  The ``plan.bag`` span says the layout
+        taken and, for a single-part bag, whether its bind reused the
+        atom's snapshot, patched its buffers from an earlier version's
+        (``derived``) or (re)built them — read off that snapshot, never
+        off a process-wide counter another request could move."""
+        db, semiring, columnar = ctx.db, ctx.semiring, ctx.columnar
+        name = self.node.predicate
+        filters = [part.covered for part in self.parts].count(True)
+        single = self.parts[0].atom.predicate if len(self.parts) == 1 else None
+        if single is not None:
+            before = db.built_snapshot(single)
+            derived = before.derived if before is not None else 0
+            patched = before is not None and before.patched
+        with ctx.tracer.span(
+            "plan.bag", node=name, est=int(self.est), filters=filters,
+            grown=len(self.grown),
+        ) as sp:
+            rel: Relation | None = None
+            for part in self.parts:
+                if semiring is not None and part.carrier:
+                    bound = bind_atom_annotated(
+                        part.atom, db, semiring, columnar
+                    )
+                else:
+                    bound = bind_atom(part.atom, db, columnar=columnar)
+                if part.keep is not None:
+                    bound = bound.project(part.keep)
+                    stats.projections += 1
+                rel = bound if rel is None else rel.join(bound)
+                stats.joins += 1
+                stats.record(rel)
+                check_deadline(ctx.deadline, f"joins of {name}")
+            if rel is None:
+                rel = Relation.trusted((), frozenset({()}), name)
+            if columnar:
+                # A no-op on a bag joined in the buffers; whatever a row
+                # part left on the row carrier is encoded before the
+                # projection — every part lies inside χ, so that is a
+                # permutation, which columnar storage does by reordering
+                # buffers.
+                rel = (
+                    to_columnar(rel)
+                    if semiring is None
+                    else lift_columnar(rel, semiring)
+                )
+            rel = stats.record(rel.project(self.chi, name=name))
+            stats.projections += 1
+            if semiring is not None:  # a no-op once lifted
+                rel = AnnotatedRelation.lift(rel, semiring)
+            rels[self.node] = rel
+            layout = "columnar" if isinstance(rel, ColumnarRelation) else "row"
+            registry = get_registry()
+            registry.counter(f"plan.layout_{layout}").inc()
+            registry.counter("plan.bag_filters").inc(filters)
+            sp.set(rows=len(rel), layout=layout)
+            if single is not None:
+                after = db.built_snapshot(single)
+                sp.set(snapshot=(
+                    "reused" if after is before is not None
+                    and after.derived == derived
+                    else "derived" if after is not None and after.patched
+                    and not patched
+                    else "built"
+                ))
 
 
 class Semijoin(NamedTuple):
@@ -104,8 +266,8 @@ class Semijoin(NamedTuple):
             f"{self.partner.predicate} ({self.pass_})"
         )
 
-    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
-        with tracer.span(
+    def run(self, rels: dict, stats: EvalStats, ctx: RunContext) -> None:
+        with ctx.tracer.span(
             "sweep.semijoin", node=self.receiver.predicate, pass_=self.pass_
         ) as sp:
             out = rels[self.receiver] = stats.record(
@@ -130,8 +292,8 @@ class Join(NamedTuple):
             child = f"π[{', '.join(sorted(self.marginal))}]({child})"
         return f"join {self.node.predicate} ⋈ {child}"
 
-    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
-        with tracer.span(
+    def run(self, rels: dict, stats: EvalStats, ctx: RunContext) -> None:
+        with ctx.tracer.span(
             "sweep.join", node=self.node.predicate, pass_="enumerate"
         ) as sp:
             operand = rels[self.child]
@@ -154,7 +316,7 @@ class Project(NamedTuple):
     def __str__(self) -> str:
         return f"project π[{', '.join(self.head)}]({self.root.predicate})"
 
-    def run(self, rels: dict, stats: EvalStats, tracer) -> None:
+    def run(self, rels: dict, stats: EvalStats, ctx: RunContext) -> None:
         rels[self.root] = stats.record(
             rels[self.root].project(list(self.head), name="ans")
         )
@@ -162,20 +324,38 @@ class Project(NamedTuple):
 
 
 class Program(NamedTuple):
-    """A compiled sweep: operators in run order, a terminal, and the join
-    tree's nodes (root first)."""
+    """A compiled program: operators in run order — a plan's
+    :class:`Bag` operators, then the sweep — a terminal, and the join
+    tree's nodes (root first).  ``naive`` marks an annotated plan whose
+    join orders admit no once-per-atom annotation assignment: a request
+    evaluates it naively instead of running it."""
 
-    ops: tuple[Semijoin | Join | Project, ...]
+    ops: tuple[Bag | Semijoin | Join | Project, ...]
     terminal: str
     nodes: tuple[Atom, ...]
+    naive: bool = False
+
+    @property
+    def bags(self) -> tuple[Bag, ...]:
+        return tuple(op for op in self.ops if type(op) is Bag)
 
     def render(self) -> list[str]:
-        """One line per operator, then the terminal."""
-        return [*map(str, self.ops), {
-            ANSWER: "→ the answer",
-            NONEMPTY: f"→ {self.nodes[0].predicate} non-empty",
-            REDUCED: "→ the reduced bags",
-        }[self.terminal]]
+        """One line per operator — the root's bag marked — then the
+        terminal."""
+        root = self.nodes[0]
+        return [
+            *(
+                f"{op} <- root"
+                if type(op) is Bag and op.node == root
+                else str(op)
+                for op in self.ops
+            ),
+            {
+                ANSWER: "→ the answer",
+                NONEMPTY: f"→ {root.predicate} non-empty",
+                REDUCED: "→ the reduced bags",
+            }[self.terminal],
+        ]
 
 
 def sweep_program(
@@ -243,26 +423,38 @@ def run_program(
     program: Program,
     relations: Mapping[Atom, Relation],
     stats: EvalStats | None = None,
-    deadline: float | None = None,
+    context: RunContext = RunContext(),
 ):
-    """Run *program* over *relations* (left as they are) and hand back
-    what its terminal names: a relation, a bool, or a dict of reduced
-    relations.  A ``NONEMPTY`` program over an empty relation is false
-    before any operator runs.  Before every operator, a passed *deadline*
-    (monotonic seconds) raises :class:`~repro._errors.BudgetExceeded`
-    naming it."""
+    """Run *program* over *relations* (left as they are; what its
+    :class:`Bag` operators write comes from ``context.db``) and hand
+    back what its terminal names: a relation, a bool, or a dict of
+    relations.  A ``NONEMPTY`` program with an empty bag is false before
+    any sweep operator runs.  Before every operator, a passed
+    ``context.deadline`` (monotonic seconds) raises
+    :class:`~repro._errors.BudgetExceeded` naming it."""
     stats = stats if stats is not None else EvalStats()
     rels = dict(relations)
-    if program.terminal == NONEMPTY and not all(map(rels.get, program.nodes)):
-        return False
-    tracer = current_tracer()
+    ctx = context._replace(tracer=current_tracer())
+    deadline = ctx.deadline
+    check_empty = program.terminal == NONEMPTY
     for op in program.ops:
+        if check_empty and type(op) is not Bag:
+            if not all(map(rels.get, program.nodes)):
+                return False
+            check_empty = False
         check_deadline(deadline, op)
-        op.run(rels, stats, tracer)
+        op.run(rels, stats, ctx)
     if program.terminal == REDUCED:
         return rels
     root = rels[program.nodes[0]]
     return bool(root) if program.terminal == NONEMPTY else root
+
+
+def bag_program(bags: Iterable[Bag]) -> Program:
+    """The program that only materialises *bags*: run, it hands back
+    each bag's relation by node."""
+    bags = tuple(bags)
+    return Program(bags, REDUCED, tuple(bag.node for bag in bags))
 
 
 def boolean_eval(

@@ -16,9 +16,9 @@ hand-wire per query::
 * :meth:`Engine.explain` renders the chosen physical plan without
   executing it.
 
-Each request evaluates sequentially, in the thread that submitted it:
-the bags are materialised and the Yannakakis passes run over them
-directly.  The engine starts no threads; only the serve tier calls one
+Each request runs its plan's program — the bags, then the Yannakakis
+passes over them — sequentially, in the thread that submitted it.  The
+engine starts no threads; only the serve tier calls one
 ``Engine`` from several threads at once, which is what the plan cache's
 lock and the single-flight planning gates are for.
 
@@ -452,10 +452,10 @@ class Engine:
         analyze: bool = False,
         semiring: "Semiring | str | None" = None,
     ) -> str:
-        """Render the chosen plan (cache provenance, join orders, root,
-        layout, per node the χ labels priced and rejected, and the sweep
-        program) — with *semiring*, the plan and the program an annotated
-        request of that semiring runs.
+        """Render the chosen plan (cache provenance, layout, per node the
+        χ labels priced and rejected, the join tree, and the program:
+        bags with their join orders, then the sweep) — with *semiring*,
+        the program an annotated request of that semiring runs.
 
         With ``analyze=True`` (requires *db*) the query is executed once
         under a private tracer and the rendering is annotated with what

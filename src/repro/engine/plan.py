@@ -59,11 +59,9 @@ pipeline:
   bag as a :class:`~repro.db.columnar.ColumnarRelation` (contiguous
   buffers, vectorised semijoin/join kernels); ``"auto"`` resolves to
   it or to ``"row"``, once for the whole plan, by *predicted
-  milliseconds*: the operators the plan will run — each bag pipeline's
-  parts and the rows its joins read and write, then every operator of
-  the plan's set-semantics sweep program (:meth:`QueryPlan.program`,
-  the very program execution runs), over the bag estimates — are
-  priced under each layout's fitted fixed + per-row cost
+  milliseconds*: every operator of the plan's set-semantics program
+  (:meth:`QueryPlan.program`, the very program execution runs) is
+  priced from the estimates under each layout's fitted fixed + per-row cost
   (:data:`~repro.db.columnar.OPERATOR_COSTS`, :func:`predict_ms`), and
   the cheaper layout wins.  A bag that joins atoms is priced by its
   intermediates, not by its largest input, so a five-row bag behind two
@@ -79,15 +77,14 @@ pipeline:
   ``auto`` lays it out by its largest pipeline input against
   :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`.
 
-Execution materialises the bags in plan order and runs the plan's sweep
-program (:func:`~repro.db.yannakakis.run_program`) directly on them, in
-one thread: the set-semantics program, or the annotated one when the
-request carries a semiring — chosen at execute time, since a plan
-compiled without a semiring may run with one, and built at most once
-per plan either way.  A deadline is checked before every bag and after
-each of its joins, and before every sweep operator, so per-request budgets
-interrupt long plans with :class:`repro._errors.BudgetExceeded` naming
-the step.
+Execution runs the plan's program in one thread: a
+:class:`~repro.db.yannakakis.Bag` operator per node — the pipeline
+above, in the plan's layout — then the Yannakakis sweep over the bags.
+It is the set-semantics program, or, for a request with a semiring, the
+annotated one, which also fixes where each atom's annotation enters;
+each is built at most once per plan.  The deadline is checked before
+every operator and after each join inside a bag, so a budget interrupts
+a long plan with :class:`repro._errors.BudgetExceeded` naming the step.
 """
 
 from __future__ import annotations
@@ -97,7 +94,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from ..core.atoms import Atom, Variable
 from ..core.hypertree import HTNode, HypertreeDecomposition
@@ -108,17 +106,25 @@ from ..db.columnar import (
     LAYOUTS,
     OPERATOR_COSTS,
     WEIGHTED_MIN_ROWS,
-    ColumnarRelation,
     kernels,
     rides_buffers,
 )
 from ..db.database import Database
-from ..db.evaluate import bag_relation, check_deadline
 from ..db.relation import Relation
 from ..db.semiring import Semiring
 from ..db.stats import CardinalityEstimator, EvalStats
-from ..db.yannakakis import ANSWER, NONEMPTY, Join, Program, Semijoin
-from ..db.yannakakis import run_program, sweep_program
+from ..db.yannakakis import (
+    ANSWER,
+    NONEMPTY,
+    Bag,
+    Join,
+    Part,
+    Program,
+    RunContext,
+    Semijoin,
+    run_program,
+    sweep_program,
+)
 from ..heuristics.validate import assert_valid
 from ..obs import Tracer, current_tracer, get_registry
 
@@ -163,21 +169,24 @@ class NodePlan:
     #: was chosen.  Empty for a node that never entered the search.
     candidates: tuple[tuple[tuple[str, ...], float], ...] = ()
 
+    #: The node's bag operator, its parts carrying no annotation.
+    op: Bag = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        chi = self.bag.variables
+        object.__setattr__(self, "op", Bag(
+            self.bag,
+            self.chi_names,
+            tuple(
+                Part.of(a, chi, False, a in self.covered, est)
+                for a, est in zip(self.join_order, self.atom_estimates)
+            ),
+            self.estimated_rows,
+            self.grown,
+        ))
+
     def describe(self) -> str:
-        steps = "".join(
-            (" ⋉ " if a in self.covered else " ⋈ " if i else "")
-            + f"{a}[≈{int(est)}]"
-            for i, (a, est) in enumerate(
-                zip(self.join_order, self.atom_estimates)
-            )
-        )
-        chi = ", ".join(
-            f"+{v}" if v in self.grown else v for v in self.chi_names
-        )
-        return (
-            f"{self.bag.predicate}: π[{chi}]({steps or 'unit'}) "
-            f"≈{int(self.estimated_rows)} rows"
-        )
+        return str(self.op)
 
     def describe_candidates(self) -> str:
         """The χ label chosen for a node that entered the search and the
@@ -224,24 +233,47 @@ class QueryPlan:
     reads: tuple[tuple[tuple, int | None], ...] = field(default=(), repr=False)
     #: Handed back by the engine's plan memo instead of compiled.
     reused: bool = field(default=False)
-    #: The sweep programs built so far, by ``annotated`` (see
+    #: The programs built so far, by ``annotated`` (see
     #: :meth:`program`); a replayed copy shares them.
     _programs: dict[bool, Program] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def program(self, annotated: bool = False) -> Program:
-        """The Yannakakis sweep this plan runs
-        (:func:`~repro.db.yannakakis.sweep_program`): under set semantics
-        — what ``auto`` priced — or on *annotated* bags, which enumerate
-        even a Boolean head (the 0-ary answer's annotation is the
-        total).  Built at most once per variant."""
+        """What this plan runs: every node's bag operator, in plan
+        order, then the Yannakakis sweep
+        (:func:`~repro.db.yannakakis.sweep_program`) over them — under
+        set semantics, what ``auto`` priced, or on *annotated* bags,
+        which enumerate even a Boolean head (the 0-ary answer's
+        annotation is the total).  The annotated program assigns each
+        query atom's annotation to one bag, or, when the join orders
+        admit no such assignment, is marked ``naive``.  Built at most
+        once per variant."""
         if annotated not in self._programs:
-            self._programs[annotated] = sweep_program(
+            bags = [np.op for np in self.node_plans]
+            assigned: dict[Atom, int] | None = {}
+            if annotated:
+                assigned = assign_annotated_atoms(
+                    [(np.join_order, np.bag.variables)
+                     for np in self.node_plans],
+                    self.query.atoms,
+                )
+                carries = (assigned or {}).get
+                bags = [
+                    bag._replace(parts=tuple(
+                        part._replace(carrier=carries(part.atom) == i)
+                        for part in bag.parts
+                    ))
+                    for i, bag in enumerate(bags)
+                ]
+            sweep = sweep_program(
                 self.join_tree,
                 ANSWER if self.output or annotated else NONEMPTY,
                 {np.bag: np.chi_names for np in self.node_plans},
                 self.output, annotated,
+            )
+            self._programs[annotated] = sweep._replace(
+                ops=(*bags, *sweep.ops), naive=assigned is None
             )
         return self._programs[annotated]
 
@@ -317,10 +349,10 @@ class QueryPlan:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def render(self, semiring: Semiring | None = None) -> str:
-        """The ``explain`` rendering: provenance, per-node pipelines, the
-        rooted join tree the Yannakakis passes will run over, and the
-        sweep program a request under *semiring* (``None``: set
-        semantics) runs, one operator a line."""
+        """The ``explain`` rendering: provenance, the χ labels priced,
+        the rooted join tree the Yannakakis passes will run over, and
+        the program a request under *semiring* (``None``: set semantics)
+        runs, one operator a line — the bags first."""
         layout_tag = f", layout {self.layout}" if self.layout != "row" else ""
         if self.layout == "auto" and self.weighted:
             # What decided it, so a surprising layout is never a puzzle.
@@ -342,13 +374,9 @@ class QueryPlan:
             + layout_tag
             + "]",
             f"output: ({', '.join(self.output)})" if self.output else "output: boolean",
-            "bag materialisation (cardinality-ascending joins):",
         ]
         if self.reused:
             lines.insert(1, "plan reused")
-        for np in self.node_plans:
-            marker = " <- root" if np.bag == self.join_tree.root else ""
-            lines.append(f"  {np.describe()}{marker}")
         considered = [np for np in self.node_plans if np.candidates]
         if considered:
             lines.append(
@@ -357,10 +385,20 @@ class QueryPlan:
             lines.extend(f"  {np.describe_candidates()}" for np in considered)
         lines.append("join tree (semijoin + enumeration passes):")
         lines.append(self.join_tree.render())
-        if semiring is None or semiring.distributive:  # else: naive
-            annotated = semiring is not None
-            lines.append(f"sweep ({'annotated' if annotated else 'set'}):")
-            lines.extend(f"  {op}" for op in self.program(annotated).render())
+        annotated = semiring is not None
+        program = self.program(annotated)
+        if annotated and (program.naive or not semiring.distributive):
+            lines.append(
+                "program (annotated): none — annotated naive evaluation, "
+                "one full join (⊕ does not distribute, or no once-per-atom "
+                "annotation assignment)"
+            )
+        else:
+            lines.append(
+                f"program ({'annotated' if annotated else 'set'}: bags "
+                "with cardinality-ascending joins, then the sweep):"
+            )
+            lines.extend(f"  {op}" for op in program.render())
         return "\n".join(lines)
 
     def render_analyzed(
@@ -457,7 +495,7 @@ def _bag_pipeline(
     """Greedy join order of one bag pipeline, each part's estimated
     size, the estimated size of the bag, and the pipeline's estimated
     cost: the sum of its intermediates, the running join after every
-    step — what :func:`~repro.db.evaluate.bag_relation` records as
+    step — what :meth:`~repro.db.yannakakis.Bag.run` records as
     tuples produced, and what a χ label is chosen by (the final size is
     the wrong objective: a bag estimated at no rows at all can sit
     behind a four-digit intermediate).
@@ -557,60 +595,58 @@ def _keyed(kind: str, key: int) -> str:
 
 
 def _plan_work(
-    pipelines: Sequence[_Pipeline],
-    chi_names: Sequence[Iterable[str]],
-    bags: Sequence[Atom],
-    program: Program,
-    estimator: CardinalityEstimator,
+    program: Program, estimator: CardinalityEstimator
 ) -> list[_Work]:
-    """What executing the plan will do, operator by operator, from the
-    estimates the compile already made (*chi_names* and *bags* give each
-    pipeline's χ and its bag in the join tree; *program* is the plan's
-    set-semantics sweep).
+    """What running *program* (a plan's set-semantics program) will
+    do, operator by operator, from the estimates its operators carry.
 
-    A bag pipeline's first part is a view of its snapshot, the same in
-    either layout; every later part is one ``bag`` call over the rows
-    its join reads and writes — the running relation, the part, the
-    running relation after it, as :func:`_bag_pipeline` estimated them —
-    and a part reaching outside χ is pre-projected.  Then *program*'s
-    operators, the ones execution runs: each semijoin reads its two
-    sides and shrinks its receiver; each join reads the node's reduced
-    bag (or its running result) and the child's partial — projected
-    first onto the op's marginal, when it has one — and writes their
-    join; the projection makes the answer.  Sizes follow the estimator's
-    rule (each shared variable divides a product by the active domain);
-    variables are compared by name, which hashes in C."""
+    A bag's first part is a view of its snapshot, the same in either
+    layout; every later part is one ``bag`` call over the rows its join
+    reads and writes, as :func:`_bag_pipeline` estimated them, and a
+    part reaching outside χ is pre-projected.  Each semijoin reads its
+    two sides and shrinks its receiver; each join reads the node's
+    reduced bag (or its running result) and the child's partial —
+    projected first onto the op's marginal, when it has one — and writes
+    their join; the projection makes the answer.  Sizes follow the
+    estimator's rule (each shared variable divides a product by the
+    active domain); variables are compared by name, which hashes in C."""
     work: list[_Work] = []
     domain = estimator.domain_size
-    names = [frozenset(chi) for chi in chi_names]
-    # Per node, the parts it joins, as (predicate, variables).
+    node_of: dict[int, int] = {}
+    names: list[frozenset[str]] = []
+    # Per node: its bag's estimate, its rows after the semijoins so far,
+    # and the parts it joins, as (predicate, variables).
+    full: list[float] = []
+    rows: list[float] = []
     parts: list[set[tuple[str, frozenset[str]]]] = []
-    for pl, chi in zip(pipelines, names):
-        seen: frozenset[str] = frozenset()
-        running = 1.0
-        parts.append(set())
-        for i, (atom, size) in enumerate(zip(pl.order, pl.sizes)):
-            own = frozenset([v.name for v in atom.variables])
-            parts[-1].add((atom.predicate, own))
-            kept = own & chi
-            if kept != own:
-                work.append(("project", estimator.atom_rows(atom)))
-            if i:
-                key = len(kept & seen)
-                joined = running * size / domain**key
-                work.append((_keyed("bag", key), running + size + joined))
-                running, seen = joined, seen | kept
-            else:
-                running, seen = size, kept
-    node_of = {id(bag): i for i, bag in enumerate(bags)}
-    full = [pl.rows for pl in pipelines]
-    rows = list(full)
     # Per node a join wrote, its partial: (rows, variables held).  A
     # node no join writes hands on its reduced bag, whose rows are its
     # bag's — a semijoin drops exactly the rows that join nothing.
     partial: dict[int, tuple[float, frozenset[str]]] = {}
     for op in program.ops:
-        if type(op) is Semijoin:
+        kind = type(op)
+        if kind is Bag:
+            node_of[id(op.node)] = len(names)
+            names.append(frozenset(op.chi))
+            full.append(op.est)
+            rows.append(op.est)
+            parts.append(set())
+            running, seen = 1.0, frozenset()
+            for i, part in enumerate(op.parts):
+                own = frozenset([v.name for v in part.atom.variables])
+                parts[-1].add((part.atom.predicate, own))
+                kept = own
+                if part.keep is not None:
+                    kept = frozenset(part.keep)
+                    work.append(("project", estimator.atom_rows(part.atom)))
+                key = len(kept & seen)
+                joined = running * part.est / domain**key
+                if i:  # the first part is a view, the same in either layout
+                    work.append(
+                        (_keyed("bag", key), running + part.est + joined)
+                    )
+                running, seen = joined, seen | kept
+        elif kind is Semijoin:
             # A receiver row survives when some partner row shares its
             # key, under independence with probability 1 - exp(-matches).
             # A key the atoms both pipelines join bind whole is not
@@ -628,7 +664,7 @@ def _plan_work(
                 rows[node] *= -math.expm1(
                     -rows[partner] / domain ** len(shared)
                 )
-        elif type(op) is Join:
+        elif kind is Join:
             # A projection onto the node's own χ leaves no more rows than
             # its bag; a marginal draws, under independence, from the
             # domain**width values that remain.
@@ -847,9 +883,12 @@ def _compile_plan_traced(
     fresh: list[Atom] = []
     plans: list[NodePlan] = []
     for i, (p, chi, pipeline) in enumerate(zip(nodes, chis, pipelines)):
-        chi_names = tuple(sorted(v.name for v in chi))
+        # The bag's terms are χ's own variables, so comparing them with
+        # the query's atoms finds them by identity.
+        terms = tuple(sorted(chi, key=attrgetter("name")))
+        chi_names = tuple(v.name for v in terms)
         bag_rows = pipeline.rows
-        bag = Atom(f"n{i}", tuple(Variable(v) for v in chi_names))
+        bag = Atom(f"n{i}", terms)
         fresh.append(bag)
         plans.append(
             NodePlan(
@@ -890,88 +929,13 @@ def _compile_plan_traced(
     )
     if layout != "auto" or weighted:
         return plan
-    work = _plan_work(
-        pipelines, [np.chi_names for np in plans], fresh, plan.program(),
-        estimator,
-    )
+    work = _plan_work(plan.program(), estimator)
     costs = OPERATOR_COSTS[kernels()]
     return replace(  # shares the program it priced
         plan,
         predicted_row_ms=predict_ms(work, costs["row"]),
         predicted_columnar_ms=predict_ms(work, costs["columnar"]),
     )
-
-
-def _materialise_bag(
-    np: NodePlan,
-    p: HTNode,
-    db: Database,
-    stats: EvalStats,
-    deadline: float | None,
-    semiring: Semiring | None = None,
-    carriers: frozenset[Atom] = frozenset(),
-    columnar: bool = False,
-) -> Relation:
-    """Materialise one decomposition node's bag relation.
-
-    The pipeline is :func:`repro.db.evaluate.bag_relation` (the one
-    Lemma 4.6 kernel) over the plan's join order; *carriers* is this
-    node's share of the once-per-atom annotation assignment.
-
-    With *columnar* (the plan's resolved layout: every node of a plan
-    gets the same answer) the node yields a
-    :class:`~repro.db.columnar.ColumnarRelation`, joined in the column
-    buffers of the snapshots its atoms view — the Yannakakis
-    sweeps then dispatch into the vectorised kernels.  An annotated bag is one when its semiring's values can ride
-    a weight column (an :class:`~repro.db.annotated.AnnotatedRelation`
-    otherwise); the ``plan.layout_columnar`` /
-    ``plan.layout_row`` counters record which path each bag actually
-    took, ``plan.bag_filters`` counts the covered atoms joined in as
-    filters (the span also says how many χ variables the plan grew into
-    the node), and a single-atom node's span says whether its bind reused
-    the base relation's snapshot, patched its column buffers from an
-    earlier version's (``derived``) or had to (re)build part of it —
-    the cost of a read after a write.  That is read off the atom's own
-    snapshot (replaced, or grown a derived form, across the bind), never
-    off a process-wide counter another request's build could move."""
-    check_deadline(deadline, f"bag materialisation of {np.bag.predicate}")
-    registry = get_registry()
-    single = np.join_order[0].predicate if len(np.join_order) == 1 else None
-    if single is not None:
-        before = db.built_snapshot(single)
-        derived = before.derived if before is not None else 0
-        patched = before is not None and before.patched
-    with current_tracer().span(
-        "plan.bag",
-        node=np.bag.predicate,
-        est=int(np.estimated_rows),
-        filters=len(np.covered),
-        grown=len(np.grown),
-    ) as sp:
-        rel = bag_relation(
-            np.join_order, p.chi, np.bag.predicate, db, stats,
-            semiring, carriers, columnar, deadline,
-        )
-        if isinstance(rel, ColumnarRelation):
-            registry.counter("plan.layout_columnar").inc()
-        else:
-            registry.counter("plan.layout_row").inc()
-        registry.counter("plan.bag_filters").inc(len(np.covered))
-        sp.set(rows=len(rel), layout=(
-            "columnar" if isinstance(rel, ColumnarRelation) else "row"
-        ))
-        if single is not None:
-            after = db.built_snapshot(single)
-            if before is not None and after is before and (
-                after.derived == derived
-            ):
-                snapshot = "reused"
-            elif after is not None and after.patched and not patched:
-                snapshot = "derived"
-            else:
-                snapshot = "built"
-            sp.set(snapshot=snapshot)
-    return rel
 
 
 def execute_plan(
@@ -981,7 +945,7 @@ def execute_plan(
     deadline: float | None = None,
     semiring: Semiring | None = None,
 ) -> Relation:
-    """Run a compiled plan: materialise bags, then Yannakakis.
+    """Run a compiled plan's program: its bags, then Yannakakis.
 
     Returns the answer relation; for a Boolean query the result has an
     empty schema and is non-empty iff the query is true.  Raises
@@ -997,65 +961,23 @@ def execute_plan(
     the () row's annotation is the query total).
     """
     stats = stats if stats is not None else EvalStats()
+    annotated = semiring is not None
     with current_tracer().span(
         "plan.execute", query=plan.query.name, nodes=len(plan.node_plans)
     ) as sp:
-        answer = _execute(plan, db, stats, deadline, semiring)
+        program = plan.program(annotated)
+        if annotated and (program.naive or not semiring.distributive):
+            # A non-distributive fold, or no once-per-atom assignment over
+            # this plan's join orders: annotated naive evaluation is
+            # always correct.
+            answer = naive_annotated_eval(plan.query, db, semiring, stats)
+        else:
+            columnar = plan.resolved_layout == "columnar"
+            context = RunContext(db, columnar, semiring, deadline)
+            answer = run_program(program, {}, stats, context)
+            if program.terminal == NONEMPTY:
+                answer = Relation.trusted(
+                    (), frozenset({()} if answer else ()), "ans"
+                )
         sp.set(rows=len(answer))
-    return answer
-
-
-def materialise_bags(
-    plan: QueryPlan,
-    db: Database,
-    stats: EvalStats,
-    deadline: float | None = None,
-    semiring: Semiring | None = None,
-) -> dict[Atom, Relation] | None:
-    """Every bag relation of *plan* over *db*, keyed by the plan's bag
-    atoms (the nodes of ``plan.join_tree``), in the plan's resolved
-    layout.  Under a *semiring* each query atom's annotation enters at
-    one bag; ``None`` when the plan's join orders admit no such
-    once-per-atom assignment."""
-    node_pairs = list(zip(plan.node_plans, plan.decomposition.nodes))
-    columnar = plan.resolved_layout == "columnar"
-    carriers_of: dict[int, frozenset[Atom]] = {}
-    if semiring is not None:
-        assignment = assign_annotated_atoms(
-            [(np.join_order, p.chi) for np, p in node_pairs],
-            plan.query.atoms,
-        )
-        if assignment is None:
-            return None
-        for atom, i in assignment.items():
-            carriers_of[i] = carriers_of.get(i, frozenset()) | {atom}
-    return {
-        np.bag: _materialise_bag(
-            np, p, db, stats, deadline, semiring,
-            carriers_of.get(i, frozenset()), columnar,
-        )
-        for i, (np, p) in enumerate(node_pairs)
-    }
-
-
-def _execute(
-    plan: QueryPlan,
-    db: Database,
-    stats: EvalStats,
-    deadline: float | None,
-    semiring: Semiring | None,
-) -> Relation:
-    relations = None
-    if semiring is None or semiring.distributive:
-        relations = materialise_bags(plan, db, stats, deadline, semiring)
-    if relations is None:
-        # A non-distributive fold, or no once-per-atom assignment over
-        # this plan's join orders: annotated naive evaluation is always
-        # correct.
-        return naive_annotated_eval(plan.query, db, semiring, stats)
-
-    program = plan.program(annotated=semiring is not None)
-    answer = run_program(program, relations, stats, deadline)
-    if program.terminal == NONEMPTY:
-        return Relation.trusted((), frozenset({()} if answer else ()), "ans")
     return answer

@@ -11,7 +11,7 @@ polynomial:
   join input) and the sequential delta-join rule (the counting
   algorithm);
 * :mod:`~repro.incremental.view` — :class:`MaterializedView`, the
-  plan's annotated sweep program maintained node by node (a child's
+  plan's annotated program maintained node by node (a child's
   signed output is its parent's child-slot input; the root's folds
   into the answer) plus answer-change subscriptions;
 * :mod:`~repro.incremental.live` — :class:`LiveEngine`, the thread-safe

@@ -29,7 +29,7 @@ This module provides the two machine parts, both join-tree agnostic:
 
 :class:`repro.incremental.view.MaterializedView` instantiates one
 :class:`DeltaJoin` per join-tree node, read off the plan's annotated
-sweep program: a child's signed output is the delta of its parent's
+program: a child's signed output is the delta of its parent's
 child-slot input, so each edge's rows are counted in exactly one place,
 and the root's output folds into one :class:`CountedRows` — the answer.
 """

@@ -7,17 +7,17 @@ join orders, rooted join tree), and thereafter keeps the answer relation
 fresh under :class:`~repro.incremental.delta.Delta` batches without
 recomputation.
 
-The maintained state is the plan's annotated sweep program
+The maintained state is the plan's annotated program
 (:meth:`QueryPlan.program` with ``annotated=True``) read as a delta
 pipeline over ℤ-sets (:class:`~repro.incremental.counting.CountedRows`):
 
-* each λ atom of a decomposition node becomes an *atom feed* — the
-  binding transform of :func:`repro.db.binding.bind_atom` (constants,
-  repeated variables) compiled to a per-row filter plus a projection
-  onto the χ overlap, emitting signed rows; the input it feeds counts
-  the base rows a projection collapses;
+* each part of a ``Bag`` operator becomes an *atom feed* — the binding
+  transform of :func:`repro.db.binding.bind_atom` (constants, repeated
+  variables) compiled to a per-row filter plus the part's
+  pre-projection onto the χ overlap, emitting signed rows; the input it
+  feeds counts the base rows a projection collapses;
 * each join-tree node owns a :class:`~repro.incremental.counting.DeltaJoin`
-  over its atom inputs and one child slot per program ``Join``; a child
+  over its parts' inputs and one child slot per program ``Join``; a child
   slot carries its marginal — what the parent's ``Join`` reads of the
   child — and a child's signed output *is* that slot's delta, so each
   edge's rows are counted once, in the parent's input;
@@ -175,8 +175,8 @@ class MaterializedView:
         # parents: each Join names a child slot and what it carries, and
         # the closing Project what the root keeps.
         program = plan.program(annotated=True)
-        plans_by_bag = {np.bag: np for np in plan.node_plans}
-        held = {bag: frozenset(p.chi_names) for bag, p in plans_by_bag.items()}
+        bags = {op.node: op for op in program.bags}
+        held = {bag: frozenset(op.chi) for bag, op in bags.items()}
         keeps: dict[Atom, tuple[str, ...]] = {}
         slots: dict[Atom, list[Atom]] = {bag: [] for bag in program.nodes}
         for op in program.ops:
@@ -194,15 +194,13 @@ class MaterializedView:
         self._unit_bags: set[Atom] = set()
         route: dict[Atom, tuple[Atom, int]] = {}  # child -> parent, slot
         for bag in program.nodes:  # preorder: parents first
-            np = plans_by_bag[bag]
-            chi_set = set(np.chi_names)
             inputs: list[CountedRows] = []
             feeds: list[_AtomFeed] = []
-            for atom in np.join_order:
-                attrs = tuple(
-                    sorted(v.name for v in atom.variables if v.name in chi_set)
-                )
-                feeds.append(_AtomFeed(atom, attrs, len(inputs)))
+            for part in bags[bag].parts:
+                attrs = part.keep
+                if attrs is None:  # the atom lies inside χ
+                    attrs = tuple(sorted(v.name for v in part.atom.variables))
+                feeds.append(_AtomFeed(part.atom, attrs, len(inputs)))
                 inputs.append(CountedRows(attrs))
             for child in slots[bag]:
                 route[child] = (bag, len(inputs))

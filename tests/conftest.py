@@ -13,7 +13,8 @@ from repro.core.query import ConjunctiveQuery
 from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.db.stats import EvalStats
-from repro.engine.plan import _materialise_bag, compile_plan
+from repro.db.yannakakis import RunContext, bag_program, run_program
+from repro.engine.plan import compile_plan
 from repro.generators.families import random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q3, q4, q5
 from repro.heuristics.validate import check_decomposition
@@ -95,8 +96,11 @@ def assert_bag_contract(query, db, hd) -> int:
         query.with_head(tuple(sorted(query.variables, key=lambda v: v.name))),
         db,
     )
-    for node_plan, p in zip(plan.node_plans, plan.decomposition.nodes):
-        bag = _materialise_bag(node_plan, p, db, EvalStats(), None)
+    bags = run_program(
+        bag_program(plan.program().bags), {}, EvalStats(), RunContext(db)
+    )
+    for node_plan in plan.node_plans:
+        bag = bags[node_plan.bag]
         reference = literal[node_plan.bag]
         assert bag.attributes == reference.attributes
         assert set(bag.rows) <= set(reference.rows)
@@ -130,13 +134,13 @@ def spy_on(monkeypatch, module, name):
 
 @contextmanager
 def ran_operators():
-    """Every sweep operator :func:`repro.db.yannakakis.run_program` runs
-    while the block is open, in run order."""
-    from repro.db.yannakakis import Join, Project, Semijoin
+    """Every operator :func:`repro.db.yannakakis.run_program` runs while
+    the block is open, in run order."""
+    from repro.db.yannakakis import Bag, Join, Project, Semijoin
 
     ran = []
     with ExitStack() as stack:
-        for kind in (Semijoin, Join, Project):
+        for kind in (Bag, Semijoin, Join, Project):
             def spy(op, *args, _real=kind.run):
                 ran.append(op)
                 return _real(op, *args)

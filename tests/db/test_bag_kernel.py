@@ -1,12 +1,12 @@
-"""One Lemma 4.6 bag kernel.
+"""One Lemma 4.6 bag operator.
 
-``bag_relation`` is the single pipeline behind both
-``lemma46_transform`` and ``execute_plan``.  The oracle is the pipeline
-as the lemma states it, written with plain operators and no shortcuts:
-start from the unit relation, join every bound (pre-projected) atom,
-project onto χ.  The two callers hand it different atom sequences —
-the transform the node's λ atoms, the plan those plus the query atoms
-χ covers — so their bags are related by inclusion, not equality.
+``Bag`` is the single pipeline behind both ``lemma46_transform`` and
+``execute_plan``, run by ``run_program`` in both.  The oracle is the
+pipeline as the lemma states it, written with plain operators and no
+shortcuts: start from the unit relation, join every bound
+(pre-projected) atom, project onto χ.  The two callers build different
+parts — the transform the node's λ atoms, the plan those plus the query
+atoms χ covers — so their bags are related by inclusion, not equality.
 """
 
 import random
@@ -21,7 +21,7 @@ from repro.db import COUNTING, MINCOST, Database, EvalStats, Relation, bind_atom
 from repro.db import columnar as columnar_mod
 from repro.db.annotated import AnnotatedRelation, bind_atom_annotated
 from repro.db.columnar import ColumnarRelation, rides_buffers
-from repro.db.evaluate import bag_relation
+from repro.db.yannakakis import Bag, Part, RunContext, bag_program, run_program
 from repro.generators.workloads import random_database
 from tests.conftest import assert_bag_contract, small_queries
 
@@ -55,6 +55,18 @@ def _database(seed: int, weights: bool) -> Database:
                 weight=rng.choice([0.5, 1.0, 2.0]) if weights else None,
             )
     return db
+
+
+def _bag(
+    atoms, chi, db, stats=None, semiring=None, carriers=(), columnar=False
+):
+    """The relation of one ``Bag`` operator over *atoms*, named ``bag``
+    and run through the interpreter."""
+    node = Atom("bag", tuple(sorted(chi, key=lambda v: v.name)))
+    names = tuple(v.name for v in node.terms)
+    op = Bag(node, names, tuple(Part.of(a, chi, a in carriers) for a in atoms))
+    context = RunContext(db, columnar, semiring)
+    return run_program(bag_program([op]), {}, stats, context)[node]
 
 
 def _contributing(atoms, chi):
@@ -93,7 +105,7 @@ class TestKernelAgainstTheLemma:
         chi &= covered  # χ ⊆ var(λ): condition 3 of a decomposition
         db = _database(seed, weights=False)
         stats = EvalStats()
-        got = bag_relation(atoms, chi, "bag", db, stats, columnar=columnar)
+        got = _bag(atoms, chi, db, stats, columnar=columnar)
         expected = _by_the_lemma(atoms, chi, db)
         assert got == expected
         assert isinstance(got, ColumnarRelation) == (columnar and bool(chi))
@@ -122,8 +134,8 @@ class TestKernelAgainstTheLemma:
             a for a in atoms if a.variables <= chi and pick.random() < 0.6
         }
         db = _database(seed, weights=True)
-        got = bag_relation(
-            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+        got = _bag(
+            atoms, chi, db, EvalStats(), semiring, carriers,
             columnar=columnar,
         )
         expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
@@ -198,8 +210,8 @@ class TestJoinedInTheBuffers:
             columnar_mod, "encode_column",
             lambda values: pytest.fail("a bag part or result was encoded"),
         )
-        got = bag_relation(
-            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+        got = _bag(
+            atoms, chi, db, EvalStats(), semiring, carriers,
             columnar=True,
         )
         assert isinstance(got, ColumnarRelation)
@@ -218,8 +230,8 @@ class TestJoinedInTheBuffers:
         empty.declare("r", 2)
         empty.declare("s", 2)
         for db in (_view_db(list(range(8))), empty):
-            got = bag_relation(
-                atoms, chi, "bag", db, EvalStats(), COUNTING, (),
+            got = _bag(
+                atoms, chi, db, EvalStats(), COUNTING, (),
                 columnar=True,
             )
             assert isinstance(got, ColumnarRelation)
@@ -246,8 +258,8 @@ class TestJoinedInTheBuffers:
         carriers = atoms if semiring is not None else ()
         expected = _by_the_lemma(atoms, chi, db, semiring, carriers)
         assert expected  # the guard path has rows to get right
-        got = bag_relation(
-            atoms, chi, "bag", db, EvalStats(), semiring, carriers,
+        got = _bag(
+            atoms, chi, db, EvalStats(), semiring, carriers,
             columnar=True,
         )
         # Encoded after the join — except mincost's (cost, witness)

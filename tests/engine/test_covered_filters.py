@@ -145,6 +145,7 @@ class TestCompiledPlan:
             node_plans=tuple(
                 replace(np, covered=frozenset()) for np in plan.node_plans
             ),
+            _programs={},  # its program is built from its own node plans
         )
         assert "⋉" in plan.render() and "⋉" not in literal.render()
         assert plan.digest() != literal.digest()

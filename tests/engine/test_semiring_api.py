@@ -219,6 +219,23 @@ class TestPlanCacheSharing:
         assert plans["mincost"].layout == "row"
         assert not plans["mincost"].weighted
 
+    def test_annotation_carriers_are_assigned_once_per_plan(
+        self, engine, db, monkeypatch
+    ):
+        """Where each atom's annotation enters is part of building the
+        plan's annotated program, not of running it: a replayed plan
+        assigns nothing."""
+        import repro.engine.plan as plan_module
+        from tests.conftest import spy_on
+
+        assignments = spy_on(
+            monkeypatch, plan_module, "assign_annotated_atoms"
+        )
+        query = parse_query(PATH2)
+        assert engine.count(query, db) == engine.count(query, db) == 4
+        assert engine.plan(query, db, semiring="count").reused
+        assert len(assignments) == 1 and assignments[0] is not None
+
     def test_requests_counted_per_semiring(self, db):
         engine = Engine()
         try:

@@ -13,6 +13,7 @@ import pytest
 from repro._errors import BudgetExceeded, EvaluationError
 from repro.core.parser import parse_query
 from repro.db.database import Database
+from repro.db.yannakakis import Bag, Semijoin
 from repro.engine import Engine
 from repro.obs import (
     FlightRecorder,
@@ -35,6 +36,21 @@ def _span_names(nodes):
     for node in nodes:
         yield node["name"]
         yield from _span_names(node["children"])
+
+
+def _outlast_bag(monkeypatch, bag):
+    """Make *bag*'s operator outlast the request's deadline; returns the
+    nodes of the bags that ran, in run order."""
+    real, ran = Bag.run, []
+
+    def run(op, rels, stats, ctx):
+        real(op, rels, stats, ctx)
+        ran.append(op.node)
+        if op.node == bag.node:
+            time.sleep(max(0.0, ctx.deadline - time.monotonic()) + 0.01)
+
+    monkeypatch.setattr(Bag, "run", run)
+    return ran
 
 
 class TestRing:
@@ -184,26 +200,19 @@ class TestFailureDumps:
     def test_a_budget_spent_on_the_bags_stops_the_next_sweep_operator(
         self, tmp_path, monkeypatch
     ):
-        """The deadline passes once the bags are built: the sweep checks
-        it before every operator, so the first one raises, naming
-        itself, and the dump still holds the request."""
-        import repro.engine.plan as plan_module
-
-        real = plan_module.materialise_bags
-
-        def outlast(plan, db, stats, deadline=None, semiring=None):
-            bags = real(plan, db, stats, deadline, semiring)
-            time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
-            return bags
-
-        monkeypatch.setattr(plan_module, "materialise_bags", outlast)
+        """The deadline passes once the last bag is built: the program
+        checks it before every operator, so the first sweep operator
+        raises, naming itself, and the dump still holds the request."""
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        db = _db(30)
         dump = tmp_path / "dump.json"
         engine = Engine(flight=FlightRecorder(), flight_dump=str(dump))
-        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        last = engine.plan(query, db).program().bags[-1]
+        _outlast_bag(monkeypatch, last)
         with pytest.raises(
             BudgetExceeded, match=r"during semijoin n\d by n\d \(bottom-up\)"
         ):
-            engine.execute(query, _db(30), budget=0.5)
+            engine.execute(query, db, budget=0.5)
 
         doc = json.loads(dump.read_text())
         assert "BudgetExceeded" in doc["reason"]
@@ -214,13 +223,29 @@ class TestFailureDumps:
         assert {"engine.execute", "plan.execute", "plan.bag"} <= ran
         assert not {"sweep.semijoin", "sweep.join"} & ran
 
+    def test_a_budget_spent_between_two_bags_stops_the_second(
+        self, monkeypatch
+    ):
+        """A bag is an operator of the program: a deadline that passes
+        while the first bag is built raises before the second, naming
+        it, and the second bag never starts."""
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        db = _db(30)
+        engine = Engine(flight=FlightRecorder())
+        first, second = engine.plan(query, db).program().bags
+        ran = _outlast_bag(monkeypatch, first)
+        with pytest.raises(
+            BudgetExceeded, match=f"during {re.escape(str(second))}$"
+        ):
+            engine.execute(query, db, budget=0.5)
+        assert ran == [first.node]
+
     def test_failure_mid_request_dumps_span_tree_and_digest(
         self, tmp_path, monkeypatch
     ):
-        """An operator fails after the plan compiled; the auto-dump
-        carries the failing request's span tree and plan digest."""
-        import repro.engine.plan as plan_module
-
+        """A sweep operator fails after the bags are built; the
+        auto-dump carries the failing request's span tree and plan
+        digest."""
         dump = tmp_path / "dump.json"
         flight = FlightRecorder()
         engine = Engine(flight=flight, flight_dump=str(dump))
@@ -232,7 +257,7 @@ class TestFailureDumps:
         def fail(*args, **kwargs):
             raise EvaluationError("sweep failed")
 
-        monkeypatch.setattr(plan_module, "run_program", fail)
+        monkeypatch.setattr(Semijoin, "run", fail)
         with pytest.raises(EvaluationError):
             engine.execute(query, db)
 
