@@ -14,8 +14,8 @@ overridden with their annotated semantics:
 
 Because the overrides live on a subclass, every consumer that already
 dispatches through ``Relation`` methods — the Yannakakis sweeps of
-:mod:`repro.db.yannakakis`, the bag pipeline of
-:mod:`repro.db.evaluate` — evaluates annotated relations unchanged.  Plain
+:mod:`repro.db.yannakakis` and its bag operator (``Bag.run``) —
+evaluates annotated relations unchanged.  Plain
 relations never touch this module: set semantics keeps its memoised key
 sets, specialised inner loops and ``Relation.trusted`` fast paths.
 
@@ -41,7 +41,7 @@ The free-function entry points (:func:`bind_atom_annotated`,
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .._errors import EvaluationError, SchemaError
 from ..core.atoms import Atom, Variable
@@ -49,6 +49,9 @@ from .binding import resolve_atom
 from .database import Database
 from .relation import Relation, Row
 from .semiring import Semiring
+
+if TYPE_CHECKING:
+    from .yannakakis import Bag
 
 _MISSING = object()
 
@@ -278,8 +281,7 @@ AnnotatedRelation._probe_join = staticmethod(annotated_probe_join)
 
 
 def assign_annotated_atoms(
-    bags: Sequence[tuple[Sequence[Atom], frozenset]],
-    query_atoms: Sequence[Atom],
+    bags: Sequence[Bag], query_atoms: Sequence[Atom]
 ) -> dict[Atom, int] | None:
     """Pick, for every distinct query atom, the one decomposition node
     that introduces its annotation.
@@ -292,14 +294,15 @@ def assign_annotated_atoms(
     away before the join-tree's own variable elimination); every other
     mention joins unannotated, contributing only its filtering power.
 
-    *bags* lists, per node, the atoms bound there and the node's χ
-    variable set.  Returns ``atom -> node index``, or ``None`` when some
+    *bags* are the nodes' bag operators, whose parts are the atoms
+    bound there.  Returns ``atom -> node index``, or ``None`` when some
     query atom has no eligible node — the caller then falls back to
     annotated naive evaluation, which is always correct.
     """
     assigned: dict[Atom, int] = {}
-    for i, (atoms, chi) in enumerate(bags):
-        for atom in sorted(atoms, key=str):
+    for i, bag in enumerate(bags):
+        chi = bag.node.variables
+        for atom in sorted((part.atom for part in bag.parts), key=str):
             if atom not in assigned and atom.variables <= chi:
                 assigned[atom] = i
     if set(query_atoms) - assigned.keys():

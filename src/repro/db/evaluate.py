@@ -36,7 +36,14 @@ from ..core.query import ConjunctiveQuery
 from .database import Database
 from .relation import Relation
 from .stats import EvalStats
-from .yannakakis import Bag, Part, RunContext, bag_program, run_program
+from .yannakakis import (
+    Bag,
+    Part,
+    RunContext,
+    bag_program,
+    contributing,
+    run_program,
+)
 
 
 @dataclass
@@ -71,17 +78,13 @@ def lemma46_transform(
     node_ids = {id(n): i for i, n in enumerate(nodes)}
     bags = []
     for i, p in enumerate(nodes):
-        # Atoms with variables but none in χ(p) contribute no bindings
-        # (the Lemma 4.6 case split).
-        contributing = [
-            a
-            for a in sorted(p.lam, key=str)
-            if (a.variables & p.chi) or not a.variables
-        ]
         chi = tuple(sorted(v.name for v in p.chi))
         bags.append(Bag(
             Atom(f"n{i}", tuple(map(Variable, chi))), chi,
-            tuple(Part.of(a, p.chi) for a in contributing),
+            tuple(
+                Part.of(a, p.chi)
+                for a in contributing(sorted(p.lam, key=str), p.chi)
+            ),
         ))
     fresh_atoms = [bag.node for bag in bags]
     relations = run_program(bag_program(bags), {}, stats, RunContext(db))

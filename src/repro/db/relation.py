@@ -16,9 +16,9 @@ semiring value each) and :class:`~repro.db.columnar.ColumnarRelation`
 method outside it; ``tests/db/test_carrier_protocol.py`` runs every
 operator on every carrier and checks that no other surface grows back.
 
-*Operands* — what the sweeps of :mod:`repro.db.yannakakis` and the bag
-pipeline of :mod:`repro.db.evaluate` ask of any carrier, in any mix
-(what a mixed pair does is the operands' business):
+*Operands* — what the operators of :mod:`repro.db.yannakakis` (the
+sweeps, and ``Bag.run``, a node's bag pipeline) ask of any carrier, in
+any mix (what a mixed pair does is the operands' business):
 
 * ``attributes``, ``name``, ``len``, ``bool``, iteration and ``rows`` —
   the schema and the tuples;

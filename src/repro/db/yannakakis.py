@@ -156,6 +156,14 @@ class Part(NamedTuple):
         return f"{self.atom}[≈{int(self.est)}]"
 
 
+def contributing(lam: Iterable[Atom], chi: frozenset[Variable]) -> list[Atom]:
+    """The atoms of *lam* that are parts of the bag over *chi*, in
+    order — the Lemma 4.6 case split: an atom contributes iff it has a
+    variable in χ, or no variables (a ground atom keeps the bag or
+    empties it).  One with variables, none in χ, binds nothing here."""
+    return [a for a in lam if (a.variables & chi) or not a.variables]
+
+
 class Bag(NamedTuple):
     """``node := π_χ(⋈ parts)``, the node relation of Lemma 4.6; ``chi``
     is the node's attributes, sorted.  ``est`` is its estimated rows,

@@ -30,7 +30,7 @@ True
 from .cache import CachedPlan, CacheHit, PlanCache, transport_plan
 from .executor import BatchResult, Engine, EvalResult
 from .fingerprint import fingerprint, shape_isomorphism
-from .plan import NodePlan, QueryPlan, compile_plan, execute_plan
+from .plan import QueryPlan, compile_plan, execute_plan
 
 __all__ = [
     "BatchResult",
@@ -38,7 +38,6 @@ __all__ = [
     "CachedPlan",
     "Engine",
     "EvalResult",
-    "NodePlan",
     "PlanCache",
     "QueryPlan",
     "compile_plan",

@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -427,7 +427,7 @@ class Engine:
                 self.cache.keep_plan(entry, key, plan)
             return plan
         if not plan.reused or plan.cache_hit != hit:
-            plan = replace(plan, cache_hit=hit, reused=True)
+            plan = plan.restamped(cache_hit=hit, reused=True)
             self.cache.keep_plan(entry, key, plan)
         with current_tracer().span(
             "plan.compile", query=query.name, layout=plan.layout, reused=True,

@@ -77,12 +77,17 @@ pipeline:
   ``auto`` lays it out by its largest pipeline input against
   :data:`~repro.db.columnar.WEIGHTED_MIN_ROWS`.
 
-Execution runs the plan's program in one thread: a
-:class:`~repro.db.yannakakis.Bag` operator per node — the pipeline
-above, in the plan's layout — then the Yannakakis sweep over the bags.
-It is the set-semantics program, or, for a request with a semiring, the
-annotated one, which also fixes where each atom's annotation enters;
-each is built at most once per plan.  The deadline is checked before
+Each node is one :class:`~repro.db.yannakakis.Bag` operator in
+:attr:`QueryPlan.bags` — its parts in join order with their estimates,
+covered filters and grown χ variables marked — which the program, the
+prices, ``explain`` and the digest all read.
+
+Execution runs the plan's program in one thread: the bags, in the
+plan's layout, then the Yannakakis sweep over them.  It is the
+set-semantics program, or, for a request with a semiring, the annotated
+one, which also fixes where each atom's annotation enters; each is built
+at most once per plan, and shared only by a
+:meth:`QueryPlan.restamped` copy.  The deadline is checked before
 every operator and after each join inside a bag, so a budget interrupts
 a long plan with :class:`repro._errors.BudgetExceeded` naming the step.
 """
@@ -95,7 +100,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from ..core.atoms import Atom, Variable
 from ..core.hypertree import HTNode, HypertreeDecomposition
@@ -122,6 +127,7 @@ from ..db.yannakakis import (
     Program,
     RunContext,
     Semijoin,
+    contributing,
     run_program,
     sweep_program,
 )
@@ -149,70 +155,21 @@ def check_backend(backend: str) -> None:
 
 
 @dataclass(frozen=True)
-class NodePlan:
-    """Compiled evaluation of one decomposition node's bag relation."""
-
-    bag: Atom
-    chi_names: tuple[str, ...]
-    join_order: tuple[Atom, ...]
-    estimated_rows: float
-    atom_estimates: tuple[float, ...]
-    #: The members of ``join_order`` that are not λ atoms of the node but
-    #: query atoms its χ covers, joined in as filters (rendered ``⋉``).
-    covered: frozenset[Atom] = frozenset()
-    #: The members of ``chi_names`` this plan added to the χ label of
-    #: the decomposition it was compiled from (rendered ``+D``).
-    grown: tuple[str, ...] = ()
-    #: Every χ label priced for this node, as ``(variables added to the
-    #: literal χ, Σ estimated intermediates of its pipeline)`` — the
-    #: literal χ first, as ``()``; the one whose variables are ``grown``
-    #: was chosen.  Empty for a node that never entered the search.
-    candidates: tuple[tuple[tuple[str, ...], float], ...] = ()
-
-    #: The node's bag operator, its parts carrying no annotation.
-    op: Bag = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        chi = self.bag.variables
-        object.__setattr__(self, "op", Bag(
-            self.bag,
-            self.chi_names,
-            tuple(
-                Part.of(a, chi, False, a in self.covered, est)
-                for a, est in zip(self.join_order, self.atom_estimates)
-            ),
-            self.estimated_rows,
-            self.grown,
-        ))
-
-    def describe(self) -> str:
-        return str(self.op)
-
-    def describe_candidates(self) -> str:
-        """The χ label chosen for a node that entered the search and the
-        ones rejected, each with its estimated pipeline cost."""
-        def label(added: tuple[str, ...]) -> str:
-            return ", ".join(f"+{v}" for v in added) or "literal χ"
-
-        rejected = ", ".join(
-            f"{label(added)} ≈{int(cost)}"
-            for added, cost in self.candidates
-            if added != self.grown
-        )
-        chosen = dict(self.candidates)[self.grown]
-        return (
-            f"{self.bag.predicate}: {'grew' if self.grown else 'kept'} "
-            f"{label(self.grown)} ≈{int(chosen)}; rejected {rejected}"
-        )
-
-
-@dataclass(frozen=True)
 class QueryPlan:
     """A fully compiled physical plan for one (query, database) pair."""
 
     query: ConjunctiveQuery
     decomposition: HypertreeDecomposition
-    node_plans: tuple[NodePlan, ...]
+    #: One bag operator per decomposition node, in node order — the
+    #: node's whole description: its parts in join order with their
+    #: estimates, its χ (grown variables marked) and its estimated rows.
+    bags: tuple[Bag, ...]
+    #: Per bag, every χ label priced for its node, as ``(variables
+    #: added to the literal χ, Σ estimated intermediates of its
+    #: pipeline)`` — the literal χ first, as ``()``; the one whose
+    #: variables are the bag's ``grown`` was chosen.  Empty for a node
+    #: that never entered the search.
+    candidates: tuple[tuple[tuple[tuple[str, ...], float], ...], ...]
     join_tree: JoinTree
     output: tuple[str, ...]
     width: int
@@ -234,10 +191,20 @@ class QueryPlan:
     #: Handed back by the engine's plan memo instead of compiled.
     reused: bool = field(default=False)
     #: The programs built so far, by ``annotated`` (see
-    #: :meth:`program`); a replayed copy shares them.
+    #: :meth:`program`).  Not an ``__init__`` field, so a
+    #: :func:`~dataclasses.replace` copy starts empty; only
+    #: :meth:`restamped` copies share it.
     _programs: dict[bool, Program] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, default_factory=dict, repr=False, compare=False
     )
+
+    def restamped(self, **changes) -> "QueryPlan":
+        """A copy with *changes* to fields no program reads — a cache
+        hit, reuse, the layout predictions — that shares this plan's
+        programs instead of building them again."""
+        copy = replace(self, **changes)
+        object.__setattr__(copy, "_programs", self._programs)
+        return copy
 
     def program(self, annotated: bool = False) -> Program:
         """What this plan runs: every node's bag operator, in plan
@@ -250,14 +217,10 @@ class QueryPlan:
         admit no such assignment, is marked ``naive``.  Built at most
         once per variant."""
         if annotated not in self._programs:
-            bags = [np.op for np in self.node_plans]
+            bags = self.bags
             assigned: dict[Atom, int] | None = {}
             if annotated:
-                assigned = assign_annotated_atoms(
-                    [(np.join_order, np.bag.variables)
-                     for np in self.node_plans],
-                    self.query.atoms,
-                )
+                assigned = assign_annotated_atoms(bags, self.query.atoms)
                 carries = (assigned or {}).get
                 bags = [
                     bag._replace(parts=tuple(
@@ -269,7 +232,7 @@ class QueryPlan:
             sweep = sweep_program(
                 self.join_tree,
                 ANSWER if self.output or annotated else NONEMPTY,
-                {np.bag: np.chi_names for np in self.node_plans},
+                {bag.node: bag.chi for bag in self.bags},
                 self.output, annotated,
             )
             self._programs[annotated] = sweep._replace(
@@ -291,11 +254,14 @@ class QueryPlan:
 
     @property
     def largest_input(self) -> float:
-        """The largest estimate among the relations the node pipelines
-        touch: a part's, or a bag's."""
+        """The largest estimate among the relations the bag pipelines
+        touch: a part's, or a bag's (a bag may have no parts)."""
         return max(
-            (max(np.estimated_rows, *np.atom_estimates)
-             for np in self.node_plans),
+            (
+                est
+                for bag in self.bags
+                for est in (bag.est, *(part.est for part in bag.parts))
+            ),
             default=0.0,
         )
 
@@ -310,9 +276,9 @@ class QueryPlan:
         """What a ``plan.compile`` span says about the plan, compiled or
         replayed."""
         attrs = {
-            "nodes": len(self.node_plans),
+            "nodes": len(self.bags),
             "columnar": (
-                len(self.node_plans)
+                len(self.bags)
                 if self.resolved_layout == "columnar"
                 else 0
             ),
@@ -342,7 +308,7 @@ class QueryPlan:
                 str(self.width),
                 self.resolved_layout,
                 ",".join(self.output),
-                *(np.describe() for np in self.node_plans),
+                *map(str, self.bags),
                 self.join_tree.render(),
             ]
         )
@@ -377,12 +343,30 @@ class QueryPlan:
         ]
         if self.reused:
             lines.insert(1, "plan reused")
-        considered = [np for np in self.node_plans if np.candidates]
+        considered = [
+            (bag, priced)
+            for bag, priced in zip(self.bags, self.candidates)
+            if priced
+        ]
         if considered:
             lines.append(
                 "χ per node (estimated pipeline cost, Σ intermediate rows):"
             )
-            lines.extend(f"  {np.describe_candidates()}" for np in considered)
+
+        def label(added: tuple[str, ...]) -> str:
+            return ", ".join(f"+{v}" for v in added) or "literal χ"
+
+        for bag, priced in considered:
+            rejected = ", ".join(
+                f"{label(added)} ≈{int(cost)}"
+                for added, cost in priced
+                if added != bag.grown
+            )
+            lines.append(
+                f"  {bag.node.predicate}: "
+                f"{'grew' if bag.grown else 'kept'} {label(bag.grown)} "
+                f"≈{int(dict(priced)[bag.grown])}; rejected {rejected}"
+            )
         lines.append("join tree (semijoin + enumeration passes):")
         lines.append(self.join_tree.render())
         annotated = semiring is not None
@@ -422,22 +406,30 @@ class QueryPlan:
         its column buffers from an earlier version's, or had to
         rebuild part of it — and the node's share of the sweep
         (semijoin/join operator time attributed by relation name).
+        Only the analysed request's spans count — those on the thread
+        of the last ``plan.execute`` of this query, inside its interval
+        — however many requests *tracer* recorded before it.
         """
         spans = tracer.spans()
-        bag_spans: dict[object, list] = {}
         executed = None
         for span in spans:
-            if span.name == "plan.bag" and "node" in span.attrs:
-                bag_spans.setdefault(span.attrs["node"], []).append(span)
-            elif (
+            if (
                 span.name == "plan.execute"
                 and span.attrs.get("query") == self.query.name
             ):
                 executed = span
+        bag_spans: dict[object, list] = {}
         sweep: dict[object, tuple[float, int]] = {}
-        for span in spans:
-            if span.name in ("sweep.semijoin", "sweep.join"):
-                node = span.attrs.get("node")
+        for span in spans if executed is not None else ():
+            if not (
+                span.tid == executed.tid
+                and executed.start <= span.start <= span.end <= executed.end
+            ):
+                continue
+            node = span.attrs.get("node")
+            if span.name == "plan.bag" and node is not None:
+                bag_spans.setdefault(node, []).append(span)
+            elif span.name in ("sweep.semijoin", "sweep.join"):
                 seconds, count = sweep.get(node, (0.0, 0))
                 sweep[node] = (seconds + span.duration, count + 1)
 
@@ -458,8 +450,8 @@ class QueryPlan:
             execute,
             "per-node actuals (estimated vs actual rows, wall time):",
         ]
-        for np in self.node_plans:
-            node = np.bag.predicate
+        for bag in self.bags:
+            node = bag.node.predicate
             spans_here = bag_spans.get(node, [])
             actual = spans_here[-1].attrs.get("rows") if spans_here else None
             bag_ms = sum(s.duration for s in spans_here) * 1e3
@@ -468,13 +460,13 @@ class QueryPlan:
                 lines.append(f"  {node}: (no trace recorded)")
                 continue
             if actual:
-                factor = np.estimated_rows / actual
+                factor = bag.est / actual
                 misestimate = f"est/actual {factor:.2f}x"
             else:
-                misestimate = f"est {int(np.estimated_rows)}, actual empty"
+                misestimate = f"est {int(bag.est)}, actual empty"
             snapshot = spans_here[-1].attrs.get("snapshot")
             lines.append(
-                f"  {node}: ≈{int(np.estimated_rows)} est -> {actual} actual "
+                f"  {node}: ≈{int(bag.est)} est -> {actual} actual "
                 f"rows ({misestimate}); bag {bag_ms:.3f}ms"
                 + (f" (snapshot {snapshot})" if snapshot else "")
                 + (
@@ -491,14 +483,15 @@ def _bag_pipeline(
     covered: list[Atom],
     chi: frozenset[Variable],
     estimator: CardinalityEstimator,
-) -> tuple[list[Atom], list[float], float, float]:
-    """Greedy join order of one bag pipeline, each part's estimated
-    size, the estimated size of the bag, and the pipeline's estimated
-    cost: the sum of its intermediates, the running join after every
-    step — what :meth:`~repro.db.yannakakis.Bag.run` records as
-    tuples produced, and what a χ label is chosen by (the final size is
-    the wrong objective: a bag estimated at no rows at all can sit
-    behind a four-digit intermediate).
+) -> tuple[tuple[Part, ...], float, float]:
+    """One bag pipeline: its parts in greedy join order, each with its
+    estimated size (the *covered* ones marked), the estimated size of
+    the bag, and the pipeline's estimated cost: the sum of its
+    intermediates, the running join after every step — what
+    :meth:`~repro.db.yannakakis.Bag.run` records as tuples produced,
+    and what a χ label is chosen by (the final size is the wrong
+    objective: a bag estimated at no rows at all can sit behind a
+    four-digit intermediate).
 
     Connectivity and sizes are taken over ``var(A) ∩ χ``: the rest is
     projected away before the join and connects nothing.  Start from
@@ -510,16 +503,16 @@ def _bag_pipeline(
     unconnected λ atom.  Ties: smaller estimate, then rendering.  A
     bridge is always followed by a λ atom it connected, so no
     intermediate outgrows the product of the λ atoms."""
-    parts = [*lam, *covered]
-    variables = [a.variables for a in parts]
+    atoms = [*lam, *covered]
+    variables = [a.variables for a in atoms]
     kept = [v & chi for v in variables]
     size = [
         estimator.atom_rows(a) if k == v else estimator.projected_rows(a, k)
-        for a, v, k in zip(parts, variables, kept)
+        for a, v, k in zip(atoms, variables, kept)
     ]
-    if len(parts) == 1:  # nothing to order: every node of an acyclic plan
-        return parts, size, size[0], size[0]
-    label = [str(a) for a in parts]
+    if len(atoms) == 1:  # nothing to order: every node of an acyclic plan
+        return (Part.of(atoms[0], chi, est=size[0]),), size[0], size[0]
+    label = [str(a) for a in atoms]
     domain = estimator.domain_size
     seen: frozenset[Variable] = frozenset()
 
@@ -531,7 +524,7 @@ def _bag_pipeline(
             tier = 1 if shared else 3
         return tier, -shared, size[i], label[i]
 
-    remaining = list(range(len(parts)))
+    remaining = list(range(len(atoms)))
     order: list[int] = []
     bag_rows = 1.0
     cost = 0.0
@@ -542,18 +535,10 @@ def _bag_pipeline(
         bag_rows = estimator.join_rows(bag_rows, seen, size[i], kept[i], domain)
         cost += bag_rows
         seen |= kept[i]
-    return [parts[i] for i in order], [size[i] for i in order], bag_rows, cost
-
-
-class _Pipeline(NamedTuple):
-    """One node's bag pipeline under one χ label (see
-    :func:`_bag_pipeline` for the last four fields)."""
-
-    covered: list[Atom]
-    order: list[Atom]
-    sizes: list[float]
-    rows: float
-    cost: float
+    parts = tuple(
+        Part.of(atoms[i], chi, False, i >= len(lam), size[i]) for i in order
+    )
+    return parts, bag_rows, cost
 
 
 def _node_pipeline(
@@ -561,13 +546,11 @@ def _node_pipeline(
     chi: frozenset[Variable],
     query_atoms: list[tuple[Atom, frozenset[Variable]]],
     estimator: CardinalityEstimator,
-) -> _Pipeline:
-    """The pipeline of a node labelled ``(χ, λ)``: its contributing λ
-    atoms (those with a variable in χ — the Lemma 4.6 case split) and,
-    when it joins more than one of them, the query atoms χ covers."""
-    contributing = [
-        a for a in lam if (a.variables & chi) or not a.variables
-    ]
+) -> tuple[tuple[Part, ...], float, float]:
+    """The pipeline (see :func:`_bag_pipeline`) of a node labelled
+    ``(χ, λ)``: its contributing λ atoms and, when it joins more than
+    one of them, the query atoms χ covers."""
+    atoms = contributing(lam, chi)
     # The covered atoms: A ∉ λ(p) with ∅ ≠ var(A) ⊆ χ(p).  A
     # single-part node stays a view of its base relation; only a
     # pipeline that joins anyway is given them.
@@ -575,10 +558,8 @@ def _node_pipeline(
         a
         for a, variables in query_atoms
         if variables and variables <= chi and a not in lam
-    ] if len(contributing) > 1 else []
-    return _Pipeline(
-        covered, *_bag_pipeline(contributing, covered, chi, estimator)
-    )
+    ] if len(atoms) > 1 else []
+    return _bag_pipeline(atoms, covered, chi, estimator)
 
 
 #: One operator call the plan will run: its entry in an
@@ -712,7 +693,7 @@ def _grow_chi(
     nodes: list[HTNode],
     tree_edges: list[tuple[int, int]],
     chis: list[frozenset[Variable]],
-    pipelines: list[_Pipeline],
+    pipelines: list[tuple[tuple[Part, ...], float, float]],
     query_atoms: list[tuple[Atom, frozenset[Variable]]],
     estimator: CardinalityEstimator,
 ) -> dict[int, dict[frozenset[Variable], float]]:
@@ -725,15 +706,18 @@ def _grow_chi(
     the current label only if it is strictly cheaper.  A variable a node
     added is new to its neighbours, so they — and nobody else — are
     looked at again.  *tree_edges* are the tree's (parent, child) pairs
-    as indices into *nodes*.  Updates *chis* and *pipelines* in place;
-    returns, per node that priced anything, variables added to the
+    as indices into *nodes*; *pipelines* are each node's
+    :func:`_node_pipeline`, whose last field is its cost.  Updates *chis*
+    and *pipelines* in place; returns, per node that priced anything, variables added to the
     literal χ → estimated cost, the literal label first."""
     neighbours: list[list[int]] = [[] for _ in nodes]
     for parent, child in tree_edges:
         neighbours[parent].append(child)
         neighbours[child].append(parent)
     priced: dict[int, dict[frozenset[Variable], float]] = {}
-    queue = deque(i for i, pl in enumerate(pipelines) if len(pl.order) > 1)
+    queue = deque(
+        i for i, (parts, _, _) in enumerate(pipelines) if len(parts) > 1
+    )
     multi_part = frozenset(queue)
     while queue:
         i = queue.popleft()
@@ -742,7 +726,7 @@ def _grow_chi(
         addable = sorted((p.lambda_variables - chi) & held)
         if not addable:
             continue
-        costs = priced.setdefault(i, {frozenset(): pipelines[i].cost})
+        costs = priced.setdefault(i, {frozenset(): pipelines[i][-1]})
         options = [frozenset({v}) for v in addable]
         if len(addable) > 1:
             options.append(frozenset(addable))
@@ -753,8 +737,8 @@ def _grow_chi(
             candidate = _node_pipeline(
                 p.lam, chi | extra, query_atoms, estimator
             )
-            costs[added] = candidate.cost
-            if candidate.cost < pipelines[i].cost:
+            costs[added] = cost = candidate[-1]
+            if cost < pipelines[i][-1]:
                 chis[i], pipelines[i] = chi | extra, candidate
         if chis[i] is not chi:
             queue.extend(
@@ -868,7 +852,7 @@ def _compile_plan_traced(
     priced: dict[int, dict[frozenset[Variable], float]] = {}
     # Without a database every estimate is 1 and nothing can be cheaper;
     # a plan of single-part nodes (every acyclic one) has nothing to grow.
-    if db is not None and any(len(pl.order) > 1 for pl in pipelines):
+    if db is not None and any(len(parts) > 1 for parts, _, _ in pipelines):
         priced = _grow_chi(
             nodes, tree_edges, chis, pipelines, query_atoms, estimator
         )
@@ -880,44 +864,41 @@ def _compile_plan_traced(
                 f"χ growth on {query.name}",
             )
             get_registry().counter("plan.chi_grown").inc(grown)
-    fresh: list[Atom] = []
-    plans: list[NodePlan] = []
-    for i, (p, chi, pipeline) in enumerate(zip(nodes, chis, pipelines)):
+    bags = []
+    for i, (p, chi, (parts, rows, _)) in enumerate(
+        zip(nodes, chis, pipelines)
+    ):
         # The bag's terms are χ's own variables, so comparing them with
         # the query's atoms finds them by identity.
         terms = tuple(sorted(chi, key=attrgetter("name")))
-        chi_names = tuple(v.name for v in terms)
-        bag_rows = pipeline.rows
-        bag = Atom(f"n{i}", terms)
-        fresh.append(bag)
-        plans.append(
-            NodePlan(
-                bag, chi_names, tuple(pipeline.order), bag_rows,
-                tuple(pipeline.sizes),
-                covered=frozenset(pipeline.covered),
-                grown=tuple(sorted(v.name for v in chi - p.chi)),
-                candidates=tuple(
-                    (tuple(sorted(v.name for v in added)), cost)
-                    for added, cost in priced.get(i, {}).items()
-                ),
-            )
-        )
+        bags.append(Bag(
+            Atom(f"n{i}", terms), tuple(v.name for v in terms), parts, rows,
+            tuple(sorted(v.name for v in chi - p.chi)),
+        ))
 
     head = tuple(
         dict.fromkeys(
             t.name for t in query.head_terms if isinstance(t, Variable)
         )
     )
+    fresh = [bag.node for bag in bags]
     edges = [(fresh[i], fresh[j]) for i, j in tree_edges]
-    holding = [np for np in plans if set(head) <= set(np.chi_names)]
+    holding = [bag for bag in bags if set(head) <= set(bag.chi)]
     root = max(
-        holding or plans, key=lambda np: (np.estimated_rows, np.bag.predicate)
-    ).bag
+        holding or bags, key=lambda bag: (bag.est, bag.node.predicate)
+    ).node
     jt = join_tree_from_edges(fresh, edges, root)
     plan = QueryPlan(
         query=query,
         decomposition=complete,
-        node_plans=tuple(plans),
+        bags=tuple(bags),
+        candidates=tuple(
+            tuple(
+                (tuple(sorted(v.name for v in added)), cost)
+                for added, cost in priced.get(i, {}).items()
+            )
+            for i in range(len(bags))
+        ),
         join_tree=jt,
         output=head,
         width=hd.width,
@@ -931,8 +912,7 @@ def _compile_plan_traced(
         return plan
     work = _plan_work(plan.program(), estimator)
     costs = OPERATOR_COSTS[kernels()]
-    return replace(  # shares the program it priced
-        plan,
+    return plan.restamped(  # shares the program it priced
         predicted_row_ms=predict_ms(work, costs["row"]),
         predicted_columnar_ms=predict_ms(work, costs["columnar"]),
     )
@@ -963,7 +943,7 @@ def execute_plan(
     stats = stats if stats is not None else EvalStats()
     annotated = semiring is not None
     with current_tracer().span(
-        "plan.execute", query=plan.query.name, nodes=len(plan.node_plans)
+        "plan.execute", query=plan.query.name, nodes=len(plan.bags)
     ) as sp:
         program = plan.program(annotated)
         if annotated and (program.naive or not semiring.distributive):

@@ -99,15 +99,18 @@ def assert_bag_contract(query, db, hd) -> int:
     bags = run_program(
         bag_program(plan.program().bags), {}, EvalStats(), RunContext(db)
     )
-    for node_plan in plan.node_plans:
-        bag = bags[node_plan.bag]
-        reference = literal[node_plan.bag]
+    filters = 0
+    for op in plan.bags:
+        bag = bags[op.node]
+        reference = literal[op.node]
         assert bag.attributes == reference.attributes
         assert set(bag.rows) <= set(reference.rows)
         assert set(bag.rows) >= set(everything.project(bag.attributes).rows)
-        if not node_plan.covered:
+        covered = [part for part in op.parts if part.covered]
+        if not covered:
             assert bag == reference
-    return sum(len(np.covered) for np in plan.node_plans)
+        filters += len(covered)
+    return filters
 
 
 def star_query(n: int) -> ConjunctiveQuery:

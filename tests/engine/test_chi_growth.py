@@ -64,7 +64,7 @@ def engine():
 
 
 def _grown(plan):
-    return {np.bag.predicate: np.grown for np in plan.node_plans if np.grown}
+    return {bag.node.predicate: bag.grown for bag in plan.bags if bag.grown}
 
 
 def _literal_plan(monkeypatch, query, db, hd, **options):
@@ -80,14 +80,17 @@ class TestTheMeasuredCase:
         shapes, db = cyclic_bags
         plan = engine.plan(shapes["cycle5"], db)
         assert list(_grown(plan).values()) == [("D",)], plan.render()
-        (node,) = [np for np in plan.node_plans if np.grown]
-        assert {a.predicate for a in node.join_order} == {"c5b", "c5c", "c5d"}
-        assert {a.predicate for a in node.covered} == {"c5c"}
+        (node,) = [bag for bag in plan.bags if bag.grown]
+        join_order = [part.atom for part in node.parts]
+        assert {a.predicate for a in join_order} == {"c5b", "c5c", "c5d"}
+        assert {
+            part.atom.predicate for part in node.parts if part.covered
+        } == {"c5c"}
         # No product left: every step shares a variable with the
         # steps before it.
-        joined = set(node.join_order[0].variables)
-        for atom in node.join_order[1:]:
-            assert atom.variables & joined, node.describe()
+        joined = set(join_order[0].variables)
+        for atom in join_order[1:]:
+            assert atom.variables & joined, str(node)
             joined |= atom.variables
         assert plan.width == 2
 
@@ -120,11 +123,11 @@ class TestTheMeasuredCase:
         for name in ("book2", "cycle4"):
             plan = engine.plan(shapes[name], db)
             assert not _grown(plan), plan.render()
-            assert all("+" not in np.describe() for np in plan.node_plans)
-            considered = [np for np in plan.node_plans if np.candidates]
+            assert all("+" not in str(bag) for bag in plan.bags)
+            considered = [priced for priced in plan.candidates if priced]
             assert considered, plan.render()
-            for np in considered:
-                costs = dict(np.candidates)
+            for priced in considered:
+                costs = dict(priced)
                 assert all(costs[()] <= cost for cost in costs.values())
 
 
@@ -133,17 +136,18 @@ class TestTheChoice:
         priced = 0
         for query in SWEEP:
             db = random_database(query, 75, 150, seed=1)
-            for np in engine.plan(query, db).node_plans:
-                if not np.candidates:
-                    assert not np.grown
+            plan = engine.plan(query, db)
+            for bag, candidates in zip(plan.bags, plan.candidates):
+                if not candidates:
+                    assert not bag.grown
                     continue
                 priced += 1
-                costs = dict(np.candidates)
-                assert np.candidates[0][0] == ()  # the literal label
-                assert costs[np.grown] == min(costs.values())
-                assert costs[np.grown] <= costs[()]
-                if np.grown:  # only a strictly cheaper label replaces it
-                    assert costs[np.grown] < costs[()]
+                costs = dict(candidates)
+                assert candidates[0][0] == ()  # the literal label
+                assert costs[bag.grown] == min(costs.values())
+                assert costs[bag.grown] <= costs[()]
+                if bag.grown:  # only a strictly cheaper label replaces it
+                    assert costs[bag.grown] < costs[()]
         assert priced
 
     def test_acyclic_plans_and_compiles_without_a_database_skip_the_search(
@@ -160,12 +164,14 @@ class TestTheChoice:
             plan = engine.plan(query, db)
             assert plan.width == 1
             assert all(
-                not np.grown and not np.candidates for np in plan.node_plans
+                not bag.grown and not priced
+                for bag, priced in zip(plan.bags, plan.candidates)
             )
         for query in (cycle_query(5), book_query(2)):
             plan = engine.plan(query, None)
             assert all(
-                not np.grown and not np.candidates for np in plan.node_plans
+                not bag.grown and not priced
+                for bag, priced in zip(plan.bags, plan.candidates)
             )
         assert counter.value == before
 
@@ -181,10 +187,10 @@ class TestTheChoice:
         grown_chi = [n.chi for n in plan.decomposition.nodes]
         assert grown_chi != [chi for chi, _ in labels]
         # Bags, join tree and the carried decomposition read one χ.
-        for np, p in zip(plan.node_plans, plan.decomposition.nodes):
-            assert set(np.chi_names) == {v.name for v in p.chi}
-            assert set(np.chi_names) == {v.name for v in np.bag.variables}
-            assert np.bag in plan.join_tree.nodes
+        for bag, p in zip(plan.bags, plan.decomposition.nodes):
+            assert set(bag.chi) == {v.name for v in p.chi}
+            assert set(bag.chi) == {v.name for v in bag.node.variables}
+            assert bag.node in plan.join_tree.nodes
 
     def test_a_normal_form_decomposition_has_nothing_to_grow(self):
         """Definition 5.1(3) — var(λ(s)) ∩ χ(r) ⊆ χ(s) — with condition 4
@@ -196,7 +202,7 @@ class TestTheChoice:
             assert hd.validate() == []
             db = random_database(query, 40, 80, seed=2)
             plan = compile_plan(query, db, hd)
-            assert all(not np.candidates for np in plan.node_plans)
+            assert all(not priced for priced in plan.candidates)
             assert plan.decomposition.validate() == []
             assert plan.width == hd.width
 
@@ -232,9 +238,9 @@ def test_grown_plans_stay_decompositions_and_never_do_more_work(monkeypatch):
                 assert ours.total_tuples_produced < theirs.total_tuples_produced
                 fell += 1
             else:
-                assert [np.describe() for np in plan.node_plans] == [
-                    np.describe() for np in literal.node_plans
-                ]
+                assert list(map(str, plan.bags)) == list(
+                    map(str, literal.bags)
+                )
     assert fell >= 24  # cycle_5 … cycle_8, every seed
     assert grown_hds  # condition 4 was at stake, not vacuously kept
 
@@ -314,9 +320,7 @@ class TestExplainableChoice:
         plan = engine.plan(query, db)
         literal = replace(
             plan,
-            node_plans=tuple(
-                replace(np, grown=()) for np in plan.node_plans
-            ),
+            bags=tuple(bag._replace(grown=()) for bag in plan.bags),
         )
         assert "π[B, C, +D, E]" in plan.render()
         assert "+D" not in literal.render().split("χ per node")[0]

@@ -23,7 +23,8 @@ from repro.db.columnar import LAYOUTS
 from repro.db.database import Database
 from repro.db.naive import naive_join_eval
 from repro.db.semiring import resolve_semiring
-from repro.db.stats import CardinalityEstimator
+from repro.db.stats import CardinalityEstimator, EvalStats
+from repro.db.yannakakis import RunContext, run_program
 from repro.engine import Engine
 from repro.engine.plan import _bag_pipeline
 from repro.generators.families import (
@@ -53,10 +54,13 @@ def _db(relations):
     return Database.from_relations(relations)
 
 
+def _covered(bag):
+    """The atoms *bag* joins as filters."""
+    return frozenset(part.atom for part in bag.parts if part.covered)
+
+
 def _covered_predicates(plan):
-    return sorted(
-        {a.predicate for np in plan.node_plans for a in np.covered}
-    )
+    return sorted({a.predicate for bag in plan.bags for a in _covered(bag)})
 
 
 class TestOrdering:
@@ -64,14 +68,16 @@ class TestOrdering:
 
     def order(self, lam, covered, chi, db=None):
         chi = frozenset(v for a in _atoms(chi) for v in a.variables)
-        got, sizes, rows, cost = _bag_pipeline(
-            list(_atoms(lam)), list(_atoms(covered)) if covered else [],
-            chi, CardinalityEstimator(db),
+        covered = list(_atoms(covered)) if covered else []
+        parts, rows, cost = _bag_pipeline(
+            list(_atoms(lam)), covered, chi, CardinalityEstimator(db),
         )
+        sizes = [part.est for part in parts]
+        assert {part.atom for part in parts if part.covered} == set(covered)
         # The cost sums the running join after every step, so it is at
         # least the first part plus the bag.
         assert cost >= sizes[0] + rows
-        return [str(a) for a in got], sizes
+        return [str(part.atom) for part in parts], sizes
 
     def test_a_bridge_connects_a_cross_product(self):
         db = _db({
@@ -116,24 +122,25 @@ class TestCompiledPlan:
         db = random_database(query, 12, 40, seed=2)
         plan = engine.plan(query, db)
         assert plan.width == 2
-        filtered = [np for np in plan.node_plans if np.covered]
+        filtered = [bag for bag in plan.bags if _covered(bag)]
         assert filtered, plan.render()
-        for np in plan.node_plans:
-            assert np.covered <= set(np.join_order)
-            lam = [a for a in np.join_order if a not in np.covered]
+        for bag in plan.bags:
+            covered = _covered(bag)
+            join_order = [part.atom for part in bag.parts]
+            assert covered <= set(join_order)
+            lam = [a for a in join_order if a not in covered]
             if len(lam) <= 1:  # a single-part node is left alone
-                assert not np.covered
-            for a in np.covered:
+                assert not covered
+            for a in covered:
                 assert a in query.atoms
-                assert {v.name for v in a.variables} <= set(np.chi_names)
+                assert {v.name for v in a.variables} <= set(bag.chi)
 
     def test_acyclic_plans_are_untouched(self, engine):
         query = path_query(4)
         plan = engine.plan(query, random_database(query, 6, 20, seed=1))
         assert plan.width == 1
         assert all(
-            not np.covered and len(np.join_order) == 1
-            for np in plan.node_plans
+            not _covered(bag) and len(bag.parts) == 1 for bag in plan.bags
         )
 
     def test_rendering_and_digest_tell_a_filter_from_a_join(self, engine):
@@ -142,14 +149,47 @@ class TestCompiledPlan:
         plan = engine.plan(query, db)
         literal = replace(
             plan,
-            node_plans=tuple(
-                replace(np, covered=frozenset()) for np in plan.node_plans
+            bags=tuple(
+                bag._replace(parts=tuple(
+                    part._replace(covered=False) for part in bag.parts
+                ))
+                for bag in plan.bags
             ),
-            _programs={},  # its program is built from its own node plans
         )
         assert "⋉" in plan.render() and "⋉" not in literal.render()
         assert plan.digest() != literal.digest()
         assert "⋉" in engine.explain(query, db, analyze=True)
+
+    def test_a_copy_with_other_bags_runs_its_own_program(self, engine):
+        """The program memo never travels with a structural copy: a copy
+        holding the bags without their covered parts neither renders nor
+        runs a ``⋉`` filter, though the original built its program
+        first.  Only a restamped copy shares the memo."""
+        query = parse_query(CYCLE4, name="cycle4")
+        db = random_database(query, 12, 40, seed=2)
+        plan = engine.plan(query, db)
+        original = plan.program()
+        literal = replace(
+            plan,
+            bags=tuple(
+                bag._replace(parts=tuple(
+                    part for part in bag.parts if not part.covered
+                ))
+                for bag in plan.bags
+            ),
+        )
+        assert "⋉" in plan.render() and "⋉" not in literal.render()
+        tracer = Tracer()
+        with tracing(tracer):
+            answer = run_program(
+                literal.program(), {}, EvalStats(), RunContext(db)
+            )
+        filters = [
+            s.attrs["filters"] for s in tracer.spans() if s.name == "plan.bag"
+        ]
+        assert filters == [0] * len(plan.bags)
+        assert answer.rows == naive_join_eval(query, db).rows
+        assert plan.restamped(reused=True).program() is original
 
     def test_estimates_price_the_pre_projected_part(self, engine):
         query = parse_query(CYCLE4, name="cycle4")
@@ -161,11 +201,11 @@ class TestCompiledPlan:
             db.add_fact("c4d", i % 3, i % 20)
         plan = engine.plan(query, db)
         onto_d = [
-            est
-            for np in plan.node_plans
-            for atom, est in zip(np.join_order, np.atom_estimates)
-            if atom.predicate == "c4c"
-            and {v.name for v in atom.variables} & set(np.chi_names) == {"D"}
+            part.est
+            for bag in plan.bags
+            for part in bag.parts
+            if part.atom.predicate == "c4c"
+            and {v.name for v in part.atom.variables} & set(bag.chi) == {"D"}
         ]
         assert onto_d and set(onto_d) == {3.0}, plan.render()
 
@@ -186,7 +226,7 @@ class TestCompiledPlan:
         query = parse_query(CYCLE4, name="cycle4")
         db = random_database(query, 12, 40, seed=2)
         plan = engine.plan(query, db)
-        expected = sum(len(np.covered) for np in plan.node_plans)
+        expected = sum(len(_covered(bag)) for bag in plan.bags)
         counter = get_registry().counter("plan.bag_filters")
         before = counter.value
         tracer = Tracer()

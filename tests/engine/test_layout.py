@@ -182,7 +182,7 @@ class TestAutoResolvesOncePerPlan:
         assert plan.predicted_columnar_ms < plan.predicted_row_ms
         assert (plan.layout, plan.resolved_layout) == ("auto", "columnar")
         # Its single-atom node is laid out like the plan it is part of.
-        assert len(plan.node_plans) == 2
+        assert len(plan.bags) == 2
         assert _bags_of(engine, triangle, large) == (0, 2)
         # A tie keeps the row layout, whose per-call overhead is lower.
         tied = dataclasses.replace(
@@ -289,6 +289,32 @@ class TestAutoResolvesOncePerPlan:
             bags = _bags_of(engine, query, db, semiring=COUNTING)
             assert bags == ((2, 0) if expected == "row" else (0, 2))
 
+    @pytest.mark.skipif(
+        not columnar_mod.rides_buffers(COUNTING),
+        reason="a weighted plan needs numpy's weight column",
+    )
+    def test_a_weighted_plan_with_a_bag_of_no_parts(self):
+        """An empty-χ unit leaf has no parts: the largest input is taken
+        over its estimate too, so the weighted ``auto`` plan compiles
+        and answers."""
+        from repro.core.hypertree import HTNode, HypertreeDecomposition
+        from repro.engine.plan import execute_plan
+
+        query = parse_query("ans(X) :- e(X,Y), e(Y,Z).")
+        root = HTNode(query.variables, query.atoms, (HTNode((), ()),))
+        hd = HypertreeDecomposition(query, root)
+        db = random_database(query, 5, 10, seed=0)
+        plan = compile_plan(query, db, hd, layout="auto", semiring=COUNTING)
+        assert plan.weighted and any(not bag.parts for bag in plan.bags)
+        assert plan.largest_input == max(
+            est for bag in plan.bags
+            for est in (bag.est, *(part.est for part in bag.parts))
+        )
+        assert plan.resolved_layout == "row"  # 10 rows
+        answer = execute_plan(plan, db, semiring=COUNTING)
+        expected = naive_annotated_eval(query, db, COUNTING)
+        assert dict(answer.annotations) == dict(expected.annotations)
+
     def test_a_bag_that_joins_atoms_is_priced_by_its_joins(self):
         """``book_2`` at the end-to-end benchmark's size: every relation
         is under 256 rows and both pages estimate to a handful, yet the
@@ -298,13 +324,13 @@ class TestAutoResolvesOncePerPlan:
         db = random_database(query, 107, 215, seed=1)
         engine = Engine(layout="auto")
         plan = engine.plan(query, db)
-        joined = [np for np in plan.node_plans if len(np.join_order) > 1]
-        assert joined and all(np.estimated_rows < 32 for np in joined)
+        joined = [bag for bag in plan.bags if len(bag.parts) > 1]
+        assert joined and all(bag.est < 32 for bag in joined)
         assert max(
-            e for np in plan.node_plans for e in np.atom_estimates
+            part.est for bag in plan.bags for part in bag.parts
         ) < 256
         assert plan.resolved_layout == "columnar"
-        assert _bags_of(engine, query, db) == (0, len(plan.node_plans))
+        assert _bags_of(engine, query, db) == (0, len(plan.bags))
 
     @pytest.mark.parametrize("tuples", [40, 300])
     @pytest.mark.parametrize("semiring", [None, "count", "mincost"])
@@ -316,7 +342,7 @@ class TestAutoResolvesOncePerPlan:
                 weights="cost" if semiring == "mincost" else None,
             )
             row, col = _bags_of(engine, query, db, semiring=semiring)
-            assert row + col == len(engine.plan(query, db).node_plans)
+            assert row + col == len(engine.plan(query, db).bags)
             assert not (row and col), (query.name, row, col)
 
     def test_compile_span_carries_both_predictions(self, big_db):

@@ -191,11 +191,11 @@ def assert_view_is_the_program(view):
     from repro.db.yannakakis import Join
 
     plan = view.plan
-    chi = {np.bag: set(np.chi_names) for np in plan.node_plans}
+    chi = {bag.node: set(bag.chi) for bag in plan.bags}
     joins = [
         op for op in plan.program(annotated=True).ops if isinstance(op, Join)
     ]
-    assert len(joins) == len(plan.node_plans) - 1
+    assert len(joins) == len(plan.bags) - 1
     keep = {bag: view._nodes[bag].join.keep for bag in chi}
     for op in joins:
         below = chi[op.child].union(
@@ -241,16 +241,16 @@ def test_live_views_rooted_at_their_head_match_recompute():
     for handle in handles:
         plan = handle.view.plan
         (root,) = [
-            np for np in plan.node_plans if np.bag == plan.join_tree.root
+            bag for bag in plan.bags if bag.node == plan.join_tree.root
         ]
-        assert set(plan.output) <= set(root.chi_names), handle.query.name
+        assert set(plan.output) <= set(root.chi), handle.query.name
         if handle.query.name == "path3":
-            assert [a.predicate for a in root.join_order] == ["r1"]
+            assert [p.atom.predicate for p in root.parts] == ["r1"]
         assert_view_is_the_program(handle.view)
         if handle.query.name == "path3":
             (r2,) = [
-                np.bag for np in plan.node_plans
-                if [a.predicate for a in np.join_order] == ["r2"]
+                bag.node for bag in plan.bags
+                if [p.atom.predicate for p in bag.parts] == ["r2"]
             ]
             # r1 reads only X of r2's subtree: Y and Z stay below.
             assert handle.view._nodes[r2].join.keep == ("X",)
@@ -324,7 +324,5 @@ def test_unit_leaf_stream_matches_recompute(seed):
         query, domain_size=5, tuples_per_relation=10, seed=seed
     )
     plan = compile_plan(query, base, hd)
-    assert any(
-        not np.chi_names and not np.join_order for np in plan.node_plans
-    )
+    assert any(not bag.chi and not bag.parts for bag in plan.bags)
     _stream_matches_recompute(query, seed, plan)

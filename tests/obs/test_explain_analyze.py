@@ -326,6 +326,23 @@ class TestExplainAnalyze:
         assert tracer.find("engine.execute")
         assert tracer.find("plan.bag")
 
+    def test_analyze_bills_only_its_own_request(self):
+        """An ambient tracer holding earlier requests' spans: each node's
+        sweep is still the analysed request's operators alone, as under
+        a private tracer."""
+        db = path_db()
+        query = parse_query(QUERY)
+        ops = TestSweepSpanVocabulary._sweep_ops
+        with Engine() as engine:
+            private = engine.explain(query, db, analyze=True)
+            with tracing(Tracer()) as tracer:
+                for _ in range(5):
+                    engine.execute(query, db)
+                ambient = engine.explain(query, db, analyze=True)
+        assert len(tracer.find("plan.execute")) == 6
+        assert ops(private)
+        assert ops(ambient) == ops(private)
+
 
 class TestLargeRequestAcceptance:
     """A request over a few thousand rows, end to end: analyze output,
