@@ -19,7 +19,8 @@ A second, width-2 leg (:func:`run_cyclic_leg`) runs a 4-cycle and
 ``book_query(2)`` on ~200-row relations and records how many bag rows a
 warm request materialises — the n^k term of Lemma 4.6 that joining
 χ-covered atoms into the bag pipelines cuts — next to what the literal
-``lemma46_transform`` builds for the same decompositions.  The 5-cycle
+Lemma 4.6 bags (``literal_plan``, the compile without a database and
+without covered filters) build for the same decompositions.  The 5-cycle
 is its own record: its product bag has no covered atom until the plan
 grows the bag's χ by the variable that makes one.
 
@@ -62,9 +63,10 @@ from repro.core.containment import contains
 from repro.core.parser import parse_query
 from repro.datalog.hw_program import datalog_has_hw_at_most
 from repro.db.database import Database
-from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
+from repro.db.yannakakis import RunContext, bag_program, run_program
 from repro.engine import Engine, fingerprint
+from repro.engine.plan import literal_plan
 from repro.generators.families import book_query, cycle_query
 from repro.generators.paper_queries import all_named_queries
 from repro.generators.workloads import query_workload, random_database
@@ -80,7 +82,7 @@ def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
 
     ``bag_rows`` counts what the plans of the 4-cycle and ``book_2``
     materialise per request, ``lemma46_bag_rows`` what the literal
-    transform does over the same decompositions, the ``cycle5_*`` pair
+    Lemma 4.6 bags do over the same decompositions, the ``cycle5_*`` pair
     the same for the 5-cycle; answers are checked against the naive
     join.  The counts are exact under *seed*, whatever the interpreter's
     hash seed (``tests/engine/test_hash_seed_determinism.py``)."""
@@ -102,8 +104,12 @@ def run_cyclic_leg(seed: int = 0, rows: int = 200, repeats: int = 5) -> dict:
                 s.attrs["rows"] for s in tracer.spans() if s.name == "plan.bag"
             )
             hd = engine.cache.lookup(query).decomposition
+            literal = literal_plan(query, hd).bags
             lemma46_bag_rows[query.name] = sum(
-                len(r) for r in lemma46_transform(query, db, hd).relations.values()
+                len(r)
+                for r in run_program(
+                    bag_program(literal), {}, context=RunContext(db)
+                ).values()
             )
             if query.name not in pair:
                 continue  # cyclic_warm_ms stays the two-shape median

@@ -69,6 +69,18 @@ class ConjunctiveQuery:
         """The variables occurring in the head (empty for BCQs)."""
         return frozenset(t for t in self.head_terms if isinstance(t, Variable))
 
+    @cached_property
+    def head_names(self) -> tuple[str, ...]:
+        """The answer schema: distinct head-variable names, first
+        occurrence first.  A repeated head variable is one named column
+        (evaluation is attribute-named; a duplicated column carries no
+        information), and a head constant is none."""
+        return tuple(
+            dict.fromkeys(
+                t.name for t in self.head_terms if isinstance(t, Variable)
+            )
+        )
+
     @property
     def is_boolean(self) -> bool:
         """True iff the head contains no variables (paper §2.1)."""

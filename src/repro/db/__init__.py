@@ -1,6 +1,6 @@
 """The relational layer under :class:`repro.engine.Engine`, the one
-evaluator: carriers, databases, semirings, the Lemma 4.6 transformation,
-the Yannakakis passes, and the naive-join and backtracking baselines."""
+evaluator: carriers, databases, semirings, the Yannakakis passes and the
+Lemma 4.6 bag operator, and the naive-join and backtracking baselines."""
 
 from .annotated import AnnotatedRelation
 from .binding import BoundQuery, bind_atom
@@ -13,7 +13,6 @@ from .columnar import (
     to_columnar,
 )
 from .database import Database
-from .evaluate import Lemma46Result, lemma46_transform
 from .naive import (
     backtracking_answers,
     backtracking_eval,
@@ -44,7 +43,6 @@ __all__ = [
     "EvalStats",
     "INT_RING",
     "LAYOUTS",
-    "Lemma46Result",
     "MINCOST",
     "PROB",
     "PROVENANCE",
@@ -60,7 +58,6 @@ __all__ = [
     "from_columns",
     "full_reduce",
     "get_semiring",
-    "lemma46_transform",
     "lift_columnar",
     "resolve_semiring",
     "naive_boolean_eval",

@@ -43,8 +43,8 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .._errors import EvaluationError, SchemaError
-from ..core.atoms import Atom, Variable
+from .._errors import DecompositionError, EvaluationError, SchemaError
+from ..core.atoms import Atom
 from .binding import resolve_atom
 from .database import Database
 from .relation import Relation, Row
@@ -282,7 +282,7 @@ AnnotatedRelation._probe_join = staticmethod(annotated_probe_join)
 
 def assign_annotated_atoms(
     bags: Sequence[Bag], query_atoms: Sequence[Atom]
-) -> dict[Atom, int] | None:
+) -> dict[Atom, int]:
     """Pick, for every distinct query atom, the one decomposition node
     that introduces its annotation.
 
@@ -295,9 +295,11 @@ def assign_annotated_atoms(
     mention joins unannotated, contributing only its filtering power.
 
     *bags* are the nodes' bag operators, whose parts are the atoms
-    bound there.  Returns ``atom -> node index``, or ``None`` when some
-    query atom has no eligible node — the caller then falls back to
-    annotated naive evaluation, which is always correct.
+    bound there.  Returns ``atom -> node index``.  The bags of a complete
+    decomposition (Definition 4.2) — every plan's — always admit one:
+    each atom ``A`` has a node with ``A ∈ λ(p)`` and ``var(A) ⊆ χ(p)``,
+    where ``A`` is a part.  Bags that leave an atom without an eligible
+    part raise :class:`~repro._errors.DecompositionError`.
     """
     assigned: dict[Atom, int] = {}
     for i, bag in enumerate(bags):
@@ -305,21 +307,21 @@ def assign_annotated_atoms(
         for atom in sorted((part.atom for part in bag.parts), key=str):
             if atom not in assigned and atom.variables <= chi:
                 assigned[atom] = i
-    if set(query_atoms) - assigned.keys():
-        return None
+    missing = set(query_atoms) - assigned.keys()
+    if missing:
+        raise DecompositionError(
+            "no bag can carry the annotation of "
+            f"{', '.join(sorted(map(str, missing)))}: the bags are not "
+            "those of a complete decomposition"
+        )
     return assigned
 
 
 def naive_annotated_eval(query, db: Database, semiring: Semiring, stats=None):
-    """Annotated evaluation by one full join — the always-correct
-    fallback when a decomposition admits no once-per-atom annotation
-    assignment.  Joins every distinct atom's annotated binding
+    """Annotated evaluation by one full join — what a semiring whose
+    ``plus`` does not distribute over ``times`` runs, since no sweep may
+    fold it early.  Joins every distinct atom's annotated binding
     (smallest first) and ``plus``-projects onto the head."""
-    head = tuple(
-        dict.fromkeys(
-            t.name for t in query.head_terms if isinstance(t, Variable)
-        )
-    )
     atoms = list(dict.fromkeys(query.atoms))
     bindings = sorted(
         (bind_atom_annotated(a, db, semiring) for a in atoms), key=len
@@ -332,7 +334,7 @@ def naive_annotated_eval(query, db: Database, semiring: Semiring, stats=None):
             stats.record(rel)
     if rel is None:
         rel = AnnotatedRelation.unit(semiring, query.name)
-    answer = rel.project(list(head), name="ans")
+    answer = rel.project(query.head_names, name="ans")
     if stats is not None:
         stats.projections += 1
         stats.record(answer)

@@ -123,14 +123,3 @@ class BoundQuery:
         return BoundQuery(
             query, {a: bind_atom(a, db) for a in query.atoms}
         )
-
-    def head_attributes(self) -> tuple[str, ...]:
-        """Distinct head-variable names in first-occurrence order.
-
-        Repeated head variables collapse to one named column (the engine
-        is attribute-named; a duplicated column carries no information).
-        """
-        names = [
-            t.name for t in self.query.head_terms if isinstance(t, Variable)
-        ]
-        return tuple(dict.fromkeys(names))

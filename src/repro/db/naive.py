@@ -45,7 +45,7 @@ def naive_join_eval(
         current = current.join(bound.relations[atom])
         stats.joins += 1
         stats.record(current)
-    answer = current.project(bound.head_attributes(), name="ans")
+    answer = current.project(query.head_names, name="ans")
     stats.projections += 1
     return stats.record(answer)
 
@@ -131,11 +131,7 @@ def backtracking_answers(
     query (empty head) has at most the one answer ``()``, so its search
     stops at the first satisfying substitution."""
     stats = stats if stats is not None else EvalStats()
-    head = tuple(
-        dict.fromkeys(
-            t.name for t in query.head_terms if isinstance(t, Variable)
-        )
-    )
+    head = query.head_names
     head_vars = [Variable(a) for a in head]
     if not head:
         limit = 1

@@ -26,7 +26,11 @@ A plan's program (:mod:`repro.engine.plan`) is the whole request: a
 :class:`Bag` operator per decomposition node — the Lemma 4.6 node
 relation ``π_χ(⋈ parts)``, bound from the database a :class:`RunContext`
 names — then the sweep over the bags.  The plan compiler builds it once,
-runs it on every request, prices it and prints it.
+runs it on every request, prices it and prints it.  It is the one
+builder of Lemma 4.6's ``⟨Q′, DB′, JT⟩`` as well:
+:func:`~repro.engine.plan.literal_plan` is a plan compiled without a
+database, its covered filters dropped — bag atoms ``Q′``, bags ``DB′``
+(:func:`bag_program`), join tree ``JT``.
 
 The marginal is sound by connectedness: a variable of the child's
 partial result that the parent does not hold occurs in no other subtree
@@ -334,14 +338,11 @@ class Project(NamedTuple):
 class Program(NamedTuple):
     """A compiled program: operators in run order — a plan's
     :class:`Bag` operators, then the sweep — a terminal, and the join
-    tree's nodes (root first).  ``naive`` marks an annotated plan whose
-    join orders admit no once-per-atom annotation assignment: a request
-    evaluates it naively instead of running it."""
+    tree's nodes (root first)."""
 
     ops: tuple[Bag | Semijoin | Join | Project, ...]
     terminal: str
     nodes: tuple[Atom, ...]
-    naive: bool = False
 
     @property
     def bags(self) -> tuple[Bag, ...]:

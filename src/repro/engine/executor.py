@@ -57,7 +57,6 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .._errors import BudgetExceeded, EvaluationError, ReproError
-from ..core.atoms import Variable
 from ..core.query import ConjunctiveQuery
 from ..db.annotated import AnnotatedRelation
 from ..db.columnar import LAYOUTS, default_layout
@@ -161,11 +160,7 @@ def _empty_answer_rows(
     """The head and rows an atom-less query answers: the empty
     conjunction holds once, so a head without variables gets the 0-ary
     unit row and one with variables (bound by nothing) gets none."""
-    head = tuple(
-        dict.fromkeys(
-            t.name for t in query.head_terms if isinstance(t, Variable)
-        )
-    )
+    head = query.head_names
     return head, frozenset({()} if not head else ())
 
 

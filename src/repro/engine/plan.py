@@ -213,15 +213,13 @@ class QueryPlan:
         set semantics, what ``auto`` priced, or on *annotated* bags,
         which enumerate even a Boolean head (the 0-ary answer's
         annotation is the total).  The annotated program assigns each
-        query atom's annotation to one bag, or, when the join orders
-        admit no such assignment, is marked ``naive``.  Built at most
-        once per variant."""
+        query atom's annotation to one bag
+        (:func:`~repro.db.annotated.assign_annotated_atoms`).  Built at
+        most once per variant."""
         if annotated not in self._programs:
             bags = self.bags
-            assigned: dict[Atom, int] | None = {}
             if annotated:
-                assigned = assign_annotated_atoms(bags, self.query.atoms)
-                carries = (assigned or {}).get
+                carries = assign_annotated_atoms(bags, self.query.atoms).get
                 bags = [
                     bag._replace(parts=tuple(
                         part._replace(carrier=carries(part.atom) == i)
@@ -235,9 +233,7 @@ class QueryPlan:
                 {bag.node: bag.chi for bag in self.bags},
                 self.output, annotated,
             )
-            self._programs[annotated] = sweep._replace(
-                ops=(*bags, *sweep.ops), naive=assigned is None
-            )
+            self._programs[annotated] = sweep._replace(ops=(*bags, *sweep.ops))
         return self._programs[annotated]
 
     @property
@@ -370,19 +366,17 @@ class QueryPlan:
         lines.append("join tree (semijoin + enumeration passes):")
         lines.append(self.join_tree.render())
         annotated = semiring is not None
-        program = self.program(annotated)
-        if annotated and (program.naive or not semiring.distributive):
+        if annotated and not semiring.distributive:
             lines.append(
                 "program (annotated): none — annotated naive evaluation, "
-                "one full join (⊕ does not distribute, or no once-per-atom "
-                "annotation assignment)"
+                "one full join (⊕ does not distribute)"
             )
         else:
             lines.append(
                 f"program ({'annotated' if annotated else 'set'}: bags "
                 "with cardinality-ascending joins, then the sweep):"
             )
-            lines.extend(f"  {op}" for op in program.render())
+            lines.extend(f"  {op}" for op in self.program(annotated).render())
         return "\n".join(lines)
 
     def render_analyzed(
@@ -770,9 +764,14 @@ def compile_plan(
     head's variables (among all bags when none does).  The plan's
     ``decomposition`` is the completed *hd* under the chosen χ labels;
     *hd* itself is left as it is.
-    With ``db=None`` (an ``explain`` without facts) all estimates are 1,
-    χ stays literal and the plan falls back to deterministic syntactic
-    order.
+    With ``db=None`` (an ``explain`` without facts) all estimates are 1
+    and the plan falls back to deterministic syntactic order.  Such a
+    plan is Lemma 4.6's ``⟨Q′, DB′, JT⟩`` once its covered filters are
+    dropped (:func:`literal_plan`): χ never grows, so its decomposition
+    is the completed *hd*; each bag's other parts are
+    :func:`~repro.db.yannakakis.contributing` ``(λ, χ)``, so the bag is
+    the node relation ``π_χ(⋈ λ)``; and its join tree is the completed
+    decomposition's tree over the bag atoms, rooted as above.
 
     *layout* is the storage policy for materialised bags:
     ``"row"`` (frozenset-of-tuples, the default), ``"columnar"``, or
@@ -876,11 +875,7 @@ def _compile_plan_traced(
             tuple(sorted(v.name for v in chi - p.chi)),
         ))
 
-    head = tuple(
-        dict.fromkeys(
-            t.name for t in query.head_terms if isinstance(t, Variable)
-        )
-    )
+    head = query.head_names
     fresh = [bag.node for bag in bags]
     edges = [(fresh[i], fresh[j]) for i, j in tree_edges]
     holding = [bag for bag in bags if set(head) <= set(bag.chi)]
@@ -918,6 +913,31 @@ def _compile_plan_traced(
     )
 
 
+def literal_plan(
+    query: ConjunctiveQuery, hd: HypertreeDecomposition
+) -> QueryPlan:
+    """The literal ``⟨Q′, DB′, JT⟩`` of Lemma 4.6 over *hd*, as a plan:
+    :func:`compile_plan` without a database, its covered filters
+    dropped.  Its bag atoms are ``Q′``, its join tree is ``JT`` and its
+    bags, run (:func:`~repro.db.yannakakis.bag_program`), are ``DB′``;
+    :func:`execute_plan` runs the sweep over them too, answering ``Q``."""
+    plan = compile_plan(query, None, hd)
+    return replace(plan, bags=tuple(
+        bag._replace(parts=tuple(p for p in bag.parts if not p.covered))
+        for bag in plan.bags
+    ))
+
+
+def literal_size(plan: QueryPlan, relations: Mapping[Atom, Relation]) -> int:
+    """``‖⟨Q′, DB′, JT⟩‖`` of a :func:`literal_plan` whose bags ran to
+    *relations*: value occurrences in DB′ plus atom sizes of Q′ and JT
+    (the units of the Lemma 4.6 bound)."""
+    db_size = sum(len(r) * max(1, r.arity) for r in relations.values())
+    query_size = sum(1 + bag.node.arity for bag in plan.bags)
+    tree_size = 2 * len(plan.join_tree.nodes)
+    return db_size + query_size + tree_size
+
+
 def execute_plan(
     plan: QueryPlan,
     db: Database,
@@ -945,13 +965,11 @@ def execute_plan(
     with current_tracer().span(
         "plan.execute", query=plan.query.name, nodes=len(plan.bags)
     ) as sp:
-        program = plan.program(annotated)
-        if annotated and (program.naive or not semiring.distributive):
-            # A non-distributive fold, or no once-per-atom assignment over
-            # this plan's join orders: annotated naive evaluation is
-            # always correct.
+        if annotated and not semiring.distributive:
+            # No sweep may fold a non-distributive ⊕ early: one full join.
             answer = naive_annotated_eval(plan.query, db, semiring, stats)
         else:
+            program = plan.program(annotated)
             columnar = plan.resolved_layout == "columnar"
             context = RunContext(db, columnar, semiring, deadline)
             answer = run_program(program, {}, stats, context)

@@ -1,7 +1,9 @@
 """Experiments E08, E15, E16: evaluation complexity (§4.2, Lemma 4.6).
 
-E08 — the Lemma 4.6 transformation: answer equivalence of Q and Q′ and
-the ``O((‖Q‖+‖HD‖)·r^k)`` size bound measured against the database size.
+E08 — the Lemma 4.6 transformation, built by the plan compiler
+(:func:`~repro.engine.plan.literal_plan`): answer equivalence of Q and
+Q′ and the ``O((‖Q‖+‖HD‖)·r^k)`` size bound measured against the
+database size.
 E15 — the tractability headline: decomposition-guided evaluation (an
 :class:`~repro.engine.Engine` whose decomposition is cached before the
 clock starts) vs the naive join and backtracking baselines on cyclic
@@ -15,11 +17,11 @@ from __future__ import annotations
 import time
 
 from ..core.detkdecomp import hypertree_width
-from ..db.evaluate import lemma46_transform
 from ..db.naive import backtracking_eval, naive_boolean_eval
 from ..db.stats import EvalStats
-from ..db.yannakakis import boolean_eval
-from ..engine import Engine
+from ..db.yannakakis import RunContext, bag_program, run_program
+from ..engine import Engine, execute_plan
+from ..engine.plan import literal_plan, literal_size
 from ..generators.families import cycle_query, path_query
 from ..generators.paper_queries import q1, q2, q5
 from ..generators.workloads import random_database
@@ -34,14 +36,14 @@ def e08_lemma46() -> list[Table]:
     )
     for q in (q1(), q5()):
         width, hd = hypertree_width(q)
+        plan = literal_plan(q, hd)
         for seed in range(4):
             db = random_database(
                 q, domain_size=4, tuples_per_relation=16, seed=seed,
                 plant_answer=seed % 2 == 0,
             )
             direct = naive_boolean_eval(q, db)
-            transformed = lemma46_transform(q, db, hd)
-            via = boolean_eval(transformed.jt, transformed.relations)
+            via = bool(execute_plan(plan, db))
             equivalence.add(
                 query=q.name,
                 seed=seed,
@@ -59,11 +61,12 @@ def e08_lemma46() -> list[Table]:
     q = q5()
     width, hd = hypertree_width(q)
     base = len(q.atoms) + len(hd)
+    plan = literal_plan(q, hd)
     for tuples in (8, 16, 32, 64, 128):
         db = random_database(q, domain_size=8, tuples_per_relation=tuples, seed=1)
         r = db.max_relation_size()
-        transformed = lemma46_transform(q, db, hd)
-        size = transformed.size()
+        bags = run_program(bag_program(plan.bags), {}, context=RunContext(db))
+        size = literal_size(plan, bags)
         cap = base * (r ** width)
         bound.add(
             r=r,

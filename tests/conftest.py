@@ -10,10 +10,16 @@ from hypothesis import strategies as st
 
 from repro.core.atoms import Atom, Variable
 from repro.core.query import ConjunctiveQuery
-from repro.db.evaluate import lemma46_transform
 from repro.db.naive import naive_join_eval
 from repro.db.stats import EvalStats
-from repro.db.yannakakis import RunContext, bag_program, run_program
+from repro.db.yannakakis import (
+    Bag,
+    Part,
+    RunContext,
+    bag_program,
+    contributing,
+    run_program,
+)
 from repro.engine.plan import compile_plan
 from repro.generators.families import random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q3, q4, q5
@@ -78,20 +84,40 @@ def tiny_queries():
     )
 
 
+def literal_bags(db, hd) -> dict:
+    """The reference Lemma 4.6 node relations of *hd*, completed
+    (Lemma 4.4): per node ``nᵢ`` (preorder), ``π_χ`` of the join of the
+    λ atoms that contribute to it, λ in rendering order, each atom a
+    :meth:`Part.of` χ — no covered atoms, χ as *hd* has it.  Keyed by
+    the bag atom ``nᵢ(sorted χ)``."""
+    complete = hd if hd.is_complete else hd.complete()
+    bags = []
+    for i, p in enumerate(complete.nodes):
+        chi = tuple(sorted(v.name for v in p.chi))
+        bags.append(Bag(
+            Atom(f"n{i}", tuple(map(Variable, chi))), chi,
+            tuple(
+                Part.of(a, p.chi)
+                for a in contributing(sorted(p.lam, key=str), p.chi)
+            ),
+        ))
+    return run_program(bag_program(bags), {}, EvalStats(), RunContext(db))
+
+
 def assert_bag_contract(query, db, hd) -> int:
     """The contract between a compiled plan's bags and Lemma 4.6.
 
     The plan's decomposition — *hd* with the χ labels the compile chose
     — is a valid decomposition of *hd*'s width.  Per node: the plan's
-    bag is a subset of the literal bag ``π_χ(⋈ λ)`` (what
-    ``lemma46_transform`` builds over that decomposition), a superset of
-    ``π_χ`` of the query's full join (so ``⋈ bags`` is unchanged), and
-    equal to the literal bag when no covered atom was joined in.
-    Returns how many covered filters the plan placed."""
+    bag is a subset of the literal bag ``π_χ(⋈ λ)`` (:func:`literal_bags`
+    over that decomposition), a superset of ``π_χ`` of the query's full
+    join (so ``⋈ bags`` is unchanged), and equal to the literal bag when
+    no covered atom was joined in.  Returns how many covered filters the
+    plan placed."""
     plan = compile_plan(query, db, hd)
     assert check_decomposition(plan.decomposition) == []
     assert plan.decomposition.width == hd.width
-    literal = lemma46_transform(query, db, plan.decomposition).relations
+    literal = literal_bags(db, plan.decomposition)
     everything = naive_join_eval(
         query.with_head(tuple(sorted(query.variables, key=lambda v: v.name))),
         db,

@@ -57,6 +57,13 @@ class TestHeadHandling:
         q = parse_query("r(X)").with_head((Constant(1),))
         assert q.is_boolean  # no head *variables*
 
+    def test_head_names_are_distinct_variables_in_first_occurrence_order(self):
+        q = parse_query("r(X, Y)").with_head(
+            (Variable("Y"), Constant(1), Variable("X"), Variable("Y"))
+        )
+        assert q.head_names == ("Y", "X")
+        assert q.as_boolean().head_names == ()
+
     def test_unsafe_with_head_rejected(self):
         with pytest.raises(SchemaError):
             parse_query("r(X)").with_head((Variable("Z"),))

@@ -1,12 +1,12 @@
 """One Lemma 4.6 bag operator.
 
-``Bag`` is the single pipeline behind both ``lemma46_transform`` and
-``execute_plan``, run by ``run_program`` in both.  The oracle is the
-pipeline as the lemma states it, written with plain operators and no
+``Bag`` is the single pipeline behind every plan, the literal Lemma 4.6
+one (``literal_plan``) included, run by ``run_program``.  The oracle is
+the pipeline as the lemma states it, written with plain operators and no
 shortcuts: start from the unit relation, join every bound
-(pre-projected) atom, project onto χ.  The two callers build different
-parts — the transform the node's λ atoms, the plan those plus the query
-atoms χ covers — so their bags are related by inclusion, not equality.
+(pre-projected) atom, project onto χ.  A literal bag joins the node's
+contributing λ atoms; a planned one may add the query atoms χ covers, so
+the two are related by inclusion, not equality.
 """
 
 import random

@@ -104,4 +104,4 @@ class TestBoundQuery:
         q = parse_query("ans(X) :- r(X, Y), s(Y).")
         bound = BoundQuery.bind(q, db)
         assert len(bound.relations) == 2
-        assert bound.head_attributes() == ("X",)
+        assert q.head_names == ("X",)

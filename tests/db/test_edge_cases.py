@@ -1,5 +1,5 @@
 """Edge cases and failure-injection for the evaluation pipeline (the
-engine's plans, the baselines and the literal Lemma 4.6 transformation).
+engine's plans, the baselines and the literal Lemma 4.6 plan).
 
 Covers the corners the main integration tests skip: constants inside the
 decomposition pipeline, ground atoms, empty relations, self-join queries,
@@ -14,13 +14,14 @@ from repro._errors import EvaluationError
 from repro.core.detkdecomp import hypertree_width
 from repro.core.parser import parse_query
 from repro.db.database import Database
-from repro.db.evaluate import lemma46_transform
 from repro.db.naive import (
     backtracking_eval,
     naive_boolean_eval,
     naive_join_eval,
 )
-from repro.engine import Engine
+from repro.db.yannakakis import RunContext, bag_program, run_program
+from repro.engine import Engine, execute_plan
+from repro.engine.plan import literal_plan
 from repro.generators.workloads import random_database
 
 ENGINE = Engine()
@@ -105,11 +106,10 @@ class TestEmptyAndMissing:
         for name, arity in (("enrolled", 3), ("teaches", 3), ("parent", 2)):
             db.declare(name, arity)
         _, hd = hypertree_width(query_q1)
-        out = lemma46_transform(query_q1, db, hd)
-        assert all(not rel for rel in out.relations.values())
-        from repro.db.yannakakis import boolean_eval
-
-        assert not boolean_eval(out.jt, out.relations)
+        plan = literal_plan(query_q1, hd)
+        bags = run_program(bag_program(plan.bags), {}, context=RunContext(db))
+        assert all(not rel for rel in bags.values())
+        assert not execute_plan(plan, db)
 
 
 class TestAnswerRelationShape:

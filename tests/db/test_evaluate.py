@@ -1,19 +1,22 @@
 """Integration tests: Lemma 4.6, the engine and the baselines agree.
 
 The core property (Theorems 4.7/4.8): for any query and database, the
-decomposition-guided pipeline — the literal Lemma 4.6 transformation, and
-the :class:`~repro.engine.Engine` plans built on its bag kernel — computes
-the same answers as the naive join and the backtracking search — checked
-on the paper corpus and on random query/database pairs.
+decomposition-guided pipeline — the literal Lemma 4.6 transformation
+(:func:`~repro.engine.plan.literal_plan`: the plan compiled without a
+database, covered filters dropped), and the
+:class:`~repro.engine.Engine` plans built on the same bag operator —
+computes the same answers as the naive join and the backtracking search
+— checked on the paper corpus and on random query/database pairs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.acyclicity import is_acyclic
 from repro.core.detkdecomp import hypertree_width
 from repro.core.parser import parse_query
-from repro.db.evaluate import lemma46_transform
+from repro.core.query import ConjunctiveQuery
 from repro.db.naive import (
     backtracking_answers,
     backtracking_eval,
@@ -21,10 +24,14 @@ from repro.db.naive import (
     naive_join_eval,
 )
 from repro.db.stats import EvalStats
-from repro.engine import Engine
+from repro.db.yannakakis import RunContext, bag_program, run_program
+from repro.engine import Engine, execute_plan
+from repro.engine.plan import literal_plan, literal_size
 from repro.generators.families import cycle_query, random_query
 from repro.generators.paper_queries import all_named_queries, q1, q2, q5
 from repro.generators.workloads import random_database, university_database
+from repro.heuristics.portfolio import decompose
+from tests.conftest import literal_bags, small_queries
 
 ENGINE = Engine()
 
@@ -49,34 +56,41 @@ ANSWERERS = {
 }
 
 
+def qprime(plan):
+    """``Q′``: the literal plan's bag atoms."""
+    return ConjunctiveQuery(tuple(bag.node for bag in plan.bags))
+
+
+def run_bags(plan, db):
+    """``DB′``: the literal plan's bags, run alone."""
+    return run_program(bag_program(plan.bags), {}, context=RunContext(db))
+
+
 class TestLemma46:
-    def test_jt_is_valid_join_tree(self, query_q5):
-        db = random_database(query_q5, 4, 10, seed=0)
-        _, hd = hypertree_width(query_q5)
-        out = lemma46_transform(query_q5, db, hd)
-        assert out.jt.validate(out.qprime) == []
+    def test_jt_is_valid_join_tree(self, paper_corpus):
+        for q in paper_corpus.values():
+            _, hd = hypertree_width(q)
+            plan = literal_plan(q, hd)
+            assert plan.join_tree.validate(qprime(plan)) == [], q.name
 
-    def test_qprime_is_acyclic(self, query_q5):
-        from repro.core.acyclicity import is_acyclic
-
-        db = random_database(query_q5, 4, 10, seed=0)
-        _, hd = hypertree_width(query_q5)
-        out = lemma46_transform(query_q5, db, hd)
-        assert is_acyclic(out.qprime)
+    def test_qprime_is_acyclic(self, paper_corpus):
+        for q in paper_corpus.values():
+            _, hd = hypertree_width(q)
+            assert is_acyclic(qprime(literal_plan(q, hd))), q.name
 
     def test_node_relations_bounded_by_r_to_k(self, query_q5):
         db = random_database(query_q5, 5, 30, seed=1)
         width, hd = hypertree_width(query_q5)
-        out = lemma46_transform(query_q5, db, hd)
         r = db.max_relation_size()
-        for rel in out.relations.values():
+        for rel in run_bags(literal_plan(query_q5, hd), db).values():
             assert len(rel) <= r**width
 
     def test_size_accounting_positive(self, query_q1):
         db = random_database(query_q1, 4, 8, seed=2)
         _, hd = hypertree_width(query_q1)
-        out = lemma46_transform(query_q1, db, hd)
-        assert out.size() > sum(len(r) for r in out.relations.values())
+        plan = literal_plan(query_q1, hd)
+        bags = run_bags(plan, db)
+        assert literal_size(plan, bags) > sum(len(r) for r in bags.values())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equivalence_on_corpus(self, seed):
@@ -86,12 +100,28 @@ class TestLemma46:
                 plant_answer=seed % 2 == 0,
             )
             _, hd = hypertree_width(q)
-            out = lemma46_transform(q, db, hd)
-            from repro.db.yannakakis import boolean_eval
+            plan = literal_plan(q, hd)
+            assert bool(execute_plan(plan, db)) == naive_boolean_eval(q, db)
 
-            assert boolean_eval(out.jt, out.relations) == naive_boolean_eval(
-                q, db
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        query=small_queries(),
+        mode=st.sampled_from(["exact", "heuristic"]),
+        seed=st.integers(0, 100),
+    )
+    def test_literal_plan_is_the_lemma46_triple(self, query, mode, seed):
+        """What E08 rests on: the literal plan keeps the completed
+        decomposition's χ labels, and its bags are the reference node
+        relations of that decomposition."""
+        hd = decompose(query, mode=mode).decomposition
+        complete = hd.complete()
+        plan = literal_plan(query, hd)
+        assert [n.chi for n in plan.decomposition.nodes] == [
+            n.chi for n in complete.nodes
+        ]
+        assert not any(part.covered for bag in plan.bags for part in bag.parts)
+        db = random_database(query, 3, 6, seed=seed)
+        assert run_bags(plan, db) == literal_bags(db, complete)
 
 
 class TestEvaluateBoolean:

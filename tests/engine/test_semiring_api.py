@@ -3,11 +3,18 @@ plan-cache entry per shape with a compiled plan per semiring, and the
 per-semiring request counters."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._errors import DecompositionError
 from repro.core.parser import parse_query
-from repro.db import Database
-from repro.engine import Engine
+from repro.db import COUNTING, Database
+from repro.db.annotated import assign_annotated_atoms
+from repro.engine import Engine, compile_plan
+from repro.generators.workloads import random_database
+from repro.heuristics.portfolio import decompose
 from repro.obs import get_registry
+from tests.conftest import small_queries
 
 PATH2 = "ans(X, Z) :- e(X, Y), e(Y, Z)."
 EDGES = [(1, 2), (2, 3), (2, 4), (4, 5), (3, 5)]
@@ -235,6 +242,35 @@ class TestPlanCacheSharing:
         assert engine.count(query, db) == engine.count(query, db) == 4
         assert engine.plan(query, db, semiring="count").reused
         assert len(assignments) == 1 and assignments[0] is not None
+
+
+class TestAnnotationCarriers:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=small_queries(),
+        mode=st.sampled_from(["exact", "heuristic"]),
+        seed=st.one_of(st.none(), st.integers(0, 100)),
+    )
+    def test_every_query_atom_has_exactly_one_carrier(self, query, mode, seed):
+        """Every plan compiles a complete decomposition (Definition 4.2),
+        so every annotated program — with estimates from a database or
+        without — carries each distinct query atom's annotation in
+        exactly one part."""
+        db = None if seed is None else random_database(query, 4, 8, seed=seed)
+        hd = decompose(query, mode=mode).decomposition
+        plan = compile_plan(query, db, hd, semiring=COUNTING)
+        carriers = [
+            part.atom
+            for bag in plan.program(annotated=True).bags
+            for part in bag.parts
+            if part.carrier
+        ]
+        assert len(carriers) == len(set(carriers))
+        assert set(carriers) == set(query.atoms)
+
+    def test_bags_that_cannot_carry_an_atom_raise(self):
+        with pytest.raises(DecompositionError, match="e\\(X, Y\\)"):
+            assign_annotated_atoms((), parse_query(PATH2).atoms)
 
     def test_requests_counted_per_semiring(self, db):
         engine = Engine()
