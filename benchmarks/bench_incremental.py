@@ -10,7 +10,10 @@ answer-for-answer against recomputation.  The recompute leg also counts
 how the relation's column buffers followed the writes: fresh encodes
 and derivations from the previous version's buffers, exact seeded
 records, so a silent fallback to re-encoding shows in ``repro bench
-diff``.
+diff``.  A copy leg counts what one snapshot version copies
+(``db.snapshot.copied_rows``) per 64-change write and columnar read, at
+``--rows`` rows and at twice that: a version costs its change, so the
+two exact records are equal.
 
 A second section micro-benchmarks the trusted ``Relation`` constructor
 (the hot-path satellite): constructing an n-row relation with and
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -40,7 +44,7 @@ from repro.db.relation import Relation
 from repro.engine import Engine
 from repro.generators.families import path_query
 from repro.generators.workloads import update_workload
-from repro.incremental import LiveEngine
+from repro.incremental import Delta, LiveEngine
 from repro.obs import get_registry
 from repro.obs.history import record
 
@@ -87,6 +91,34 @@ def _timed_recompute(
         changed += bool(db.apply(delta))
         engine.execute(query, db)
     return time.perf_counter() - started, changed
+
+
+def _copied_per_version(
+    n_rows: int, versions: int, seed: int, change: int = 64
+) -> float:
+    """``db.snapshot.copied_rows`` per version over *versions* writes of
+    *change* rows (half deletes, half inserts) to an *n_rows*-row
+    relation, each followed by a columnar read.  The count starts after
+    one warm-up version: the first derivation after a fresh encode
+    builds the row → position map once."""
+    db = _database(n_rows, seed)
+    rng = random.Random(seed)
+    present = sorted(db.rows("e"))
+    fresh = iter(range(10 * n_rows, 20 * n_rows))
+    copied = get_registry().counter("db.snapshot.copied_rows")
+    db.snapshot("e").columnar
+    for version in range(versions + 1):
+        if version == 1:
+            before = copied.value
+        rng.shuffle(present)
+        gone = present[: change // 2]
+        del present[: change // 2]
+        new = [(next(fresh), i) for i in range(change - len(gone))]
+        present.extend(new)
+        db.apply(Delta({"e": {**dict.fromkeys(gone, -1),
+                              **dict.fromkeys(new, 1)}}))
+        db.snapshot("e").columnar
+    return (copied.value - before) / versions
 
 
 def run_benchmark(
@@ -148,6 +180,11 @@ def run_benchmark(
             }
         )
 
+    # Rows copied per 64-change version at n_rows and at twice as many.
+    copies = {
+        label: _copied_per_version(rows, n_batches, seed)
+        for label, rows in (("n", n_rows), ("2n", 2 * n_rows))
+    }
     checked_s, trusted_s = _trusted_constructor_micro(n_rows)
     records = []
     for c in comparisons:
@@ -174,6 +211,11 @@ def run_benchmark(
                    c["recompute_derivations"], "count",
                    better="higher", tolerance=0.0)
         )
+    for label, per_version in copies.items():
+        records.append(
+            record(f"copied_rows_per_version.{label}", per_version, "rows",
+                   better="lower", tolerance=0.0)
+        )
     records.append(
         record("trusted_ctor_speedup",
                round(checked_s / trusted_s, 2) if trusted_s else 0.0, "x",
@@ -187,6 +229,7 @@ def run_benchmark(
         "query": str(query),
         "comparisons": comparisons,
         "speedup_single_tuple": comparisons[0]["speedup"],
+        "copied_rows_per_version": copies,
         "relation_trusted_ctor": {
             "rows": n_rows,
             "checked_seconds": round(checked_s, 6),
@@ -224,6 +267,10 @@ def test_bench_incremental_smoke(bench_seed):
     assert single["touched_rows_per_batch"] < result["rows"] / 10
     micro = result["relation_trusted_ctor"]
     assert micro["trusted_seconds"] < micro["checked_seconds"]
+    # A version costs its change, not its relation: the same 64-row
+    # writes copy exactly as many rows at twice the relation size.
+    copies = result["copied_rows_per_version"]
+    assert copies["2n"] == copies["n"], copies
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -72,7 +72,7 @@ from array import array
 from collections.abc import Collection, Set
 from functools import partial
 from itertools import compress, islice, repeat
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._errors import SchemaError
@@ -563,8 +563,10 @@ def patch_columns(
     its column has rows.
 
     *order* (position → row) and *positions* (row → position) describe
-    *columns* on entry and the result on return; they are the caller's
-    own copies and are patched in place.  The buffers are copied, never
+    *columns* on entry and the result on return: they are patched in
+    place, so the caller hands over a placement no reader of *columns*
+    still needs, and gets it back untouched with a ``None``.  The
+    buffers are copied (``array[:]``, the one O(rows) step), never
     written, so whoever reads *columns* sees no change.  A deleted row's
     position takes an inserted row, or else the current last row
     (swap-remove); the inserted rows left over are appended.  Deleted
@@ -1097,12 +1099,14 @@ class ColumnarRelation(Relation):
             return ColumnarRelation.make(
                 attrs, tuple(cols), out_name, self.length
             )
-        out_cols: list[Column] = []
-        transposed = tuple(zip(*deduped)) if deduped else ((),) * len(cols)
-        for col, raw in zip(cols, transposed):
-            out_cols.append(
-                Column(col.kind, array(_TYPECODE[col.kind], raw), col.pool)
+        out_cols = [
+            Column(
+                col.kind,
+                array(_TYPECODE[col.kind], map(itemgetter(i), deduped)),
+                col.pool,
             )
+            for i, col in enumerate(cols)
+        ]
         return ColumnarRelation.make(
             attrs, tuple(out_cols), out_name, len(deduped)
         )
@@ -1420,7 +1424,12 @@ def to_columnar(rel: Relation) -> Relation:
     if not n:
         columns = _empty_columns(len(rel.attributes))
     else:
-        columns = tuple(encode_column(vals) for vals in zip(*rows))
+        # One column at a time: ``zip(*rows)`` would allocate (and the
+        # collector track) an iterator per row.
+        columns = tuple(
+            encode_column(list(map(itemgetter(i), rows)))
+            for i in range(len(rel.attributes))
+        )
     return ColumnarRelation.make(rel.attributes, columns, rel.name, n)
 
 

@@ -32,37 +32,67 @@ class Snapshot(Relation):
     :meth:`Database.snapshot` hands out the same object until an
     effective mutation of the predicate replaces it, so per-request
     consumers — atom binding, the cardinality estimator, the columnar
-    kernels — share one frozen row set, one set of column buffers and
-    one value set per column (the inherited, memoised
-    :meth:`Relation.key_set`) instead of re-deriving them per request.
-    A reader holding a snapshot is isolated from later writes.
+    kernels — share one row set, one set of column buffers and one value
+    set per column (the inherited, memoised :meth:`Relation.key_set`)
+    instead of re-deriving them per request.  A reader holding a
+    snapshot is isolated from later writes.
 
     A version may be built with a *base*: an earlier version of the same
-    predicate whose column buffers were built, and the change since it.
-    Its own buffers are then derived from the base's rather than encoded
-    afresh — DBSP's integration operator, the state as the running sum
+    predicate whose column buffers were built, and the change since it,
+    split into the rows the version holds beyond the base (*inserted*)
+    and the base's rows it lacks (*deleted*).  Such a version costs its
+    change — DBSP's integration operator, the state as the running sum
     of its deltas (Budiu, McSherry, Ryzhyk, Tannen, VLDB 2023):
 
-    * the change is the one the writes made, handed over by
-      :meth:`Database.snapshot` as the rows whose membership flipped
-      since the base — exactly ``rows △ base.rows``; the inserted ones
-      are those the version holds, the deleted ones those it lacks, both
-      read in O(|change|) instead of diffing the two row sets;
-    * it is derived when it is smaller than the version
-      (``|change| < |rows|``) and every inserted value
-      fits its column's kind (:func:`~repro.db.columnar.patch_columns`
+    * it copies no rows: it knows its length, and builds its ``rows``
+      frozenset only when a reader asks a set question (membership,
+      equality, a key set, iteration, a pickle) — from its own buffers
+      once they are built, else as ``base.rows − deleted ∪ inserted``.
+      The columnar read path asks none; the readers that do are row
+      plans, atoms with constants or repeated variables, estimator
+      reads before the buffers are built (:meth:`distinct`), annotation
+      maps and :meth:`Database.rows`;
+    * its column buffers are derived from the base's when the change is
+      smaller than the version (``|change| < len``) and every inserted
+      value fits its column's kind (:func:`~repro.db.columnar.patch_columns`
       says which do); otherwise :func:`~repro.db.columnar.to_columnar`
       encodes the version afresh;
-    * the base's buffers and row → position map are copied, then
-      patched: a deleted row's slot takes an inserted row or the last
-      row, and the remaining inserted rows are appended.
+    * a derivation takes the base's *placement* — which row sits at
+      which buffer position: an order list and a row → position map —
+      instead of copying it, and patches it with the buffers: a deleted
+      row's slot takes an inserted row or the last row, and the
+      remaining inserted rows are appended.  The placement thus moves to
+      the newest derived version.  A base without one (freshly encoded,
+      or a newer version took it) rebuilds it from the rows it encoded
+      or from its buffers, which hashes each of its rows once.  The
+      buffers themselves are copied (``array[:]``), so a reader of an
+      older version keeps its own: that copy is the one O(len) term a
+      version still pays (beside it, a dictionary column that gains
+      values indexes its pool afresh).
+
+    ``db.snapshot.copied_rows`` counts what a version copies into
+    Python containers or encodes: its row set, the change split it is
+    handed, a rebuilt placement (order list and map), and the rows
+    encoded afresh or inserted by a derivation.
 
     A derived buffer lists the rows in another order than a fresh encode
-    would; only the set they form is the snapshot's.  Derivation reads
-    an immutable base and the version's own frozen change and writes
-    only what it returns, so two threads forcing :attr:`columnar` at
-    once each get correct buffers (one is kept).  Once built, a version
-    drops its base and change, so bases never chain.
+    would; only the set they form is the snapshot's.
+
+    Threads.  Every lazy form reads only immutable inputs — the base's
+    buffers and rows, the version's own frozen change — plus a placement
+    it took for itself, and writes only what it returns, so racing
+    threads each get a correct value (one is kept).  Nothing recurses:
+    a row set reads the version's buffers or its base's rows, never the
+    version's encoding, and a base is built, so its rows never reach
+    back to a base of its own.  The encoding is stored before the base
+    and change are dropped (:attr:`columnar`; dropping them keeps bases
+    from chaining), so a row-set build finds one of the two at every
+    moment.  The buffers and their placement are one cached value, and
+    the placement sits in a one-slot list a derivation empties with one
+    ``pop``: one taker gets it, a racing one rebuilds it, and no build
+    pairs one's buffers with another's placement.  The change itself
+    was split from one consistent state of the store
+    (:meth:`Database.snapshot`), never from a partly recorded write.
     """
 
     version: int
@@ -71,42 +101,75 @@ class Snapshot(Relation):
     def build(
         predicate: str,
         arity: int,
-        rows: Iterable[Row],
+        rows: Collection[Row],
         version: int,
-        base: "tuple[Snapshot, frozenset[Row]] | None" = None,
+        base: "tuple[Snapshot, tuple[Row, ...], frozenset[Row]] | None" = None,
     ) -> "Snapshot":
-        """A new version of *predicate* holding *rows*.  *base* is
-        ``(base, change)``: an earlier version whose buffers were built,
-        and exactly ``rows △ base.rows``."""
+        """A new version of *predicate* holding *rows*, copied — unless
+        *base* is given: ``(base, inserted, deleted)``, an earlier
+        version whose buffers were built, the rows this one holds beyond
+        it and the rows of it this one lacks.  Then only the number of
+        *rows* is taken; the row set is built on demand."""
         snap = object.__new__(Snapshot)
         object.__setattr__(
             snap, "attributes", tuple(f"${i}" for i in range(arity))
         )
-        object.__setattr__(snap, "rows", frozenset(rows))
         object.__setattr__(snap, "name", predicate)
         object.__setattr__(snap, "version", version)
-        if base is not None:
+        snap.__dict__["_length"] = len(rows)
+        registry = get_registry()
+        if base is None:
+            snap.__dict__["rows"] = frozenset(rows)
+            copied = len(rows)
+        else:
             snap.__dict__["_base"] = base
-        get_registry().counter("db.snapshot.builds").inc()
+            copied = len(base[1]) + len(base[2])
+        registry.counter("db.snapshot.copied_rows").inc(copied)
+        registry.counter("db.snapshot.builds").inc()
         return snap
+
+    @cached_property
+    def rows(self) -> frozenset[Row]:
+        # Only a version built with a base gets here (build stores the
+        # others' rows).  The encoding is read from the instance dict,
+        # never through the property, so this never waits on an encode.
+        found = self.__dict__
+        base = None if "_encoding" in found else found.get("_base")
+        if base is not None:
+            base, inserted, deleted = base
+            rows = base.rows.difference(deleted).union(inserted)
+        else:
+            # Built, or built meanwhile: columnar stores the encoding
+            # before it drops the base.
+            rows = frozenset(found["_encoding"][0])
+        get_registry().counter("db.snapshot.copied_rows").inc(len(rows))
+        return rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __bool__(self) -> bool:
+        return self._length > 0
 
     @property
     def columnar(self) -> Relation:
         """The columnar encoding of this version (a plain relation for
         arity 0, where there is nothing to pack)."""
-        return self._encoding[0]
+        encoding = self._encoding
+        # Built, this version needs its base and change no more: dropping
+        # them keeps bases from chaining.  Only now, with the encoding
+        # stored, so a row-set build always finds one of the two.
+        self.__dict__.pop("_base", None)
+        return encoding[0]
 
     @cached_property
-    def _encoding(self) -> tuple[Relation, tuple[list, dict] | None]:
-        # (columnar form, placement): the placement of a derived form is
-        # its (order, row → position) pair; a fresh encode has none (its
-        # order is the frozenset's own).  One cached value, so racing
-        # builds never pair one's buffers with another's placement.
+    def _encoding(self) -> tuple[Relation, bool, list]:
+        # (columnar form, whether derived, placement): the placement is a
+        # one-slot list holding (order, row → position) of a derived
+        # form, or (the rows a fresh encode walked, None) — its order,
+        # the map not yet built — until a derivation takes it.
         base = self.__dict__.get("_base")
         encoding = None if base is None else self._derive(*base)
-        # Built, this version needs its base and change no more:
-        # dropping them keeps bases from chaining.
-        self.__dict__.pop("_base", None)
         if encoding is not None:
             get_registry().counter("db.snapshot.derivations").inc()
             return encoding
@@ -114,39 +177,51 @@ class Snapshot(Relation):
         # annotated, which imports Database).
         from .columnar import to_columnar
 
-        get_registry().counter("db.snapshot.builds").inc()
-        return to_columnar(self), None
+        # The very set the encode walks is the placement's order: a row
+        # set built twice by racing readers may iterate differently.
+        rows = self.rows
+        registry = get_registry()
+        registry.counter("db.snapshot.copied_rows").inc(len(rows))
+        registry.counter("db.snapshot.builds").inc()
+        walked = Relation.trusted(self.attributes, rows, self.name)
+        return to_columnar(walked), False, [(rows, None)]
 
     def _derive(
-        self, base: "Snapshot", change: frozenset[Row]
-    ) -> tuple[Relation, tuple[list, dict]] | None:
-        """This version's columnar form patched from *base*'s by the
-        change since it, with its placement, or ``None`` when a fresh
-        encode is the answer."""
+        self, base: "Snapshot", inserted: tuple[Row, ...],
+        deleted: frozenset[Row],
+    ) -> tuple[Relation, bool, list] | None:
+        """This version's encoding patched from *base*'s by the change
+        since it, or ``None`` when a fresh encode is the answer."""
         from .columnar import ColumnarRelation, patch_columns
 
-        source, placement = base._encoding
+        source, _, placement = base._encoding
         if not isinstance(source, ColumnarRelation):
             return None
-        if len(change) >= len(self.rows):
+        if len(inserted) + len(deleted) >= self._length:
             return None
-        if placement is None:
-            # to_columnar encoded the base in its frozenset's order.
-            order = list(base.rows)
+        try:
+            order, positions = placement.pop()
+        except IndexError:
+            # A newer version took it: the base's buffers say where its
+            # rows sit.
+            order, positions = source, None
+        copied = get_registry().counter("db.snapshot.copied_rows")
+        if positions is None:
+            order = list(order)
             positions = dict(zip(order, range(len(order))))
-        else:
-            order, positions = placement[0][:], placement[1].copy()
-        # Both set operations walk the change, the smaller operand.
+            copied.inc(2 * len(order))
         columns = patch_columns(
-            source.columns, order, positions,
-            change - self.rows, list(change & self.rows),
+            source.columns, order, positions, deleted, inserted
         )
         if columns is None:
+            # Refused before it patched anything: the base keeps it.
+            placement.append((order, positions))
             return None
+        copied.inc(len(inserted))
         derived = ColumnarRelation.make(
             source.attributes, columns, self.name, len(order)
         )
-        return derived, (order, positions)
+        return derived, True, [(order, positions)]
 
     @cached_property
     def _lifted(self) -> dict[object, object]:
@@ -155,8 +230,13 @@ class Snapshot(Relation):
         return {}
 
     def distinct(self, column: int) -> int:
-        """Number of distinct values in one column."""
-        return len(self.key_set((self.attributes[column],)))
+        """Number of distinct values in one column: its memoised value
+        set, taken from the column buffers once they are built (a version
+        only read columnar never builds its row set)."""
+        key = (self.attributes[column],)
+        if key not in self._key_sets and "_encoding" in self.__dict__:
+            self._key_sets[key] = frozenset(self.columnar.column(key[0]))
+        return len(self.key_set(key))
 
     @property
     def derived(self) -> int:
@@ -170,7 +250,7 @@ class Snapshot(Relation):
         """Whether this version's column buffers were derived from a
         base's (``False`` while unbuilt, or when encoded afresh)."""
         encoding = self.__dict__.get("_encoding")
-        return encoding is not None and encoding[1] is not None
+        return encoding is not None and encoding[1]
 
 
 class Database:
@@ -184,28 +264,29 @@ class Database:
     Reads go through one immutable :class:`Snapshot` per predicate,
     built on first touch and replaced only when an *effective* mutation
     changes that predicate's rows (re-asserting a present fact or
-    retracting an absent one keeps it).  The snapshot is the mutable
-    store's one frozen copy — that copy, plus lazily the columnar
-    buffers, is its memory cost.
+    retracting an absent one keeps it).  A version without a base copies
+    the mutable store's rows into a frozen set — that copy, plus lazily
+    the columnar buffers, is its memory cost.
 
     A write that replaces a snapshot whose column buffers were built
     keeps it as the predicate's *base*, one per predicate, and the next
-    snapshot derives its buffers from the base's instead of encoding
-    the relation again (see :class:`Snapshot`).  Beside the base the
-    database keeps the net change since it: the set of rows whose
-    membership flipped, each effective write flipping the rows it
-    changed, so a row inserted and then deleted cancels out.  Every new
-    version gets a frozen copy.  The change is bounded by the relation:
-    once it is as large as the relation's rows, the base and its change
-    are dropped (that version would encode afresh anyway; a later write
-    that cancels back below the bound finds no base, and its version
-    encodes afresh too).  A predicate whose buffers no reader built
-    keeps no base and records no change: a database that is only loaded
-    and read holds nothing more.
+    snapshot is built from the base and the change since it instead of
+    from a copy of the rows: it derives its buffers from the base's, and
+    builds a row set only for a reader that asks for one (see
+    :class:`Snapshot`).  Beside the base the database keeps that net
+    change: the set of rows whose membership flipped, each effective
+    write flipping the rows it changed, so a row inserted and then
+    deleted cancels out.  The change is bounded by the relation: once it
+    is as large as the relation's rows, the base and its change are
+    dropped (that version would encode afresh anyway; a later write that
+    cancels back below the bound finds no base, and its version copies
+    the rows and encodes afresh too).  A predicate whose buffers no
+    reader built keeps no base and records no change: a database that is
+    only loaded and read holds nothing more.
 
     A write changes the rows, the version and the change under one lock
     (loading a predicate nobody has read takes none), and a new
-    snapshot copies them under it, so a snapshot taken while another
+    snapshot reads them under it, so a snapshot taken while another
     thread writes is one consistent version, never a partly recorded
     change.
     """
@@ -481,11 +562,12 @@ class Database:
         *predicate*; concurrent first-touch builds are idempotent (each
         copies the same rows; the dict store is atomic), and a build
         that raced an unlocked load carries a stale version and is
-        rebuilt on the next call.  A new version gets the predicate's
-        base, if one was kept, and a frozen copy of the change since it,
-        to derive its column buffers from.  It copies the change and the
-        rows under the lock every write of a predicate with a base holds
-        (see :meth:`_toggle`), so the two always agree."""
+        rebuilt on the next call.  A new version of a predicate with a
+        base gets the base and the change since it, split into the rows
+        the version holds (inserted) and those it lacks (deleted) —
+        O(|change|); no other row is copied.  The split reads the change
+        and the rows under the lock every write of a predicate with a
+        base holds (see :meth:`_toggle`), so the two always agree."""
         version = self._versions.get(predicate, 0)
         snap = self._snapshots.get(predicate)
         if snap is not None and snap.version == version:
@@ -498,7 +580,9 @@ class Database:
             version = self._versions.get(predicate, 0)
             base = self._bases.get(predicate)
             if base is not None:
-                base = (base, frozenset(self._changes[predicate]))
+                change = self._changes[predicate]
+                inserted = change & rows  # walks the change, the smaller
+                base = (base, tuple(inserted), frozenset(change - inserted))
             snap = Snapshot.build(
                 predicate, self._arities[predicate], rows, version, base
             )

@@ -1,14 +1,16 @@
 """Base-relation snapshots: lifecycle, isolation, and binding as views.
 
-``Database.snapshot(p)`` is the one frozen copy of a relation that every
-per-request consumer shares; it may only be replaced by an *effective*
-mutation of ``p``.  The stateful suite at the bottom drives warm engines
+``Database.snapshot(p)`` is the one frozen version of a relation that
+every per-request consumer shares; it may only be replaced by an
+*effective* mutation of ``p``.  The stateful suite at the bottom drives warm engines
 through interleaved writes and reads and checks every answer against
 naive evaluation on a freshly loaded copy — a stale snapshot, columnar
 form, value set or annotation map would surface there as a wrong answer.
 """
 
 import math
+import pickle
+import random
 import sys
 import threading
 from collections import Counter
@@ -57,19 +59,30 @@ def _encoded(snap: Snapshot) -> bool:
     return "_encoding" in snap.__dict__
 
 
-def _assert_buffers_match(snap: Snapshot) -> None:
-    """*snap*'s built buffers hold exactly its rows, once each, and each
-    column the values of a fresh encode's (as a multiset: a derived
-    buffer lists the rows in its own order)."""
+def _live(db: Database, predicate: str = "e") -> frozenset:
+    """The store's current rows of *predicate*: what a version taken now
+    holds, read without building (or forcing) any snapshot."""
+    return frozenset(db._relations[predicate])
+
+
+def _assert_buffers_match(snap: Snapshot, rows: frozenset) -> None:
+    """*snap*'s built buffers hold exactly *rows* — the store's rows at
+    its version — once each, and each column the values of a fresh
+    encode's (as a multiset: a derived buffer lists the rows in its own
+    order).  The version's own row set, when built, is *rows* too; it
+    is not built here (it may come from the very buffers checked)."""
     columnar = snap.columnar
+    assert len(snap) == len(rows)
+    if "rows" in snap.__dict__:
+        assert snap.rows == rows
     if not isinstance(columnar, ColumnarRelation):
-        assert columnar.rows == snap.rows
+        assert columnar.rows == rows
         return
     decoded = list(columnar)
-    assert len(decoded) == len(snap.rows) == len(columnar)
-    assert frozenset(decoded) == snap.rows
+    assert len(decoded) == len(rows) == len(columnar)
+    assert frozenset(decoded) == rows
     fresh = to_columnar(
-        Snapshot.build(snap.name, len(snap.attributes), snap.rows, 0)
+        Snapshot.build(snap.name, len(snap.attributes), rows, 0)
     )
     for mine, theirs in zip(columnar.columns, fresh.columns):
         assert len(mine) == len(theirs)
@@ -224,6 +237,7 @@ class TestDerivedBuffers:
         first.columnar
         assert _builds() == builds + 2  # the snapshot, its encode
         assert _derivations() == derivations
+        before = _live(db)
         db.apply(Delta({"e": {(0, 0): -1, (100, 1): 1, (101, 2): 1}}))
         second = db.snapshot("e")
         assert _builds() == builds + 3  # the new snapshot only
@@ -233,8 +247,8 @@ class TestDerivedBuffers:
         # A warm static read derives and builds nothing.
         db.snapshot("e").columnar
         assert (_builds(), _derivations()) == (builds + 3, derivations + 1)
-        _assert_buffers_match(second)
-        _assert_buffers_match(first)  # the base's readers see no change
+        _assert_buffers_match(second, _live(db))
+        _assert_buffers_match(first, before)  # the base's readers see no change
 
     def test_derivations_chain_one_base_deep(self):
         db = self._db()
@@ -244,7 +258,7 @@ class TestDerivedBuffers:
             db.remove_fact("e", i, (i * 7) % 40)
             snap = db.snapshot("e")
             before = _derivations()
-            _assert_buffers_match(snap)
+            _assert_buffers_match(snap, _live(db))
             assert _derivations() == before + 1
             assert "_base" not in snap.__dict__  # built: no base kept
 
@@ -256,7 +270,7 @@ class TestDerivedBuffers:
         db.snapshot("e")  # rows only: not a base when replaced
         db.add_fact("e", 301, 2)
         before = _derivations()
-        _assert_buffers_match(db.snapshot("e"))
+        _assert_buffers_match(db.snapshot("e"), _live(db))
         assert _derivations() == before + 1
 
     def test_a_stale_unbuilt_version_derives_from_its_own_change(self):
@@ -267,6 +281,7 @@ class TestDerivedBuffers:
         db = self._db()
         first = db.snapshot("e")
         first.columnar
+        loaded = _live(db)
         db.add_fact("e", 300, 1)
         stale = db.snapshot("e")
         db.remove_fact("e", 0, 0)
@@ -274,13 +289,13 @@ class TestDerivedBuffers:
         newer = db.snapshot("e")
         assert stale.__dict__["_base"][0] is newer.__dict__["_base"][0]
         before = _derivations()
-        _assert_buffers_match(newer)
+        _assert_buffers_match(newer, _live(db))
         db.add_fact("e", 302, 3)  # the newer version is the base now
         assert db._bases["e"] is newer
-        _assert_buffers_match(stale)
+        _assert_buffers_match(stale, loaded | {(300, 1)})
         assert _derivations() == before + 2
         assert stale.rows == first.rows | {(300, 1)}
-        _assert_buffers_match(first)
+        _assert_buffers_match(first, loaded)
 
     def test_a_steady_state_derivation_never_reads_the_base_rows(self):
         """Once the base is itself derived, a derivation reads the change
@@ -315,7 +330,7 @@ class TestDerivedBuffers:
             object.__setattr__(base, "rows", rows)
         assert _derivations() == before + 1
         assert snap.patched
-        _assert_buffers_match(snap)
+        _assert_buffers_match(snap, _live(db))
 
     def test_a_change_that_reaches_the_relation_size_drops_the_base(self):
         """The change kept beside a base stays below the relation's size:
@@ -332,7 +347,7 @@ class TestDerivedBuffers:
         snap = db.snapshot("e")
         snap.columnar
         assert (_builds(), _derivations()) == (before[0] + 2, before[1])
-        _assert_buffers_match(snap)
+        _assert_buffers_match(snap, _live(db))
 
     def test_a_snapshot_taken_during_a_write_is_one_version(self):
         """A reader on another thread takes a snapshot, and forces its
@@ -352,11 +367,15 @@ class TestDerivedBuffers:
             taken.append(snap)
 
         readers: list[threading.Thread] = []
+        # Version -> the rows it holds: the write flips the rows before
+        # it moves the version.
+        states = {db._versions["e"]: _live(db)}
 
         class Versions(dict):
             def __setitem__(self, key, value):
                 super().__setitem__(key, value)
                 if key == "e":
+                    states[value] = _live(db)
                     reader = threading.Thread(target=read)
                     readers.append(reader)
                     reader.start()
@@ -372,10 +391,10 @@ class TestDerivedBuffers:
             reader.join()
         assert len(taken) == 3
         for snap in taken:
-            _assert_buffers_match(snap)
+            _assert_buffers_match(snap, states[snap.version])
         current = db.snapshot("e")
         assert current.rows == frozenset(db._relations["e"])
-        _assert_buffers_match(current)
+        _assert_buffers_match(current, _live(db))
         assert (300, 1) in current.rows and (1, 7) not in current.rows
 
     def test_a_version_built_during_an_unlocked_write_is_never_a_base(self):
@@ -402,7 +421,7 @@ class TestDerivedBuffers:
         assert "e" not in db._bases
         current = db.snapshot("e")
         assert {(300, 1), (301, 2)} <= current.rows
-        _assert_buffers_match(current)
+        _assert_buffers_match(current, _live(db))
 
     def test_a_database_only_read_by_rows_keeps_no_base(self):
         db = self._db()
@@ -423,7 +442,7 @@ class TestDerivedBuffers:
         db.add_fact("e", *row)
         before = _derivations()
         snap = db.snapshot("e")
-        _assert_buffers_match(snap)
+        _assert_buffers_match(snap, _live(db))
         assert _derivations() == before
         assert snap.columnar.columns[0].kind == "o"
 
@@ -435,11 +454,11 @@ class TestDerivedBuffers:
         db.apply(Delta({"f": {(0.5, "v0"): -1, (99.5, "new"): 1}}))
         before = _derivations()
         snap = db.snapshot("f")
-        _assert_buffers_match(snap)
+        _assert_buffers_match(snap, _live(db, "f"))
         assert _derivations() == before + 1
         assert [c.kind for c in snap.columnar.columns] == ["f", "o"]
         db.add_fact("f", math.nan, "v1")  # NaN breaks the float column
-        _assert_buffers_match(db.snapshot("f"))
+        _assert_buffers_match(db.snapshot("f"), _live(db, "f"))
         assert _derivations() == before + 1
 
     def test_a_change_as_large_as_the_relation_encodes_afresh(self):
@@ -450,7 +469,7 @@ class TestDerivedBuffers:
             **{(50 + i, i): 1 for i in range(10)},
         }}))
         before = _derivations()
-        _assert_buffers_match(db.snapshot("e"))
+        _assert_buffers_match(db.snapshot("e"), _live(db))
         assert _derivations() == before
 
     def test_a_pool_stays_within_twice_its_rows(self):
@@ -459,7 +478,7 @@ class TestDerivedBuffers:
         for i in range(8, 40):  # each write swaps one distinct value
             db.apply(Delta({"p": {(f"s{i - 8}",): -1, (f"s{i}",): 1}}))
             snap = db.snapshot("p")
-            _assert_buffers_match(snap)
+            _assert_buffers_match(snap, _live(db, "p"))
             assert len(snap.columnar.columns[0].pool) <= 2 * len(snap)
 
     def test_threads_force_one_derived_snapshot(self):
@@ -469,6 +488,7 @@ class TestDerivedBuffers:
         db = self._db(400)
         base = db.snapshot("e")
         base.columnar
+        loaded = _live(db)
         db.apply(Delta({"e": {(0, 0): -1, (1, 7): -1, (500, 3): 1}}))
         snap = db.snapshot("e")
         barrier = threading.Barrier(4)
@@ -492,9 +512,148 @@ class TestDerivedBuffers:
         assert len(results) == 4
         for columnar in results:
             assert len(list(columnar)) == len(snap)
-            assert frozenset(columnar) == snap.rows
-        _assert_buffers_match(snap)
-        _assert_buffers_match(base)
+            assert frozenset(columnar) == _live(db)
+        _assert_buffers_match(snap, _live(db))
+        _assert_buffers_match(base, loaded)
+
+
+@pytest.fixture(params=["numpy", "python"])
+def kernels(request, monkeypatch):
+    """Run a test with numpy's kernels and with the pure-Python ones."""
+    if request.param == "python":
+        monkeypatch.setattr(columnar_mod, "_np", None)
+    elif columnar_mod._np is None:
+        pytest.skip("numpy is not installed")
+    return request.param
+
+
+def _copied() -> float:
+    return get_registry().counter("db.snapshot.copied_rows").value
+
+
+class TestLazyRows:
+    """A version built from a base copies no rows: it builds its row set
+    only for a reader that asks a set question, from its buffers or from
+    its base's rows and its change."""
+
+    QUERY = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).")
+
+    def _db(self, rows=200):
+        return Database.from_relations(
+            {"e": [(i, (i * 7) % rows) for i in range(rows)]}
+        )
+
+    def test_a_steady_read_after_write_builds_no_row_set(self, kernels):
+        db = self._db()
+        with Engine(layout="columnar") as engine:
+            engine.execute(self.QUERY, db)  # the first version encodes
+            for i in range(4):
+                db.apply(Delta({"e": {(i, i * 7): -1, (300 + i, i): 1}}))
+                before = _copied()
+                result = engine.execute(self.QUERY, db)
+                snap = db.snapshot("e")
+                assert snap.patched
+                assert "rows" not in snap.__dict__
+                if i:  # past the first derivation: the change split in
+                    # two, and the one inserted row encoded
+                    assert _copied() - before == 2 + 1
+        truth = naive_join_eval(
+            self.QUERY, Database.from_relations({"e": _live(db)})
+        )
+        assert result.answer.rows == truth.rows
+
+    @pytest.mark.parametrize("first", ["rows", "columnar"])
+    def test_a_held_version_answers_its_own_rows(self, kernels, first):
+        """Forced first through its row set (the base's rows less the
+        deleted, plus the inserted) or through its buffers, after later
+        writes have moved the base's placement on."""
+        db = self._db()
+        db.snapshot("e").columnar
+        db.apply(Delta({"e": {(0, 0): -1, (1, 7): -1, (400, 1): 1}}))
+        held = db.snapshot("e")
+        truth = _live(db)
+        for i in range(3):
+            db.apply(Delta({"e": {(10 + i, 70 + 7 * i): -1, (500 + i, i): 1}}))
+            db.snapshot("e").columnar
+        assert "rows" not in held.__dict__ and "_base" in held.__dict__
+        if first == "columnar":
+            _assert_buffers_match(held, truth)
+        assert len(held) == len(truth) and bool(held)
+        assert (400, 1) in held.rows and (0, 0) not in held.rows
+        assert (500, 0) not in held.rows
+        assert held == Relation.trusted(held.attributes, truth, "e")
+        assert held.key_set(("$0",)) == {row[0] for row in truth}
+        copy = pickle.loads(pickle.dumps(held))
+        assert copy == held and copy.rows == truth
+        _assert_buffers_match(held, truth)
+
+    def test_threads_force_one_lazy_version(self, kernels):
+        """Eight threads ask one lazy version for its rows, its length and
+        its buffers, each in its own order: all agree with the store."""
+        db = self._db(400)
+        db.snapshot("e").columnar
+        db.apply(Delta({"e": {(0, 0): -1, (1, 7): -1, (500, 3): 1}}))
+        snap = db.snapshot("e")
+        truth = _live(db)
+        barrier = threading.Barrier(8)
+        seen: list[tuple] = []
+
+        def force(seed):
+            asks = ["rows", "len", "columnar"]
+            random.Random(seed).shuffle(asks)
+            barrier.wait(timeout=10)
+            got = {}
+            for ask in asks:
+                if ask == "rows":
+                    got[ask] = snap.rows
+                elif ask == "len":
+                    got[ask] = len(snap)
+                else:
+                    got[ask] = frozenset(snap.columnar)
+            seen.append((got["rows"], got["len"], got["columnar"]))
+
+        threads = [
+            threading.Thread(target=force, args=(seed,)) for seed in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [(truth, len(truth), truth)] * 8
+        _assert_buffers_match(snap, truth)
+
+    def test_estimator_reads_count_the_buffers_once_built(self, kernels):
+        """A distinct-value read of a version whose buffers are built
+        counts them, builds no row set, and answers what the row set
+        would: mixed kinds, 1 == 1.0 == True included."""
+        rows = [(i % 7, f"s{i % 5}", float(i % 3)) for i in range(60)]
+        rows += [(1.0, "s1", 1.0), (True, "x", 2.0), (2**70, "s0", 0.5)]
+        db = Database.from_relations({"m": rows})
+        db.snapshot("m").columnar
+        db.apply(Delta({"m": {(0, "s0", 0.0): -1, (9, "new", 9.5): 1}}))
+        lazy = db.snapshot("m")
+        lazy.columnar
+        eager = Snapshot.build("m", 3, _live(db, "m"), 0)
+        atom = Atom("m", (Constant(1), Variable("X"), Constant(2.0)))
+        wide = Atom("m", (Variable("X"), Variable("Y"), Variable("X")))
+        for column in range(3):
+            assert lazy.distinct(column) == eager.distinct(column)
+            assert eager.distinct(column) == len(
+                {row[column] for row in _live(db, "m")}
+            )
+        for query_atom in (atom, wide):
+            assert CardinalityEstimator(db).atom_rows(query_atom) == (
+                CardinalityEstimator(
+                    Database.from_relations({"m": _live(db, "m")})
+                ).atom_rows(query_atom)
+            )
+        assert "rows" not in lazy.__dict__
 
 
 def _effective_by_rows(db: Database, delta: Delta) -> Delta:
@@ -758,6 +917,17 @@ class SnapshotMachine(RuleBasedStateMachine):
         }
         # Versions a reader holds unbuilt, to force after later writes.
         self.held: list[Snapshot] = []
+        # (predicate, version) -> the rows that version holds: the
+        # oracle for a version's lazily built row set and buffers.
+        self.truth: dict[tuple[str, int], frozenset] = {}
+
+    def _truth(self, snap: Snapshot) -> frozenset:
+        """The rows *snap* holds, as the store held them at its version
+        (every step records the current ones before it checks)."""
+        for predicate in self.db.predicates():
+            version = self.db._versions.get(predicate, 0)
+            self.truth[predicate, version] = _live(self.db, predicate)
+        return self.truth[snap.name, snap.version]
 
     @initialize(loaded=st.booleans())
     def load(self, loaded):
@@ -810,13 +980,24 @@ class SnapshotMachine(RuleBasedStateMachine):
     @rule(predicate=st.sampled_from(sorted(_ARITY)))
     def hold_version(self, predicate):
         if self.db.has_predicate(predicate):
-            self.held.append(self.db.snapshot(predicate))
+            snap = self.db.snapshot(predicate)
+            self._truth(snap)
+            self.held.append(snap)
 
     @rule()
     def force_held(self):
         for snap in self.held:
-            _assert_buffers_match(snap)
+            _assert_buffers_match(snap, self._truth(snap))
         self.held.clear()
+
+    @rule(data=st.data())
+    def read_held_rows(self, data):
+        """A reader asks a held version a set question at any point:
+        before or after its buffers, before or after later writes."""
+        if self.held:
+            snap = data.draw(st.sampled_from(self.held))
+            rows = self._truth(snap)
+            assert snap.rows == rows and len(snap) == len(rows)
 
     @rule()
     def declare(self):
@@ -865,7 +1046,14 @@ class SnapshotMachine(RuleBasedStateMachine):
             snap = self.db.snapshot(predicate)
             assert snap is self.db.snapshot(predicate)
             assert len(snap) == self.db.cardinality(predicate)
-            assert all(self.db.contains(predicate, *row) for row in snap.rows)
+            # The row set a reader would get, built here without being
+            # kept, so later steps still find the version lazy.
+            rows = (
+                snap.__dict__["rows"] if "rows" in snap.__dict__
+                else Snapshot.rows.func(snap)
+            )
+            assert all(self.db.contains(predicate, *row) for row in rows)
+            assert len(rows) == len(snap)
         assert self.db.domain_size() == len(self.db.universe)
 
     @invariant()
@@ -877,13 +1065,15 @@ class SnapshotMachine(RuleBasedStateMachine):
         for snap in [*current, *self.held]:
             recorded = None if snap is None else snap.__dict__.get("_base")
             if recorded is not None:
-                base, change = recorded
-                assert change & snap.rows == snap.rows - base.rows
-                assert change - snap.rows == base.rows - snap.rows
+                base, inserted, deleted = recorded
+                rows, base_rows = self._truth(snap), self._truth(base)
+                assert len(set(inserted)) == len(inserted)
+                assert set(inserted) == rows - base_rows
+                assert deleted == base_rows - rows
         assert self.db._changes.keys() == self.db._bases.keys()
         for predicate, change in self.db._changes.items():
-            rows = set(self.db.rows(predicate))
-            base = self.db._bases[predicate].rows
+            rows = _live(self.db, predicate)
+            base = self._truth(self.db._bases[predicate])
             assert change & rows == rows - base
             assert change - rows == base - rows
             assert len(change) < len(rows)
@@ -893,7 +1083,7 @@ class SnapshotMachine(RuleBasedStateMachine):
         built = [self.db.built_snapshot(p) for p in self.db.predicates()]
         for snap in [*built, *self.db._bases.values()]:
             if snap is not None and _encoded(snap):
-                _assert_buffers_match(snap)
+                _assert_buffers_match(snap, self._truth(snap))
 
 
 class PurePythonSnapshotMachine(SnapshotMachine):
