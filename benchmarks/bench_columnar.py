@@ -12,7 +12,10 @@ their row-engine counterparts on a 100k-row workload:
   storage, cold memo), on the row and the columnar side alike: that is
   what a plan's leaf is, a request never probes one instance twice;
 * **join** — a fan-out hash join (~10 matches per key), row probe loop
-  vs the direct-address CSR kernel;
+  vs the direct-address CSR kernel; a cross product (the ``r^k`` bag of
+  Lemma 4.6 whose atoms share nothing in χ, ≈ ``rows`` output rows)
+  and a two-attribute key with a column of its own on each side, the
+  enumeration joins of a cyclic plan's bags;
 * **project** — single-column distinct;
 * **layout crossover** — how ``layout="auto"`` should pick: the
   operators a plan runs, alone (a two-part bag pipeline, a semijoin and
@@ -199,6 +202,49 @@ def _join_pair(n_rows: int, seed: int):
     return left, right
 
 
+def _cross_pair(n_rows: int, seed: int):
+    """``L(a,b) × R(c,d)``, each side ``isqrt(n_rows)`` rows (an int and
+    a dictionary column each), so the product has ≈ *n_rows* rows."""
+    rng = random.Random(seed)
+    side = max(2, math.isqrt(n_rows))
+
+    def draw(attrs, name):
+        return Relation.from_rows(
+            attrs,
+            [(i, f"v{rng.randrange(side)}") for i in range(side)],
+            name,
+        )
+
+    return draw(("a", "b"), "L"), draw(("c", "d"), "R")
+
+
+def _join_cell(label: str, pair, repeats: int, records: list) -> dict:
+    """Row vs columnar ``left ⋈ right`` (checked against each other
+    first); appends the cell's speedup and exact output-row records and
+    returns its summary."""
+    left, right = pair
+    cl, cr = to_columnar(left), to_columnar(right)
+    expect = left.join(right)
+    assert cl.join(cr).rows == expect.rows
+    row_ms = _best_of(lambda: left.join(right), repeats)
+    col_ms = _best_of(lambda: cl.join(cr), repeats)
+    speedup = row_ms / col_ms if col_ms else float("inf")
+    records.append(
+        record(f"join.{label}.speedup", speedup, "x",
+               better="higher", tolerance=0.5)
+    )
+    records.append(
+        record(f"join.{label}.output_rows", len(expect), "count",
+               better="higher", tolerance=0.0)
+    )
+    return {
+        "row_ms": round(row_ms, 3),
+        "columnar_ms": round(col_ms, 3),
+        "speedup": round(speedup, 2),
+        "output_rows": len(expect),
+    }
+
+
 def run_benchmark(n_rows: int = 100_000, repeats: int = 5, seed: int = 0) -> dict:
     """One full kernel comparison; returns the JSON-ready result dict."""
     records: list[dict] = []
@@ -212,21 +258,17 @@ def run_benchmark(n_rows: int = 100_000, repeats: int = 5, seed: int = 0) -> dic
         for label, pair in sweeps.items()
     }
 
-    left, right = _join_pair(n_rows, seed)
-    cl, cr = to_columnar(left), to_columnar(right)
-    expect = left.join(right)
-    assert cl.join(cr).rows == expect.rows
-    join_row_ms = _best_of(lambda: left.join(right), repeats)
-    join_col_ms = _best_of(lambda: cl.join(cr), repeats)
-    join_speedup = join_row_ms / join_col_ms if join_col_ms else float("inf")
-    records.append(
-        record("join.fanout.speedup", join_speedup, "x",
-               better="higher", tolerance=0.5)
-    )
-    records.append(
-        record("join.fanout.output_rows", len(expect), "count",
-               better="higher", tolerance=0.0)
-    )
+    fanout = _join_pair(n_rows, seed)
+    join = {
+        label: _join_cell(label, pair, repeats, records)
+        for label, pair in (
+            ("fanout", fanout),
+            ("cross", _cross_pair(n_rows, seed)),
+            ("two_key", _many_to_many_pair(n_rows, 2, seed)),
+        )
+    }
+    left = fanout[0]
+    cl = to_columnar(left)
 
     assert cl.project(["b"]).rows == left.project(["b"]).rows
     project_row_ms = _best_of(lambda: left.project(["b"]), repeats)
@@ -247,12 +289,9 @@ def run_benchmark(n_rows: int = 100_000, repeats: int = 5, seed: int = 0) -> dic
         "repeats": repeats,
         "numpy": _numpy_version(),
         "semijoin": semijoin,
-        "join": {
-            "row_ms": round(join_row_ms, 3),
-            "columnar_ms": round(join_col_ms, 3),
-            "speedup": round(join_speedup, 2),
-            "output_rows": len(expect),
-        },
+        "join": join["fanout"],
+        "cross_join": join["cross"],
+        "two_key_join": join["two_key"],
         "project": {
             "row_ms": round(project_row_ms, 3),
             "columnar_ms": round(project_col_ms, 3),

@@ -22,9 +22,13 @@ buffers: key sets build in one pass over a column, semijoins produce a
 *selection vector* of surviving positions and gather each output column
 in a single ``array(map(...))`` sweep, joins collect matched position
 pairs and materialise output columns without ever allocating per-row
-tuples, and dictionary columns get a pool-level fast path (membership
-is decided once per *distinct* value, then rows are selected by integer
-code).  Between two columnar relations a semijoin builds no key set at
+tuples — a cross product (a Lemma 4.6 bag whose atoms share nothing in
+χ) from tiled and repeated positions, a key of one attribute or of
+several (one mixed-radix int64 per row) through one sort-based probe,
+so only keys Python equality must compare loop in the interpreter
+(:func:`columnar_probe_join`) — and dictionary columns get a
+pool-level fast path (membership is decided once per *distinct* value,
+then rows are selected by integer code).  Between two columnar relations a semijoin builds no key set at
 all: the membership mask comes from the two sides' buffers, column
 against column (:func:`_np_semijoin_mask`); the key set is for row
 receivers, no-numpy builds and the pairs of columns only Python
@@ -71,11 +75,12 @@ import math
 from array import array
 from collections.abc import Collection, Set
 from functools import partial
-from itertools import compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import is_not, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .._errors import SchemaError
+from ..obs import get_registry
 from .annotated import AnnotatedRelation, annotated_probe_join
 from .relation import Relation, Row, Value, probe_join
 from .semiring import Semiring
@@ -235,9 +240,7 @@ def rides_buffers(semiring: Semiring | None) -> bool:
 
 def _np_view(col: "Column"):
     """Zero-copy numpy view of a column buffer."""
-    return _np.frombuffer(
-        memoryview(col.data).cast("B"), dtype=_NP_DTYPE[col.kind]
-    )
+    return _np.frombuffer(col.data, dtype=_NP_DTYPE[col.kind])
 
 
 def _np_keys(keys, kind: str):
@@ -279,33 +282,35 @@ def _np_used_codes(col: "Column"):
     return _np.flatnonzero(counts)
 
 
-def _np_dense(keys, rows: int):
+def _np_dense(keys, rows: int, floor: int = 1 << 16):
     """``(lo, hi)`` of int64 *keys* when a table over their range is
     small enough to address directly next to *rows* rows — at most four
-    slots a row, or 65 536 — else ``None``."""
+    slots a row, or *floor* — else ``None``."""
     if keys.dtype != _np.int64:
         return None
     lo = int(keys.min())
     hi = int(keys.max())
-    return (lo, hi) if hi - lo < max(4 * rows, 1 << 16) else None
+    return (lo, hi) if hi - lo < max(4 * rows, floor) else None
 
 
-def _np_slots(keys, probes):
+def _np_slots(keys, probes, floor: int = 1 << 16):
     """``(size, key slots, probe slots)`` of a direct-address table for
     non-empty *probes* to look up among non-empty *keys*, or ``None``
-    when the keys' span fails :func:`_np_dense`'s bound.  The table
-    spans both sides, so each slot is one subtraction, when that fits
-    the bound and costs at most four slots a row or one slot a probe
-    over the keys' own span; else it spans the keys, and a probe
-    outside gets a spare last slot no key fills."""
+    when the keys' span fails :func:`_np_dense`'s bound (*floor*: a
+    table the caller only fills and gathers from may take 65 536 slots
+    whatever the rows).  The table spans both sides, so each slot is
+    one subtraction, when that fits the bound and costs at most four
+    slots a row or one slot a probe over the keys' own span; else it
+    spans the keys, and a probe outside gets a spare last slot no key
+    fills."""
     rows = keys.size + probes.size
-    dense = _np_dense(keys, rows)
+    dense = _np_dense(keys, rows, floor)
     if dense is None:
         return None
     lo, hi = dense
     ulo = min(lo, int(probes.min()))
     uhi = max(hi, int(probes.max()))
-    if uhi - ulo < max(4 * rows, min(1 << 16, hi - lo + probes.size)):
+    if uhi - ulo < max(4 * rows, min(floor, hi - lo + probes.size)):
         return uhi - ulo + 1, keys - ulo, probes - ulo
     inside = (probes >= lo) & (probes <= hi)
     spare = hi - lo + 1
@@ -335,19 +340,25 @@ def _np_radix_keys(*sides):
     each attribute is a digit of a mixed-radix number over the range
     its values span on all sides together.  ``None`` when that number
     leaves int64, decided on Python ints before any array subtracts."""
-    keys = [None] * len(sides)
+    key = None
     radix = 1
     for views in zip(*sides):
-        lo = min(int(view.min()) for view in views)
-        span = max(int(view.max()) for view in views) - lo + 1
+        # All sides' values of the attribute in one array: one min, one
+        # max and one digit step, whatever the number of sides.
+        digit = _np.concatenate(views) if len(views) > 1 else views[0]
+        lo = int(digit.min())
+        span = int(digit.max()) - lo + 1
         radix *= span
         if radix >= 1 << 62:
             return None
-        keys = [
-            view - lo if key is None else key * span + (view - lo)
-            for key, view in zip(keys, views)
-        ]
-    return keys
+        digit = digit - lo
+        if key is None:
+            key = digit
+        else:
+            key *= span
+            key += digit
+    ends = list(accumulate(len(side[0]) for side in sides))
+    return [key[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _np_row_keys(cols: Sequence["Column"]):
@@ -491,6 +502,20 @@ class Column:
         ``map`` sweep, no per-row tuples; dictionary pools are shared)."""
         data = array(_TYPECODE[self.kind], map(self.data.__getitem__, sel))
         return Column(self.kind, data, self.pool)
+
+    def tiled(self, times: int) -> "Column":
+        """The whole column *times* times over, one buffer copy."""
+        return Column(self.kind, self.data * times, self.pool)
+
+    def repeated(self, times: int) -> "Column":
+        """Each value *times* times in turn — ``chain``/``repeat`` in C,
+        no Python bytecode per row."""
+        runs = map(repeat, self.data, repeat(times))
+        return Column(
+            self.kind,
+            array(_TYPECODE[self.kind], chain.from_iterable(runs)),
+            self.pool,
+        )
 
     def compress(self, mask: bytes) -> "Column":
         """Filter by a 0/1 byte *mask* — ``itertools.compress`` runs the
@@ -1250,18 +1275,29 @@ def columnar_probe_join(
     """The vectorised hash-join: same build/probe contract as
     :func:`repro.db.relation.probe_join` (``out_attrs`` = left
     attributes + right extras, ``extra_pos`` indexing the right side).
-    When the build side's keys are unique (foreign-key joins, reduced
-    nodes) the whole probe runs as C sweeps: one ``map(index.get, …)``
-    pass yields per-row matches, a mask selects the hits, and every
-    output column is a ``compress``/gather batch — no Python bytecode
-    per row.  Duplicate build keys fall back to an expansion loop that
-    only iterates the *matched* probe rows (the probe is pre-filtered
-    with a C membership mask first).  Natural join of sets is
-    duplicate-free (output rows are in bijection with matched pairs
-    agreeing on the shared columns), so no output dedup is needed —
-    and a weight column needs no ``plus``: every exit multiplies the
-    matched pairs' weights (:func:`_joined_weights`).  A right side that
-    is all key is looked up instead (:func:`_np_lookup_join`)."""
+    No key shape loops per output pair in Python where a batch kernel
+    can decide equality:
+
+    * no shared attribute — the cross product of a Lemma 4.6 bag whose
+      atoms share nothing in χ — pairs every probe row with every build
+      row (:func:`_cross_join`);
+    * with numpy, a right side that is all key is looked up
+      (:func:`_np_lookup_join`), and any other key of one attribute or
+      of several runs the sort-based probe (:func:`_np_probe_join`) on
+      one key per row (:func:`_np_key_pair`).
+
+    What is left is the interpreter path, counted by the registry
+    counter ``db.columnar.join_fallback``: every key without numpy, and
+    with it the keys only Python equality can compare (kinds that
+    differ, ``1 == 1.0 == True``; a float column in a key of several
+    attributes; a joint radix past int64).  A build side whose keys are
+    unique probes in C sweeps — one ``map(index.get, …)`` pass, a mask,
+    ``compress``/gather per column; duplicate build keys expand only
+    the *matched* probe rows.  Natural join of sets is duplicate-free
+    (output rows are in bijection with matched pairs agreeing on the
+    shared columns), so no output dedup is needed — and a weight column
+    needs no ``plus``: every exit multiplies the matched pairs' weights
+    (:func:`_joined_weights`)."""
     n_build = build.length
     top = probe if probe._rank > build._rank else build
     if not n_build or not probe.length:
@@ -1275,17 +1311,25 @@ def columnar_probe_join(
         return annotated_probe_join(
             build, probe, build_is_left, shared, extra_pos, out_attrs, name
         )
-    if _np is not None and shared and not extra_pos:
-        left, right = (build, probe) if build_is_left else (probe, build)
-        result = _np_lookup_join(left, right, shared, out_attrs, name)
-        if result is not None:
-            return result
-    if _np is not None and len(shared) == 1:
-        result = _np_probe_join(
-            build, probe, build_is_left, shared[0], extra_pos, out_attrs, name
+    if not shared:
+        return _cross_join(
+            build, probe, build_is_left, extra_pos, out_attrs, name
         )
-        if result is not None:
-            return result
+    if _np is not None:
+        if not extra_pos:
+            left, right = (build, probe) if build_is_left else (probe, build)
+            result = _np_lookup_join(left, right, shared, out_attrs, name)
+            if result is not None:
+                return result
+        keys = _np_key_pair(
+            [build.columns[build._position(a)] for a in shared],
+            [probe.columns[probe._position(a)] for a in shared],
+        )
+        if keys is not None:
+            return _np_probe_join(
+                build, probe, build_is_left, *keys, extra_pos, out_attrs, name
+            )
+    get_registry().counter("db.columnar.join_fallback").inc()
     index = dict(zip(build._key_values(shared), range(n_build)))
     if len(index) == n_build:
         # Unique build keys: ≤ 1 match per probe row, fully C.
@@ -1345,33 +1389,66 @@ def columnar_probe_join(
     )
 
 
+def _cross_join(
+    build: ColumnarRelation,
+    probe: ColumnarRelation,
+    build_is_left: bool,
+    extra_pos: Sequence[int],
+    out_attrs: tuple[str, ...],
+    name: str,
+) -> ColumnarRelation:
+    """The join on no shared attribute: every probe row paired with
+    every build row, probe-major (the order the expansion loop pairs
+    them in).  With numpy it is two position vectors — the build
+    positions tiled, the probe positions each repeated — and the gather
+    of :func:`_np_gathered`.  Without, each column is built by C-level
+    iterators: a build column is its buffer ``* n_probe``
+    (:meth:`Column.tiled`), a probe column ``chain``s a ``repeat`` of
+    each value (:meth:`Column.repeated`); no weight column exists
+    without numpy (:func:`rides_buffers`)."""
+    n_build, n_probe = build.length, probe.length
+    if _np is not None:
+        bsel = _np.tile(_np.arange(n_build), n_probe)
+        ppos = _np.repeat(_np.arange(n_probe), n_build)
+        return _np_gathered(
+            build, probe, build_is_left, bsel, ppos, extra_pos, out_attrs, name
+        )
+    if build_is_left:
+        out_cols = [c.tiled(n_probe) for c in build.columns]
+        out_cols.extend(probe.columns[p].repeated(n_build) for p in extra_pos)
+    else:
+        out_cols = [c.repeated(n_build) for c in probe.columns]
+        out_cols.extend(build.columns[p].tiled(n_probe) for p in extra_pos)
+    return ColumnarRelation.make(
+        out_attrs, tuple(out_cols), name, n_build * n_probe
+    )
+
+
 def _np_probe_join(
     build: ColumnarRelation,
     probe: ColumnarRelation,
     build_is_left: bool,
-    key: str,
+    bk,
+    pk,
     extra_pos: Sequence[int],
     out_attrs: tuple[str, ...],
     name: str,
-):
-    """Vectorised single-key probe: group the build rows by key once
-    (an ``argsort``), find every probe key's match *range* — through a
-    direct-address CSR over the key span (:func:`_np_slots`) where one
-    fits, else by binary search — expand the ranges without a Python
-    loop (``repeat``/``cumsum`` arithmetic), and gather every output
-    column with numpy fancy indexing.  Dictionary key columns first
-    translate probe codes into the build pool's code space
-    (:func:`_np_codes_in`).  Returns ``None`` when the key kinds don't
-    line up — the caller's generic path keeps Python equality semantics
-    for those."""
-    bcol = build.columns[build._position(key)]
-    pcol = probe.columns[probe._position(key)]
-    if bcol.kind != pcol.kind:
-        return None
-    bk = _np_view(bcol)
-    pk = _np_codes_in(pcol, bcol) if bcol.kind == "o" else _np_view(pcol)
+) -> ColumnarRelation:
+    """Vectorised probe on one key per row of each side (*bk*, *pk*:
+    :func:`_np_key_pair`'s — a raw buffer or dictionary codes in the
+    build pool's code space for one attribute, a mixed-radix int64 for
+    several): group the build rows by key once (an ``argsort``), find
+    every probe key's match *range* — through a direct-address CSR over
+    the key span (:func:`_np_slots`) where one fits, else by binary
+    search — expand the ranges without a Python loop
+    (``repeat``/``cumsum`` arithmetic), and gather every output column
+    with numpy fancy indexing (:func:`_np_gathered`).  The CSR's
+    prefix sum runs over every slot, so its table takes at most four
+    slots a row: a several-attribute key spans the product of its
+    attributes' spans, and a few dozen rows would otherwise sum a table
+    of thousands."""
     order = _np.argsort(bk)
-    slots = _np_slots(bk, pk)
+    slots = _np_slots(bk, pk, floor=0)
     if slots is not None:
         # Direct-address CSR: ``order`` groups build rows by key, slot
         # s's group starts at ``starts[s]`` and holds ``counts[s]`` rows:
@@ -1389,13 +1466,37 @@ def _np_probe_join(
     if not total:
         top = probe if probe._rank > build._rank else build
         return top._no_rows(out_attrs, name)
-    # Flatten the per-probe match ranges: probe row j repeats once per
-    # partner, and the partner positions are lo[j], lo[j]+1, …
-    # (arange minus each range's running start).
-    ppos = _np.repeat(_np.arange(pk.size), matches)
-    ends = _np.cumsum(matches)
-    offsets = _np.arange(total) - _np.repeat(ends - matches, matches)
-    bsel = order[_np.repeat(lo, matches) + offsets]
+    if matches.max() == 1:
+        # At most one partner a probe row (unique build keys).
+        ppos = _np.flatnonzero(matches)
+        bsel = order[lo[ppos]]
+    else:
+        # Flatten the per-probe match ranges: probe row j repeats once
+        # per partner, and the partner positions are lo[j], lo[j]+1, …
+        # (arange minus each range's running start).
+        ppos = _np.repeat(_np.arange(pk.size), matches)
+        ends = _np.cumsum(matches)
+        offsets = _np.arange(total) - _np.repeat(ends - matches, matches)
+        bsel = order[_np.repeat(lo, matches) + offsets]
+    return _np_gathered(
+        build, probe, build_is_left, bsel, ppos, extra_pos, out_attrs, name
+    )
+
+
+def _np_gathered(
+    build: ColumnarRelation,
+    probe: ColumnarRelation,
+    build_is_left: bool,
+    bsel,
+    ppos,
+    extra_pos: Sequence[int],
+    out_attrs: tuple[str, ...],
+    name: str,
+) -> ColumnarRelation:
+    """The join output whose i-th row pairs build row ``bsel[i]`` with
+    probe row ``ppos[i]`` (numpy index vectors): the left side's columns
+    and the right side's extras, each one fancy-indexed gather, and the
+    pairs' weights (:func:`_joined_weights`)."""
     if build_is_left:
         out_cols = [_np_take(c, bsel) for c in build.columns]
         out_cols.extend(_np_take(probe.columns[p], ppos) for p in extra_pos)
@@ -1403,7 +1504,7 @@ def _np_probe_join(
         out_cols = [_np_take(c, ppos) for c in probe.columns]
         out_cols.extend(_np_take(build.columns[p], bsel) for p in extra_pos)
     return ColumnarRelation.make(
-        out_attrs, tuple(out_cols), name, total,
+        out_attrs, tuple(out_cols), name, bsel.size,
         *_joined_weights(build, probe, bsel, ppos),
     )
 

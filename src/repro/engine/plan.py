@@ -910,6 +910,9 @@ def _compile_plan_traced(
     return plan.restamped(  # shares the program it priced
         predicted_row_ms=predict_ms(work, costs["row"]),
         predicted_columnar_ms=predict_ms(work, costs["columnar"]),
+        # Pricing reads too (the active domain): a replay must confirm
+        # what the predictions were computed from.
+        reads=tuple(estimator.reads.items()),
     )
 
 

@@ -236,6 +236,39 @@ class TestWhatInvalidates:
             assert _moved(before) == (0, 1)
             assert result.answer.rows == naive_join_eval(query, db).rows
 
+    def test_a_replay_on_another_active_domain_predicts_what_a_compile_does(
+        self,
+    ):
+        """Pricing reads the active domain after the pipelines are
+        planned; the plan logs that read too.  Two databases with the
+        same sizes and column distincts and active domains of 600 and
+        310 values: the second request compiles, and its predictions
+        are a fresh compile's, not the first database's."""
+        query = parse_query("ans(A,D) :- r(A,B), s(B,C), t(C,D).")
+
+        def shifted(offset):
+            n = range(300)
+            return Database.from_relations({
+                "r": [(i, i + offset) for i in n],
+                "s": [(i + offset, i) for i in n],
+                "t": [(i, i + offset) for i in n],
+            })
+
+        wide, narrow = shifted(300), shifted(10)
+        assert (wide.domain_size(), narrow.domain_size()) == (600, 310)
+        with Engine(layout="auto") as engine:
+            engine.execute(query, wide)
+            assert ("domain",) in dict(engine.plan(query, wide).reads)
+            before = _counts()
+            engine.execute(query, narrow)
+            assert _moved(before) == (1, 0)
+            plan = engine.plan(query, narrow)
+            fresh = _fresh(engine, query, narrow)
+            assert fresh.predicted_row_ms is not None
+            assert (plan.predicted_row_ms, plan.predicted_columnar_ms) == (
+                fresh.predicted_row_ms, fresh.predicted_columnar_ms
+            )
+
     def test_declaring_a_predicate_recompiles(self):
         """An atom over an unknown predicate estimates to one row, over a
         declared empty one to none: the plan priced before the
