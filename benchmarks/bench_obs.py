@@ -62,13 +62,10 @@ from repro.db.relation import Relation
 from repro.generators.families import path_query
 from repro.generators.workloads import random_database
 from repro.obs import (
-    NULL_PROFILER,
     NULL_TRACER,
     SamplingProfiler,
     Tracer,
-    current_profiler,
     current_tracer,
-    profiling,
     tracing,
 )
 from repro.obs.history import record
@@ -225,9 +222,8 @@ def _span_call_ns(tracer, calls: int = 200_000) -> float:
 def run_benchmark(rows: int = 10_000, repeats: int = 5, seed: int = 0) -> dict:
     """One full overhead comparison; returns the JSON-ready dict."""
     assert not current_tracer().enabled, "benchmark needs tracing off"
-    # Profiling off must mean *off*: the no-op profiler installed and no
-    # sampler thread alive anywhere in the process.
-    assert current_profiler() is NULL_PROFILER, "benchmark needs profiling off"
+    # Profiling off must mean *off*: no sampler thread alive anywhere in
+    # the process.
     assert not _sampler_thread_exists(), "stray sampler thread before run"
     samples_total = 0
     workloads = []
@@ -280,13 +276,12 @@ def run_benchmark(rows: int = 10_000, repeats: int = 5, seed: int = 0) -> dict:
             answers["unprofiled"] = enumerate_answers(tree, rels, output)
             unprofiled_t = min(unprofiled_t, time.perf_counter() - started)
             rels = bind()
-            with profiling(SamplingProfiler()) as prof:
+            with SamplingProfiler() as prof:
                 assert _sampler_thread_exists(), "sampler should be live"
                 started = time.perf_counter()
                 answers["profiled"] = enumerate_answers(tree, rels, output)
                 profiled_t = min(profiled_t, time.perf_counter() - started)
                 samples_total += prof.profile.total()
-        assert current_profiler() is NULL_PROFILER
         assert not _sampler_thread_exists(), "sampler thread leaked"
         profiler_seconds = {
             "unprofiled": round(unprofiled_t, 6),

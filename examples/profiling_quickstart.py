@@ -23,7 +23,6 @@ from repro import (
     FlightRecorder,
     SamplingProfiler,
     parse_query,
-    profiling,
     write_speedscope,
 )
 from repro.db import Database
@@ -41,13 +40,13 @@ def main() -> None:
     query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).", name="two_hop")
 
     # -- 1. profile an execution -----------------------------------------
-    # ``profiling`` installs the profiler process-wide for its extent and
-    # runs the sampler thread (default 99 Hz; off means no thread at
-    # all).  Each sample is rooted at the innermost span open on its
-    # thread (``span:plan.bag;...``): the engine's flight recorder keeps
-    # a tracer live even when nothing else is tracing.
+    # ``with profiler`` runs the sampler thread for its extent (default
+    # 99 Hz; off means no thread at all).  Each sample is rooted at the
+    # innermost span open on its thread (``span:plan.bag;...``),
+    # whichever tracer records it: with none installed, the engine's
+    # requests record into its flight recorder's ring.
     profiler = SamplingProfiler(hz=500)
-    with profiling(profiler), Engine() as engine:
+    with profiler, Engine() as engine:
         for _ in range(100):
             result = engine.execute(query, db)
     print(f"{len(result.answer)} answers; "

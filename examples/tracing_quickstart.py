@@ -32,8 +32,9 @@ def main() -> None:
     query = parse_query("ans(X, Z) :- e(X, Y), e(Y, Z).", name="two_hop")
 
     # -- 1. trace an execution -------------------------------------------
-    # ``tracing`` installs the tracer process-wide for its extent; every
-    # layer (decompose -> plan -> bag -> sweep) records spans into it.
+    # ``tracing`` installs the tracer in this thread's context for its
+    # extent; every layer (decompose -> plan -> bag -> sweep) records
+    # spans into it.
     # Tracing is off otherwise, and free when off.
     with Engine() as engine, tracing(Tracer()) as tracer:
         result = engine.execute(query, db)

@@ -38,16 +38,14 @@ from .obs import (
     Profile,
     SamplingProfiler,
     Tracer,
-    current_profiler,
     current_tracer,
     get_flight_recorder,
     get_registry,
-    profiling,
     tracing,
     write_chrome_trace,
     write_speedscope,
 )
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 # After __version__: the server advertises it in the hello handshake.
 from .serve import (  # noqa: E402
@@ -86,7 +84,6 @@ __all__ = [
     "UnknownRelationError",
     "ViewHandle",
     "__version__",
-    "current_profiler",
     "current_tracer",
     "decompose",
     "fingerprint",
@@ -94,7 +91,6 @@ __all__ = [
     "get_registry",
     "greedy_upper_bound",
     "lower_bound",
-    "profiling",
     "serve_in_thread",
     "tracing",
     "write_chrome_trace",

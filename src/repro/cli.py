@@ -139,7 +139,6 @@ from .obs import (
     merge_runs,
     metrics_snapshot,
     profile_path_from_env,
-    profiling,
     render_flight,
     render_metrics,
     render_trace_summary,
@@ -191,7 +190,7 @@ def _observed(args: argparse.Namespace):
             if tracer is not None:
                 stack.enter_context(tracing(tracer))
             if profiler is not None:
-                stack.enter_context(profiling(profiler))
+                stack.enter_context(profiler)
             yield
     finally:
         if tracer is not None:

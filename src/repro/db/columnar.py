@@ -243,22 +243,6 @@ def _np_view(col: "Column"):
     return _np.frombuffer(col.data, dtype=_NP_DTYPE[col.kind])
 
 
-def _np_keys(keys, kind: str):
-    """The key set as a numpy array matching the column dtype, or
-    ``None`` when the keys are not homogeneously typed to match the
-    column (heterogeneous sets keep Python equality semantics, so those
-    fall back to the interpreter membership path)."""
-    key_types = set(map(type, keys))
-    if kind == "i" and key_types == {int}:
-        try:
-            return _np.fromiter(keys, dtype=_np.int64, count=len(keys))
-        except OverflowError:
-            return None  # a key beyond int64 cannot use the int64 path
-    if kind == "f" and key_types == {float}:
-        return _np.fromiter(keys, dtype=_np.float64, count=len(keys))
-    return None
-
-
 def _np_unique(view):
     """Sorted distinct values of an int64/float64 view.  Rolled by hand
     because ``numpy.unique`` pays an order of magnitude over a plain
@@ -909,14 +893,7 @@ class ColumnarRelation(Relation):
         if cached is None:
             if len(attributes) == 1:
                 col = self.columns[self._position(attributes[0])]
-                if _np is not None:
-                    if col.kind == "o":
-                        cached = frozenset(
-                            map(col.pool.__getitem__, _np_used_codes(col).tolist())
-                        )
-                    else:
-                        cached = frozenset(_np_unique(_np_view(col)).tolist())
-                elif col.kind == "o":
+                if col.kind == "o":
                     cached = frozenset(
                         map(col.pool.__getitem__, set(col.data))
                     )
@@ -957,38 +934,21 @@ class ColumnarRelation(Relation):
     def semijoin_with_keys(
         self, shared: tuple[str, ...], keys: frozenset
     ) -> Relation:
-        """The vectorised semijoin probe: one batch pass over the key
-        column builds a selection mask (``numpy.isin`` on the buffer
-        view when available, else a C ``map``/``bytes`` chain), then
-        each output column is one vectorised gather — no Python
+        """The semijoin probe against a partner's key set: one C
+        ``map``/``bytes`` chain over the key column builds a selection
+        mask, then each output column is one gather — no Python
         bytecode runs per row.  A dictionary column resolves membership
         once per *distinct* value (``pool[code] in keys``) and masks on
         the raw int codes.  A weight column is filtered by the same
-        mask."""
+        mask.  A columnar partner never gets here with numpy unless
+        only Python equality can compare the two sides' keys
+        (:meth:`_semijoin_probe`)."""
         if not self.length:
             return self
         positions = self._key_positions(shared)
         if len(positions) == 1:
             col = self.columns[positions[0]]
             data = col.data
-            if _np is not None:
-                mask = None
-                if col.kind == "o":
-                    view = _np_view(col)
-                    used = _np_used_codes(col)
-                    pool = col.pool
-                    ok = [c for c in used.tolist() if pool[c] in keys]
-                    if len(ok) == used.size:
-                        return self
-                    mask = _np_member_mask(
-                        view, _np.fromiter(ok, _np.int64, count=len(ok))
-                    )
-                else:
-                    karr = _np_keys(keys, col.kind)
-                    if karr is not None:
-                        mask = _np_member_mask(_np_view(col), karr)
-                if mask is not None:
-                    return self._keep(mask, int(_np.count_nonzero(mask)))
             if col.kind == "o":
                 used = set(data)
                 pool = col.pool

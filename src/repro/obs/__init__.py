@@ -18,6 +18,13 @@ Two complementary instruments, both with strictly-zero-cost off states:
 
 Switches: the ``--trace out.json`` CLI flag, the ``$REPRO_TRACE``
 environment variable, or programmatic ``with tracing(Tracer()) as t:``.
+An installed tracer belongs to the current execution context (a
+``ContextVar``): a thread records only into a tracer it installed, and
+otherwise an engine request records into its flight recorder's ring.
+The sampling profiler (:mod:`~repro.obs.profiler`) is its own context
+manager, ``with SamplingProfiler() as p:``, and tags each thread's
+samples with that thread's innermost open span, whichever tracer the
+span records into.
 
 >>> from repro import Engine, parse_query
 >>> from repro.db import Database
@@ -64,15 +71,10 @@ from .metrics import (
     get_registry,
 )
 from .profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     Profile,
     SamplingProfiler,
-    current_profiler,
     fold_frame,
     profile_path_from_env,
-    profiling,
-    set_profiler,
     write_collapsed,
     write_speedscope,
 )
@@ -81,14 +83,13 @@ from .tracer import (
     NullTracer,
     Span,
     Tracer,
+    active_span,
     current_tracer,
-    set_tracer,
     trace_path_from_env,
     tracing,
 )
 
 __all__ = [
-    "NULL_PROFILER",
     "NULL_TRACER",
     "Counter",
     "DiffReport",
@@ -97,14 +98,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullProfiler",
     "NullTracer",
     "Profile",
     "SamplingProfiler",
     "Span",
     "Tracer",
+    "active_span",
     "chrome_trace_events",
-    "current_profiler",
     "current_tracer",
     "diff_runs",
     "env_fingerprint",
@@ -116,14 +116,11 @@ __all__ = [
     "merge_runs",
     "metrics_snapshot",
     "profile_path_from_env",
-    "profiling",
     "record",
     "render_flight",
     "render_metrics",
     "render_trace_summary",
     "set_flight_recorder",
-    "set_profiler",
-    "set_tracer",
     "span_forest",
     "trace_path_from_env",
     "tracing",

@@ -10,9 +10,10 @@ module adds statistical profiles on top of the tracer:
   ``sys._current_frames()`` at a configurable rate (default
   :data:`DEFAULT_HZ`).  Each sample walks one thread's frame stack into
   a collapsed *folded stack* string (``outer;inner;innermost``) and,
-  when a live tracer is installed, prefixes it with the innermost
-  active span (``span:sweep.semijoin;...``) — so flamegraphs attribute
-  interpreter time to the pipeline phase that spent it.
+  when that thread has a live span open (into any tracer: an installed
+  one or the flight ring), prefixes it with the innermost one
+  (``span:sweep.semijoin;...``) — so flamegraphs attribute interpreter
+  time to the pipeline phase that spent it.
 * :class:`Profile` — the fold target: a thread-safe multiset of folded
   stacks.  Folding is *lossless by construction*: every sample adds
   exactly 1 to exactly one stack's count, merging sums counts, and both
@@ -21,11 +22,11 @@ module adds statistical profiles on top of the tracer:
   flamegraph.pl/inferno input format) and `speedscope
   <https://www.speedscope.app>`_ JSON via :meth:`Profile.speedscope`.
 
-**Zero cost when off.**  Like the tracer, the off state is structural:
-no sampler thread exists unless one is started, and the process-global
-slot defaults to :data:`NULL_PROFILER` whose ``enabled`` is ``False``
-(the benchmark gate in ``benchmarks/bench_obs.py`` additionally bounds
-the *on* overhead at the default rate to <= 5%).
+**Zero cost when off.**  The off state is structural: no sampler thread
+exists unless a :class:`SamplingProfiler` is started (``with profiler:``)
+and none outlives its stop (the benchmark gate in
+``benchmarks/bench_obs.py`` additionally bounds the *on* overhead at the
+default rate to <= 5%).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 import threading
 from typing import Iterable
 
-from .tracer import current_tracer
+from .tracer import active_span
 
 #: Environment variable switching profiling on for CLI entry points
 #: (value = output path; "1" means "profile, default path").
@@ -189,22 +190,20 @@ class Profile:
 class SamplingProfiler:
     """A background wall-clock sampler over ``sys._current_frames()``.
 
-    Samples every live thread except its own at ``hz``; with a live
-    tracer installed each sample is prefixed with that thread's
-    innermost active span (``span:<name>``).  The sampler thread is a
-    daemon named :data:`THREAD_NAME` — tests and the overhead gate
-    assert no such thread exists while profiling is off.
+    Samples every live thread except its own at ``hz``; a sample of a
+    thread with a live span open is prefixed with its innermost one
+    (``span:<name>``).  ``with profiler:`` starts and stops it.  The
+    sampler thread is a daemon named :data:`THREAD_NAME` — tests and
+    the overhead gate assert no such thread exists while profiling is
+    off.
     """
 
     THREAD_NAME = "repro-profiler"
 
-    enabled = True
-
-    def __init__(self, hz: float = DEFAULT_HZ, tag_spans: bool = True):
+    def __init__(self, hz: float = DEFAULT_HZ):
         self.hz = float(hz)
         if self.hz <= 0:
             raise ValueError(f"sampling rate must be positive, got {hz!r}")
-        self.tag_spans = tag_spans
         self.profile = Profile()
         self.samples_taken = 0
         self._stop = threading.Event()
@@ -250,7 +249,6 @@ class SamplingProfiler:
         thread.
         """
         me = threading.get_ident()
-        tracer = current_tracer() if self.tag_spans else None
         added = 0
         for ident, frame in sys._current_frames().items():
             if ident == me:
@@ -258,74 +256,13 @@ class SamplingProfiler:
             stack = fold_frame(frame)
             if not stack:
                 continue
-            if tracer is not None and tracer.enabled:
-                span = tracer.active_span(ident)
-                if span is not None:
-                    stack = f"span:{span};{stack}"
+            span = active_span(ident)
+            if span is not None:
+                stack = f"span:{span};{stack}"
             self.profile.add(stack)
             added += 1
         self.samples_taken += 1
         return added
-
-
-class NullProfiler:
-    """The disabled profiler: no thread, no samples, no allocation."""
-
-    enabled = False
-    running = False
-    hz = 0.0
-
-
-NULL_PROFILER = NullProfiler()
-
-
-# -- the process-global current profiler ------------------------------------
-
-_current: "NullProfiler | SamplingProfiler" = NULL_PROFILER
-
-
-def current_profiler() -> "NullProfiler | SamplingProfiler":
-    """The installed profiler (default: the no-op)."""
-    return _current
-
-
-def set_profiler(profiler: "SamplingProfiler | NullProfiler | None") -> None:
-    """Install *profiler* as the process-global current profiler
-    (``None`` restores the no-op)."""
-    global _current
-    _current = profiler if profiler is not None else NULL_PROFILER
-
-
-class profiling:
-    """Context manager installing (and running) a profiler::
-
-        with profiling(SamplingProfiler(hz=199)) as prof:
-            engine.execute(query, db)
-        write_speedscope(prof.profile, "profile.speedscope.json")
-
-    Starts the sampler thread on entry (if not already running), stops
-    it and restores the previous profiler on exit.  Re-entrant like
-    :func:`~repro.obs.tracer.tracing`: installing the already-current
-    profiler neither restarts nor stops it.
-    """
-
-    def __init__(self, profiler: "SamplingProfiler | NullProfiler"):
-        self.profiler = profiler
-        self._previous: "SamplingProfiler | NullProfiler | None" = None
-
-    def __enter__(self) -> "SamplingProfiler | NullProfiler":
-        self._previous = current_profiler()
-        if self._previous is not self.profiler:
-            set_profiler(self.profiler)
-            if isinstance(self.profiler, SamplingProfiler):
-                self.profiler.start()
-        return self.profiler
-
-    def __exit__(self, *exc_info) -> None:
-        if self._previous is not self.profiler:
-            if isinstance(self.profiler, SamplingProfiler):
-                self.profiler.stop()
-            set_profiler(self._previous)
 
 
 def profile_path_from_env() -> str | None:

@@ -12,14 +12,21 @@ Design constraints, in order:
    ``span()`` returns one shared no-op context manager — no allocation,
    no clock read, no lock.  Hot loops additionally guard on
    ``tracer.enabled`` before building attribute dicts.
-2. **One process-global current tracer.**  Spans are recorded from deep
-   layers (sweep operators, the decomposition portfolio) that would need
-   a ``tracer=`` parameter threaded through a dozen signatures.  Instead
-   :func:`current_tracer` reads a process-global slot that
-   :func:`set_tracer` / the :func:`tracing` context manager install a
-   live :class:`Tracer` into.  The engine installs its tracer around
-   each request; concurrent requests under one engine share the tracer
-   (it is thread-safe, and spans carry their thread id).
+2. **One current tracer per execution context.**  Spans are recorded
+   from deep layers (sweep operators, the decomposition portfolio) that
+   would need a ``tracer=`` parameter threaded through a dozen
+   signatures.  Instead :func:`current_tracer` reads a
+   :class:`contextvars.ContextVar` that the :func:`tracing` context
+   manager sets for its extent (PEP 567).  A thread starts with an
+   empty context, so it records only into a tracer it installed
+   itself: two threads tracing two requests cannot clobber each
+   other's installation.  A tracer installed in several threads is
+   shared (it is thread-safe, and spans carry their thread name).
+3. **One table of open spans.**  Every live span, whatever tracer it
+   records into, pushes its name onto its thread's stack in a
+   module-level table; :func:`active_span` reads it, so the sampling
+   profiler tags other threads' stacks without a current tracer of its
+   own.
 
 The span stream is exported by :mod:`repro.obs.export` as a Chrome
 trace-event file (``chrome://tracing`` / Perfetto loadable) or consumed
@@ -32,6 +39,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextvars import ContextVar, Token
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -110,12 +118,21 @@ class NullTracer:
     def spans(self) -> list[Span]:
         return []
 
-    def active_span(self, ident: int) -> None:
-        """No span is ever active on a disabled tracer."""
-        return None
-
 
 NULL_TRACER = NullTracer()
+
+# thread ident -> stack of the names of the live spans open on it.  Each
+# thread mutates only its own stack; the sampling profiler reads other
+# threads' stacks under the GIL (list append/pop are atomic).
+_active: dict[int, list[str]] = {}
+
+
+def active_span(ident: int) -> str | None:
+    """The innermost live span open on thread *ident* (or None)."""
+    try:  # thread *ident* may pop its last span between two reads
+        return _active[ident][-1]
+    except (KeyError, IndexError):
+        return None
 
 
 class _LiveSpan:
@@ -140,14 +157,11 @@ class _LiveSpan:
     def __enter__(self) -> "_LiveSpan":
         # Push onto this thread's active-span stack *before* taking the
         # start timestamp, so the bookkeeping cost stays outside the
-        # measured interval.  Each thread only ever mutates its own
-        # stack; the sampling profiler reads other threads' stacks under
-        # the GIL (list append/pop are atomic).
-        active = self._tracer._active
+        # measured interval.
         ident = threading.get_ident()
-        stack = active.get(ident)
+        stack = _active.get(ident)
         if stack is None:
-            stack = active[ident] = []
+            stack = _active[ident] = []
         stack.append(self.name)
         self._start = time.perf_counter()
         return self
@@ -166,7 +180,7 @@ class _LiveSpan:
                 self.attrs,
             )
         )
-        stack = self._tracer._active.get(threading.get_ident())
+        stack = _active.get(threading.get_ident())
         if stack:
             stack.pop()
         return False
@@ -189,10 +203,6 @@ class Tracer:
     :attr:`evicted`.  That is the flight-recorder configuration — a
     black box wants the spans leading up to a failure, not the start of
     the run.
-
-    The tracer also maintains a per-thread stack of *currently open*
-    span names (:meth:`active_span`), which the sampling profiler reads
-    to tag wall-clock samples with the innermost active span.
     """
 
     enabled = True
@@ -208,18 +218,10 @@ class Tracer:
         self._spans: "list[Span] | deque[Span]" = (
             deque(maxlen=max_spans) if ring else []
         )
-        # thread ident -> stack of open span names (each thread mutates
-        # only its own stack; cross-thread reads are GIL-consistent).
-        self._active: dict[int, list[str]] = {}
 
     def span(self, name: str, **attrs) -> _LiveSpan:
         """Open a span; use as ``with tracer.span("semijoin", node=...):``."""
         return _LiveSpan(self, name, attrs)
-
-    def active_span(self, ident: int) -> str | None:
-        """The innermost span currently open on thread *ident* (or None)."""
-        stack = self._active.get(ident)
-        return stack[-1] if stack else None
 
     def _record(self, span: Span) -> None:
         with self._lock:
@@ -273,21 +275,16 @@ class Tracer:
         return sum(s.duration for s in self.find(name))
 
 
-# -- the process-global current tracer --------------------------------------
+# -- the current tracer of this execution context --------------------------
 
-_current: NullTracer | Tracer = NULL_TRACER
+_current: ContextVar["NullTracer | Tracer"] = ContextVar(
+    "repro_tracer", default=NULL_TRACER
+)
 
 
 def current_tracer() -> "NullTracer | Tracer":
-    """The tracer instrumentation records into (default: the no-op)."""
-    return _current
-
-
-def set_tracer(tracer: "Tracer | NullTracer | None") -> None:
-    """Install *tracer* as the process-global current tracer
-    (``None`` restores the no-op)."""
-    global _current
-    _current = tracer if tracer is not None else NULL_TRACER
+    """The tracer this context records into (default: the no-op)."""
+    return _current.get()
 
 
 class tracing:
@@ -297,24 +294,21 @@ class tracing:
             engine.execute(query, db)
         write_chrome_trace(tracer, "trace.json")
 
-    Re-entrant: installing the already-current tracer is a no-op, so an
-    engine wrapping each request does not disturb an outer CLI-installed
-    tracer.  Restores the previous tracer on exit.
+    The installation belongs to the current context: other threads keep
+    their own tracer.  Nests freely, and restores the previous tracer
+    on exit.
     """
 
     def __init__(self, tracer: "Tracer | NullTracer"):
         self.tracer = tracer
-        self._previous: "Tracer | NullTracer | None" = None
+        self._token: "Token | None" = None
 
     def __enter__(self) -> "Tracer | NullTracer":
-        self._previous = current_tracer()
-        if self._previous is not self.tracer:
-            set_tracer(self.tracer)
+        self._token = _current.set(self.tracer)
         return self.tracer
 
     def __exit__(self, *exc_info) -> None:
-        if self._previous is not self.tracer:
-            set_tracer(self._previous)
+        _current.reset(self._token)
 
 
 def trace_path_from_env() -> str | None:

@@ -247,7 +247,7 @@ class TestSemijoinOnBuffers:
         columnar plan — acyclic sweeps and a width-2 triangle, int and
         string-valued columns, one pool (``e`` throughout) and several —
         runs buffer to buffer.  No columnar relation is asked for a key
-        set and no key set is turned back into an array."""
+        set."""
         cases = []
         for text in (
             "ans(A,D) :- p1(A,B), p2(B,C), p3(C,D).",
@@ -263,7 +263,6 @@ class TestSemijoinOnBuffers:
             raise AssertionError("a columnar plan built a key set")
 
         monkeypatch.setattr(ColumnarRelation, "key_set", refuse)
-        monkeypatch.setattr(columnar_mod, "_np_keys", refuse)
         engine = Engine(layout="columnar")
         for query, db, expected in cases:
             assert expected

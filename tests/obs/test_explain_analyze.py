@@ -262,11 +262,15 @@ class TestExplainAnalyze:
         stop = threading.Event()
         errors: list[BaseException] = []
 
+        tracer = Tracer(max_spans=200_000)
+
         def rebuild():
             try:
                 # Columnar: the bind itself builds the new version's
-                # buffers (the compile has already built its rows).
-                with Engine(layout="columnar") as engine:
+                # buffers (the compile has already built its rows).  A
+                # tracer is installed per thread, so the writer installs
+                # the shared one itself.
+                with Engine(layout="columnar") as engine, tracing(tracer):
                     i = 0
                     while not stop.is_set():
                         busy_db.add_fact("e", 1000 + i, 1001 + i)
@@ -280,7 +284,7 @@ class TestExplainAnalyze:
         try:
             with Engine(layout="columnar") as engine:
                 engine.execute(query, warm_db)
-                with tracing(Tracer(max_spans=200_000)) as tracer:
+                with tracing(tracer):
                     writer = threading.Thread(target=rebuild, name="writer")
                     writer.start()
                     try:

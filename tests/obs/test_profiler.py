@@ -8,16 +8,15 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Engine, parse_query
+from repro.db import Database
 from repro.obs import (
-    NULL_PROFILER,
-    NULL_TRACER,
+    FlightRecorder,
     Profile,
     SamplingProfiler,
     Tracer,
-    current_profiler,
     current_tracer,
     fold_frame,
-    profiling,
     tracing,
     write_collapsed,
     write_speedscope,
@@ -104,42 +103,45 @@ class TestFoldFrame:
 
 
 class TestZeroCostOff:
-    def test_default_is_null_profiler_without_sampler_thread(self):
-        assert current_profiler() is NULL_PROFILER
-        assert not NULL_PROFILER.enabled and not NULL_PROFILER.running
+    def test_no_sampler_thread_by_default(self):
         assert not any(
             t.name == SamplingProfiler.THREAD_NAME
             for t in threading.enumerate()
         )
 
-    def test_profiling_starts_and_stops_the_sampler(self):
+    def test_with_starts_and_stops_the_sampler(self):
         profiler = SamplingProfiler(hz=500)
-        with profiling(profiler) as prof:
-            assert prof is profiler and current_profiler() is profiler
+        with profiler as prof:
+            assert prof is profiler
             assert profiler.running
             assert any(
                 t.name == SamplingProfiler.THREAD_NAME
                 for t in threading.enumerate()
             )
         assert not profiler.running
-        assert current_profiler() is NULL_PROFILER
         assert not any(
             t.name == SamplingProfiler.THREAD_NAME
             for t in threading.enumerate()
         )
 
-    def test_profiling_is_reentrant(self):
-        profiler = SamplingProfiler(hz=500)
-        with profiling(profiler):
-            with profiling(profiler):
-                assert profiler.running
-            assert profiler.running  # inner exit must not stop the outer
-        assert not profiler.running
+    def test_no_process_global_profiler_slot(self):
+        """A profiler is started and stopped, never installed: nothing
+        reads an installed one."""
+        import repro
+        import repro.obs
+        import repro.obs.profiler as profiler_module
+
+        for module in (profiler_module, repro.obs, repro):
+            for name in (
+                "current_profiler", "set_profiler", "profiling",
+                "NullProfiler", "NULL_PROFILER",
+            ):
+                assert not hasattr(module, name), (module, name)
 
     def test_samples_are_read_where_they_are_taken(self):
         """The take-and-reset and import hooks that carried samples out
         of worker processes are gone and must not grow back."""
-        for owner in (Profile, SamplingProfiler, NULL_PROFILER):
+        for owner in (Profile, SamplingProfiler):
             for name in ("drain", "ingest"):
                 assert not hasattr(owner, name), (owner, name)
 
@@ -154,18 +156,23 @@ class TestSampling:
             ready.set()
             release.wait(5)
 
+    def _traced_worker(self, tracer, ready, release, span_name):
+        with tracing(tracer):
+            self._worker(ready, release, span_name)
+
     def test_sample_once_tags_active_span(self):
         ready, release = threading.Event(), threading.Event()
+        tracer = Tracer()
         thread = threading.Thread(
-            target=self._worker, args=(ready, release, "phase.semijoin")
+            target=self._traced_worker,
+            args=(tracer, ready, release, "phase.semijoin"),
         )
         profiler = SamplingProfiler(hz=1)
-        with tracing(Tracer()):
-            thread.start()
-            assert ready.wait(5)
-            profiler.sample_once()
-            release.set()
-            thread.join(5)
+        thread.start()
+        assert ready.wait(5)
+        profiler.sample_once()
+        release.set()
+        thread.join(5)
         stacks = [stack for stack, _ in profiler.profile.items()]
         assert any(s.startswith("span:phase.semijoin;") for s in stacks)
 
@@ -183,6 +190,55 @@ class TestSampling:
             not stack.startswith("span:")
             for stack, _ in profiler.profile.items()
         )
+
+    def _sample_inside_request(self, monkeypatch, tracer):
+        """Sample a thread parked inside an engine request's
+        ``plan.execute`` span; with *tracer* the thread installs it
+        first, else the request records into the flight ring only."""
+        import repro.engine.plan as plan_module
+
+        ready, release = threading.Event(), threading.Event()
+        run_program = plan_module.run_program
+
+        def parked(*args):
+            ready.set()
+            release.wait(5)
+            return run_program(*args)
+
+        monkeypatch.setattr(plan_module, "run_program", parked)
+        db = Database.from_relations({"e": [(1, 2), (2, 3)]})
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        flight = FlightRecorder()
+
+        def request():
+            with Engine(flight=flight) as engine:
+                if tracer is None:
+                    engine.execute(query, db)
+                else:
+                    with tracing(tracer):
+                        engine.execute(query, db)
+
+        thread = threading.Thread(target=request)
+        profiler = SamplingProfiler(hz=1)
+        thread.start()
+        assert ready.wait(5)
+        profiler.sample_once()
+        release.set()
+        thread.join(5)
+        assert not thread.is_alive()
+        return [stack for stack, _ in profiler.profile.items()], flight
+
+    def test_sample_once_tags_a_span_of_an_installed_tracer(self, monkeypatch):
+        tracer = Tracer()
+        stacks, flight = self._sample_inside_request(monkeypatch, tracer)
+        assert tracer.find("engine.execute") and not flight.tracer.spans()
+        assert any(s.startswith("span:plan.execute;") for s in stacks)
+
+    def test_sample_once_tags_a_flight_ring_span(self, monkeypatch):
+        stacks, flight = self._sample_inside_request(monkeypatch, None)
+        assert not current_tracer().enabled
+        assert flight.tracer.find("engine.execute")
+        assert any(s.startswith("span:plan.execute;") for s in stacks)
 
 
 class TestExports:

@@ -1,7 +1,8 @@
 """Unit tests for :mod:`repro.obs.tracer`: spans, the null tracer, the
-process-global slot, and the env switch."""
+per-context current tracer, the open-span table, and the env switch."""
 
 import os
+import sys
 import threading
 
 import pytest
@@ -12,9 +13,9 @@ from repro.obs.tracer import (
     NullTracer,
     Span,
     Tracer,
+    active_span,
     current_tracer,
     iter_leaf_totals,
-    set_tracer,
     trace_path_from_env,
     tracing,
 )
@@ -136,6 +137,14 @@ class TestCurrentTracerSlot:
             # inner exit must not clobber the outer installation
             assert current_tracer() is tracer
 
+    def test_nested_tracers_restore_in_order(self):
+        outer, inner = Tracer(), Tracer()
+        with tracing(outer):
+            with tracing(inner):
+                assert current_tracer() is inner
+            assert current_tracer() is outer
+        assert current_tracer() is NULL_TRACER
+
     def test_tracing_restores_on_exception(self):
         before = current_tracer()
         with pytest.raises(KeyError):
@@ -143,13 +152,16 @@ class TestCurrentTracerSlot:
                 raise KeyError
         assert current_tracer() is before
 
-    def test_set_tracer_none_restores_null(self):
-        set_tracer(Tracer())
-        try:
-            assert current_tracer().enabled
-        finally:
-            set_tracer(None)
-        assert current_tracer() is NULL_TRACER
+    def test_another_thread_does_not_see_the_installation(self):
+        seen = []
+        with tracing(Tracer()):
+            thread = threading.Thread(
+                target=lambda: seen.append(current_tracer())
+            )
+            thread.start()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == [NULL_TRACER]
 
 
 class TestEnvSwitch:
@@ -236,15 +248,73 @@ class TestActiveSpans:
     def test_innermost_active_span_per_thread(self):
         tracer = Tracer()
         ident = threading.get_ident()
-        assert tracer.active_span(ident) is None
+        assert active_span(ident) is None
         with tracer.span("outer"):
             with tracer.span("inner"):
-                assert tracer.active_span(ident) == "inner"
-            assert tracer.active_span(ident) == "outer"
-        assert tracer.active_span(ident) is None
+                assert active_span(ident) == "inner"
+            assert active_span(ident) == "outer"
+        assert active_span(ident) is None
 
-    def test_null_tracer_has_no_active_span(self):
-        assert NULL_TRACER.active_span(threading.get_ident()) is None
+    def test_spans_of_every_tracer_share_one_stack(self):
+        ident = threading.get_ident()
+        with Tracer().span("outer"):
+            with Tracer(ring=True).span("inner"):
+                assert active_span(ident) == "inner"
+            assert active_span(ident) == "outer"
+        assert active_span(ident) is None
+
+    def test_null_spans_are_never_active(self):
+        with NULL_TRACER.span("a"):
+            assert active_span(threading.get_ident()) is None
+
+
+class TestTracerPerThread:
+    """Each thread records into the tracer it installed: a second
+    thread's installation neither steals this thread's spans nor lends
+    it its own."""
+
+    def test_two_threads_keep_their_own_request_spans(self):
+        from repro import Engine, parse_query
+        from repro.db import Database
+
+        db = Database.from_relations(
+            {"e": [(i, (i * 7 + 3) % 40) for i in range(120)]}
+        )
+        query = parse_query("ans(X,Z) :- e(X,Y), e(Y,Z)")
+        requests = 200
+        names = ("left", "right")
+        tracers = {name: Tracer() for name in names}
+        barrier = threading.Barrier(len(names))
+        errors: list[BaseException] = []
+
+        def run(name):
+            try:
+                with Engine() as engine:
+                    engine.execute(query, db)  # warm: plan once
+                    barrier.wait(timeout=30)
+                    with tracing(tracers[name]):
+                        for _ in range(requests):
+                            engine.execute(query, db)
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(name,), name=name)
+                for name in names
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for name, tracer in tracers.items():
+            assert {s.tid for s in tracer.spans()} == {name}
+            assert len(tracer.find("engine.execute")) == requests
 
 
 class TestOneProcess:
